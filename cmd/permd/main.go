@@ -3,7 +3,7 @@
 // for the endpoint contracts). The base catalog is seeded with the fuzz
 // tables (r, s, t, u) and the synthetic workload relations (r1, r2) so
 // cmd/permload and ad-hoc curl sessions have data to query out of the
-// box; per-session DDL lands in copy-on-write overlays above it.
+// box; per-session DDL lands in copy-on-write session layers above it.
 //
 //	go run ./cmd/permd -addr :8080
 //	curl -s localhost:8080/query -d '{"query":"SELECT PROVENANCE * FROM r"}'

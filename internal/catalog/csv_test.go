@@ -5,48 +5,8 @@ import (
 	"testing"
 
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
-
-func TestRegisterAndLookup(t *testing.T) {
-	c := New()
-	r := rel.FromTuples(schema.New("", "a"), rel.Tuple{types.NewInt(1)})
-	c.Register("r", r)
-	got, err := c.Relation("r")
-	if err != nil || got.Card() != 1 {
-		t.Fatalf("lookup: %v", err)
-	}
-	if got.Schema.Attrs[0].Qual != "r" {
-		t.Errorf("registration should qualify the schema: %s", got.Schema)
-	}
-	if _, err := c.Relation("nope"); err == nil {
-		t.Error("unknown relation should error")
-	}
-	sch, err := c.Schema("r")
-	if err != nil || sch.Len() != 1 {
-		t.Errorf("Schema: %s, %v", sch, err)
-	}
-	if !c.Has("r") || c.Has("nope") {
-		t.Error("Has misreports")
-	}
-}
-
-func TestNamesSortedAndDrop(t *testing.T) {
-	c := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		c.Register(n, rel.New(schema.New("", "x")))
-	}
-	got := c.Names()
-	if len(got) != 3 || got[0] != "alpha" || got[2] != "zeta" {
-		t.Errorf("Names = %v", got)
-	}
-	c.Drop("mid")
-	c.Drop("mid") // idempotent
-	if c.Has("mid") || len(c.Names()) != 2 {
-		t.Error("Drop failed")
-	}
-}
 
 func TestCSVRoundTrip(t *testing.T) {
 	in := "a,b,c,d\n1,2.5,hello,true\nNULL,,x,false\n"
@@ -104,21 +64,4 @@ func TestParseValue(t *testing.T) {
 			t.Errorf("ParseValue(%q) = %v, want %v", in, got, want)
 		}
 	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	c := New()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			c.Register("x", rel.New(schema.New("", "a")))
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		c.Names()
-		c.Has("x")
-		_, _ = c.Relation("x")
-	}
-	<-done
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // DB is the relation resolver the executor reads base relations from.
-// *catalog.Catalog implements it.
+// *catalog.Catalog and catalog.Snapshot implement it.
 type DB interface {
 	Relation(name string) (*rel.Relation, error)
 }

@@ -266,12 +266,19 @@ func inspectWithStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bo
 // derefNamed strips one level of pointer, returning the (possibly named)
 // element type — the receiver type two accesses must share for the
 // lockcheck receiver match.
+//
+// An instantiation of a generic type (Layer[table], or Layer[V] inside
+// Layer's own methods, where every method has its own V) is reduced to the
+// declared generic type: all of them share "the" Layer.mu.
 func derefNamed(t types.Type) types.Type {
 	if t == nil {
 		return nil
 	}
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		return ptr.Elem()
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin()
 	}
 	return t
 }

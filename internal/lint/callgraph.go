@@ -81,7 +81,12 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)
-	return fn
+	if fn == nil {
+		return nil
+	}
+	// A method of an instantiated generic type, or an instantiated generic
+	// function, resolves to its declaration.
+	return fn.Origin()
 }
 
 // SortedFuncs returns the graph's functions in stable source order, for

@@ -61,14 +61,17 @@
 //
 // # lockcheck
 //
-// The engine's shared maps (the DB and Session view maps, the catalog
-// overlay layers, the evaluator's sublink memos, the service session
-// table) follow one discipline: replaced wholesale, never mutated in
-// place, always under their mutex. The compiler cannot see which mutex
+// The engine's shared state (the published state of a catalog.Layer —
+// tables and views alike — the evaluator's sublink memos, the service
+// session table) follows one discipline: replaced wholesale, never mutated
+// in place, always under its mutex. The compiler cannot see which mutex
 // guards which field, so the struct field says so:
 //
 //	// guarded-by: mu
-//	views map[string]*sql.ViewDef
+//	state atomic.Pointer[State[V]]
+//
+// A field of a generic struct is annotated once, on its declaration; every
+// instantiation shares the annotation and the lock identity.
 //
 // lockcheck is flow-sensitive: it solves a per-function dataflow problem
 // over the hold state of each lock (not held < maybe held < held, per

@@ -379,7 +379,8 @@ func (lc *lockChecker) checkAccess(sel *ast.SelectorExpr, fact lockFact, stack [
 	if !ok || !obj.IsField() {
 		return
 	}
-	info, ok := lc.guarded[obj]
+	// A field of an instantiated generic struct is annotated on its declaration.
+	info, ok := lc.guarded[obj.Origin()]
 	if !ok {
 		return
 	}

@@ -26,6 +26,7 @@ func TestLockOrderDOT(t *testing.T) {
 		`"lockorder.a.mu" -> "lockorder.b.mu"`,
 		`"lockorder.b.mu" -> "lockorder.a.mu"`,
 		`"lockorder.outer.mu" -> "lockorder.inner.mu"`,
+		`"lockorder.f.mu" -> "lockorder.e.mu"`,
 	} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, dot)

@@ -132,3 +132,25 @@ func (r *registry) relock() {
 func (r *registry) stray() {
 	r.mu.Unlock() // want `lockcheck\.registry\.mu\.Unlock\(\) without holding the lock on this path`
 }
+
+// box is generic: every instantiation, and the box[V] of each method's own
+// receiver, shares the one annotation on the declared field.
+type box[V any] struct {
+	mu sync.Mutex
+	// guarded-by: mu
+	val V
+}
+
+func (b *box[V]) set(v V) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.val = v
+}
+
+func (b *box[V]) peek() V {
+	return b.val // want `access to "val" \(guarded-by: mu\) without holding mu`
+}
+
+func peekInt(b *box[int]) int {
+	return b.val // want `access to "val" \(guarded-by: mu\) without holding mu`
+}

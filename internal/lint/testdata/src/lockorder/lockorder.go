@@ -90,3 +90,28 @@ func spawn(o *outer, i *inner) {
 	}()
 	o.mu.Unlock()
 }
+
+// e is generic: calls to the methods of an instantiation resolve to the
+// declared method, and every instantiation shares "the" e.mu.
+type e[V any] struct {
+	mu  sync.Mutex
+	val V
+}
+
+func (v *e[V]) set(x V) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.val = x
+}
+
+// f holds its own lock while writing through a generic container.
+type f struct {
+	mu sync.Mutex
+	in *e[int]
+}
+
+func (v *f) store(x int) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.in.set(x)
+}

@@ -16,16 +16,18 @@
 //
 // # Sessions and snapshots
 //
-// Every request may name a session. Sessions are created on first use and
-// hold a copy-on-write catalog overlay (catalog.Overlay) plus a session
-// views layer above the server's shared base catalog: session DDL shadows
-// the base without mutating it, so sessions never observe each other's
-// tables or views, while all of them share one copy of the base data.
-// Each statement — DDL or query — executes against one immutable snapshot
-// of (base + session layer). A long-running provenance query therefore
-// never blocks concurrent DDL, is never torn by it, and two sessions can
-// CREATE/INSERT/DROP the same names freely. A request without a session
-// name runs against a one-shot private session over the base.
+// Every request may name a session. Sessions are created on first use; a
+// session is a perm.Session, a child statement scope whose copy-on-write
+// table and view layers (catalog.Layer) sit above the server's shared base
+// database: session DDL shadows the base without writing to it, so
+// sessions never observe each other's tables or views, while all of them
+// share one copy of the base data. Each statement — DDL or query — executes
+// against one immutable snapshot that pins the current version of the
+// session layer and of the base beneath it. A long-running provenance query
+// therefore never blocks concurrent DDL, is never torn by it — not even by
+// DDL on the base — and two sessions can CREATE/INSERT/DROP the same names
+// freely. A request without a session name runs against a one-shot private
+// session over the base.
 //
 // # Cancellation and admission
 //

@@ -15,8 +15,10 @@ import (
 // Config configures a Server. The zero value of every field but DB gets a
 // sensible default.
 type Config struct {
-	// DB is the shared base database. Its catalog is treated as immutable
-	// once the server starts serving: all DDL lands in session overlays.
+	// DB is the shared base database. The server never writes to it: all
+	// DDL lands in session layers. Its owner may keep changing it while the
+	// server runs — every statement pins the base version it started with,
+	// and later statements see the new one.
 	DB *perm.DB
 
 	// MaxConcurrent caps the statements executing at once across all

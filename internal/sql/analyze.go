@@ -470,7 +470,7 @@ func (a *analyzer) fromRef(ref TableRef, outer *ascope) ([]arel, error) {
 
 // tableCols returns the typed columns of a base table or view.
 func (a *analyzer) tableCols(name string) ([]typedCol, error) {
-	if def, ok := a.env.Views[name]; ok {
+	if def := a.env.Views.Get(name); def != nil {
 		if cols, done := a.viewCols[name]; done {
 			return cols, nil
 		}

@@ -2,9 +2,9 @@ package sql
 
 // Data-definition and data-manipulation statements of the service layer:
 // CREATE TABLE with declared column types and INSERT ... VALUES with
-// literal rows. Sessions execute them against their copy-on-write catalog
-// overlay (see internal/catalog.Overlay); the perm layer executes them
-// against the base catalog.
+// literal rows. Package perm executes them against a statement scope's
+// copy-on-write catalog layer (see internal/catalog.Layer): a session's
+// own layer, or the base's.
 
 import (
 	"fmt"

@@ -29,10 +29,11 @@ type Translated struct {
 	Hidden int
 }
 
-// Translate lowers a parsed statement to the extended relational algebra,
-// resolving base table schemas against the catalog.
-func Translate(cat *catalog.Catalog, stmt *Stmt) (*Translated, error) {
-	tr := &translator{cat: cat}
+// Translate lowers a parsed and analyzed statement to the extended
+// relational algebra, resolving base table schemas against the environment's
+// catalog and expanding its views.
+func Translate(env Env, stmt *Stmt) (*Translated, error) {
+	tr := &translator{cat: env.Catalog, views: env.Views}
 	prov := stmt.Left.Provenance
 	plan, err := tr.stmt(stmt, true)
 	if err != nil {
@@ -41,21 +42,14 @@ func Translate(cat *catalog.Catalog, stmt *Stmt) (*Translated, error) {
 	return &Translated{Plan: plan, Provenance: prov, Hidden: tr.hidden}, nil
 }
 
-// Compile parses, analyzes and translates in one step.
-func Compile(cat *catalog.Catalog, query string) (*Translated, error) {
-	stmt, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if err := Analyze(Env{Catalog: cat}, stmt); err != nil {
-		return nil, err
-	}
-	return Translate(cat, stmt)
+// Compile parses, analyzes and translates in one step, without views.
+func Compile(cat catalog.Source, query string) (*Translated, error) {
+	return CompileEnv(Env{Catalog: cat}, query)
 }
 
 type translator struct {
 	cat       catalog.Source
-	views     map[string]*ViewDef
+	views     *catalog.State[ViewDef]
 	viewStack []string
 	fresh     int
 	// hidden is the number of trailing hidden sort-key columns the
@@ -500,7 +494,7 @@ func (tr *translator) fromItem(ref TableRef) (algebra.Op, error) {
 		}
 		return algebra.NewProject(sub, cols...), nil
 	default:
-		if def, ok := tr.views[ref.Table]; ok {
+		if def := tr.views.Get(ref.Table); def != nil {
 			return tr.expandView(def, ref.Alias)
 		}
 		sch, err := tr.cat.Schema(ref.Table)

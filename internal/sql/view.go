@@ -114,12 +114,12 @@ func ParseStatement(input string) (*Statement, error) {
 	}
 }
 
-// Env is the translation environment: the base catalog plus named views.
-// Views shadow base relations of the same name and may reference other
-// views; cycles are rejected.
+// Env is the translation environment: the base catalog plus named views
+// (nil for none). Views shadow base relations of the same name and may
+// reference other views; cycles are rejected.
 type Env struct {
 	Catalog catalog.Source
-	Views   map[string]*ViewDef
+	Views   *catalog.State[ViewDef]
 }
 
 // CompileEnv parses, analyzes and translates a query against an environment
@@ -132,13 +132,7 @@ func CompileEnv(env Env, query string) (*Translated, error) {
 	if err := Analyze(env, stmt); err != nil {
 		return nil, err
 	}
-	tr := &translator{cat: env.Catalog, views: env.Views}
-	prov := stmt.Left.Provenance
-	plan, err := tr.stmt(stmt, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Translated{Plan: plan, Provenance: prov, Hidden: tr.hidden}, nil
+	return Translate(env, stmt)
 }
 
 // expandView translates a view reference under an alias, guarding against

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"perm/internal/catalog"
 	"perm/internal/eval"
 	"perm/internal/rel"
 )
@@ -35,13 +36,22 @@ func TestParseStatementKinds(t *testing.T) {
 	}
 }
 
+// viewsOf builds a view environment from definitions.
+func viewsOf(defs ...*ViewDef) *catalog.State[ViewDef] {
+	var views *catalog.State[ViewDef]
+	for _, d := range defs {
+		views = views.With(d.Name, d)
+	}
+	return views
+}
+
 func TestViewExpansion(t *testing.T) {
 	c := testDB()
 	big, err := ParseStatement("CREATE VIEW big AS SELECT a, b FROM r WHERE a >= 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := Env{Catalog: c, Views: map[string]*ViewDef{"big": big.CreateView}}
+	env := Env{Catalog: c, Views: viewsOf(big.CreateView)}
 	tr, err := CompileEnv(env, "SELECT big.a FROM big WHERE big.b = 1")
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +69,7 @@ func TestViewExpansion(t *testing.T) {
 func TestViewInSublinkAndAlias(t *testing.T) {
 	c := testDB()
 	st, _ := ParseStatement("CREATE VIEW cs AS SELECT c FROM s WHERE d > 3")
-	env := Env{Catalog: c, Views: map[string]*ViewDef{"cs": st.CreateView}}
+	env := Env{Catalog: c, Views: viewsOf(st.CreateView)}
 	tr, err := CompileEnv(env, "SELECT a FROM r WHERE a IN (SELECT x.c FROM cs AS x)")
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +88,7 @@ func TestViewReferencingView(t *testing.T) {
 	c := testDB()
 	v1, _ := ParseStatement("CREATE VIEW v1 AS SELECT a FROM r WHERE a > 1")
 	v2, _ := ParseStatement("CREATE VIEW v2 AS SELECT a FROM v1 WHERE a < 3")
-	env := Env{Catalog: c, Views: map[string]*ViewDef{"v1": v1.CreateView, "v2": v2.CreateView}}
+	env := Env{Catalog: c, Views: viewsOf(v1.CreateView, v2.CreateView)}
 	tr, err := CompileEnv(env, "SELECT a FROM v2")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +107,7 @@ func TestCyclicViewRejected(t *testing.T) {
 	c := testDB()
 	v1, _ := ParseStatement("CREATE VIEW v1 AS SELECT a FROM v2")
 	v2, _ := ParseStatement("CREATE VIEW v2 AS SELECT a FROM v1")
-	env := Env{Catalog: c, Views: map[string]*ViewDef{"v1": v1.CreateView, "v2": v2.CreateView}}
+	env := Env{Catalog: c, Views: viewsOf(v1.CreateView, v2.CreateView)}
 	_, err := CompileEnv(env, "SELECT a FROM v1")
 	if err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Fatalf("cyclic views should be rejected, got %v", err)

@@ -61,92 +61,123 @@ func (s Strategy) internal() (rewrite.Strategy, error) {
 	return rewrite.ParseStrategy(string(s))
 }
 
-// DB is an in-memory database with provenance support. Queries may run
-// concurrently with each other and with view DDL: the views map is
-// replaced wholesale under viewMu (never mutated in place), so a query
-// either sees a view completely — with its body already analyzed — or not
-// at all.
-type DB struct {
-	cat    *catalog.Catalog
-	viewMu sync.RWMutex
-	// views is the published views map, replaced wholesale on DDL.
-	// guarded-by: viewMu
-	views map[string]*sql.ViewDef
-}
+// DB is an in-memory database with provenance support: the root statement
+// scope. Every statement runs against one immutable snapshot of the catalog
+// and the views, so queries may run concurrently with each other and with
+// DDL: a query sees a table version or a view completely — with its body
+// already analyzed — or not at all. DDL statements serialise among
+// themselves.
+type DB struct{ scope }
 
 // Open returns an empty database.
-func Open() *DB { return &DB{cat: catalog.New(), views: map[string]*sql.ViewDef{}} }
+func Open() *DB {
+	return &DB{scope{cat: catalog.New(), views: catalog.NewLayer[sql.ViewDef](nil)}}
+}
 
-// Exec runs any statement: SELECT queries return a Result; CREATE VIEW and
-// DROP VIEW return nil. Views are stored queries that may be used like
-// relations — including under SELECT PROVENANCE, which rewrites through
-// the view body (the Perm capability of §3.1).
-func (db *DB) Exec(statement string, opts ...Option) (*Result, error) {
+// Session is an isolated statement scope over a shared DB: its DDL —
+// CREATE TABLE, INSERT, CREATE VIEW, DROP — lands in a private copy-on-write
+// layer that shadows the base without ever writing to it. Any number of
+// sessions run concurrently against one DB; a session's writes are invisible
+// to every other session, and every statement executes against one immutable
+// snapshot of (base + session layer), so long-running provenance queries
+// neither block nor observe concurrent DDL — not the base's and not even
+// their own session's.
+//
+// A Session's methods are safe for concurrent use.
+type Session struct{ scope }
+
+// NewSession opens a session layered over db's current and future base
+// state: base DDL performed after the session is created is visible to the
+// session's next statement unless shadowed by the session's own layer.
+func (db *DB) NewSession() *Session {
+	return &Session{scope{cat: catalog.NewOverlay(db.cat), views: catalog.NewLayer(db.views)}}
+}
+
+// scope is the one implementation of statement execution behind DB and
+// Session: a catalog layer paired with a view layer of the same
+// copy-on-write type (see catalog.Layer). A DB's layers are roots, a
+// Session's are children of its DB's; nothing else differs. Queries load the
+// two published states and never lock. The published states a snapshot pins
+// — the scope's own and, in a session, the DB's beneath — are the scope's
+// version: one of them is replaced exactly when DDL the scope can see is
+// published.
+type scope struct {
+	// mu serialises the scope's DDL. Every read-modify-write cycle — INSERT
+	// appending to the current version, CREATE checking the name is free, a
+	// view probed before it is published — runs under it from the read to
+	// the publish, so concurrent writers cannot lose each other's updates.
+	// Blind writes (Register, LoadCSV, Drop) take it too, so that an INSERT
+	// in flight cannot publish over them.
+	mu    sync.Mutex
+	cat   *catalog.Catalog
+	views *catalog.Layer[sql.ViewDef]
+}
+
+// Exec runs any statement: queries return a Result; CREATE TABLE / CREATE
+// VIEW / INSERT / DROP change only this scope's layer and return nil. Views
+// are stored queries that may be used like relations — including under
+// SELECT PROVENANCE, which rewrites through the view body (the Perm
+// capability of §3.1).
+func (sc *scope) Exec(statement string, opts ...Option) (*Result, error) {
 	st, err := sql.ParseStatement(statement)
 	if err != nil {
 		return nil, err
 	}
+	if st.Query != nil {
+		return sc.Query(statement, opts...)
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sn := sc.snapshot()
 	switch {
 	case st.CreateView != nil:
-		name := st.CreateView.Name
 		// Validate the body now so errors surface at definition time. The
-		// whole snapshot–validate–publish sequence holds viewMu, so
-		// concurrent DDL serializes (no lost views) and the probe compiles
-		// against a private map BEFORE the view is published: analysis
-		// substitutes any ordinals in the body in place, and publishing only
-		// afterwards guarantees concurrent queries never see (or race with)
-		// that one-time write (see sql.Analyze). In-flight queries keep the
-		// map they snapshotted; only new snapshots wait out the validation.
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		probe := cloneViews(db.views)
-		probe[name] = st.CreateView
-		if _, err := sql.CompileEnv(sql.Env{Catalog: db.cat, Views: probe}, "SELECT * FROM "+name); err != nil {
+		// probe compiles against a private state that already shows the view:
+		// analysis substitutes any ordinals in the body in place (see
+		// sql.Analyze), and publishing only afterwards guarantees concurrent
+		// queries never see, or race with, that one-time write.
+		def := st.CreateView
+		sn.views = sn.views.With(def.Name, def)
+		if _, err := sql.CompileEnv(sn.env(), "SELECT * FROM "+def.Name); err != nil {
 			return nil, err
 		}
-		db.views = probe
+		sc.views.Put(def.Name, def)
 		return nil, nil
 	case st.DropView != "":
-		db.viewMu.Lock()
-		defer db.viewMu.Unlock()
-		if _, ok := db.views[st.DropView]; !ok {
+		if !sc.views.Drop(st.DropView) {
 			return nil, fmt.Errorf("perm: unknown view %q", st.DropView)
 		}
-		// Replace, never mutate: concurrent queries may hold the old map.
-		next := cloneViews(db.views)
-		delete(next, st.DropView)
-		db.views = next
 		return nil, nil
 	case st.CreateTable != nil:
-		if db.cat.Has(st.CreateTable.Name) {
-			return nil, fmt.Errorf("perm: relation %q already exists", st.CreateTable.Name)
+		def := st.CreateTable
+		if sn.views.Get(def.Name) != nil {
+			return nil, fmt.Errorf("perm: relation %q already exists (as a view)", def.Name)
 		}
-		r, kinds := tableDefRelation(st.CreateTable)
-		db.cat.RegisterWithKinds(st.CreateTable.Name, r, kinds)
-		return nil, nil
+		r, kinds := tableDefRelation(def)
+		return nil, sc.cat.Create(def.Name, r, kinds)
 	case st.Insert != nil:
-		old, err := db.cat.Relation(st.Insert.Table)
+		// Copy-on-write: build the appended copy of the current version and
+		// publish it. Snapshots taken before the publish keep the old one.
+		ins := st.Insert
+		if sn.views.Get(ins.Table) != nil {
+			return nil, fmt.Errorf("perm: cannot INSERT into view %q", ins.Table)
+		}
+		old, err := sn.src.Relation(ins.Table)
 		if err != nil {
 			return nil, err
 		}
-		kinds, err := db.cat.Kinds(st.Insert.Table)
+		kinds, err := sn.src.Kinds(ins.Table)
 		if err != nil {
 			return nil, err
 		}
-		next, merged, err := appendRows(old, kinds, st.Insert)
+		next, merged, err := appendRows(old, kinds, ins)
 		if err != nil {
 			return nil, err
 		}
-		db.cat.RegisterWithKinds(st.Insert.Table, next, merged)
+		sc.cat.RegisterWithKinds(ins.Table, next, merged)
 		return nil, nil
-	case st.DropTable != "":
-		if !db.cat.Has(st.DropTable) {
-			return nil, fmt.Errorf("perm: unknown relation %q", st.DropTable)
-		}
-		db.cat.Drop(st.DropTable)
-		return nil, nil
-	default:
-		return db.Query(statement, opts...)
+	default: // DROP TABLE
+		return nil, sc.cat.Drop(st.DropTable)
 	}
 }
 
@@ -198,72 +229,32 @@ func (db *DB) CreateView(name, query string) error {
 	return err
 }
 
-// Views lists the defined view names.
-func (db *DB) Views() []string {
-	views := db.snapshotViews()
-	out := make([]string, 0, len(views))
-	for n := range views {
-		out = append(out, n)
-	}
-	sortStrings(out)
-	return out
-}
+// Views lists the view names visible to the scope.
+func (sc *scope) Views() []string { return sc.views.Snapshot().Names() }
 
-// snapshotViews returns the current published views map. The map is
-// replaced wholesale on DDL and never mutated in place, so holding the
-// returned reference across a whole compile is safe.
-func (db *DB) snapshotViews() map[string]*sql.ViewDef {
-	db.viewMu.RLock()
-	defer db.viewMu.RUnlock()
-	return db.views
-}
-
-func cloneViews(in map[string]*sql.ViewDef) map[string]*sql.ViewDef {
-	out := make(map[string]*sql.ViewDef, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// Register installs a base relation. Row values may be int, int64,
-// float64, string, bool or nil (NULL).
-func (db *DB) Register(name string, columns []string, rows [][]any) error {
-	r, err := buildRelation(columns, rows)
-	if err != nil {
-		return err
-	}
-	db.cat.Register(name, r)
-	return nil
-}
-
-// buildRelation converts Go values into a relation (shared by DB.Register
-// and Session.Register).
-func buildRelation(columns []string, rows [][]any) (*rel.Relation, error) {
+// Register installs a base relation into the scope's layer — in a session,
+// shadowing any base relation of the same name. Row values may be int,
+// int64, float64, string, bool or nil (NULL).
+func (sc *scope) Register(name string, columns []string, rows [][]any) error {
 	r := rel.New(schema.New("", columns...))
 	for i, row := range rows {
 		if len(row) != len(columns) {
-			return nil, fmt.Errorf("perm: row %d has %d values, want %d", i, len(row), len(columns))
+			return fmt.Errorf("perm: row %d has %d values, want %d", i, len(row), len(columns))
 		}
 		t := make(rel.Tuple, len(row))
 		for j, v := range row {
 			val, err := toValue(v)
 			if err != nil {
-				return nil, fmt.Errorf("perm: row %d column %q: %w", i, columns[j], err)
+				return fmt.Errorf("perm: row %d column %q: %w", i, columns[j], err)
 			}
 			t[j] = val
 		}
 		r.Add(t, 1)
 	}
-	return r, nil
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.cat.Register(name, r)
+	return nil
 }
 
 // LoadCSV installs a base relation from CSV (header row of column names;
@@ -273,17 +264,25 @@ func (db *DB) LoadCSV(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	db.scope.mu.Lock()
+	defer db.scope.mu.Unlock()
 	db.cat.Register(name, relation)
 	return nil
 }
 
-// Relations lists the registered relation names.
-func (db *DB) Relations() []string { return db.cat.Names() }
+// Relations lists the relation names visible to the scope.
+func (sc *scope) Relations() []string { return sc.cat.Names() }
 
-// Drop removes a relation.
-func (db *DB) Drop(name string) { db.cat.Drop(name) }
+// Drop removes a relation; dropping an absent relation is a no-op.
+func (db *DB) Drop(name string) {
+	db.scope.mu.Lock()
+	defer db.scope.mu.Unlock()
+	_ = db.cat.Drop(name) // the only error is "unknown relation"
+}
 
 // Catalog exposes the underlying catalog for tools inside this module.
+// Writes through it publish like any DDL but do not take the statement
+// lock: a tool that loads data this way does so before it serves statements.
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 func toValue(v any) (types.Value, error) {
@@ -402,20 +401,20 @@ type Result struct {
 	PlanFindings []PlanFinding
 }
 
-// snapshot is one consistent (catalog, views) state that a single
-// statement compiles and executes against. DB statements snapshot the base
-// catalog and the published views map; Session statements snapshot their
-// copy-on-write overlay — either way the whole pipeline (parse, analyze,
-// translate, rewrite, optimize, evaluate) observes exactly one catalog
-// state, unaffected by concurrent DDL.
+// snapshot is one consistent (catalog, views) state that a single statement
+// compiles and executes against: the whole pipeline (parse, analyze,
+// translate, rewrite, optimize, evaluate) observes exactly one version of
+// every layer, unaffected by concurrent DDL.
 type snapshot struct {
-	src   catalog.Source
-	views map[string]*sql.ViewDef
+	src   catalog.Snapshot
+	views *catalog.State[sql.ViewDef]
 }
 
 func (sn snapshot) env() sql.Env { return sql.Env{Catalog: sn.src, Views: sn.views} }
 
-func (db *DB) snapshot() snapshot { return snapshot{src: db.cat, views: db.snapshotViews()} }
+func (sc *scope) snapshot() snapshot {
+	return snapshot{src: sc.cat.Snapshot(), views: sc.views.Snapshot()}
+}
 
 func newQueryConfig(opts []Option) queryConfig {
 	// cfg.ctx stays nil unless WithContext supplies one: a bare Query call
@@ -428,22 +427,23 @@ func newQueryConfig(opts []Option) queryConfig {
 	return cfg
 }
 
-// Query parses, plans and executes a SQL statement. SELECT PROVENANCE
-// statements are rewritten with the configured strategy before execution.
-func (db *DB) Query(query string, opts ...Option) (*Result, error) {
-	return db.snapshot().query(query, newQueryConfig(opts))
+// Query parses, plans and executes a SQL statement against the scope's
+// current snapshot. SELECT PROVENANCE statements are rewritten with the
+// configured strategy before execution.
+func (sc *scope) Query(query string, opts ...Option) (*Result, error) {
+	return sc.snapshot().query(query, newQueryConfig(opts))
 }
 
 // QueryContext is Query under a context: cancellation or deadline expiry
 // aborts evaluation with an error wrapping eval.ErrCanceled and the
 // context's error. It is equivalent to passing WithContext(ctx).
-func (db *DB) QueryContext(ctx context.Context, query string, opts ...Option) (*Result, error) {
-	return db.Query(query, append([]Option{WithContext(ctx)}, opts...)...)
+func (sc *scope) QueryContext(ctx context.Context, query string, opts ...Option) (*Result, error) {
+	return sc.Query(query, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
 // ExecContext is Exec under a context (see QueryContext).
-func (db *DB) ExecContext(ctx context.Context, statement string, opts ...Option) (*Result, error) {
-	return db.Exec(statement, append([]Option{WithContext(ctx)}, opts...)...)
+func (sc *scope) ExecContext(ctx context.Context, statement string, opts ...Option) (*Result, error) {
+	return sc.Exec(statement, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
 // query runs the full pipeline against one snapshot.
@@ -525,8 +525,8 @@ type StrategyAdvice struct {
 // future-work direction of making the optimizer cost model
 // provenance-aware). The query must not use the PROVENANCE keyword — pass
 // the plain query you intend to ask provenance for.
-func (db *DB) Advise(query string) ([]StrategyAdvice, error) {
-	return db.snapshot().advise(query)
+func (sc *scope) Advise(query string) ([]StrategyAdvice, error) {
+	return sc.snapshot().advise(query)
 }
 
 func (sn snapshot) advise(query string) ([]StrategyAdvice, error) {
@@ -558,8 +558,8 @@ func (sn snapshot) advise(query string) ([]StrategyAdvice, error) {
 
 // Explain returns the (optimized) algebra plan of a statement, after the
 // provenance rewrite for PROVENANCE queries.
-func (db *DB) Explain(query string, opts ...Option) (string, error) {
-	return db.snapshot().explain(query, newQueryConfig(opts))
+func (sc *scope) Explain(query string, opts ...Option) (string, error) {
+	return sc.snapshot().explain(query, newQueryConfig(opts))
 }
 
 func (sn snapshot) explain(query string, cfg queryConfig) (string, error) {

@@ -218,13 +218,8 @@ func (sn snapshot) compile(query string, cfg queryConfig) (*planned, error) {
 // pipeline order. Compile and rewrite errors are returned as-is; verifier
 // findings never produce an error here. WithStrategy and WithoutOptimizer
 // shape the verified pipeline exactly as they would a query.
-func (db *DB) VerifyPlan(query string, opts ...Option) ([]PlanStage, error) {
-	return db.snapshot().verifyPlan(query, newQueryConfig(opts))
-}
-
-// VerifyPlan is DB.VerifyPlan against the session's overlay catalog.
-func (s *Session) VerifyPlan(query string, opts ...Option) ([]PlanStage, error) {
-	return s.snapshot().verifyPlan(query, newQueryConfig(opts))
+func (sc *scope) VerifyPlan(query string, opts ...Option) ([]PlanStage, error) {
+	return sc.snapshot().verifyPlan(query, newQueryConfig(opts))
 }
 
 func (sn snapshot) verifyPlan(query string, cfg queryConfig) ([]PlanStage, error) {
