@@ -33,10 +33,12 @@ func main() {
 	maxScans := flag.Int("maxscans", fuzz.MaxProvScans, "max base-relation accesses for the provenance matrix")
 	shrinkBudget := flag.Int("shrink", 300, "oracle runs the shrinker may spend per failure")
 	planCheck := flag.Bool("plancheck", true, "verify every compile stage with internal/plancheck (strict)")
+	planCache := flag.Bool("plancache", true, "check every query and a sibling of its shape through the plan cache against runs without it")
 	flag.Parse()
 
 	fuzz.MaxProvScans = *maxScans
 	fuzz.PlanCheck = *planCheck
+	fuzz.PlanCache = *planCache
 	db := fuzz.NewDB(*seed)
 	g := fuzz.NewGen(*seed)
 	start := time.Now()

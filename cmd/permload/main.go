@@ -8,7 +8,10 @@
 // against direct library execution over the same seed: rows must match
 // cell for cell, and error responses must carry the engine's error text
 // verbatim. The target permd must therefore run with the same -seed,
-// -synth-size and -synth-domain.
+// -synth-size and -synth-domain. The library side compiles every statement
+// as written (perm.WithoutPlanCache), so the comparison also checks the
+// server's plan cache; the run ends with the share of the server's plan
+// lookups it answered from the cache, read from GET /stats.
 //
 //	go run ./cmd/permd &
 //	go run ./cmd/permload -n 500 -c 8
@@ -34,6 +37,7 @@ import (
 
 	"perm"
 	"perm/internal/fuzz"
+	"perm/internal/service"
 	"perm/internal/synth"
 )
 
@@ -84,6 +88,11 @@ func main() {
 		mu.Unlock()
 	}
 	client := &http.Client{}
+	cacheBefore, err := planCacheStats(client, *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "permload:", err)
+		os.Exit(1)
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < *c; w++ {
@@ -130,6 +139,14 @@ func main() {
 		q(0.50).Round(time.Microsecond), q(0.99).Round(time.Microsecond),
 		q(1).Round(time.Microsecond), float64(len(lats))/elapsed.Seconds())
 	fmt.Printf("permload: %d expected errors, %d failures\n", expected.Load(), failures.Load())
+	cacheAfter, err := planCacheStats(client, *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "permload:", err)
+		os.Exit(1)
+	}
+	hits, misses := cacheAfter.Hits-cacheBefore.Hits, cacheAfter.Misses-cacheBefore.Misses
+	fmt.Printf("permload: plan cache: %d hits, %d misses (hit ratio %.3f), %d stale, %d entries\n",
+		hits, misses, float64(hits)/float64(max(hits+misses, 1)), cacheAfter.Stale-cacheBefore.Stale, cacheAfter.Entries)
 	for _, m := range msgs {
 		fmt.Fprintln(os.Stderr, "permload: FAIL:", m)
 	}
@@ -153,6 +170,20 @@ type queryReply struct {
 		Class   string `json:"class"`
 		Message string `json:"message"`
 	} `json:"error"`
+}
+
+// planCacheStats reads the server's plan-cache counters from GET /stats.
+func planCacheStats(client *http.Client, addr string) (service.PlanCacheJSON, error) {
+	resp, err := client.Get(addr + "/stats")
+	if err != nil {
+		return service.PlanCacheJSON{}, fmt.Errorf("GET /stats: %w", err)
+	}
+	defer resp.Body.Close()
+	var stats service.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		return service.PlanCacheJSON{}, fmt.Errorf("GET /stats: %w", err)
+	}
+	return stats.PlanCache, nil
 }
 
 // runOne sends one request and checks the outcome. It returns the request
@@ -191,7 +222,7 @@ func runOne(client *http.Client, addr string, tk task, timeoutMS int64, direct *
 		}
 		return d, out.Error != nil, ""
 	}
-	var opts []perm.Option
+	opts := []perm.Option{perm.WithoutPlanCache()}
 	if tk.mode == "materialize" {
 		opts = append(opts, perm.WithoutStreaming())
 	}

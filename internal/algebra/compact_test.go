@@ -1,0 +1,164 @@
+package algebra
+
+import (
+	"math"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"perm/internal/schema"
+	"perm/internal/types"
+)
+
+// compactPlan is a plan with what Compact cares about: repeated scans and
+// attribute references, a sublink, a wide projection above a parameterised
+// selection — whose slot the argument picks.
+func compactPlan(slot int) Op {
+	text := strings.Repeat("SELECT a, b FROM r AS x ", 2) // stands for a statement text
+	alias := text[22:23]                                  // "x", sliced out of it like a lexed identifier
+	scan := func() Op { return NewScan("r", alias, schema.New("r", "a", "b")) }
+	sub := Sublink{Kind: ExistsSublink, Query: &Select{Child: scanS(), Cond: Cmp{Op: types.CmpEq, L: Attr("c"), R: QAttr(alias, "a")}}}
+	sel := &Select{Child: &Cross{L: scan(), R: scan()}, Cond: And{
+		L: Cmp{Op: types.CmpGt, L: QAttr(alias, "a"), R: Param{Idx: slot}},
+		R: sub,
+	}}
+	lower := NewProject(sel, Col(QAttr(alias, "a"), "a"), Col(QAttr(alias, "b"), "b"), Col(StrConst(text[7:8]), "k"))
+	return &Order{
+		Child: NewProject(lower, KeepCol("a"), KeepCol("b"), KeepCol("k"), Col(Func{Name: "upper", Args: []Expr{Attr("k")}}, "u")),
+		Keys:  []SortKey{{E: Attr("a")}},
+	}
+}
+
+// sameBox reports whether two interface values share their boxed value.
+func sameBox(a, b Expr) bool {
+	return (*[2]unsafe.Pointer)(unsafe.Pointer(&a))[1] == (*[2]unsafe.Pointer)(unsafe.Pointer(&b))[1]
+}
+
+func TestCompactKeepsThePlan(t *testing.T) {
+	plan := compactPlan(0)
+	got := Compact(plan, nil, nil)
+	if Indent(got) != Indent(plan) || got.Schema().String() != plan.Schema().String() {
+		t.Fatalf("compacted plan differs:\n%s\nwant\n%s", Indent(got), Indent(plan))
+	}
+	// One node for the two equal scans, one box for each distinct reference.
+	var scans []*Scan
+	refs := map[AttrRef][]Expr{}
+	Walk(got, func(o Op) bool {
+		if s, ok := o.(*Scan); ok && s.Name == "r" {
+			scans = append(scans, s)
+		}
+		for _, e := range OperatorExprs(o) {
+			WalkExpr(e, func(x Expr) bool {
+				if ref, ok := x.(AttrRef); ok {
+					refs[ref] = append(refs[ref], x)
+				}
+				return true
+			})
+		}
+		return true
+	})
+	if len(scans) != 2 || scans[0] != scans[1] {
+		t.Errorf("scans of r: %v, want one node reached twice", scans)
+	}
+	for ref, boxes := range refs {
+		for _, box := range boxes[1:] {
+			if !sameBox(box, boxes[0]) {
+				t.Errorf("%s is boxed more than once", ref)
+			}
+		}
+	}
+	// No string of the copy is a slice of the statement text.
+	before := plan.(*Order).Child.(*Project).Child.(*Project).Child.(*Select).Child.(*Cross).L.(*Scan)
+	if unsafe.StringData(scans[0].Alias) == unsafe.StringData(before.Alias) || scans[0].Alias != before.Alias {
+		t.Errorf("the alias still points into the statement text")
+	}
+	// The catalog's schema is used as it is.
+	pooled := schema.New("x", "a", "b")
+	withPool := Compact(plan, nil, []schema.Schema{pooled})
+	Walk(withPool, func(o Op) bool {
+		if s, ok := o.(*Scan); ok && s.Name == "r" && &s.Sch.Attrs[0] != &pooled.Attrs[0] {
+			t.Errorf("scan schema is not the pooled one")
+		}
+		return true
+	})
+}
+
+// TestCompactSharesWithLike: a plan that differs from like in one parameter
+// slot deep down costs the path to it — the subtrees beside the path are
+// like's nodes, and the column lists on the path like's arrays.
+func TestCompactSharesWithLike(t *testing.T) {
+	like := Compact(compactPlan(0), nil, nil)
+	same := Compact(compactPlan(0), like, nil)
+	if same != like {
+		t.Errorf("an equal plan compacted to a new tree")
+	}
+	other := Compact(compactPlan(1), like, nil)
+	if Indent(other) != Indent(compactPlan(1)) {
+		t.Fatalf("shared plan differs:\n%s\nwant\n%s", Indent(other), Indent(compactPlan(1)))
+	}
+	if other == like {
+		t.Fatal("plans with different parameters are one tree")
+	}
+	top, likeTop := other.(*Order).Child.(*Project), like.(*Order).Child.(*Project)
+	lower, likeLower := top.Child.(*Project), likeTop.Child.(*Project)
+	if &top.Cols[0] != &likeTop.Cols[0] || &lower.Cols[0] != &likeLower.Cols[0] {
+		t.Errorf("column lists on the path are copies")
+	}
+	sel, likeSel := lower.Child.(*Select), likeLower.Child.(*Select)
+	if sel == likeSel || sel.Child != likeSel.Child {
+		t.Errorf("the selection must be new, its input like's")
+	}
+	sub := sel.Cond.(And).R.(Sublink)
+	if sub.Query != likeSel.Cond.(And).R.(Sublink).Query {
+		t.Errorf("the sublink's query beside the path is a copy")
+	}
+	// A plan of another build shares what happens to match and nothing else.
+	unrelated := Compact(NewProject(scanS(), KeepCol("c")), like, nil)
+	if Indent(unrelated) != Indent(NewProject(scanS(), KeepCol("c"))) {
+		t.Errorf("compacting against an unrelated plan changed it:\n%s", Indent(unrelated))
+	}
+}
+
+// TestCompactKeepsConstantKinds: 2 and 2.0 are equal constants to ExprEqual
+// and different computations under a division; neither within a plan nor
+// against like may one stand for the other.
+func TestCompactKeepsConstantKinds(t *testing.T) {
+	div := func(c Const) Expr { return Arith{Op: types.OpDiv, L: Attr("a"), R: c} }
+	kinds := func(op Op) (out []types.Kind) {
+		for _, col := range op.(*Project).Cols {
+			out = append(out, col.E.(Arith).R.(Const).Val.Kind())
+		}
+		return out
+	}
+	if !ExprEqual(div(IntConst(2)), div(FloatConst(2))) || exprIdentical(div(IntConst(2)), div(FloatConst(2))) {
+		t.Fatal("a/2 and a/2.0 must be equal and not identical")
+	}
+	if exprIdentical(FloatConst(0), FloatConst(math.Copysign(0, -1))) || !exprIdentical(StrConst("x"), StrConst("x")) {
+		t.Error("identical constants are the same value of the same kind")
+	}
+	plan := NewProject(scanR(), Col(div(IntConst(2)), "i"), Col(div(FloatConst(2)), "f"))
+	like := Compact(plan, nil, nil)
+	if got := kinds(like); got[0] != types.KindInt || got[1] != types.KindFloat {
+		t.Errorf("within a plan: constant kinds %v", got)
+	}
+	swapped := NewProject(scanR(), Col(div(FloatConst(2)), "i"), Col(div(IntConst(2)), "f"))
+	if got := kinds(Compact(swapped, like, nil)); got[0] != types.KindFloat || got[1] != types.KindInt {
+		t.Errorf("against like: constant kinds %v", got)
+	}
+}
+
+func TestParamExpr(t *testing.T) {
+	if got := (Param{Idx: 2}).String(); got != "$3" {
+		t.Errorf("String = %q", got)
+	}
+	if !ExprEqual(Param{Idx: 1}, Param{Idx: 1}) || ExprEqual(Param{Idx: 1}, Param{Idx: 2}) || ExprEqual(Param{Idx: 1}, IntConst(1)) {
+		t.Error("a parameter equals exactly the parameter of its slot")
+	}
+	e := Cmp{Op: types.CmpEq, L: Attr("a"), R: Param{Idx: 0}}
+	if mapped := MapExpr(e, func(x Expr) Expr { return x }); !ExprEqual(mapped, e) {
+		t.Errorf("MapExpr lost the parameter: %s", mapped)
+	}
+	if HasSublink(e) || len(FreeVars(&Select{Child: scanR(), Cond: e})) != 0 {
+		t.Error("a parameter is a leaf without references")
+	}
+}

@@ -8,17 +8,34 @@
 // # The frozen-plan invariant
 //
 // Trees are immutable once constructed: rewrites build new nodes and may
-// freely share subtrees, and the planned plan cache will share whole
-// plans across sessions. The invariant is checked statically — every node
+// freely share subtrees, and package perm's plan cache shares whole plans
+// across sessions. The invariant is checked statically — every node
 // and expression type is annotated `// perm:frozen`, and the immutcheck
 // analyzer (internal/lint) rejects any field store, element write or
 // in-place append into a plan value after it may have been published.
 // Constructors may mutate freely while their node is provably private;
 // everything after publication is copy-on-write.
+//
+// # Parameters
+//
+// A plan compiled for the plan cache is parameterised: where the statement
+// text had a value literal that cannot steer compilation, the plan carries a
+// Param leaf instead of a Const, and one compiled plan serves every
+// statement that differs only in those values. A Param names a slot of the
+// per-run parameter vector (eval.Evaluator.Params), so running a cached plan
+// copies nothing: the evaluator reads the slot where it would have read the
+// constant. To everything that inspects plans — ExprEqual, the rewrite
+// rules, the optimizer, plancheck — a Param is an opaque leaf without
+// attribute references, equal only to a Param of the same slot. The SQL
+// front end (sql.Lexed.Lift) gives two literals one slot exactly when they
+// are the same value of the same kind, so a decision taken because two
+// literals were equal, or were not, holds for every statement that shares
+// the plan.
 package algebra
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"perm/internal/types"
@@ -87,6 +104,18 @@ func BoolConst(b bool) Const { return Const{Val: types.NewBool(b)} }
 
 // NullConst is the NULL literal.
 func NullConst() Const { return Const{Val: types.Null()} }
+
+// Param is a value literal lifted out of the statement text: slot Idx of the
+// parameter vector the plan is run with (see the package documentation).
+type Param struct {
+	Idx int
+}
+
+func (Param) exprNode() {}
+
+// String renders the slot one-based, $1 for slot 0, as SQL placeholders are
+// written.
+func (p Param) String() string { return fmt.Sprintf("$%d", p.Idx+1) }
 
 // Cmp is a binary comparison producing a three-valued boolean.
 type Cmp struct {
@@ -385,7 +414,15 @@ func MapExpr(e Expr, fn func(Expr) Expr) Expr {
 // by pointer-identity of their Query operators plus kind/op/test; this is
 // exactly what the Move strategy needs to replace occurrences of a sublink
 // it collected from the same tree.
-func ExprEqual(a, b Expr) bool {
+func ExprEqual(a, b Expr) bool { return exprEqual(a, b, false) }
+
+// exprIdentical is ExprEqual that tells constants apart as values, not as
+// SQL compares them: 2 and 2.0 are equal expressions, and a/2 is another
+// computation than a/2.0. It is the test for letting two expressions share
+// memory (see Compact).
+func exprIdentical(a, b Expr) bool { return exprEqual(a, b, true) }
+
+func exprEqual(a, b Expr, exact bool) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
@@ -395,35 +432,41 @@ func ExprEqual(a, b Expr) bool {
 		return ok && x == y
 	case Const:
 		y, ok := b.(Const)
+		if exact {
+			return ok && x.Val == y.Val && (x.Val.Kind() != types.KindFloat || math.Signbit(x.Val.Float()) == math.Signbit(y.Val.Float()))
+		}
 		return ok && types.NullEq(x.Val, y.Val) && x.Val.IsNull() == y.Val.IsNull()
+	case Param:
+		y, ok := b.(Param)
+		return ok && x == y
 	case Cmp:
 		y, ok := b.(Cmp)
-		return ok && x.Op == y.Op && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)
+		return ok && x.Op == y.Op && exprEqual(x.L, y.L, exact) && exprEqual(x.R, y.R, exact)
 	case NullEq:
 		y, ok := b.(NullEq)
-		return ok && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)
+		return ok && exprEqual(x.L, y.L, exact) && exprEqual(x.R, y.R, exact)
 	case Arith:
 		y, ok := b.(Arith)
-		return ok && x.Op == y.Op && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)
+		return ok && x.Op == y.Op && exprEqual(x.L, y.L, exact) && exprEqual(x.R, y.R, exact)
 	case And:
 		y, ok := b.(And)
-		return ok && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)
+		return ok && exprEqual(x.L, y.L, exact) && exprEqual(x.R, y.R, exact)
 	case Or:
 		y, ok := b.(Or)
-		return ok && ExprEqual(x.L, y.L) && ExprEqual(x.R, y.R)
+		return ok && exprEqual(x.L, y.L, exact) && exprEqual(x.R, y.R, exact)
 	case Not:
 		y, ok := b.(Not)
-		return ok && ExprEqual(x.E, y.E)
+		return ok && exprEqual(x.E, y.E, exact)
 	case IsNull:
 		y, ok := b.(IsNull)
-		return ok && ExprEqual(x.E, y.E)
+		return ok && exprEqual(x.E, y.E, exact)
 	case Case:
 		y, ok := b.(Case)
-		if !ok || len(x.Whens) != len(y.Whens) || !ExprEqual(x.Else, y.Else) {
+		if !ok || len(x.Whens) != len(y.Whens) || !exprEqual(x.Else, y.Else, exact) {
 			return false
 		}
 		for i := range x.Whens {
-			if !ExprEqual(x.Whens[i].When, y.Whens[i].When) || !ExprEqual(x.Whens[i].Then, y.Whens[i].Then) {
+			if !exprEqual(x.Whens[i].When, y.Whens[i].When, exact) || !exprEqual(x.Whens[i].Then, y.Whens[i].Then, exact) {
 				return false
 			}
 		}
@@ -434,17 +477,17 @@ func ExprEqual(a, b Expr) bool {
 			return false
 		}
 		for i := range x.Args {
-			if !ExprEqual(x.Args[i], y.Args[i]) {
+			if !exprEqual(x.Args[i], y.Args[i], exact) {
 				return false
 			}
 		}
 		return true
 	case Cast:
 		y, ok := b.(Cast)
-		return ok && x.To == y.To && ExprEqual(x.E, y.E)
+		return ok && x.To == y.To && exprEqual(x.E, y.E, exact)
 	case Sublink:
 		y, ok := b.(Sublink)
-		return ok && x.Kind == y.Kind && x.Op == y.Op && x.Query == y.Query && ExprEqual(x.Test, y.Test)
+		return ok && x.Kind == y.Kind && x.Op == y.Op && x.Query == y.Query && exprEqual(x.Test, y.Test, exact)
 	default:
 		return false
 	}

@@ -10,8 +10,8 @@ import (
 // Op is a node of an algebra plan. Every operator knows its output schema.
 //
 // Plan trees are immutable once built: rewrites and the optimizer share
-// subtrees freely, and the planned plan cache shares whole plans across
-// sessions. immutcheck enforces the invariant statically.
+// subtrees freely, and the plan cache shares whole plans across sessions.
+// immutcheck enforces the invariant statically.
 //
 // perm:frozen
 type Op interface {

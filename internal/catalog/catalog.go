@@ -15,6 +15,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 
 	"perm/internal/rel"
 	"perm/internal/schema"
@@ -38,7 +39,31 @@ type Source interface {
 // perm:frozen
 type table struct {
 	rel   *rel.Relation
-	kinds []types.Kind
+	shape *Shape
+}
+
+// Shape is everything a compiled plan depends on in a table: its schema and
+// its column kinds, never its rows. A plan compiled against a Shape is valid
+// in every snapshot in which the name resolves to an Equal one (see package
+// perm's plan cache). A table keeps one Shape pointer for as long as both
+// stay what they are — across INSERTs, unless one establishes the kind of a
+// column that was all NULL — so that comparison is mostly one of pointers.
+//
+// perm:frozen
+type Shape struct {
+	Schema schema.Schema
+	Kinds  []types.Kind
+}
+
+// is reports whether the shape describes exactly this schema and kinds.
+func (sh *Shape) is(sch schema.Schema, kinds []types.Kind) bool {
+	return slices.Equal(sh.Schema.Attrs, sch.Attrs) && slices.Equal(sh.Kinds, kinds)
+}
+
+// Equal reports whether the two shapes describe the same schema and kinds;
+// nil, the shape of no table, equals only itself.
+func (sh *Shape) Equal(o *Shape) bool {
+	return sh == o || sh != nil && o != nil && sh.is(o.Schema, o.Kinds)
 }
 
 // Catalog is a thread-safe registry of base relations: one copy-on-write
@@ -80,13 +105,18 @@ func (c *Catalog) Register(name string, r *rel.Relation) {
 // RegisterWithKinds is Register with declared column kinds — the CREATE
 // TABLE path, where an empty relation carries types that inference could not
 // recover from data, and the INSERT path, which publishes the appended copy
-// with its widened kinds. kinds == nil infers from the data.
+// with its widened kinds. kinds == nil infers from the data. Replacing a
+// relation by one of the same schema and kinds keeps the name's Shape.
 func (c *Catalog) RegisterWithKinds(name string, r *rel.Relation, kinds []types.Kind) {
 	r.Schema = r.Schema.WithQual(name)
 	if kinds == nil {
 		kinds = r.InferKinds()
 	}
-	c.tables.Put(name, &table{rel: r, kinds: kinds})
+	shape := &Shape{Schema: r.Schema, Kinds: kinds}
+	if old := c.tables.Snapshot().Get(name); old != nil && old.shape.is(r.Schema, kinds) {
+		shape = old.shape
+	}
+	c.tables.Put(name, &table{rel: r, shape: shape})
 }
 
 // Create is RegisterWithKinds for a new name: it fails if name is visible,
@@ -148,9 +178,17 @@ func (s Snapshot) Schema(name string) (schema.Schema, error) {
 // analyzer types queries against these.
 func (s Snapshot) Kinds(name string) ([]types.Kind, error) {
 	if t := s.tables.Get(name); t != nil {
-		return t.kinds, nil
+		return t.shape.Kinds, nil
 	}
 	return nil, unknown(name)
+}
+
+// Shape returns the snapshot's shape of name, nil when name is not visible.
+func (s Snapshot) Shape(name string) *Shape {
+	if t := s.tables.Get(name); t != nil {
+		return t.shape
+	}
+	return nil
 }
 
 // Has reports whether name is visible in the snapshot.

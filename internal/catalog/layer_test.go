@@ -270,3 +270,67 @@ func TestLayerVersionIdentity(t *testing.T) {
 		t.Fatal("the nil State is not the empty state")
 	}
 }
+
+// TestShapeIdentity: a name keeps its Shape pointer for as long as its
+// schema and column kinds stay what they are, whatever happens to its rows;
+// any change of either, and any drop, gives it a new one.
+func TestShapeIdentity(t *testing.T) {
+	c := New()
+	if c.Snapshot().Shape("r") != nil {
+		t.Fatal("shape of an unknown relation")
+	}
+	c.Register("r", intRelation("a", 1))
+	first := c.Snapshot().Shape("r")
+	if first == nil || first.Schema.Len() != 1 || first.Kinds[0] != types.KindInt {
+		t.Fatalf("shape = %+v", first)
+	}
+	c.Register("r", intRelation("a", 1, 2, 3)) // other rows
+	c.RegisterWithKinds("r", intRelation("a"), []types.Kind{types.KindInt})
+	if got := c.Snapshot().Shape("r"); got != first {
+		t.Error("same schema and kinds, new shape")
+	}
+	if r, _ := c.Relation("r"); &r.Schema.Attrs[0] == &first.Schema.Attrs[0] {
+		// Sharing the schema is allowed, not promised; the pointer is.
+		t.Log("relation shares the shape's schema")
+	}
+	c.RegisterWithKinds("r", intRelation("a"), []types.Kind{types.KindNull})
+	unknown := c.Snapshot().Shape("r")
+	if unknown == first {
+		t.Error("other kinds, same shape")
+	}
+	c.RegisterWithKinds("r", intRelation("a", 5), []types.Kind{types.KindInt}) // the column's kind is established
+	if got := c.Snapshot().Shape("r"); got == unknown || got == first {
+		t.Error("a widened kind must give a new shape")
+	}
+	c.Register("r", intRelation("b", 1))
+	renamed := c.Snapshot().Shape("r")
+	if renamed == first || renamed.Schema.Attrs[0].Name != "b" {
+		t.Error("other schema, same shape")
+	}
+	if err := c.Drop("r"); err != nil {
+		t.Fatal(err)
+	}
+	c.Register("r", intRelation("b", 1))
+	if got := c.Snapshot().Shape("r"); got == renamed {
+		t.Error("a dropped relation's shape came back")
+	}
+
+	// A snapshot keeps the shape it saw; an overlay's own table of a base
+	// table's shape shares it, one of another shape does not.
+	sn := c.Snapshot()
+	pinned := sn.Shape("r")
+	c.Register("r", intRelation("z", 1))
+	if sn.Shape("r") != pinned {
+		t.Error("snapshot's shape changed under it")
+	}
+	o := NewOverlay(c)
+	base := c.Snapshot().Shape("r")
+	o.Register("r", intRelation("z", 9, 9))
+	if o.Snapshot().Shape("r") != base {
+		t.Error("overlay table of the base table's shape: new shape")
+	}
+	o.Register("r", intRelation("other", 1))
+	if o.Snapshot().Shape("r") == base || c.Snapshot().Shape("r") != base {
+		t.Error("overlay table of another shape must not touch the base's")
+	}
+}

@@ -69,6 +69,11 @@ type Evaluator struct {
 	// sequential run would.
 	MaxRows int
 
+	// Params is the parameter vector of a parameterised plan: the value an
+	// algebra.Param leaf reads is Params[Idx]. Nil for plans without Param
+	// leaves.
+	Params []types.Value
+
 	// shared is the per-Eval run state (row budget, memo tables), shared
 	// by every worker of one evaluation.
 	shared *runShared
@@ -598,9 +603,11 @@ func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer [
 
 // SortTuples expands a materialized relation and sorts it by the given
 // keys — used by result presentation to honour a query's ORDER BY after
-// the bag has been materialized. Keys must be sublink-free.
-func SortTuples(in *rel.Relation, keys []algebra.SortKey) ([]rel.Tuple, error) {
+// the bag has been materialized. Keys must be sublink-free; params is the
+// parameter vector of the plan the keys come from.
+func SortTuples(in *rel.Relation, keys []algebra.SortKey, params []types.Value) ([]rel.Tuple, error) {
 	e := New(nopDB{})
+	e.Params = params
 	return e.sortedRows(in, keys, nil)
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"perm/internal/algebra"
@@ -142,7 +143,7 @@ func TestSetOpWidthMismatch(t *testing.T) {
 func TestSortTuplesNullsLast(t *testing.T) {
 	s := schema.New("", "a")
 	r := rel.FromTuples(s, rel.Tuple{types.Null()}, ints(2), ints(1))
-	rows, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a")}})
+	rows, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +153,48 @@ func TestSortTuplesNullsLast(t *testing.T) {
 	if rows[0][0].IsNull() || rows[1][0].Int() != 2 || !rows[2][0].IsNull() {
 		t.Errorf("ascending with NULL = %v", rows)
 	}
-	desc, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a"), Desc: true}})
+	desc, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a"), Desc: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !desc[0][0].IsNull() && desc[0][0].Int() != 2 {
 		t.Errorf("descending = %v", desc)
+	}
+}
+
+// A Param leaf reads its slot of the run's parameter vector — in the
+// pipeline, in worker forks, and in presentation sorting; an unbound slot is
+// an error, not a NULL.
+func TestParamReadsRunVector(t *testing.T) {
+	c := figure3DB()
+	plan := &algebra.Select{Child: scan(t, c, "r"),
+		Cond: algebra.Cmp{Op: types.CmpEq, L: algebra.Attr("a"), R: algebra.Param{Idx: 1}}}
+	for _, par := range []int{1, 4} {
+		for want := int64(1); want <= 3; want++ {
+			ev := New(c)
+			ev.Parallelism = par
+			ev.Params = []types.Value{types.NewString("unused"), types.NewInt(want)}
+			out, err := ev.Eval(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Card() != 1 || out.SortedTuples()[0][0].Int() != want {
+				t.Errorf("parallelism %d, $2 = %d: got %v", par, want, out.SortedTuples())
+			}
+		}
+	}
+	if _, err := New(c).Eval(plan); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Errorf("unbound parameter: err = %v, want a not-bound error", err)
+	}
+
+	r := rel.FromTuples(schema.New("", "a"), ints(1), ints(5), ints(3))
+	keys := []algebra.SortKey{{E: algebra.Arith{Op: types.OpMul, L: algebra.Attr("a"), R: algebra.Param{Idx: 0}}}}
+	rows, err := SortTuples(r, keys, []types.Value{types.NewInt(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0][0].Int() != 5 || rows[2][0].Int() != 1 {
+		t.Errorf("sort by a * $1 with $1 = -1: %v", rows)
 	}
 }
 

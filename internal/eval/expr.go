@@ -48,6 +48,11 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 	switch ex := x.(type) {
 	case algebra.Const:
 		return ex.Val, nil
+	case algebra.Param:
+		if ex.Idx < 0 || ex.Idx >= len(e.Params) {
+			return types.Null(), fmt.Errorf("eval: plan parameter %s is not bound (%d parameters)", ex, len(e.Params))
+		}
+		return e.Params[ex.Idx], nil
 	case algebra.AttrRef:
 		return resolveAttr(ex, sch, t, outer)
 	case algebra.Cmp:

@@ -223,3 +223,23 @@ func TestOrderChecksCastQuarantine(t *testing.T) {
 		t.Fatalf("OrderChecks = %v, want one DESC check on column 0", checks)
 	}
 }
+
+// TestPlanCacheVariants pins the two statements the plan-cache assertion
+// derives from a query: the sibling of the same shape and other values, and
+// the variant with a value in both numeric kinds.
+func TestPlanCacheVariants(t *testing.T) {
+	const q = `SELECT a / 2 FROM r WHERE s = 'x' AND b > 7 AND c < 2.5 AND d = 2 LIMIT 3`
+	sibling, err := Sibling(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `SELECT a / 3 FROM r WHERE s = 'xzz' AND b > 10 AND c < 8.5 AND d = 3 LIMIT 3`; sibling != want {
+		t.Errorf("Sibling = %s\nwant      %s", sibling, want)
+	}
+	if got, want := MixedKinds(q), `SELECT a / 2 FROM r WHERE s = 'x' AND b > 2.0 AND c < 2.5 AND d = 2 LIMIT 3`; got != want {
+		t.Errorf("MixedKinds = %s\nwant         %s", got, want)
+	}
+	if got := MixedKinds(`SELECT 'open`); got != `SELECT 'open` {
+		t.Errorf("MixedKinds of a statement that does not lex = %s", got)
+	}
+}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -8,6 +9,8 @@ import (
 	"strings"
 
 	"perm"
+	"perm/internal/sql"
+	"perm/internal/types"
 )
 
 // Mode is one executor configuration of the differential matrix.
@@ -39,6 +42,10 @@ var MaxProvScans = 5
 // non-rewrite error and fails the check. On by default; permfuzz
 // -plancheck=false turns it off.
 var PlanCheck = true
+
+// PlanCache adds the plan-cache dimension to the matrix (assertion 6 of
+// Check). On by default; permfuzz -plancache=false turns it off.
+var PlanCache = true
 
 // queryOpts prepends the plan-verification mode to a mode's options.
 func queryOpts(opts []perm.Option) []perm.Option {
@@ -117,7 +124,21 @@ func isRewriteErr(msg string) bool { return strings.HasPrefix(msg, "rewrite: ") 
 //  5. The distinct visible rows of every provenance result equal the
 //     distinct rows of the plain result (the rewrite preserves the original
 //     result set).
+//  6. The plan cache is invisible: the query, a sibling of it — the same
+//     statement shape with every lifted literal changed to another value of
+//     its kind — and a variant that spells values in both numeric kinds (see
+//     MixedKinds) each yield, run twice through the cache (a miss or a hit,
+//     then a hit), the presented rows or the error they yield
+//     WithoutPlanCache. Everything above ran through the cache as well, the
+//     default, so plans admitted under one executor mode were run by the
+//     others.
 func Check(db *perm.DB, q *Query) error {
+	if PlanCache {
+		if err := checkPlanCache(db, q); err != nil {
+			return err
+		}
+	}
+
 	// 1: plain query across executor modes.
 	plain := make([]outcome, len(Modes))
 	for i, m := range Modes {
@@ -199,6 +220,93 @@ func Check(db *perm.DB, q *Query) error {
 		}
 	}
 	return nil
+}
+
+// checkPlanCache is assertion 6 of Check, over the plain query and, where
+// the provenance matrix applies, its SELECT PROVENANCE form under Auto.
+func checkPlanCache(db *perm.DB, q *Query) error {
+	texts := []string{q.SQL}
+	if !q.UsesLimit && q.Scans <= MaxProvScans {
+		texts = append(texts, "SELECT PROVENANCE"+strings.TrimPrefix(q.SQL, "SELECT"))
+	}
+	for _, text := range texts {
+		sibling, err := Sibling(text)
+		if err != nil {
+			return fmt.Errorf("plan cache: %w", err)
+		}
+		for _, stmt := range []string{text, sibling, MixedKinds(text)} {
+			want := run(db, stmt, perm.WithoutPlanCache())
+			for _, pass := range []string{"first", "second"} {
+				got := run(db, stmt)
+				if got.err != want.err || !slices.Equal(got.rows, want.rows) {
+					return fmt.Errorf("plan cache: %s run through the cache differs from the run without it: %s\n<<< %s %s\n>>> %s %s",
+						pass, stmt, got.err, strings.Join(got.rows, " ; "), want.err, strings.Join(want.rows, " ; "))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Sibling returns a statement of the same shape as query (see
+// sql.Lexed.Lift) whose lifted literals all have other values: numbers grow
+// by one and a half times their slot, strings by a letter per slot — the same
+// value for equal literals, and small enough for predicates to stay
+// selective.
+func Sibling(query string) (string, error) {
+	lx, err := sql.Lex(query)
+	if err != nil {
+		return "", err
+	}
+	family, pattern, params := lx.Lift(nil)
+	changed := make([]types.Value, len(params))
+	for i, v := range params {
+		switch v.Kind() {
+		case types.KindInt:
+			changed[i] = types.NewInt(v.Int() + int64(i+1))
+		case types.KindFloat:
+			changed[i] = types.NewFloat(v.Float() + 1.5*float64(i+1))
+		default:
+			changed[i] = types.NewString(v.Str() + strings.Repeat("z", i+1))
+		}
+	}
+	return sql.Unlift(family, pattern, changed), nil
+}
+
+// MixedKinds returns query with every second of its lifted numeric literals
+// replaced by the one before it in the other numeric kind: `a / 2 … b > 7`
+// becomes `a / 2 … b > 2.0`. A value spelled in both kinds is one the plan
+// cache must keep apart although the engine compares the two equal. The
+// result is another statement, possibly one the analyzer rejects; the oracle
+// only compares its outcome with and without the cache. A query that does
+// not lex comes back as it is.
+func MixedKinds(query string) string {
+	lx, err := sql.Lex(query)
+	if err != nil {
+		return query
+	}
+	family, pattern, params := lx.Lift(nil)
+	// Every occurrence gets a slot of its own.
+	var each []types.Value
+	var slots []byte
+	var prev *types.Value // the numeric literal waiting for its twin
+	for len(pattern) > 0 {
+		slot, n := binary.Uvarint(pattern)
+		pattern = pattern[n:]
+		v := params[slot-1]
+		switch {
+		case !v.IsNumeric():
+		case prev == nil:
+			prev = &v
+		case prev.Kind() == types.KindInt:
+			v, prev = types.NewFloat(prev.Float()), nil
+		default:
+			v, prev = types.NewInt(prev.Int()), nil
+		}
+		each = append(each, v)
+		slots = binary.AppendUvarint(slots, uint64(len(each)))
+	}
+	return sql.Unlift(family, slots, each)
 }
 
 func distinctSet(rows []string) map[string]bool {

@@ -9,7 +9,8 @@
 //	POST /exec     run DDL/DML: CREATE TABLE/VIEW, INSERT, DROP (queries work too)
 //	POST /advise   rank the provenance rewrite strategies for a query
 //	GET  /healthz  liveness (503 while draining)
-//	GET  /stats    per-endpoint request counts, in-flight gauge, latency histograms
+//	GET  /stats    per-endpoint request counts, in-flight gauge, latency histograms,
+//	               plan-cache hits, misses, stale plans, evictions and entries
 //
 // Request options (strategy, parallelism, executor mode, timeout) travel
 // per request; see the request types in handlers.go for the JSON shapes.

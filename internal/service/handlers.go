@@ -290,14 +290,26 @@ type StatsResponse struct {
 	InFlight  int64                   `json:"in_flight"`
 	Draining  bool                    `json:"draining,omitempty"`
 	Endpoints map[string]EndpointJSON `json:"endpoints"`
+	PlanCache PlanCacheJSON           `json:"plan_cache"`
+}
+
+// PlanCacheJSON is the serialized view of the base database's plan cache,
+// which all sessions share (see perm.PlanCacheStats).
+type PlanCacheJSON struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Stale     int64 `json:"stale"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeS:  round3(time.Since(s.start).Seconds()),
-		Sessions: s.SessionCount(),
-		InFlight: s.inFlightN.Load(),
-		Draining: s.draining.Load(),
+		PlanCache: PlanCacheJSON(s.cfg.DB.PlanCacheStats()),
+		UptimeS:   round3(time.Since(s.start).Seconds()),
+		Sessions:  s.SessionCount(),
+		InFlight:  s.inFlightN.Load(),
+		Draining:  s.draining.Load(),
 		Endpoints: map[string]EndpointJSON{
 			"query":  s.queryStats.json(),
 			"exec":   s.execStats.json(),

@@ -448,6 +448,10 @@ func TestHealthzAndStats(t *testing.T) {
 
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1"})
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT bogus FROM t1"})
+	// Sessionless requests each get a session of their own; the plan cache
+	// is the base database's, so the second one of a shape still hits.
+	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 1"})
+	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 2"})
 
 	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -459,8 +463,11 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	resp.Body.Close()
 	q := stats.Endpoints["query"]
-	if q.Count != 2 || q.Errors != 1 || q.InFlight != 0 {
-		t.Errorf("query stats = %+v, want count 2, errors 1, in_flight 0", q)
+	if q.Count != 4 || q.Errors != 1 || q.InFlight != 0 {
+		t.Errorf("query stats = %+v, want count 4, errors 1, in_flight 0", q)
+	}
+	if pc := stats.PlanCache; pc.Hits != 1 || pc.Misses != 3 || pc.Entries != 2 {
+		t.Errorf("plan_cache = %+v, want 1 hit, 3 misses, 2 entries", pc)
 	}
 	if q.Latency.Max <= 0 {
 		t.Errorf("latency histogram empty: %+v", q.Latency)

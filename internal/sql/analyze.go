@@ -623,6 +623,8 @@ func (a *analyzer) typeExpr(e Expr, ctx exprCtx) (types.Kind, error) {
 		return types.KindInt, nil
 	case StrLit:
 		return types.KindString, nil
+	case ParamLit:
+		return x.Kind, nil
 	case BoolLit:
 		return types.KindBool, nil
 	case NullLit:
@@ -987,6 +989,9 @@ func astExprEqualFn(a, b Expr, identEq func(Ident, Ident) bool) bool {
 	case StrLit:
 		y, ok := b.(StrLit)
 		return ok && x.S == y.S
+	case ParamLit:
+		y, ok := b.(ParamLit)
+		return ok && x.Idx == y.Idx
 	case BoolLit:
 		y, ok := b.(BoolLit)
 		return ok && x.B == y.B

@@ -1,5 +1,7 @@
 package sql
 
+import "perm/internal/types"
+
 // The SQL abstract syntax tree. It is deliberately separate from the
 // algebra: the parser produces this untyped surface form, and translate.go
 // lowers it — resolving *, IN lists, aggregate extraction and subquery
@@ -86,6 +88,15 @@ type NumLit struct {
 
 // StrLit is a string literal.
 type StrLit struct{ S string }
+
+// ParamLit stands where Lexed.Lift lifted a number or string literal out of
+// the statement: slot Idx of the statement's parameter vector, holding a
+// value of kind Kind. Analysis types it by its kind and compares it by its
+// slot; translation lowers it to an algebra.Param.
+type ParamLit struct {
+	Idx  int
+	Kind types.Kind
+}
 
 // BoolLit is TRUE or FALSE.
 type BoolLit struct{ B bool }
@@ -195,6 +206,7 @@ type Case struct {
 func (Ident) sqlExpr()     {}
 func (NumLit) sqlExpr()    {}
 func (StrLit) sqlExpr()    {}
+func (ParamLit) sqlExpr()  {}
 func (BoolLit) sqlExpr()   {}
 func (NullLit) sqlExpr()   {}
 func (Binary) sqlExpr()    {}

@@ -17,6 +17,12 @@
 // marks the query for provenance rewriting, exactly like the language
 // extension described in §4.1 of the paper.
 //
+// A statement is lexed once (Lex). From the tokens, Lift computes the
+// statement's shape — the key of package perm's plan cache — and, when no
+// cached plan answers it, Query or Statement parse them; after Lift the
+// literals it lifted out parse as ParamLit nodes and translate to
+// algebra.Param leaves.
+//
 // Compilation runs in three passes. Parse builds the untyped AST. Analyze
 // (see analyze.go) then resolves names and select-list ordinals, checks
 // types bottom-up over kinds inferred from the catalog, resolves calls
@@ -50,8 +56,11 @@ const (
 // token is one lexeme with its source position (1-based byte offset).
 type token struct {
 	kind tokenKind
-	text string // keywords are upper-cased, identifiers lower-cased
-	pos  int
+	// param is the one-based parameter slot of a literal that Lexed.Lift
+	// lifted out of the statement; 0 for a token that stands for itself.
+	param int32
+	text  string // keywords are upper-cased, identifiers lower-cased
+	pos   int
 }
 
 func (t token) String() string {
@@ -65,24 +74,85 @@ func (t token) String() string {
 	}
 }
 
-// keywords of the dialect. SOME is an alias for ANY, as in SQL.
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "PROVENANCE": true, "FROM": true,
-	"WHERE": true, "GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
-	"LIMIT": true, "OFFSET": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"IN": true, "ANY": true, "SOME": true, "ALL": true, "EXISTS": true,
-	"IS": true, "NULL": true, "TRUE": true, "FALSE": true, "JOIN": true,
-	"INNER": true, "LEFT": true, "OUTER": true, "ON": true, "UNION": true,
-	"INTERSECT": true, "EXCEPT": true, "ASC": true, "DESC": true,
-	"BETWEEN": true, "LIKE": true, "CREATE": true, "VIEW": true,
-	"DROP": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "CAST": true, "TABLE": true, "INSERT": true, "INTO": true,
-	"VALUES": true,
+// keywords of the dialect, each mapped to its own spelling so that a lookup
+// yields the token text without allocating. SOME is an alias for ANY, as in
+// SQL.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "DISTINCT", "PROVENANCE", "FROM",
+		"WHERE", "GROUP", "BY", "HAVING", "ORDER",
+		"LIMIT", "OFFSET", "AS", "AND", "OR", "NOT",
+		"IN", "ANY", "SOME", "ALL", "EXISTS",
+		"IS", "NULL", "TRUE", "FALSE", "JOIN",
+		"INNER", "LEFT", "OUTER", "ON", "UNION",
+		"INTERSECT", "EXCEPT", "ASC", "DESC",
+		"BETWEEN", "LIKE", "CREATE", "VIEW",
+		"DROP", "CASE", "WHEN", "THEN", "ELSE",
+		"END", "CAST", "TABLE", "INSERT", "INTO",
+		"VALUES",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (PROVENANCE).
+const maxKeywordLen = 10
+
+// symbols holds the text of every one-byte symbol token.
+const symbols = "=<>+-*/%(),.;"
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isWordStart reports whether c can begin an identifier or keyword. Bytes
+// above ASCII are read as Latin-1, as the lexer always has.
+func isWordStart(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' ||
+		c >= 0x80 && unicode.IsLetter(rune(c))
+}
+
+// word classifies input[start:end] as a keyword or an identifier and folds
+// its case. Words that are ASCII — all of them, in practice — are folded
+// without allocating: a keyword's text comes from the keyword table, and an
+// identifier already in lower case is a slice of the input.
+func word(input string, start, end int) token {
+	w := input[start:end]
+	ascii, lower := true, true
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		ascii = ascii && c < 0x80
+		lower = lower && !('A' <= c && c <= 'Z')
+	}
+	if !ascii {
+		if kw, ok := keywords[strings.ToUpper(w)]; ok {
+			return token{kind: tokKeyword, text: kw, pos: start + 1}
+		}
+		return token{kind: tokIdent, text: strings.ToLower(w), pos: start + 1}
+	}
+	if len(w) <= maxKeywordLen {
+		var up [maxKeywordLen]byte
+		for i := 0; i < len(w); i++ {
+			c := w[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			up[i] = c
+		}
+		if kw, ok := keywords[string(up[:len(w)])]; ok {
+			return token{kind: tokKeyword, text: kw, pos: start + 1}
+		}
+	}
+	if !lower {
+		w = strings.ToLower(w)
+	}
+	return token{kind: tokIdent, text: w, pos: start + 1}
 }
 
 // lex tokenizes the input. Errors carry byte positions for messages.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// SQL text runs to five or six bytes a token, blanks included.
+	toks := make([]token, 0, len(input)/4+2)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -94,22 +164,16 @@ func lex(input string) ([]token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isWordStart(c):
 			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
+			for i < n && (isWordStart(input[i]) || isDigit(input[i])) {
 				i++
 			}
-			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start + 1})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start + 1})
-			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
+			toks = append(toks, word(input, start, i))
+		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
 			start := i
 			seenDot := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || (input[i] == '.' && !seenDot)) {
+			for i < n && (isDigit(input[i]) || (input[i] == '.' && !seenDot)) {
 				if input[i] == '.' {
 					seenDot = true
 				}
@@ -118,48 +182,55 @@ func lex(input string) ([]token, error) {
 			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start + 1})
 		case c == '\'':
 			i++
-			var sb strings.Builder
-			closed := false
+			start := i
+			escaped, closed := false, false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
 					closed = true
-					i++
 					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at position %d", i)
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
+			text := input[start:i]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			i++
+			toks = append(toks, token{kind: tokString, text: text, pos: i})
 		default:
 			start := i
-			two := ""
 			if i+1 < n {
-				two = input[i : i+2]
-			}
-			switch two {
-			case "<>", "!=", "<=", ">=", "||":
-				if two == "!=" {
+				two := ""
+				switch input[i : i+2] {
+				case "<>", "!=":
 					two = "<>"
+				case "<=":
+					two = "<="
+				case ">=":
+					two = ">="
+				case "||":
+					two = "||"
 				}
-				toks = append(toks, token{kind: tokSymbol, text: two, pos: start + 1})
-				i += 2
-				continue
+				if two != "" {
+					toks = append(toks, token{kind: tokSymbol, text: two, pos: start + 1})
+					i += 2
+					continue
+				}
 			}
-			switch c {
-			case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', '.', ';':
-				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start + 1})
-				i++
-			default:
+			at := strings.IndexByte(symbols, c)
+			if at < 0 {
 				return nil, fmt.Errorf("sql: unexpected character %q at position %d", c, start+1)
 			}
+			toks = append(toks, token{kind: tokSymbol, text: symbols[at : at+1], pos: start + 1})
+			i++
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: n + 1})

@@ -3,16 +3,35 @@ package sql
 import (
 	"fmt"
 	"strconv"
+
+	"perm/internal/types"
 )
 
-// Parse parses one SQL statement (an optional trailing semicolon is
-// allowed).
+// Parse parses one SQL query (an optional trailing semicolon is allowed).
 func Parse(input string) (*Stmt, error) {
-	toks, err := lex(input)
+	l, err := Lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return l.Query()
+}
+
+// Query parses the statement as a query. After Lift, the literals it lifted
+// come out as ParamLit nodes.
+func (l *Lexed) Query() (*Stmt, error) {
+	p := &parser{toks: l.toks, params: l.params}
+	return p.parseQuery()
+}
+
+type parser struct {
+	toks []token
+	i    int
+	// params holds the values of the tokens marked as lifted.
+	params []types.Value
+}
+
+// parseQuery parses a query up to the end of the input.
+func (p *parser) parseQuery() (*Stmt, error) {
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -22,11 +41,6 @@ func Parse(input string) (*Stmt, error) {
 		return nil, p.errf("unexpected %s after end of statement", p.peek())
 	}
 	return stmt, nil
-}
-
-type parser struct {
-	toks []token
-	i    int
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -590,6 +604,10 @@ func (p *parser) parseUnary() (Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
+	if t.param > 0 {
+		p.next()
+		return ParamLit{Idx: int(t.param) - 1, Kind: p.params[t.param-1].Kind()}, nil
+	}
 	switch t.kind {
 	case tokNumber:
 		p.next()

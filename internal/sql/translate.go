@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"perm/internal/algebra"
 	"perm/internal/catalog"
@@ -27,6 +28,11 @@ type Translated struct {
 	// (their presentation order is not observable), so Hidden is only ever
 	// non-zero for the top-level select.
 	Hidden int
+	// Relations are the names the statement resolved as relations, each once,
+	// in order of first use: its FROM items that are tables or views, and
+	// those of the view bodies it expanded. Besides the text, the plan
+	// depends on what these names are bound to and on nothing else.
+	Relations []string
 }
 
 // Translate lowers a parsed and analyzed statement to the extended
@@ -39,7 +45,7 @@ func Translate(env Env, stmt *Stmt) (*Translated, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Translated{Plan: plan, Provenance: prov, Hidden: tr.hidden}, nil
+	return &Translated{Plan: plan, Provenance: prov, Hidden: tr.hidden, Relations: tr.relations}, nil
 }
 
 // Compile parses, analyzes and translates in one step, without views.
@@ -55,6 +61,8 @@ type translator struct {
 	// hidden is the number of trailing hidden sort-key columns the
 	// top-level select block added to its projection (see Translated.Hidden).
 	hidden int
+	// relations collects Translated.Relations.
+	relations []string
 	// subPlans memoizes sublink subquery translation per AST node. Ordinal
 	// substitution shares one AST subquery between GROUP BY and the select
 	// list; translating both occurrences to the same algebra.Op pointer is
@@ -494,6 +502,9 @@ func (tr *translator) fromItem(ref TableRef) (algebra.Op, error) {
 		}
 		return algebra.NewProject(sub, cols...), nil
 	default:
+		if !slices.Contains(tr.relations, ref.Table) {
+			tr.relations = append(tr.relations, ref.Table)
+		}
 		if def := tr.views.Get(ref.Table); def != nil {
 			return tr.expandView(def, ref.Alias)
 		}
@@ -562,6 +573,8 @@ func (tr *translator) expr(e Expr, aggs *aggCollector) (algebra.Expr, error) {
 		return algebra.IntConst(x.Int), nil
 	case StrLit:
 		return algebra.StrConst(x.S), nil
+	case ParamLit:
+		return algebra.Param{Idx: x.Idx}, nil
 	case BoolLit:
 		return algebra.BoolConst(x.B), nil
 	case NullLit:

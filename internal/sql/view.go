@@ -34,13 +34,19 @@ type ViewDef struct {
 	Body *Stmt
 }
 
-// ParseStatement parses a query, CREATE VIEW or DROP VIEW statement.
+// ParseStatement parses any statement: a query, CREATE VIEW or TABLE, DROP
+// VIEW or TABLE, or INSERT.
 func ParseStatement(input string) (*Statement, error) {
-	toks, err := lex(input)
+	l, err := Lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return l.Statement()
+}
+
+// Statement parses the tokens as any statement (see ParseStatement).
+func (l *Lexed) Statement() (*Statement, error) {
+	p := &parser{toks: l.toks, params: l.params}
 	switch {
 	case p.acceptKeyword("CREATE"):
 		if p.acceptKeyword("TABLE") {
@@ -102,13 +108,9 @@ func ParseStatement(input string) (*Statement, error) {
 		}
 		return &Statement{Insert: ins}, nil
 	default:
-		stmt, err := p.parseStmt()
+		stmt, err := p.parseQuery()
 		if err != nil {
 			return nil, err
-		}
-		p.accept(tokSymbol, ";")
-		if p.peek().kind != tokEOF {
-			return nil, p.errf("unexpected %s after end of statement", p.peek())
 		}
 		return &Statement{Query: stmt}, nil
 	}

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -67,11 +68,14 @@ func (s Strategy) internal() (rewrite.Strategy, error) {
 // DDL: a query sees a table version or a view completely — with its body
 // already analyzed — or not at all. DDL statements serialise among
 // themselves.
+//
+// Compiled plans are cached per statement shape and shared with the DB's
+// sessions (see planCache and the README's "Plan cache" section).
 type DB struct{ scope }
 
 // Open returns an empty database.
 func Open() *DB {
-	return &DB{scope{cat: catalog.New(), views: catalog.NewLayer[sql.ViewDef](nil)}}
+	return &DB{scope{cat: catalog.New(), views: catalog.NewLayer[sql.ViewDef](nil), plans: newPlanCache()}}
 }
 
 // Session is an isolated statement scope over a shared DB: its DDL —
@@ -90,14 +94,15 @@ type Session struct{ scope }
 // state: base DDL performed after the session is created is visible to the
 // session's next statement unless shadowed by the session's own layer.
 func (db *DB) NewSession() *Session {
-	return &Session{scope{cat: catalog.NewOverlay(db.cat), views: catalog.NewLayer(db.views)}}
+	return &Session{scope{cat: catalog.NewOverlay(db.cat), views: catalog.NewLayer(db.views), plans: db.plans}}
 }
 
 // scope is the one implementation of statement execution behind DB and
 // Session: a catalog layer paired with a view layer of the same
 // copy-on-write type (see catalog.Layer). A DB's layers are roots, a
-// Session's are children of its DB's; nothing else differs. Queries load the
-// two published states and never lock. The published states a snapshot pins
+// Session's are children of its DB's, and a Session shares its DB's plan
+// cache; nothing else differs. Queries load the two published states and
+// never lock. The published states a snapshot pins
 // — the scope's own and, in a session, the DB's beneath — are the scope's
 // version: one of them is replaced exactly when DDL the scope can see is
 // published.
@@ -111,6 +116,7 @@ type scope struct {
 	mu    sync.Mutex
 	cat   *catalog.Catalog
 	views *catalog.Layer[sql.ViewDef]
+	plans *planCache
 }
 
 // Exec runs any statement: queries return a Result; CREATE TABLE / CREATE
@@ -119,12 +125,16 @@ type scope struct {
 // SELECT PROVENANCE, which rewrites through the view body (the Perm
 // capability of §3.1).
 func (sc *scope) Exec(statement string, opts ...Option) (*Result, error) {
-	st, err := sql.ParseStatement(statement)
+	lx, err := sql.Lex(statement)
 	if err != nil {
 		return nil, err
 	}
-	if st.Query != nil {
-		return sc.Query(statement, opts...)
+	if lx.IsQuery() {
+		return sc.snapshot().query(lx, newQueryConfig(opts))
+	}
+	st, err := lx.Statement()
+	if err != nil {
+		return nil, err
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -331,6 +341,7 @@ type queryConfig struct {
 	parallelism int
 	materialize bool
 	planCheck   PlanCheckMode
+	noPlanCache bool
 }
 
 // WithStrategy selects the sublink rewrite strategy for PROVENANCE queries
@@ -367,6 +378,14 @@ func WithoutOptimizer() Option {
 // streaming-vs-materializing comparison.
 func WithoutStreaming() Option {
 	return func(c *queryConfig) { c.materialize = true }
+}
+
+// WithoutPlanCache compiles the statement as written — no literal lifted,
+// no cached plan used or stored. Like WithoutOptimizer and WithoutStreaming
+// it is an ablation switch: differential tests run every statement both
+// ways.
+func WithoutPlanCache() Option {
+	return func(c *queryConfig) { c.noPlanCache = true }
 }
 
 // ProvGroup describes the provenance columns contributed by one base
@@ -408,12 +427,13 @@ type Result struct {
 type snapshot struct {
 	src   catalog.Snapshot
 	views *catalog.State[sql.ViewDef]
+	plans *planCache
 }
 
 func (sn snapshot) env() sql.Env { return sql.Env{Catalog: sn.src, Views: sn.views} }
 
 func (sc *scope) snapshot() snapshot {
-	return snapshot{src: sc.cat.Snapshot(), views: sc.views.Snapshot()}
+	return snapshot{src: sc.cat.Snapshot(), views: sc.views.Snapshot(), plans: sc.plans}
 }
 
 func newQueryConfig(opts []Option) queryConfig {
@@ -431,7 +451,11 @@ func newQueryConfig(opts []Option) queryConfig {
 // current snapshot. SELECT PROVENANCE statements are rewritten with the
 // configured strategy before execution.
 func (sc *scope) Query(query string, opts ...Option) (*Result, error) {
-	return sc.snapshot().query(query, newQueryConfig(opts))
+	lx, err := sql.Lex(query)
+	if err != nil {
+		return nil, err
+	}
+	return sc.snapshot().query(lx, newQueryConfig(opts))
 }
 
 // QueryContext is Query under a context: cancellation or deadline expiry
@@ -446,55 +470,82 @@ func (sc *scope) ExecContext(ctx context.Context, statement string, opts ...Opti
 	return sc.Exec(statement, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
+// planFor returns the statement's compiled plan and the parameter vector to
+// run it with, from the plan cache when it holds a plan of the statement's
+// shape that is valid in this snapshot. The hot path is lift, look up,
+// validate; a miss parses the lifted statement, compiles it — the plan
+// carries algebra.Param leaves where literals were lifted — and admits the
+// plan. cached reports a hit.
+func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params []types.Value, cached bool, err error) {
+	// An unknown strategy is compile's to report, or to ignore.
+	strat, stratErr := cfg.strategy.internal()
+	useCache := !cfg.noPlanCache && stratErr == nil
+	var family, pattern []byte
+	if useCache {
+		family = append(make([]byte, 0, 512), byte(strat), byte(cfg.planCheck), '+')
+		if cfg.noOptimize {
+			family[2] = '-'
+		}
+		family, pattern, params = lx.Lift(family)
+		if p := sn.plans.lookup(family, pattern, sn); p != nil {
+			return p, params, true, nil
+		}
+	}
+	stmt, err := lx.Query()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	p, _, err = sn.compile(stmt, cfg)
+	if err != nil || !useCache {
+		return p, nil, false, err
+	}
+	// The statement runs the plan as the cache keeps it, so that a miss and
+	// a hit execute the same plan.
+	p.pattern = string(pattern)
+	return sn.plans.admit(string(family), p), params, false, nil
+}
+
 // query runs the full pipeline against one snapshot.
-func (sn snapshot) query(query string, cfg queryConfig) (*Result, error) {
-	p, err := sn.compile(query, cfg)
+func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (*Result, error) {
+	p, params, _, err := sn.planFor(lx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr, plan := p.tr, p.plan
-	out := &Result{PlanFindings: p.findings}
-	if res := p.res; res != nil {
-		out.DataColumns = res.Original.Len() - tr.Hidden
-		for _, p := range res.Prov {
-			g := ProvGroup{Relation: p.Rel}
-			for _, a := range p.Attrs {
-				g.Columns = append(g.Columns, a.Name)
-			}
-			out.Provenance = append(out.Provenance, g)
-		}
-	}
+	out := &Result{DataColumns: p.dataCols, PlanFindings: slices.Clone(p.findings)}
 	ev := eval.New(sn.src)
 	if cfg.ctx != nil {
 		ev = ev.WithContext(cfg.ctx)
 	}
 	ev.Parallelism = cfg.parallelism
 	ev.DisableStreaming = cfg.materialize
-	relOut, err := ev.Eval(plan)
+	ev.Params = params
+	relOut, err := ev.Eval(p.plan)
 	if err != nil {
 		return nil, err
 	}
 	out.PeakRows = ev.LastStats().PeakRows
-	if !tr.Provenance {
-		out.DataColumns = relOut.Schema.Len() - tr.Hidden
-	}
 	// Hidden ORDER BY key columns (Translated.Hidden) sit between the
 	// visible data columns and any provenance columns. They exist so the
 	// sort below can evaluate keys the SELECT list does not project; they
 	// are stripped from the presented result.
-	hiddenStart, hiddenEnd := out.DataColumns, out.DataColumns+tr.Hidden
+	hiddenStart, hiddenEnd := p.dataCols, p.dataCols+p.hidden
 	for i, a := range relOut.Schema.Attrs {
 		if i >= hiddenStart && i < hiddenEnd {
 			continue
 		}
 		out.Columns = append(out.Columns, a.Name)
 	}
-	tuples, err := orderedTuples(plan, relOut)
+	provCols := out.Columns[p.dataCols:]
+	for _, g := range p.prov {
+		out.Provenance = append(out.Provenance, ProvGroup{Relation: g.relation, Columns: slices.Clone(provCols[:g.width])})
+		provCols = provCols[g.width:]
+	}
+	tuples, err := orderedTuples(p.plan, relOut, params)
 	if err != nil {
 		return nil, err
 	}
 	for _, t := range tuples {
-		row := make([]any, 0, len(t)-tr.Hidden)
+		row := make([]any, 0, len(t)-p.hidden)
 		for i, v := range t {
 			if i >= hiddenStart && i < hiddenEnd {
 				continue
@@ -557,24 +608,42 @@ func (sn snapshot) advise(query string) ([]StrategyAdvice, error) {
 }
 
 // Explain returns the (optimized) algebra plan of a statement, after the
-// provenance rewrite for PROVENANCE queries.
+// provenance rewrite for PROVENANCE queries. The first line says whether the
+// plan came from the plan cache ("-- cached") or was compiled for this call
+// ("-- compiled"), followed by the values of the parameters that stand for
+// lifted literals in it ($1, $2, …), if any.
 func (sc *scope) Explain(query string, opts ...Option) (string, error) {
-	return sc.snapshot().explain(query, newQueryConfig(opts))
-}
-
-func (sn snapshot) explain(query string, cfg queryConfig) (string, error) {
-	p, err := sn.compile(query, cfg)
+	lx, err := sql.Lex(query)
 	if err != nil {
 		return "", err
 	}
-	return algebra.Indent(p.plan), nil
+	p, params, cached, err := sc.snapshot().planFor(lx, newQueryConfig(opts))
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	if cached {
+		b.WriteString("-- cached")
+	} else {
+		b.WriteString("-- compiled")
+	}
+	for i, v := range params {
+		sep := ", "
+		if i == 0 {
+			sep = ": "
+		}
+		fmt.Fprintf(&b, "%s%s = %s", sep, algebra.Param{Idx: i}, algebra.Const{Val: v})
+	}
+	b.WriteByte('\n')
+	b.WriteString(algebra.Indent(p.plan))
+	return b.String(), nil
 }
 
 // orderedTuples respects the query's ORDER BY; otherwise it returns the
 // canonical sorted order for deterministic output. A sort-key evaluation
 // failure is the query's failure — it must surface, not silently degrade
 // to the canonical order.
-func orderedTuples(plan algebra.Op, out *rel.Relation) ([]rel.Tuple, error) {
+func orderedTuples(plan algebra.Op, out *rel.Relation, params []types.Value) ([]rel.Tuple, error) {
 	// The executor returns bags; re-sort explicitly by whatever order
 	// reaches the plan's output — including an inner ORDER BY carried
 	// through derived-table projection wrappers and LIMIT, and hidden
@@ -583,7 +652,7 @@ func orderedTuples(plan algebra.Op, out *rel.Relation) ([]rel.Tuple, error) {
 	if keys == nil {
 		return out.SortedTuples(), nil
 	}
-	return eval.SortTuples(out, keys)
+	return eval.SortTuples(out, keys, params)
 }
 
 // FormatTable renders the result as an aligned text table for CLI output.

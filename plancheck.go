@@ -147,42 +147,68 @@ func (pv *planVerifier) hook() rewrite.StageHook {
 	}
 }
 
-// planned is one statement compiled through translate, rewrite and
-// optimize, with per-stage verification interleaved.
+// planned is one compiled statement: the optimised plan and what executing
+// and presenting it takes, and nothing of what compiling it went through —
+// neither the translated plan nor the rewrite's result — so that the plan
+// cache retains no more than a hit needs.
+//
+// perm:frozen
 type planned struct {
-	tr       *sql.Translated
-	res      *rewrite.Result // nil for plain queries
-	plan     algebra.Op
-	stages   []PlanStage
+	plan algebra.Op
+	// dataCols is the number of visible data columns; hidden the number of
+	// hidden sort-key columns that follow them (see sql.Translated.Hidden).
+	// The columns after those are provenance columns, prov[i].width of them
+	// from the i-th base relation access, prov[i].relation.
+	dataCols int
+	hidden   int
+	prov     []provGroup
+	// findings are the verifier's findings, replayed on every run.
 	findings []PlanFinding
+	// pattern is the statement's literal pattern within its family (see
+	// sql.Lexed.Lift); set on plans compiled for the plan cache.
+	pattern string
+	// deps are the relations the statement named with what they were bound
+	// to: the plan is valid wherever they still are (see planCache).
+	deps []dep
 }
 
-// compile runs translate → rewrite → optimize over one snapshot, verifying
-// after every stage per cfg.planCheck. In strict mode the first
-// non-advisory finding aborts with an error naming the failing stage.
-func (sn snapshot) compile(query string, cfg queryConfig) (*planned, error) {
-	tr, err := sql.CompileEnv(sn.env(), query)
+// provGroup is the provenance columns of one base relation access.
+type provGroup struct {
+	relation string
+	width    int
+}
+
+// compile runs analyze → translate → rewrite → optimize over one snapshot,
+// verifying after every stage per cfg.planCheck and returning the verified
+// stages beside the plan. In strict mode the first non-advisory finding
+// aborts with an error naming the failing stage.
+func (sn snapshot) compile(stmt *sql.Stmt, cfg queryConfig) (*planned, []PlanStage, error) {
+	env := sn.env()
+	if err := sql.Analyze(env, stmt); err != nil {
+		return nil, nil, err
+	}
+	tr, err := sql.Translate(env, stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pv := newPlanVerifier(cfg.planCheck)
 	plan := tr.Plan
 	pv.stage(plancheck.StagePlan{Stage: plancheck.StageTranslate, Plan: plan, Hidden: tr.Hidden})
 	if pv.failure != nil {
-		return nil, pv.failure
+		return nil, nil, pv.failure
 	}
 	var res *rewrite.Result
 	if tr.Provenance {
 		strat, err := cfg.strategy.internal()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res, err = rewrite.RewriteHooked(plan, strat, pv.hook())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if pv.failure != nil {
-			return nil, pv.failure
+			return nil, nil, pv.failure
 		}
 		plan = res.Plan
 		pv.stage(plancheck.StagePlan{
@@ -194,7 +220,7 @@ func (sn snapshot) compile(query string, cfg queryConfig) (*planned, error) {
 			Hidden:    tr.Hidden,
 		})
 		if pv.failure != nil {
-			return nil, pv.failure
+			return nil, nil, pv.failure
 		}
 	}
 	if !cfg.noOptimize {
@@ -207,26 +233,38 @@ func (sn snapshot) compile(query string, cfg queryConfig) (*planned, error) {
 		}
 		pv.stage(sp)
 		if pv.failure != nil {
-			return nil, pv.failure
+			return nil, nil, pv.failure
 		}
 	}
-	return &planned{tr: tr, res: res, plan: plan, stages: pv.stages, findings: pv.findings}, nil
+	p := &planned{
+		plan:     plan,
+		dataCols: plan.Schema().Len() - tr.Hidden,
+		hidden:   tr.Hidden,
+		findings: pv.findings,
+		deps:     sn.depsOf(tr.Relations),
+	}
+	if res != nil {
+		p.dataCols = res.Original.Len() - tr.Hidden
+		for _, src := range res.Prov {
+			p.prov = append(p.prov, provGroup{relation: src.Rel, width: len(src.Attrs)})
+		}
+	}
+	return p, pv.stages, nil
 }
 
 // VerifyPlan compiles a statement and verifies every stage without
 // executing it, returning the per-stage findings (advisory included) in
 // pipeline order. Compile and rewrite errors are returned as-is; verifier
 // findings never produce an error here. WithStrategy and WithoutOptimizer
-// shape the verified pipeline exactly as they would a query.
+// shape the verified pipeline exactly as they would a query. The statement
+// is compiled as written, never through the plan cache.
 func (sc *scope) VerifyPlan(query string, opts ...Option) ([]PlanStage, error) {
-	return sc.snapshot().verifyPlan(query, newQueryConfig(opts))
-}
-
-func (sn snapshot) verifyPlan(query string, cfg queryConfig) ([]PlanStage, error) {
-	cfg.planCheck = PlanCheckLog
-	p, err := sn.compile(query, cfg)
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return p.stages, nil
+	cfg := newQueryConfig(opts)
+	cfg.planCheck = PlanCheckLog
+	_, stages, err := sc.snapshot().compile(stmt, cfg)
+	return stages, err
 }

@@ -992,3 +992,376 @@ func TestOrderByAliasPrecedence(t *testing.T) {
 		}
 	}
 }
+
+// --- plan cache ---
+//
+// Every statement below runs three times — through the cache (a miss or a
+// hit), through it again (a hit), and WithoutPlanCache — and must come out
+// the same each way: columns, rows in order, or the error text. The
+// statements of a test run in order against one database, so a later one
+// meets whatever plans the earlier ones left in the cache.
+
+// sameWithAndWithoutPlanCache runs one statement the three ways and returns
+// the outcome all of them agreed on.
+func sameWithAndWithoutPlanCache(t *testing.T, r interface {
+	Query(string, ...Option) (*Result, error)
+}, q string, opts ...Option) (*Result, error) {
+	t.Helper()
+	render := func(res *Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%v %d %v %v", res.Columns, res.DataColumns, res.Provenance, res.Rows)
+	}
+	want, wantErr := r.Query(q, append([]Option{WithoutPlanCache()}, opts...)...)
+	for _, pass := range []string{"first", "second"} {
+		got, err := r.Query(q, opts...)
+		if render(got, err) != render(want, wantErr) {
+			t.Fatalf("%s\n%s run through the plan cache: %s\nwithout the plan cache:        %s", q, pass, render(got, err), render(want, wantErr))
+		}
+	}
+	return want, wantErr
+}
+
+func planCacheFixture(t *testing.T) *DB {
+	t.Helper()
+	db := Open()
+	if err := db.Register("r", []string{"a", "b", "s"}, [][]any{{1, 30, "x"}, {2, 20, "y"}, {3, 10, "x"}, {4, 20, nil}}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestPlanCacheKeepsSteeringLiterals: a literal whose value steers
+// compilation is part of the shape, so two statements that differ in one
+// never share a plan — ordinals, LIMIT and OFFSET, NULL/TRUE/FALSE,
+// select-list literals, CAST targets.
+func TestPlanCacheKeepsSteeringLiterals(t *testing.T) {
+	db := planCacheFixture(t)
+	for _, tc := range []struct {
+		q    string
+		col  int
+		want []any // column col of the result; nil when wantErr is set
+		err  string
+	}{
+		{q: `SELECT a, b FROM r ORDER BY 1`, want: []any{int64(1), int64(2), int64(3), int64(4)}},
+		{q: `SELECT a, b FROM r ORDER BY 2, 1`, want: []any{int64(3), int64(2), int64(4), int64(1)}},
+		{q: `SELECT a, b FROM r ORDER BY (2), (1)`, want: []any{int64(3), int64(2), int64(4), int64(1)}},
+		{q: `SELECT a, b FROM r ORDER BY 3`, err: "ORDER BY position 3 is not in select list"},
+		{q: `SELECT a, b FROM r ORDER BY -1`, err: "ORDER BY position -1 is not in select list"},
+		{q: `SELECT b, count(*) FROM r GROUP BY 1 ORDER BY 1`, want: []any{int64(10), int64(20), int64(30)}},
+		{q: `SELECT b, count(*) FROM r GROUP BY 2 ORDER BY 1`, err: "aggregate functions are not allowed in GROUP BY"},
+		{q: `SELECT a FROM r ORDER BY a LIMIT 1`, want: []any{int64(1)}},
+		{q: `SELECT a FROM r ORDER BY a LIMIT 2`, want: []any{int64(1), int64(2)}},
+		{q: `SELECT a FROM r ORDER BY a LIMIT 2 OFFSET 1`, want: []any{int64(2), int64(3)}},
+		{q: `SELECT a FROM r ORDER BY a LIMIT 2 OFFSET 2`, want: []any{int64(3), int64(4)}},
+		{q: `SELECT a FROM r WHERE (s = 'x') = TRUE ORDER BY a`, want: []any{int64(1), int64(3)}},
+		{q: `SELECT a FROM r WHERE (s = 'x') = FALSE ORDER BY a`, want: []any{int64(2)}},
+		{q: `SELECT a FROM r WHERE (s = 'x') IS NULL ORDER BY a`, want: []any{int64(4)}},
+		{q: `SELECT CASE WHEN a = 1 THEN NULL ELSE a END FROM r ORDER BY a`, want: []any{nil, int64(2), int64(3), int64(4)}},
+		{q: `SELECT a, 5 FROM r ORDER BY 2, 1`, col: 1, want: []any{int64(5), int64(5), int64(5), int64(5)}},
+		{q: `SELECT a, 7 FROM r ORDER BY 2, 1`, col: 1, want: []any{int64(7), int64(7), int64(7), int64(7)}},
+		{q: `SELECT 'k', a FROM r ORDER BY 1, 2`, want: []any{"k", "k", "k", "k"}},
+		{q: `SELECT 'm', a FROM r ORDER BY 1, 2`, want: []any{"m", "m", "m", "m"}},
+		{q: `SELECT 1`, want: []any{int64(1)}},
+		{q: `SELECT 2`, want: []any{int64(2)}},
+		{q: `SELECT -2`, want: []any{int64(-2)}},
+		{q: `SELECT CAST(a AS text) FROM r ORDER BY a`, want: []any{"1", "2", "3", "4"}},
+		{q: `SELECT CAST(a AS float) FROM r ORDER BY a`, want: []any{1.0, 2.0, 3.0, 4.0}},
+		{q: `SELECT CAST(a AS blob) FROM r ORDER BY a`, err: `type "blob" does not exist`},
+	} {
+		res, err := sameWithAndWithoutPlanCache(t, db, tc.q)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.q, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		wantColumn(t, res, tc.col, tc.want...)
+	}
+}
+
+// TestPlanCacheLiftedLiterals: the literals that are lifted bind per run —
+// in conditions, projections, IN lists, LIKE patterns, sort-key expressions,
+// sublinks and provenance rewrites.
+func TestPlanCacheLiftedLiterals(t *testing.T) {
+	db := planCacheFixture(t)
+	for _, tc := range []struct {
+		q    string
+		want []any
+	}{
+		{`SELECT a FROM r WHERE b = 20 ORDER BY a`, []any{int64(2), int64(4)}},
+		{`SELECT a FROM r WHERE b = 30 ORDER BY a`, []any{int64(1)}},
+		{`SELECT a FROM r WHERE b = 20.0 ORDER BY a`, []any{int64(2), int64(4)}},
+		{`SELECT a FROM r WHERE s = 'x' ORDER BY a`, []any{int64(1), int64(3)}},
+		{`SELECT a FROM r WHERE s = 'y' ORDER BY a`, []any{int64(2)}},
+		{`SELECT a + 10 FROM r WHERE a IN (1, 3) ORDER BY a`, []any{int64(11), int64(13)}},
+		{`SELECT a + 20 FROM r WHERE a IN (2, 2) ORDER BY a`, []any{int64(22)}},
+		{`SELECT a FROM r WHERE s LIKE 'x%' ORDER BY a`, []any{int64(1), int64(3)}},
+		{`SELECT a FROM r WHERE s LIKE 'y%' ORDER BY a`, []any{int64(2)}},
+		{`SELECT a FROM r ORDER BY b * 1 + a * 100`, []any{int64(1), int64(2), int64(3), int64(4)}},
+		{`SELECT a FROM r ORDER BY b * 100 + a * 1`, []any{int64(3), int64(2), int64(4), int64(1)}},
+		{`SELECT a FROM r WHERE a > (SELECT min(b) / 5 FROM r AS r2 WHERE r2.b > 10) ORDER BY a`, nil},
+		{`SELECT a FROM r WHERE a > (SELECT min(b) / 10 FROM r AS r2 WHERE r2.b > 20) ORDER BY a`, []any{int64(4)}},
+		{`SELECT a FROM r WHERE a > (SELECT min(b) / 10 FROM r AS r2 WHERE r2.b > 5) ORDER BY a`, []any{int64(2), int64(3), int64(4)}},
+		{`SELECT PROVENANCE a FROM r WHERE b = ANY (SELECT b FROM r AS r2 WHERE r2.a = 4) ORDER BY a`, []any{int64(2), int64(4)}},
+		{`SELECT PROVENANCE a FROM r WHERE b = ANY (SELECT b FROM r AS r2 WHERE r2.a = 3) ORDER BY a`, []any{int64(3)}},
+	} {
+		res, err := sameWithAndWithoutPlanCache(t, db, tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		wantColumn(t, res, 0, tc.want...)
+	}
+	if st := db.PlanCacheStats(); st.Hits < 20 || st.Entries > 12 {
+		t.Errorf("stats %+v: the statements above have 10 families", st)
+	}
+}
+
+// TestPlanCacheEqualityPattern: a decision compilation takes because two
+// literals are equal — a select-list expression matching a GROUP BY or
+// ORDER BY expression — holds for every statement that shares the plan,
+// because statements whose literals are equal elsewhere do not share it.
+func TestPlanCacheEqualityPattern(t *testing.T) {
+	const groupErr = "must appear in the GROUP BY clause"
+	const distinctErr = "ORDER BY expressions must appear in the select list"
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1, 0}} {
+		db := planCacheFixture(t)
+		steps := []struct {
+			q    string
+			want []any
+			err  string
+		}{
+			{q: `SELECT b+1, count(*) FROM r GROUP BY b+1 ORDER BY 1`, want: []any{int64(11), int64(21), int64(31)}},
+			{q: `SELECT b+1, count(*) FROM r GROUP BY b+2 ORDER BY 1`, err: groupErr},
+			{q: `SELECT b+2, count(*) FROM r GROUP BY b+2 ORDER BY 1`, want: []any{int64(12), int64(22), int64(32)}},
+			{q: `SELECT DISTINCT b+1 FROM r ORDER BY b+1`, want: []any{int64(11), int64(21), int64(31)}},
+			{q: `SELECT DISTINCT b+1 FROM r ORDER BY b+3`, err: distinctErr},
+			// An integer equals a float of the same value, and - b is 0 - b.
+			{q: `SELECT DISTINCT b+1 FROM r ORDER BY b+1.0`, want: []any{int64(11), int64(21), int64(31)}},
+			{q: `SELECT DISTINCT b+1 FROM r ORDER BY b+3.0`, err: distinctErr},
+			{q: `SELECT DISTINCT b * (0 - b) FROM r ORDER BY b * (-b)`, want: []any{int64(-900), int64(-400), int64(-100)}},
+			{q: `SELECT DISTINCT b * (1 - b) FROM r ORDER BY b * (-b)`, err: distinctErr},
+		}
+		for _, i := range order {
+			step := steps[i]
+			res, err := sameWithAndWithoutPlanCache(t, db, step.q)
+			if step.err != "" {
+				if err == nil || !strings.Contains(err.Error(), step.err) {
+					t.Errorf("%s: err = %v, want one containing %q", step.q, err, step.err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", step.q, err)
+			}
+			wantColumn(t, res, 0, step.want...)
+		}
+	}
+}
+
+// TestPlanCacheKindChange: a literal's kind is part of the shape, so the
+// plan of `a = 1` is not the plan of `a = 'x'`, which stays the analyzer's
+// error.
+func TestPlanCacheKindChange(t *testing.T) {
+	db := planCacheFixture(t)
+	res, err := sameWithAndWithoutPlanCache(t, db, `SELECT a FROM r WHERE a = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, res, 0, int64(1))
+	for _, q := range []string{`SELECT a FROM r WHERE a = 'x'`, `SELECT a FROM r WHERE s = 1`} {
+		if _, err := sameWithAndWithoutPlanCache(t, db, q); err == nil || !strings.Contains(err.Error(), "operator does not exist") {
+			t.Errorf("%s: err = %v, want the analyzer's operator-does-not-exist", q, err)
+		}
+	}
+	res, err = sameWithAndWithoutPlanCache(t, db, `SELECT a FROM r WHERE a = 2.0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, res, 0, int64(2))
+}
+
+// TestPlanCacheNumericKinds: 2 and 2.0 compare equal and compute
+// differently. A value that a statement spells in both numeric kinds stays
+// in its plan (see sql.Lexed.Lift), each time in the kind it was written in
+// — the cache once kept one constant for the two — in the select list, in
+// conditions, and for an integer beside the float it rounds to.
+func TestPlanCacheNumericKinds(t *testing.T) {
+	db := planCacheFixture(t)
+	for _, tc := range []struct {
+		q    string
+		col  int
+		want []any
+	}{
+		{`SELECT a / 2, a / 2.0 FROM r ORDER BY a`, 0, []any{int64(0), int64(1), int64(1), int64(2)}},
+		{`SELECT a / 2, a / 2.0 FROM r ORDER BY a`, 1, []any{0.5, 1.0, 1.5, 2.0}},
+		{`SELECT a / 2.0, a / 2 FROM r ORDER BY a`, 0, []any{0.5, 1.0, 1.5, 2.0}},
+		{`SELECT a / 4, a / 4.0 FROM r ORDER BY a`, 1, []any{0.25, 0.5, 0.75, 1.0}},
+		{`SELECT a FROM r WHERE a / 2 = 1 AND a / 2.0 > 1.2`, 0, []any{int64(3)}},
+		{`SELECT a FROM r WHERE a / 2.0 > 1.2 AND a / 2 = 1`, 0, []any{int64(3)}},
+		{`SELECT 7 / 2, 7 / 2.0`, 1, []any{3.5}},
+		{`SELECT a FROM r WHERE a + 9007199254740993 = 9007199254740994 AND a + 9007199254740992.0 > 0`, 0, []any{int64(1)}},
+		{`SELECT PROVENANCE a / 2, a / 2.0 FROM r WHERE b / 20 = 1 AND b / 20.0 = 1.5`, 1, []any{0.5}},
+	} {
+		res, err := sameWithAndWithoutPlanCache(t, db, tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		wantColumn(t, res, tc.col, tc.want...)
+	}
+}
+
+// TestPlanCacheInsert: INSERT leaves a table's plans valid — unless it
+// establishes the kind of a column that was all NULL, which can turn a
+// statement the analyzer admitted into one it rejects.
+func TestPlanCacheInsert(t *testing.T) {
+	db := Open()
+	if err := db.Register("n", []string{"k", "v"}, [][]any{{1, nil}, {2, nil}}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT k FROM n WHERE v = 'x' OR k = 2`
+	res, err := sameWithAndWithoutPlanCache(t, db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantColumn(t, res, 0, int64(2))
+	before := db.PlanCacheStats()
+	if _, err := db.Exec(`INSERT INTO n VALUES (3, NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if after := db.PlanCacheStats(); after.Hits != before.Hits+1 || after.Entries != before.Entries {
+		t.Errorf("an INSERT that changes no kind cost the cache something: %+v -> %+v", before, after)
+	}
+	if _, err := db.Exec(`INSERT INTO n VALUES (4, 7)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sameWithAndWithoutPlanCache(t, db, q); err == nil || !strings.Contains(err.Error(), "operator does not exist: integer = string") {
+		t.Errorf("after v became integer: err = %v, want the analyzer's error", err)
+	}
+	if st := db.PlanCacheStats(); st.Stale == 0 {
+		t.Errorf("the widened column's plan was not found stale: %+v", st)
+	}
+}
+
+// TestPlanCacheViewDDL: one statement text, run between view DDL, always
+// means what the views of the moment make it mean.
+func TestPlanCacheViewDDL(t *testing.T) {
+	db := planCacheFixture(t)
+	const q = `SELECT x FROM v WHERE x > 1 ORDER BY x`
+	run := func(want ...any) {
+		t.Helper()
+		res, err := sameWithAndWithoutPlanCache(t, db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantColumn(t, res, 0, want...)
+	}
+	exec := func(stmt string) {
+		t.Helper()
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	if _, err := sameWithAndWithoutPlanCache(t, db, q); err == nil {
+		t.Fatal("no view v yet")
+	}
+	exec(`CREATE VIEW v AS SELECT a AS x FROM r`)
+	run(int64(2), int64(3), int64(4))
+	exec(`DROP VIEW v`)
+	if _, err := sameWithAndWithoutPlanCache(t, db, q); err == nil || !strings.Contains(err.Error(), `unknown relation "v"`) {
+		t.Fatalf("after DROP VIEW: err = %v", err)
+	}
+	exec(`CREATE VIEW v AS SELECT b AS x FROM r`)
+	run(int64(10), int64(20), int64(20), int64(30))
+	// A view over a view: redefining the inner one reaches the outer one.
+	exec(`CREATE VIEW inner_v AS SELECT a FROM r WHERE a < 3`)
+	exec(`DROP VIEW v`)
+	exec(`CREATE VIEW v AS SELECT a AS x FROM inner_v`)
+	run(int64(2))
+	exec(`DROP VIEW inner_v`)
+	exec(`CREATE VIEW inner_v AS SELECT a FROM r WHERE a > 2`)
+	run(int64(3), int64(4))
+	// A table of the name, then a view in its way.
+	exec(`DROP VIEW v`)
+	exec(`CREATE TABLE v (x int)`)
+	exec(`INSERT INTO v VALUES (7), (8)`)
+	run(int64(7), int64(8))
+	exec(`DROP TABLE v`)
+	exec(`CREATE VIEW v AS SELECT a * 100 AS x FROM r WHERE a = 1`)
+	run(int64(100))
+}
+
+// TestPlanCacheSessionShadow: sessions share the DB's cache, and a session
+// whose table shadows a base table of another shape is never served the
+// base's plan, nor the base the session's.
+func TestPlanCacheSessionShadow(t *testing.T) {
+	db := planCacheFixture(t)
+	s1, s2 := db.NewSession(), db.NewSession()
+	for _, stmt := range []string{`DROP TABLE r`, `CREATE TABLE r (a text, b int)`, `INSERT INTO r VALUES ('x', 1), ('y', 2)`} {
+		if _, err := s1.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	// s2's r has the base's columns and kinds but other rows.
+	if err := s2.Register("r", []string{"a", "b", "s"}, [][]any{{9, 90, "z"}}); err != nil {
+		t.Fatal(err)
+	}
+	const byText, all = `SELECT b FROM r WHERE a = 'x'`, `SELECT a FROM r WHERE b > 0 ORDER BY a`
+	for round := 0; round < 3; round++ {
+		if _, err := sameWithAndWithoutPlanCache(t, db, byText); err == nil || !strings.Contains(err.Error(), "operator does not exist") {
+			t.Fatalf("base, round %d: err = %v, want the analyzer's error", round, err)
+		}
+		res, err := sameWithAndWithoutPlanCache(t, s1, byText)
+		if err != nil {
+			t.Fatalf("session, round %d: %v", round, err)
+		}
+		wantColumn(t, res, 0, int64(1))
+		for _, tc := range []struct {
+			r interface {
+				Query(string, ...Option) (*Result, error)
+			}
+			want []any
+		}{
+			{db, []any{int64(1), int64(2), int64(3), int64(4)}},
+			{s1, []any{"x", "y"}},
+			{s2, []any{int64(9)}},
+		} {
+			res, err := sameWithAndWithoutPlanCache(t, tc.r, all)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			wantColumn(t, res, 0, tc.want...)
+		}
+	}
+	// Two plans of the shared statement — s2's table has the base table's
+	// shape and runs the base's plan — and one of the session-only one.
+	if st := db.PlanCacheStats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Errorf("stats %+v, want 3 entries and no evictions", st)
+	}
+	// Private tables the base knows nothing of: the sessions whose w has the
+	// same columns and kinds run one plan, the one whose w differs its own.
+	before := db.PlanCacheStats()
+	for i, def := range []string{`k int`, `k int`, `k text`, `k int`} {
+		s := db.NewSession()
+		for _, stmt := range []string{`CREATE TABLE w (` + def + `)`, `INSERT INTO w VALUES (` + []string{`1`, `2`, `'x'`, `4`}[i] + `)`} {
+			if _, err := s.Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		res, err := sameWithAndWithoutPlanCache(t, s, `SELECT k FROM w WHERE k IS NOT NULL`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantColumn(t, res, 0, []any{int64(1), int64(2), "x", int64(4)}[i])
+	}
+	if st := db.PlanCacheStats(); st.Entries != 5 || st.Misses != before.Misses+2 || st.Stale != before.Stale+1 {
+		t.Errorf("stats %+v after %+v, want two more plans, and the one for the text table compiled past a stale one", st, before)
+	}
+}
