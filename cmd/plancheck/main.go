@@ -24,12 +24,14 @@
 // -inject is the gate's self-test: after translating each file, the plan
 // is deliberately corrupted (a projection referencing a column no scope
 // defines) before verification. The run must then report findings and
-// exit 1 — CI asserts the failure, proving the gate can fail.
+// exit 1 — main_test.go asserts the failure, proving the gate can fail.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,13 +50,26 @@ var strategyNames = map[string]perm.Strategy{
 }
 
 func main() {
-	corpus := flag.String("corpus", "", "directory of corpus .sql files to sweep (positional args name single files)")
-	strategy := flag.String("strategy", "all", "provenance strategy to verify under: Gen, Left, Move, Unn, UnnX, Auto or all")
-	seed := flag.Int64("seed", 1, "seed for the base catalog the files are compiled against")
-	advisory := flag.Bool("advisory", false, "print advisory findings (they never affect the exit status)")
-	verbose := flag.Bool("v", false, "print a per-stage verdict line for every configuration")
-	inject := flag.Bool("inject", false, "self-test: corrupt every translated plan so the gate provably fails")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: verdicts go to stdout, usage and I/O errors to
+// stderr, and the result is the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("plancheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	corpus := fs.String("corpus", "", "directory of corpus .sql files to sweep (positional args name single files)")
+	strategy := fs.String("strategy", "all", "provenance strategy to verify under: Gen, Left, Move, Unn, UnnX, Auto or all")
+	seed := fs.Int64("seed", 1, "seed for the base catalog the files are compiled against")
+	advisory := fs.Bool("advisory", false, "print advisory findings (they never affect the exit status)")
+	verbose := fs.Bool("v", false, "print a per-stage verdict line for every configuration")
+	inject := fs.Bool("inject", false, "self-test: corrupt every translated plan so the gate provably fails")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var strategies []perm.Strategy
 	if *strategy == "all" {
@@ -62,44 +77,46 @@ func main() {
 	} else {
 		s, ok := strategyNames[*strategy]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "plancheck: unknown strategy %q\n", *strategy)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "plancheck: unknown strategy %q\n", *strategy)
+			return 2
 		}
 		strategies = []perm.Strategy{s}
 	}
 
-	files := flag.Args()
+	files := fs.Args()
 	if *corpus != "" {
 		matches, err := filepath.Glob(filepath.Join(*corpus, "*.sql"))
 		if err != nil || len(matches) == 0 {
-			fmt.Fprintf(os.Stderr, "plancheck: no .sql files under %s\n", *corpus)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "plancheck: no .sql files under %s\n", *corpus)
+			return 2
 		}
 		sort.Strings(matches)
 		files = append(files, matches...)
 	}
 	if len(files) == 0 {
-		fmt.Fprintln(os.Stderr, "plancheck: nothing to check (pass -corpus or file arguments)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "plancheck: nothing to check (pass -corpus or file arguments)")
+		return 2
 	}
 
 	db := fuzz.NewDB(*seed)
-	r := &runner{db: db, strategies: strategies, advisory: *advisory, verbose: *verbose, inject: *inject}
+	r := &runner{db: db, out: stdout, strategies: strategies, advisory: *advisory, verbose: *verbose, inject: *inject}
 	for _, file := range files {
 		if err := r.file(file); err != nil {
-			fmt.Fprintf(os.Stderr, "plancheck: %s: %v\n", file, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "plancheck: %s: %v\n", file, err)
+			return 2
 		}
 	}
-	fmt.Printf("plancheck: %d files, %d configurations verified, %d skipped: %d findings (%d advisory)\n",
+	fmt.Fprintf(stdout, "plancheck: %d files, %d configurations verified, %d skipped: %d findings (%d advisory)\n",
 		len(files), r.configs, r.skipped, r.bad+r.adv, r.adv)
 	if r.bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 type runner struct {
 	db         *perm.DB
+	out        io.Writer
 	strategies []perm.Strategy
 	advisory   bool
 	verbose    bool
@@ -122,7 +139,7 @@ func (r *runner) file(path string) error {
 	if skip {
 		r.skipped++
 		if r.verbose {
-			fmt.Printf("%s: skip (expect-error file)\n", name)
+			fmt.Fprintf(r.out, "%s: skip (expect-error file)\n", name)
 		}
 		return nil
 	}
@@ -152,13 +169,13 @@ func (r *runner) verify(name, config, query string, opts ...perm.Option) error {
 		if strings.HasPrefix(err.Error(), "rewrite: ") {
 			r.skipped++
 			if r.verbose {
-				fmt.Printf("%s [%s]: n/a (%v)\n", name, config, err)
+				fmt.Fprintf(r.out, "%s [%s]: n/a (%v)\n", name, config, err)
 			}
 			return nil
 		}
 		// The corpus compiles by construction; anything else is a defect.
 		r.bad++
-		fmt.Printf("%s [%s]: compile failed: %v\n", name, config, err)
+		fmt.Fprintf(r.out, "%s [%s]: compile failed: %v\n", name, config, err)
 		return nil
 	}
 	r.configs++
@@ -168,20 +185,20 @@ func (r *runner) verify(name, config, query string, opts ...perm.Option) error {
 			if f.Advisory {
 				r.adv++
 				if r.advisory {
-					fmt.Printf("%s [%s]: %s\n", name, config, f)
+					fmt.Fprintf(r.out, "%s [%s]: %s\n", name, config, f)
 				}
 				continue
 			}
 			clean = false
 			r.bad++
-			fmt.Printf("%s [%s]: %s\n", name, config, f)
+			fmt.Fprintf(r.out, "%s [%s]: %s\n", name, config, f)
 		}
 		if r.verbose {
 			verdict := "ok"
 			if !clean {
 				verdict = "FAIL"
 			}
-			fmt.Printf("%s [%s] %s: %s\n", name, config, st.Stage, verdict)
+			fmt.Fprintf(r.out, "%s [%s] %s: %s\n", name, config, st.Stage, verdict)
 		}
 	}
 	return nil
@@ -203,11 +220,11 @@ func (r *runner) injectFile(name, query string) error {
 		if !d.Advisory {
 			found = true
 			r.bad++
-			fmt.Printf("%s [inject]: %s\n", name, d)
+			fmt.Fprintf(r.out, "%s [inject]: %s\n", name, d)
 		}
 	}
 	if !found {
-		fmt.Printf("%s [inject]: SELF-TEST BROKEN: the corrupted plan verified clean\n", name)
+		fmt.Fprintf(r.out, "%s [inject]: SELF-TEST BROKEN: the corrupted plan verified clean\n", name)
 	}
 	return nil
 }

@@ -198,7 +198,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxFlow, LockCheck, LockOrder, GoroLeak, ChanLife, ErrClass, AtomicField, DeferClose, HotAlloc, ImmutCheck, Purity, PurityInv}
+	return []*Analyzer{CtxFlow, LockCheck, LockOrder, ErrClass, DeferClose, HotAlloc, ImmutCheck, Purity}
 }
 
 // AnalyzerByName resolves one analyzer.
@@ -233,17 +233,6 @@ func commentDirective(doc *ast.CommentGroup, marker string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// funcFor returns the innermost function declaration enclosing pos, using
-// the stack maintained by inspectWithStack.
-func enclosingFunc(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }
 
 // inspectWithStack walks the node like ast.Inspect but hands the visitor

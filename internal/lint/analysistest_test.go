@@ -2,7 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -118,4 +121,33 @@ func RunFixture(t *testing.T, a *Analyzer, dir string) {
 // fixturePath composes the conventional fixture directory.
 func fixturePath(analyzer string) string {
 	return fmt.Sprintf("testdata/src/%s", analyzer)
+}
+
+// TestEveryAnalyzerHasSeededFixture: each analyzer of the suite has a
+// fixture package named after it that seeds at least one violation (a
+// // want line). cmd/permlint's TestSeededViolationsFail runs the command
+// over these and expects exit 1, so an analyzer cannot join the suite
+// without a proof that it can fail the gate.
+func TestEveryAnalyzerHasSeededFixture(t *testing.T) {
+	for _, a := range Analyzers() {
+		files, err := filepath.Glob(filepath.Join(fixturePath(a.Name), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants := 0
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(string(data), "\n") {
+				if wantRE.MatchString(line) {
+					wants++
+				}
+			}
+		}
+		if wants == 0 {
+			t.Errorf("analyzer %s has no // want in %s: nothing shows it can report", a.Name, fixturePath(a.Name))
+		}
+	}
 }

@@ -109,7 +109,7 @@ func (cg *CallGraph) SortedFuncs() []*FuncInfo {
 // RunCache is the state one RunAnalyzers invocation shares across all
 // analyzers and packages: the call graph and the per-function CFGs are
 // built once per run, not once per analyzer — together with the Loader's
-// type-check cache this keeps a nine-analyzer run at one `go list` + one
+// type-check cache this keeps a full run at one `go list` + one
 // stdlib type-check + one CFG per function.
 type RunCache struct {
 	pkgs map[*Package]bool
@@ -121,9 +121,6 @@ type RunCache struct {
 	// acquisition-order graph (built on first demand, reported per
 	// package).
 	lockGraph *lockOrderGraph
-
-	// closeTracked memoizes the chanlife/goroleak close-site index.
-	closeSites *closeIndex
 
 	// storeAlias memoizes the store/alias tier's whole-program effects and
 	// summaries (immutcheck, purity, interprocedural hotalloc).

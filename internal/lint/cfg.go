@@ -35,17 +35,12 @@ type CFG struct {
 }
 
 // cfgEvalNode maps a block node to the part actually evaluated at that
-// program point. A RangeStmt head evaluates only its range expression (the
-// body statements occupy their own blocks); a SelectStmt head evaluates
-// nothing an analyzer should double-count (the comm statements live in the
-// clause blocks). Walkers that interpret CFG nodes must go through this or
-// they will apply clause/body effects twice.
+// program point: a RangeStmt head evaluates only its range expression (the
+// body statements occupy their own blocks). Walkers that interpret CFG
+// nodes must go through this or they will apply body effects twice.
 func cfgEvalNode(n ast.Node) ast.Node {
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		return n.X
-	case *ast.SelectStmt:
-		return nil
+	if r, ok := n.(*ast.RangeStmt); ok {
+		return r.X
 	}
 	return n
 }
@@ -404,9 +399,6 @@ func (b *cfgBuilder) selectStmt(s *ast.SelectStmt) {
 	label := b.pendingLabel
 	b.pendingLabel = nil
 	head := b.cur
-	// The SelectStmt node anchors the whole statement for analyzers that
-	// reason about blocking (goroleak's bounded-exit test).
-	head.Nodes = append(head.Nodes, s)
 	after := b.newBlock()
 	if label != nil {
 		label.breakTo = after
@@ -431,34 +423,6 @@ func (b *cfgBuilder) selectStmt(s *ast.SelectStmt) {
 	// (select{}) the statement blocks forever: no successor at all.
 	b.breaks = b.breaks[:len(b.breaks)-1]
 	b.cur = after
-}
-
-// --- reachability ---
-
-// ExitReachable reports whether any non-panic path from Entry reaches Exit:
-// whether the function can terminate normally.
-func (g *CFG) ExitReachable() bool {
-	seen := make([]bool, len(g.Blocks))
-	var walk func(b *Block) bool
-	walk = func(b *Block) bool {
-		if seen[b.Index] {
-			return false
-		}
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if s == g.Exit {
-				if !b.PanicExit {
-					return true
-				}
-				continue
-			}
-			if walk(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(g.Entry)
 }
 
 // --- forward dataflow ---

@@ -17,40 +17,6 @@ func parseBody(t *testing.T, src string) *ast.BlockStmt {
 	return file.Decls[0].(*ast.FuncDecl).Body
 }
 
-func TestCFGExitReachable(t *testing.T) {
-	cases := []struct {
-		name      string
-		src       string
-		reachable bool
-	}{
-		{"straightline", `x := 1; _ = x`, true},
-		{"return", `return`, true},
-		{"infinite loop", `for { }`, false},
-		{"infinite loop with break", `for { break }`, true},
-		{"for true no break", `for true { }`, false},
-		{"cond loop", `for i := 0; i < 3; i++ { }`, true},
-		{"range loop", `for range []int{1} { }`, true},
-		{"if both return", `if true { return }; return`, true},
-		{"select no arms", `select { }`, false},
-		{"select with return arm", `ch := make(chan int); select { case <-ch: return }`, true},
-		{"infinite loop with select return", `ch := make(chan int); for { select { case <-ch: return } }`, true},
-		{"goto self", `L: goto L`, false},
-		{"goto forward", `goto L; L: return`, true},
-		{"labeled break", `L: for { for { break L } }`, true},
-		{"labeled continue only", `L: for { continue L }`, false},
-		{"switch default returns", `switch { case true: return; default: return }`, true},
-		{"switch no default", `switch 1 { case 2: }`, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := BuildCFG(parseBody(t, tc.src), nil)
-			if got := cfg.ExitReachable(); got != tc.reachable {
-				t.Errorf("ExitReachable = %v, want %v", got, tc.reachable)
-			}
-		})
-	}
-}
-
 // TestCFGPanicExit: a panic-only path reaches Exit but is marked PanicExit,
 // so balance checks can exempt it.
 func TestCFGPanicExit(t *testing.T) {
@@ -91,11 +57,6 @@ func TestCFGPanicExit(t *testing.T) {
 	}
 	if panicBlocks != 1 || plainExits != 1 {
 		t.Errorf("got %d panic exits and %d plain exits, want 1 and 1", panicBlocks, plainExits)
-	}
-	// A function that can only panic has no ordinary exit.
-	cfg = BuildCFG(parseBody(t, `panic("always")`), isPanic)
-	if cfg.ExitReachable() {
-		t.Errorf("panic-only body should not reach exit ordinarily")
 	}
 }
 

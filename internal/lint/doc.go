@@ -1,4 +1,4 @@
-// Package lint is the perm repository's invariant-checking suite: twelve
+// Package lint is the perm repository's invariant-checking suite: eight
 // analyzers over type-checked packages, run by cmd/permlint and by the
 // fixture tests in this package. The analyzers encode the concurrency,
 // cancellation, error-handling and immutability disciplines the engine
@@ -35,9 +35,9 @@
 // (callgraph.go) shares the expensive artifacts across analyzers within
 // one permlint invocation: the static call graph (Ident/Selector calls
 // only; calls through function values and interfaces stay unresolved),
-// memoized per-function CFGs, the lock-order graph and the channel
-// close/send index. cmd/permlint -v reports the load and per-analyzer
-// wall time this caching buys.
+// memoized per-function CFGs, the lock-order graph and the store/alias
+// summaries. cmd/permlint -v reports the load and per-analyzer wall time
+// this caching buys.
 //
 // Findings are suppressed line by line with
 //
@@ -104,44 +104,10 @@
 // already held (directly or via a callee) is a self-deadlock finding,
 // except read-under-read, which RWMutex permits. Acquisitions inside go
 // statements are excluded (a goroutine does not hold its creator's
-// locks). cmd/permlint -checks lockorder -graph renders the graph as
-// Graphviz DOT, cycles highlighted; the nightly CI job archives it.
-// Approximations: instance conflation can produce false cycles for
+// locks). Approximations: instance conflation can produce false cycles for
 // deliberate same-type ordering (address order, parent before child) —
 // such sites carry a //permlint:ignore with the ordering argument — and
 // calls through function values or interfaces do not propagate.
-//
-// # goroleak
-//
-// Every `go` statement's goroutine must have a bounded exit: a worker
-// that can never terminate holds its stack, its captured references and
-// (in the executor's pools) a semaphore token forever, invisibly to
-// -race. goroleak requires the goroutine body's CFG to reach the function
-// exit, and requires each potentially unbounded blocking construct to be
-// externally signalable: `for range ch` needs a close site for ch
-// somewhere in the analyzed packages, a bare `<-ch` needs a send or close
-// site or must be a ctx.Done() channel, and a body that selects on a
-// cancellation signal is trusted throughout. Channel identity resolves
-// through the variable or field object where possible — including
-// `for _, ch := range chans` rebinding back to chans — and falls back to
-// element-type matching, which errs toward missing a leak rather than
-// inventing one. Calls made by the goroutine body are not followed.
-//
-// # chanlife
-//
-// chanlife tracks each local channel variable's lifecycle through the CFG
-// as a three-bit abstract state {open, closed, nil} joined bitwise at
-// merges: close of a definitely-closed channel panics, close of a
-// maybe-closed channel is a latent panic, a send reachable after a close
-// panics, and sends/receives on definitely-nil channels block forever —
-// except as select comms, where a nil channel idiomatically disables the
-// arm. Range rebinding resets the loop variable each iteration, so
-// closing every element of a slice of channels is clean. A separate
-// escape check flags sends on unbuffered channels that never leave the
-// function: with no other goroutine holding the receive end, the send can
-// never complete. Shared state (fields, globals, parameters) is assumed
-// open — cross-function channel lifecycles are goroleak's and the close
-// index's business.
 //
 // # errclass
 //
@@ -153,16 +119,6 @@
 // chain to a string), and HTTP handlers must route errors through the
 // classifier rather than calling http.Error or writing 4xx/5xx statuses
 // ad hoc.
-//
-// # atomicfield
-//
-// A field accessed through sync/atomic anywhere must be accessed that way
-// everywhere: one plain `s.n++` next to an atomic.AddInt64(&s.n, 1) is a
-// data race that -race only reports when both sites actually interleave.
-// atomicfield finds every field passed by address to a sync/atomic
-// function and flags plain reads or writes of the same field elsewhere in
-// the package. (Fields of type atomic.Int64 and friends are immune by
-// construction; the check matters for the plain-integer pattern.)
 //
 // # deferclose
 //
@@ -235,16 +191,6 @@
 // cache hit returns a value no longer derivable from its key. Mutating its
 // own receiver or run state (the memo maps themselves) is fine.
 //
-// # purityinv
-//
-// The advisory purity inventory: every declared function classified on the
-// lattice pure < read-only < mutating < escaping (reads global state;
-// writes shared or parameter-reachable memory or calls an unresolved
-// callee; publishes a parameter or sends). Like the hotalloc inventory it
-// never fails a run; the nightly CI job archives it so the share of
-// pure/read-only code — the plan cache's candidate set — is tracked over
-// time.
-//
 // # hotalloc
 //
 // The per-tuple executor paths — the streaming operators and the sublink
@@ -260,6 +206,7 @@
 // burn-down list for the planned vectorized executor. -strict-hot diffs
 // the inventory against the checked-in baseline
 // (internal/lint/testdata/hotalloc-baseline.txt, regenerated with
-// -write-hot-baseline): the burn-down may shrink, but a new hot-path
-// allocation fails CI.
+// -write-hot-baseline) in both directions: a new hot-path allocation
+// fails CI, and so does a baseline line nothing produces any more, so the
+// file is always the current inventory.
 package lint

@@ -238,10 +238,7 @@ func (lc *lockChecker) checkFunc(fn ast.Node, body *ast.BlockStmt, init lockFact
 		CFG:  cfg,
 		Init: init,
 		Transfer: func(n ast.Node, fact lockFact) lockFact {
-			if n = cfgEvalNode(n); n == nil {
-				return fact
-			}
-			forEachLockCall(pass.Info, n, func(call *ast.CallExpr, id lockID, op lockOp) {
+			forEachLockCall(pass.Info, cfgEvalNode(n), func(call *ast.CallExpr, id lockID, op lockOp) {
 				fact = applyLockOp(fact, call, id, op, nil)
 			})
 			return fact
@@ -259,10 +256,7 @@ func (lc *lockChecker) checkFunc(fn ast.Node, body *ast.BlockStmt, init lockFact
 			continue
 		}
 		for _, n := range blk.Nodes {
-			if n = cfgEvalNode(n); n == nil {
-				continue
-			}
-			fact = lc.walkNode(n, fact)
+			fact = lc.walkNode(cfgEvalNode(n), fact)
 		}
 	}
 
@@ -285,10 +279,7 @@ func (lc *lockChecker) checkFunc(fn ast.Node, body *ast.BlockStmt, init lockFact
 			continue
 		}
 		for _, n := range blk.Nodes {
-			if n = cfgEvalNode(n); n == nil {
-				continue
-			}
-			forEachLockCall(pass.Info, n, func(call *ast.CallExpr, id lockID, op lockOp) {
+			forEachLockCall(pass.Info, cfgEvalNode(n), func(call *ast.CallExpr, id lockID, op lockOp) {
 				fact = applyLockOp(fact, call, id, op, nil)
 			})
 		}

@@ -28,12 +28,11 @@ import (
 // set the same way lockcheck uses them.
 //
 // A self-edge A -> A (re-acquiring a lock already held, directly or via a
-// callee) is reported unless both sides are read locks. cmd/permlint
-// -graph emits the full graph in Graphviz DOT form.
+// callee) is reported unless both sides are read locks.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "the whole-program lock-acquisition-order graph must be acyclic " +
-		"(a cycle is a potential deadlock; -graph emits it as DOT)",
+		"(a cycle is a potential deadlock)",
 	Run: runLockOrder,
 }
 
@@ -226,10 +225,7 @@ func (g *lockOrderGraph) extractEdges(cache *RunCache, fi *FuncInfo, may map[*ty
 			continue
 		}
 		for _, n := range blk.Nodes {
-			if n = cfgEvalNode(n); n == nil {
-				continue
-			}
-			ast.Inspect(n, func(sub ast.Node) bool {
+			ast.Inspect(cfgEvalNode(n), func(sub ast.Node) bool {
 				switch sub := sub.(type) {
 				case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
 					return false
@@ -405,71 +401,4 @@ func (g *lockOrderGraph) sccs() [][]lockID {
 		}
 	}
 	return out
-}
-
-// LockOrderDOT renders the acquisition-order graph of the packages as a
-// Graphviz DOT digraph, edges labeled with an observation site. Nodes in a
-// cycle are highlighted.
-func LockOrderDOT(pkgs []*Package) string {
-	cache := newRunCache(pkgs)
-	g := cache.LockOrderGraph()
-	fset := sharedFset(cache)
-
-	cyclic := map[lockID]bool{}
-	for _, scc := range g.sccs() {
-		if len(scc) >= 2 {
-			for _, id := range scc {
-				cyclic[id] = true
-			}
-		}
-	}
-	for _, e := range g.edges {
-		if e.from == e.to {
-			cyclic[e.from] = true
-		}
-	}
-
-	nodes := map[lockID]bool{}
-	for _, e := range g.edges {
-		nodes[e.from], nodes[e.to] = true, true
-	}
-	names := make([]string, 0, len(nodes))
-	byName := map[string]lockID{}
-	for id := range nodes {
-		names = append(names, id.String())
-		byName[id.String()] = id
-	}
-	sort.Strings(names)
-
-	var b strings.Builder
-	b.WriteString("digraph lockorder {\n")
-	b.WriteString("\trankdir=LR;\n")
-	b.WriteString("\tnode [shape=box, fontname=\"monospace\"];\n")
-	for _, name := range names {
-		attr := ""
-		if cyclic[byName[name]] {
-			attr = " [color=red, penwidth=2]"
-		}
-		fmt.Fprintf(&b, "\t%q%s;\n", name, attr)
-	}
-	edges := make([]*lockOrderEdge, len(g.edges))
-	copy(edges, g.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from.String() != edges[j].from.String() {
-			return edges[i].from.String() < edges[j].from.String()
-		}
-		return edges[i].to.String() < edges[j].to.String()
-	})
-	for _, e := range edges {
-		p := fset.Position(e.pos)
-		label := fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-		if e.via != "" {
-			label += "\\nvia " + e.via
-		}
-		// Not %q: the label embeds the DOT line-break escape \n, which %q
-		// would double-escape into a literal backslash-n.
-		fmt.Fprintf(&b, "\t%q -> %q [label=\"%s\"];\n", e.from.String(), e.to.String(), label)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

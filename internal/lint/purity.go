@@ -56,40 +56,3 @@ func runPurity(pass *Pass) error {
 	}
 	return nil
 }
-
-// PurityInv is the advisory purity inventory: one classification per
-// declared function on the lattice pure < read-only < mutating <
-// escaping. Like the hotalloc inventory it never fails a run; the nightly
-// CI job archives it so the share of pure/read-only code — the plan
-// cache's candidate set — is tracked over time. The classification is
-// conservative: an unresolved callee (stdlib outside the trusted
-// read-only set, function values, interface methods) makes the caller
-// mutating.
-var PurityInv = &Analyzer{
-	Name: "purityinv",
-	Doc: "advisory purity classification of every function " +
-		"(pure < read-only < mutating < escaping; the nightly inventory)",
-	Run: runPurityInv,
-}
-
-func runPurityInv(pass *Pass) error {
-	idx := pass.Cache.StoreAlias()
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := idx.Sums[fn]
-			if sum == nil {
-				continue
-			}
-			pass.ReportInfof(fd.Pos(), "purity of %s: %s", fn.Name(), sum.PurityClass())
-		}
-	}
-	return nil
-}

@@ -5,7 +5,3 @@ import "testing"
 func TestPurity(t *testing.T) {
 	RunFixture(t, Purity, fixturePath("purity"))
 }
-
-func TestPurityInv(t *testing.T) {
-	RunFixture(t, PurityInv, fixturePath("purityinv"))
-}

@@ -372,8 +372,6 @@ func (a *funcFresh) node(n ast.Node, f *freshFact) {
 		a.ret(n, f)
 	case *ast.RangeStmt:
 		a.rangeHead(n, f)
-	case *ast.SelectStmt:
-		// Comm statements live in the clause blocks.
 	case ast.Expr:
 		a.expr(n, f)
 	}

@@ -122,9 +122,10 @@ func TestStoreAliasSummaries(t *testing.T) {
 	}
 }
 
-// TestStoreAliasPurityClasses pins the lattice over the purityinv fixture.
+// TestStoreAliasPurityClasses pins the lattice over the purity fixture's
+// classes.go.
 func TestStoreAliasPurityClasses(t *testing.T) {
-	pkg, err := sharedLoader().LoadDir(fixturePath("purityinv"))
+	pkg, err := sharedLoader().LoadDir(fixturePath("purity"))
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}

@@ -3,7 +3,10 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -94,4 +97,66 @@ func TestShutdownDeadline(t *testing.T) {
 		t.Fatal("Shutdown returned nil although a request was still in flight")
 	}
 	<-done
+}
+
+// waitGoroutineBaseline asserts the process returns to (at most) baseline
+// goroutines, polling briefly because the runtime's accounting of a
+// just-returned goroutine can lag, and dumping all stacks on a real leak.
+func waitGoroutineBaseline(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d running, baseline %d; stacks:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShutdownWaiterExits covers the one goroutine the service starts
+// itself: Shutdown's inflight.Wait() helper. It must be gone after a clean
+// drain, and after a drain whose deadline expired as soon as the statement
+// that outlived the deadline finishes. Statements are admitted directly, so
+// no HTTP connection goroutines blur the count.
+func TestShutdownWaiterExits(t *testing.T) {
+	admit := func(t *testing.T, s *Server) (release func()) {
+		t.Helper()
+		release, ok := s.admit(httptest.NewRecorder())
+		if !ok {
+			t.Fatal("statement not admitted")
+		}
+		return release
+	}
+
+	t.Run("clean drain", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		s := New(Config{})
+		release := admit(t, s)
+		shutdownErr := make(chan error, 1)
+		go func() { shutdownErr <- s.Shutdown(context.Background()) }()
+		waitUntil(t, 2*time.Second, s.Draining)
+		release()
+		if err := <-shutdownErr; err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		waitGoroutineBaseline(t, baseline)
+	})
+
+	t.Run("expired drain", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		s := New(Config{})
+		release := admit(t, s)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Shutdown with an expired context: %v, want context.Canceled", err)
+		}
+		// The waiter is still parked on the in-flight statement; it may
+		// only outlive Shutdown until that statement is done.
+		release()
+		waitGoroutineBaseline(t, baseline)
+	})
 }
