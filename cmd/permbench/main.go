@@ -1,8 +1,8 @@
 // Command permbench regenerates the paper's evaluation tables (Figure 6:
 // TPC-H strategies across database sizes; Figures 7–9: synthetic sweeps)
 // and the two executor comparisons of this reproduction's execution layer:
-// the memoizing/parallel modes table and the streaming-vs-materializing
-// table.
+// the sublink-memo modes table and the streaming-vs-materializing table.
+// Figures 6–9 and the modes table run on the sequential reference executor.
 //
 // Examples:
 //
@@ -10,10 +10,10 @@
 //	permbench -fig 6 -scales 0.05,0.5 -queries 4,11,15 -timeout 10s
 //	permbench -fig 7 -sizes 10,100,1000 -instances 5
 //	permbench -fig all -timeout 5s       # everything, quick cutoff
-//	permbench -fig modes                 # sequential vs memo vs parallel
+//	permbench -fig modes                 # sequential vs memo
 //	permbench -fig stream                # streaming vs materializing executor
 //	permbench -fig stream -sizes 100,400 -instances 1
-//	permbench -fig 7 -parallel 8 -memo   # paper sweep on the fast executor
+//	permbench -fig 7 -memo               # paper sweep with the sublink memo
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,14 +38,11 @@ func main() {
 		scales    = flag.String("scales", "", "figure 6 database scales, comma-separated (default 0.05,0.5,5,50)")
 		queries   = flag.String("queries", "", "figure 6 TPC-H query numbers, comma-separated (default: all nine)")
 		sizes     = flag.String("sizes", "", "sweep sizes for figures 7-9 and the modes/stream tables, comma-separated")
-		parallel  = flag.Int("parallel", 0, "executor worker pool size for figures 6-9 (0: sequential, matching the paper)")
 		memo      = flag.Bool("memo", false, "enable per-binding sublink memoization for figures 6-9 (off matches the paper's PostgreSQL executor)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size of the modes comparison's parallel cells")
 	)
 	flag.Parse()
 
 	r := bench.New(os.Stdout, *timeout, *instances)
-	r.Parallelism = *parallel
 	r.SublinkMemo = *memo
 
 	f6 := bench.DefaultFig6()
@@ -84,7 +80,7 @@ func main() {
 		}
 	}
 
-	mc := bench.DefaultModes(*workers)
+	mc := bench.DefaultModes()
 	mc.Seed = *seed
 	st := bench.DefaultStream()
 	st.Seed = *seed

@@ -41,9 +41,6 @@ type Runner struct {
 	// the cell exactly like a timeout (the Gen strategy's CrossBase can
 	// exhaust memory long before any clock fires).
 	MaxRows int
-	// Parallelism is the executor worker count per query (0 or 1 runs
-	// sequentially).
-	Parallelism int
 	// SublinkMemo enables the executor's per-binding memoization of
 	// correlated sublink results. It is off by default: the paper's
 	// measurements ran on PostgreSQL, whose SubPlans re-evaluate per outer
@@ -180,7 +177,6 @@ func (r *Runner) evalOnce(ctx context.Context, cat *catalog.Catalog, plan algebr
 	defer cancel()
 	ev := eval.New(cat).WithContext(runCtx)
 	ev.MaxRows = r.MaxRows
-	ev.Parallelism = r.Parallelism
 	ev.DisableSublinkMemo = !r.SublinkMemo
 	ev.DisableStreaming = r.Materialize
 	start := time.Now()

@@ -126,48 +126,40 @@ func (r *Runner) Figure9(ctx context.Context, cfg SynthConfig) {
 }
 
 // ModesConfig parameterizes the executor-mode comparison. It is not a
-// figure of the paper: it measures this reproduction's memoizing/parallel
-// execution layer on the correlated-sublink workload (synth Q3) the paper
-// identifies as the inherently expensive case.
+// figure of the paper: it measures this reproduction's per-binding sublink
+// memo on the correlated-sublink workload (synth Q3) the paper identifies
+// as the inherently expensive case.
 type ModesConfig struct {
 	// Sizes sweeps both relation sizes together.
 	Sizes []int
 	// Domain bounds the correlation attribute's value domain so parameter
 	// bindings repeat across outer tuples.
 	Domain int
-	// Workers is the worker-pool size of the parallel modes.
-	Workers int
 	// Seed drives data and parameters.
 	Seed int64
 }
 
-// DefaultModes uses a domain of 32 distinct correlation values and one
-// worker per processor.
-func DefaultModes(workers int) ModesConfig {
-	return ModesConfig{Sizes: []int{100, 400, 1600}, Domain: 32, Workers: workers, Seed: 1}
+// DefaultModes uses a domain of 32 distinct correlation values.
+func DefaultModes() ModesConfig {
+	return ModesConfig{Sizes: []int{100, 400, 1600}, Domain: 32, Seed: 1}
 }
 
 // executorModes are the cells of the modes table: the strict re-evaluating
-// executor (the paper's cost model), the per-binding sublink memo, the
-// worker pool alone, and both combined.
+// executor (the paper's cost model) and the per-binding sublink memo.
 var executorModes = []struct {
-	name    string
-	memo    bool
-	workers bool
+	name string
+	memo bool
 }{
-	{"sequential", false, false},
-	{"memo", true, false},
-	{"parallel", false, true},
-	{"memo+parallel", true, true},
+	{"sequential", false},
+	{"memo", true},
 }
 
 // Modes runs the executor-mode comparison: the correlated query q3 under
 // the baseline (no provenance) and the Gen strategy (the only strategy that
-// rewrites correlated sublinks), across the four executor modes.
+// rewrites correlated sublinks), with and without the sublink memo.
 func (r *Runner) Modes(ctx context.Context, cfg ModesConfig) {
 	r = r.paperExecutor()
-	fmt.Fprintf(r.Out, "\nExecutor modes: correlated q3, domain %d, %d workers (not a paper figure)\n",
-		cfg.Domain, cfg.Workers)
+	fmt.Fprintf(r.Out, "\nExecutor modes: correlated q3, domain %d (not a paper figure)\n", cfg.Domain)
 	for _, strat := range []string{Baseline, "Gen"} {
 		fmt.Fprintf(r.Out, "\nq3 (a > ANY, correlated) · %s\n", strat)
 		tb := &table{header: []string{"size"}}
@@ -185,10 +177,6 @@ func (r *Runner) Modes(ctx context.Context, cfg ModesConfig) {
 			for _, m := range executorModes {
 				rm := *r
 				rm.SublinkMemo = m.memo
-				rm.Parallelism = 1
-				if m.workers {
-					rm.Parallelism = cfg.Workers
-				}
 				row = append(row, rm.Measure(ctx, cat, instances, strat).String())
 			}
 			tb.add(row...)

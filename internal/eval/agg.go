@@ -157,75 +157,43 @@ func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []frame) (*rel.Rel
 		return g
 	}
 
-	// Phase 1: evaluate the group keys and aggregate arguments per input
-	// tuple — where any sublinks live, so this is the phase that fans out
-	// across workers. Results scatter into slot-indexed slices.
-	type tupleVals struct {
-		keys rel.Tuple
-		args []types.Value
-	}
-	vals := make([]tupleVals, in.NumSlots())
-	compute := func(w *Evaluator, i int, t rel.Tuple, n int) error {
-		if err := w.tick(); err != nil {
+	// Groups appear in the order their first input tuple does.
+	err = in.Each(func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
 		keys := make(rel.Tuple, len(o.Group))
 		for ki, gx := range o.Group {
-			v, err := w.evalExpr(gx.E, in.Schema, t, outer)
+			v, err := e.evalExpr(gx.E, in.Schema, t, outer)
 			if err != nil {
 				return err
 			}
 			keys[ki] = v
 		}
-		args := make([]types.Value, len(o.Aggs))
-		for ai, ax := range o.Aggs {
-			if ax.Arg == nil {
-				continue
-			}
-			v, err := w.evalExpr(ax.Arg, in.Schema, t, outer)
-			if err != nil {
-				return err
-			}
-			args[ai] = v
-		}
-		vals[i] = tupleVals{keys: keys, args: args}
-		return nil
-	}
-	done, err := e.parallelSlots(in, outer, compute)
-	if err != nil {
-		return nil, err
-	}
-	if !done {
-		for i := 0; i < in.NumSlots(); i++ {
-			t, n := in.Slot(i)
-			if n <= 0 {
-				continue
-			}
-			if err := compute(e, i, t, n); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Phase 2: fold into groups sequentially, in slot order — identical
-	// grouping order to a fully sequential run.
-	for i := 0; i < in.NumSlots(); i++ {
-		_, n := in.Slot(i)
-		if n <= 0 {
-			continue
-		}
-		k := vals[i].keys.Key()
+		k := keys.Key()
 		g, ok := groups[k]
 		if !ok {
-			g = newGroup(vals[i].keys)
+			g = newGroup(keys)
 			groups[k] = g
 			order = append(order, k)
 		}
-		for ai := range o.Aggs {
-			if err := g.aggs[ai].add(vals[i].args[ai], n); err != nil {
-				return nil, err
+		for ai, ax := range o.Aggs {
+			var v types.Value
+			if ax.Arg != nil {
+				av, err := e.evalExpr(ax.Arg, in.Schema, t, outer)
+				if err != nil {
+					return err
+				}
+				v = av
+			}
+			if err := g.aggs[ai].add(v, n); err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// SQL semantics: with no GROUP BY, aggregation over an empty input

@@ -27,9 +27,11 @@
 //
 // DisableStreaming restores operator-at-a-time full materialization (every
 // operator's output built as a counted bag). The materializing engine is
-// the regression baseline and the comparison target of the benchmark
-// harness's streaming table (permbench -fig stream); LastStats reports the
-// rows either engine materialized. A context attached with WithContext is
+// the sequential reference: it has its own operator code, the paper figures
+// run on it, and the differential tests, the benchmark's result check and
+// the streaming table (permbench -fig stream) compare the pipeline against
+// it. LastStats reports the rows either engine materialized. A context
+// attached with WithContext is
 // polled during execution so long-running plans can be cancelled (the
 // benchmark harness uses this for the paper's timeout rule), and MaxRows
 // bounds total materialization (the Gen strategy's CrossBase cross products
@@ -66,29 +68,29 @@
 //
 // # Parallelism
 //
-// Setting Evaluator.Parallelism > 1 lets one Eval call fan tuple-independent
-// work out across a bounded pool of worker goroutines. In streaming mode the
-// unit of fan-out is a pipeline segment: the producer streams child rows
+// Setting Evaluator.Parallelism > 1 lets one streaming Eval call fan the
+// per-outer-binding sublink work out across a pool of worker goroutines.
+// The unit of fan-out is a pipeline segment: the producer streams child rows
 // into per-worker mailboxes dealt round-robin (bounded channels — the input
 // is never materialized), each worker runs the segment body (where the
 // sublink probes live) over its rows into a private output buffer, and the
 // buffers merge in worker order, so the output bag is deterministic.
-// Segments open at the topmost sublink-bearing selection, projection or
-// nested-loop probe of a plan. The materializing engine keeps its original
-// scheme of dealing the slots of the materialized input. The invariants
-// that keep both safe:
+// Segments open at the topmost selection, projection or join probe whose
+// expression carries a sublink. The invariants that keep this safe:
 //
 //   - Fan-out happens only at the top level of a plan. Workers, segment
 //     producers, and any evaluation under a correlated scope run
-//     sequentially — nested fan-out would multiply goroutines per outer
-//     tuple (and a nested segment would deadlock on the shared worker
-//     token pool).
+//     sequentially, so one Eval has at most one segment open at a time and
+//     Parallelism alone bounds its live workers — no token pool is needed.
 //   - Each worker appends to a private output relation; outputs merge in
 //     worker order. Materialized relations are immutable once built.
 //   - All workers of one Eval share a single run state: the row budget
 //     (atomic) and the memo tables (mutex-guarded). Workers may race to
 //     compute the same memo entry; the duplicated work is benign and the
 //     publish is serialized.
+//   - A panic on a worker is recovered with its stack and raised again on
+//     the goroutine that called Eval, so it fails like a sequential run.
 //
-// The public API exposes this as perm.WithParallelism.
+// The materializing executor is the sequential reference: it ignores
+// Parallelism. The public API exposes the pool as perm.WithParallelism.
 package eval

@@ -50,15 +50,15 @@ type Evaluator struct {
 	// DisableStreaming switches the executor from the default push-based
 	// streaming pipeline back to operator-at-a-time full materialization
 	// (every operator's output built as a counted bag before its parent
-	// runs). The materializing mode is kept as an ablation/regression
-	// baseline; the benchmark harness compares the two (permbench -fig
-	// stream).
+	// runs). The materializing mode is the sequential reference executor:
+	// the paper figures run on it, and the differential tests and the
+	// benchmark check the streaming pipeline against it.
 	DisableStreaming bool
 
-	// Parallelism is the number of worker goroutines one Eval call may use
-	// for tuple-independent work: selection and projection over expensive
-	// (sublink) expressions, hash-join builds and probes, and aggregate
-	// input evaluation. 0 or 1 evaluates sequentially.
+	// Parallelism is the number of worker goroutines one streaming Eval call
+	// may use for the topmost pipeline segment whose selection, projection
+	// or join probe carries a sublink. 0 or 1 evaluates sequentially, and so
+	// does the materializing executor regardless of the setting.
 	Parallelism int
 
 	// MaxRows caps the total rows materialized across all operators of one
@@ -77,8 +77,8 @@ type Evaluator struct {
 	// shared is the per-Eval run state (row budget, memo tables), shared
 	// by every worker of one evaluation.
 	shared *runShared
-	// worker marks an evaluator forked into a worker goroutine; workers
-	// never fan out again.
+	// worker marks an evaluator forked for a segment's producer or one of
+	// its workers; neither fans out again.
 	worker bool
 
 	ticks int
@@ -110,9 +110,6 @@ func (e *Evaluator) Eval(op algebra.Op) (*rel.Relation, error) {
 	default:
 	}
 	e.shared = newRunShared()
-	if e.Parallelism > 1 {
-		e.shared.sem = make(chan struct{}, e.Parallelism)
-	}
 	return e.eval(op, nil)
 }
 
@@ -289,24 +286,21 @@ func (e *Evaluator) evalSelect(o *algebra.Select, outer []frame) (*rel.Relation,
 	if err != nil {
 		return nil, err
 	}
-	emit := func(w *Evaluator, out *rel.Relation, t rel.Tuple, n int) error {
-		if err := w.tick(); err != nil {
+	out := rel.New(o.Schema())
+	err = in.Each(func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
-		keep, err := w.evalCond(o.Cond, in.Schema, t, outer)
+		keep, err := e.evalCond(o.Cond, in.Schema, t, outer)
 		if err != nil {
 			return err
 		}
 		if keep == types.True {
-			return w.add(out, t, n)
+			return e.add(out, t, n)
 		}
 		return nil
-	}
-	if out, done, err := e.parallelEach(in, o.Schema(), outer, emit); done {
-		return out, err
-	}
-	out := rel.New(o.Schema())
-	if err := in.Each(func(t rel.Tuple, n int) error { return emit(e, out, t, n) }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -317,28 +311,24 @@ func (e *Evaluator) evalProject(o *algebra.Project, outer []frame) (*rel.Relatio
 	if err != nil {
 		return nil, err
 	}
-	emit := func(w *Evaluator, out *rel.Relation, t rel.Tuple, n int) error {
-		if err := w.tick(); err != nil {
+	out := rel.New(o.Schema())
+	err = in.Each(func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
 		row := make(rel.Tuple, len(o.Cols))
 		for i, c := range o.Cols {
-			v, err := w.evalExpr(c.E, in.Schema, t, outer)
+			v, err := e.evalExpr(c.E, in.Schema, t, outer)
 			if err != nil {
 				return err
 			}
 			row[i] = v
 		}
 		if o.Distinct {
-			return w.add(out, row, 1) // collapsed below
+			return e.add(out, row, 1) // collapsed below
 		}
-		return w.add(out, row, n)
-	}
-	out, done, err := e.parallelEach(in, o.Schema(), outer, emit)
-	if !done {
-		out = rel.New(o.Schema())
-		err = in.Each(func(t rel.Tuple, n int) error { return emit(e, out, t, n) })
-	}
+		return e.add(out, row, n)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -348,8 +338,21 @@ func (e *Evaluator) evalProject(o *algebra.Project, outer []frame) (*rel.Relatio
 	return out, nil
 }
 
+// evalInputs materializes the two inputs of a binary operator, left first.
+func (e *Evaluator) evalInputs(l, r algebra.Op, outer []frame) (*rel.Relation, *rel.Relation, error) {
+	lRel, err := e.eval(l, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	rRel, err := e.eval(r, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	return lRel, rRel, nil
+}
+
 func (e *Evaluator) evalCross(o *algebra.Cross, outer []frame) (*rel.Relation, error) {
-	l, r, err := e.evalPair(o.L, o.R, outer)
+	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +372,7 @@ func (e *Evaluator) evalCross(o *algebra.Cross, outer []frame) (*rel.Relation, e
 }
 
 func (e *Evaluator) evalJoin(o *algebra.Join, outer []frame) (*rel.Relation, error) {
-	l, r, err := e.evalPair(o.L, o.R, outer)
+	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -377,34 +380,31 @@ func (e *Evaluator) evalJoin(o *algebra.Join, outer []frame) (*rel.Relation, err
 		return e.hashJoin(o, l, r, keys, false, outer)
 	}
 	sch := o.Schema()
-	emit := func(w *Evaluator, out *rel.Relation, lt rel.Tuple, ln int) error {
+	out := rel.New(sch)
+	err = l.Each(func(lt rel.Tuple, ln int) error {
 		return r.Each(func(rt rel.Tuple, rn int) error {
-			if err := w.tick(); err != nil {
+			if err := e.tick(); err != nil {
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := w.evalCond(o.Cond, sch, row, outer)
+			keep, err := e.evalCond(o.Cond, sch, row, outer)
 			if err != nil {
 				return err
 			}
 			if keep == types.True {
-				return w.add(out, row, ln*rn)
+				return e.add(out, row, ln*rn)
 			}
 			return nil
 		})
-	}
-	if out, done, err := e.parallelEach(l, sch, outer, emit); done {
-		return out, err
-	}
-	out := rel.New(sch)
-	if err := l.Each(func(lt rel.Tuple, ln int) error { return emit(e, out, lt, ln) }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relation, error) {
-	l, r, err := e.evalPair(o.L, o.R, outer)
+	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -413,20 +413,21 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relat
 	}
 	sch := o.Schema()
 	rightWidth := o.R.Schema().Len()
-	emit := func(w *Evaluator, out *rel.Relation, lt rel.Tuple, ln int) error {
+	out := rel.New(sch)
+	err = l.Each(func(lt rel.Tuple, ln int) error {
 		matched := false
 		err := r.Each(func(rt rel.Tuple, rn int) error {
-			if err := w.tick(); err != nil {
+			if err := e.tick(); err != nil {
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := w.evalCond(o.Cond, sch, row, outer)
+			keep, err := e.evalCond(o.Cond, sch, row, outer)
 			if err != nil {
 				return err
 			}
 			if keep == types.True {
 				matched = true
-				return w.add(out, row, ln*rn)
+				return e.add(out, row, ln*rn)
 			}
 			return nil
 		})
@@ -434,22 +435,18 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relat
 			return err
 		}
 		if !matched {
-			return w.add(out, lt.Concat(rel.Nulls(rightWidth)), ln)
+			return e.add(out, lt.Concat(rel.Nulls(rightWidth)), ln)
 		}
 		return nil
-	}
-	if out, done, err := e.parallelEach(l, sch, outer, emit); done {
-		return out, err
-	}
-	out := rel.New(sch)
-	if err := l.Each(func(lt rel.Tuple, ln int) error { return emit(e, out, lt, ln) }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []frame) (*rel.Relation, error) {
-	l, r, err := e.evalPair(o.L, o.R, outer)
+	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"perm/internal/opt"
-	"perm/internal/sql"
 	"perm/internal/synth"
 )
 
@@ -34,20 +32,17 @@ func waitGoroutineBaseline(t *testing.T, baseline int) {
 	}
 }
 
-// TestWorkerPoolGoroutineExit is the regression test for the fan-out worker
-// pools (runWorkers, parallelSegment, evalPair): every termination path —
-// clean completion, early errStop when the row budget trips mid-stream, and
-// context cancellation mid-fanout — must leave zero worker goroutines
-// behind. A leaked worker holds its mailbox, its forked evaluator and a sem
-// token; under -race this test also shakes out unsynchronized worker exits.
+// TestWorkerPoolGoroutineExit is the regression test for the executor's only
+// worker pool, the streaming pipeline's parallelSegment: every termination
+// path — clean completion, early errStop when the row budget trips inside a
+// worker, and context cancellation mid-fanout — must leave zero worker
+// goroutines behind. A leaked worker holds its mailbox and its forked
+// evaluator; under -race this test also shakes out unsynchronized worker
+// exits.
 func TestWorkerPoolGoroutineExit(t *testing.T) {
 	w := synth.Workload{InputSize: 200, SublinkSize: 100, Seed: 1}
 	cat := w.Catalog()
-	tr, err := sql.Compile(cat, w.Q3(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := opt.Optimize(tr.Plan)
+	plan := compileOptimized(t, cat, w.Q3(0))
 
 	t.Run("clean completion", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
@@ -60,19 +55,20 @@ func TestWorkerPoolGoroutineExit(t *testing.T) {
 	})
 
 	t.Run("errStop on row budget", func(t *testing.T) {
-		// The budget trips inside a worker mid-stream; the producer sees the
-		// failure flag, stops with errStop, closes every mailbox, and the
-		// workers must all drain out.
-		cross, err := sql.Compile(cat, `SELECT * FROM r1, r2`)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The budget trips inside a worker of Q4's EXISTS segment
+		// mid-stream; the producer sees the failure flag, stops with
+		// errStop, closes every mailbox, and the workers must all drain out.
+		q4cat, q4 := q4Workload(t)
+		db := &workerScanDB{DB: q4cat, table: "r2"}
 		baseline := runtime.NumGoroutine()
-		ev := New(cat)
+		ev := New(db)
 		ev.Parallelism = 4
-		ev.MaxRows = 100
-		if _, err := ev.Eval(cross.Plan); !errors.Is(err, ErrBudget) {
+		ev.MaxRows = 5
+		if _, err := ev.Eval(q4); !errors.Is(err, ErrBudget) {
 			t.Fatalf("want ErrBudget, got %v", err)
+		}
+		if db.onWorker.Load() == 0 {
+			t.Fatal("no r2 scan ran on a segment worker: the plan never fanned out")
 		}
 		waitGoroutineBaseline(t, baseline)
 	})

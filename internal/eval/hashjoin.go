@@ -97,10 +97,9 @@ func sideOnly(e algebra.Expr, sch, other schema.Schema) bool {
 	return ok && refs > 0
 }
 
-// hashJoin executes l ⋈ r (or l ⟕ r when leftOuter) using the extracted
-// keys. The caller guarantees len(keys.lKeys) > 0. The build side hashes
-// sequentially; the probe side fans out across workers when the evaluator
-// parallelizes (the hash table is read-only during the probe).
+// hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
+// using the extracted keys: it hashes r, then probes with every tuple of l.
+// The caller guarantees len(keys.lKeys) > 0.
 //
 // perm:hot
 func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, leftOuter bool, outer []frame) (*rel.Relation, error) {
@@ -138,12 +137,13 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 	}
 
 	// Probe side.
-	probe := func(w *Evaluator, out *rel.Relation, lt rel.Tuple, ln int) error {
-		if err := w.tick(); err != nil {
+	out := rel.New(sch)
+	err = l.Each(func(lt rel.Tuple, ln int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
 		matched := false
-		key, ok, err := w.joinKey(keys.lKeys, keys.nullEq, l.Schema, lt, outer)
+		key, ok, err := e.joinKey(keys.lKeys, keys.nullEq, l.Schema, lt, outer)
 		if err != nil {
 			return err
 		}
@@ -152,7 +152,7 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 				for i, rt := range b.tuples {
 					row := lt.Concat(rt)
 					if keys.residual != nil {
-						keep, err := w.evalCond(keys.residual, sch, row, outer)
+						keep, err := e.evalCond(keys.residual, sch, row, outer)
 						if err != nil {
 							return err
 						}
@@ -161,22 +161,18 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 						}
 					}
 					matched = true
-					if err := w.add(out, row, ln*b.counts[i]); err != nil {
+					if err := e.add(out, row, ln*b.counts[i]); err != nil {
 						return err
 					}
 				}
 			}
 		}
 		if leftOuter && !matched {
-			return w.add(out, lt.Concat(rel.Nulls(rightWidth)), ln)
+			return e.add(out, lt.Concat(rel.Nulls(rightWidth)), ln)
 		}
 		return nil
-	}
-	if out, done, err := e.parallelEach(l, sch, outer, probe); done {
-		return out, err
-	}
-	out := rel.New(sch)
-	if err := l.Each(func(lt rel.Tuple, ln int) error { return probe(e, out, lt, ln) }); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -17,13 +19,6 @@ import (
 // relations are immutable once stored — workers may read them freely.
 type runShared struct {
 	rows atomic.Int64
-
-	// sem caps concurrently *running* tuple workers at Parallelism across
-	// the whole evaluation: concurrent plan branches (evalPair) may each
-	// request a fan-out, but their workers share this one token pool.
-	// Workers never block on each other while holding a token, so the cap
-	// cannot deadlock.
-	sem chan struct{}
 
 	mu sync.Mutex
 	// memo caches materialized results of uncorrelated sublink queries,
@@ -64,28 +59,6 @@ func newRunShared() *runShared {
 	}
 }
 
-// minParallelSlots gates fan-out: inputs with fewer distinct tuples than
-// this run sequentially — goroutine startup would dominate.
-const minParallelSlots = 2
-
-// fanOut returns the worker count for a tuple-parallel operator over in, or
-// 0 for the sequential path. Fan-out happens only at the top level of a
-// plan: workers (and operators under a correlated scope, whose evaluation
-// is already per-outer-tuple work) never fan out again.
-func (e *Evaluator) fanOut(in *rel.Relation, outer []frame) int {
-	if e.Parallelism <= 1 || e.worker || len(outer) > 0 || e.shared == nil {
-		return 0
-	}
-	slots := in.NumSlots()
-	if slots < minParallelSlots {
-		return 0
-	}
-	if e.Parallelism < slots {
-		return e.Parallelism
-	}
-	return slots
-}
-
 // fork returns a copy of e for one worker goroutine: the same shared run
 // state and context, a fresh tick counter, and fan-out disabled.
 func (e *Evaluator) fork() *Evaluator {
@@ -95,94 +68,13 @@ func (e *Evaluator) fork() *Evaluator {
 	return &cp
 }
 
-// parallelEach runs emit over in's positive slots with fanOut workers.
-// Slots are dealt round-robin for load balance; each worker appends to a
-// private output relation and the outputs merge in worker order, so the
-// result bag is deterministic. done reports whether the parallel path ran —
-// when false the caller must run its sequential loop.
-func (e *Evaluator) parallelEach(in *rel.Relation, outSch schema.Schema, outer []frame, emit func(w *Evaluator, out *rel.Relation, t rel.Tuple, n int) error) (_ *rel.Relation, done bool, _ error) {
-	p := e.fanOut(in, outer)
-	if p == 0 {
-		return nil, false, nil
-	}
-	outs := make([]*rel.Relation, p)
-	if err := e.runWorkers(in, p, func(w *Evaluator, wid, i int, t rel.Tuple, n int) error {
-		if outs[wid] == nil {
-			outs[wid] = rel.New(outSch)
-		}
-		return emit(w, outs[wid], t, n)
-	}); err != nil {
-		return nil, true, err
-	}
-	merged := rel.New(outSch)
-	for _, out := range outs {
-		if out == nil {
-			continue
-		}
-		_ = out.Each(func(t rel.Tuple, n int) error {
-			merged.Add(t, n)
-			return nil
-		})
-	}
-	return merged, true, nil
-}
-
-// parallelSlots runs fn over in's positive slots with fanOut workers,
-// passing each slot's index so callers can scatter results into a
-// pre-sized slice without synchronization. done=false means sequential.
-func (e *Evaluator) parallelSlots(in *rel.Relation, outer []frame, fn func(w *Evaluator, i int, t rel.Tuple, n int) error) (done bool, _ error) {
-	p := e.fanOut(in, outer)
-	if p == 0 {
-		return false, nil
-	}
-	return true, e.runWorkers(in, p, func(w *Evaluator, wid, i int, t rel.Tuple, n int) error {
-		return fn(w, i, t, n)
-	})
-}
-
-// runWorkers is the shared pool loop: p goroutines, slot i handled by
-// worker i%p, first error wins (lowest worker id).
-func (e *Evaluator) runWorkers(in *rel.Relation, p int, fn func(w *Evaluator, wid, i int, t rel.Tuple, n int) error) error {
-	errs := make([]error, p)
-	slots := in.NumSlots()
-	var wg sync.WaitGroup
-	for wid := 0; wid < p; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			if sem := e.shared.sem; sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			w := e.fork()
-			for i := wid; i < slots; i += p {
-				t, n := in.Slot(i)
-				if n <= 0 {
-					continue
-				}
-				if err := fn(w, wid, i, t, n); err != nil {
-					errs[wid] = err
-					return
-				}
-			}
-		}(wid)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// segmentFanOut reports the worker count for a parallel pipeline segment of
-// the streaming executor, or 0 for the sequential path. Like fanOut it only
-// opens at the top level of a plan — workers and correlated scopes never
-// fan out again — but the gate cannot inspect the input size (the input is
-// a stream, not a bag), so callers additionally restrict fan-out to
-// segments with sublink-bearing expressions, where per-row work dwarfs the
-// exchange overhead.
+// segmentFanOut reports the worker count for a parallel pipeline segment, or
+// 0 for the sequential path. Only the streaming operators call it, and
+// fan-out opens only at the top level of a plan: workers, segment producers
+// and correlated scopes never fan out. The gate cannot inspect the input size
+// (the input is a stream, not a bag), so callers additionally restrict
+// fan-out to segments with sublink-bearing expressions, where per-row work
+// dwarfs the exchange overhead.
 func (e *Evaluator) segmentFanOut(outer []frame) int {
 	if e.Parallelism <= 1 || e.worker || len(outer) > 0 || e.shared == nil {
 		return 0
@@ -205,6 +97,11 @@ type streamRow struct {
 // round-robin deal and ordered merge make the output bag deterministic.
 // The merge is a synchronization barrier: a downstream stop signal arriving
 // during the merge cannot cease the (already finished) upstream work.
+//
+// A panic on a worker is recovered there, with the worker's stack, and
+// raised again on the calling goroutine once every worker has exited — a
+// recover above Eval (net/http's per-handler one included) sees it exactly
+// as it would see a panic of a sequential run.
 func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, outer []frame, emit emitFn, apply func(w *Evaluator, t rel.Tuple, n int, out emitFn) error) error {
 	p := e.segmentFanOut(outer)
 	chans := make([]chan streamRow, p)
@@ -213,16 +110,22 @@ func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, oute
 	}
 	outs := make([]*rel.Relation, p)
 	errs := make([]error, p)
+	panics := make([]string, p)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for wid := 0; wid < p; wid++ {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			if sem := e.shared.sem; sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
+			defer func() {
+				if v := recover(); v != nil {
+					panics[wid] = fmt.Sprintf("%v\n\nsegment worker %d stack:\n%s", v, wid, debug.Stack())
+					failed.Store(true)
+					for range chans[wid] {
+						// drain so the producer never blocks
+					}
+				}
+			}()
 			w := e.fork()
 			out := rel.New(outSch)
 			outs[wid] = out
@@ -238,24 +141,34 @@ func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, oute
 			}
 		}(wid)
 	}
-	// The producer streams with a forked evaluator: fan-out below the
-	// segment is disabled (a nested segment would need sem tokens the
-	// segment's own workers hold — deadlock), so one pipeline opens at most
-	// one segment, at its topmost eligible operator.
-	prod := e.fork()
-	i := 0
-	perr := prod.stream(child, outer, func(t rel.Tuple, n int) error {
-		if failed.Load() {
-			return errStop
+	// The producer streams with a forked evaluator, so nothing below the
+	// segment fans out again: one pipeline opens at most one segment, at its
+	// topmost eligible operator, and Parallelism alone bounds the live
+	// workers. The mailboxes close and the workers are awaited even when the
+	// producer panics, so no worker outlives the call.
+	perr := func() error {
+		defer func() {
+			for _, ch := range chans {
+				close(ch)
+			}
+			wg.Wait()
+		}()
+		prod := e.fork()
+		i := 0
+		return prod.stream(child, outer, func(t rel.Tuple, n int) error {
+			if failed.Load() {
+				return errStop
+			}
+			chans[i%p] <- streamRow{t: t, n: n}
+			i++
+			return nil
+		})
+	}()
+	for _, msg := range panics {
+		if msg != "" {
+			panic(msg)
 		}
-		chans[i%p] <- streamRow{t: t, n: n}
-		i++
-		return nil
-	})
-	for _, ch := range chans {
-		close(ch)
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -270,45 +183,4 @@ func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, oute
 		}
 	}
 	return nil
-}
-
-// evalPair evaluates two independent subplans, concurrently when the
-// evaluator may fan out — this is what runs a join's build sides in
-// parallel. Unlike tuple fan-out, pair concurrency is bounded by the plan's
-// join depth, so the forked halves keep their own fan-out enabled.
-func (e *Evaluator) evalPair(l, r algebra.Op, outer []frame) (*rel.Relation, *rel.Relation, error) {
-	if e.Parallelism <= 1 || e.worker || len(outer) > 0 || e.shared == nil {
-		lRel, err := e.eval(l, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		rRel, err := e.eval(r, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lRel, rRel, nil
-	}
-	var (
-		lRel, rRel *rel.Relation
-		lErr, rErr error
-		wg         sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		le := *e
-		le.ticks = 0
-		lRel, lErr = le.eval(l, outer)
-	}()
-	re := *e
-	re.ticks = 0
-	rRel, rErr = re.eval(r, outer)
-	wg.Wait()
-	if lErr != nil {
-		return nil, nil, lErr
-	}
-	if rErr != nil {
-		return nil, nil, rErr
-	}
-	return lRel, rRel, nil
 }

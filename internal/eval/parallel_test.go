@@ -4,16 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"perm/internal/algebra"
 	"perm/internal/catalog"
 	"perm/internal/opt"
+	"perm/internal/rel"
 	"perm/internal/rewrite"
 	"perm/internal/sql"
 	"perm/internal/synth"
 )
 
-// equivalenceQueries covers every operator the parallel paths touch:
+// equivalenceQueries covers every operator both executors implement:
 // selections and projections with correlated and uncorrelated sublinks,
 // hash and nested-loop joins, left joins, aggregation and set operations.
 func equivalenceQueries() []string {
@@ -34,8 +39,20 @@ func equivalenceQueries() []string {
 	}
 }
 
-// checkModes runs one query under every executor mode and checks the
-// results are bag-equal to a fully sequential, unmemoized run.
+// compileOptimized compiles a query and runs the logical optimizer over it.
+func compileOptimized(t *testing.T, cat *catalog.Catalog, query string) algebra.Op {
+	t.Helper()
+	tr, err := sql.Compile(cat, query)
+	if err != nil {
+		t.Fatalf("compile %q: %v", query, err)
+	}
+	return opt.Optimize(tr.Plan)
+}
+
+// checkModes runs one query under every executor mode — the streaming
+// pipeline with the memo and with workers, and the materializing reference
+// with the memo on and off — and checks the results are bag-equal to a
+// sequential, unmemoized streaming run.
 func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 	t.Helper()
 	tr, err := sql.Compile(cat, query)
@@ -66,15 +83,19 @@ func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 		t.Fatalf("sequential eval %q: %v", query, err)
 	}
 	for _, mode := range []struct {
-		name string
-		memo bool
-		par  int
+		name        string
+		materialize bool
+		memo        bool
+		par         int
 	}{
-		{"memo", true, 1},
-		{"parallel", false, 4},
-		{"memo+parallel", true, 4},
+		{"memo", false, true, 1},
+		{"parallel", false, false, 4},
+		{"memo+parallel", false, true, 4},
+		{"materializing", true, false, 1},
+		{"materializing+memo", true, true, 1},
 	} {
 		ev := New(cat)
+		ev.DisableStreaming = mode.materialize
 		ev.DisableSublinkMemo = !mode.memo
 		ev.Parallelism = mode.par
 		got, err := ev.Eval(plan)
@@ -87,7 +108,7 @@ func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 	}
 }
 
-func TestParallelAndMemoMatchSequential(t *testing.T) {
+func TestExecutorModesMatchSequential(t *testing.T) {
 	cat := figure3DB()
 	for _, query := range equivalenceQueries() {
 		for _, strategy := range []string{"", "Gen", "Left", "Move", "Unn", "UnnX"} {
@@ -97,8 +118,8 @@ func TestParallelAndMemoMatchSequential(t *testing.T) {
 }
 
 func TestParallelMatchesSequentialSynth(t *testing.T) {
-	// A larger workload so the fan-out gate actually opens, including the
-	// correlated query the per-binding memo targets.
+	// A larger workload, including the correlated query the per-binding
+	// memo targets.
 	w := synth.Workload{InputSize: 120, SublinkSize: 60, Domain: 8, Seed: 3}
 	cat := w.Catalog()
 	for _, query := range []string{w.Q1(0), w.Q2(0), w.Q3(0)} {
@@ -113,30 +134,100 @@ func TestParallelCancellation(t *testing.T) {
 	cancel()
 	w := synth.Workload{InputSize: 200, SublinkSize: 100, Seed: 1}
 	cat := w.Catalog()
-	tr, err := sql.Compile(cat, w.Q3(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ev := New(cat).WithContext(ctx)
 	ev.Parallelism = 4
-	if _, err := ev.Eval(opt.Optimize(tr.Plan)); !errors.Is(err, ErrCanceled) {
+	if _, err := ev.Eval(compileOptimized(t, cat, w.Q3(0))); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
-func TestParallelRowBudget(t *testing.T) {
-	w := synth.Workload{InputSize: 200, SublinkSize: 100, Seed: 1}
+// workerScanDB counts the scans of one table that run on a parallelSegment
+// worker goroutine — the evidence that a plan really fanned out.
+type workerScanDB struct {
+	DB
+	table    string
+	onWorker atomic.Int64
+}
+
+func (d *workerScanDB) Relation(name string) (*rel.Relation, error) {
+	if name == d.table {
+		buf := make([]byte, 64<<10)
+		stack := string(buf[:runtime.Stack(buf, false)])
+		if strings.Contains(stack, "created by perm/internal/eval.(*Evaluator).parallelSegment") {
+			d.onWorker.Add(1)
+		}
+	}
+	return d.DB.Relation(name)
+}
+
+// panicDB panics on every scan of one table — a seeded engine bug.
+type panicDB struct {
+	DB
+	table string
+}
+
+func (d panicDB) Relation(name string) (*rel.Relation, error) {
+	if name == d.table {
+		panic("seeded engine bug: scan of " + name)
+	}
+	return d.DB.Relation(name)
+}
+
+// q4Workload is synth Q4: a selection whose correlated EXISTS probes r2
+// once per outer binding, the segment the worker pool fans out.
+func q4Workload(t *testing.T) (*catalog.Catalog, algebra.Op) {
+	t.Helper()
+	w := synth.Workload{InputSize: 200, SublinkSize: 100, Domain: 16, Seed: 2}
 	cat := w.Catalog()
-	tr, err := sql.Compile(cat, `SELECT * FROM r1, r2`)
+	return cat, compileOptimized(t, cat, w.Q4(0))
+}
+
+func TestParallelRowBudget(t *testing.T) {
+	cat, plan := q4Workload(t)
+	out, err := New(cat).Eval(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := New(cat)
+	if out.Card() <= 5 {
+		t.Fatalf("unbounded run has %d rows, want more than the budget of 5", out.Card())
+	}
+	db := &workerScanDB{DB: cat, table: "r2"}
+	ev := New(db)
 	ev.Parallelism = 4
-	ev.MaxRows = 100
-	if _, err := ev.Eval(tr.Plan); !errors.Is(err, ErrBudget) {
+	ev.MaxRows = 5
+	if _, err := ev.Eval(plan); !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
+	if db.onWorker.Load() == 0 {
+		t.Fatal("no r2 scan ran on a segment worker: the plan never fanned out")
+	}
+}
+
+// TestWorkerPanicReachesCaller: an engine bug that panics on a segment
+// worker must panic on the goroutine that called Eval — where a recover
+// (net/http's included) can see it — carrying the worker's stack, and leave
+// no worker behind.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	cat, plan := q4Workload(t)
+	baseline := runtime.NumGoroutine()
+	var recovered any
+	var err error
+	func() {
+		defer func() { recovered = recover() }()
+		ev := New(panicDB{DB: cat, table: "r2"})
+		ev.Parallelism = 4
+		_, err = ev.Eval(plan)
+	}()
+	if recovered == nil {
+		t.Fatalf("Eval returned %v, want a panic", err)
+	}
+	msg := fmt.Sprint(recovered)
+	for _, want := range []string{"seeded engine bug: scan of r2", "segment worker", "panicDB.Relation"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+	waitGoroutineBaseline(t, baseline)
 }
 
 func TestParallelProvenanceRewrites(t *testing.T) {

@@ -284,16 +284,6 @@ func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKe
 }
 
 func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []frame, emit emitFn) error {
-	// Sublink-bearing aggregate expressions fan out over the materialized
-	// input exactly like the materializing engine; the streaming fold below
-	// is sequential per definition (the group table is the breaker state).
-	if e.segmentFanOut(outer) > 0 && aggregateHasSublink(o) {
-		out, err := e.evalAggregate(o, outer)
-		if err != nil {
-			return err
-		}
-		return out.Each(emit)
-	}
 	sch := o.Child.Schema()
 	type group struct {
 		keys rel.Tuple
@@ -393,22 +383,6 @@ func (e *Evaluator) dedupEmit(emit emitFn) emitFn {
 		seen[k] = struct{}{}
 		return emit(t, 1)
 	}
-}
-
-// aggregateHasSublink reports whether any grouping or aggregate expression
-// contains a sublink — the case worth fanning out per input tuple.
-func aggregateHasSublink(o *algebra.Aggregate) bool {
-	for _, g := range o.Group {
-		if algebra.HasSublink(g.E) {
-			return true
-		}
-	}
-	for _, a := range o.Aggs {
-		if a.Arg != nil && algebra.HasSublink(a.Arg) {
-			return true
-		}
-	}
-	return false
 }
 
 func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []frame, emit emitFn) error {

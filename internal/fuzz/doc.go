@@ -14,10 +14,11 @@
 //
 // # The oracle
 //
-// One generated query runs under every executor mode — {streaming,
-// materializing} × parallelism {1, 4} — and, when it carries no
-// LIMIT/OFFSET, additionally as SELECT PROVENANCE under every rewrite
-// strategy (Gen, Left, Move, Unn, UnnX, Auto) × the same executor matrix.
+// One generated query runs under every executor mode — streaming at
+// parallelism 1 and 4, and the sequential materializing reference — and,
+// when it carries no LIMIT/OFFSET, additionally as SELECT PROVENANCE under
+// every rewrite strategy (Gen, Left, Move, Unn, UnnX, Auto) × the same
+// executor matrix.
 // The oracle asserts:
 //
 //   - the plain query succeeds everywhere with the identical presented row

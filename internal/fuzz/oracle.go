@@ -19,13 +19,13 @@ type Mode struct {
 	Opts []perm.Option
 }
 
-// Modes is the executor matrix every query runs under: {streaming,
-// materializing} × parallelism {1, 4}.
+// Modes is the executor matrix every query runs under: the streaming
+// pipeline sequential and with four workers, and the sequential reference
+// executor (which ignores parallelism).
 var Modes = []Mode{
 	{"stream/seq", nil},
 	{"stream/par4", []perm.Option{perm.WithParallelism(4)}},
 	{"mat/seq", []perm.Option{perm.WithoutStreaming()}},
-	{"mat/par4", []perm.Option{perm.WithoutStreaming(), perm.WithParallelism(4)}},
 }
 
 // Strategies is the provenance rewrite matrix.

@@ -121,14 +121,6 @@ func (r *Relation) Add(t Tuple, n int) {
 	r.counts = append(r.counts, n)
 }
 
-// NumSlots returns the number of distinct tuples (slots with any history;
-// some may have count 0 after bag difference).
-func (r *Relation) NumSlots() int { return len(r.tuples) }
-
-// Slot returns the i-th distinct tuple and its multiplicity. The returned
-// tuple must not be mutated.
-func (r *Relation) Slot(i int) (Tuple, int) { return r.tuples[i], r.counts[i] }
-
 // Count returns the multiplicity of t in the bag.
 func (r *Relation) Count(t Tuple) int {
 	if r.index == nil {

@@ -21,8 +21,8 @@ func TestAddMergesDuplicates(t *testing.T) {
 	r.Add(ints(1, 2), 1)
 	r.Add(ints(1, 2), 2)
 	r.Add(ints(3, 4), 1)
-	if r.NumSlots() != 2 {
-		t.Fatalf("slots = %d", r.NumSlots())
+	if d := r.Distinct().Card(); d != 2 {
+		t.Fatalf("distinct tuples = %d", d)
 	}
 	if r.Card() != 4 {
 		t.Fatalf("card = %d", r.Card())

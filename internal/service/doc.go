@@ -14,6 +14,8 @@
 //
 // Request options (strategy, parallelism, executor mode, timeout) travel
 // per request; see the request types in handlers.go for the JSON shapes.
+// Parallelism applies to the streaming executor only and is ignored with
+// mode "materialize", which runs the sequential reference executor.
 //
 // # Sessions and snapshots
 //
@@ -38,7 +40,7 @@
 // deadline propagates into both executors' row loops via the evaluator's
 // cancellation checkpoints — stream emit, breaker fills, worker sinks — so
 // provenance rewrites that multiply scan counts (the paper's Gen strategy)
-// stop promptly and release their worker-pool slots. Expired requests
+// stop promptly and release their worker goroutines. Expired requests
 // report error class "timeout" over JSON.
 //
 // Admission control sheds load instead of queueing unboundedly: at most

@@ -23,7 +23,8 @@ type QueryRequest struct {
 	// Strategy selects the provenance rewrite strategy: Gen, Left, Move,
 	// Unn, UnnX or Auto (default).
 	Strategy string `json:"strategy,omitempty"`
-	// Parallelism is the per-query worker count (capped by the server).
+	// Parallelism is the per-query worker count of the streaming executor
+	// (capped by the server); it is ignored with mode "materialize".
 	Parallelism int `json:"parallelism,omitempty"`
 	// Mode selects the executor: "stream" (default) or "materialize".
 	Mode string `json:"mode,omitempty"`

@@ -18,7 +18,7 @@
 // query with WithStrategy.
 //
 // The executor memoizes correlated sublink results per parameter binding
-// and can evaluate tuple-independent work on a bounded worker pool — see
+// and can evaluate sublink probes on a bounded worker pool — see
 // WithParallelism and the package documentation of internal/eval.
 package perm
 
@@ -355,12 +355,13 @@ func WithContext(ctx context.Context) Option {
 	return func(c *queryConfig) { c.ctx = ctx }
 }
 
-// WithParallelism lets the executor use up to n worker goroutines for one
-// query: tuple-independent work — sublink probes in selections and
-// projections, hash-join builds and probes, aggregate input evaluation —
-// fans out across the pool. n <= 1 evaluates sequentially (the default).
-// Results are identical to sequential execution regardless of n; a natural
-// choice is runtime.GOMAXPROCS(0).
+// WithParallelism lets the streaming executor use up to n worker goroutines
+// for one query: the topmost selection, projection or join probe whose
+// expression carries a sublink fans its per-row sublink probes out across
+// the pool. n <= 1 evaluates sequentially (the default), and so does
+// WithoutStreaming, on which the option has no effect. Results are
+// identical to sequential execution regardless of n; a natural choice is
+// runtime.GOMAXPROCS(0).
 func WithParallelism(n int) Option {
 	return func(c *queryConfig) { c.parallelism = n }
 }
@@ -373,9 +374,9 @@ func WithoutOptimizer() Option {
 
 // WithoutStreaming switches the query to the materializing
 // operator-at-a-time executor (every operator's output built as a full
-// counted bag). The default streaming pipeline produces identical result
-// bags; this knob exists for ablation runs and the benchmark harness's
-// streaming-vs-materializing comparison.
+// counted bag), which always runs sequentially. The default streaming
+// pipeline produces identical result bags; this executor is the reference
+// that differential tests and the benchmark check the pipeline against.
 func WithoutStreaming() Option {
 	return func(c *queryConfig) { c.materialize = true }
 }
