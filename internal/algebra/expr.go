@@ -9,12 +9,14 @@
 //
 // Trees are immutable once constructed: rewrites build new nodes and may
 // freely share subtrees, and package perm's plan cache shares whole plans
-// across sessions. The invariant is checked statically — every node
-// and expression type is annotated `// perm:frozen`, and the immutcheck
-// analyzer (internal/lint) rejects any field store, element write or
-// in-place append into a plan value after it may have been published.
-// Constructors may mutate freely while their node is provably private;
-// everything after publication is copy-on-write.
+// across sessions. Constructors may mutate a node while it is still
+// private; everything after publication is copy-on-write. The invariant is
+// checked at run time: under strict plan checking the plan cache records
+// plancheck.Fingerprint of every plan it admits — the whole tree, the
+// presentation metadata beside it and the view definitions and table
+// shapes it was compiled against — and re-fingerprints the plan after each
+// statement that ran it, failing the statement on any difference
+// (TestFrozenPlanCheck in package perm seeds such a write).
 //
 // # Parameters
 //
@@ -44,8 +46,6 @@ import (
 // Expr is a scalar expression over attributes, constants, functions and
 // sublinks. Expressions evaluate to a types.Value; conditions are
 // expressions of boolean result interpreted under three-valued logic.
-//
-// perm:frozen
 type Expr interface {
 	fmt.Stringer
 	exprNode()

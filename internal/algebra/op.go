@@ -10,10 +10,8 @@ import (
 // Op is a node of an algebra plan. Every operator knows its output schema.
 //
 // Plan trees are immutable once built: rewrites and the optimizer share
-// subtrees freely, and the plan cache shares whole plans across sessions.
-// immutcheck enforces the invariant statically.
-//
-// perm:frozen
+// subtrees freely, and the plan cache shares whole plans across sessions
+// (see the package documentation's frozen-plan invariant).
 type Op interface {
 	fmt.Stringer
 	// Schema is the output schema of the operator.
@@ -27,8 +25,6 @@ type Op interface {
 // Alias (defaulting to Name) qualifies the output attributes, so the same
 // relation may be scanned twice under different aliases. Sch is the base
 // schema as recorded in the catalog, re-qualified by the alias.
-//
-// perm:frozen
 type Scan struct {
 	Name  string
 	Alias string
@@ -60,16 +56,12 @@ func (s *Scan) String() string {
 
 // Values is an inline relation literal. The Gen rewrite strategy uses it for
 // the null(R) extension tuple of CrossBase; it is also handy in tests.
-//
-// perm:frozen
 type Values struct {
 	Sch  schema.Schema
 	Rows []Row
 }
 
 // Row is one literal tuple of a Values operator.
-//
-// perm:frozen
 type Row []Expr
 
 func (*Values) opNode() {}
@@ -98,8 +90,6 @@ func NullRow(n int) Row {
 }
 
 // Select is σ_Cond(Child). The condition may contain sublinks.
-//
-// perm:frozen
 type Select struct {
 	Child Op
 	Cond  Expr
@@ -119,8 +109,6 @@ func (s *Select) String() string { return fmt.Sprintf("σ[%s](%s)", s.Cond, s.Ch
 // name (the paper's renaming a→b). Qual optionally qualifies the output
 // attribute so that pass-through columns keep resolving under their original
 // relation alias after a provenance rewrite.
-//
-// perm:frozen
 type ProjExpr struct {
 	E    Expr
 	As   string
@@ -137,8 +125,6 @@ func (p ProjExpr) String() string {
 
 // Project is Π_Cols(Child); Distinct selects the duplicate-removing set
 // version Π^S, otherwise the bag version Π^B. Columns may contain sublinks.
-//
-// perm:frozen
 type Project struct {
 	Child    Op
 	Cols     []ProjExpr
@@ -185,8 +171,6 @@ func (p *Project) String() string {
 }
 
 // Cross is the cross product L × R.
-//
-// perm:frozen
 type Cross struct {
 	L, R Op
 }
@@ -203,8 +187,6 @@ func (c *Cross) String() string { return fmt.Sprintf("(%s × %s)", c.L, c.R) }
 
 // Join is the inner join L ⋈_Cond R. The condition may contain sublinks
 // (the Left and Move strategies produce such joins).
-//
-// perm:frozen
 type Join struct {
 	L, R Op
 	Cond Expr
@@ -222,8 +204,6 @@ func (j *Join) String() string { return fmt.Sprintf("(%s ⋈[%s] %s)", j.L, j.Co
 
 // LeftJoin is the left outer join L ⟕_Cond R: unmatched left tuples are
 // padded with NULLs on the right side.
-//
-// perm:frozen
 type LeftJoin struct {
 	L, R Op
 	Cond Expr
@@ -273,8 +253,6 @@ func (f AggFn) String() string {
 // AggExpr is one aggregate function application with its result name.
 // Distinct computes the function over the distinct argument values of the
 // group (SQL's count(DISTINCT x)).
-//
-// perm:frozen
 type AggExpr struct {
 	Fn       AggFn
 	Arg      Expr // nil for count(*)
@@ -300,8 +278,6 @@ func (a AggExpr) String() string {
 // r.b` above the aggregation, or a correlated `r.b` inside an output-clause
 // sublink — keep resolving against the post-aggregation schema the way
 // their unqualified spellings do.
-//
-// perm:frozen
 type GroupExpr struct {
 	E    Expr
 	As   string
@@ -316,8 +292,6 @@ func (g GroupExpr) String() string { return fmt.Sprintf("%s→%s", g.E, g.As) }
 // columns followed by the aggregate results, one tuple per group. With no
 // grouping columns the result is a single tuple (over the whole input, even
 // if empty, matching SQL).
-//
-// perm:frozen
 type Aggregate struct {
 	Child Op
 	Group []GroupExpr
@@ -372,8 +346,6 @@ func (k SetOpKind) String() string {
 // SetOp is a union/intersection/difference of two inputs with identical
 // width. Bag selects the multiplicity-arithmetic version from Figure 1
 // (∪B, ∩B, −B); otherwise the duplicate-removing set version applies.
-//
-// perm:frozen
 type SetOp struct {
 	Kind SetOpKind
 	Bag  bool
@@ -397,8 +369,6 @@ func (s *SetOp) String() string {
 }
 
 // SortKey is one ORDER BY key.
-//
-// perm:frozen
 type SortKey struct {
 	E    Expr
 	Desc bool
@@ -416,8 +386,6 @@ func (k SortKey) String() string {
 // (ordering does not affect which tuples contribute). Order materializes an
 // ordering for presentation; the bag content is unchanged unless a Limit
 // sits above it.
-//
-// perm:frozen
 type Order struct {
 	Child Op
 	Keys  []SortKey
@@ -436,8 +404,6 @@ func (o *Order) String() string { return fmt.Sprintf("sort[%s](%s)", exprList(o.
 // Limit keeps N tuples of its (ordered) input after skipping the first
 // Offset tuples. N < 0 means "no limit" (an OFFSET-only clause); Offset 0
 // skips nothing.
-//
-// perm:frozen
 type Limit struct {
 	Child  Op
 	N      int

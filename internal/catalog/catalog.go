@@ -35,8 +35,6 @@ type Source interface {
 
 // table is one relation's catalog entry. Relations are immutable once
 // registered: INSERT publishes an appended copy under the same name.
-//
-// perm:frozen
 type table struct {
 	rel   *rel.Relation
 	shape *Shape
@@ -48,8 +46,6 @@ type table struct {
 // perm's plan cache). A table keeps one Shape pointer for as long as both
 // stay what they are — across INSERTs, unless one establishes the kind of a
 // column that was all NULL — so that comparison is mostly one of pointers.
-//
-// perm:frozen
 type Shape struct {
 	Schema schema.Schema
 	Kinds  []types.Kind
@@ -84,8 +80,6 @@ func NewOverlay(base *Catalog) *Catalog { return &Catalog{tables: NewLayer(base.
 
 // Snapshot is an immutable point-in-time view of a Catalog and of every
 // catalog beneath it. It implements Source.
-//
-// perm:frozen
 type Snapshot struct {
 	tables *State[table]
 }

@@ -41,8 +41,6 @@ func NewLayer[V any](parent *Layer[V]) *Layer[V] {
 // State is one immutable version of a layer with the version of every
 // ancestor pinned beside it: what a statement compiles and executes
 // against. The nil *State is the empty state.
-//
-// perm:frozen
 type State[V any] struct {
 	parent  *State[V]
 	entries map[string]*V

@@ -64,7 +64,19 @@
 // DisableSublinkMemo restores the strict re-evaluating SubPlan behaviour
 // (the benchmark harness sets it when reproducing the paper's figures,
 // whose cost model assumes it); with the memo off, streaming probes still
-// early-terminate — the regime the streaming table measures.
+// early-terminate — the regime the streaming table measures. The tests
+// compare every executor mode against a run with DisableSublinkMemo and
+// DisableHashedAny both set, so each cache is checked against its ablation.
+//
+// # Per-row allocations
+//
+// TestAllocSlopes measures the per-row paths: the streaming selection,
+// projection and hash-join probe, the materializing hash join, and the
+// sublink probes (probeExists, probeScalar, probeQuantified, quantify over
+// a memoized bag, hashedAny). It runs one query per path over two input
+// sizes and pins the allocations one more input row costs under a ceiling.
+// A change that adds a per-row allocation fails it; one that removes an
+// allocation lowers the ceiling.
 //
 // # Parallelism
 //

@@ -100,8 +100,6 @@ func sideOnly(e algebra.Expr, sch, other schema.Schema) bool {
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
 // using the extracted keys: it hashes r, then probes with every tuple of l.
 // The caller guarantees len(keys.lKeys) > 0.
-//
-// perm:hot
 func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, leftOuter bool, outer []frame) (*rel.Relation, error) {
 	sch := o.Schema()
 	rightWidth := r.Schema.Len()

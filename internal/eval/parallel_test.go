@@ -51,8 +51,10 @@ func compileOptimized(t *testing.T, cat *catalog.Catalog, query string) algebra.
 
 // checkModes runs one query under every executor mode — the streaming
 // pipeline with the memo and with workers, and the materializing reference
-// with the memo on and off — and checks the results are bag-equal to a
-// sequential, unmemoized streaming run.
+// with the memo on and off, all with the hashed = ANY set — and checks the
+// results are bag-equal to a sequential streaming run with neither cache:
+// no per-binding memo and no hashed = ANY. Every mode is thereby a
+// differential test of the caches it runs with.
 func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 	t.Helper()
 	tr, err := sql.Compile(cat, query)
@@ -78,6 +80,7 @@ func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 
 	base := New(cat)
 	base.DisableSublinkMemo = true
+	base.DisableHashedAny = true
 	want, err := base.Eval(plan)
 	if err != nil {
 		t.Fatalf("sequential eval %q: %v", query, err)

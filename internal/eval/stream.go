@@ -87,7 +87,6 @@ func (e *Evaluator) stream(op algebra.Op, outer []frame, emit emitFn) error {
 	}
 }
 
-// perm:hot
 func (e *Evaluator) streamSelect(o *algebra.Select, outer []frame, emit emitFn) error {
 	sch := o.Child.Schema()
 	apply := func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
@@ -111,7 +110,6 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []frame, emit emitFn) 
 	})
 }
 
-// perm:hot
 func (e *Evaluator) streamProject(o *algebra.Project, outer []frame, emit emitFn) error {
 	sch := o.Child.Schema()
 	hasSublink := false
@@ -210,7 +208,6 @@ func (e *Evaluator) streamJoin(l, r algebra.Op, cond algebra.Expr, leftOuter boo
 	})
 }
 
-// perm:hot
 func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKeys, leftOuter bool, joined schema.Schema, rightWidth int, outer []frame, emit emitFn) error {
 	type bucket struct {
 		tuples []rel.Tuple

@@ -117,9 +117,6 @@ func (e *Evaluator) sublinkMemoKey(q algebra.Op, scope []frame) (string, bool) {
 
 // probeExists streams the subplan until the first row proves EXISTS true,
 // caching the verdict (not the partial bag) per parameter binding.
-//
-// perm:hot
-// perm:memoized
 func (e *Evaluator) probeExists(q algebra.Op, scope []frame) (types.Value, error) {
 	key, cache := e.sublinkMemoKey(q, scope)
 	if cache {
@@ -151,9 +148,6 @@ func (e *Evaluator) probeExists(q algebra.Op, scope []frame) (types.Value, error
 
 // probeScalar streams the subplan, stopping after the second row (which is
 // already an error), and caches the scalar value per parameter binding.
-//
-// perm:hot
-// perm:memoized
 func (e *Evaluator) probeScalar(q algebra.Op, scope []frame) (types.Value, error) {
 	if q.Schema().Len() != 1 {
 		return types.Null(), fmt.Errorf("eval: scalar sublink produced %d attributes, want 1", q.Schema().Len())
@@ -194,9 +188,6 @@ func (e *Evaluator) probeScalar(q algebra.Op, scope []frame) (types.Value, error
 // probeQuantified streams an ANY/ALL probe under SQL three-valued logic,
 // stopping at the first deciding comparison: True decides ANY, False
 // decides ALL.
-//
-// perm:hot
-// perm:memoized
 func (e *Evaluator) probeQuantified(s algebra.Sublink, a types.Value, scope []frame) (types.Value, error) {
 	if s.Query.Schema().Len() != 1 {
 		return types.Null(), fmt.Errorf("eval: %s sublink query produced %d attributes, want 1", s.Kind, s.Query.Schema().Len())
@@ -236,8 +227,6 @@ func (e *Evaluator) probeQuantified(s algebra.Sublink, a types.Value, scope []fr
 // "a op ANY/ALL (sub)" under SQL three-valued logic: for ANY, True if any
 // comparison is True, else Unknown if any is Unknown, else False (empty sub
 // is False); dually for ALL (empty sub is True).
-//
-// perm:hot
 func (e *Evaluator) quantify(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
 	if sub.Schema.Len() != 1 {
 		return types.Null(), fmt.Errorf("eval: %s sublink query produced %d attributes, want 1", s.Kind, sub.Schema.Len())
@@ -298,8 +287,6 @@ type anySet struct {
 // the only possible match yields unknown. Concurrent workers may race to
 // build the set; the duplicate work is benign and the map publish is
 // serialized.
-//
-// perm:hot
 func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
 	var set *anySet
 	if e.shared != nil {
@@ -349,8 +336,6 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 // one evaluation instead of re-executing the subplan O(outer) times.
 // DisableSublinkMemo restores the strict PostgreSQL SubPlan behaviour of
 // re-evaluating per outer tuple.
-//
-// perm:memoized
 func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, error) {
 	fv := e.freeVars(q)
 	if len(fv) == 0 {

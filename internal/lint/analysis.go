@@ -32,9 +32,6 @@ type Diagnostic struct {
 	Pos token.Position
 	// Message describes the violated invariant.
 	Message string
-	// Info marks an advisory finding (the hotalloc inventory): printed, but
-	// not counted against the exit status unless the checker runs strict.
-	Info bool
 }
 
 func (d Diagnostic) String() string {
@@ -72,15 +69,6 @@ type ignoreKey struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, false, format, args...)
-}
-
-// ReportInfof records an advisory finding at pos (see Diagnostic.Info).
-func (p *Pass) ReportInfof(pos token.Pos, format string, args ...any) {
-	p.report(pos, true, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, info bool, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.suppressed(position) {
 		return
@@ -89,7 +77,6 @@ func (p *Pass) report(pos token.Pos, info bool, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Pos:      position,
 		Message:  fmt.Sprintf(format, args...),
-		Info:     info,
 	})
 }
 
@@ -135,19 +122,13 @@ type Timing struct {
 }
 
 // RunAnalyzers applies the analyzers to each package and returns the
-// findings sorted by position. Standard-library packages in pkgs are
-// skipped: they are loaded only as type-checking context.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersTimed(pkgs, analyzers)
-	return diags, err
-}
-
-// RunAnalyzersTimed is RunAnalyzers with per-analyzer wall-time. All
-// analyzers share one RunCache, so the call graph and the per-function
-// CFGs are built once for the run regardless of how many analyzers need
-// them; each analyzer's Timing therefore charges shared-artifact
-// construction to the first analyzer that demands it.
-func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
+// findings sorted by position, with each analyzer's wall time.
+// Standard-library packages in pkgs are skipped: they are loaded only as
+// type-checking context. All analyzers share one RunCache, so the call
+// graph and the per-function CFGs are built once for the run regardless of
+// how many analyzers need them; each analyzer's Timing therefore charges
+// shared-artifact construction to the first analyzer that demands it.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	var diags []Diagnostic
 	cache := newRunCache(pkgs)
 	ignores := map[*Package]map[ignoreKey]bool{}
@@ -198,7 +179,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxFlow, LockCheck, LockOrder, ErrClass, DeferClose, HotAlloc, ImmutCheck, Purity}
+	return []*Analyzer{CtxFlow, LockCheck, LockOrder, ErrClass, DeferClose}
 }
 
 // AnalyzerByName resolves one analyzer.

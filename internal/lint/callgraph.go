@@ -121,10 +121,6 @@ type RunCache struct {
 	// acquisition-order graph (built on first demand, reported per
 	// package).
 	lockGraph *lockOrderGraph
-
-	// storeAlias memoizes the store/alias tier's whole-program effects and
-	// summaries (immutcheck, purity, interprocedural hotalloc).
-	storeAlias *storeAliasIndex
 }
 
 func newRunCache(pkgs []*Package) *RunCache {

@@ -47,10 +47,8 @@ func cfgEvalNode(n ast.Node) ast.Node {
 
 // A Block is a maximal straight-line statement sequence.
 type Block struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*Block
-	Preds []*Block
 	// PanicExit marks a block that reaches Exit only by panicking or
 	// os.Exit-style termination (no ordinary return). Balance checks skip
 	// leak reports on such paths: the process or goroutine is going down
@@ -68,7 +66,6 @@ func (b *Block) addSucc(s *Block) {
 		}
 	}
 	b.Succs = append(b.Succs, s)
-	s.Preds = append(s.Preds, b)
 }
 
 // BuildCFG constructs the control-flow graph of body. The info map is used
@@ -92,7 +89,6 @@ func BuildCFG(body *ast.BlockStmt, isTerminatingCall func(*ast.CallExpr) bool) *
 			g.from.addSucc(li.target)
 		}
 	}
-	b.cfg.Exit.Index = len(b.cfg.Blocks)
 	b.cfg.Blocks = append(b.cfg.Blocks, b.cfg.Exit)
 	return b.cfg
 }
@@ -131,7 +127,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks)}
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }

@@ -1,8 +1,14 @@
-// Package lint is the perm repository's invariant-checking suite: eight
+// Package lint is the perm repository's invariant-checking suite: five
 // analyzers over type-checked packages, run by cmd/permlint and by the
 // fixture tests in this package. The analyzers encode the concurrency,
-// cancellation, error-handling and immutability disciplines the engine
-// relies on but the compiler cannot enforce.
+// cancellation, error-handling and release disciplines the engine relies on
+// but the compiler cannot enforce.
+//
+// Two invariants are measured at run time instead of proved here. That a
+// published plan is never written is the strict plan check's frozen-plan
+// fingerprint (see package perm's planned and internal/plancheck's
+// Fingerprint); that the executor's per-row paths stay cheap is the
+// allocation-slope table of internal/eval (TestAllocSlopes).
 //
 // # Annotation vocabulary
 //
@@ -10,9 +16,6 @@
 //
 //	// guarded-by: mu      (struct field)  lockcheck: accesses require mu
 //	// permlint:held mu    (function doc)  lockcheck: caller holds mu
-//	// perm:hot            (function doc)  hotalloc: per-row path, inventory allocations
-//	// perm:frozen         (type doc)      immutcheck: immutable after publication
-//	// perm:memoized       (function doc)  purity: results are cached, must be read-only over frozen inputs
 //	//permlint:ignore <analyzer> <reason>  suppress a finding on this or the next line
 //
 // # Framework
@@ -35,9 +38,8 @@
 // (callgraph.go) shares the expensive artifacts across analyzers within
 // one permlint invocation: the static call graph (Ident/Selector calls
 // only; calls through function values and interfaces stay unresolved),
-// memoized per-function CFGs, the lock-order graph and the store/alias
-// summaries. cmd/permlint -v reports the load and per-analyzer wall time
-// this caching buys.
+// memoized per-function CFGs and the lock-order graph. cmd/permlint -v
+// reports the load and per-analyzer wall time this caching buys.
 //
 // Findings are suppressed line by line with
 //
@@ -132,81 +134,4 @@
 // alive), or release it only through a plain non-deferred call. Values
 // handed off — passed along, returned, stored, captured by a goroutine —
 // move the obligation elsewhere and are not flagged.
-//
-// # The store/alias tier
-//
-// Above the CFGs sits an interprocedural mutation-and-aliasing analysis
-// (storealias.go, storeeval.go, summary.go) shared by immutcheck, purity
-// and hotalloc's transitive mode. Per function it runs an SSA-lite value
-// numbering over the dataflow solver: every allocation site (composite
-// literal, new, make, append, a call proven to return fresh memory) is one
-// abstract value; the fact tracks which values each local may hold and
-// which have been published — returned, stored into shared or
-// parameter-reachable memory, sent on a channel, passed to a go statement,
-// or captured by a closure (at its creation point). A field-sensitive
-// containment graph records what each value's fields hold, so a node built
-// from fresh parts stays provably private until the whole graph publishes;
-// a capped reslice (s[:i:i]) is recognized as a forced copy. Per-function
-// effects fold into FuncSummary records (parameter mutation levels, escape
-// set, result freshness on none < shallow < deep, allocation kinds),
-// iterated to a fixpoint over the call graph so effects flow through
-// helpers; call sites apply callee summaries, which is how a constructor
-// helper that writes its parameter is checked where it is called — with
-// provably fresh memory it is fine, with anything shared it is a finding.
-//
-// Known approximations: calls through function values and interface
-// methods (and stdlib outside a small trusted read-only set) resolve to no
-// summary and are treated as neither mutating nor publishing their
-// arguments — the same optimistic bet the call graph already makes;
-// taking the address of a plain local, dereferencing a pointer rvalue and
-// loading a field of a published value all go to the shared ⊤; allocation
-// sites are per-expression, with a recency abstraction so a loop-reexecuted
-// make is a fresh generation each iteration (stale aliases of the previous
-// generation become optimistic with it); escape via return is treated as
-// publication even though the memory is still frame-local until the caller
-// shares it.
-//
-// # immutcheck
-//
-// Types annotated `// perm:frozen` — the algebra plan nodes and
-// expressions, sql.Translated, view definitions, catalog snapshots — obey
-// the frozen-plan invariant the plan cache needs: no field stores, element
-// or map writes, or aliasing in-place appends once the value may be
-// shared. The store/alias tier proves constructors innocent (their writes
-// land in still-private memory), so the analyzer only reports
-// post-publication mutation, including mutation smuggled through a helper:
-// a function whose summary says "writes through parameter 0, which is
-// frozen-typed" turns every call site that passes non-fresh memory into a
-// finding. Storing into a pointer- or interface-typed slot replaces a
-// reference and is not a mutation of the old pointee; overwriting a
-// value-typed slot in shared memory is.
-//
-// # purity
-//
-// Functions annotated `// perm:memoized` — the sublink probes whose
-// verdicts are cached, Register-time kind inference, any future plan-cache
-// fill — must be read-only over their frozen inputs: a memoized function
-// that mutates memory reachable from a frozen-typed parameter computed its
-// cached result from inputs the computation itself changed, so every later
-// cache hit returns a value no longer derivable from its key. Mutating its
-// own receiver or run state (the memo maps themselves) is fine.
-//
-// # hotalloc
-//
-// The per-tuple executor paths — the streaming operators and the sublink
-// probes, annotated `// perm:hot` — pay for every allocation once per row.
-// hotalloc inventories make/new/append calls, composite literals, closure
-// creations and interface boxing (a types.Value stored into an any) inside
-// those functions, and — via the store/alias tier's summaries — calls to
-// statically resolvable callees that transitively allocate, attributed
-// with the call chain down to the allocation ("helper -> sub: make").
-// Callees that are themselves `// perm:hot` are skipped (their allocations
-// are their own inventory entries). Its findings are advisory: they do not
-// fail permlint (-inventory prints only them) but form the measured
-// burn-down list for the planned vectorized executor. -strict-hot diffs
-// the inventory against the checked-in baseline
-// (internal/lint/testdata/hotalloc-baseline.txt, regenerated with
-// -write-hot-baseline) in both directions: a new hot-path allocation
-// fails CI, and so does a baseline line nothing produces any more, so the
-// file is always the current inventory.
 package lint

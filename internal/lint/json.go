@@ -14,7 +14,9 @@ type jsonDiagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Severity string `json:"severity"` // "error" or "info"
+	// Severity is always "error": every finding fails the run. The field
+	// stays for the consumers that read it.
+	Severity string `json:"severity"`
 }
 
 // WriteJSON encodes the findings as an indented JSON array (never null:
@@ -22,17 +24,13 @@ type jsonDiagnostic struct {
 func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	out := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {
-		severity := "error"
-		if d.Info {
-			severity = "info"
-		}
 		out = append(out, jsonDiagnostic{
 			File:     d.Pos.Filename,
 			Line:     d.Pos.Line,
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-			Severity: severity,
+			Severity: "error",
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -15,15 +15,14 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 func TestWriteJSONGolden(t *testing.T) {
 	diags := []Diagnostic{
 		{
-			Analyzer: "immutcheck",
-			Pos:      token.Position{Filename: "internal/algebra/op.go", Line: 42, Column: 3},
-			Message:  "field write to frozen Project value after it may have been published (copy-on-write it)",
+			Analyzer: "lockcheck",
+			Pos:      token.Position{Filename: "internal/catalog/layer.go", Line: 42, Column: 3},
+			Message:  "Layer.mu.Lock() is not released on some path to return",
 		},
 		{
-			Analyzer: "hotalloc",
+			Analyzer: "ctxflow",
 			Pos:      token.Position{Filename: "internal/eval/eval.go", Line: 7, Column: 12},
-			Message:  "alloc in hot function emit: make",
-			Info:     true,
+			Message:  "context.Background() severs the request cancellation chain; accept a context.Context parameter instead",
 		},
 	}
 	var buf bytes.Buffer

@@ -64,10 +64,9 @@ func Nulls(n int) Tuple {
 // with an integer multiplicity. The zero Relation is an empty bag with an
 // empty schema; use New to attach a schema.
 //
-// Relation is deliberately NOT `// perm:frozen`: it is the engine's
-// mutable builder — loaders and operators fill one with Add and only then
-// hand it over. Immutability of registered relations is a catalog-boundary
-// convention; the frozen, statically-checked view of a catalog state is
+// Relation is the engine's mutable builder: loaders and operators fill one
+// with Add and only then hand it over. Immutability of registered relations
+// is a catalog-boundary convention; the immutable view of a catalog state is
 // catalog.Snapshot.
 type Relation struct {
 	Schema schema.Schema
@@ -240,8 +239,6 @@ func (r *Relation) EqualSet(o *Relation) bool {
 //
 // The result is computed once at Register time and cached in the catalog,
 // so the inference must be read-only over the relation.
-//
-// perm:memoized
 func (r *Relation) InferKinds() []types.Kind {
 	kinds := make([]types.Kind, r.Schema.Len())
 	conflict := make([]bool, r.Schema.Len())

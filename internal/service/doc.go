@@ -49,4 +49,14 @@
 // drains: admitted requests complete (no dropped responses), new work is
 // rejected with 503, and Shutdown returns when the last in-flight request
 // finishes or its drain deadline expires.
+//
+// # Plan verification
+//
+// Config.PlanCheck (permd -plancheck) applies perm.WithPlanCheck to every
+// statement. Under strict, a structural violation at any compile stage
+// fails the statement, and so does a run that changed the cached plan it
+// ran: the plan cache fingerprints each plan it admits and re-checks the
+// fingerprint after every statement, hit or miss, because its plans are
+// shared by every session of the server. Both failures report error class
+// "plancheck".
 package service

@@ -34,7 +34,7 @@ const (
 	ClassCompile  = "compile"   // parse / semantic analysis / translation ("sql:" errors)
 	ClassRewrite  = "rewrite"   // provenance strategy not applicable
 	ClassRuntime  = "runtime"   // evaluation errors: division by zero, overflow
-	ClassPlan     = "plancheck" // strict plan verification found a structural violation
+	ClassPlan     = "plancheck" // strict plan verification found a structural violation or a changed cached plan
 	ClassCatalog  = "catalog"   // unknown relation at execution time
 	ClassRequest  = "request"   // malformed request: bad JSON, unknown strategy/mode
 	ClassStmt     = "statement" // statement-level errors from the perm layer

@@ -39,7 +39,8 @@ type Config struct {
 
 	// PlanCheck is the per-stage plan verification mode applied to every
 	// statement (see perm.WithPlanCheck). Default off; strict turns a
-	// structural plan violation into a request error of class "plancheck".
+	// structural plan violation, or a write into a cached plan, into a
+	// request error of class "plancheck".
 	PlanCheck perm.PlanCheckMode
 }
 

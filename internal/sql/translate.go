@@ -11,8 +11,6 @@ import (
 )
 
 // Translated is the result of lowering a statement to algebra.
-//
-// perm:frozen
 type Translated struct {
 	// Plan is the algebra tree of the query (not provenance-rewritten).
 	Plan algebra.Op

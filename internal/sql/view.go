@@ -27,8 +27,6 @@ type Statement struct {
 }
 
 // ViewDef is a named stored query.
-//
-// perm:frozen
 type ViewDef struct {
 	Name string
 	Body *Stmt

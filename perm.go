@@ -503,16 +503,23 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 	// The statement runs the plan as the cache keeps it, so that a miss and
 	// a hit execute the same plan.
 	p.pattern = string(pattern)
-	return sn.plans.admit(string(family), p), params, false, nil
+	return sn.plans.admit(string(family), p, cfg.planCheck), params, false, nil
 }
 
 // query runs the full pipeline against one snapshot.
-func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (*Result, error) {
+func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error) {
 	p, params, _, err := sn.planFor(lx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{DataColumns: p.dataCols, PlanFindings: slices.Clone(p.findings)}
+	if cfg.planCheck == PlanCheckStrict {
+		defer func() {
+			if p.frozen != 0 && p.fingerprint() != p.frozen {
+				out, err = nil, fmt.Errorf("plancheck: frozen: the cached plan changed after the plan cache published it")
+			}
+		}()
+	}
+	out = &Result{DataColumns: p.dataCols, PlanFindings: slices.Clone(p.findings)}
 	ev := eval.New(sn.src)
 	if cfg.ctx != nil {
 		ev = ev.WithContext(cfg.ctx)

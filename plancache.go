@@ -22,8 +22,6 @@ const (
 
 // dep is one relation name a statement resolved and what it was bound to
 // when its plan was compiled.
-//
-// perm:frozen
 type dep struct {
 	name string
 	// view is the definition, when the name was a view.
@@ -140,11 +138,15 @@ func twin(variants []*planned, p *planned) *planned {
 // run: a copy of p fit to be kept, or the equal plan that a concurrent
 // compile admitted first. The copy is made outside the lock — it walks the
 // whole plan, and every lookup of every session reads under the same lock.
-func (c *planCache) admit(family string, p *planned) *planned {
+// Under PlanCheckStrict the copy is fingerprinted before anyone sees it.
+func (c *planCache) admit(family string, p *planned, mode PlanCheckMode) *planned {
 	c.mu.RLock()
 	old := c.families[family]
 	c.mu.RUnlock()
 	kept := keep(p, old)
+	if mode == PlanCheckStrict {
+		kept.frozen = kept.fingerprint()
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"perm/internal/algebra"
 	"perm/internal/tpch"
 )
 
@@ -261,6 +262,9 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 				return
 			}
 			for i := 0; i < rounds; i++ {
+				// Let the writer in between rounds even on a single busy CPU:
+				// the test needs DDL to land while the clients run.
+				runtime.Gosched()
 				// The concatenation types only while t.a is text; the rows say
 				// which state the statement saw.
 				res, err := sess.Query(fmt.Sprintf(`SELECT a || 'x%d', k FROM t WHERE k >= %d ORDER BY k`, i%3, 1+i%2))
@@ -299,4 +303,51 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 		t.Errorf("stats %+v: want hits and stale plans under DDL", st)
 	}
 	t.Logf("%+v", st)
+}
+
+// TestFrozenPlanCheck writes into a published plan after admission — the
+// selection's condition C becomes C AND TRUE, which changes no row — and
+// runs the statement again. Under strict checking the hit fails with the
+// frozen plancheck error; under PlanCheckOff the plan was never
+// fingerprinted and the write goes unnoticed.
+func TestFrozenPlanCheck(t *testing.T) {
+	const q = `SELECT a, b FROM r WHERE a >= 2`
+	for _, mode := range []PlanCheckMode{PlanCheckStrict, PlanCheckOff} {
+		t.Run(mode.String(), func(t *testing.T) {
+			db := openFigure3(t)
+			want, err := db.Query(q, WithPlanCheck(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Query(q, WithPlanCheck(mode)); err != nil {
+				t.Fatalf("an untouched hit fails: %v", err)
+			}
+			if st := db.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
+				t.Fatalf("stats %+v, want one plan and one hit", st)
+			}
+			var p *planned
+			for _, variants := range db.plans.families {
+				p = variants[0]
+			}
+			if fingerprinted := p.frozen != 0; fingerprinted != (mode == PlanCheckStrict) {
+				t.Fatalf("plan fingerprinted %v under %s", fingerprinted, mode)
+			}
+			algebra.Walk(p.plan, func(op algebra.Op) bool {
+				if sel, ok := op.(*algebra.Select); ok {
+					sel.Cond = algebra.And{L: sel.Cond, R: algebra.BoolConst(true)}
+				}
+				return true
+			})
+			got, err := db.Query(q, WithPlanCheck(mode))
+			if mode == PlanCheckOff {
+				if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("got %v, %v; want the rows %v", got, err, want.Rows)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "plancheck: frozen") {
+				t.Fatalf("got %v, want the frozen plancheck error", err)
+			}
+		})
+	}
 }

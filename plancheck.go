@@ -22,7 +22,9 @@ const (
 	// without failing the query.
 	PlanCheckLog
 	// PlanCheckStrict verifies every stage and fails the query on the first
-	// non-advisory finding, naming the stage that introduced it.
+	// non-advisory finding, naming the stage that introduced it. It also
+	// fingerprints the plans the plan cache admits and fails a statement
+	// whose run changed the cached plan it ran.
 	PlanCheckStrict
 )
 
@@ -57,8 +59,8 @@ func ParsePlanCheckMode(s string) (PlanCheckMode, error) {
 // DefaultPlanCheck is the verification mode queries use when WithPlanCheck
 // is not given. It defaults to off in production; the test harness and the
 // fuzzer turn it to strict so every compiled plan is structurally verified
-// at every stage. Set it before issuing queries — it is read per query,
-// unsynchronized.
+// at every stage and no run writes into a cached plan. Set it before
+// issuing queries — it is read per query, unsynchronized.
 var DefaultPlanCheck = PlanCheckOff
 
 // WithPlanCheck sets the per-stage plan verification mode for one query.
@@ -151,8 +153,6 @@ func (pv *planVerifier) hook() rewrite.StageHook {
 // and presenting it takes, and nothing of what compiling it went through —
 // neither the translated plan nor the rewrite's result — so that the plan
 // cache retains no more than a hit needs.
-//
-// perm:frozen
 type planned struct {
 	plan algebra.Op
 	// dataCols is the number of visible data columns; hidden the number of
@@ -170,6 +170,19 @@ type planned struct {
 	// deps are the relations the statement named with what they were bound
 	// to: the plan is valid wherever they still are (see planCache).
 	deps []dep
+	// frozen is the plan's fingerprint when the plan cache admitted it under
+	// PlanCheckStrict, 0 otherwise: a cached plan serves every statement of
+	// its shape in every session, and no run may write into it.
+	frozen uint64
+}
+
+// fingerprint hashes everything of p but its frozen field: the plan tree,
+// the presentation fields, and the view definitions and table shapes of its
+// dependencies.
+func (p *planned) fingerprint() uint64 {
+	q := *p
+	q.frozen = 0
+	return plancheck.Fingerprint(&q)
 }
 
 // provGroup is the provenance columns of one base relation access.
