@@ -2,7 +2,9 @@
 // TPC-H strategies across database sizes; Figures 7–9: synthetic sweeps)
 // and the two executor comparisons of this reproduction's execution layer:
 // the sublink-memo modes table and the streaming-vs-materializing table.
-// Figures 6–9 and the modes table run on the sequential reference executor.
+// Figures 6–9 and the modes table run on the sequential reference executor;
+// -memo switches its per-binding memo on (the streaming executor always
+// memoizes).
 //
 // Examples:
 //
@@ -38,7 +40,7 @@ func main() {
 		scales    = flag.String("scales", "", "figure 6 database scales, comma-separated (default 0.05,0.5,5,50)")
 		queries   = flag.String("queries", "", "figure 6 TPC-H query numbers, comma-separated (default: all nine)")
 		sizes     = flag.String("sizes", "", "sweep sizes for figures 7-9 and the modes/stream tables, comma-separated")
-		memo      = flag.Bool("memo", false, "enable per-binding sublink memoization for figures 6-9 (off matches the paper's PostgreSQL executor)")
+		memo      = flag.Bool("memo", false, "enable the reference executor's per-binding sublink memoization (figures 6-9, materializing side of -fig stream; off matches the paper's PostgreSQL executor)")
 	)
 	flag.Parse()
 

@@ -1,14 +1,15 @@
-// Command permload is the load generator and differential checker for
-// permd. It replays the checked-in fuzz corpus (honoring the files'
+// Command permload is the corpus differential checker for permd. It
+// replays the checked-in fuzz corpus (honoring the files'
 // "-- expect-error:" annotations) plus the synthetic sublink workload —
 // plain and SELECT PROVENANCE, streaming and materializing — at a
-// configurable concurrency, and reports p50/p99 latency and QPS.
+// configurable concurrency. It does not time requests: the benchmark's
+// service_mix workload and permd's GET /stats measure latency.
 //
-// With -verify (the default) every response is additionally compared
-// against direct library execution over the same seed: rows must match
-// cell for cell, and error responses must carry the engine's error text
-// verbatim. The target permd must therefore run with the same -seed,
-// -synth-size and -synth-domain. The library side compiles every statement
+// With -verify (the default) every response is compared against direct
+// library execution over the same seed: rows must match cell for cell, and
+// error responses must carry the engine's error text verbatim. The target
+// permd must therefore run with the same -seed, -synth-size and
+// -synth-domain. The library side compiles every statement
 // as written (perm.WithoutPlanCache), so the comparison also checks the
 // server's plan cache; the run ends with the share of the server's plan
 // lookups it answered from the cache, read from GET /stats.
@@ -27,13 +28,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"perm"
 	"perm/internal/fuzz"
@@ -76,7 +74,6 @@ func main() {
 		failures atomic.Int64
 		expected atomic.Int64
 		mu       sync.Mutex
-		lats     []time.Duration
 		msgs     []string
 	)
 	fail := func(msg string) {
@@ -93,52 +90,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "permload:", err)
 		os.Exit(1)
 	}
-	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < *c; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := make([]time.Duration, 0, *n / *c + 1)
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(*n) {
-					break
+					return
 				}
 				tk := tasks[i%int64(len(tasks))]
-				d, wasErr, msg := runOne(client, *addr, tk, *timeoutMS, direct)
-				local = append(local, d)
+				wasErr, msg := runOne(client, *addr, tk, *timeoutMS, direct)
 				if msg != "" {
 					fail(tk.name + ": " + msg)
 				} else if wasErr {
 					expected.Add(1)
 				}
 			}
-			mu.Lock()
-			lats = append(lats, local...)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	q := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)))
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return lats[i]
-	}
-	fmt.Printf("permload: %d requests, %d workers, %d task templates, %s elapsed\n",
-		len(lats), *c, len(tasks), elapsed.Round(time.Millisecond))
-	fmt.Printf("permload: p50 %s  p99 %s  max %s  %.0f req/s\n",
-		q(0.50).Round(time.Microsecond), q(0.99).Round(time.Microsecond),
-		q(1).Round(time.Microsecond), float64(len(lats))/elapsed.Seconds())
-	fmt.Printf("permload: %d expected errors, %d failures\n", expected.Load(), failures.Load())
+	fmt.Printf("permload: %d requests, %d workers, %d task templates: %d expected errors, %d failures\n",
+		*n, *c, len(tasks), expected.Load(), failures.Load())
 	cacheAfter, err := planCacheStats(client, *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "permload:", err)
@@ -186,41 +161,39 @@ func planCacheStats(client *http.Client, addr string) (service.PlanCacheJSON, er
 	return stats.PlanCache, nil
 }
 
-// runOne sends one request and checks the outcome. It returns the request
-// latency, whether the response was an (expected) error, and a non-empty
-// failure message when the outcome was wrong.
-func runOne(client *http.Client, addr string, tk task, timeoutMS int64, direct *perm.DB) (time.Duration, bool, string) {
+// runOne sends one request and checks the outcome. It returns whether the
+// response was an (expected) error, and a non-empty failure message when
+// the outcome was wrong.
+func runOne(client *http.Client, addr string, tk task, timeoutMS int64, direct *perm.DB) (bool, string) {
 	body, _ := json.Marshal(queryBody{Query: tk.query, Mode: tk.mode, TimeoutMS: timeoutMS})
-	t0 := time.Now()
 	resp, err := client.Post(addr+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return time.Since(t0), false, "transport: " + err.Error()
+		return false, "transport: " + err.Error()
 	}
 	dec := json.NewDecoder(resp.Body)
 	dec.UseNumber()
 	var out queryReply
 	decErr := dec.Decode(&out)
 	resp.Body.Close()
-	d := time.Since(t0)
 	if decErr != nil {
-		return d, false, "bad response JSON: " + decErr.Error()
+		return false, "bad response JSON: " + decErr.Error()
 	}
 	if resp.StatusCode == http.StatusOK && out.Error != nil ||
 		resp.StatusCode != http.StatusOK && out.Error == nil {
-		return d, false, fmt.Sprintf("status %d does not match body", resp.StatusCode)
+		return false, fmt.Sprintf("status %d does not match body", resp.StatusCode)
 	}
 	if out.Error != nil && tk.expectErr != "" && !strings.Contains(out.Error.Message, tk.expectErr) {
-		return d, true, fmt.Sprintf("error %q does not contain %q", out.Error.Message, tk.expectErr)
+		return true, fmt.Sprintf("error %q does not contain %q", out.Error.Message, tk.expectErr)
 	}
 	if direct == nil {
 		// Without -verify, judge by the corpus annotation alone.
 		if tk.expectErr == "" && out.Error != nil {
-			return d, true, "unexpected error: " + out.Error.Message
+			return true, "unexpected error: " + out.Error.Message
 		}
 		if tk.expectErr != "" && out.Error == nil {
-			return d, false, fmt.Sprintf("expected an error containing %q, got success", tk.expectErr)
+			return false, fmt.Sprintf("expected an error containing %q, got success", tk.expectErr)
 		}
-		return d, out.Error != nil, ""
+		return out.Error != nil, ""
 	}
 	opts := []perm.Option{perm.WithoutPlanCache()}
 	if tk.mode == "materialize" {
@@ -229,19 +202,19 @@ func runOne(client *http.Client, addr string, tk task, timeoutMS int64, direct *
 	want, wantErr := direct.Query(tk.query, opts...)
 	switch {
 	case wantErr != nil && out.Error == nil:
-		return d, false, fmt.Sprintf("library errored (%v) but service succeeded", wantErr)
+		return false, fmt.Sprintf("library errored (%v) but service succeeded", wantErr)
 	case wantErr == nil && out.Error != nil:
-		return d, true, fmt.Sprintf("service errored (%s) but library succeeded", out.Error.Message)
+		return true, fmt.Sprintf("service errored (%s) but library succeeded", out.Error.Message)
 	case wantErr != nil:
 		if out.Error.Message != wantErr.Error() {
-			return d, true, fmt.Sprintf("error text diverged: service %q, library %q", out.Error.Message, wantErr)
+			return true, fmt.Sprintf("error text diverged: service %q, library %q", out.Error.Message, wantErr)
 		}
-		return d, true, ""
+		return true, ""
 	}
 	if msg := compareRows(want, out); msg != "" {
-		return d, false, msg
+		return false, msg
 	}
-	return d, false, ""
+	return false, ""
 }
 
 // compareRows checks column names and every cell of the HTTP result
@@ -296,27 +269,18 @@ func cellEqual(want, got any) bool {
 func buildTasks(corpusDir string, seed int64, synthSize, synthDomain int) ([]task, error) {
 	var tasks []task
 	if corpusDir != "" {
-		files, err := filepath.Glob(filepath.Join(corpusDir, "*.sql"))
-		if err != nil || len(files) == 0 {
-			return nil, fmt.Errorf("no corpus at %s (use -corpus '' to skip)", corpusDir)
+		cases, err := fuzz.ReadCorpus(corpusDir)
+		if err != nil {
+			return nil, fmt.Errorf("%w (use -corpus '' to skip)", err)
 		}
-		for _, file := range files {
-			raw, err := os.ReadFile(file)
-			if err != nil {
-				return nil, err
-			}
-			query, expectErr := parseCorpusFile(string(raw))
-			if query == "" {
-				continue
-			}
-			name := filepath.Base(file)
-			tasks = append(tasks, task{name: name, query: query, expectErr: expectErr})
-			upper := strings.ToUpper(query)
-			if expectErr == "" && strings.HasPrefix(query, "SELECT ") &&
+		for _, c := range cases {
+			tasks = append(tasks, task{name: c.Name, query: c.Query, expectErr: c.ExpectErr})
+			upper := strings.ToUpper(c.Query)
+			if c.ExpectErr == "" && strings.HasPrefix(c.Query, "SELECT ") &&
 				!strings.Contains(upper, "LIMIT") && !strings.Contains(upper, "OFFSET") {
 				tasks = append(tasks, task{
-					name:  name + "+prov",
-					query: "SELECT PROVENANCE " + strings.TrimPrefix(query, "SELECT "),
+					name:  c.Name + "+prov",
+					query: "SELECT PROVENANCE " + strings.TrimPrefix(c.Query, "SELECT "),
 				})
 			}
 		}
@@ -342,24 +306,6 @@ func buildTasks(corpusDir string, seed int64, synthSize, synthDomain int) ([]tas
 		}
 	}
 	return tasks, nil
-}
-
-// parseCorpusFile extracts the SQL text and the optional expect-error
-// annotation from one corpus file (same format as internal/fuzz).
-func parseCorpusFile(raw string) (query, expectErr string) {
-	var sqlLines []string
-	for _, line := range strings.Split(raw, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(trimmed, "-- expect-error:"); ok {
-			expectErr = strings.TrimSpace(rest)
-			continue
-		}
-		if strings.HasPrefix(trimmed, "--") || trimmed == "" {
-			continue
-		}
-		sqlLines = append(sqlLines, trimmed)
-	}
-	return strings.Join(sqlLines, " "), expectErr
 }
 
 // buildDB mirrors permd's base catalog: fuzz tables r, s, t, u plus synth

@@ -41,11 +41,12 @@ type Runner struct {
 	// the cell exactly like a timeout (the Gen strategy's CrossBase can
 	// exhaust memory long before any clock fires).
 	MaxRows int
-	// SublinkMemo enables the executor's per-binding memoization of
-	// correlated sublink results. It is off by default: the paper's
-	// measurements ran on PostgreSQL, whose SubPlans re-evaluate per outer
-	// binding, and the figures reproduce that cost asymmetry. The
-	// executor-modes table measures what the memo buys.
+	// SublinkMemo enables the materializing executor's per-binding
+	// memoization of correlated sublink results. It is off by default: the
+	// paper's measurements ran on PostgreSQL, whose SubPlans re-evaluate per
+	// outer binding, and the figures reproduce that cost asymmetry. The
+	// executor-modes table measures what the memo buys. The streaming
+	// executor always memoizes.
 	SublinkMemo bool
 	// Materialize switches the executor from the streaming pipeline to
 	// operator-at-a-time full materialization. The paper figures (6-9) and

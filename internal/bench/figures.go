@@ -187,9 +187,10 @@ func (r *Runner) Modes(ctx context.Context, cfg ModesConfig) {
 
 // StreamConfig parameterizes the streaming-vs-materializing comparison. It
 // is not a figure of the paper: it measures what the push-based streaming
-// pipeline with early-terminating sublink probes buys over the
-// operator-at-a-time materializing executor (both without the sublink memo,
-// matching the paper's PostgreSQL SubPlan regime).
+// pipeline — early-terminating sublink probes and the per-binding sublink
+// memo, which it always uses — buys over the operator-at-a-time
+// materializing executor in the paper's PostgreSQL SubPlan regime (no memo
+// unless Runner.SublinkMemo is set).
 type StreamConfig struct {
 	// Sizes sweeps both synthetic relation sizes together.
 	Sizes []int
@@ -261,7 +262,8 @@ func fmtPeak(m Measurement) string {
 // correlated EXISTS query q4 (one witness decides each probe — the case
 // early termination targets) and the correlated q3 on the synthetic
 // workload, plus EXISTS-heavy TPC-H queries, each under the baseline (no
-// provenance) and the Gen strategy.
+// provenance) and the Gen strategy. Its speedups therefore combine early
+// termination with the memo; the modes table isolates the memo.
 func (r *Runner) FigureStream(ctx context.Context, cfg StreamConfig) {
 	for _, q := range []struct {
 		name string

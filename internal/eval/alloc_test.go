@@ -39,7 +39,6 @@ func TestAllocSlopes(t *testing.T) {
 		entry       string // the operator or probe the query exercises per row of r
 		query       string
 		materialize bool
-		noMemo      bool
 		ceiling     float64
 	}{
 		{entry: "streamSelect", query: `SELECT * FROM r WHERE b >= 10`, ceiling: 2.5},
@@ -48,7 +47,6 @@ func TestAllocSlopes(t *testing.T) {
 		{entry: "hashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, materialize: true, ceiling: 8.1},
 		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 6.1},
 		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 7.1},
-		{entry: "probeQuantified", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, noMemo: true, ceiling: 9.1},
 		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 6.1},
 		{entry: "hashedAny", query: `SELECT * FROM r WHERE a = ANY (SELECT c FROM s)`, ceiling: 3.1},
 	} {
@@ -58,7 +56,6 @@ func TestAllocSlopes(t *testing.T) {
 				plan := compileOptimized(t, cat, c.query)
 				ev := New(cat)
 				ev.DisableStreaming = c.materialize
-				ev.DisableSublinkMemo = c.noMemo
 				return testing.AllocsPerRun(3, func() {
 					if _, err := ev.Eval(plan); err != nil {
 						t.Fatal(err)

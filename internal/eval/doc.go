@@ -39,21 +39,19 @@
 //
 // # Sublink probes, early termination and caching
 //
-// Like the PostgreSQL executor Perm ran on, the evaluator caches the result
-// of uncorrelated subplans, evaluating them once per query (InitPlan
-// behaviour), and hashes uncorrelated "= ANY" sublinks into a set probed per
-// outer tuple (hashed subplans).
+// Like the PostgreSQL executor Perm ran on, both executors evaluate an
+// uncorrelated subplan once per query (InitPlan behaviour) and hash an
+// uncorrelated "= ANY" sublink into a set probed per outer tuple (hashed
+// subplans).
 //
-// Under the streaming pipeline a sublink probe pulls rows from the subplan
-// and stops at the first deciding row: EXISTS at any row, ANY at a True
-// comparison, ALL at a False one, a scalar sublink at its second row. An
-// early-terminated probe has seen only part of the subplan's bag, so the
-// memo never stores partial bags — it stores the verdict (EXISTS' boolean,
-// the scalar value), keyed exactly like the bag memo by the resolved values
-// of the subplan's free parameters. Probes whose cached bag outlives one
-// test value — uncorrelated ANY/ALL, the hashed = ANY set, and correlated
-// ANY/ALL under the per-binding memo — still materialize the subplan: the
-// bag answers every test value of a binding, which one verdict cannot.
+// Under the streaming pipeline an EXISTS or scalar probe pulls rows from
+// the subplan and stops at its deciding row: EXISTS at any row, a scalar
+// sublink at its second. An early-terminated probe has seen only part of the
+// subplan's bag, so the memo never stores partial bags — it stores the
+// verdict (EXISTS' boolean, the scalar value), keyed exactly like the bag
+// memo by the resolved values of the subplan's free parameters. ANY/ALL
+// materializes the subplan under either executor: the bag answers every test
+// value of a binding, which one verdict cannot.
 //
 // Beyond PostgreSQL, correlated sublinks — the case §4 of the paper
 // identifies as inherently expensive under provenance rewriting — are
@@ -61,20 +59,21 @@
 // against the enclosing scope and their encoded values key a cache of
 // results, so outer tuples that agree on every correlated parameter share
 // one evaluation instead of re-executing the subplan once per outer tuple.
-// DisableSublinkMemo restores the strict re-evaluating SubPlan behaviour
-// (the benchmark harness sets it when reproducing the paper's figures,
-// whose cost model assumes it); with the memo off, streaming probes still
-// early-terminate — the regime the streaming table measures. The tests
-// compare every executor mode against a run with DisableSublinkMemo and
-// DisableHashedAny both set, so each cache is checked against its ablation.
+// The streaming executor always memoizes. DisableSublinkMemo restores the
+// strict re-evaluating SubPlan behaviour on the materializing reference only
+// (the benchmark harness sets it when reproducing the paper's figures, whose
+// cost model assumes it). The tests compare the streaming executor and the
+// memoized reference against the reference with the memo off, so the memo
+// is checked against its ablation; the hashed set, which both executors
+// use, is checked against the generic quantifier value by value.
 //
 // # Per-row allocations
 //
 // TestAllocSlopes measures the per-row paths: the streaming selection,
 // projection and hash-join probe, the materializing hash join, and the
-// sublink probes (probeExists, probeScalar, probeQuantified, quantify over
-// a memoized bag, hashedAny). It runs one query per path over two input
-// sizes and pins the allocations one more input row costs under a ceiling.
+// sublink probes (probeExists, probeScalar, quantify over a memoized bag,
+// hashedAny). It runs one query per path over two input sizes and pins the
+// allocations one more input row costs under a ceiling.
 // A change that adds a per-row allocation fails it; one that removes an
 // allocation lowers the ceiling.
 //

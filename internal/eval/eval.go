@@ -35,16 +35,12 @@ type Evaluator struct {
 	db  DB
 	ctx context.Context
 
-	// DisableHashedAny turns off the hashed-subplan execution of
-	// uncorrelated = ANY sublinks — an ablation knob; PostgreSQL (and
-	// hence the paper's measurements) always hashes them.
-	DisableHashedAny bool
-
-	// DisableSublinkMemo turns off the per-binding memoization of
-	// correlated sublink results. With it set, correlated subplans
-	// re-evaluate for every outer tuple — the PostgreSQL SubPlan behaviour
-	// the paper's measurements rely on; the benchmark harness sets it to
-	// reproduce the paper's figures.
+	// DisableSublinkMemo turns off the materializing reference executor's
+	// per-binding memoization of correlated sublink results: correlated
+	// subplans re-evaluate for every outer tuple — the PostgreSQL SubPlan
+	// behaviour the paper's measurements rely on; the benchmark harness
+	// sets it to reproduce the paper's figures. The streaming executor
+	// ignores it and always memoizes, as the reference ignores Parallelism.
 	DisableSublinkMemo bool
 
 	// DisableStreaming switches the executor from the default push-based

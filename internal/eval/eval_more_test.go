@@ -268,20 +268,48 @@ func TestMaxRowsBudget(t *testing.T) {
 	}
 }
 
-func TestHashedAnyAblationAgrees(t *testing.T) {
-	c := figure3DB()
-	sub := algebra.NewProject(scan(t, c, "s"), algebra.KeepCol("c"))
-	op := &algebra.Select{Child: scan(t, c, "r"),
-		Cond: algebra.Sublink{Kind: algebra.AnySublink, Op: types.CmpEq, Test: algebra.Attr("a"), Query: sub}}
-	fast := mustEval(t, c, op)
-	slow := New(c)
-	slow.DisableHashedAny = true
-	out, err := slow.Eval(op)
-	if err != nil {
-		t.Fatal(err)
+// TestHashedAnyMatchesQuantify checks the hashed = ANY set against the
+// generic quantifier over a grid of test values and sub-bags: NULLs, an
+// integral float that hashes like its integer, a string no element compares
+// with, and duplicates. Both executors hash uncorrelated = ANY, so this grid
+// is the hashed path's only ablation.
+func TestHashedAnyMatchesQuantify(t *testing.T) {
+	bag := func(vs ...types.Value) *rel.Relation {
+		out := rel.New(schema.New("", "c"))
+		for _, v := range vs {
+			out.Add(rel.Tuple{v}, 1)
+		}
+		return out
 	}
-	if !out.Equal(fast.WithSchema(out.Schema)) {
-		t.Errorf("hashed and generic ANY disagree:\n%s\nvs\n%s", fast, out)
+	null, one := types.Null(), types.NewInt(1)
+	bags := []struct {
+		name string
+		sub  *rel.Relation
+	}{
+		{"{}", bag()},
+		{"{NULL}", bag(null)},
+		{"{1}", bag(one)},
+		{"{1, NULL}", bag(one, null)},
+		{"{2.0}", bag(types.NewFloat(2))},
+		{"{1, 1, 1.0, NULL, NULL}", bag(one, one, types.NewFloat(1), null, null)},
+	}
+	tests := []types.Value{null, one, types.NewFloat(1), types.NewInt(2), types.NewString("x")}
+	s := algebra.Sublink{Kind: algebra.AnySublink, Op: types.CmpEq}
+	ev := New(nil) // no run state: hashedAny builds its set on every call
+	for _, b := range bags {
+		for _, a := range tests {
+			want, err := ev.quantify(s, a, b.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.hashedAny(s, a, b.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !types.NullEq(got, want) {
+				t.Errorf("%s = ANY %s: hashed %s, quantify %s", a, b.name, got, want)
+			}
+		}
 	}
 }
 

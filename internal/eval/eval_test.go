@@ -526,8 +526,9 @@ func TestUncorrelatedSublinkMemoized(t *testing.T) {
 func TestCorrelatedSublinkMemoizedPerBinding(t *testing.T) {
 	// R's outer tuples carry b = 1, 1, 2 — three bindings, two distinct
 	// parameter values. The per-binding memo evaluates the correlated
-	// sublink once per distinct value; the ablation knob restores the
-	// PostgreSQL SubPlan behaviour of once per outer tuple.
+	// sublink once per distinct value; DisableSublinkMemo restores the
+	// PostgreSQL SubPlan behaviour of once per outer tuple on the
+	// materializing reference only — the streaming executor ignores it.
 	build := func() (*countingDB, algebra.Op) {
 		c := figure3DB()
 		cdb := &countingDB{DB: c}
@@ -538,22 +539,26 @@ func TestCorrelatedSublinkMemoizedPerBinding(t *testing.T) {
 		return cdb, &algebra.Select{Child: scan(t, c, "r"), Cond: anyEq(algebra.Attr("a"), sub)}
 	}
 
-	cdb, op := build()
-	if _, err := New(cdb).Eval(op); err != nil {
-		t.Fatal(err)
-	}
-	if cdb.counts["s"] != 2 {
-		t.Errorf("correlated sublink evaluated %d times, want 2 (once per distinct binding)", cdb.counts["s"])
-	}
-
-	cdb, op = build()
-	ev := New(cdb)
-	ev.DisableSublinkMemo = true
-	if _, err := ev.Eval(op); err != nil {
-		t.Fatal(err)
-	}
-	if cdb.counts["s"] != 3 {
-		t.Errorf("unmemoized correlated sublink evaluated %d times, want 3 (once per outer tuple)", cdb.counts["s"])
+	for _, c := range []struct {
+		name                string
+		materialize, noMemo bool
+		want                int
+	}{
+		{"streaming", false, false, 2},
+		{"streaming, DisableSublinkMemo ignored", false, true, 2},
+		{"reference", true, false, 2},
+		{"reference, DisableSublinkMemo", true, true, 3},
+	} {
+		cdb, op := build()
+		ev := New(cdb)
+		ev.DisableStreaming = c.materialize
+		ev.DisableSublinkMemo = c.noMemo
+		if _, err := ev.Eval(op); err != nil {
+			t.Fatal(err)
+		}
+		if cdb.counts["s"] != c.want {
+			t.Errorf("%s: correlated sublink evaluated %d times, want %d", c.name, cdb.counts["s"], c.want)
+		}
 	}
 }
 

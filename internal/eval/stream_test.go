@@ -14,23 +14,24 @@ import (
 	"perm/internal/types"
 )
 
-// evalMode runs one compiled plan under an executor configuration.
-func evalMode(t *testing.T, cat *catalog.Catalog, plan algebra.Op, materialize, memo bool, par int) *rel.Relation {
+// evalMode runs one compiled plan on the streaming executor with par
+// workers, or with materialize on the reference with its memo off.
+func evalMode(t *testing.T, cat *catalog.Catalog, plan algebra.Op, materialize bool, par int) *rel.Relation {
 	t.Helper()
 	ev := New(cat)
 	ev.DisableStreaming = materialize
-	ev.DisableSublinkMemo = !memo
+	ev.DisableSublinkMemo = materialize
 	ev.Parallelism = par
 	out, err := ev.Eval(plan)
 	if err != nil {
-		t.Fatalf("eval (mat=%v memo=%v par=%d): %v\nplan:\n%s", materialize, memo, par, err, algebra.Indent(plan))
+		t.Fatalf("eval (mat=%v par=%d): %v\nplan:\n%s", materialize, par, err, algebra.Indent(plan))
 	}
 	return out
 }
 
 // TestStreamingMatchesMaterializing: on every equivalence query and every
 // strategy, the streaming pipeline must produce the bag the materializing
-// executor produces, memoized or not, sequential or fanned out.
+// reference produces, sequential or fanned out.
 func TestStreamingMatchesMaterializing(t *testing.T) {
 	cat := figure3DB()
 	for _, query := range equivalenceQueries() {
@@ -55,15 +56,12 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 				plan = res.Plan
 			}
 			plan = opt.Optimize(plan)
-			want := evalMode(t, cat, plan, true, false, 1)
-			for _, mode := range []struct {
-				memo bool
-				par  int
-			}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
-				got := evalMode(t, cat, plan, false, mode.memo, mode.par)
+			want := evalMode(t, cat, plan, true, 1)
+			for _, par := range []int{1, 4} {
+				got := evalMode(t, cat, plan, false, par)
 				if !got.Equal(want) {
-					t.Errorf("streaming (memo=%v par=%d) diverges on %q/%s:\n got %s\nwant %s",
-						mode.memo, mode.par, query, strategy, got, want)
+					t.Errorf("streaming (par=%d) diverges on %q/%s:\n got %s\nwant %s",
+						par, query, strategy, got, want)
 				}
 			}
 		}
@@ -81,13 +79,10 @@ func TestStreamingMatchesMaterializingSynth(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := opt.Optimize(tr.Plan)
-		want := evalMode(t, cat, plan, true, false, 1)
+		want := evalMode(t, cat, plan, true, 1)
 		for _, par := range []int{1, 4} {
-			for _, memo := range []bool{false, true} {
-				got := evalMode(t, cat, plan, false, memo, par)
-				if !got.Equal(want) {
-					t.Errorf("streaming (memo=%v par=%d) diverges on %q", memo, par, query)
-				}
+			if got := evalMode(t, cat, plan, false, par); !got.Equal(want) {
+				t.Errorf("streaming (par=%d) diverges on %q", par, query)
 			}
 		}
 	}
@@ -114,7 +109,6 @@ func TestExistsProbeEarlyTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	str := New(cat)
-	str.DisableSublinkMemo = true
 	strOut, err := str.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +166,8 @@ func TestTopNHeapMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want := evalMode(t, cat, tr.Plan, true, false, 1)
-		got := evalMode(t, cat, tr.Plan, false, false, 1)
+		want := evalMode(t, cat, tr.Plan, true, 1)
+		got := evalMode(t, cat, tr.Plan, false, 1)
 		if !got.Equal(want) {
 			t.Errorf("%s: heap and sort disagree\n got %s\nwant %s", q, got, want)
 		}

@@ -15,16 +15,15 @@ import (
 // scalar sublinks yield the single attribute of their single result tuple,
 // or NULL for an empty result.
 //
-// Under the streaming executor a probe pulls rows from the subplan pipeline
-// and raises the stop signal at the first deciding row: EXISTS stops at any
-// row, ANY at a True comparison, ALL at a False one, a scalar probe at its
-// second row. An early-terminated probe has seen only part of the subplan's
-// bag, so what the memo stores for it is the verdict, never the bag.
-// Probes that want a reusable bag — uncorrelated ANY/ALL (PostgreSQL's
-// InitPlan), the hashed = ANY set, and correlated ANY/ALL under the
-// per-binding memo, whose bag serves every test value of a binding —
-// materialize the subplan and are the executor's remaining sublink
-// breakers.
+// Under the streaming executor an EXISTS or scalar probe pulls rows from the
+// subplan pipeline and raises the stop signal at the first deciding row:
+// EXISTS stops at any row, a scalar probe at its second row. An
+// early-terminated probe has seen only part of the subplan's bag, so what
+// the memo stores for it is the verdict, never the bag. ANY/ALL
+// materializes the subplan under either executor: the bag (or the hashed
+// = ANY set built from it) is memoized once per query when uncorrelated
+// (PostgreSQL's InitPlan) and per binding when correlated, and answers
+// every test value of that binding.
 func (e *Evaluator) evalSublink(s algebra.Sublink, sch schema.Schema, t rel.Tuple, outer []frame) (types.Value, error) {
 	scope := append(outer, frame{sch: sch, t: t})
 	switch s.Kind {
@@ -63,27 +62,14 @@ func (e *Evaluator) evalSublink(s algebra.Sublink, sch schema.Schema, t rel.Tupl
 		if err != nil {
 			return types.Null(), err
 		}
-		if s.Kind == algebra.AnySublink && s.Op == types.CmpEq && !e.DisableHashedAny && !e.isCorrelated(s.Query) {
-			sub, err := e.evalSubplan(s.Query, scope)
-			if err != nil {
-				return types.Null(), err
-			}
+		sub, err := e.evalSubplan(s.Query, scope)
+		if err != nil {
+			return types.Null(), err
+		}
+		if s.Kind == algebra.AnySublink && s.Op == types.CmpEq && len(e.freeVars(s.Query)) == 0 {
 			return e.hashedAny(s, a, sub)
 		}
-		if e.DisableStreaming || !e.isCorrelated(s.Query) || !e.DisableSublinkMemo {
-			// Bag path: an uncorrelated bag evaluates once per query; a
-			// correlated bag is memoized per binding and answers every test
-			// value of that binding without re-running the subplan.
-			sub, err := e.evalSubplan(s.Query, scope)
-			if err != nil {
-				return types.Null(), err
-			}
-			return e.quantify(s, a, sub)
-		}
-		// Correlated and unmemoized (the PostgreSQL SubPlan regime the
-		// paper's figures measure): stream the probe, stop at the first
-		// deciding row.
-		return e.probeQuantified(s, a, scope)
+		return e.quantify(s, a, sub)
 	default:
 		return types.Null(), fmt.Errorf("eval: unknown sublink kind %v", s.Kind)
 	}
@@ -98,21 +84,14 @@ func (e *Evaluator) streamSub(q algebra.Op, scope []frame, emit emitFn) error {
 	return nil
 }
 
-// sublinkMemoKey resolves the cache key for a sublink probe: ok is false
-// when the probe must not be cached (memoization disabled for correlated
-// queries, no shared run state, or unresolvable parameters).
+// sublinkMemoKey resolves the cache key for a streaming sublink probe: ok
+// is false when the probe must not be cached (no shared run state, or
+// unresolvable parameters). The streaming executor always memoizes.
 func (e *Evaluator) sublinkMemoKey(q algebra.Op, scope []frame) (string, bool) {
 	if e.shared == nil {
 		return "", false
 	}
-	fv := e.freeVars(q)
-	if len(fv) == 0 {
-		return "", true
-	}
-	if e.DisableSublinkMemo {
-		return "", false
-	}
-	return paramKey(fv, scope)
+	return paramKey(e.freeVars(q), scope)
 }
 
 // probeExists streams the subplan until the first row proves EXISTS true,
@@ -185,44 +164,6 @@ func (e *Evaluator) probeScalar(q algebra.Op, scope []frame) (types.Value, error
 	return out, nil
 }
 
-// probeQuantified streams an ANY/ALL probe under SQL three-valued logic,
-// stopping at the first deciding comparison: True decides ANY, False
-// decides ALL.
-func (e *Evaluator) probeQuantified(s algebra.Sublink, a types.Value, scope []frame) (types.Value, error) {
-	if s.Query.Schema().Len() != 1 {
-		return types.Null(), fmt.Errorf("eval: %s sublink query produced %d attributes, want 1", s.Kind, s.Query.Schema().Len())
-	}
-	decided := false
-	sawUnknown := false
-	err := e.streamSub(s.Query, scope, func(t rel.Tuple, n int) error {
-		switch s.Op.Apply(a, t[0]) {
-		case types.True:
-			if s.Kind == algebra.AnySublink {
-				decided = true
-				return errStop
-			}
-		case types.False:
-			if s.Kind == algebra.AllSublink {
-				decided = true
-				return errStop
-			}
-		case types.Unknown:
-			sawUnknown = true
-		}
-		return nil
-	})
-	if err != nil {
-		return types.Null(), err
-	}
-	if decided {
-		return types.NewBool(s.Kind == algebra.AnySublink), nil
-	}
-	if sawUnknown {
-		return types.Null(), nil
-	}
-	return types.NewBool(s.Kind == algebra.AllSublink), nil
-}
-
 // quantify applies the ANY (existential) or ALL (universal) quantifier of
 // "a op ANY/ALL (sub)" under SQL three-valued logic: for ANY, True if any
 // comparison is True, else Unknown if any is Unknown, else False (empty sub
@@ -275,18 +216,28 @@ func (e *Evaluator) quantify(s algebra.Sublink, a types.Value, sub *rel.Relation
 // anySet is the hashed form of an uncorrelated = ANY sublink result. It is
 // immutable once published into the run's anyMemo.
 type anySet struct {
-	keys    map[string]bool
-	hasNull bool
+	keys map[string]bool
+	// classes has the classBit of every element, NULL included.
+	classes uint8
 	empty   bool
+}
+
+// classBit is v's comparability class as a bit: ints and floats compare
+// with each other, strings and booleans within their kind, NULL with none.
+func classBit(v types.Value) uint8 {
+	if v.IsNumeric() {
+		return 1 << types.KindInt
+	}
+	return 1 << v.Kind()
 }
 
 // hashedAny answers "a = ANY (sub)" from a hash set built once per query —
 // PostgreSQL's hashed-subplan execution for uncorrelated IN/ANY, which the
 // paper's measurements implicitly rely on. Semantics match quantify: an
-// empty subquery yields false; a NULL test value or a NULL element that is
-// the only possible match yields unknown. Concurrent workers may race to
-// build the set; the duplicate work is benign and the map publish is
-// serialized.
+// empty subquery yields false; a NULL test value yields unknown, and so
+// does a miss when some element is NULL or of a kind a does not compare
+// with. Concurrent workers may race to build the set; the duplicate work is
+// benign and the map publish is serialized.
 func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
 	var set *anySet
 	if e.shared != nil {
@@ -300,11 +251,8 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 		}
 		set = &anySet{keys: map[string]bool{}, empty: sub.Empty()}
 		_ = sub.Each(func(st rel.Tuple, n int) error {
-			if st[0].IsNull() {
-				set.hasNull = true
-			} else {
-				set.keys[string(st[0].AppendKey(nil))] = true
-			}
+			set.keys[string(st[0].AppendKey(nil))] = true
+			set.classes |= classBit(st[0])
 			return nil
 		})
 		if e.shared != nil {
@@ -322,7 +270,7 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 	if set.keys[string(a.AppendKey(nil))] {
 		return types.NewBool(true), nil
 	}
-	if set.hasNull {
+	if set.classes&^classBit(a) != 0 {
 		return types.Null(), nil
 	}
 	return types.NewBool(false), nil
@@ -334,8 +282,8 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 // expensive under provenance rewriting — are memoized per binding of their
 // free parameters: outer tuples that agree on every correlated value share
 // one evaluation instead of re-executing the subplan O(outer) times.
-// DisableSublinkMemo restores the strict PostgreSQL SubPlan behaviour of
-// re-evaluating per outer tuple.
+// DisableSublinkMemo on the materializing reference restores the strict
+// PostgreSQL SubPlan behaviour of re-evaluating per outer tuple.
 func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, error) {
 	fv := e.freeVars(q)
 	if len(fv) == 0 {
@@ -349,7 +297,7 @@ func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, err
 		e.storeMemo(q, out)
 		return out, nil
 	}
-	if e.DisableSublinkMemo || e.shared == nil {
+	if e.DisableStreaming && e.DisableSublinkMemo || e.shared == nil {
 		return e.eval(q, scope)
 	}
 	key, ok := paramKey(fv, scope)
@@ -456,9 +404,4 @@ func (e *Evaluator) freeVars(q algebra.Op) []algebra.AttrRef {
 	e.shared.free[q] = fv
 	e.shared.mu.Unlock()
 	return fv
-}
-
-// isCorrelated reports whether the plan has free attribute references.
-func (e *Evaluator) isCorrelated(q algebra.Op) bool {
-	return len(e.freeVars(q)) > 0
 }

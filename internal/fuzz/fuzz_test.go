@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -108,35 +107,14 @@ func TestFuzzDifferential(t *testing.T) {
 // declare "-- expect-error: <substring>": then every executor mode must
 // fail with a matching error. All other files must pass the full oracle.
 func TestFuzzCorpus(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "fuzz-corpus", "*.sql"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpus found: %v", err)
+	cases, err := ReadCorpus(filepath.Join("testdata", "fuzz-corpus"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := NewDB(1) // corpus cases are stated over the seed-1 data
-	for _, file := range files {
-		file := file
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			raw, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectErr := ""
-			var sqlLines []string
-			for _, line := range strings.Split(string(raw), "\n") {
-				trimmed := strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(trimmed, "-- expect-error:"); ok {
-					expectErr = strings.TrimSpace(rest)
-					continue
-				}
-				if strings.HasPrefix(trimmed, "--") || trimmed == "" {
-					continue
-				}
-				sqlLines = append(sqlLines, trimmed)
-			}
-			query := strings.Join(sqlLines, " ")
-			if query == "" {
-				t.Fatalf("%s contains no SQL", file)
-			}
+	for _, c := range cases {
+		t.Run(c.Name, func(t *testing.T) {
+			query, expectErr := c.Query, c.ExpectErr
 			if expectErr != "" {
 				first := ""
 				for _, m := range Modes {

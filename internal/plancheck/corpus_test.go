@@ -4,7 +4,6 @@
 package plancheck_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,35 +49,18 @@ func sweep(t *testing.T, db *perm.DB, label, query string) {
 
 // TestCorpusPlancheckClean asserts the checked-in fuzz corpus verifies
 // clean at every stage under every strategy — the "zero findings" contract
-// the CI gate (cmd/plancheck) enforces on every push.
+// every go test run enforces. Expect-error files do not compile and are
+// skipped.
 func TestCorpusPlancheckClean(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "fuzz", "testdata", "fuzz-corpus", "*.sql"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpus found: %v", err)
+	cases, err := fuzz.ReadCorpus(filepath.Join("..", "fuzz", "testdata", "fuzz-corpus"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := fuzz.NewDB(1)
-	for _, file := range files {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		if c.ExpectErr == "" {
+			sweep(t, db, c.Name, c.Query)
 		}
-		var sqlLines []string
-		skip := false
-		for _, line := range strings.Split(string(raw), "\n") {
-			trimmed := strings.TrimSpace(line)
-			if strings.HasPrefix(trimmed, "-- expect-error:") {
-				skip = true
-				break
-			}
-			if strings.HasPrefix(trimmed, "--") || trimmed == "" {
-				continue
-			}
-			sqlLines = append(sqlLines, trimmed)
-		}
-		if skip {
-			continue
-		}
-		sweep(t, db, filepath.Base(file), strings.Join(sqlLines, " "))
 	}
 }
 

@@ -44,9 +44,10 @@
 //
 //   - cartesian (advisory) — missed-optimization shapes on post-optimize
 //     plans: surviving cross products and collapsible pass-through
-//     projection chains. Tracked by the nightly inventory, never an error.
+//     projection chains. Reported by DB.VerifyPlan, never an error.
 //
 // Verify runs the catalog over one StagePlan; the perm package wires it
-// into the pipeline behind WithPlanCheck, and cmd/plancheck drives it over
-// SQL files or the fuzz corpus with per-stage verdicts.
+// into the pipeline behind WithPlanCheck and DB.VerifyPlan, and
+// TestCorpusPlancheckClean sweeps the fuzz corpus through it under every
+// strategy on each go test run.
 package plancheck

@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,26 +14,18 @@ import (
 // over the same seed. Files annotated "-- expect-error:" must fail over
 // JSON with the same error class and the engine's message verbatim.
 func TestCorpusOverHTTP(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "fuzz", "testdata", "fuzz-corpus", "*.sql"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpus found: %v", err)
+	cases, err := fuzz.ReadCorpus(filepath.Join("..", "fuzz", "testdata", "fuzz-corpus"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	direct := fuzz.NewDB(1)
 	s := New(Config{DB: fuzz.NewDB(1)})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, file := range files {
-		file := file
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			raw, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			query, expectErr := parseCorpus(string(raw))
-			if query == "" {
-				t.Fatalf("%s contains no SQL", file)
-			}
+	for _, c := range cases {
+		t.Run(c.Name, func(t *testing.T) {
+			query, expectErr := c.Query, c.ExpectErr
 			queries := []string{query}
 			upper := strings.ToUpper(query)
 			if expectErr == "" && strings.HasPrefix(query, "SELECT ") &&
@@ -72,22 +63,4 @@ func TestCorpusOverHTTP(t *testing.T) {
 			}
 		})
 	}
-}
-
-// parseCorpus extracts the SQL text and the optional expect-error
-// annotation from one corpus file (same format as internal/fuzz).
-func parseCorpus(raw string) (query, expectErr string) {
-	var sqlLines []string
-	for _, line := range strings.Split(raw, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(trimmed, "-- expect-error:"); ok {
-			expectErr = strings.TrimSpace(rest)
-			continue
-		}
-		if strings.HasPrefix(trimmed, "--") || trimmed == "" {
-			continue
-		}
-		sqlLines = append(sqlLines, trimmed)
-	}
-	return strings.Join(sqlLines, " "), expectErr
 }

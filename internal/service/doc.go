@@ -1,7 +1,7 @@
 // Package service wraps the perm engine in a production-shaped HTTP/JSON
 // server: the network surface of the reproduction's "serve heavy
 // concurrent traffic" direction. cmd/permd is the binary; cmd/permload is
-// the matching load generator.
+// the matching corpus differential checker.
 //
 // # Endpoints
 //

@@ -374,9 +374,12 @@ func WithoutOptimizer() Option {
 
 // WithoutStreaming switches the query to the materializing
 // operator-at-a-time executor (every operator's output built as a full
-// counted bag), which always runs sequentially. The default streaming
-// pipeline produces identical result bags; this executor is the reference
-// that differential tests and the benchmark check the pipeline against.
+// counted bag), which always runs sequentially. Like the streaming pipeline
+// it evaluates an uncorrelated sublink once, hashes an uncorrelated = ANY
+// and memoizes a correlated sublink per binding of its free variables. The
+// default streaming pipeline produces identical result bags; this executor
+// is the reference that differential tests and the benchmark check the
+// pipeline against.
 func WithoutStreaming() Option {
 	return func(c *queryConfig) { c.materialize = true }
 }
