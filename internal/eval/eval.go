@@ -533,8 +533,8 @@ type sortRow struct {
 }
 
 // lessSortRows is the total order of ORDER BY: key comparison with NULLs
-// last (PostgreSQL's default), ties broken by tuple key so the order — and
-// therefore any LIMIT cut through it — is deterministic.
+// last (PostgreSQL's default), ties broken by rel.Tuple.Compare so the order
+// — and therefore any LIMIT cut through it — is deterministic.
 func lessSortRows(keys []algebra.SortKey, a, b sortRow) bool {
 	for k := range keys {
 		cmp, ok := types.Compare(a.keys[k], b.keys[k])
@@ -553,7 +553,7 @@ func lessSortRows(keys []algebra.SortKey, a, b sortRow) bool {
 			return cmp < 0
 		}
 	}
-	return a.t.Key() < b.t.Key()
+	return a.t.Compare(b.t) < 0
 }
 
 // sortKeyVals evaluates the key expressions for one tuple.
@@ -570,7 +570,7 @@ func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, sch schema.Schema, t rel
 }
 
 // sortedRows expands the bag and sorts by keys (stable; ties in key order
-// fall back to tuple key so output is deterministic).
+// fall back to the tuple order of lessSortRows so output is deterministic).
 func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer []frame) ([]rel.Tuple, error) {
 	var rows []sortRow
 	err := in.Each(func(t rel.Tuple, n int) error {

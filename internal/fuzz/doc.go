@@ -21,12 +21,14 @@
 // executor matrix.
 // The oracle asserts:
 //
-//   - the plain query succeeds everywhere with the identical presented row
-//     sequence (presentation order is deterministic);
+//   - the plain query succeeds everywhere with the identical presented rows:
+//     the identical sequence under a top-level ORDER BY, the identical bag
+//     without one (SQL defines no order there, and the engine's differs
+//     between executor modes);
 //   - where top-level ORDER BY keys are visible output columns, the
 //     sequence is actually sorted by them;
-//   - per strategy, all executor modes agree exactly — including on the
-//     error: no mode may fail where another succeeds, and only
+//   - per strategy, all executor modes agree on the rows, compared the same
+//     way, and on the error: no mode may fail where another succeeds, and only
 //     rewrite-stage errors (an inapplicable strategy) are legitimate;
 //   - all strategies that succeed produce the identical provenance bag;
 //   - every provenance result's visible rows equal the plain result's rows

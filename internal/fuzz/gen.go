@@ -117,6 +117,10 @@ type Query struct {
 	// provenance rewrite rejects those, so the oracle skips the strategy
 	// matrix for them.
 	UsesLimit bool
+	// Ordered reports a top-level ORDER BY: only then is the presented row
+	// sequence defined, and the oracle compares sequences rather than bags
+	// across executor modes.
+	Ordered bool
 	// OrderChecks are the top-level ORDER BY keys resolvable to visible
 	// output columns (hidden-key and expression keys are exercised but not
 	// semantically order-checked).
@@ -134,6 +138,7 @@ func Finalize(st *sql.Stmt) *Query {
 		Stmt:        st,
 		SQL:         Render(st),
 		UsesLimit:   stmtUsesLimit(st),
+		Ordered:     st.SetOp == nil && len(st.Left.OrderBy) > 0,
 		OrderChecks: orderChecks(st),
 		Scans:       stmtScans(st),
 	}

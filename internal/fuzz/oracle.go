@@ -91,9 +91,20 @@ func renderRow(r []any) string {
 // is a rewrite artifact (Gen's CrossBase keeps duplicate base tuples that a
 // DISTINCT inside the sublink collapses in Left/Move), but which witness
 // tuples appear is the paper's correctness claim. Executor modes of one
-// strategy still compare exactly, row sequence and multiplicities included.
+// strategy still compare exactly, multiplicities included (see sameRows).
 func setFingerprint(rows []string) string {
 	return strings.Join(setList(distinctSet(rows)), "\n")
+}
+
+// sameRows compares two presented results of one query: as row sequences
+// when the query has a top-level ORDER BY, as bags otherwise — SQL defines
+// no order without one, and the engine's order differs between executor
+// modes.
+func sameRows(a, b []string, ordered bool) bool {
+	if ordered {
+		return slices.Equal(a, b)
+	}
+	return slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b)))
 }
 
 // isRewriteErr classifies errors raised by the provenance rewrite itself —
@@ -109,15 +120,17 @@ func isRewriteErr(msg string) bool { return strings.HasPrefix(msg, "rewrite: ") 
 //
 // Assertions, in order:
 //  1. The plain query succeeds under every executor mode with the identical
-//     presented row sequence (presentation is deterministic: the query's
-//     ORDER BY where given, a canonical order otherwise).
+//     presented rows: the identical sequence under a top-level ORDER BY
+//     (ties are broken deterministically), the identical bag otherwise
+//     (without ORDER BY rows come in engine order, which differs between
+//     modes).
 //  2. Where top-level ORDER BY keys are visible output columns, the
 //     presented sequence is actually sorted by them (NULLs last ascending,
 //     first descending).
 //  3. For each strategy, SELECT PROVENANCE under every executor mode yields
-//     identical outcomes; rewrite-stage errors are allowed (inapplicable
-//     strategy) but must be identical across modes, and no mode may fail
-//     where another succeeds.
+//     identical outcomes, compared as in 1; rewrite-stage errors are
+//     allowed (inapplicable strategy) but must be identical across modes,
+//     and no mode may fail where another succeeds.
 //  4. Every strategy that succeeds yields the identical provenance witness
 //     set (multiplicities of identical provenance rows are rewrite
 //     artifacts; see setFingerprint).
@@ -128,10 +141,10 @@ func isRewriteErr(msg string) bool { return strings.HasPrefix(msg, "rewrite: ") 
 //     statement shape with every lifted literal changed to another value of
 //     its kind — and a variant that spells values in both numeric kinds (see
 //     MixedKinds) each yield, run twice through the cache (a miss or a hit,
-//     then a hit), the presented rows or the error they yield
-//     WithoutPlanCache. Everything above ran through the cache as well, the
-//     default, so plans admitted under one executor mode were run by the
-//     others.
+//     then a hit), the presented row sequence or the error they yield
+//     WithoutPlanCache — exactly, since the executor mode is the same.
+//     Everything above ran through the cache as well, the default, so plans
+//     admitted under one executor mode were run by the others.
 func Check(db *perm.DB, q *Query) error {
 	if PlanCache {
 		if err := checkPlanCache(db, q); err != nil {
@@ -148,7 +161,7 @@ func Check(db *perm.DB, q *Query) error {
 		}
 	}
 	for i := 1; i < len(plain); i++ {
-		if !slices.Equal(plain[0].rows, plain[i].rows) {
+		if !sameRows(plain[0].rows, plain[i].rows, q.Ordered) {
 			return fmt.Errorf("plain rows disagree: %s vs %s\n<<< %s\n>>> %s",
 				Modes[0].Name, Modes[i].Name, strings.Join(plain[0].rows, " ; "), strings.Join(plain[i].rows, " ; "))
 		}
@@ -197,7 +210,7 @@ func Check(db *perm.DB, q *Query) error {
 			continue // strategy legitimately inapplicable
 		}
 		for i := 1; i < len(outs); i++ {
-			if !slices.Equal(outs[0].rows, outs[i].rows) {
+			if !sameRows(outs[0].rows, outs[i].rows, q.Ordered) {
 				return fmt.Errorf("%s: provenance rows disagree between %s and %s\n<<< %s\n>>> %s",
 					s, Modes[0].Name, Modes[i].Name, strings.Join(outs[0].rows, " ; "), strings.Join(outs[i].rows, " ; "))
 			}

@@ -5,8 +5,9 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"perm/internal/schema"
@@ -24,6 +25,18 @@ func (t Tuple) Key() string {
 		buf = v.AppendKey(buf)
 	}
 	return string(buf)
+}
+
+// Compare orders t and o exactly as strings.Compare orders their Keys,
+// without building them: value by value under types.Value.CompareKey, a
+// proper prefix first.
+func (t Tuple) Compare(o Tuple) int {
+	for i := range min(len(t), len(o)) {
+		if c := t[i].CompareKey(o[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(t), len(o))
 }
 
 // Clone returns a copy of the tuple that shares no storage with t.
@@ -265,16 +278,24 @@ func (r *Relation) InferKinds() []types.Kind {
 	return kinds
 }
 
-// SortedTuples returns the distinct positive tuples expanded by multiplicity
-// in a deterministic order — for tests and for stable CLI output.
-func (r *Relation) SortedTuples() []Tuple {
-	var out []Tuple
+// Tuples returns the distinct positive tuples expanded by multiplicity, in
+// the order they were first added: the bag as the engine built it.
+func (r *Relation) Tuples() []Tuple {
+	out := make([]Tuple, 0, r.Card())
 	for i, t := range r.tuples {
 		for n := 0; n < r.counts[i]; n++ {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out
+}
+
+// SortedTuples returns Tuples in the canonical order of Tuple.Compare — for
+// tests and CSV output, which want an order that does not depend on how the
+// bag was built.
+func (r *Relation) SortedTuples() []Tuple {
+	out := r.Tuples()
+	slices.SortFunc(out, Tuple.Compare)
 	return out
 }
 

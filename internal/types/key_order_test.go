@@ -1,0 +1,79 @@
+package types_test
+
+import (
+	"cmp"
+	"math"
+	"strings"
+	"testing"
+
+	"perm/internal/rel"
+	"perm/internal/types"
+)
+
+// keyGrid covers every kind, both ends of the integer range, the float
+// values that encode as integers (1.0, -0.0) and those that do not (-0.5,
+// 1.5, +Inf, NaN), and strings that differ in length or in content.
+var keyGrid = []types.Value{
+	types.Null(), types.NewBool(false), types.NewBool(true),
+	types.NewInt(math.MinInt64), types.NewInt(-1), types.NewInt(0), types.NewInt(1), types.NewInt(math.MaxInt64),
+	types.NewFloat(1.0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(-0.5), types.NewFloat(1.5),
+	types.NewFloat(math.Inf(1)), types.NewFloat(math.NaN()),
+	types.NewString(""), types.NewString("a"), types.NewString("ab"), types.NewString("b"),
+}
+
+// sign maps a comparison result to -1, 0 or +1.
+func sign(c int) int { return cmp.Compare(c, 0) }
+
+// TestCompareKeyMatchesKeyOrder checks that Value.CompareKey and
+// rel.Tuple.Compare order values and tuples exactly as their key strings
+// compare, over every pair of the grid and every pair of width-2 tuples
+// built from it.
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	for _, a := range keyGrid {
+		for _, b := range keyGrid {
+			want := sign(strings.Compare(rel.Tuple{a}.Key(), rel.Tuple{b}.Key()))
+			if got := sign(a.CompareKey(b)); got != want {
+				t.Errorf("%v.CompareKey(%v) = %d, key order says %d", a, b, got, want)
+			}
+		}
+	}
+	for _, a0 := range keyGrid {
+		for _, a1 := range keyGrid {
+			a := rel.Tuple{a0, a1}
+			for _, b0 := range keyGrid {
+				for _, b1 := range keyGrid {
+					b := rel.Tuple{b0, b1}
+					if got, want := sign(a.Compare(b)), sign(strings.Compare(a.Key(), b.Key())); got != want {
+						t.Fatalf("%v.Compare(%v) = %d, key order says %d", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := (rel.Tuple{types.NewInt(1)}).Compare(rel.Tuple{types.NewInt(1), types.Null()}); got != -1 {
+		t.Errorf("a proper prefix compares %d, want -1", got)
+	}
+}
+
+// TestCompareKeyLandmarks spells out the three ways the key order is not
+// SQL's order, so that a comparator "fixed" towards SQL fails here by name.
+func TestCompareKeyLandmarks(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a, b types.Value
+		want int
+	}{
+		// Integers are their two's complement read as unsigned.
+		{"negative after positive", types.NewInt(-1), types.NewInt(1), 1},
+		{"MinInt64 after MaxInt64", types.NewInt(math.MinInt64), types.NewInt(math.MaxInt64), 1},
+		// Integral floats encode as integers: the grouping equivalence.
+		{"1 equals 1.0", types.NewInt(1), types.NewFloat(1.0), 0},
+		{"0 equals -0.0", types.NewInt(0), types.NewFloat(math.Copysign(0, -1)), 0},
+		// Strings carry their length first.
+		{"shorter string first", types.NewString("b"), types.NewString("ab"), -1},
+	} {
+		if got := sign(c.a.CompareKey(c.b)); got != c.want {
+			t.Errorf("%s: %v.CompareKey(%v) = %d, want %d", c.name, c.a, c.b, got, c.want)
+		}
+	}
+}

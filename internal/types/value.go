@@ -6,9 +6,11 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the runtime type of a Value.
@@ -158,10 +160,7 @@ func (v Value) AppendKey(buf []byte) []byte {
 		buf = append(buf, 'i')
 		return appendUint64(buf, uint64(v.i))
 	case KindFloat:
-		// Integral floats encode as their integer counterpart so that
-		// 1 and 1.0 group together, matching Compare's numeric coercion.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) &&
-			v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		if integralKey(v.f) {
 			buf = append(buf, 'i')
 			return appendUint64(buf, uint64(int64(v.f)))
 		}
@@ -174,6 +173,59 @@ func (v Value) AppendKey(buf []byte) []byte {
 	default:
 		panic("types: AppendKey on unknown kind")
 	}
+}
+
+// CompareKey orders v and o exactly as bytes.Compare orders their AppendKey
+// encodings — -1, 0 or +1 — without building them. It is a total order,
+// not SQL's: kinds order by tag (bool, non-integral float, integer and
+// integral float, NULL, string), integers as their two's complement read
+// unsigned (so negatives follow positives, and 1 equals 1.0), non-integral
+// floats by their IEEE bits, strings by length first.
+func (v Value) CompareKey(o Value) int {
+	vt, vw := v.keyHead()
+	ot, ow := o.keyHead()
+	if c := cmp.Compare(vt, ot); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(vw, ow); c != 0 {
+		return c
+	}
+	if v.kind == KindString {
+		return strings.Compare(v.s, o.s)
+	}
+	return 0
+}
+
+// keyHead is what CompareKey compares of v's AppendKey encoding: the tag
+// byte and the fixed-width word after it — a bool's 0 or 1, an integer's
+// bits, a non-integral float's bits, a string's length.
+func (v Value) keyHead() (tag byte, word uint64) {
+	switch v.kind {
+	case KindNull:
+		return 'n', 0
+	case KindBool:
+		if v.b {
+			return 'b', 1
+		}
+		return 'b', 0
+	case KindInt:
+		return 'i', uint64(v.i)
+	case KindFloat:
+		if integralKey(v.f) {
+			return 'i', uint64(int64(v.f))
+		}
+		return 'f', math.Float64bits(v.f)
+	case KindString:
+		return 's', uint64(len(v.s))
+	default:
+		panic("types: CompareKey on unknown kind")
+	}
+}
+
+// integralKey reports whether a float encodes as its integer counterpart,
+// so that 1 and 1.0 group together, matching Compare's numeric coercion.
+func integralKey(f float64) bool {
+	return f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64
 }
 
 func appendUint64(buf []byte, u uint64) []byte {

@@ -359,9 +359,9 @@ func WithContext(ctx context.Context) Option {
 // for one query: the topmost selection, projection or join probe whose
 // expression carries a sublink fans its per-row sublink probes out across
 // the pool. n <= 1 evaluates sequentially (the default), and so does
-// WithoutStreaming, on which the option has no effect. Results are
-// identical to sequential execution regardless of n; a natural choice is
-// runtime.GOMAXPROCS(0).
+// WithoutStreaming, on which the option has no effect. The result bag is
+// identical to sequential execution regardless of n (its order without
+// ORDER BY need not be); a natural choice is runtime.GOMAXPROCS(0).
 func WithParallelism(n int) Option {
 	return func(c *queryConfig) { c.parallelism = n }
 }
@@ -406,9 +406,11 @@ type Result struct {
 	// Columns are all result column names; for PROVENANCE queries the
 	// original query's columns come first, provenance columns after.
 	Columns []string
-	// Rows hold the data in deterministic order (the query's ORDER BY when
-	// present, a canonical order otherwise). Values are int64, float64,
-	// string, bool or nil.
+	// Rows hold the data in the query's ORDER BY when it has one (ties
+	// broken deterministically). Without ORDER BY they come in engine
+	// order, which may differ between executor modes (WithoutStreaming)
+	// and parallelism: sort in the caller, or add ORDER BY, where order
+	// matters. Values are int64, float64, string, bool or nil.
 	Rows [][]any
 	// DataColumns is the number of original (non-provenance) columns.
 	DataColumns int
@@ -650,10 +652,11 @@ func (sc *scope) Explain(query string, opts ...Option) (string, error) {
 	return b.String(), nil
 }
 
-// orderedTuples respects the query's ORDER BY; otherwise it returns the
-// canonical sorted order for deterministic output. A sort-key evaluation
-// failure is the query's failure — it must surface, not silently degrade
-// to the canonical order.
+// orderedTuples respects the query's ORDER BY; otherwise it returns the bag
+// in engine order, as PostgreSQL does: SQL defines no order without ORDER
+// BY, and the caller that wants one sorts. A sort-key evaluation failure is
+// the query's failure — it must surface, not silently degrade to engine
+// order.
 func orderedTuples(plan algebra.Op, out *rel.Relation, params []types.Value) ([]rel.Tuple, error) {
 	// The executor returns bags; re-sort explicitly by whatever order
 	// reaches the plan's output — including an inner ORDER BY carried
@@ -661,7 +664,7 @@ func orderedTuples(plan algebra.Op, out *rel.Relation, params []types.Value) ([]
 	// sort-key columns extended onto the projection by the translator.
 	keys := algebra.LiftOrderKeys(plan)
 	if keys == nil {
-		return out.SortedTuples(), nil
+		return out.Tuples(), nil
 	}
 	return eval.SortTuples(out, keys, params)
 }

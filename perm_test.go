@@ -2,7 +2,6 @@ package perm
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -286,7 +285,7 @@ func TestWithParallelismMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s parallel: %v", q, err)
 		}
-		if fmt.Sprint(par.Rows) != fmt.Sprint(seq.Rows) {
+		if rowsFingerprint(par) != rowsFingerprint(seq) {
 			t.Errorf("%s: parallel rows %v, sequential rows %v", q, par.Rows, seq.Rows)
 		}
 	}

@@ -1,0 +1,51 @@
+package perm
+
+import (
+	"math/rand/v2"
+	"testing"
+)
+
+// TestPresentAllocSlopes pins the allocations per result row of DB.Query
+// end to end — executor, ordering and presentation — the way
+// internal/eval's TestAllocSlopes pins the executor's: each query runs over
+// r(a, b) with 500 and 1000 rows, inserted in shuffled order, and the slope
+// is (A(1000) − A(500)) / 500. Every b is equal, so under ORDER BY b every
+// comparison is a tie and falls through to the tuple tie-break. A result
+// without ORDER BY comes in engine order and is not sorted at all.
+func TestPresentAllocSlopes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	for _, c := range []struct {
+		name    string
+		query   string
+		ceiling float64
+	}{
+		{"unordered", `SELECT a, b FROM r`, 5.1},
+		{"orderByTies", `SELECT a, b FROM r ORDER BY b`, 6.1},
+		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 8.1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				rows := make([][]any, n)
+				for i, a := range rand.New(rand.NewPCG(1, uint64(n))).Perm(n) {
+					rows[i] = []any{a, 7}
+				}
+				db := Open()
+				if err := db.Register("r", []string{"a", "b"}, rows); err != nil {
+					t.Fatal(err)
+				}
+				return testing.AllocsPerRun(3, func() {
+					if _, err := db.Query(c.query); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			slope := (allocs(1000) - allocs(500)) / 500
+			t.Logf("%.2f allocs/row (ceiling %.2f)", slope, c.ceiling)
+			if slope > c.ceiling {
+				t.Errorf("%s: %.2f allocs per row of r, ceiling %.2f", c.name, slope, c.ceiling)
+			}
+		})
+	}
+}

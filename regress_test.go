@@ -119,6 +119,38 @@ func TestOrderByHiddenColumnProvenance(t *testing.T) {
 	wantColumn(t, res, 2, int64(10), int64(20), int64(30))
 }
 
+// TestOrderByAllTiesKeyOrder: when every ORDER BY key ties, the tie-break
+// is rel.Tuple.Compare, the order of the tuples' key strings — non-integral
+// floats first, then integers with negatives after positives, then NULL —
+// under every executor mode, whichever way the key sorts. It is the
+// sequence the engine returned when the tie-break built the key strings.
+func TestOrderByAllTiesKeyOrder(t *testing.T) {
+	db := Open()
+	if err := db.Register("r", []string{"a", "b"}, [][]any{{3, 0}, {nil, 0}, {-1, 0}, {1, 0}, {-7, 0}, {2.5, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("s", []string{"c"}, [][]any{{1}, {-1}, {-1}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []any{2.5, int64(1), int64(3), int64(-7), int64(-1), nil}
+	for _, mode := range diffModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, q := range []string{
+				`SELECT a, b FROM r ORDER BY b`,
+				`SELECT a FROM r ORDER BY b DESC`,
+				// The sublink makes stream/par4 fan the projection out.
+				`SELECT a, (SELECT count(*) FROM s WHERE c = a) AS n FROM r ORDER BY b`,
+			} {
+				res, err := db.Query(q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				wantColumn(t, res, 0, want...)
+			}
+		})
+	}
+}
+
 // TestOrderByHiddenAggregate: ORDER BY over an aggregate that is not in
 // the select list sorts via a hidden column over the aggregation schema.
 func TestOrderByHiddenAggregate(t *testing.T) {
