@@ -16,10 +16,10 @@ import (
 //     was compiled from (the lexer slices identifiers and literals out of
 //     it); only the attribute names of scan schemas, which are the
 //     catalog's, stay the strings they are;
-//   - every distinct attribute reference is boxed once and every distinct
-//     scan is built once; a scan whose schema is one of schemas — the
-//     catalog's schemas of the relations the plan names — uses the catalog's
-//     copy;
+//   - every distinct attribute reference, named or bound, is boxed once and
+//     every distinct scan is built once; a scan whose schema is one of
+//     schemas — the catalog's schemas of the relations the plan names — uses
+//     the catalog's copy;
 //   - wherever the plan repeats like — an already compacted plan, nil for
 //     none — it uses like's memory: a subtree equal to the subtree in the
 //     same place is like's subtree, and an operator that differs only below
@@ -40,6 +40,7 @@ func Compact(op, like Op, schemas []schema.Schema) Op {
 		pool:   schemas,
 		strs:   map[string]string{},
 		refs:   map[AttrRef]Expr{},
+		bound:  map[Ref]Expr{},
 		scans:  map[[2]string]*Scan{},
 		ops:    map[Op]Op{},
 		likeOf: map[Op]Op{},
@@ -51,6 +52,7 @@ type compactor struct {
 	pool  []schema.Schema
 	strs  map[string]string
 	refs  map[AttrRef]Expr
+	bound map[Ref]Expr
 	scans map[[2]string]*Scan // by name and alias
 	ops   map[Op]Op           // done already, for subtrees shared in the input
 	// likeOf maps the query of a sublink to the query of the sublink in the
@@ -123,6 +125,12 @@ func (c *compactor) expr(e, like Expr) (out Expr, shared bool) {
 			ref := Expr(AttrRef{Qual: c.str(v.Qual), Name: c.str(v.Name)})
 			c.refs[v] = ref
 			return ref
+		case Ref:
+			if ref, ok := c.bound[v]; ok {
+				return ref
+			}
+			c.bound[v] = x
+			return x
 		case Const:
 			if v.Val.Kind() == types.KindString {
 				x = StrConst(c.str(v.Val.Str()))

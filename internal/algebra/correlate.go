@@ -8,26 +8,40 @@ import "perm/internal/schema"
 // enclosing query. A plan with no free variables is uncorrelated: the Left,
 // Move and Unn strategies require that of every sublink they rewrite.
 func FreeVars(op Op) []AttrRef {
-	return freeVarsOp(op)
+	var out []AttrRef
+	freeVars(op, nil, &out)
+	return out
 }
 
 // IsCorrelated reports whether the plan has at least one free attribute
 // reference.
-func IsCorrelated(op Op) bool { return len(freeVarsOp(op)) > 0 }
+func IsCorrelated(op Op) bool { return len(FreeVars(op)) > 0 }
 
-func freeVarsOp(op Op) []AttrRef {
+// freeVars appends the references of op that Resolve finds in none of op's
+// own scopes (an ambiguous one is bound, if wrongly, and not free).
+func freeVars(op Op, scopes []schema.Schema, out *[]AttrRef) {
 	if op == nil {
-		return nil
+		return
 	}
-	var out []AttrRef
 	in := ExprInputSchema(op)
 	for _, e := range OperatorExprs(op) {
-		out = append(out, freeVarsExpr(e, in)...)
+		WalkExpr(e, func(x Expr) bool {
+			switch v := x.(type) {
+			case AttrRef:
+				if _, err := Resolve(v, in, scopes); err != nil && !err.(*ResolveError).Ambiguous {
+					*out = append(*out, v)
+				}
+			case Sublink:
+				// The query's references may be bound by this operator's input;
+				// the Test expression is visited next, at this level.
+				freeVars(v.Query, append(scopes[:len(scopes):len(scopes)], in), out)
+			}
+			return true
+		})
 	}
 	for _, c := range op.Children() {
-		out = append(out, freeVarsOp(c)...)
+		freeVars(c, scopes, out)
 	}
-	return out
 }
 
 // ExprInputSchema is the schema the operator's expressions are evaluated
@@ -51,30 +65,4 @@ func ExprInputSchema(op Op) schema.Schema {
 	default:
 		return schema.Schema{}
 	}
-}
-
-func freeVarsExpr(e Expr, sch schema.Schema) []AttrRef {
-	var out []AttrRef
-	WalkExpr(e, func(x Expr) bool {
-		switch v := x.(type) {
-		case AttrRef:
-			if idx, ambiguous := sch.Lookup(v.Qual, v.Name); idx < 0 && !ambiguous {
-				out = append(out, v)
-			}
-		case Sublink:
-			// The sublink query's free variables may be bound by this
-			// operator's input; only the remainder escapes further out.
-			for _, fv := range freeVarsOp(v.Query) {
-				if idx, ambiguous := sch.Lookup(fv.Qual, fv.Name); idx < 0 && !ambiguous {
-					out = append(out, fv)
-				}
-			}
-			if v.Test != nil {
-				out = append(out, freeVarsExpr(v.Test, sch)...)
-			}
-			return false
-		}
-		return true
-	})
-	return out
 }

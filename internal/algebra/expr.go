@@ -272,6 +272,11 @@ type Sublink struct {
 	Op    types.CmpOp // comparison operator for ANY/ALL
 	Test  Expr        // the attribute expression A for ANY/ALL
 	Query Op          // the sublink query Tsub
+	// Free lists, in a bound plan (see Bind), the slots Query reads outside
+	// itself — its correlation parameters — relative to the sublink: depth 1
+	// is the input of the operator the sublink belongs to. Empty for an
+	// uncorrelated sublink and in a plan not bound yet.
+	Free []Ref
 }
 
 func (Sublink) exprNode() {}
@@ -429,6 +434,9 @@ func exprEqual(a, b Expr, exact bool) bool {
 	switch x := a.(type) {
 	case AttrRef:
 		y, ok := b.(AttrRef)
+		return ok && x == y
+	case Ref:
+		y, ok := b.(Ref)
 		return ok && x == y
 	case Const:
 		y, ok := b.(Const)

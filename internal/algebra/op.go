@@ -115,9 +115,10 @@ type ProjExpr struct {
 	Qual string
 }
 
-// String renders the column as expr or expr→name.
+// String renders the column as expr or expr→name; a column that passes an
+// attribute through under its own name renders as the reference.
 func (p ProjExpr) String() string {
-	if a, ok := p.E.(AttrRef); ok && a.Name == p.As && (p.Qual == "" || a.Qual == p.Qual) {
+	if a, ok := p.E.(AttrRef); ok && a.Name == p.As && (p.Qual == "" || a.Qual == "" || a.Qual == p.Qual) {
 		return p.E.String()
 	}
 	return fmt.Sprintf("%s→%s", p.E, p.As)
@@ -537,10 +538,11 @@ func BaseRelations(op Op) []*Scan {
 }
 
 // Indent renders a plan as an indented tree for debugging and the CLI's
-// EXPLAIN output.
+// EXPLAIN output. A bound reference (Ref) is rendered by the name of the
+// attribute it indexes.
 func Indent(op Op) string {
 	var b strings.Builder
-	indent(&b, op, 0)
+	indent(&b, named(op), 0)
 	return b.String()
 }
 

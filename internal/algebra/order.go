@@ -1,10 +1,8 @@
 package algebra
 
-import "perm/internal/schema"
-
 // LiftOrderKeys returns the sort keys that establish the presentation order
-// of op's output, rewritten so they resolve against op's own schema, or nil
-// when no order reaches the output.
+// of a bound plan's output (see Bind), rewritten so they read op's own
+// output slots, or nil when no order reaches the output.
 //
 // An Order node's keys propagate upward through the operators that preserve
 // row identity: Limit, Select (a filter keeps the surviving rows' order)
@@ -15,12 +13,12 @@ import "perm/internal/schema"
 // (joins, aggregation, set operations) or establishes its own (a nested
 // Order), so the walk stops there.
 //
-// Through a projection each key is remapped onto the output attributes that
-// carry it: an attribute-reference key matches a column whose expression
-// resolves to the same input attribute; any other key expression matches a
-// column expression structurally, or has each of its attribute references
-// rewritten through pass-through columns. A key the output cannot express
-// ends the propagation — the order is genuinely lost.
+// Through a projection a key becomes the output slot of a column computing
+// exactly the key; failing that, each slot the key reads is replaced by the
+// output slot of a column passing it through (ORDER BY a + b survives a
+// projection that carries a and b). References to enclosing scopes stay as
+// they are: a projection does not change them. A key the output cannot
+// express ends the propagation — the order is genuinely lost.
 func LiftOrderKeys(op Op) []SortKey {
 	switch o := op.(type) {
 	case *Order:
@@ -35,10 +33,9 @@ func LiftOrderKeys(op Op) []SortKey {
 		if inner == nil {
 			return nil
 		}
-		childSch := o.Child.Schema()
 		out := make([]SortKey, len(inner))
 		for i, k := range inner {
-			mapped, ok := liftKeyExpr(k.E, o, childSch)
+			mapped, ok := liftKeyExpr(k.E, o)
 			if !ok {
 				return nil
 			}
@@ -50,38 +47,41 @@ func LiftOrderKeys(op Op) []SortKey {
 	}
 }
 
-// liftKeyExpr rewrites one sort-key expression over p.Child's schema into a
-// reference to the projection column that carries it, if any.
-func liftKeyExpr(e Expr, p *Project, childSch schema.Schema) (Expr, bool) {
-	if ref, isRef := e.(AttrRef); isRef {
-		return liftKeyRef(ref, p, childSch)
+// liftKeyExpr rewrites one sort-key expression over p.Child's slots into one
+// over p's output slots.
+func liftKeyExpr(e Expr, p *Project) (Expr, bool) {
+	if i := carrier(p, e); i >= 0 {
+		return Ref{Idx: int32(i)}, true
 	}
-	// A column computing the exact expression carries the key directly.
-	for _, c := range p.Cols {
-		if ExprEqual(c.E, e) {
-			return AttrRef{Qual: c.Qual, Name: c.As}, true
-		}
+	if HasSublink(e) {
+		// The sublink query reads the key's scope, which the projection
+		// replaces; only a column computing the whole key carries it.
+		return nil, false
 	}
-	// Otherwise rewrite the expression's attribute references through the
-	// projection's pass-through columns (ORDER BY a + b survives a
-	// projection that carries a and b).
 	ok := true
 	mapped := MapExpr(e, func(x Expr) Expr {
-		ref, isRef := x.(AttrRef)
-		if !isRef {
+		r, isRef := x.(Ref)
+		if !isRef || r.Depth > 0 {
 			return x
 		}
-		out, found := liftKeyRef(ref, p, childSch)
-		if !found {
+		i := carrier(p, r)
+		if i < 0 {
 			ok = false
 			return x
 		}
-		return out
+		return Ref{Idx: int32(i)}
 	})
-	if !ok {
-		return nil, false
+	return mapped, ok
+}
+
+// carrier returns the first column of p computing exactly e, or -1.
+func carrier(p *Project, e Expr) int {
+	for i, c := range p.Cols {
+		if ExprEqual(c.E, e) {
+			return i
+		}
 	}
-	return mapped, true
+	return -1
 }
 
 // PushLimit rewrites a Limit below bag (non-DISTINCT) projections when the
@@ -92,9 +92,10 @@ func liftKeyExpr(e Expr, p *Project, childSch schema.Schema) (Expr, bool) {
 // output row with the same multiplicity, so cutting before or after
 // projecting selects the same rows; cutting below additionally evaluates
 // the projections (and any sublinks in them) only for the surviving rows.
-// ok reports whether a rewrite applied; both executors consult this before
-// evaluating a Limit, so the correctness does not depend on the optional
-// optimizer.
+// The moved Limit has the schema of the input it cuts, so the projections'
+// bound columns read the same slots above it. ok reports whether a rewrite
+// applied; both executors consult this before evaluating a Limit, so the
+// correctness does not depend on the optional optimizer.
 func PushLimit(l *Limit) (Op, bool) {
 	if LiftOrderKeys(l.Child) != nil {
 		return l, false // the limit sees its keys where it stands
@@ -117,23 +118,4 @@ func PushLimit(l *Limit) (Op, bool) {
 		out = &Project{Child: out, Cols: projs[i].Cols}
 	}
 	return out, true
-}
-
-// liftKeyRef finds the projection output attribute carrying an input
-// attribute reference.
-func liftKeyRef(ref AttrRef, p *Project, childSch schema.Schema) (Expr, bool) {
-	want, amb := childSch.Lookup(ref.Qual, ref.Name)
-	if want < 0 || amb {
-		return nil, false
-	}
-	for _, c := range p.Cols {
-		src, isPass := c.E.(AttrRef)
-		if !isPass {
-			continue
-		}
-		if got, gamb := childSch.Lookup(src.Qual, src.Name); !gamb && got == want {
-			return AttrRef{Qual: c.Qual, Name: c.As}, true
-		}
-	}
-	return nil, false
 }

@@ -134,7 +134,7 @@ func (a *aggState) result() (types.Value, error) {
 	}
 }
 
-func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []rel.Tuple) (*rel.Relation, error) {
 	in, err := e.eval(o.Child, outer)
 	if err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []frame) (*rel.Rel
 		}
 		keys := make(rel.Tuple, len(o.Group))
 		for ki, gx := range o.Group {
-			v, err := e.evalExpr(gx.E, in.Schema, t, outer)
+			v, err := e.evalExpr(gx.E, t, outer)
 			if err != nil {
 				return err
 			}
@@ -180,7 +180,7 @@ func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []frame) (*rel.Rel
 		for ai, ax := range o.Aggs {
 			var v types.Value
 			if ax.Arg != nil {
-				av, err := e.evalExpr(ax.Arg, in.Schema, t, outer)
+				av, err := e.evalExpr(ax.Arg, t, outer)
 				if err != nil {
 					return err
 				}

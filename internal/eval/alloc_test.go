@@ -45,9 +45,9 @@ func TestAllocSlopes(t *testing.T) {
 		{entry: "streamProject", query: `SELECT a + b, b FROM r`, ceiling: 3.1},
 		{entry: "streamHashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, ceiling: 6.1},
 		{entry: "hashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, materialize: true, ceiling: 8.1},
-		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 6.1},
-		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 7.1},
-		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 6.1},
+		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 4.1},
+		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 4.1},
+		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 4.1},
 		{entry: "hashedAny", query: `SELECT * FROM r WHERE a = ANY (SELECT c FROM s)`, ceiling: 3.1},
 	} {
 		t.Run(c.entry, func(t *testing.T) {

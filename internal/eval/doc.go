@@ -37,6 +37,16 @@
 // bounds total materialization (the Gen strategy's CrossBase cross products
 // can exhaust memory long before a clock fires).
 //
+// # Bound plans
+//
+// The executor runs bound plans (algebra.Bind): every attribute reference is
+// a (scope depth, slot) pair, read as t[slot] at depth 0 and as the slot of
+// the enclosing tuple depth sublink levels out otherwise, so no name is
+// resolved per row and evalExpr takes no schema. Package perm binds once per
+// compiled plan and runs it with EvalBound; Eval binds the plan it is given
+// first. The hash join's key split reads slots too: it is computed once per
+// join node and run, its right-side keys rebased onto the right tuple.
+//
 // # Sublink probes, early termination and caching
 //
 // Like the PostgreSQL executor Perm ran on, both executors evaluate an
@@ -49,16 +59,19 @@
 // sublink at its second. An early-terminated probe has seen only part of the
 // subplan's bag, so the memo never stores partial bags — it stores the
 // verdict (EXISTS' boolean, the scalar value), keyed exactly like the bag
-// memo by the resolved values of the subplan's free parameters. ANY/ALL
+// memo by the values of the subplan's free slots. ANY/ALL
 // materializes the subplan under either executor: the bag answers every test
 // value of a binding, which one verdict cannot.
 //
 // Beyond PostgreSQL, correlated sublinks — the case §4 of the paper
 // identifies as inherently expensive under provenance rewriting — are
-// memoized per binding: the subplan's free attribute references are resolved
-// against the enclosing scope and their encoded values key a cache of
-// results, so outer tuples that agree on every correlated parameter share
+// memoized per binding: binding the plan recorded on each sublink the slots
+// its subplan reads outside itself (algebra.Sublink.Free), the probe reads
+// those slots of the enclosing tuples and their encoded values key a cache
+// of results, so outer tuples that agree on every correlated parameter share
 // one evaluation instead of re-executing the subplan once per outer tuple.
+// The key is built in a stack buffer, so a memo hit allocates nothing for
+// it.
 // The streaming executor always memoizes. DisableSublinkMemo restores the
 // strict re-evaluating SubPlan behaviour on the materializing reference only
 // (the benchmark harness sets it when reproducing the paper's figures, whose

@@ -8,7 +8,6 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -95,8 +94,20 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 	return &cp
 }
 
-// Eval executes the plan and returns its materialized result.
+// Eval binds the plan (algebra.Bind) and executes it, returning its
+// materialized result. A reference that does not bind is the error.
 func (e *Evaluator) Eval(op algebra.Op) (*rel.Relation, error) {
+	bound, err := algebra.Bind(op)
+	if err != nil {
+		return nil, err
+	}
+	return e.EvalBound(bound)
+}
+
+// EvalBound executes a plan algebra.Bind returned and returns its
+// materialized result. Package perm compiles every plan bound and runs it
+// here, so a plan-cache hit never binds.
+func (e *Evaluator) EvalBound(op algebra.Op) (*rel.Relation, error) {
 	// A request whose deadline already passed (e.g. one that waited in a
 	// service queue) must abort before any work, not after the first 1024
 	// ticks.
@@ -130,13 +141,6 @@ func (e *Evaluator) LastStats() Stats {
 		return Stats{}
 	}
 	return Stats{PeakRows: e.shared.rows.Load()}
-}
-
-// frame is one level of the correlation scope stack: the schema and current
-// tuple of an enclosing operator's input.
-type frame struct {
-	sch schema.Schema
-	t   rel.Tuple
 }
 
 // tick periodically polls the context so multi-hour plans (the Gen strategy
@@ -196,7 +200,7 @@ func (e *Evaluator) add(out *rel.Relation, t rel.Tuple, n int) error {
 // (the default) the rows are produced by the push pipeline and only this
 // bag is materialized; with DisableStreaming every operator materializes
 // its own output recursively (operator-at-a-time execution).
-func (e *Evaluator) eval(op algebra.Op, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) eval(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error) {
 	if e.DisableStreaming {
 		return e.evalMat(op, outer)
 	}
@@ -224,7 +228,7 @@ func (e *Evaluator) eval(op algebra.Op, outer []frame) (*rel.Relation, error) {
 }
 
 // evalMat is the materializing (operator-at-a-time) evaluator.
-func (e *Evaluator) evalMat(op algebra.Op, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error) {
 	if err := e.tick(); err != nil {
 		return nil, err
 	}
@@ -243,7 +247,7 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []frame) (*rel.Relation, error)
 			}
 			t := make(rel.Tuple, len(row))
 			for i, x := range row {
-				v, err := e.evalExpr(x, schema.Schema{}, nil, outer)
+				v, err := e.evalExpr(x, nil, outer)
 				if err != nil {
 					return nil, err
 				}
@@ -277,7 +281,7 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []frame) (*rel.Relation, error)
 	}
 }
 
-func (e *Evaluator) evalSelect(o *algebra.Select, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalSelect(o *algebra.Select, outer []rel.Tuple) (*rel.Relation, error) {
 	in, err := e.eval(o.Child, outer)
 	if err != nil {
 		return nil, err
@@ -287,7 +291,7 @@ func (e *Evaluator) evalSelect(o *algebra.Select, outer []frame) (*rel.Relation,
 		if err := e.tick(); err != nil {
 			return err
 		}
-		keep, err := e.evalCond(o.Cond, in.Schema, t, outer)
+		keep, err := e.evalCond(o.Cond, t, outer)
 		if err != nil {
 			return err
 		}
@@ -302,7 +306,7 @@ func (e *Evaluator) evalSelect(o *algebra.Select, outer []frame) (*rel.Relation,
 	return out, nil
 }
 
-func (e *Evaluator) evalProject(o *algebra.Project, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalProject(o *algebra.Project, outer []rel.Tuple) (*rel.Relation, error) {
 	in, err := e.eval(o.Child, outer)
 	if err != nil {
 		return nil, err
@@ -314,7 +318,7 @@ func (e *Evaluator) evalProject(o *algebra.Project, outer []frame) (*rel.Relatio
 		}
 		row := make(rel.Tuple, len(o.Cols))
 		for i, c := range o.Cols {
-			v, err := e.evalExpr(c.E, in.Schema, t, outer)
+			v, err := e.evalExpr(c.E, t, outer)
 			if err != nil {
 				return err
 			}
@@ -335,7 +339,7 @@ func (e *Evaluator) evalProject(o *algebra.Project, outer []frame) (*rel.Relatio
 }
 
 // evalInputs materializes the two inputs of a binary operator, left first.
-func (e *Evaluator) evalInputs(l, r algebra.Op, outer []frame) (*rel.Relation, *rel.Relation, error) {
+func (e *Evaluator) evalInputs(l, r algebra.Op, outer []rel.Tuple) (*rel.Relation, *rel.Relation, error) {
 	lRel, err := e.eval(l, outer)
 	if err != nil {
 		return nil, nil, err
@@ -347,7 +351,7 @@ func (e *Evaluator) evalInputs(l, r algebra.Op, outer []frame) (*rel.Relation, *
 	return lRel, rRel, nil
 }
 
-func (e *Evaluator) evalCross(o *algebra.Cross, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalCross(o *algebra.Cross, outer []rel.Tuple) (*rel.Relation, error) {
 	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
@@ -367,23 +371,22 @@ func (e *Evaluator) evalCross(o *algebra.Cross, outer []frame) (*rel.Relation, e
 	return out, nil
 }
 
-func (e *Evaluator) evalJoin(o *algebra.Join, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalJoin(o *algebra.Join, outer []rel.Tuple) (*rel.Relation, error) {
 	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}
-	if keys := splitEquiJoin(o.Cond, o.L.Schema(), o.R.Schema()); len(keys.lKeys) > 0 {
+	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.lKeys) > 0 {
 		return e.hashJoin(o, l, r, keys, false, outer)
 	}
-	sch := o.Schema()
-	out := rel.New(sch)
+	out := rel.New(o.Schema())
 	err = l.Each(func(lt rel.Tuple, ln int) error {
 		return r.Each(func(rt rel.Tuple, rn int) error {
 			if err := e.tick(); err != nil {
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := e.evalCond(o.Cond, sch, row, outer)
+			keep, err := e.evalCond(o.Cond, row, outer)
 			if err != nil {
 				return err
 			}
@@ -399,17 +402,16 @@ func (e *Evaluator) evalJoin(o *algebra.Join, outer []frame) (*rel.Relation, err
 	return out, nil
 }
 
-func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.Relation, error) {
 	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
 	}
-	if keys := splitEquiJoin(o.Cond, o.L.Schema(), o.R.Schema()); len(keys.lKeys) > 0 {
+	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.lKeys) > 0 {
 		return e.hashJoin(o, l, r, keys, true, outer)
 	}
-	sch := o.Schema()
-	rightWidth := o.R.Schema().Len()
-	out := rel.New(sch)
+	rightWidth := r.Schema.Len()
+	out := rel.New(o.Schema())
 	err = l.Each(func(lt rel.Tuple, ln int) error {
 		matched := false
 		err := r.Each(func(rt rel.Tuple, rn int) error {
@@ -417,7 +419,7 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relat
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := e.evalCond(o.Cond, sch, row, outer)
+			keep, err := e.evalCond(o.Cond, row, outer)
 			if err != nil {
 				return err
 			}
@@ -441,7 +443,7 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []frame) (*rel.Relat
 	return out, nil
 }
 
-func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []rel.Tuple) (*rel.Relation, error) {
 	l, r, err := e.evalInputs(o.L, o.R, outer)
 	if err != nil {
 		return nil, err
@@ -490,7 +492,7 @@ func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []frame) (*rel.Relation, e
 	return out, nil
 }
 
-func (e *Evaluator) evalLimit(o *algebra.Limit, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) evalLimit(o *algebra.Limit, outer []rel.Tuple) (*rel.Relation, error) {
 	// When the ordering column is projected away above the Order, cut below
 	// the projections, where the key is still visible.
 	if pushed, ok := algebra.PushLimit(o); ok {
@@ -557,10 +559,10 @@ func lessSortRows(keys []algebra.SortKey, a, b sortRow) bool {
 }
 
 // sortKeyVals evaluates the key expressions for one tuple.
-func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, sch schema.Schema, t rel.Tuple, outer []frame) (rel.Tuple, error) {
+func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, t rel.Tuple, outer []rel.Tuple) (rel.Tuple, error) {
 	kv := make(rel.Tuple, len(keys))
 	for i, k := range keys {
-		v, err := e.evalExpr(k.E, sch, t, outer)
+		v, err := e.evalExpr(k.E, t, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -571,10 +573,10 @@ func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, sch schema.Schema, t rel
 
 // sortedRows expands the bag and sorts by keys (stable; ties in key order
 // fall back to the tuple order of lessSortRows so output is deterministic).
-func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer []frame) ([]rel.Tuple, error) {
+func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer []rel.Tuple) ([]rel.Tuple, error) {
 	var rows []sortRow
 	err := in.Each(func(t rel.Tuple, n int) error {
-		kv, err := e.sortKeyVals(keys, in.Schema, t, outer)
+		kv, err := e.sortKeyVals(keys, t, outer)
 		if err != nil {
 			return err
 		}
@@ -596,7 +598,8 @@ func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer [
 
 // SortTuples expands a materialized relation and sorts it by the given
 // keys — used by result presentation to honour a query's ORDER BY after
-// the bag has been materialized. Keys must be sublink-free; params is the
+// the bag has been materialized. Keys must be bound to the relation's slots
+// (algebra.LiftOrderKeys of a bound plan) and sublink-free; params is the
 // parameter vector of the plan the keys come from.
 func SortTuples(in *rel.Relation, keys []algebra.SortKey, params []types.Value) ([]rel.Tuple, error) {
 	e := New(nopDB{})

@@ -104,27 +104,35 @@ func TestHashLeftJoinPadsUnmatched(t *testing.T) {
 }
 
 func TestSplitEquiJoinClassification(t *testing.T) {
-	lsch := schema.New("l", "a", "b")
-	rsch := schema.New("r", "c", "d")
+	// l(a, b) ⋈ r(c, d): slots 0, 1 are the left input, 2, 3 the right.
+	la, lb, rc, rd := algebra.Ref{Idx: 0}, algebra.Ref{Idx: 1}, algebra.Ref{Idx: 2}, algebra.Ref{Idx: 3}
 	cond := algebra.Conj(
-		algebra.Cmp{Op: types.CmpEq, L: algebra.QAttr("l", "a"), R: algebra.QAttr("r", "c")}, // key
-		algebra.NullEq{L: algebra.QAttr("r", "d"), R: algebra.QAttr("l", "b")},               // key (swapped)
-		algebra.Cmp{Op: types.CmpLt, L: algebra.QAttr("l", "a"), R: algebra.QAttr("r", "d")}, // residual
-		algebra.Cmp{Op: types.CmpEq, L: algebra.QAttr("l", "a"), R: algebra.QAttr("l", "b")}, // one-sided: residual
+		algebra.Cmp{Op: types.CmpEq, L: la, R: rc}, // key
+		algebra.NullEq{L: rd, R: lb},               // key (swapped)
+		algebra.Cmp{Op: types.CmpLt, L: la, R: rd}, // residual
+		algebra.Cmp{Op: types.CmpEq, L: la, R: lb}, // one-sided: residual
 	)
-	keys := splitEquiJoin(cond, lsch, rsch)
+	keys := splitEquiJoin(cond, 2)
 	if len(keys.lKeys) != 2 {
 		t.Fatalf("extracted %d keys, want 2", len(keys.lKeys))
 	}
 	if !keys.nullEq[1] || keys.nullEq[0] {
 		t.Errorf("null-awareness flags = %v", keys.nullEq)
 	}
+	// Left keys read the left tuple as it is; right keys are rebased onto
+	// the right tuple alone.
+	if keys.lKeys[0] != algebra.Expr(la) || keys.lKeys[1] != algebra.Expr(lb) {
+		t.Errorf("left keys = %v, want [⟨0,0⟩ ⟨0,1⟩]", keys.lKeys)
+	}
+	if keys.rKeys[0] != algebra.Expr(algebra.Ref{Idx: 0}) || keys.rKeys[1] != algebra.Expr(algebra.Ref{Idx: 1}) {
+		t.Errorf("right keys = %v, want [⟨0,0⟩ ⟨0,1⟩] after rebasing by the left width", keys.rKeys)
+	}
 	if keys.residual == nil {
 		t.Fatal("missing residual")
 	}
 	// Correlated expressions must not become keys.
-	correlated := algebra.Cmp{Op: types.CmpEq, L: algebra.QAttr("l", "a"), R: algebra.Attr("outer_x")}
-	keys = splitEquiJoin(correlated, lsch, rsch)
+	correlated := algebra.Cmp{Op: types.CmpEq, L: la, R: algebra.Ref{Depth: 1, Idx: 2}}
+	keys = splitEquiJoin(correlated, 2)
 	if len(keys.lKeys) != 0 {
 		t.Error("correlated reference extracted as key")
 	}
@@ -143,7 +151,7 @@ func TestSetOpWidthMismatch(t *testing.T) {
 func TestSortTuplesNullsLast(t *testing.T) {
 	s := schema.New("", "a")
 	r := rel.FromTuples(s, rel.Tuple{types.Null()}, ints(2), ints(1))
-	rows, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a")}}, nil)
+	rows, err := SortTuples(r, []algebra.SortKey{{E: algebra.Ref{}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +161,7 @@ func TestSortTuplesNullsLast(t *testing.T) {
 	if rows[0][0].IsNull() || rows[1][0].Int() != 2 || !rows[2][0].IsNull() {
 		t.Errorf("ascending with NULL = %v", rows)
 	}
-	desc, err := SortTuples(r, []algebra.SortKey{{E: algebra.Attr("a"), Desc: true}}, nil)
+	desc, err := SortTuples(r, []algebra.SortKey{{E: algebra.Ref{}, Desc: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +196,7 @@ func TestParamReadsRunVector(t *testing.T) {
 	}
 
 	r := rel.FromTuples(schema.New("", "a"), ints(1), ints(5), ints(3))
-	keys := []algebra.SortKey{{E: algebra.Arith{Op: types.OpMul, L: algebra.Attr("a"), R: algebra.Param{Idx: 0}}}}
+	keys := []algebra.SortKey{{E: algebra.Arith{Op: types.OpMul, L: algebra.Ref{}, R: algebra.Param{Idx: 0}}}}
 	rows, err := SortTuples(r, keys, []types.Value{types.NewInt(-1)})
 	if err != nil {
 		t.Fatal(err)

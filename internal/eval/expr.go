@@ -5,14 +5,13 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
 // evalCond evaluates a condition under three-valued logic. Boolean values
 // map to True/False, NULL maps to Unknown; anything else is a type error.
-func (e *Evaluator) evalCond(cond algebra.Expr, sch schema.Schema, t rel.Tuple, outer []frame) (types.TriBool, error) {
-	v, err := e.evalExpr(cond, sch, t, outer)
+func (e *Evaluator) evalCond(cond algebra.Expr, t rel.Tuple, outer []rel.Tuple) (types.TriBool, error) {
+	v, err := e.evalExpr(cond, t, outer)
 	if err != nil {
 		return types.Unknown, err
 	}
@@ -41,10 +40,11 @@ func triToValue(t types.TriBool) types.Value {
 	}
 }
 
-// evalExpr evaluates a scalar expression for tuple t of schema sch, with
-// outer providing enclosing scopes for correlated attribute references
-// (innermost scope last).
-func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, outer []frame) (types.Value, error) {
+// evalExpr evaluates a scalar expression of a bound plan for the operator
+// input tuple t, with outer holding the current tuples of the enclosing
+// sublink scopes, innermost last: a reference of depth d reads
+// outer[len(outer)-d].
+func (e *Evaluator) evalExpr(x algebra.Expr, t rel.Tuple, outer []rel.Tuple) (types.Value, error) {
 	switch ex := x.(type) {
 	case algebra.Const:
 		return ex.Val, nil
@@ -53,34 +53,37 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 			return types.Null(), fmt.Errorf("eval: plan parameter %s is not bound (%d parameters)", ex, len(e.Params))
 		}
 		return e.Params[ex.Idx], nil
-	case algebra.AttrRef:
-		return resolveAttr(ex, sch, t, outer)
+	case algebra.Ref:
+		if ex.Depth == 0 {
+			return t[ex.Idx], nil
+		}
+		return outer[len(outer)-int(ex.Depth)][ex.Idx], nil
 	case algebra.Cmp:
-		l, err := e.evalExpr(ex.L, sch, t, outer)
+		l, err := e.evalExpr(ex.L, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
-		r, err := e.evalExpr(ex.R, sch, t, outer)
+		r, err := e.evalExpr(ex.R, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
 		return triToValue(ex.Op.Apply(l, r)), nil
 	case algebra.NullEq:
-		l, err := e.evalExpr(ex.L, sch, t, outer)
+		l, err := e.evalExpr(ex.L, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
-		r, err := e.evalExpr(ex.R, sch, t, outer)
+		r, err := e.evalExpr(ex.R, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
 		return types.NewBool(types.NullEq(l, r)), nil
 	case algebra.Arith:
-		l, err := e.evalExpr(ex.L, sch, t, outer)
+		l, err := e.evalExpr(ex.L, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
-		r, err := e.evalExpr(ex.R, sch, t, outer)
+		r, err := e.evalExpr(ex.R, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -89,7 +92,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		// Short-circuit: False AND x is False without evaluating x. This
 		// matters for Gen-rewritten queries, whose conditions guard
 		// expensive sublinks behind cheap comparisons.
-		l, err := e.evalExpr(ex.L, sch, t, outer)
+		l, err := e.evalExpr(ex.L, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -100,7 +103,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		if lt == types.False {
 			return types.NewBool(false), nil
 		}
-		r, err := e.evalExpr(ex.R, sch, t, outer)
+		r, err := e.evalExpr(ex.R, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -110,7 +113,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		}
 		return triToValue(lt.And(rt)), nil
 	case algebra.Or:
-		l, err := e.evalExpr(ex.L, sch, t, outer)
+		l, err := e.evalExpr(ex.L, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -121,7 +124,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		if lt == types.True {
 			return types.NewBool(true), nil
 		}
-		r, err := e.evalExpr(ex.R, sch, t, outer)
+		r, err := e.evalExpr(ex.R, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -131,7 +134,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		}
 		return triToValue(lt.Or(rt)), nil
 	case algebra.Not:
-		v, err := e.evalExpr(ex.E, sch, t, outer)
+		v, err := e.evalExpr(ex.E, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -141,23 +144,23 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		}
 		return triToValue(tv.Not()), nil
 	case algebra.IsNull:
-		v, err := e.evalExpr(ex.E, sch, t, outer)
+		v, err := e.evalExpr(ex.E, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
 		return types.NewBool(v.IsNull()), nil
 	case algebra.Case:
 		for _, w := range ex.Whens {
-			keep, err := e.evalCond(w.When, sch, t, outer)
+			keep, err := e.evalCond(w.When, t, outer)
 			if err != nil {
 				return types.Null(), err
 			}
 			if keep == types.True {
-				return e.evalExpr(w.Then, sch, t, outer)
+				return e.evalExpr(w.Then, t, outer)
 			}
 		}
 		if ex.Else != nil {
-			return e.evalExpr(ex.Else, sch, t, outer)
+			return e.evalExpr(ex.Else, t, outer)
 		}
 		return types.Null(), nil
 	case algebra.Func:
@@ -170,7 +173,7 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		}
 		args := make([]types.Value, len(ex.Args))
 		for i, a := range ex.Args {
-			v, err := e.evalExpr(a, sch, t, outer)
+			v, err := e.evalExpr(a, t, outer)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -178,36 +181,16 @@ func (e *Evaluator) evalExpr(x algebra.Expr, sch schema.Schema, t rel.Tuple, out
 		}
 		return def.Eval(args)
 	case algebra.Cast:
-		v, err := e.evalExpr(ex.E, sch, t, outer)
+		v, err := e.evalExpr(ex.E, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
 		return types.Cast(v, ex.To)
 	case algebra.Sublink:
-		return e.evalSublink(ex, sch, t, outer)
+		return e.evalSublink(ex, t, outer)
+	case algebra.AttrRef:
+		return types.Null(), fmt.Errorf("eval: attribute reference %s is not bound (see algebra.Bind)", ex)
 	default:
 		return types.Null(), fmt.Errorf("eval: unsupported expression %T", x)
 	}
-}
-
-// resolveAttr looks a reference up in the current scope first, then walks
-// the enclosing scopes innermost-out — SQL correlation semantics.
-func resolveAttr(ref algebra.AttrRef, sch schema.Schema, t rel.Tuple, outer []frame) (types.Value, error) {
-	idx, ambiguous := sch.Lookup(ref.Qual, ref.Name)
-	if ambiguous {
-		return types.Null(), fmt.Errorf("eval: ambiguous attribute reference %s in %s", ref, sch)
-	}
-	if idx >= 0 {
-		return t[idx], nil
-	}
-	for i := len(outer) - 1; i >= 0; i-- {
-		idx, ambiguous = outer[i].sch.Lookup(ref.Qual, ref.Name)
-		if ambiguous {
-			return types.Null(), fmt.Errorf("eval: ambiguous correlated reference %s in %s", ref, outer[i].sch)
-		}
-		if idx >= 0 {
-			return outer[i].t[idx], nil
-		}
-	}
-	return types.Null(), fmt.Errorf("eval: unknown attribute %s (scope %s, %d outer scopes)", ref, sch, len(outer))
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -22,11 +21,13 @@ type equiKeys struct {
 	residual     algebra.Expr
 }
 
-// splitEquiJoin extracts hashable key pairs from cond. Conjuncts of the
-// form e1 = e2 / e1 =n e2 where e1 references only the left schema and e2
-// only the right (or vice versa) become key pairs; everything else stays in
-// the residual. Expressions containing sublinks never become keys.
-func splitEquiJoin(cond algebra.Expr, lsch, rsch schema.Schema) equiKeys {
+// splitEquiJoin extracts hashable key pairs from cond, a join condition of
+// a bound plan whose left input is lw columns wide. Conjuncts of the form
+// e1 = e2 / e1 =n e2 where e1 reads only left slots and e2 only right ones
+// (or vice versa) become key pairs; everything else stays in the residual.
+// Expressions containing sublinks never become keys. The right keys are
+// rebased by lw, so they read the right tuple alone.
+func splitEquiJoin(cond algebra.Expr, lw int) equiKeys {
 	var out equiKeys
 	var residual []algebra.Expr
 	for _, conj := range conjuncts(cond) {
@@ -46,17 +47,16 @@ func splitEquiJoin(cond algebra.Expr, lsch, rsch schema.Schema) equiKeys {
 			continue
 		}
 		switch {
-		case sideOnly(l, lsch, rsch) && sideOnly(r, rsch, lsch):
-			out.lKeys = append(out.lKeys, l)
-			out.rKeys = append(out.rKeys, r)
-			out.nullEq = append(out.nullEq, nullAware)
-		case sideOnly(l, rsch, lsch) && sideOnly(r, lsch, rsch):
-			out.lKeys = append(out.lKeys, r)
-			out.rKeys = append(out.rKeys, l)
-			out.nullEq = append(out.nullEq, nullAware)
+		case sideOnly(l, lw, false) && sideOnly(r, lw, true):
+		case sideOnly(l, lw, true) && sideOnly(r, lw, false):
+			l, r = r, l
 		default:
 			residual = append(residual, conj)
+			continue
 		}
+		out.lKeys = append(out.lKeys, l)
+		out.rKeys = append(out.rKeys, rebase(r, lw))
+		out.nullEq = append(out.nullEq, nullAware)
 	}
 	if len(residual) > 0 {
 		out.residual = algebra.Conj(residual...)
@@ -72,35 +72,58 @@ func conjuncts(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
-// sideOnly reports whether every attribute reference of e resolves in sch,
-// at least one reference exists, and none resolves in the other side.
-// References that resolve in neither schema are correlated to an enclosing
-// scope — those disqualify the expression from being a hash key because the
-// key would change per outer binding.
-func sideOnly(e algebra.Expr, sch, other schema.Schema) bool {
+// sideOnly reports whether e reads at least one slot and only slots of one
+// join side: the right one (slots from lw on) when right is set, the left
+// one otherwise. A reference to an enclosing scope disqualifies e from being
+// a hash key: the key would change per outer binding.
+func sideOnly(e algebra.Expr, lw int, right bool) bool {
 	ok := true
 	refs := 0
 	algebra.WalkExpr(e, func(x algebra.Expr) bool {
-		ref, isRef := x.(algebra.AttrRef)
-		if !isRef {
-			return ok
-		}
-		refs++
-		if idx, amb := sch.Lookup(ref.Qual, ref.Name); idx < 0 || amb {
-			ok = false
-		}
-		if idx, _ := other.Lookup(ref.Qual, ref.Name); idx >= 0 {
-			ok = false
+		if r, isRef := x.(algebra.Ref); isRef {
+			refs++
+			ok = ok && r.Depth == 0 && (int(r.Idx) >= lw) == right
 		}
 		return ok
 	})
 	return ok && refs > 0
 }
 
+// rebase shifts the slots of a right-side key expression down by lw.
+func rebase(e algebra.Expr, lw int) algebra.Expr {
+	return algebra.MapExpr(e, func(x algebra.Expr) algebra.Expr {
+		if r, ok := x.(algebra.Ref); ok {
+			r.Idx -= int32(lw)
+			return r
+		}
+		return x
+	})
+}
+
+// joinKeys returns the equi-join split of a join node's condition, computed
+// once per node and run.
+func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *equiKeys {
+	if e.shared == nil {
+		keys := splitEquiJoin(cond, l.Schema().Len())
+		return &keys
+	}
+	e.shared.mu.Lock()
+	keys, ok := e.shared.joins[join]
+	e.shared.mu.Unlock()
+	if !ok {
+		split := splitEquiJoin(cond, l.Schema().Len())
+		keys = &split
+		e.shared.mu.Lock()
+		e.shared.joins[join] = keys
+		e.shared.mu.Unlock()
+	}
+	return keys
+}
+
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
 // using the extracted keys: it hashes r, then probes with every tuple of l.
 // The caller guarantees len(keys.lKeys) > 0.
-func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, leftOuter bool, outer []frame) (*rel.Relation, error) {
+func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
 	sch := o.Schema()
 	rightWidth := r.Schema.Len()
 
@@ -114,7 +137,7 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 		if err := e.tick(); err != nil {
 			return err
 		}
-		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, r.Schema, rt, outer)
+		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, rt, outer)
 		if err != nil {
 			return err
 		}
@@ -141,7 +164,7 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 			return err
 		}
 		matched := false
-		key, ok, err := e.joinKey(keys.lKeys, keys.nullEq, l.Schema, lt, outer)
+		key, ok, err := e.joinKey(keys.lKeys, keys.nullEq, lt, outer)
 		if err != nil {
 			return err
 		}
@@ -150,7 +173,7 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 				for i, rt := range b.tuples {
 					row := lt.Concat(rt)
 					if keys.residual != nil {
-						keep, err := e.evalCond(keys.residual, sch, row, outer)
+						keep, err := e.evalCond(keys.residual, row, outer)
 						if err != nil {
 							return err
 						}
@@ -178,10 +201,10 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys equiKeys, le
 
 // joinKey evaluates the key expressions for one row. ok is false when a
 // plain-= key is NULL (such rows match nothing).
-func (e *Evaluator) joinKey(keyExprs []algebra.Expr, nullEq []bool, sch schema.Schema, t rel.Tuple, outer []frame) (string, bool, error) {
+func (e *Evaluator) joinKey(keyExprs []algebra.Expr, nullEq []bool, t rel.Tuple, outer []rel.Tuple) (string, bool, error) {
 	buf := make([]byte, 0, 16*len(keyExprs))
 	for i, kx := range keyExprs {
-		v, err := e.evalExpr(kx, sch, t, outer)
+		v, err := e.evalExpr(kx, t, outer)
 		if err != nil {
 			return "", false, err
 		}

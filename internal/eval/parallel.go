@@ -43,9 +43,9 @@ type runShared struct {
 	existsMemo map[algebra.Op]map[string]bool
 	// guarded-by: mu
 	scalarMemo map[algebra.Op]map[string]types.Value
-	// free caches the free-variable analysis per plan node.
+	// joins caches the equi-join split of each join node's condition.
 	// guarded-by: mu
-	free map[algebra.Op][]algebra.AttrRef
+	joins map[algebra.Op]*equiKeys
 }
 
 func newRunShared() *runShared {
@@ -55,7 +55,7 @@ func newRunShared() *runShared {
 		subMemo:    map[algebra.Op]map[string]*rel.Relation{},
 		existsMemo: map[algebra.Op]map[string]bool{},
 		scalarMemo: map[algebra.Op]map[string]types.Value{},
-		free:       map[algebra.Op][]algebra.AttrRef{},
+		joins:      map[algebra.Op]*equiKeys{},
 	}
 }
 
@@ -75,7 +75,7 @@ func (e *Evaluator) fork() *Evaluator {
 // (the input is a stream, not a bag), so callers additionally restrict
 // fan-out to segments with sublink-bearing expressions, where per-row work
 // dwarfs the exchange overhead.
-func (e *Evaluator) segmentFanOut(outer []frame) int {
+func (e *Evaluator) segmentFanOut(outer []rel.Tuple) int {
 	if e.Parallelism <= 1 || e.worker || len(outer) > 0 || e.shared == nil {
 		return 0
 	}
@@ -102,7 +102,7 @@ type streamRow struct {
 // raised again on the calling goroutine once every worker has exited — a
 // recover above Eval (net/http's per-handler one included) sees it exactly
 // as it would see a panic of a sequential run.
-func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, outer []frame, emit emitFn, apply func(w *Evaluator, t rel.Tuple, n int, out emitFn) error) error {
+func (e *Evaluator) parallelSegment(child algebra.Op, outSch schema.Schema, outer []rel.Tuple, emit emitFn, apply func(w *Evaluator, t rel.Tuple, n int, out emitFn) error) error {
 	p := e.segmentFanOut(outer)
 	chans := make([]chan streamRow, p)
 	for i := range chans {

@@ -8,7 +8,6 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -28,7 +27,7 @@ var errStop = errors.New("eval: pipeline stop")
 // (Order under Limit), aggregation, hash-join and nested-loop build sides,
 // set-operation inputs, DISTINCT's dedup state — materialize exactly the
 // state their semantics force; everything else forwards rows one by one.
-func (e *Evaluator) stream(op algebra.Op, outer []frame, emit emitFn) error {
+func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error {
 	if err := e.tick(); err != nil {
 		return err
 	}
@@ -51,7 +50,7 @@ func (e *Evaluator) stream(op algebra.Op, outer []frame, emit emitFn) error {
 			}
 			t := make(rel.Tuple, len(row))
 			for i, x := range row {
-				v, err := e.evalExpr(x, schema.Schema{}, nil, outer)
+				v, err := e.evalExpr(x, nil, outer)
 				if err != nil {
 					return err
 				}
@@ -69,9 +68,9 @@ func (e *Evaluator) stream(op algebra.Op, outer []frame, emit emitFn) error {
 	case *algebra.Cross:
 		return e.streamCross(o, outer, emit)
 	case *algebra.Join:
-		return e.streamJoin(o.L, o.R, o.Cond, false, outer, emit)
+		return e.streamJoin(o, o.L, o.R, o.Cond, false, outer, emit)
 	case *algebra.LeftJoin:
-		return e.streamJoin(o.L, o.R, o.Cond, true, outer, emit)
+		return e.streamJoin(o, o.L, o.R, o.Cond, true, outer, emit)
 	case *algebra.Aggregate:
 		return e.streamAggregate(o, outer, emit)
 	case *algebra.SetOp:
@@ -87,13 +86,12 @@ func (e *Evaluator) stream(op algebra.Op, outer []frame, emit emitFn) error {
 	}
 }
 
-func (e *Evaluator) streamSelect(o *algebra.Select, outer []frame, emit emitFn) error {
-	sch := o.Child.Schema()
+func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) error {
 	apply := func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
 		if err := w.tick(); err != nil {
 			return err
 		}
-		keep, err := w.evalCond(o.Cond, sch, t, outer)
+		keep, err := w.evalCond(o.Cond, t, outer)
 		if err != nil {
 			return err
 		}
@@ -110,8 +108,7 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []frame, emit emitFn) 
 	})
 }
 
-func (e *Evaluator) streamProject(o *algebra.Project, outer []frame, emit emitFn) error {
-	sch := o.Child.Schema()
+func (e *Evaluator) streamProject(o *algebra.Project, outer []rel.Tuple, emit emitFn) error {
 	hasSublink := false
 	for _, c := range o.Cols {
 		if algebra.HasSublink(c.E) {
@@ -127,8 +124,15 @@ func (e *Evaluator) streamProject(o *algebra.Project, outer []frame, emit emitFn
 			return err
 		}
 		row := make(rel.Tuple, len(o.Cols))
-		for i, c := range o.Cols {
-			v, err := w.evalExpr(c.E, sch, t, outer)
+		for i := range o.Cols {
+			x := o.Cols[i].E
+			// A column passing its input through — most of a provenance
+			// projection's witness columns — is a slot copy.
+			if r, ok := x.(algebra.Ref); ok && r.Depth == 0 {
+				row[i] = t[r.Idx]
+				continue
+			}
+			v, err := w.evalExpr(x, t, outer)
 			if err != nil {
 				return err
 			}
@@ -146,7 +150,7 @@ func (e *Evaluator) streamProject(o *algebra.Project, outer []frame, emit emitFn
 	})
 }
 
-func (e *Evaluator) streamCross(o *algebra.Cross, outer []frame, emit emitFn) error {
+func (e *Evaluator) streamCross(o *algebra.Cross, outer []rel.Tuple, emit emitFn) error {
 	r, err := e.eval(o.R, outer) // build side: the only materialized state
 	if err != nil {
 		return err
@@ -164,16 +168,15 @@ func (e *Evaluator) streamCross(o *algebra.Cross, outer []frame, emit emitFn) er
 // streamJoin runs l ⋈ r (or l ⟕ r) with r as the materialized build side
 // and l streaming through the probe. Equi-key conditions use a hash table;
 // everything else probes with a nested loop.
-func (e *Evaluator) streamJoin(l, r algebra.Op, cond algebra.Expr, leftOuter bool, outer []frame, emit emitFn) error {
-	joined := l.Schema().Concat(r.Schema())
-	rightWidth := r.Schema().Len()
+func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
 	rRel, err := e.eval(r, outer)
 	if err != nil {
 		return err
 	}
-	keys := splitEquiJoin(cond, l.Schema(), r.Schema())
+	rightWidth := rRel.Schema.Len()
+	keys := e.joinKeys(join, l, cond)
 	if len(keys.lKeys) > 0 {
-		return e.streamHashJoin(l, rRel, keys, leftOuter, joined, rightWidth, outer, emit)
+		return e.streamHashJoin(join, l, rRel, keys, leftOuter, outer, emit)
 	}
 	apply := func(w *Evaluator, lt rel.Tuple, ln int, out emitFn) error {
 		matched := false
@@ -182,7 +185,7 @@ func (e *Evaluator) streamJoin(l, r algebra.Op, cond algebra.Expr, leftOuter boo
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := w.evalCond(cond, joined, row, outer)
+			keep, err := w.evalCond(cond, row, outer)
 			if err != nil {
 				return err
 			}
@@ -201,14 +204,14 @@ func (e *Evaluator) streamJoin(l, r algebra.Op, cond algebra.Expr, leftOuter boo
 		return nil
 	}
 	if e.segmentFanOut(outer) > 0 && algebra.HasSublink(cond) {
-		return e.parallelSegment(l, joined, outer, emit, apply)
+		return e.parallelSegment(l, join.Schema(), outer, emit, apply)
 	}
 	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
 		return apply(e, lt, ln, emit)
 	})
 }
 
-func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKeys, leftOuter bool, joined schema.Schema, rightWidth int, outer []frame, emit emitFn) error {
+func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
 	type bucket struct {
 		tuples []rel.Tuple
 		counts []int
@@ -218,7 +221,7 @@ func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKe
 		if err := e.tick(); err != nil {
 			return err
 		}
-		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, rRel.Schema, rt, outer)
+		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, rt, outer)
 		if err != nil {
 			return err
 		}
@@ -237,13 +240,13 @@ func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKe
 	if err != nil {
 		return err
 	}
-	lsch := l.Schema()
+	rightWidth := rRel.Schema.Len()
 	apply := func(w *Evaluator, lt rel.Tuple, ln int, out emitFn) error {
 		if err := w.tick(); err != nil {
 			return err
 		}
 		matched := false
-		key, ok, err := w.joinKey(keys.lKeys, keys.nullEq, lsch, lt, outer)
+		key, ok, err := w.joinKey(keys.lKeys, keys.nullEq, lt, outer)
 		if err != nil {
 			return err
 		}
@@ -252,7 +255,7 @@ func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKe
 				for i, rt := range b.tuples {
 					row := lt.Concat(rt)
 					if keys.residual != nil {
-						keep, err := w.evalCond(keys.residual, joined, row, outer)
+						keep, err := w.evalCond(keys.residual, row, outer)
 						if err != nil {
 							return err
 						}
@@ -273,15 +276,14 @@ func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys equiKe
 		return nil
 	}
 	if e.segmentFanOut(outer) > 0 && keys.residual != nil && algebra.HasSublink(keys.residual) {
-		return e.parallelSegment(l, joined, outer, emit, apply)
+		return e.parallelSegment(l, join.Schema(), outer, emit, apply)
 	}
 	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
 		return apply(e, lt, ln, emit)
 	})
 }
 
-func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []frame, emit emitFn) error {
-	sch := o.Child.Schema()
+func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []rel.Tuple, emit emitFn) error {
 	type group struct {
 		keys rel.Tuple
 		aggs []aggState
@@ -304,7 +306,7 @@ func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []frame, emit em
 		}
 		keys := make(rel.Tuple, len(o.Group))
 		for ki, gx := range o.Group {
-			v, err := e.evalExpr(gx.E, sch, t, outer)
+			v, err := e.evalExpr(gx.E, t, outer)
 			if err != nil {
 				return err
 			}
@@ -324,7 +326,7 @@ func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []frame, emit em
 		for ai, ax := range o.Aggs {
 			var v types.Value
 			if ax.Arg != nil {
-				av, err := e.evalExpr(ax.Arg, sch, t, outer)
+				av, err := e.evalExpr(ax.Arg, t, outer)
 				if err != nil {
 					return err
 				}
@@ -382,7 +384,7 @@ func (e *Evaluator) dedupEmit(emit emitFn) emitFn {
 	}
 }
 
-func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []frame, emit emitFn) error {
+func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []rel.Tuple, emit emitFn) error {
 	if !o.Bag {
 		// Set semantics: dedup at the output boundary, first occurrence
 		// emitted with multiplicity 1.
@@ -439,7 +441,7 @@ func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []frame, emit emitFn) er
 // and with a finite limit, the limit takes the first rows of the stream and
 // raises the stop signal, ceasing the upstream scans — which rows a bare
 // LIMIT returns is unspecified, exactly as in PostgreSQL.
-func (e *Evaluator) streamLimit(o *algebra.Limit, outer []frame, emit emitFn) error {
+func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn) error {
 	// When the ordering column is projected away above the Order, cut below
 	// the projections, where the key is still visible.
 	if pushed, ok := algebra.PushLimit(o); ok {
@@ -514,13 +516,12 @@ func (e *Evaluator) streamLimit(o *algebra.Limit, outer []frame, emit emitFn) er
 	// Top-(offset+n) heap: the breaker state is bounded by the limit, not
 	// by the input size.
 	cap := o.Offset + o.N
-	sch := o.Child.Schema()
 	h := &topNHeap{keys: keys}
 	err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
-		kv, err := e.sortKeyVals(keys, sch, t, outer)
+		kv, err := e.sortKeyVals(keys, t, outer)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -24,21 +23,21 @@ import (
 // = ANY set built from it) is memoized once per query when uncorrelated
 // (PostgreSQL's InitPlan) and per binding when correlated, and answers
 // every test value of that binding.
-func (e *Evaluator) evalSublink(s algebra.Sublink, sch schema.Schema, t rel.Tuple, outer []frame) (types.Value, error) {
-	scope := append(outer, frame{sch: sch, t: t})
+func (e *Evaluator) evalSublink(s algebra.Sublink, t rel.Tuple, outer []rel.Tuple) (types.Value, error) {
+	scope := append(outer, t)
 	switch s.Kind {
 	case algebra.ExistsSublink:
 		if e.DisableStreaming {
-			sub, err := e.evalSubplan(s.Query, scope)
+			sub, err := e.evalSubplan(s, scope)
 			if err != nil {
 				return types.Null(), err
 			}
 			return types.NewBool(!sub.Empty()), nil
 		}
-		return e.probeExists(s.Query, scope)
+		return e.probeExists(s, scope)
 	case algebra.ScalarSublink:
 		if e.DisableStreaming {
-			sub, err := e.evalSubplan(s.Query, scope)
+			sub, err := e.evalSubplan(s, scope)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -56,17 +55,17 @@ func (e *Evaluator) evalSublink(s algebra.Sublink, sch schema.Schema, t rel.Tupl
 				return types.Null(), fmt.Errorf("eval: scalar sublink produced %d tuples, want at most 1", sub.Card())
 			}
 		}
-		return e.probeScalar(s.Query, scope)
+		return e.probeScalar(s, scope)
 	case algebra.AnySublink, algebra.AllSublink:
-		a, err := e.evalExpr(s.Test, sch, t, outer)
+		a, err := e.evalExpr(s.Test, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
-		sub, err := e.evalSubplan(s.Query, scope)
+		sub, err := e.evalSubplan(s, scope)
 		if err != nil {
 			return types.Null(), err
 		}
-		if s.Kind == algebra.AnySublink && s.Op == types.CmpEq && len(e.freeVars(s.Query)) == 0 {
+		if s.Kind == algebra.AnySublink && s.Op == types.CmpEq && len(s.Free) == 0 {
 			return e.hashedAny(s, a, sub)
 		}
 		return e.quantify(s, a, sub)
@@ -77,34 +76,25 @@ func (e *Evaluator) evalSublink(s algebra.Sublink, sch schema.Schema, t rel.Tupl
 
 // streamSub runs a subplan pipeline for one probe, absorbing the stop
 // signal the probe's emit raises once it has its answer.
-func (e *Evaluator) streamSub(q algebra.Op, scope []frame, emit emitFn) error {
+func (e *Evaluator) streamSub(q algebra.Op, scope []rel.Tuple, emit emitFn) error {
 	if err := e.stream(q, scope, emit); err != nil && !errors.Is(err, errStop) {
 		return err
 	}
 	return nil
 }
 
-// sublinkMemoKey resolves the cache key for a streaming sublink probe: ok
-// is false when the probe must not be cached (no shared run state, or
-// unresolvable parameters). The streaming executor always memoizes.
-func (e *Evaluator) sublinkMemoKey(q algebra.Op, scope []frame) (string, bool) {
-	if e.shared == nil {
-		return "", false
-	}
-	return paramKey(e.freeVars(q), scope)
-}
-
 // probeExists streams the subplan until the first row proves EXISTS true,
-// caching the verdict (not the partial bag) per parameter binding.
-func (e *Evaluator) probeExists(q algebra.Op, scope []frame) (types.Value, error) {
-	key, cache := e.sublinkMemoKey(q, scope)
-	if cache {
-		e.shared.mu.Lock()
-		v, ok := e.shared.existsMemo[q][key]
-		e.shared.mu.Unlock()
-		if ok {
-			return types.NewBool(v), nil
-		}
+// caching the verdict (not the partial bag) per parameter binding. The
+// streaming executor always memoizes.
+func (e *Evaluator) probeExists(s algebra.Sublink, scope []rel.Tuple) (types.Value, error) {
+	q := s.Query
+	var buf [64]byte
+	key := appendParamKey(buf[:0], s.Free, scope)
+	e.shared.mu.Lock()
+	v, ok := e.shared.existsMemo[q][string(key)]
+	e.shared.mu.Unlock()
+	if ok {
+		return types.NewBool(v), nil
 	}
 	found := false
 	err := e.streamSub(q, scope, func(t rel.Tuple, n int) error {
@@ -114,31 +104,31 @@ func (e *Evaluator) probeExists(q algebra.Op, scope []frame) (types.Value, error
 	if err != nil {
 		return types.Null(), err
 	}
-	if cache {
-		e.shared.mu.Lock()
-		if e.shared.existsMemo[q] == nil {
-			e.shared.existsMemo[q] = map[string]bool{}
-		}
-		e.shared.existsMemo[q][key] = found
-		e.shared.mu.Unlock()
+	e.shared.mu.Lock()
+	if e.shared.existsMemo[q] == nil {
+		e.shared.existsMemo[q] = map[string]bool{}
 	}
+	e.shared.existsMemo[q][string(key)] = found
+	e.shared.mu.Unlock()
 	return types.NewBool(found), nil
 }
 
 // probeScalar streams the subplan, stopping after the second row (which is
 // already an error), and caches the scalar value per parameter binding.
-func (e *Evaluator) probeScalar(q algebra.Op, scope []frame) (types.Value, error) {
-	if q.Schema().Len() != 1 {
-		return types.Null(), fmt.Errorf("eval: scalar sublink produced %d attributes, want 1", q.Schema().Len())
+func (e *Evaluator) probeScalar(s algebra.Sublink, scope []rel.Tuple) (types.Value, error) {
+	q := s.Query
+	var buf [64]byte
+	key := appendParamKey(buf[:0], s.Free, scope)
+	e.shared.mu.Lock()
+	v, ok := e.shared.scalarMemo[q][string(key)]
+	e.shared.mu.Unlock()
+	if ok {
+		return v, nil
 	}
-	key, cache := e.sublinkMemoKey(q, scope)
-	if cache {
-		e.shared.mu.Lock()
-		v, ok := e.shared.scalarMemo[q][key]
-		e.shared.mu.Unlock()
-		if ok {
-			return v, nil
-		}
+	// The width is checked where the value is computed: a memo hit was
+	// checked when it was stored.
+	if w := q.Schema().Len(); w != 1 {
+		return types.Null(), fmt.Errorf("eval: scalar sublink produced %d attributes, want 1", w)
 	}
 	out := types.Null()
 	count := 0
@@ -153,14 +143,12 @@ func (e *Evaluator) probeScalar(q algebra.Op, scope []frame) (types.Value, error
 	if err != nil {
 		return types.Null(), err
 	}
-	if cache {
-		e.shared.mu.Lock()
-		if e.shared.scalarMemo[q] == nil {
-			e.shared.scalarMemo[q] = map[string]types.Value{}
-		}
-		e.shared.scalarMemo[q][key] = out
-		e.shared.mu.Unlock()
+	e.shared.mu.Lock()
+	if e.shared.scalarMemo[q] == nil {
+		e.shared.scalarMemo[q] = map[string]types.Value{}
 	}
+	e.shared.scalarMemo[q][string(key)] = out
+	e.shared.mu.Unlock()
 	return out, nil
 }
 
@@ -280,13 +268,13 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 // once per top-level Eval and memoized (PostgreSQL's InitPlan behaviour).
 // Correlated queries — the case §4 of the paper identifies as inherently
 // expensive under provenance rewriting — are memoized per binding of their
-// free parameters: outer tuples that agree on every correlated value share
-// one evaluation instead of re-executing the subplan O(outer) times.
+// free slots: outer tuples that agree on every correlated value share one
+// evaluation instead of re-executing the subplan O(outer) times.
 // DisableSublinkMemo on the materializing reference restores the strict
 // PostgreSQL SubPlan behaviour of re-evaluating per outer tuple.
-func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, error) {
-	fv := e.freeVars(q)
-	if len(fv) == 0 {
+func (e *Evaluator) evalSubplan(s algebra.Sublink, scope []rel.Tuple) (*rel.Relation, error) {
+	q := s.Query
+	if len(s.Free) == 0 {
 		if cached, ok := e.lookupMemo(q); ok {
 			return cached, nil
 		}
@@ -300,12 +288,8 @@ func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, err
 	if e.DisableStreaming && e.DisableSublinkMemo || e.shared == nil {
 		return e.eval(q, scope)
 	}
-	key, ok := paramKey(fv, scope)
-	if !ok {
-		// A parameter failed to resolve cleanly; fall back to direct
-		// evaluation, which reports the precise error if the value is used.
-		return e.eval(q, scope)
-	}
+	var buf [64]byte
+	key := appendParamKey(buf[:0], s.Free, scope)
 	if cached, ok := e.lookupSubMemo(q, key); ok {
 		return cached, nil
 	}
@@ -317,33 +301,14 @@ func (e *Evaluator) evalSubplan(q algebra.Op, scope []frame) (*rel.Relation, err
 	return out, nil
 }
 
-// paramKey encodes the values of a subplan's free parameters under scope
-// into a memo key. ok is false when any parameter is ambiguous or unbound.
-func paramKey(fv []algebra.AttrRef, scope []frame) (string, bool) {
-	buf := make([]byte, 0, 16*len(fv))
-	for _, ref := range fv {
-		v, ok := lookupScope(ref, scope)
-		if !ok {
-			return "", false
-		}
-		buf = v.AppendKey(buf)
+// appendParamKey appends the encoded values of a subplan's free slots under
+// scope to dst: the memo key of one binding. The probes build it in a stack
+// buffer, so a memo hit allocates no key.
+func appendParamKey(dst []byte, free []algebra.Ref, scope []rel.Tuple) []byte {
+	for _, r := range free {
+		dst = scope[len(scope)-int(r.Depth)][r.Idx].AppendKey(dst)
 	}
-	return string(buf), true
-}
-
-// lookupScope resolves a free reference against the scope stack
-// innermost-out, mirroring resolveAttr.
-func lookupScope(ref algebra.AttrRef, scope []frame) (types.Value, bool) {
-	for i := len(scope) - 1; i >= 0; i-- {
-		idx, ambiguous := scope[i].sch.Lookup(ref.Qual, ref.Name)
-		if ambiguous {
-			return types.Null(), false
-		}
-		if idx >= 0 {
-			return scope[i].t[idx], true
-		}
-	}
-	return types.Null(), false
+	return dst
 }
 
 func (e *Evaluator) lookupMemo(q algebra.Op) (*rel.Relation, bool) {
@@ -365,43 +330,24 @@ func (e *Evaluator) storeMemo(q algebra.Op, out *rel.Relation) {
 	e.shared.mu.Unlock()
 }
 
-func (e *Evaluator) lookupSubMemo(q algebra.Op, key string) (*rel.Relation, bool) {
+func (e *Evaluator) lookupSubMemo(q algebra.Op, key []byte) (*rel.Relation, bool) {
 	e.shared.mu.Lock()
 	defer e.shared.mu.Unlock()
 	m := e.shared.subMemo[q]
 	if m == nil {
 		return nil, false
 	}
-	cached, ok := m[key]
+	cached, ok := m[string(key)]
 	return cached, ok
 }
 
-func (e *Evaluator) storeSubMemo(q algebra.Op, key string, out *rel.Relation) {
+func (e *Evaluator) storeSubMemo(q algebra.Op, key []byte, out *rel.Relation) {
 	e.shared.mu.Lock()
 	m := e.shared.subMemo[q]
 	if m == nil {
 		m = map[string]*rel.Relation{}
 		e.shared.subMemo[q] = m
 	}
-	m[key] = out
+	m[string(key)] = out
 	e.shared.mu.Unlock()
-}
-
-// freeVars returns the plan's free attribute references, cached per node in
-// the run's shared state.
-func (e *Evaluator) freeVars(q algebra.Op) []algebra.AttrRef {
-	if e.shared == nil {
-		return algebra.FreeVars(q)
-	}
-	e.shared.mu.Lock()
-	fv, ok := e.shared.free[q]
-	e.shared.mu.Unlock()
-	if ok {
-		return fv
-	}
-	fv = algebra.FreeVars(q) // computed outside the lock; idempotent
-	e.shared.mu.Lock()
-	e.shared.free[q] = fv
-	e.shared.mu.Unlock()
-	return fv
 }

@@ -11,11 +11,13 @@
 //
 //   - schema — the well-formedness every stage must preserve: operator
 //     output schemas derive from their children, attribute references
-//     resolve uniquely against their operator's input (or an enclosing
-//     correlation scope, the paper's nested-subquery binding rule),
-//     set-operation inputs agree on arity, literal rows match their
-//     declared schema. A violation localizes a miscompilation to the stage
-//     that introduced it.
+//     bind uniquely against their operator's input (or the innermost
+//     enclosing correlation scope that has them, the paper's nested-subquery
+//     binding rule), set-operation inputs agree on arity, literal rows match
+//     their declared schema. References bind through algebra.Resolve, the
+//     resolver algebra.Bind lowers every compiled plan with, so a reference
+//     that would not bind at compile time is the finding, at the stage that
+//     introduced it.
 //
 //   - provblock — the central rewrite invariant (§3.1, Figure 4): for every
 //     rewritten plan q+, Schema(q+) = Schema(q) ++ P(R1) ++ … ++ P(Rn),

@@ -68,6 +68,26 @@ func TestChecks(t *testing.T) {
 			},
 		},
 		{
+			name: "schema/ambiguous reference",
+			sp: StagePlan{Stage: StageTranslate, Plan: &algebra.Select{
+				Child: &algebra.Cross{L: scanR(), R: algebra.NewScan("r", "r2", schema.New("", "a", "b"))},
+				Cond:  algebra.Cmp{Op: types.CmpEq, L: algebra.Attr("a"), R: algebra.IntConst(1)},
+			}},
+			want: []wantDiag{{check: "schema", contains: "ambiguous attribute reference a in input"}},
+		},
+		{
+			// The sublink's b is not s's, and the enclosing r × r2 has two.
+			name: "schema/ambiguous correlated reference",
+			sp: StagePlan{Stage: StageTranslate, Plan: &algebra.Select{
+				Child: &algebra.Cross{L: scanR(), R: algebra.NewScan("r", "r2", schema.New("", "a", "b"))},
+				Cond: algebra.Sublink{Kind: algebra.ExistsSublink, Query: &algebra.Select{
+					Child: scanS(),
+					Cond:  algebra.Cmp{Op: types.CmpEq, L: algebra.Attr("c"), R: algebra.Attr("b")},
+				}},
+			}},
+			want: []wantDiag{{check: "schema", contains: "ambiguous correlated reference b in enclosing scope"}},
+		},
+		{
 			name: "schema/setop arity mismatch",
 			sp: StagePlan{Stage: StageTranslate, Plan: &algebra.SetOp{
 				Kind: algebra.Union,

@@ -6,9 +6,10 @@ import (
 )
 
 // SchemaCheck verifies that every operator's output schema is derivable
-// from its children and that every attribute reference resolves — uniquely
-// — against its operator's input schema or, inside sublink queries, against
-// an enclosing correlation scope. It also enforces set-operation arity and
+// from its children and that every attribute reference binds the way the
+// executor will bind it (algebra.Resolve): uniquely, against its operator's
+// input schema or, inside sublink queries, against the innermost enclosing
+// correlation scope that has it. It also enforces set-operation arity and
 // literal-row widths.
 var SchemaCheck = &Check{
 	Name: "schema",
@@ -27,7 +28,7 @@ type schemaScan struct {
 
 // op verifies one operator and recurses. scopes are the input schemas of
 // the enclosing operators whose expressions the current (sublink) plan is
-// nested in, innermost first.
+// nested in, innermost last.
 func (sc *schemaScan) op(op algebra.Op, path string, scopes []schema.Schema) {
 	switch o := op.(type) {
 	case *algebra.Values:
@@ -59,47 +60,32 @@ func (sc *schemaScan) op(op algebra.Op, path string, scopes []schema.Schema) {
 	}
 }
 
-// expr resolves the references of one operator expression, descending into
-// sublink queries with the operator's input pushed as a correlation scope.
+// expr binds the references of one operator expression through the
+// executor's binder (algebra.Resolve), descending into sublink queries with
+// the operator's input pushed as a correlation scope: a reference that does
+// not bind is the finding. A reference that binds nowhere is tolerated in a
+// Nested rule result, whose residual correlations DecorrelateCheck bounds.
 // It returns the updated per-operator sublink counter.
 func (sc *schemaScan) expr(e algebra.Expr, path string, in schema.Schema, scopes []schema.Schema, sub int) int {
 	algebra.WalkExpr(e, func(x algebra.Expr) bool {
 		switch v := x.(type) {
 		case algebra.AttrRef:
-			sc.resolve(v, path, in, scopes)
+			_, err := algebra.Resolve(v, in, scopes)
+			switch re, _ := err.(*algebra.ResolveError); {
+			case re == nil:
+			case re.Ambiguous && re.Depth == 0:
+				sc.p.Reportf(path, "ambiguous attribute reference %s in input %s", v, in)
+			case re.Ambiguous:
+				sc.p.Reportf(path, "ambiguous correlated reference %s in enclosing scope %s", v, re.Scope)
+			case !sc.p.Nested:
+				sc.p.Reportf(path, "attribute reference %s resolves against no input (input %s, %d enclosing scopes)", v, in, len(scopes))
+			}
 		case algebra.Sublink:
-			inner := append([]schema.Schema{in}, scopes...)
-			sc.op(v.Query, subPath(path, sub, v.Query), inner)
+			sc.op(v.Query, subPath(path, sub, v.Query), append(scopes[:len(scopes):len(scopes)], in))
 			sub++
-			// v.Test is visited by WalkExpr itself and resolves against in.
+			// v.Test is visited by WalkExpr itself and binds against in.
 		}
 		return true
 	})
 	return sub
-}
-
-// resolve checks one reference against the input schema, then the enclosing
-// correlation scopes innermost-first — the same search order the evaluator
-// uses. An ambiguous match in the direct input is always a finding; a
-// reference that matches nowhere is a finding unless the plan is a Nested
-// rule result (its residual correlations are bounded by DecorrelateCheck).
-func (sc *schemaScan) resolve(ref algebra.AttrRef, path string, in schema.Schema, scopes []schema.Schema) {
-	idx, ambiguous := in.Lookup(ref.Qual, ref.Name)
-	if ambiguous {
-		sc.p.Reportf(path, "ambiguous attribute reference %s in input %s", ref, in)
-		return
-	}
-	if idx >= 0 {
-		return
-	}
-	for _, s := range scopes {
-		idx, ambiguous = s.Lookup(ref.Qual, ref.Name)
-		if idx >= 0 || ambiguous {
-			return
-		}
-	}
-	if sc.p.Nested {
-		return
-	}
-	sc.p.Reportf(path, "attribute reference %s resolves against no input (input %s, %d enclosing scopes)", ref, in, len(scopes))
 }

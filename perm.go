@@ -532,7 +532,7 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	ev.Parallelism = cfg.parallelism
 	ev.DisableStreaming = cfg.materialize
 	ev.Params = params
-	relOut, err := ev.Eval(p.plan)
+	relOut, err := ev.EvalBound(p.plan)
 	if err != nil {
 		return nil, err
 	}

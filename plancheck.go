@@ -149,10 +149,10 @@ func (pv *planVerifier) hook() rewrite.StageHook {
 	}
 }
 
-// planned is one compiled statement: the optimised plan and what executing
-// and presenting it takes, and nothing of what compiling it went through —
-// neither the translated plan nor the rewrite's result — so that the plan
-// cache retains no more than a hit needs.
+// planned is one compiled statement: the optimised plan, bound, and what
+// executing and presenting it takes, and nothing of what compiling it went
+// through — neither the translated plan nor the rewrite's result — so that
+// the plan cache retains no more than a hit needs.
 type planned struct {
 	plan algebra.Op
 	// dataCols is the number of visible data columns; hidden the number of
@@ -191,10 +191,10 @@ type provGroup struct {
 	width    int
 }
 
-// compile runs analyze → translate → rewrite → optimize over one snapshot,
-// verifying after every stage per cfg.planCheck and returning the verified
-// stages beside the plan. In strict mode the first non-advisory finding
-// aborts with an error naming the failing stage.
+// compile runs analyze → translate → rewrite → optimize → bind over one
+// snapshot, verifying after every stage but the last per cfg.planCheck and
+// returning the verified stages beside the plan. In strict mode the first
+// non-advisory finding aborts with an error naming the failing stage.
 func (sn snapshot) compile(stmt *sql.Stmt, cfg queryConfig) (*planned, []PlanStage, error) {
 	env := sn.env()
 	if err := sql.Analyze(env, stmt); err != nil {
@@ -249,8 +249,14 @@ func (sn snapshot) compile(stmt *sql.Stmt, cfg queryConfig) (*planned, []PlanSta
 			return nil, nil, pv.failure
 		}
 	}
+	// Bind last: every stage above verified the named plan, and the plan
+	// cache keeps, fingerprints and runs the bound one (see algebra.Bind).
+	bound, err := algebra.Bind(plan)
+	if err != nil {
+		return nil, nil, err
+	}
 	p := &planned{
-		plan:     plan,
+		plan:     bound,
 		dataCols: plan.Schema().Len() - tr.Hidden,
 		hidden:   tr.Hidden,
 		findings: pv.findings,

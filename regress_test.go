@@ -1397,3 +1397,39 @@ func TestPlanCacheSessionShadow(t *testing.T) {
 		t.Errorf("stats %+v after %+v, want two more plans, and the one for the text table compiled past a stale one", st, before)
 	}
 }
+
+// TestCorrelatedSharedColumnName: inside a correlated sublink whose relation
+// shares a column name with the outer one, the bare name is the inner
+// column and the qualified one reaches out — the binder's innermost-first
+// order — under every executor mode. A binder that searched outermost first
+// would answer c < a against r.a and return none of these rows.
+func TestCorrelatedSharedColumnName(t *testing.T) {
+	db := Open()
+	if err := db.Register("r", []string{"a", "b"}, [][]any{{1, 10}, {2, 20}, {3, 30}, {4, 40}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("s", []string{"a", "c"}, [][]any{{10, 1}, {20, 5}, {30, 3}, {99, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range diffModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				q    string
+				want []any
+			}{
+				{`SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE s.a = r.b AND c < a) ORDER BY a`,
+					[]any{int64(1), int64(2), int64(3)}},
+				{`SELECT (SELECT max(c) FROM s WHERE s.a >= b AND c < a) AS m FROM r ORDER BY a`,
+					[]any{int64(5), int64(5), int64(4), int64(4)}},
+				{`SELECT a FROM r WHERE b = ANY (SELECT a FROM s WHERE c < a) ORDER BY a`,
+					[]any{int64(1), int64(2), int64(3)}},
+			} {
+				res, err := db.Query(tc.q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.q, err)
+				}
+				wantColumn(t, res, 0, tc.want...)
+			}
+		})
+	}
+}
