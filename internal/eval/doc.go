@@ -45,7 +45,9 @@
 // resolved per row and evalExpr takes no schema. Package perm binds once per
 // compiled plan and runs it with EvalBound; Eval binds the plan it is given
 // first. The hash join's key split reads slots too: it is computed once per
-// join node and run, its right-side keys rebased onto the right tuple.
+// join node and run, its right-side keys rebased onto the right tuple. Hash
+// keys are built in a stack buffer and looked up without a copy, so only a
+// new build key allocates.
 //
 // # Sublink probes, early termination and caching
 //
@@ -72,6 +74,38 @@
 // one evaluation instead of re-executing the subplan once per outer tuple.
 // The key is built in a stack buffer, so a memo hit allocates nothing for
 // it.
+//
+// A memo miss still runs the inner query, and a correlated one filters its
+// input anew for every binding. In the streaming executor a selection under
+// enclosing scopes whose condition has conjuncts x = y or x =n y — x reading
+// only the selection's input, y only enclosing scopes — is answered from a
+// hash index instead (index.go), the way PostgreSQL answers such a probe
+// from an index on the correlation column:
+//
+//   - What is indexed: the selection's input, hashed on x in the table and
+//     with the key builder the hash joins use, once per run and per binding
+//     of the input's own free slots. Each call probes with y's values and
+//     runs the remaining conjuncts on the bucket only. A = key skips NULL on
+//     either side; a =n key matches NULL to NULL.
+//   - The decline rule: the index is used only where it cannot change which
+//     rows are kept or which error is raised, because the literal filter
+//     evaluates every conjunct on rows the index never visits. Condition and
+//     input may hold only references, constants and parameters, comparisons,
+//     =n, IS NULL, AND/OR/NOT (a bare reference only as a comparison
+//     operand), and EXISTS/ANY/ALL sublinks over scans, selections,
+//     projections, products and joins of such expressions. Arithmetic,
+//     functions, CAST, CASE, scalar sublinks, aggregates and VALUES keep the
+//     literal filter.
+//   - Build on second call: the first call for a (selection, input binding)
+//     pair runs the literal filter and the second builds the index, so a
+//     sublink with one binding never pays for a build.
+//   - The index is charged like a hash-join build: nothing over a base
+//     relation, one row per row group for an input that had to be
+//     materialized.
+//   - Streaming only: the materializing reference keeps the literal filter
+//     and is the differential oracle. Stats.IndexBuilds and IndexProbes
+//     count the builds and the calls answered from an index.
+//
 // The streaming executor always memoizes. DisableSublinkMemo restores the
 // strict re-evaluating SubPlan behaviour on the materializing reference only
 // (the benchmark harness sets it when reproducing the paper's figures, whose
@@ -85,8 +119,9 @@
 // TestAllocSlopes measures the per-row paths: the streaming selection,
 // projection and hash-join probe, the materializing hash join, and the
 // sublink probes (probeExists, probeScalar, quantify over a memoized bag,
-// hashedAny). It runs one query per path over two input sizes and pins the
-// allocations one more input row costs under a ceiling.
+// hashedAny, a probe answered from a correlated index). It runs one query
+// per path over two input sizes and pins the allocations one more input row
+// costs under a ceiling.
 // A change that adds a per-row allocation fails it; one that removes an
 // allocation lowers the ceiling.
 //

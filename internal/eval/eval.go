@@ -132,6 +132,11 @@ type Stats struct {
 	// every operator output counts, which is what the streaming pipeline
 	// avoids.
 	PeakRows int64
+	// IndexBuilds counts the hash indexes the streaming executor built for
+	// selections under enclosing scopes, and IndexProbes the calls of such
+	// selections answered from one (see index.go). Both are 0 under the
+	// materializing executor.
+	IndexBuilds, IndexProbes int64
 }
 
 // LastStats reports the materialization counters of the most recent Eval
@@ -140,7 +145,11 @@ func (e *Evaluator) LastStats() Stats {
 	if e.shared == nil {
 		return Stats{}
 	}
-	return Stats{PeakRows: e.shared.rows.Load()}
+	return Stats{
+		PeakRows:    e.shared.rows.Load(),
+		IndexBuilds: e.shared.indexBuilds.Load(),
+		IndexProbes: e.shared.indexProbes.Load(),
+	}
 }
 
 // tick periodically polls the context so multi-hour plans (the Gen strategy
@@ -376,7 +385,7 @@ func (e *Evaluator) evalJoin(o *algebra.Join, outer []rel.Tuple) (*rel.Relation,
 	if err != nil {
 		return nil, err
 	}
-	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.lKeys) > 0 {
+	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.probe) > 0 {
 		return e.hashJoin(o, l, r, keys, false, outer)
 	}
 	out := rel.New(o.Schema())
@@ -407,7 +416,7 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.R
 	if err != nil {
 		return nil, err
 	}
-	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.lKeys) > 0 {
+	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.probe) > 0 {
 		return e.hashJoin(o, l, r, keys, true, outer)
 	}
 	rightWidth := r.Schema.Len()

@@ -113,19 +113,19 @@ func TestSplitEquiJoinClassification(t *testing.T) {
 		algebra.Cmp{Op: types.CmpEq, L: la, R: lb}, // one-sided: residual
 	)
 	keys := splitEquiJoin(cond, 2)
-	if len(keys.lKeys) != 2 {
-		t.Fatalf("extracted %d keys, want 2", len(keys.lKeys))
+	if len(keys.probe) != 2 {
+		t.Fatalf("extracted %d keys, want 2", len(keys.probe))
 	}
 	if !keys.nullEq[1] || keys.nullEq[0] {
 		t.Errorf("null-awareness flags = %v", keys.nullEq)
 	}
-	// Left keys read the left tuple as it is; right keys are rebased onto
+	// Probe keys read the left tuple as it is; build keys are rebased onto
 	// the right tuple alone.
-	if keys.lKeys[0] != algebra.Expr(la) || keys.lKeys[1] != algebra.Expr(lb) {
-		t.Errorf("left keys = %v, want [⟨0,0⟩ ⟨0,1⟩]", keys.lKeys)
+	if keys.probe[0] != algebra.Expr(la) || keys.probe[1] != algebra.Expr(lb) {
+		t.Errorf("left keys = %v, want [⟨0,0⟩ ⟨0,1⟩]", keys.probe)
 	}
-	if keys.rKeys[0] != algebra.Expr(algebra.Ref{Idx: 0}) || keys.rKeys[1] != algebra.Expr(algebra.Ref{Idx: 1}) {
-		t.Errorf("right keys = %v, want [⟨0,0⟩ ⟨0,1⟩] after rebasing by the left width", keys.rKeys)
+	if keys.build[0] != algebra.Expr(algebra.Ref{Idx: 0}) || keys.build[1] != algebra.Expr(algebra.Ref{Idx: 1}) {
+		t.Errorf("right keys = %v, want [⟨0,0⟩ ⟨0,1⟩] after rebasing by the left width", keys.build)
 	}
 	if keys.residual == nil {
 		t.Fatal("missing residual")
@@ -133,7 +133,7 @@ func TestSplitEquiJoinClassification(t *testing.T) {
 	// Correlated expressions must not become keys.
 	correlated := algebra.Cmp{Op: types.CmpEq, L: la, R: algebra.Ref{Depth: 1, Idx: 2}}
 	keys = splitEquiJoin(correlated, 2)
-	if len(keys.lKeys) != 0 {
+	if len(keys.probe) != 0 {
 		t.Error("correlated reference extracted as key")
 	}
 }

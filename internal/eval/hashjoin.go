@@ -12,22 +12,32 @@ import (
 // side each, compared with = or =n) and a residual condition; if no key
 // pairs exist the join falls back to a nested loop. Plain = keys never
 // match NULLs; =n keys do (the aggregation rewrite R5 and the set-operation
-// rewrites join on =n).
+// rewrites join on =n). The streaming executor's selection index (index.go)
+// splits its condition the same way and hashes into the same table.
 
-// equiKeys is the decomposition of a join condition.
+// equiKeys is the decomposition of a condition into hash keys and a
+// residual: build rows are hashed on build, and each probe looks up the key
+// probe evaluates to. probe[i] and build[i] compare with =, or with =n where
+// nullEq[i] is set.
 type equiKeys struct {
-	lKeys, rKeys []algebra.Expr
-	nullEq       []bool // per key pair: true for =n, false for =
+	probe, build []algebra.Expr
+	nullEq       []bool
 	residual     algebra.Expr
 }
 
-// splitEquiJoin extracts hashable key pairs from cond, a join condition of
-// a bound plan whose left input is lw columns wide. Conjuncts of the form
-// e1 = e2 / e1 =n e2 where e1 reads only left slots and e2 only right ones
-// (or vice versa) become key pairs; everything else stays in the residual.
-// Expressions containing sublinks never become keys. The right keys are
-// rebased by lw, so they read the right tuple alone.
-func splitEquiJoin(cond algebra.Expr, lw int) equiKeys {
+// The sides an expression of a condition can read only: the probe side, the
+// build side, or neither (it reads both, or no slot).
+const (
+	noSide = iota
+	probeSide
+	buildSide
+)
+
+// splitEqui extracts hashable key pairs from cond. side classifies an
+// expression; a conjunct e1 = e2 or e1 =n e2 whose sides classify as probe
+// and build, in either order, becomes a key pair, and everything else stays
+// in the residual. Expressions containing sublinks never become keys.
+func splitEqui(cond algebra.Expr, side func(algebra.Expr) int) equiKeys {
 	var out equiKeys
 	var residual []algebra.Expr
 	for _, conj := range conjuncts(cond) {
@@ -46,22 +56,43 @@ func splitEquiJoin(cond algebra.Expr, lw int) equiKeys {
 			residual = append(residual, conj)
 			continue
 		}
-		switch {
-		case sideOnly(l, lw, false) && sideOnly(r, lw, true):
-		case sideOnly(l, lw, true) && sideOnly(r, lw, false):
+		switch ls, rs := side(l), side(r); {
+		case ls == probeSide && rs == buildSide:
+		case ls == buildSide && rs == probeSide:
 			l, r = r, l
 		default:
 			residual = append(residual, conj)
 			continue
 		}
-		out.lKeys = append(out.lKeys, l)
-		out.rKeys = append(out.rKeys, rebase(r, lw))
+		out.probe = append(out.probe, l)
+		out.build = append(out.build, r)
 		out.nullEq = append(out.nullEq, nullAware)
 	}
 	if len(residual) > 0 {
 		out.residual = algebra.Conj(residual...)
 	}
 	return out
+}
+
+// splitEquiJoin splits a join condition of a bound plan whose left input is
+// lw columns wide: the left input probes, the right one is built. A
+// reference to an enclosing scope disqualifies an expression from being a
+// key, as it would change per outer binding. The build keys are rebased by
+// lw, so they read the right tuple alone.
+func splitEquiJoin(cond algebra.Expr, lw int) equiKeys {
+	keys := splitEqui(cond, func(x algebra.Expr) int {
+		switch {
+		case readsOnly(x, func(r algebra.Ref) bool { return r.Depth == 0 && int(r.Idx) < lw }):
+			return probeSide
+		case readsOnly(x, func(r algebra.Ref) bool { return r.Depth == 0 && int(r.Idx) >= lw }):
+			return buildSide
+		}
+		return noSide
+	})
+	for i, b := range keys.build {
+		keys.build[i] = rebase(b, lw)
+	}
+	return keys
 }
 
 // conjuncts splits a condition into top-level AND factors.
@@ -72,17 +103,15 @@ func conjuncts(e algebra.Expr) []algebra.Expr {
 	return []algebra.Expr{e}
 }
 
-// sideOnly reports whether e reads at least one slot and only slots of one
-// join side: the right one (slots from lw on) when right is set, the left
-// one otherwise. A reference to an enclosing scope disqualifies e from being
-// a hash key: the key would change per outer binding.
-func sideOnly(e algebra.Expr, lw int, right bool) bool {
+// readsOnly reports whether e reads at least one slot and only slots keep
+// accepts.
+func readsOnly(e algebra.Expr, keep func(algebra.Ref) bool) bool {
 	ok := true
 	refs := 0
 	algebra.WalkExpr(e, func(x algebra.Expr) bool {
 		if r, isRef := x.(algebra.Ref); isRef {
 			refs++
-			ok = ok && r.Depth == 0 && (int(r.Idx) >= lw) == right
+			ok = ok && keep(r)
 		}
 		return ok
 	})
@@ -122,37 +151,12 @@ func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *
 
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
 // using the extracted keys: it hashes r, then probes with every tuple of l.
-// The caller guarantees len(keys.lKeys) > 0.
+// The caller guarantees len(keys.probe) > 0.
 func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
 	sch := o.Schema()
 	rightWidth := r.Schema.Len()
 
-	type bucket struct {
-		tuples []rel.Tuple
-		counts []int
-	}
-	// Build side: hash the right input on its key expressions.
-	table := map[string]*bucket{}
-	err := r.Each(func(rt rel.Tuple, rn int) error {
-		if err := e.tick(); err != nil {
-			return err
-		}
-		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, rt, outer)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // a plain-= key is NULL; the row cannot match
-		}
-		b := table[key]
-		if b == nil {
-			b = &bucket{}
-			table[key] = b
-		}
-		b.tuples = append(b.tuples, rt)
-		b.counts = append(b.counts, rn)
-		return nil
-	})
+	table, err := e.buildTable(keys, r, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -164,27 +168,25 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 			return err
 		}
 		matched := false
-		key, ok, err := e.joinKey(keys.lKeys, keys.nullEq, lt, outer)
+		b, err := e.lookup(table, keys, lt, outer)
 		if err != nil {
 			return err
 		}
-		if ok {
-			if b := table[key]; b != nil {
-				for i, rt := range b.tuples {
-					row := lt.Concat(rt)
-					if keys.residual != nil {
-						keep, err := e.evalCond(keys.residual, row, outer)
-						if err != nil {
-							return err
-						}
-						if keep != types.True {
-							continue
-						}
-					}
-					matched = true
-					if err := e.add(out, row, ln*b.counts[i]); err != nil {
+		if b != nil {
+			for i, rt := range b.tuples {
+				row := lt.Concat(rt)
+				if keys.residual != nil {
+					keep, err := e.evalCond(keys.residual, row, outer)
+					if err != nil {
 						return err
 					}
+					if keep != types.True {
+						continue
+					}
+				}
+				matched = true
+				if err := e.add(out, row, ln*b.counts[i]); err != nil {
+					return err
 				}
 			}
 		}
@@ -199,19 +201,78 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 	return out, nil
 }
 
-// joinKey evaluates the key expressions for one row. ok is false when a
-// plain-= key is NULL (such rows match nothing).
-func (e *Evaluator) joinKey(keyExprs []algebra.Expr, nullEq []bool, t rel.Tuple, outer []rel.Tuple) (string, bool, error) {
-	buf := make([]byte, 0, 16*len(keyExprs))
-	for i, kx := range keyExprs {
-		v, err := e.evalExpr(kx, t, outer)
+// hashTable is the build side of a hash join or a selection index: the
+// build rows bucketed by the bytes of their key. It is immutable once
+// built.
+type hashTable map[string]*bucket
+
+// bucket holds the row groups of one key, in build order.
+type bucket struct {
+	tuples []rel.Tuple
+	counts []int
+}
+
+// buildTable hashes the row groups of in on keys.build. A row whose plain-=
+// key is NULL can match nothing and is left out. Only a new key allocates:
+// the key bytes are built in a stack buffer.
+func (e *Evaluator) buildTable(keys *equiKeys, in *rel.Relation, outer []rel.Tuple) (hashTable, error) {
+	table := hashTable{}
+	err := in.Each(func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
+			return err
+		}
+		var buf [64]byte
+		key, ok, err := appendKey(buf[:0], keys.build, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
+			return e.evalExpr(x, t, outer)
+		})
+		if err != nil || !ok {
+			return err
+		}
+		b := table[string(key)]
+		if b == nil {
+			b = &bucket{}
+			table[string(key)] = b
+		}
+		b.tuples = append(b.tuples, t)
+		b.counts = append(b.counts, n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return table, nil
+}
+
+// lookup returns the bucket of the probe key keys.probe evaluates to over t,
+// or nil when nothing can match. The key is built in a stack buffer and the
+// lookup converts it without a copy, so a probe allocates no key.
+func (e *Evaluator) lookup(table hashTable, keys *equiKeys, t rel.Tuple, outer []rel.Tuple) (*bucket, error) {
+	var buf [64]byte
+	key, ok, err := appendKey(buf[:0], keys.probe, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
+		return e.evalExpr(x, t, outer)
+	})
+	if err != nil || !ok {
+		return nil, err
+	}
+	return table[string(key)], nil
+}
+
+// appendKey appends the key of one row to dst: the encodings of the values
+// eval gives the key expressions, equal bytes iff the values are equal under
+// = (=n where nullEq is set). ok is false when a plain-= key is NULL; such a
+// row matches nothing. It reaches the executor only through eval, so that a
+// caller's stack buffer stays on the stack: escape analysis moves a buffer
+// that enters the executor's recursion to the heap.
+func appendKey(dst []byte, exprs []algebra.Expr, nullEq []bool, eval func(algebra.Expr) (types.Value, error)) ([]byte, bool, error) {
+	for i, kx := range exprs {
+		v, err := eval(kx)
 		if err != nil {
-			return "", false, err
+			return nil, false, err
 		}
 		if v.IsNull() && !nullEq[i] {
-			return "", false, nil
+			return nil, false, nil
 		}
-		buf = v.AppendKey(buf)
+		dst = v.AppendKey(dst)
 	}
-	return string(buf), true, nil
+	return dst, true, nil
 }

@@ -1,0 +1,227 @@
+package eval
+
+import (
+	"cmp"
+	"slices"
+
+	"perm/internal/algebra"
+	"perm/internal/rel"
+	"perm/internal/types"
+)
+
+// A selection evaluated under enclosing scopes whose condition correlates
+// its input with them — conjuncts x = y or x =n y, x reading only the input
+// and y only enclosing scopes — is what every binding of a correlated probe
+// re-runs: q3's σ[b = r1.b](r2), and the σ[P =n P′] of Gen's per-pair
+// EXISTS. The streaming executor answers it from a hash index on x; the
+// package documentation states when, and why that keeps exactly the rows
+// and errors of the literal filter.
+
+// indexSplit is the index plan of one selection: its condition split into
+// probe keys over enclosing scopes, build keys over the input and a
+// residual, and the slots of enclosing scopes the input reads.
+type indexSplit struct {
+	equiKeys
+	free []algebra.Ref
+}
+
+// splitSelect returns the index plan of a selection, or nil when its
+// condition has no correlation key or the selection must keep the literal
+// filter.
+func splitSelect(o *algebra.Select) *indexSplit {
+	if !errorFree(o.Cond) || !errorFreeQuery(o.Child) {
+		return nil
+	}
+	keys := splitEqui(o.Cond, func(x algebra.Expr) int {
+		switch {
+		case readsOnly(x, func(r algebra.Ref) bool { return r.Depth > 0 }):
+			return probeSide
+		case readsOnly(x, func(r algebra.Ref) bool { return r.Depth == 0 }):
+			return buildSide
+		}
+		return noSide
+	})
+	if len(keys.probe) == 0 {
+		return nil
+	}
+	return &indexSplit{equiKeys: keys, free: freeSlots(o.Child)}
+}
+
+// errorFree reports whether evaluating the condition x can raise no error:
+// comparisons, =n and IS NULL over references, constants and parameters,
+// combined with AND, OR and NOT, and EXISTS, ANY and ALL sublinks over
+// error-free queries. A bare reference or parameter is a condition only as a
+// comparison operand: one that is not boolean is an error. Arithmetic,
+// functions, CAST, CASE and scalar sublinks can raise, and are declined.
+func errorFree(x algebra.Expr) bool {
+	switch c := x.(type) {
+	case algebra.Cmp:
+		return errorFreeOperand(c.L) && errorFreeOperand(c.R)
+	case algebra.NullEq:
+		return errorFreeOperand(c.L) && errorFreeOperand(c.R)
+	case algebra.IsNull:
+		return errorFreeOperand(c.E)
+	case algebra.And:
+		return errorFree(c.L) && errorFree(c.R)
+	case algebra.Or:
+		return errorFree(c.L) && errorFree(c.R)
+	case algebra.Not:
+		return errorFree(c.E)
+	case algebra.Const:
+		return c.Val.Kind() == types.KindBool || c.Val.IsNull()
+	case algebra.Sublink:
+		switch c.Kind {
+		case algebra.ExistsSublink:
+			return errorFreeQuery(c.Query)
+		case algebra.AnySublink, algebra.AllSublink:
+			return errorFreeOperand(c.Test) && c.Query.Schema().Len() == 1 && errorFreeQuery(c.Query)
+		}
+	}
+	return false
+}
+
+// errorFreeOperand reports whether a comparison operand can raise no error.
+func errorFreeOperand(x algebra.Expr) bool {
+	switch x.(type) {
+	case algebra.Ref, algebra.Const, algebra.Param:
+		return true
+	}
+	return errorFree(x)
+}
+
+// errorFreeQuery reports whether a query can raise no error: scans,
+// selections, projections, products and joins over error-free expressions.
+// Aggregates and VALUES are declined.
+func errorFreeQuery(op algebra.Op) bool {
+	switch o := op.(type) {
+	case *algebra.Scan:
+		return true
+	case *algebra.Select:
+		return errorFree(o.Cond) && errorFreeQuery(o.Child)
+	case *algebra.Project:
+		for _, c := range o.Cols {
+			if !errorFreeOperand(c.E) {
+				return false
+			}
+		}
+		return errorFreeQuery(o.Child)
+	case *algebra.Cross:
+		return errorFreeQuery(o.L) && errorFreeQuery(o.R)
+	case *algebra.Join:
+		return errorFree(o.Cond) && errorFreeQuery(o.L) && errorFreeQuery(o.R)
+	}
+	return false
+}
+
+// freeSlots returns the slots of enclosing scopes op's subtree reads,
+// relative to op's own scope — as a sublink's Free is relative to the
+// sublink — in (depth, slot) order.
+func freeSlots(op algebra.Op) []algebra.Ref {
+	var free []algebra.Ref
+	var visit func(op algebra.Op)
+	visit = func(op algebra.Op) {
+		for _, x := range algebra.OperatorExprs(op) {
+			algebra.WalkExpr(x, func(x algebra.Expr) bool {
+				switch v := x.(type) {
+				case algebra.Ref:
+					if v.Depth > 0 {
+						free = append(free, v)
+					}
+				case algebra.Sublink:
+					for _, r := range v.Free {
+						if r.Depth > 1 {
+							free = append(free, algebra.Ref{Depth: r.Depth - 1, Idx: r.Idx})
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, c := range op.Children() {
+			visit(c)
+		}
+	}
+	visit(op)
+	slices.SortFunc(free, func(a, b algebra.Ref) int {
+		return cmp.Or(cmp.Compare(a.Depth, b.Depth), cmp.Compare(a.Idx, b.Idx))
+	})
+	return slices.Compact(free)
+}
+
+// indexedSelect answers a selection evaluated under enclosing scopes from
+// its hash index, and reports false when the literal filter must run
+// instead: the selection does not qualify, or this is the first call for
+// the binding of its input's free slots.
+func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) (bool, error) {
+	if len(outer) == 0 {
+		return false, nil
+	}
+	e.shared.mu.Lock()
+	split, ok := e.shared.selects[o]
+	e.shared.mu.Unlock()
+	if !ok {
+		// Computed once per node and run, as a join's split is.
+		split = splitSelect(o)
+		e.shared.mu.Lock()
+		e.shared.selects[o] = split
+		e.shared.mu.Unlock()
+	}
+	if split == nil {
+		return false, nil
+	}
+	var buf [64]byte
+	binding := appendParamKey(buf[:0], split.free, outer)
+	e.shared.mu.Lock()
+	byBinding := e.shared.indexes[o]
+	table, seen := byBinding[string(binding)]
+	if !seen {
+		if byBinding == nil {
+			byBinding = map[string]hashTable{}
+			e.shared.indexes[o] = byBinding
+		}
+		byBinding[string(binding)] = nil
+	}
+	e.shared.mu.Unlock()
+	if !seen {
+		return false, nil
+	}
+	if table == nil {
+		// The input is charged like a hash-join build, by eval: a base
+		// relation not at all, an input that had to be materialized one row
+		// per row group.
+		in, err := e.eval(o.Child, outer)
+		if err != nil {
+			return true, err
+		}
+		if table, err = e.buildTable(&split.equiKeys, in, outer); err != nil {
+			return true, err
+		}
+		e.shared.mu.Lock()
+		e.shared.indexes[o][string(binding)] = table
+		e.shared.mu.Unlock()
+		e.shared.indexBuilds.Add(1)
+	}
+	e.shared.indexProbes.Add(1)
+	b, err := e.lookup(table, &split.equiKeys, nil, outer)
+	if err != nil || b == nil {
+		return true, err
+	}
+	for i, t := range b.tuples {
+		if err := e.tick(); err != nil {
+			return true, err
+		}
+		if split.residual != nil {
+			keep, err := e.evalCond(split.residual, t, outer)
+			if err != nil {
+				return true, err
+			}
+			if keep != types.True {
+				continue
+			}
+		}
+		if err := emit(t, b.counts[i]); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}

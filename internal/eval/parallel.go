@@ -46,6 +46,17 @@ type runShared struct {
 	// joins caches the equi-join split of each join node's condition.
 	// guarded-by: mu
 	joins map[algebra.Op]*equiKeys
+	// selects caches the index plan of each selection evaluated under
+	// enclosing scopes; nil for one that keeps the literal filter.
+	// guarded-by: mu
+	selects map[*algebra.Select]*indexSplit
+	// indexes holds the hash indexes of those selections per node and
+	// binding of the input's free slots. A nil table marks a binding seen
+	// once, whose call ran the literal filter; a built table is immutable.
+	// guarded-by: mu
+	indexes map[*algebra.Select]map[string]hashTable
+
+	indexBuilds, indexProbes atomic.Int64
 }
 
 func newRunShared() *runShared {
@@ -56,6 +67,8 @@ func newRunShared() *runShared {
 		existsMemo: map[algebra.Op]map[string]bool{},
 		scalarMemo: map[algebra.Op]map[string]types.Value{},
 		joins:      map[algebra.Op]*equiKeys{},
+		selects:    map[*algebra.Select]*indexSplit{},
+		indexes:    map[*algebra.Select]map[string]hashTable{},
 	}
 }
 

@@ -87,6 +87,9 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 }
 
 func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) error {
+	if indexed, err := e.indexedSelect(o, outer, emit); indexed {
+		return err
+	}
 	apply := func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
 		if err := w.tick(); err != nil {
 			return err
@@ -175,7 +178,7 @@ func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOut
 	}
 	rightWidth := rRel.Schema.Len()
 	keys := e.joinKeys(join, l, cond)
-	if len(keys.lKeys) > 0 {
+	if len(keys.probe) > 0 {
 		return e.streamHashJoin(join, l, rRel, keys, leftOuter, outer, emit)
 	}
 	apply := func(w *Evaluator, lt rel.Tuple, ln int, out emitFn) error {
@@ -212,31 +215,7 @@ func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOut
 }
 
 func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
-	type bucket struct {
-		tuples []rel.Tuple
-		counts []int
-	}
-	table := map[string]*bucket{}
-	err := rRel.Each(func(rt rel.Tuple, rn int) error {
-		if err := e.tick(); err != nil {
-			return err
-		}
-		key, ok, err := e.joinKey(keys.rKeys, keys.nullEq, rt, outer)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // a plain-= key is NULL; the row cannot match
-		}
-		b := table[key]
-		if b == nil {
-			b = &bucket{}
-			table[key] = b
-		}
-		b.tuples = append(b.tuples, rt)
-		b.counts = append(b.counts, rn)
-		return nil
-	})
+	table, err := e.buildTable(keys, rRel, outer)
 	if err != nil {
 		return err
 	}
@@ -246,27 +225,25 @@ func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys 
 			return err
 		}
 		matched := false
-		key, ok, err := w.joinKey(keys.lKeys, keys.nullEq, lt, outer)
+		b, err := w.lookup(table, keys, lt, outer)
 		if err != nil {
 			return err
 		}
-		if ok {
-			if b := table[key]; b != nil {
-				for i, rt := range b.tuples {
-					row := lt.Concat(rt)
-					if keys.residual != nil {
-						keep, err := w.evalCond(keys.residual, row, outer)
-						if err != nil {
-							return err
-						}
-						if keep != types.True {
-							continue
-						}
-					}
-					matched = true
-					if err := out(row, ln*b.counts[i]); err != nil {
+		if b != nil {
+			for i, rt := range b.tuples {
+				row := lt.Concat(rt)
+				if keys.residual != nil {
+					keep, err := w.evalCond(keys.residual, row, outer)
+					if err != nil {
 						return err
 					}
+					if keep != types.True {
+						continue
+					}
+				}
+				matched = true
+				if err := out(row, ln*b.counts[i]); err != nil {
+					return err
 				}
 			}
 		}

@@ -278,3 +278,36 @@ func TestStreamingCorrelatedMemoCounts(t *testing.T) {
 		t.Errorf("correlated EXISTS probed s %d times, want 2 (verdict-cached per binding)", cdb.counts["s"])
 	}
 }
+
+// TestCorrelatedProbeScansOnce: a correlated EXISTS over N distinct bindings
+// reads its inner base relation at most twice — the literal filter on the
+// first binding, the index build on the second — and every later binding
+// probes the index. The materializing reference rescans it per binding.
+func TestCorrelatedProbeScansOnce(t *testing.T) {
+	w := synth.Workload{InputSize: 200, SublinkSize: 200, Domain: 16, Seed: 2}
+	cat := w.Catalog()
+	plan := compileOptimized(t, cat, `SELECT * FROM r1 WHERE EXISTS (SELECT r2.a FROM r2 WHERE r2.b = r1.b)`)
+	r1, err := cat.Relation("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindings := map[types.Value]bool{}
+	_ = r1.Each(func(t rel.Tuple, n int) error { bindings[t[1]] = true; return nil })
+	n := int64(len(bindings))
+
+	cdb := &countingDB{DB: cat}
+	ev := New(cdb)
+	got, err := ev.Eval(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := evalMode(t, cat, plan, true, 1); !got.Equal(want) {
+		t.Fatalf("streaming and reference bags differ")
+	}
+	if cdb.counts["r2"] > 2 {
+		t.Errorf("%d bindings scanned r2 %d times, want at most 2", n, cdb.counts["r2"])
+	}
+	if st := ev.LastStats(); st.IndexBuilds != 1 || st.IndexProbes != n-1 {
+		t.Errorf("stats %+v over %d bindings, want 1 build and %d probes", st, n, n-1)
+	}
+}

@@ -1,6 +1,10 @@
 package types
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+)
 
 // TriBool is SQL three-valued logic: comparisons over NULL yield Unknown,
 // and a WHERE clause keeps a tuple only when its condition is True.
@@ -123,32 +127,24 @@ func (op CmpOp) Negate() CmpOp {
 }
 
 // Compare orders two non-NULL values: -1, 0 or +1. Numeric values compare
-// numerically across int/float; strings and booleans compare within their
-// kind. ok is false when either side is NULL or the kinds are incomparable.
-func Compare(a, b Value) (cmp int, ok bool) {
+// numerically across int/float, exactly (an integer is never rounded to a
+// float), and NaN follows PostgreSQL: it equals only NaN and sorts above
+// every other number. Strings and booleans compare within their kind. ok is
+// false when either side is NULL or the kinds are incomparable.
+func Compare(a, b Value) (c int, ok bool) {
 	if a.kind == KindNull || b.kind == KindNull {
 		return 0, false
 	}
 	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
-			ai, bi := a.i, b.i
-			switch {
-			case ai < bi:
-				return -1, true
-			case ai > bi:
-				return 1, true
-			default:
-				return 0, true
-			}
-		}
-		af, bf := a.Float(), b.Float()
 		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
+		case a.kind == KindInt && b.kind == KindInt:
+			return cmp.Compare(a.i, b.i), true
+		case a.kind == KindFloat && b.kind == KindFloat:
+			return compareFloats(a.f, b.f), true
+		case a.kind == KindInt:
+			return compareIntFloat(a.i, b.f), true
 		default:
-			return 0, true
+			return -compareIntFloat(b.i, a.f), true
 		}
 	}
 	if a.kind != b.kind {
@@ -177,6 +173,31 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// compareFloats orders two floats with NaN equal to NaN and above every
+// other value.
+func compareFloats(a, b float64) int {
+	if an, bn := math.IsNaN(a), math.IsNaN(b); an || bn {
+		return b2i(an) - b2i(bn)
+	}
+	return cmp.Compare(a, b)
+}
+
+// compareIntFloat orders an integer against a float without rounding the
+// integer: every float in [-2^63, 2^63) truncates to an int64 exactly.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f) || f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f) // the fraction of f decides
 }
 
 // Apply evaluates a op b under three-valued logic: Unknown when either side

@@ -1,8 +1,10 @@
 package types_test
 
 import (
+	"bytes"
 	"cmp"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +54,30 @@ func TestCompareKeyMatchesKeyOrder(t *testing.T) {
 	}
 	if got := (rel.Tuple{types.NewInt(1)}).Compare(rel.Tuple{types.NewInt(1), types.Null()}); got != -1 {
 		t.Errorf("a proper prefix compares %d, want -1", got)
+	}
+}
+
+// TestKeyEqualityMatchesEq checks the promise hash joins, hashed ANY,
+// GROUP BY and DISTINCT rely on: two values have the same key bytes iff
+// they are =-equal (non-NULL values) and iff they are =n-equal (all
+// values). Beside the key grid it covers floats just outside int64's range,
+// whose truncation wraps, and a second NaN payload.
+func TestKeyEqualityMatchesEq(t *testing.T) {
+	grid := append(slices.Clone(keyGrid),
+		types.NewFloat(0x1p63), types.NewFloat(-0x1p63),
+		types.NewFloat(math.Float64frombits(0x7ff8000000000001)))
+	for _, a := range grid {
+		for _, b := range grid {
+			keyEq := bytes.Equal(a.AppendKey(nil), b.AppendKey(nil))
+			if !a.IsNull() && !b.IsNull() {
+				if eq := types.CmpEq.Apply(a, b) == types.True; keyEq != eq {
+					t.Errorf("%v (%s) and %v (%s): equal keys %v, = says %v", a, a.Kind(), b, b.Kind(), keyEq, eq)
+				}
+			}
+			if eq := types.NullEq(a, b); keyEq != eq {
+				t.Errorf("%v (%s) and %v (%s): equal keys %v, =n says %v", a, a.Kind(), b, b.Kind(), keyEq, eq)
+			}
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func (v Value) AppendKey(buf []byte) []byte {
 			return appendUint64(buf, uint64(int64(v.f)))
 		}
 		buf = append(buf, 'f')
-		return appendUint64(buf, math.Float64bits(v.f))
+		return appendUint64(buf, floatKeyBits(v.f))
 	case KindString:
 		buf = append(buf, 's')
 		buf = appendUint64(buf, uint64(len(v.s)))
@@ -214,7 +214,7 @@ func (v Value) keyHead() (tag byte, word uint64) {
 		if integralKey(v.f) {
 			return 'i', uint64(int64(v.f))
 		}
-		return 'f', math.Float64bits(v.f)
+		return 'f', floatKeyBits(v.f)
 	case KindString:
 		return 's', uint64(len(v.s))
 	default:
@@ -223,9 +223,23 @@ func (v Value) keyHead() (tag byte, word uint64) {
 }
 
 // integralKey reports whether a float encodes as its integer counterpart,
-// so that 1 and 1.0 group together, matching Compare's numeric coercion.
+// so that 1 and 1.0 group together, matching Compare's numeric coercion:
+// exactly the integral floats in int64's range [-2^63, 2^63).
 func integralKey(f float64) bool {
-	return f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64
+	return f == math.Trunc(f) && f >= math.MinInt64 && f < 0x1p63
+}
+
+// canonicalNaN is the one encoding of every NaN, which Compare treats as a
+// single value.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// floatKeyBits is the key word of a non-integral float: its IEEE bits, with
+// every NaN payload folded to one.
+func floatKeyBits(f float64) uint64 {
+	if math.IsNaN(f) {
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
 }
 
 func appendUint64(buf []byte, u uint64) []byte {

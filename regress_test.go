@@ -1433,3 +1433,159 @@ func TestCorrelatedSharedColumnName(t *testing.T) {
 		})
 	}
 }
+
+// TestCorrelatedIndexProbes: a selection inside a sublink whose condition
+// correlates its input with the outer query (s.x = r.b) is answered from a
+// hash index from its second binding on, in the streaming executor. Every
+// executor mode must keep exactly the rows the literal filter keeps: NULL
+// keys, 1 = 1.0, two keys, a key two scopes up, every sublink kind, and
+// Gen's =n keys over an input with a free slot of its own.
+func TestCorrelatedIndexProbes(t *testing.T) {
+	db := Open()
+	for _, r := range []struct {
+		name string
+		cols []string
+		rows [][]any
+	}{
+		{"r", []string{"a", "b"}, [][]any{{10, 1}, {20, 2}, {30, 1}, {40, nil}, {50, 3}, {60, 2}}},
+		{"s", []string{"x", "y"}, [][]any{{1, 5}, {2.0, 25}, {1.0, 35}, {nil, 45}, {3, nil}, {4, 1}}},
+		{"u", []string{"k", "j"}, [][]any{{1, 10}, {2, 20}, {1, 30}, {nil, 40}, {3, 50}}},
+	} {
+		if err := db.Register(r.name, r.cols, r.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range diffModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				q    string
+				col  int
+				want []any
+			}{
+				// A NULL binding and a NULL input key match nothing under =;
+				// x = 1.0 and x = 2.0 match b = 1 and b = 2.
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE s.x = r.b) ORDER BY a`,
+					0, []any{int64(10), int64(20), int64(30), int64(50), int64(60)}},
+				{`SELECT a, (SELECT y FROM s WHERE s.x = r.b AND s.y < r.a) AS m FROM r ORDER BY a`,
+					1, []any{int64(5), nil, int64(5), nil, nil, int64(25)}},
+				{`SELECT a FROM r WHERE a > ANY (SELECT y FROM s WHERE s.x = r.b) ORDER BY a`,
+					0, []any{int64(10), int64(30), int64(60)}},
+				{`SELECT a FROM r WHERE a < ALL (SELECT y FROM s WHERE s.x = r.b) ORDER BY a`,
+					0, []any{int64(20), int64(40)}},
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM u WHERE u.k = r.b AND u.j = r.a) ORDER BY a`,
+					0, []any{int64(10), int64(20), int64(30), int64(50)}},
+				// The inner selection is keyed on r.a, two scopes up, and on
+				// s.x; the outer one carries an EXISTS in its residual.
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE s.x = r.b AND EXISTS (SELECT 1 FROM u WHERE u.j = r.a AND u.k = s.x)) ORDER BY a`,
+					0, []any{int64(10), int64(20), int64(30), int64(50)}},
+			} {
+				res, err := db.Query(tc.q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.q, err)
+				}
+				wantColumn(t, res, tc.col, tc.want...)
+			}
+		})
+	}
+	// Gen's per-pair EXISTS compares P =n P′ over an input that reads the
+	// outer tuple itself, and the CrossBase's all-NULL row meets s's NULL
+	// key: the streaming modes must return the reference's witness bag.
+	for _, tc := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT PROVENANCE a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE s.x = r.b)`, 7},
+		{`SELECT PROVENANCE a FROM r WHERE a > ANY (SELECT y FROM s WHERE s.x = r.b)`, 3},
+	} {
+		ref := ""
+		for _, mode := range diffModes {
+			res, err := db.Query(tc.q, append([]Option{WithStrategy(Gen)}, mode.opts...)...)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode.name, tc.q, err)
+			}
+			fp := rowsFingerprint(res)
+			if len(res.Rows) != tc.rows {
+				t.Errorf("%s/%s: %d rows, want %d:\n%s", mode.name, tc.q, len(res.Rows), tc.rows, fp)
+			}
+			if ref == "" {
+				ref = fp
+			} else if fp != ref {
+				t.Errorf("%s/%s diverges:\n%s\nwant\n%s", mode.name, tc.q, fp, ref)
+			}
+		}
+	}
+}
+
+// TestCorrelatedIndexDeclines: a selection whose residual can raise an
+// error keeps the literal filter, which evaluates the residual on rows an
+// index would never visit, so every mode raises the reference's error. The
+// first division fails on the first binding already; the second needs
+// r.a = 3, the third binding, and the row s(3, 3), which an index keyed on
+// s.x = r.b = 1 would skip, and so does the scalar sublink.
+func TestCorrelatedIndexDeclines(t *testing.T) {
+	db := Open()
+	if err := db.Register("r", []string{"a", "b"}, [][]any{{10, 1}, {20, 2}, {3, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("s", []string{"x", "y"}, [][]any{{1, 1}, {2, 2}, {3, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("u", []string{"k", "j", "z"}, [][]any{{3, 3, 1}, {3, 3, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range diffModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, tc := range []struct{ q, err string }{
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE 1 / (s.x - 3) > 0 AND s.x = r.b)`,
+					"division by zero"},
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE 1 / (s.y - r.a) > 0 AND s.x = r.b)`,
+					"division by zero"},
+				{`SELECT a FROM r WHERE EXISTS (SELECT 1 FROM s WHERE (SELECT z FROM u WHERE u.k = s.y AND u.j = r.a) > 0 AND s.x = r.b)`,
+					"scalar sublink produced 2 tuples"},
+			} {
+				if _, err := db.Query(tc.q, mode.opts...); err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Errorf("%s: error %v, want %q", tc.q, err, tc.err)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyEqualityMatchesCompare: hash keys — GROUP BY, DISTINCT, hash
+// joins, hashed ANY and the correlated index — must agree with =. The float
+// 2^63 is outside int64's range and must not encode as MinInt64; NaN equals
+// only NaN; an integer compares with a float exactly, not rounded to one.
+func TestKeyEqualityMatchesCompare(t *testing.T) {
+	db := Open()
+	if err := db.Register("t", []string{"x"}, [][]any{{int64(-9223372036854775808)}, {9.223372036854775808e18}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("u", []string{"x"}, [][]any{{1.5}, {2}, {nil}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range diffModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				q    string
+				rows int
+				want []any // the first column, when given
+			}{
+				{q: `SELECT x, count(*) FROM t GROUP BY x`, rows: 2},
+				{q: `SELECT DISTINCT x FROM t`, rows: 2},
+				{q: `SELECT CAST('NaN' AS float) = 1.5`, rows: 1, want: []any{false}},
+				{q: `SELECT x FROM u WHERE x = CAST('NaN' AS float)`, rows: 0},
+				{q: `SELECT 9223372036854775807 = CAST(9223372036854775807 AS float)`, rows: 1, want: []any{false}},
+			} {
+				res, err := db.Query(tc.q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.q, err)
+				}
+				if len(res.Rows) != tc.rows {
+					t.Errorf("%s: rows %v, want %d", tc.q, res.Rows, tc.rows)
+				} else if tc.want != nil {
+					wantColumn(t, res, 0, tc.want...)
+				}
+			}
+		})
+	}
+}
