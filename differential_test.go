@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"perm/internal/catalog"
 	"perm/internal/rewrite"
 	"perm/internal/synth"
+	"perm/internal/tpch"
 )
 
 // --- ORDER BY / OFFSET regression tests (fail on the pre-PR engine) ---
@@ -224,5 +226,48 @@ func TestDifferentialSynth(t *testing.T) {
 	}
 	for _, q := range []string{w.Q1(0), w.Q2(0), w.Q3(0), w.Q4(0)} {
 		checkDifferential(t, db, "SELECT PROVENANCE"+strings.TrimPrefix(q, "SELECT"))
+	}
+}
+
+// TestGenTemplatesGenerate: the four Gen templates of the benchmark's
+// sublink_probe workload — synth q3 and q4, TPC-H Q16 and Q22 — keep the
+// shape the streaming executor answers by generation after rewriting and
+// optimization. An optimizer or rewriter change that breaks the shape fails
+// here, not only in the benchmark.
+func TestGenTemplatesGenerate(t *testing.T) {
+	db := Open()
+	cat, _ := tpch.Generate(tpch.Config{SF: 0.2, Seed: 1})
+	w := synth.Workload{InputSize: 40, SublinkSize: 40, Seed: 1, Domain: 10}
+	for _, c := range []*catalog.Catalog{cat, w.Catalog()} {
+		for _, name := range c.Names() {
+			r, err := c.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Catalog().Register(name, r)
+		}
+	}
+	templates := map[string]func(seed int64) string{"q3": w.Q3, "q4": w.Q4}
+	for _, n := range []int{16, 22} {
+		q, err := tpch.QueryByNum(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		templates[fmt.Sprintf("Q%d", n)] = q.Instance
+	}
+	for name, gen := range templates {
+		// Generation counts the input rows of the selection, and a
+		// template's parameters can leave that input empty: sum over a few
+		// instances.
+		var generated int64
+		for seed := int64(1); seed <= 5; seed++ {
+			text := gen(seed * 7919)
+			i := strings.Index(text, "SELECT")
+			prov := text[:i+6] + " PROVENANCE" + text[i+6:]
+			generated += generatedRows(t, db, prov, WithStrategy(Gen))
+		}
+		if generated == 0 {
+			t.Errorf("%s+Gen: no selection was answered by generation", name)
+		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"perm/internal/catalog"
+	"perm/internal/opt"
 	"perm/internal/rel"
+	"perm/internal/rewrite"
 	"perm/internal/schema"
+	"perm/internal/sql"
 )
 
 // slopeDB is r(a, b) with n rows, b cycling through 50 values, beside a
@@ -39,6 +42,7 @@ func TestAllocSlopes(t *testing.T) {
 		entry       string // the operator or probe the query exercises per row of r
 		query       string
 		materialize bool
+		gen         bool // rewrite with the Gen strategy
 		ceiling     float64
 	}{
 		{entry: "streamSelect", query: `SELECT * FROM r WHERE b >= 10`, ceiling: 2.5},
@@ -52,11 +56,27 @@ func TestAllocSlopes(t *testing.T) {
 		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 4.1},
 		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 4.1},
 		{entry: "hashedAny", query: `SELECT * FROM r WHERE a = ANY (SELECT c FROM s)`, ceiling: 3.1},
+		// Gen's G1 selection, answered by generation. Under EXISTS the
+		// binding is b, so all but 50 rows of r reuse memoized witnesses;
+		// under ANY it is (a, b), so every row generates its own.
+		{entry: "generate", query: `SELECT PROVENANCE * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, gen: true, ceiling: 6.1},
+		{entry: "generateMiss", query: `SELECT PROVENANCE * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, gen: true, ceiling: 15.1},
 	} {
 		t.Run(c.entry, func(t *testing.T) {
 			allocs := func(n int) float64 {
 				cat := slopeDB(n)
 				plan := compileOptimized(t, cat, c.query)
+				if c.gen {
+					tr, err := sql.Compile(cat, c.query)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := rewrite.Rewrite(tr.Plan, rewrite.Gen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plan = opt.Optimize(res.Plan)
+				}
 				ev := New(cat)
 				ev.DisableStreaming = c.materialize
 				return testing.AllocsPerRun(3, func() {

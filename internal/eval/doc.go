@@ -106,6 +106,54 @@
 //     and is the differential oracle. Stats.IndexBuilds and IndexProbes
 //     count the builds and the calls answered from an index.
 //
+// # Generating Gen's CrossBase witnesses
+//
+// Rule G1 of the Gen strategy is σ_{C ∧ Csub1+ ∧ … ∧ Csubn+}(T × CB1 × … ×
+// CBn), each Csub+ of the form EXISTS(σ_{J ∧ P =n P′}(Q)) ∨ (¬EXISTS(E) ∧
+// P IS NULL). Executed literally, every row of T meets every one of the
+// ∏(|Ri|+1) CrossBase rows and a membership test runs per pair. The
+// streaming executor generates the witnesses instead (gen.go), as the
+// dependent join Hernández et al. give as the semantics of correlation:
+// for a row t of T it evaluates C, and per sublink Q under t's binding
+// (memoized as a sublink is), keeps the rows where J holds, collects their
+// distinct keys P′, adds the all-NULL key when ¬EXISTS(E) holds, and looks
+// each key up in a hash table over the CrossBase leaves, built once per node
+// and run under =n. It emits t × G1(t) × … × Gn(t) with multiplicity
+// n_t · ∏ counts. G(t) is memoized per binding of the slots Q, J and E
+// read.
+//
+//   - Where it applies: the selection's child is a Cross chain whose
+//     rightmost inputs are each keyed by exactly one Csub+ conjunct, a
+//     sublink's inputs adjacent, and each reads no enclosing scope. A key
+//     compares a CrossBase slot with a slot of Q's row; the IS NULL slots
+//     are exactly the key slots; J's conjuncts precede the keys; J, Q and E
+//     read no CrossBase slot, and neither does any other conjunct. The shape
+//     is recognised in the bound plan, whoever produced it, and decided once
+//     per node and run beside the index split. Anything else, and a
+//     selection whose CrossBase has an empty input, runs the literal
+//     selection.
+//   - Why the bag is the literal's: a CrossBase row r of sublink i is kept
+//     iff some row of Q with J True has key r.P, or r.P is all NULL and
+//     ¬EXISTS(E). Distinct keys select disjoint CrossBase rows, so each is
+//     emitted once, as the literal EXISTS admits it once.
+//   - Why the error is the reference's: CrossBase always holds the all-NULL
+//     row, so for every row of T the literal evaluates the same expressions
+//     on the same rows whatever the CrossBase row — C, and per sublink Q in
+//     full and J on each of its rows (the materializing reference runs the
+//     membership query to the end). Generation evaluates the conjuncts in
+//     the literal's order and stops where the literal's AND stops for every
+//     CrossBase row: at a False condition over T, or an empty G(t), which
+//     is False for every row of that sublink. A condition that is Unknown
+//     emits nothing but does not stop, as in the literal. E is evaluated
+//     only when some CrossBase row's key was not found, as the literal's OR
+//     evaluates it only for such rows. No error-freedom gate is needed.
+//   - The CrossBase inputs are charged as streamCross charges a build side,
+//     once per node and run, and generated rows stream; under Parallelism
+//     the per-row generation is the segment body.
+//   - Streaming only: the materializing reference keeps the literal G1 and
+//     is the differential oracle; the plan, Explain and plancheck still see
+//     G1. Stats.Generated counts the rows of T answered by generation.
+//
 // The streaming executor always memoizes. DisableSublinkMemo restores the
 // strict re-evaluating SubPlan behaviour on the materializing reference only
 // (the benchmark harness sets it when reproducing the paper's figures, whose
@@ -119,7 +167,8 @@
 // TestAllocSlopes measures the per-row paths: the streaming selection,
 // projection and hash-join probe, the materializing hash join, and the
 // sublink probes (probeExists, probeScalar, quantify over a memoized bag,
-// hashedAny, a probe answered from a correlated index). It runs one query
+// hashedAny, a probe answered from a correlated index) and generation, on a
+// memoized binding and on a new one. It runs one query
 // per path over two input sizes and pins the allocations one more input row
 // costs under a ceiling.
 // A change that adds a per-row allocation fails it; one that removes an

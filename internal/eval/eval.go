@@ -137,6 +137,11 @@ type Stats struct {
 	// selections answered from one (see index.go). Both are 0 under the
 	// materializing executor.
 	IndexBuilds, IndexProbes int64
+	// Generated counts the input rows of selections the streaming executor
+	// answered by generating their CrossBase witnesses instead of
+	// enumerating T × CrossBase (see gen.go). 0 under the materializing
+	// executor.
+	Generated int64
 }
 
 // LastStats reports the materialization counters of the most recent Eval
@@ -149,6 +154,7 @@ func (e *Evaluator) LastStats() Stats {
 		PeakRows:    e.shared.rows.Load(),
 		IndexBuilds: e.shared.indexBuilds.Load(),
 		IndexProbes: e.shared.indexProbes.Load(),
+		Generated:   e.shared.generated.Load(),
 	}
 }
 

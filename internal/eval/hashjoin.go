@@ -206,8 +206,10 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 // built.
 type hashTable map[string]*bucket
 
-// bucket holds the row groups of one key, in build order.
+// bucket holds the row groups of one key, in build order. id numbers the
+// buckets of a table from 0 in build order.
 type bucket struct {
+	id     int
 	tuples []rel.Tuple
 	counts []int
 }
@@ -230,7 +232,7 @@ func (e *Evaluator) buildTable(keys *equiKeys, in *rel.Relation, outer []rel.Tup
 		}
 		b := table[string(key)]
 		if b == nil {
-			b = &bucket{}
+			b = &bucket{id: len(table)}
 			table[string(key)] = b
 		}
 		b.tuples = append(b.tuples, t)

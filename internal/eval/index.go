@@ -120,32 +120,83 @@ func freeSlots(op algebra.Op) []algebra.Ref {
 	var free []algebra.Ref
 	var visit func(op algebra.Op)
 	visit = func(op algebra.Op) {
-		for _, x := range algebra.OperatorExprs(op) {
-			algebra.WalkExpr(x, func(x algebra.Expr) bool {
-				switch v := x.(type) {
-				case algebra.Ref:
-					if v.Depth > 0 {
-						free = append(free, v)
-					}
-				case algebra.Sublink:
-					for _, r := range v.Free {
-						if r.Depth > 1 {
-							free = append(free, algebra.Ref{Depth: r.Depth - 1, Idx: r.Idx})
-						}
-					}
-				}
-				return true
-			})
+		exprs := algebra.OperatorExprs(op)
+		if v, ok := op.(*algebra.Values); ok {
+			// VALUES rows have no input: their references all read
+			// enclosing scopes.
+			for _, row := range v.Rows {
+				exprs = append(exprs, row...)
+			}
+		}
+		for _, x := range exprs {
+			free = append(free, exprFree(x)...)
 		}
 		for _, c := range op.Children() {
 			visit(c)
 		}
 	}
 	visit(op)
+	return sortRefs(free)
+}
+
+// exprFree returns the slots of enclosing scopes an expression reads,
+// relative to the expression's own scope, unsorted.
+func exprFree(x algebra.Expr) []algebra.Ref {
+	var free []algebra.Ref
+	algebra.WalkExpr(x, func(x algebra.Expr) bool {
+		switch v := x.(type) {
+		case algebra.Ref:
+			if v.Depth > 0 {
+				free = append(free, v)
+			}
+		case algebra.Sublink:
+			for _, r := range v.Free {
+				if r.Depth > 1 {
+					free = append(free, algebra.Ref{Depth: r.Depth - 1, Idx: r.Idx})
+				}
+			}
+		}
+		return true
+	})
+	return free
+}
+
+// sortRefs sorts slots in (depth, slot) order and drops duplicates.
+func sortRefs(free []algebra.Ref) []algebra.Ref {
 	slices.SortFunc(free, func(a, b algebra.Ref) int {
 		return cmp.Or(cmp.Compare(a.Depth, b.Depth), cmp.Compare(a.Idx, b.Idx))
 	})
 	return slices.Compact(free)
+}
+
+// selectPlan is how the streaming executor answers one selection: by
+// generation (gen.go), from a hash index, or, with both nil, by the literal
+// filter.
+type selectPlan struct {
+	gen   *genPlan
+	index *indexSplit
+}
+
+// selectPlan returns the plan of a selection, decided once per node and
+// run, as a join's split is.
+func (e *Evaluator) selectPlan(o *algebra.Select) *selectPlan {
+	e.shared.mu.Lock()
+	p, ok := e.shared.selects[o]
+	e.shared.mu.Unlock()
+	if ok {
+		return p
+	}
+	p = &selectPlan{}
+	if _, ok := o.Child.(*algebra.Cross); ok {
+		p.gen = planGen(o)
+	}
+	if p.gen == nil {
+		p.index = splitSelect(o)
+	}
+	e.shared.mu.Lock()
+	e.shared.selects[o] = p
+	e.shared.mu.Unlock()
+	return p
 }
 
 // indexedSelect answers a selection evaluated under enclosing scopes from
@@ -156,16 +207,7 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 	if len(outer) == 0 {
 		return false, nil
 	}
-	e.shared.mu.Lock()
-	split, ok := e.shared.selects[o]
-	e.shared.mu.Unlock()
-	if !ok {
-		// Computed once per node and run, as a join's split is.
-		split = splitSelect(o)
-		e.shared.mu.Lock()
-		e.shared.selects[o] = split
-		e.shared.mu.Unlock()
-	}
+	split := e.selectPlan(o).index
 	if split == nil {
 		return false, nil
 	}

@@ -46,17 +46,21 @@ type runShared struct {
 	// joins caches the equi-join split of each join node's condition.
 	// guarded-by: mu
 	joins map[algebra.Op]*equiKeys
-	// selects caches the index plan of each selection evaluated under
-	// enclosing scopes; nil for one that keeps the literal filter.
+	// selects caches the plan of each selection: generation, an index, or
+	// the literal filter.
 	// guarded-by: mu
-	selects map[*algebra.Select]*indexSplit
+	selects map[*algebra.Select]*selectPlan
 	// indexes holds the hash indexes of those selections per node and
 	// binding of the input's free slots. A nil table marks a binding seen
 	// once, whose call ran the literal filter; a built table is immutable.
 	// guarded-by: mu
 	indexes map[*algebra.Select]map[string]hashTable
+	// genMemo holds the witnesses generation found per sublink and binding
+	// (see gen.go); a stored set is immutable.
+	// guarded-by: mu
+	genMemo map[*genSublink]map[string]genSet
 
-	indexBuilds, indexProbes atomic.Int64
+	indexBuilds, indexProbes, generated atomic.Int64
 }
 
 func newRunShared() *runShared {
@@ -67,8 +71,9 @@ func newRunShared() *runShared {
 		existsMemo: map[algebra.Op]map[string]bool{},
 		scalarMemo: map[algebra.Op]map[string]types.Value{},
 		joins:      map[algebra.Op]*equiKeys{},
-		selects:    map[*algebra.Select]*indexSplit{},
+		selects:    map[*algebra.Select]*selectPlan{},
 		indexes:    map[*algebra.Select]map[string]hashTable{},
+		genMemo:    map[*genSublink]map[string]genSet{},
 	}
 }
 

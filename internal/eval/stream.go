@@ -87,6 +87,11 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 }
 
 func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) error {
+	if _, ok := o.Child.(*algebra.Cross); ok {
+		if generated, err := e.generatedSelect(o, outer, emit); generated {
+			return err
+		}
+	}
 	if indexed, err := e.indexedSelect(o, outer, emit); indexed {
 		return err
 	}

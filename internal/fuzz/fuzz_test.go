@@ -74,6 +74,8 @@ func TestFuzzDifferential(t *testing.T) {
 		mu       sync.Mutex
 		failures []failure
 		probed   int // queries whose streaming run probed a correlated index
+		genRan   int // queries with a sublink and a Gen rewrite
+		genDid   int // ... whose streaming run generated CrossBase witnesses
 		ran      int
 		wg       sync.WaitGroup
 	)
@@ -91,12 +93,18 @@ func TestFuzzDifferential(t *testing.T) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			err := Check(db, q)
-			indexed := probesIndex(db, q)
+			st := streamStats(db, q)
 			mu.Lock()
 			defer mu.Unlock()
 			ran++
-			if indexed {
+			if st.indexed {
 				probed++
+			}
+			if st.gen {
+				genRan++
+			}
+			if st.generated {
+				genDid++
 			}
 			if err != nil {
 				failures = append(failures, failure{idx: i, err: err, q: q})
@@ -111,6 +119,12 @@ func TestFuzzDifferential(t *testing.T) {
 	if probed == 0 {
 		t.Errorf("no generated query probed a correlated index")
 	}
+	// Likewise generation: the oracle checks Gen's G1 selections answered
+	// by generation only if the rewritten queries reach it.
+	t.Logf("%d of %d Gen queries with a sublink (%.1f%%) generated CrossBase witnesses in a streaming run", genDid, genRan, 100*float64(genDid)/float64(max(genRan, 1)))
+	if genDid == 0 {
+		t.Errorf("no Gen query generated CrossBase witnesses")
+	}
 	for _, f := range failures {
 		min := Shrink(db, f.q, 200)
 		minErr := Check(db, min)
@@ -122,30 +136,43 @@ func TestFuzzDifferential(t *testing.T) {
 	}
 }
 
-// probesIndex reports whether the streaming executor answers a selection of
-// the query, as written or rewritten by Gen, from a correlated index
-// (eval.Stats.IndexProbes). A small row budget keeps Gen's large products
-// cheap: a run the budget stops still counts the probes it made.
-func probesIndex(db *perm.DB, q *Query) bool {
+// stats is what the streaming executor did for one generated query.
+type stats struct {
+	indexed   bool // a selection, as written or rewritten by Gen, probed a correlated index (eval.Stats.IndexProbes)
+	gen       bool // the query has a sublink and a Gen rewrite
+	generated bool // the rewrite's G1 selections were answered by generation (eval.Stats.Generated)
+}
+
+// streamStats runs the query, and its Gen rewrite, on the sequential
+// streaming executor. A small row budget keeps Gen's large products
+// cheap: a run the budget stops still counts what it did.
+func streamStats(db *perm.DB, q *Query) stats {
+	var st stats
 	tr, err := sql.Compile(db.Catalog(), q.SQL)
 	if err != nil {
-		return false
+		return st
 	}
-	plans := []algebra.Op{tr.Plan}
-	if !q.UsesLimit && q.Scans <= MaxProvScans {
-		if res, err := rewrite.Rewrite(tr.Plan, rewrite.Gen); err == nil {
-			plans = append(plans, res.Plan)
-		}
-	}
-	for _, p := range plans {
+	run := func(p algebra.Op) eval.Stats {
 		ev := eval.New(db.Catalog())
 		ev.MaxRows = 1000
 		_, _ = ev.Eval(opt.Optimize(p))
-		if ev.LastStats().IndexProbes > 0 {
-			return true
+		return ev.LastStats()
+	}
+	st.indexed = run(tr.Plan).IndexProbes > 0
+	if !q.UsesLimit && q.Scans <= MaxProvScans {
+		if res, err := rewrite.Rewrite(tr.Plan, rewrite.Gen); err == nil {
+			gs := run(res.Plan)
+			algebra.Walk(tr.Plan, func(op algebra.Op) bool {
+				for _, x := range algebra.OperatorExprs(op) {
+					st.gen = st.gen || algebra.HasSublink(x)
+				}
+				return !st.gen
+			})
+			st.indexed = st.indexed || gs.IndexProbes > 0
+			st.generated = gs.Generated > 0
 		}
 	}
-	return false
+	return st
 }
 
 // TestFuzzCorpus replays the checked-in minimized repros. A file may

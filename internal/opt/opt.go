@@ -162,10 +162,12 @@ func optimizeSelect(cond algebra.Expr, child algebra.Op) algebra.Op {
 		}
 	}
 
-	// Apply single-leaf predicates.
+	// Apply single-leaf predicates, optimized into the leaf: a leaf that is
+	// itself a cross product under a projection (the rewriter's shape for
+	// every FROM list) turns its product into joins.
 	for i := range leaves {
 		if len(pushed[i]) > 0 {
-			leaves[i] = &algebra.Select{Child: leaves[i], Cond: algebra.Conj(pushed[i]...)}
+			leaves[i] = optimizeSelect(algebra.Conj(pushed[i]...), leaves[i])
 		}
 	}
 

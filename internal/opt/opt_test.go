@@ -249,3 +249,45 @@ func TestOptimizeRewrittenPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestPushedPredicatesJoinInsideLeaf: a predicate pushed onto a cross leaf
+// is optimized into it. The leaf here is the rewriter's shape for a FROM
+// list, Π(r × s) — Gen rewrites Q16's `partsupp, part` this way — beside a
+// CrossBase leaf the predicate does not read; p_partkey = ps_partkey's
+// stand-in a = c must become a join inside the leaf, not a filter over its
+// product.
+func TestPushedPredicatesJoinInsideLeaf(t *testing.T) {
+	c := testDB()
+	tr, err := sql.Compile(c, "SELECT PROVENANCE a FROM r, s WHERE a = c AND b = ANY (SELECT e FROM u)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rewrite.Rewrite(tr.Plan, rewrite.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := eval.New(c).Eval(res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimized := Optimize(res.Plan)
+	after, err := eval.New(c).Eval(optimized)
+	if err != nil {
+		t.Fatalf("optimized plan failed: %v\n%s", err, algebra.Indent(optimized))
+	}
+	if !after.Equal(before.WithSchema(after.Schema)) {
+		t.Fatalf("optimizer changed semantics:\nbefore %s\nafter  %s", before, after)
+	}
+	// The only cross product left is the one pairing the input with the
+	// CrossBase, whose right side reads u.
+	var crosses []*algebra.Cross
+	algebra.Walk(optimized, func(o algebra.Op) bool {
+		if x, ok := o.(*algebra.Cross); ok {
+			crosses = append(crosses, x)
+		}
+		return true
+	})
+	if len(crosses) != 1 || countOps(crosses[0].L)["*algebra.Join"] != 1 || countOps(crosses[0].L)["*algebra.Cross"] != 0 {
+		t.Errorf("want one Cross whose left input joins r and s:\n%s", algebra.Indent(optimized))
+	}
+}

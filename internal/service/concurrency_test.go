@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,12 +107,12 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 }
 
 // TestRequestTimeoutCancelsQuery is the acceptance scenario: a 50ms
-// request timeout on the 400×400 synthetic workload under the Gen
-// strategy (~seconds unconstrained) must come back as a timeout error
-// within 200ms, release its worker-pool slot, and leak no goroutines.
+// request timeout on a statement of the 400-row synthetic workload that
+// runs for seconds unconstrained must come back as a timeout error within
+// 200ms, release its worker-pool slot, and leak no goroutines.
 func TestRequestTimeoutCancelsQuery(t *testing.T) {
-	_, ts, wl := newSynthServer(t, 400, 20, Config{MaxConcurrent: 2})
-	q := "SELECT PROVENANCE " + strings.TrimPrefix(wl.Q3(0), "SELECT ")
+	_, ts, _ := newSynthServer(t, 400, 20, Config{MaxConcurrent: 2})
+	q := slowStatement
 
 	// Warm up the HTTP client/server goroutine population before taking
 	// the baseline, so keep-alive conns don't count as leaks.
@@ -165,8 +164,8 @@ func TestRequestTimeoutCancelsQuery(t *testing.T) {
 // TestOverloadShedding: more simultaneous statements than MaxConcurrent
 // get 429 + Retry-After instead of queueing.
 func TestOverloadShedding(t *testing.T) {
-	s, ts, wl := newSynthServer(t, 200, 10, Config{MaxConcurrent: 1})
-	q := "SELECT PROVENANCE " + strings.TrimPrefix(wl.Q3(0), "SELECT ")
+	s, ts, _ := newSynthServer(t, 200, 10, Config{MaxConcurrent: 1})
+	q := slowStatement
 
 	done := make(chan int, 1)
 	go func() {

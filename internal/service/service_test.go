@@ -55,6 +55,11 @@ func newSynthServer(t *testing.T, size, domain int, cfg Config) (*Server, *httpt
 	return s, ts, wl
 }
 
+// slowStatement runs for seconds over newSynthServer's r1 (8 M rows at 200
+// rows of r1), and no executor cache or provenance rewrite shortens it: r1's
+// three-way self cross product under count(*).
+const slowStatement = "SELECT count(*) FROM r1 AS x, r1 AS y, r1 AS z"
+
 // reply is the decoded union of every endpoint's response body.
 type reply struct {
 	QueryResponse

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -16,8 +15,8 @@ import (
 // completion and deliver its full response, while new statement requests
 // are rejected with 503 and healthz flips to draining.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, ts, wl := newSynthServer(t, 200, 10, Config{})
-	slow := "SELECT PROVENANCE " + strings.TrimPrefix(wl.Q3(0), "SELECT ")
+	s, ts, _ := newSynthServer(t, 200, 10, Config{})
+	slow := slowStatement
 
 	type result struct {
 		status int
@@ -82,8 +81,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // TestShutdownDeadline: a drain that cannot finish in time reports the
 // context error instead of hanging.
 func TestShutdownDeadline(t *testing.T) {
-	s, ts, wl := newSynthServer(t, 200, 10, Config{})
-	slow := "SELECT PROVENANCE " + strings.TrimPrefix(wl.Q3(0), "SELECT ")
+	s, ts, _ := newSynthServer(t, 200, 10, Config{})
+	slow := slowStatement
 	done := make(chan struct{})
 	go func() {
 		post(t, ts.URL+"/query", map[string]any{"query": slow, "strategy": "Gen"})

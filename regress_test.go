@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"perm/internal/eval"
+	"perm/internal/sql"
 )
 
 // Regression tests for the bugs fixed alongside the differential fuzzer
@@ -1585,6 +1588,113 @@ func TestKeyEqualityMatchesCompare(t *testing.T) {
 				} else if tc.want != nil {
 					wantColumn(t, res, 0, tc.want...)
 				}
+			}
+		})
+	}
+}
+
+// generatedRows runs a statement's plan as DB.Query compiles it, on the
+// sequential streaming executor, and returns how many input rows of its
+// selections were answered by generating CrossBase witnesses
+// (eval.Stats.Generated).
+func generatedRows(t *testing.T, db *DB, query string, opts ...Option) int64 {
+	t.Helper()
+	lx, err := sql.Lex(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := db.snapshot()
+	p, params, _, err := sn.planFor(lx, newQueryConfig(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := eval.New(sn.src)
+	ev.Params = params
+	if _, err := ev.EvalBound(p.plan); err != nil {
+		t.Fatal(err)
+	}
+	return ev.LastStats().Generated
+}
+
+// TestGenGenerationRegress pins the cases the streaming executor's
+// generation of Gen's CrossBase witnesses must get exactly right, under the
+// executor modes of the fuzz oracle: every mode returns the materializing
+// reference's bag, or raises its error. The reference keeps Rule G1's
+// literal T × CrossBase selection. Cases without an error must also take
+// the generation path.
+func TestGenGenerationRegress(t *testing.T) {
+	db := Open()
+	for _, r := range []struct {
+		name string
+		cols []string
+		rows [][]any
+	}{
+		{"r", []string{"a", "b"}, [][]any{{1, 1}, {2, 1}, {2, 1}, {nil, 2}, {3, nil}, {4, 3}, {5, 2}}},
+		// s holds a duplicate row and an all-NULL row, which shares the
+		// all-NULL key with null(s).
+		{"s", []string{"c", "d"}, [][]any{{1, 1}, {3, 1}, {nil, 1}, {2, 2}, {2, 2}, {nil, nil}, {5, 3}, {0, 4}}},
+		{"u", []string{"e"}, [][]any{{1}, {2}, {2}}},
+	} {
+		if err := db.Register(r.name, r.cols, r.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	modes := []struct {
+		name string
+		opts []Option
+	}{
+		{"mat/seq", []Option{WithoutStreaming()}},
+		{"stream/seq", nil},
+		{"stream/par4", []Option{WithParallelism(4)}},
+	}
+	for _, c := range []struct {
+		name, query string
+		wantErr     bool
+	}{
+		// The three-valued cases the empty case's J filter was widened for.
+		{name: "null test value", query: `SELECT PROVENANCE a, b, a > ANY (SELECT c FROM s WHERE d = b) AS m FROM r`},
+		{name: "all-unknown ANY", query: `SELECT PROVENANCE a, a = ANY (SELECT c FROM s WHERE c IS NULL) AS m FROM r`},
+		{name: "all-unknown ALL", query: `SELECT PROVENANCE a, a < ALL (SELECT c FROM s WHERE c IS NULL AND d = 1) AS m FROM r`},
+		{name: "ALL", query: `SELECT PROVENANCE a FROM r WHERE a >= ALL (SELECT c FROM s WHERE d = b)`},
+		{name: "NOT ANY", query: `SELECT PROVENANCE a FROM r WHERE NOT (a = ANY (SELECT c FROM s WHERE d = b))`},
+		{name: "duplicate base rows", query: `SELECT PROVENANCE a, b FROM r WHERE EXISTS (SELECT * FROM s WHERE d = b)`},
+		{name: "all-NULL base row", query: `SELECT PROVENANCE a FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE c = a)`},
+		{name: "two sublinks", query: `SELECT PROVENANCE a FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b) AND EXISTS (SELECT * FROM u WHERE e = a)`},
+		{name: "select-list scalar", query: `SELECT PROVENANCE a, (SELECT max(c) FROM s WHERE d = b) AS m FROM r`},
+		{name: "sublink under OR", query: `SELECT PROVENANCE a FROM r WHERE a = 4 OR EXISTS (SELECT * FROM s WHERE d = b)`},
+		{name: "nested", query: `SELECT PROVENANCE a FROM r WHERE a > ANY (SELECT c FROM s WHERE EXISTS (SELECT * FROM u WHERE e = s.d))`},
+		{name: "nested correlated", query: `SELECT PROVENANCE a FROM r WHERE EXISTS (SELECT * FROM s WHERE d = r.b AND c < ANY (SELECT e FROM u WHERE e >= r.a))`},
+		// A division by zero in the condition over T (C), in the sublink
+		// query Gen rewrites into Q, in the test value J re-evaluates, and
+		// in the sublink query the empty case's ¬EXISTS(E) runs.
+		{name: "divide by zero in C", wantErr: true, query: `SELECT PROVENANCE a FROM r WHERE (a / (a - a) > 0 OR a IN (SELECT e FROM u)) AND EXISTS (SELECT * FROM s WHERE d = b)`},
+		{name: "divide by zero in Q", wantErr: true, query: `SELECT PROVENANCE a, EXISTS (SELECT c / (d - d) FROM s WHERE d = b) AS m FROM r`},
+		{name: "divide by zero in J", wantErr: true, query: `SELECT PROVENANCE a, a / (a - a) > ANY (SELECT c FROM s WHERE d = b) AS m FROM r`},
+		{name: "divide by zero in E", wantErr: true, query: `SELECT PROVENANCE a, NOT EXISTS (SELECT * FROM s WHERE d = b AND c / (c - c) > 0) AS m FROM r`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ref string
+			for i, m := range modes {
+				res, err := db.Query(c.query, append([]Option{WithStrategy(Gen)}, m.opts...)...)
+				got := ""
+				if err != nil {
+					got = "error: " + err.Error()
+				} else {
+					got = rowsFingerprint(res)
+				}
+				if i == 0 {
+					ref = got
+					if (err != nil) != c.wantErr {
+						t.Fatalf("%s: %s", m.name, got)
+					}
+					continue
+				}
+				if got != ref {
+					t.Errorf("%s disagrees with %s:\n%s\nwant\n%s", m.name, modes[0].name, got, ref)
+				}
+			}
+			if !c.wantErr && generatedRows(t, db, c.query, WithStrategy(Gen)) == 0 {
+				t.Errorf("no selection was answered by generation")
 			}
 		})
 	}
