@@ -87,17 +87,20 @@ type Snapshot struct {
 // Snapshot captures the catalog's current state without locking.
 func (c *Catalog) Snapshot() Snapshot { return Snapshot{tables: c.tables.Snapshot()} }
 
-// Register installs (or replaces) a relation under name, shadowing any
-// relation of a catalog beneath. The relation's schema is re-qualified with
-// the relation name so that unaliased scans resolve qualified references,
-// and its column kinds are inferred once here, so compiling a query never
-// rescans table data.
+// Register loads a relation under name, shadowing any relation of a
+// catalog beneath (or replacing its own). It merges the relation's
+// duplicate rows into one slot each, once, so scans visit each distinct row
+// once. The relation's schema is re-qualified with the relation name so
+// that unaliased scans resolve qualified references, and its column kinds
+// are inferred once here, so compiling a query never rescans table data.
 func (c *Catalog) Register(name string, r *rel.Relation) {
+	r.Merge()
 	c.RegisterWithKinds(name, r, nil)
 }
 
-// RegisterWithKinds is Register with declared column kinds — the CREATE
-// TABLE path, where an empty relation carries types that inference could not
+// RegisterWithKinds is Register with declared column kinds and without the
+// merge: it publishes the relation's slots as given. It is the CREATE TABLE
+// path, where an empty relation carries types that inference could not
 // recover from data, and the INSERT path, which publishes the appended copy
 // with its widened kinds. kinds == nil infers from the data. Replacing a
 // relation by one of the same schema and kinds keeps the name's Shape.

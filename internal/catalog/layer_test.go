@@ -18,6 +18,34 @@ func intRelation(col string, vals ...int64) *rel.Relation {
 	return r
 }
 
+// TestRegisterMergesDuplicateRows: Register folds a relation's duplicate
+// rows into one slot each, once at load; RegisterWithKinds, the INSERT and
+// CREATE TABLE path, publishes the slots as given.
+func TestRegisterMergesDuplicateRows(t *testing.T) {
+	slots := func(c *Catalog, name string) (n int) {
+		r, err := c.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = r.Each(func(rel.Tuple, int) error { n++; return nil })
+		return n
+	}
+	c := New()
+	c.Register("r", intRelation("a", 1, 2, 1, 1))
+	c.RegisterWithKinds("s", intRelation("a", 1, 2, 1, 1), nil)
+	if got := slots(c, "r"); got != 2 {
+		t.Errorf("Register kept %d slots of (1)×3, (2)×1, want 2", got)
+	}
+	if got := slots(c, "s"); got != 4 {
+		t.Errorf("RegisterWithKinds kept %d slots of 4 rows, want 4", got)
+	}
+	r, _ := c.Relation("r")
+	s, _ := c.Relation("s")
+	if r.Card() != 4 || !r.Equal(s) {
+		t.Errorf("the merged relation %s is not the bag %s", r, s)
+	}
+}
+
 func TestRegisterAndLookup(t *testing.T) {
 	c := New()
 	c.Register("r", intRelation("a", 1))

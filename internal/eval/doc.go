@@ -16,7 +16,9 @@
 //     OFFSET-only cut sorts its input;
 //   - aggregation: the per-group accumulator table;
 //   - hash-join and nested-loop builds: the materialized right input;
-//   - intersection/difference: both inputs (full multiplicities);
+//   - intersection/difference: both inputs, and a count map over the right
+//     one that the left input's slots consume (a bag may hold one tuple in
+//     several slots; the map sums them);
 //   - DISTINCT: the dedup set (rows still stream out on first sight).
 //
 // A stop signal (an errStop sentinel travelling the error path) propagates

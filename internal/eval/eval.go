@@ -475,31 +475,10 @@ func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []rel.Tuple) (*rel.Relatio
 		if err := r.Each(func(t rel.Tuple, n int) error { return e.add(out, t, n) }); err != nil {
 			return nil, err
 		}
-	case algebra.Intersect:
-		if err := l.Each(func(t rel.Tuple, n int) error {
-			if m := r.Count(t); m > 0 {
-				return e.add(out, t, min(n, m))
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	case algebra.Except:
-		if err := l.Each(func(t rel.Tuple, n int) error {
-			m := r.Count(t)
-			if o.Bag {
-				if n > m {
-					return e.add(out, t, n-m)
-				}
-			} else if m == 0 {
-				return e.add(out, t, n)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
 	default:
-		return nil, fmt.Errorf("eval: unknown set operation %v", o.Kind)
+		if err := setOpEach(o, l, r, func(t rel.Tuple, n int) error { return e.add(out, t, n) }); err != nil {
+			return nil, err
+		}
 	}
 	if !o.Bag {
 		out = out.Distinct()

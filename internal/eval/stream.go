@@ -383,7 +383,7 @@ func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []rel.Tuple, emit emitFn
 		return e.stream(o.R, outer, emit)
 	}
 	// Intersection and difference need full multiplicities of both sides:
-	// inherent breakers.
+	// inherent breakers. The right side's count map is the breaker state.
 	l, err := e.eval(o.L, outer)
 	if err != nil {
 		return err
@@ -392,29 +392,37 @@ func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []rel.Tuple, emit emitFn
 	if err != nil {
 		return err
 	}
-	switch o.Kind {
-	case algebra.Intersect:
-		return l.Each(func(t rel.Tuple, n int) error {
-			if m := r.Count(t); m > 0 {
-				return emit(t, min(n, m))
-			}
-			return nil
-		})
-	case algebra.Except:
-		return l.Each(func(t rel.Tuple, n int) error {
-			m := r.Count(t)
-			if o.Bag {
-				if n > m {
-					return emit(t, n-m)
-				}
-			} else if m == 0 {
-				return emit(t, n)
-			}
-			return nil
-		})
-	default:
+	return setOpEach(o, l, r, emit)
+}
+
+// setOpEach emits the rows of l INTERSECT or EXCEPT r, slot by slot of l,
+// against a count map of r built once. Under ALL a slot consumes what it
+// matches, so a tuple split across slots of l meets its count in r once in
+// total: INTERSECT ALL yields min(L, R) copies and EXCEPT ALL max(L − R, 0),
+// PostgreSQL's totals. The set forms test membership only and leave the
+// dedup to the caller.
+func setOpEach(o *algebra.SetOp, l, r *rel.Relation, emit emitFn) error {
+	if o.Kind != algebra.Intersect && o.Kind != algebra.Except {
 		return fmt.Errorf("eval: unknown set operation %v", o.Kind)
 	}
+	right := r.Group()
+	return l.Each(func(t rel.Tuple, n int) error {
+		keep := 0
+		switch {
+		case !o.Bag:
+			if (right.Count(t) > 0) == (o.Kind == algebra.Intersect) {
+				keep = n
+			}
+		case o.Kind == algebra.Intersect:
+			keep = right.Take(t, n)
+		default:
+			keep = n - right.Take(t, n)
+		}
+		if keep == 0 {
+			return nil
+		}
+		return emit(t, keep)
+	})
 }
 
 // streamLimit implements LIMIT/OFFSET. Under an order (an Order node

@@ -126,14 +126,15 @@ func (c *Checker) CheckSelection(sel *algebra.Select, tp TupleProvenance) error 
 	// Maximality: adding any excluded tuple must make verify fail.
 	for i := range sublinks {
 		excluded := rel.New(full[i].Schema)
-		_ = full[i].Each(func(st rel.Tuple, n int) error {
-			if star[i].Count(st) == 0 {
+		in := star[i].Group()
+		_ = full[i].Distinct().Each(func(st rel.Tuple, n int) error {
+			if in.Count(st) == 0 {
 				excluded.Add(st, 1)
 			}
 			return nil
 		})
 		err = excluded.Each(func(st rel.Tuple, n int) error {
-			augmented := star[i].Clone()
+			augmented := star[i].Clone(1)
 			augmented.Add(st, 1)
 			sets := append([]*rel.Relation{}, star...)
 			sets[i] = augmented

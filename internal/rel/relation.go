@@ -73,9 +73,14 @@ func Nulls(n int) Tuple {
 	return t
 }
 
-// Relation is a bag of tuples over a schema. Distinct tuples are stored once
-// with an integer multiplicity. The zero Relation is an empty bag with an
-// empty schema; use New to attach a schema.
+// Relation is a bag of tuples over a schema: an append-only list of slots,
+// each a tuple with a positive multiplicity. The same tuple may sit in
+// several slots — Add appends and never looks for an equal tuple — so a
+// tuple's multiplicity in the bag is the sum over its slots. Only the
+// operations whose semantics need tuple equality (Distinct, Equal, EqualSet,
+// Merge, and set operations through Group) compare tuples, under the =n
+// equivalence of Tuple.Key. The zero Relation is an empty bag with an empty
+// schema; use New to attach a schema.
 //
 // Relation is the engine's mutable builder: loaders and operators fill one
 // with Add and only then hand it over. Immutability of registered relations
@@ -85,13 +90,13 @@ type Relation struct {
 	Schema schema.Schema
 
 	tuples []Tuple
-	counts []int
-	index  map[string]int // tuple key -> slot in tuples/counts
+	counts []int // counts[i] > 0 is the multiplicity of tuples[i]
+	merged bool  // no two slots hold equal tuples: set by Merge, cleared by Add
 }
 
 // New returns an empty relation with the given schema.
 func New(s schema.Schema) *Relation {
-	return &Relation{Schema: s, index: map[string]int{}}
+	return &Relation{Schema: s}
 }
 
 // FromTuples builds a relation from tuples, each with multiplicity 1.
@@ -103,45 +108,35 @@ func FromTuples(s schema.Schema, ts ...Tuple) *Relation {
 	return r
 }
 
-// Add inserts n copies of t (merging with an existing slot). It panics if
-// the tuple width does not match the schema — that is always an engine bug,
-// not a data error. n may be negative (bag difference); slots never go below
-// zero.
+// Add appends a slot holding n copies of t; n == 0 adds nothing. It does not
+// merge with a slot holding an equal tuple. It panics if the tuple width
+// does not match the schema or n is negative — both are engine bugs, not
+// data errors.
 func (r *Relation) Add(t Tuple, n int) {
 	if len(t) != r.Schema.Len() {
 		panic(fmt.Sprintf("rel: tuple width %d does not match schema %s", len(t), r.Schema))
 	}
+	if n < 0 {
+		panic(fmt.Sprintf("rel: negative multiplicity %d", n))
+	}
 	if n == 0 {
 		return
 	}
-	if r.index == nil {
-		r.index = map[string]int{}
-	}
-	k := t.Key()
-	if slot, ok := r.index[k]; ok {
-		r.counts[slot] += n
-		if r.counts[slot] < 0 {
-			r.counts[slot] = 0
-		}
-		return
-	}
-	if n < 0 {
-		return
-	}
-	r.index[k] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
 	r.counts = append(r.counts, n)
+	r.merged = false
 }
 
-// Count returns the multiplicity of t in the bag.
+// Count returns the multiplicity of t in the bag, summed over its slots. It
+// scans every slot: engine paths that look up many tuples build a Group once.
 func (r *Relation) Count(t Tuple) int {
-	if r.index == nil {
-		return 0
+	total := 0
+	for i, u := range r.tuples {
+		if u.Compare(t) == 0 {
+			total += r.counts[i]
+		}
 	}
-	if slot, ok := r.index[t.Key()]; ok {
-		return r.counts[slot]
-	}
-	return 0
+	return total
 }
 
 // Card returns the total cardinality including multiplicities.
@@ -154,15 +149,13 @@ func (r *Relation) Card() int {
 }
 
 // Empty reports whether the bag contains no tuples.
-func (r *Relation) Empty() bool { return r.Card() == 0 }
+func (r *Relation) Empty() bool { return len(r.tuples) == 0 }
 
-// Each calls fn for every distinct tuple with positive multiplicity,
-// stopping early if fn returns an error.
+// Each calls fn for every slot in the order it was added, stopping early if
+// fn returns an error. A tuple held in several slots is visited once per
+// slot, each time with that slot's multiplicity.
 func (r *Relation) Each(fn func(t Tuple, n int) error) error {
 	for i, t := range r.tuples {
-		if r.counts[i] <= 0 {
-			continue
-		}
 		if err := fn(t, r.counts[i]); err != nil {
 			return err
 		}
@@ -170,16 +163,16 @@ func (r *Relation) Each(fn func(t Tuple, n int) error) error {
 	return nil
 }
 
-// Clone returns a deep-enough copy: slots are copied, tuples are shared
-// (tuples are immutable by convention).
-func (r *Relation) Clone() *Relation {
-	c := New(r.Schema)
-	for i, t := range r.tuples {
-		if r.counts[i] > 0 {
-			c.Add(t, r.counts[i])
-		}
+// Clone returns a copy whose slot slices share no backing array with r, with
+// room for extra more slots: Adds to the copy never reach r. Tuples are
+// shared (they are immutable by convention).
+func (r *Relation) Clone(extra int) *Relation {
+	return &Relation{
+		Schema: r.Schema,
+		tuples: append(make([]Tuple, 0, len(r.tuples)+extra), r.tuples...),
+		counts: append(make([]int, 0, len(r.counts)+extra), r.counts...),
+		merged: r.merged,
 	}
-	return c
 }
 
 // WithSchema returns a view of the relation under a different schema of the
@@ -189,35 +182,99 @@ func (r *Relation) WithSchema(s schema.Schema) *Relation {
 	if s.Len() != r.Schema.Len() {
 		panic(fmt.Sprintf("rel: WithSchema width mismatch: %s vs %s", s, r.Schema))
 	}
-	return &Relation{Schema: s, tuples: r.tuples, counts: r.counts, index: r.index}
+	return &Relation{Schema: s, tuples: r.tuples, counts: r.counts, merged: r.merged}
 }
 
-// Distinct returns the set version of the bag: every positive slot with
+// Group is a bag's slots grouped by Tuple.Key, the =n equivalence: one
+// group per distinct tuple, in the order of its first slot, with the sum of
+// its slots' multiplicities. It is the one place tuples of a bag are
+// compared; build one where the semantics need tuple equality and drop it
+// after.
+type Group struct {
+	tuples []Tuple
+	counts []int
+	index  map[string]int // tuple key -> group
+}
+
+// Group groups the bag's slots by tuple.
+func (r *Relation) Group() *Group {
+	n := len(r.tuples)
+	g := &Group{tuples: make([]Tuple, 0, n), counts: make([]int, 0, n), index: make(map[string]int, n)}
+	for i, t := range r.tuples {
+		k := t.Key()
+		if j, ok := g.index[k]; ok {
+			g.counts[j] += r.counts[i]
+			continue
+		}
+		g.index[k] = len(g.tuples)
+		g.tuples = append(g.tuples, t)
+		g.counts = append(g.counts, r.counts[i])
+	}
+	return g
+}
+
+// Len returns the number of distinct tuples.
+func (g *Group) Len() int { return len(g.tuples) }
+
+// Count returns the multiplicity of t left in the group.
+func (g *Group) Count(t Tuple) int {
+	if j, ok := g.index[t.Key()]; ok {
+		return g.counts[j]
+	}
+	return 0
+}
+
+// Take removes up to n copies of t from the group and returns how many it
+// removed: min(n, Count(t)). Set operations consume the right input's counts
+// this way as they visit the left input's slots, so a tuple split across
+// left slots is matched against its right count once in total.
+func (g *Group) Take(t Tuple, n int) int {
+	j, ok := g.index[t.Key()]
+	if !ok {
+		return 0
+	}
+	m := min(n, g.counts[j])
+	g.counts[j] -= m
+	return m
+}
+
+// Merge folds slots holding equal tuples into one slot each, keeping the
+// order of first occurrence. It installs new slot slices, so views that
+// share the old ones (WithSchema, an earlier version's slices) are
+// unaffected; a bag without duplicates is left as it is. A bag merged
+// before and not added to since is not grouped again.
+func (r *Relation) Merge() {
+	if r.merged {
+		return
+	}
+	if g := r.Group(); g.Len() < len(r.tuples) {
+		r.tuples, r.counts = g.tuples, g.counts
+	}
+	r.merged = true
+}
+
+// Distinct returns the set version of the bag: every distinct tuple with
 // multiplicity 1.
 func (r *Relation) Distinct() *Relation {
-	c := New(r.Schema)
-	for i, t := range r.tuples {
-		if r.counts[i] > 0 {
-			c.Add(t, 1)
-		}
+	g := r.Group()
+	for j := range g.counts {
+		g.counts[j] = 1
 	}
-	return c
+	return &Relation{Schema: r.Schema, tuples: g.tuples, counts: g.counts, merged: true}
 }
 
 // Equal reports whether two relations contain the same bag of tuples
 // (schemas are compared by width only; attribute names are metadata).
 func (r *Relation) Equal(o *Relation) bool {
-	if r.Schema.Len() != o.Schema.Len() {
+	if r.Schema.Len() != o.Schema.Len() || r.Card() != o.Card() {
 		return false
 	}
-	if r.Card() != o.Card() {
+	rg, og := r.Group(), o.Group()
+	if rg.Len() != og.Len() {
 		return false
 	}
-	for i, t := range r.tuples {
-		if r.counts[i] <= 0 {
-			continue
-		}
-		if o.Count(t) != r.counts[i] {
+	for j, t := range rg.tuples {
+		if og.Count(t) != rg.counts[j] {
 			return false
 		}
 	}
@@ -230,13 +287,12 @@ func (r *Relation) EqualSet(o *Relation) bool {
 	if r.Schema.Len() != o.Schema.Len() {
 		return false
 	}
-	for i, t := range r.tuples {
-		if r.counts[i] > 0 && o.Count(t) <= 0 {
-			return false
-		}
+	rg, og := r.Group(), o.Group()
+	if rg.Len() != og.Len() {
+		return false
 	}
-	for i, t := range o.tuples {
-		if o.counts[i] > 0 && r.Count(t) <= 0 {
+	for _, t := range rg.tuples {
+		if og.Count(t) == 0 {
 			return false
 		}
 	}
@@ -255,10 +311,7 @@ func (r *Relation) EqualSet(o *Relation) bool {
 func (r *Relation) InferKinds() []types.Kind {
 	kinds := make([]types.Kind, r.Schema.Len())
 	conflict := make([]bool, r.Schema.Len())
-	for i, t := range r.tuples {
-		if r.counts[i] <= 0 {
-			continue
-		}
+	for _, t := range r.tuples {
 		for j, v := range t {
 			k := v.Kind()
 			if k == types.KindNull || kinds[j] == k || conflict[j] {
@@ -278,8 +331,9 @@ func (r *Relation) InferKinds() []types.Kind {
 	return kinds
 }
 
-// Tuples returns the distinct positive tuples expanded by multiplicity, in
-// the order they were first added: the bag as the engine built it.
+// Tuples returns the slots expanded by multiplicity, in the order they were
+// added: the bag as the engine built it. A tuple held in several slots
+// appears at each of them, not gathered in one place.
 func (r *Relation) Tuples() []Tuple {
 	out := make([]Tuple, 0, r.Card())
 	for i, t := range r.tuples {

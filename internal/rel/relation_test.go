@@ -1,6 +1,8 @@
 package rel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,33 +18,90 @@ func ints(vals ...int64) Tuple {
 	return t
 }
 
-func TestAddMergesDuplicates(t *testing.T) {
+func TestAddKeepsDuplicateSlots(t *testing.T) {
 	r := New(schema.New("r", "a", "b"))
 	r.Add(ints(1, 2), 1)
-	r.Add(ints(1, 2), 2)
 	r.Add(ints(3, 4), 1)
-	if d := r.Distinct().Card(); d != 2 {
-		t.Fatalf("distinct tuples = %d", d)
+	r.Add(ints(1, 2), 2)
+	r.Add(ints(5, 6), 0) // adds nothing
+	if got := slots(r); got != "(1, 2)×1 (3, 4)×1 (1, 2)×2" {
+		t.Fatalf("slots = %s, want one per Add, in order", got)
 	}
-	if r.Card() != 4 {
-		t.Fatalf("card = %d", r.Card())
+	if r.Card() != 4 || r.Count(ints(1, 2)) != 3 {
+		t.Fatalf("card = %d, count = %d: both sum across slots", r.Card(), r.Count(ints(1, 2)))
 	}
-	if r.Count(ints(1, 2)) != 3 {
-		t.Fatalf("count = %d", r.Count(ints(1, 2)))
+	d := r.Distinct()
+	if d.Card() != 2 || d.Count(ints(1, 2)) != 1 {
+		t.Fatalf("distinct = %v", d)
+	}
+	merged := FromTuples(r.Schema, ints(3, 4), ints(1, 2), ints(1, 2), ints(1, 2))
+	if !r.Equal(merged) || !merged.Equal(r) {
+		t.Fatal("Equal must sum a tuple's slots")
+	}
+	if r.Equal(FromTuples(r.Schema, ints(3, 4), ints(1, 2), ints(1, 2))) {
+		t.Fatal("Equal must compare summed multiplicities")
+	}
+	// 1 and 1.0 are one tuple under =n, and so are two NULLs.
+	f := New(schema.New("f", "a"))
+	f.Add(Tuple{types.NewInt(1)}, 1)
+	f.Add(Tuple{types.NewFloat(1)}, 1)
+	f.Add(Tuple{types.Null()}, 1)
+	f.Add(Tuple{types.Null()}, 2)
+	if g := f.Group(); g.Len() != 2 || g.Count(Tuple{types.NewFloat(1)}) != 2 || g.Count(Tuple{types.Null()}) != 3 {
+		t.Fatalf("groups of %v: %d", f, g.Len())
 	}
 }
 
-func TestNegativeAddClampsAtZero(t *testing.T) {
-	r := New(schema.New("r", "a"))
-	r.Add(ints(1), 2)
-	r.Add(ints(1), -5)
-	if r.Count(ints(1)) != 0 {
-		t.Fatalf("count after over-subtraction = %d", r.Count(ints(1)))
+// slots renders a relation's slots in order, as tuple×count.
+func slots(r *Relation) string {
+	var out []string
+	_ = r.Each(func(tp Tuple, n int) error {
+		out = append(out, fmt.Sprint(tp, "×", n))
+		return nil
+	})
+	return strings.Join(out, " ")
+}
+
+func TestMergeFoldsSlots(t *testing.T) {
+	s := schema.New("r", "a")
+	r := FromTuples(s, ints(2), ints(1), ints(2), ints(2))
+	view := r.WithSchema(schema.New("v", "a"))
+	r.Merge()
+	if got := slots(r); got != "(2)×3 (1)×1" {
+		t.Fatalf("merged slots = %s, want first-occurrence order", got)
 	}
-	// Subtracting an absent tuple must not create a slot.
-	r.Add(ints(9), -1)
-	if r.Count(ints(9)) != 0 || !r.Empty() {
-		t.Fatal("negative add created phantom tuple")
+	if got := slots(view); got != "(2)×1 (1)×1 (2)×1 (2)×1" {
+		t.Fatalf("a view taken before Merge sees %s", got)
+	}
+	r.Merge()
+	r.Add(ints(1), 1)
+	r.Merge()
+	if got := slots(r); got != "(2)×3 (1)×2" {
+		t.Fatalf("merged again after an Add: %s", got)
+	}
+}
+
+func TestAddNegativePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a negative multiplicity")
+		}
+	}()
+	r := New(schema.New("r", "a"))
+	r.Add(ints(1), -1)
+}
+
+func TestGroupTake(t *testing.T) {
+	s := schema.New("r", "a")
+	g := FromTuples(s, ints(1), ints(2), ints(1), ints(1)).Group()
+	if got := g.Take(ints(1), 2); got != 2 {
+		t.Fatalf("Take(1, 2) = %d", got)
+	}
+	if got := g.Take(ints(1), 5); got != 1 {
+		t.Fatalf("Take(1, 5) after taking 2 of 3 = %d", got)
+	}
+	if got := g.Take(ints(9), 1); got != 0 || g.Count(ints(1)) != 0 || g.Count(ints(2)) != 1 {
+		t.Fatalf("Take of an absent tuple = %d; counts left %d, %d", got, g.Count(ints(1)), g.Count(ints(2)))
 	}
 }
 
@@ -83,24 +142,18 @@ func TestDistinctAndClone(t *testing.T) {
 	if d.Card() != 2 || d.Count(ints(1)) != 1 {
 		t.Errorf("distinct wrong: %v", d)
 	}
-	c := a.Clone()
+	// Appending to a clone, within its spare room and beyond it, never
+	// reaches the original.
+	c := a.Clone(1)
 	c.Add(ints(5), 1)
-	if a.Count(ints(5)) != 0 {
+	c.Add(ints(6), 1)
+	if a.Count(ints(5)) != 0 || a.Count(ints(6)) != 0 || a.Card() != 3 {
 		t.Error("clone shares slots with original")
 	}
-}
-
-func TestEachSkipsZeroSlots(t *testing.T) {
-	s := schema.New("r", "a")
-	r := FromTuples(s, ints(1), ints(2))
-	r.Add(ints(1), -1)
-	var seen int
-	_ = r.Each(func(tp Tuple, n int) error {
-		seen += n
-		return nil
-	})
-	if seen != 1 {
-		t.Errorf("Each visited card %d, want 1", seen)
+	b := a.Clone(0)
+	b.Add(ints(7), 1)
+	if a.Count(ints(7)) != 0 || c.Count(ints(7)) != 0 || c.Card() != 5 {
+		t.Error("clones share slots")
 	}
 }
 

@@ -207,8 +207,10 @@ func tableDefRelation(def *sql.TableDef) (*rel.Relation, []types.Kind) {
 // appendRows builds the next copy-on-write version of a relation with an
 // INSERT's rows appended, type-checking values against the column kinds
 // and widening unknown (all-NULL) columns to the kinds the new values
-// establish. The old relation is never mutated: snapshots that hold it
-// keep observing the pre-INSERT state.
+// establish. The new rows are appended as slots of their own, never merged
+// with equal rows, so the cost is one copy of the slot slices. The old
+// relation is never mutated: snapshots that hold it keep observing the
+// pre-INSERT state.
 func appendRows(old *rel.Relation, kinds []types.Kind, ins *sql.InsertStmt) (*rel.Relation, []types.Kind, error) {
 	cols := make([]string, old.Schema.Len())
 	for i, a := range old.Schema.Attrs {
@@ -219,7 +221,7 @@ func appendRows(old *rel.Relation, kinds []types.Kind, ins *sql.InsertStmt) (*re
 	}
 	merged := make([]types.Kind, len(kinds))
 	copy(merged, kinds)
-	next := old.Clone()
+	next := old.Clone(len(ins.Rows))
 	for _, row := range ins.Rows {
 		t := make(rel.Tuple, len(row))
 		copy(t, row)

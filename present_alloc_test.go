@@ -21,9 +21,9 @@ func TestPresentAllocSlopes(t *testing.T) {
 		query   string
 		ceiling float64
 	}{
-		{"unordered", `SELECT a, b FROM r`, 5.1},
-		{"orderByTies", `SELECT a, b FROM r ORDER BY b`, 6.1},
-		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 8.1},
+		{"unordered", `SELECT a, b FROM r`, 3.1},
+		{"orderByTies", `SELECT a, b FROM r ORDER BY b`, 4.1},
+		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 6.1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := func(n int) float64 {
@@ -47,5 +47,38 @@ func TestPresentAllocSlopes(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per row of r, ceiling %.2f", c.name, slope, c.ceiling)
 			}
 		})
+	}
+}
+
+// TestInsertAllocSlopes pins the cost of an INSERT to the rows it adds, not
+// to the rows already in the table: a five-row INSERT into r(a, b) with
+// 1000 and with 4000 rows, and the slope is (A(4000) − A(1000)) / 3000
+// allocations per existing row. Publishing the new version copies the
+// table's slot slices once, whatever their length.
+func TestInsertAllocSlopes(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	const ceiling = 0.01
+	allocs := func(n int) float64 {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{i, i % 7}
+		}
+		db := Open()
+		if err := db.Register("r", []string{"a", "b"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := db.Exec(`INSERT INTO r VALUES (1, 2), (3, 4), (5, 6), (7, 8), (9, 10)`); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	slope := (large - small) / 3000
+	t.Logf("%.0f allocs at 1000 rows, %.0f at 4000: %.3f allocs/existing row (ceiling %.2f)", small, large, slope, ceiling)
+	if slope > ceiling {
+		t.Errorf("INSERT: %.3f allocs per existing row of r, ceiling %.2f", slope, ceiling)
 	}
 }

@@ -1699,3 +1699,97 @@ func TestGenGenerationRegress(t *testing.T) {
 		})
 	}
 }
+
+// TestSetOpsSplitDuplicates: INTERSECT and EXCEPT count per tuple, not per
+// stored slot. A bag may hold one tuple in several slots — rows INSERTed by
+// separate statements, a projection onto a repeated column — and the
+// totals must still be min(L, R) for INTERSECT ALL and max(L − R, 0) for
+// EXCEPT ALL, with the set forms their distinct tuples. Tuples compare under
+// =n: NULL matches NULL, and 1 matches 1.0.
+func TestSetOpsSplitDuplicates(t *testing.T) {
+	db := Open()
+	// p.b repeats: 1 three times, NULL twice, 2.0 once.
+	if err := db.Register("p", []string{"a", "b"}, [][]any{{1, 1}, {2, 1.0}, {3, 1}, {4, nil}, {5, nil}, {6, 2.0}}); err != nil {
+		t.Fatal(err)
+	}
+	// l: (1,1)×4, (2,NULL)×2, (NULL,NULL)×2, (3,3.5)×1.
+	// r: (1,1)×2, (NULL,NULL)×3, (2,NULL)×2, (4,4)×1.
+	for _, s := range []string{
+		`CREATE TABLE l (x int, y float)`,
+		`INSERT INTO l VALUES (1, 1.0), (2, NULL)`,
+		`INSERT INTO l VALUES (1, 1.0), (NULL, NULL), (3, 3.5)`,
+		`INSERT INTO l VALUES (1, 1.0), (NULL, NULL), (2, NULL)`,
+		`INSERT INTO l VALUES (1, 1.0)`,
+		`CREATE TABLE r (x int, y float)`,
+		`INSERT INTO r VALUES (1, 1.0), (NULL, NULL)`,
+		`INSERT INTO r VALUES (1, 1.0), (2, NULL), (4, 4.0)`,
+		`INSERT INTO r VALUES (NULL, NULL), (NULL, NULL), (2, NULL)`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	rows := func(rs ...string) string { return strings.Join(rs, "\n") }
+	cases := []struct {
+		q    string
+		want string // rowsFingerprint of the expected bag
+	}{
+		{`SELECT x, y FROM l INTERSECT ALL SELECT x, y FROM r`,
+			rows("1|1", "1|1", "2|<nil>", "2|<nil>", "<nil>|<nil>", "<nil>|<nil>")},
+		{`SELECT x, y FROM l INTERSECT SELECT x, y FROM r`,
+			rows("1|1", "2|<nil>", "<nil>|<nil>")},
+		{`SELECT x, y FROM l EXCEPT ALL SELECT x, y FROM r`,
+			rows("1|1", "1|1", "3|3.5")},
+		{`SELECT x, y FROM l EXCEPT SELECT x, y FROM r`,
+			rows("3|3.5")},
+		{`SELECT x, y FROM r EXCEPT ALL SELECT x, y FROM l`,
+			rows("4|4", "<nil>|<nil>")},
+		{`SELECT x, y FROM r INTERSECT ALL SELECT x, y FROM l`,
+			rows("1|1", "1|1", "2|<nil>", "2|<nil>", "<nil>|<nil>", "<nil>|<nil>")},
+		// Projections onto a repeated column: x of l is 1×4, 2×2, NULL×2,
+		// 3×1; x of r is 1×2, NULL×3, 2×2, 4×1.
+		{`SELECT x FROM l EXCEPT ALL SELECT x FROM r`,
+			rows("1", "1", "3")},
+		{`SELECT x FROM l INTERSECT ALL SELECT x FROM r`,
+			rows("1", "1", "2", "2", "<nil>", "<nil>")},
+		{`SELECT x FROM r EXCEPT ALL SELECT x FROM l`,
+			rows("4", "<nil>")},
+		{`SELECT x FROM r EXCEPT SELECT x FROM l`,
+			rows("4")},
+		// p.b is 1×3, NULL×2, 2×1; y of r is 1×2, NULL×5, 4×1.
+		{`SELECT b FROM p INTERSECT ALL SELECT y FROM r`,
+			rows("1", "1", "<nil>", "<nil>")},
+		{`SELECT b FROM p EXCEPT ALL SELECT y FROM r`,
+			rows("1", "2")},
+		{`SELECT y FROM r EXCEPT ALL SELECT b FROM p`,
+			rows("4", "<nil>", "<nil>", "<nil>")},
+		{`SELECT b FROM p INTERSECT SELECT y FROM r`,
+			rows("1", "<nil>")},
+		{`SELECT b FROM p EXCEPT SELECT y FROM r`,
+			rows("2")},
+		// An int column against a float one holding 1 and 1.0.
+		{`SELECT x FROM l INTERSECT ALL SELECT b FROM p`,
+			rows("1", "1", "1", "2", "<nil>", "<nil>")},
+		{`SELECT x FROM l EXCEPT ALL SELECT b FROM p`,
+			rows("1", "2", "3")},
+		// Both inputs split: a projection of p (b is 1×3, NULL×2, 2×1)
+		// against one of l (y is 1×4, NULL×4, 3.5×1).
+		{`SELECT b, b FROM p INTERSECT ALL SELECT y, y FROM l`,
+			rows("1|1", "1|1", "1|1", "<nil>|<nil>", "<nil>|<nil>")},
+		{`SELECT y, y FROM l EXCEPT ALL SELECT b, b FROM p`,
+			rows("1|1", "3.5|3.5", "<nil>|<nil>", "<nil>|<nil>")},
+	}
+	for _, mode := range diffModes {
+		t.Run(strings.ReplaceAll(mode.name, "/", "_"), func(t *testing.T) {
+			for _, c := range cases {
+				res, err := db.Query(c.q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", c.q, err)
+				}
+				if got := rowsFingerprint(res); got != c.want {
+					t.Errorf("%s:\ngot  %q\nwant %q", c.q, got, c.want)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"perm/internal/rel"
 	"perm/internal/sql"
 	"perm/internal/types"
 )
@@ -122,6 +123,47 @@ func TestInsertWidensUnknownKinds(t *testing.T) {
 	}
 	if ks, _ := db.Catalog().Kinds("r"); ks[1] != types.KindNull {
 		t.Errorf("session INSERT changed the base's kinds: %v", ks)
+	}
+}
+
+// TestLoadMergesInsertAppends: loading a table merges its duplicate rows
+// into one slot each; INSERT appends its rows as slots of their own, merged
+// with nothing, and leaves the version before it as it was. Counting is the
+// same either way.
+func TestLoadMergesInsertAppends(t *testing.T) {
+	db := Open()
+	if err := db.Register("r", []string{"a"}, [][]any{{1}, {2}, {1}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	slots := func(src interface {
+		Relation(string) (*rel.Relation, error)
+	}) (n int) {
+		r, err := src.Relation("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = r.Each(func(rel.Tuple, int) error { n++; return nil })
+		return n
+	}
+	before := db.Catalog().Snapshot()
+	if got := slots(before); got != 2 {
+		t.Fatalf("%d slots after loading (1)×3, (2)×1, want 2", got)
+	}
+	if _, err := db.Exec(`INSERT INTO r VALUES (1), (2)`); err != nil {
+		t.Fatal(err)
+	}
+	if got := slots(db.Catalog()); got != 4 {
+		t.Errorf("%d slots after inserting (1), (2), want 4", got)
+	}
+	if got := slots(before); got != 2 {
+		t.Errorf("the pre-INSERT version has %d slots, want its 2", got)
+	}
+	res, err := db.Query(`SELECT a, count(*) FROM r GROUP BY a ORDER BY a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[1 4] [2 2]]" {
+		t.Errorf("counts = %s, want [[1 4] [2 2]]", got)
 	}
 }
 
