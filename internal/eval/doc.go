@@ -75,7 +75,10 @@
 // of results, so outer tuples that agree on every correlated parameter share
 // one evaluation instead of re-executing the subplan once per outer tuple.
 // The key is built in a stack buffer, so a memo hit allocates nothing for
-// it.
+// it. Every piece of run state is such a memo (memo.go), keyed by plan node
+// and binding: bags, verdicts, hashed sets, join splits, selection plans,
+// indexes and Gen's witnesses. An uncorrelated subplan, and a decision made
+// once per node, has the empty binding.
 //
 // A memo miss still runs the inner query, and a correlated one filters its
 // input anew for every binding. In the streaming executor a selection under
@@ -195,9 +198,9 @@
 //   - Each worker appends to a private output relation; outputs merge in
 //     worker order. Materialized relations are immutable once built.
 //   - All workers of one Eval share a single run state: the row budget
-//     (atomic) and the memo tables (mutex-guarded). Workers may race to
-//     compute the same memo entry; the duplicated work is benign and the
-//     publish is serialized.
+//     (atomic) and the memos, each guarded by its own lock and keyed by
+//     (plan node, binding). Workers may race to compute the same entry;
+//     the duplicated work is benign and the later store wins.
 //   - A panic on a worker is recovered with its stack and raised again on
 //     the goroutine that called Eval, so it fails like a sequential run.
 //

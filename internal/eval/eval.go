@@ -69,8 +69,9 @@ type Evaluator struct {
 	// leaves.
 	Params []types.Value
 
-	// shared is the per-Eval run state (row budget, memo tables), shared
-	// by every worker of one evaluation.
+	// shared is the per-Eval run state (row budget, memos), shared by every
+	// worker of one evaluation. It is never nil: New gives the evaluator
+	// one, and EvalBound replaces it on every run.
 	shared *runShared
 	// worker marks an evaluator forked for a segment's producer or one of
 	// its workers; neither fans out again.
@@ -83,7 +84,7 @@ type Evaluator struct {
 // context until WithContext installs the caller's; request paths (the
 // service, the benchmark harness) always do.
 func New(db DB) *Evaluator {
-	return &Evaluator{db: db}
+	return &Evaluator{db: db, shared: &runShared{}}
 }
 
 // WithContext returns a copy of the evaluator that checks ctx for
@@ -116,7 +117,7 @@ func (e *Evaluator) EvalBound(op algebra.Op) (*rel.Relation, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, e.ctx.Err())
 	default:
 	}
-	e.shared = newRunShared()
+	e.shared = &runShared{}
 	return e.eval(op, nil)
 }
 
@@ -147,9 +148,6 @@ type Stats struct {
 // LastStats reports the materialization counters of the most recent Eval
 // call on this evaluator.
 func (e *Evaluator) LastStats() Stats {
-	if e.shared == nil {
-		return Stats{}
-	}
 	return Stats{
 		PeakRows:    e.shared.rows.Load(),
 		IndexBuilds: e.shared.indexBuilds.Load(),
@@ -187,10 +185,8 @@ func (e *Evaluator) done() <-chan struct{} {
 // streaming breaker state (aggregate groups, dedup keys, heap fills) —
 // against the row budget and the PeakRows counter.
 func (e *Evaluator) charge(n int) error {
-	if e.shared != nil {
-		if rows := e.shared.rows.Add(int64(n)); e.MaxRows > 0 && rows > int64(e.MaxRows) {
-			return fmt.Errorf("%w (%d rows)", ErrBudget, e.MaxRows)
-		}
+	if rows := e.shared.rows.Add(int64(n)); e.MaxRows > 0 && rows > int64(e.MaxRows) {
+		return fmt.Errorf("%w (%d rows)", ErrBudget, e.MaxRows)
 	}
 	return nil
 }

@@ -303,9 +303,9 @@ func TestHashedAnyMatchesQuantify(t *testing.T) {
 	}
 	tests := []types.Value{null, one, types.NewFloat(1), types.NewInt(2), types.NewString("x")}
 	s := algebra.Sublink{Kind: algebra.AnySublink, Op: types.CmpEq}
-	ev := New(nil) // no run state: hashedAny builds its set on every call
 	for _, b := range bags {
 		for _, a := range tests {
+			ev := New(nil) // fresh run state: hashedAny builds its set for this bag
 			want, err := ev.quantify(s, a, b.sub)
 			if err != nil {
 				t.Fatal(err)

@@ -471,10 +471,7 @@ func (e *Evaluator) emitProduct(g *genPlan, sets []genSet, b int, row rel.Tuple,
 func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 	var buf [64]byte
 	key := appendParamKey(buf[:0], sub.free, s.scope)
-	e.shared.mu.Lock()
-	set, ok := e.shared.genMemo[sub][string(key)]
-	e.shared.mu.Unlock()
-	if ok {
+	if set, ok := e.shared.witnesses.get(sub, key); ok {
 		return set, nil
 	}
 	q, err := e.evalSubplan(sub.query, s.scope)
@@ -517,16 +514,11 @@ func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 			s.addCombo(sub, func(l *genLeaf) *bucket { return l.null })
 		}
 	}
-	set, err = e.expand(sub, s.combos)
+	set, err := e.expand(sub, s.combos)
 	if err != nil {
 		return genSet{}, err
 	}
-	e.shared.mu.Lock()
-	if e.shared.genMemo[sub] == nil {
-		e.shared.genMemo[sub] = map[string]genSet{}
-	}
-	e.shared.genMemo[sub][string(key)] = set
-	e.shared.mu.Unlock()
+	e.shared.witnesses.put(sub, key, set)
 	return set, nil
 }
 

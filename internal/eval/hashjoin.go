@@ -132,19 +132,11 @@ func rebase(e algebra.Expr, lw int) algebra.Expr {
 // joinKeys returns the equi-join split of a join node's condition, computed
 // once per node and run.
 func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *equiKeys {
-	if e.shared == nil {
-		keys := splitEquiJoin(cond, l.Schema().Len())
-		return &keys
-	}
-	e.shared.mu.Lock()
-	keys, ok := e.shared.joins[join]
-	e.shared.mu.Unlock()
+	keys, ok := e.shared.joins.get(join, nil)
 	if !ok {
 		split := splitEquiJoin(cond, l.Schema().Len())
 		keys = &split
-		e.shared.mu.Lock()
-		e.shared.joins[join] = keys
-		e.shared.mu.Unlock()
+		e.shared.joins.put(join, nil, keys)
 	}
 	return keys
 }

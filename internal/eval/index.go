@@ -180,9 +180,7 @@ type selectPlan struct {
 // selectPlan returns the plan of a selection, decided once per node and
 // run, as a join's split is.
 func (e *Evaluator) selectPlan(o *algebra.Select) *selectPlan {
-	e.shared.mu.Lock()
-	p, ok := e.shared.selects[o]
-	e.shared.mu.Unlock()
+	p, ok := e.shared.selects.get(o, nil)
 	if ok {
 		return p
 	}
@@ -193,9 +191,7 @@ func (e *Evaluator) selectPlan(o *algebra.Select) *selectPlan {
 	if p.gen == nil {
 		p.index = splitSelect(o)
 	}
-	e.shared.mu.Lock()
-	e.shared.selects[o] = p
-	e.shared.mu.Unlock()
+	e.shared.selects.put(o, nil, p)
 	return p
 }
 
@@ -213,18 +209,11 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 	}
 	var buf [64]byte
 	binding := appendParamKey(buf[:0], split.free, outer)
-	e.shared.mu.Lock()
-	byBinding := e.shared.indexes[o]
-	table, seen := byBinding[string(binding)]
+	table, seen := e.shared.indexes.get(o, binding)
 	if !seen {
-		if byBinding == nil {
-			byBinding = map[string]hashTable{}
-			e.shared.indexes[o] = byBinding
-		}
-		byBinding[string(binding)] = nil
-	}
-	e.shared.mu.Unlock()
-	if !seen {
+		// Workers racing on a new binding may each mark it and run the
+		// literal filter, which is exact.
+		e.shared.indexes.put(o, binding, nil)
 		return false, nil
 	}
 	if table == nil {
@@ -238,9 +227,7 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 		if table, err = e.buildTable(&split.equiKeys, in, outer); err != nil {
 			return true, err
 		}
-		e.shared.mu.Lock()
-		e.shared.indexes[o][string(binding)] = table
-		e.shared.mu.Unlock()
+		e.shared.indexes.put(o, binding, table)
 		e.shared.indexBuilds.Add(1)
 	}
 	e.shared.indexProbes.Add(1)

@@ -14,67 +14,40 @@ import (
 )
 
 // runShared is the state one top-level Eval call shares across all worker
-// goroutines: the row budget and the memo tables. The maps are guarded by
-// mu; rows is atomic so the hot add path never takes the lock. Memoized
-// relations are immutable once stored — workers may read them freely.
+// goroutines: the row budget, the counters of Stats, and the memos. Each
+// memo has its own lock and is keyed by plan node and binding; the counters
+// are atomic so the hot add path never takes a lock. A stored value is
+// immutable — workers may read it freely.
 type runShared struct {
-	rows atomic.Int64
-
-	mu sync.Mutex
-	// memo caches materialized results of uncorrelated sublink queries,
-	// keyed by plan-node identity (PostgreSQL's InitPlan behaviour).
-	// guarded-by: mu
-	memo map[algebra.Op]*rel.Relation
-	// anyMemo caches hash sets for uncorrelated = ANY sublinks
-	// (PostgreSQL's hashed subplans).
-	// guarded-by: mu
-	anyMemo map[algebra.Op]*anySet
-	// subMemo caches correlated sublink results per plan node, keyed by the
-	// encoded values of the node's free parameters — repeated outer
-	// bindings evaluate the sublink once instead of O(outer) times.
-	// guarded-by: mu
-	subMemo map[algebra.Op]map[string]*rel.Relation
-	// existsMemo and scalarMemo cache the verdicts of early-terminating
-	// streaming probes per plan node and parameter binding. A probe that
-	// stopped at its deciding row has seen only part of the subplan's bag,
-	// so the bag caches above must never receive it — the verdict is the
-	// memoizable result.
-	// guarded-by: mu
-	existsMemo map[algebra.Op]map[string]bool
-	// guarded-by: mu
-	scalarMemo map[algebra.Op]map[string]types.Value
-	// joins caches the equi-join split of each join node's condition.
-	// guarded-by: mu
-	joins map[algebra.Op]*equiKeys
-	// selects caches the plan of each selection: generation, an index, or
-	// the literal filter.
-	// guarded-by: mu
-	selects map[*algebra.Select]*selectPlan
-	// indexes holds the hash indexes of those selections per node and
-	// binding of the input's free slots. A nil table marks a binding seen
-	// once, whose call ran the literal filter; a built table is immutable.
-	// guarded-by: mu
-	indexes map[*algebra.Select]map[string]hashTable
-	// genMemo holds the witnesses generation found per sublink and binding
-	// (see gen.go); a stored set is immutable.
-	// guarded-by: mu
-	genMemo map[*genSublink]map[string]genSet
-
+	rows                                atomic.Int64
 	indexBuilds, indexProbes, generated atomic.Int64
-}
 
-func newRunShared() *runShared {
-	return &runShared{
-		memo:       map[algebra.Op]*rel.Relation{},
-		anyMemo:    map[algebra.Op]*anySet{},
-		subMemo:    map[algebra.Op]map[string]*rel.Relation{},
-		existsMemo: map[algebra.Op]map[string]bool{},
-		scalarMemo: map[algebra.Op]map[string]types.Value{},
-		joins:      map[algebra.Op]*equiKeys{},
-		selects:    map[*algebra.Select]*selectPlan{},
-		indexes:    map[*algebra.Select]map[string]hashTable{},
-		genMemo:    map[*genSublink]map[string]genSet{},
-	}
+	// bags holds materialized sublink results: under the empty binding once
+	// per query for an uncorrelated sublink (PostgreSQL's InitPlan), and per
+	// binding of its free slots for a correlated one, so repeated outer
+	// bindings evaluate the sublink once instead of O(outer) times.
+	bags memo[algebra.Op, *rel.Relation]
+	// anySets holds the hash sets of uncorrelated = ANY sublinks
+	// (PostgreSQL's hashed subplans).
+	anySets memo[algebra.Op, *anySet]
+	// exists and scalars hold the verdicts of early-terminating streaming
+	// probes. A probe that stopped at its deciding row has seen only part
+	// of the subplan's bag, so bags must never receive it — the verdict is
+	// the memoizable result.
+	exists  memo[algebra.Op, bool]
+	scalars memo[algebra.Op, types.Value]
+	// joins holds the equi-join split of each join node's condition, and
+	// selects the plan of each selection: generation, an index, or the
+	// literal filter.
+	joins   memo[algebra.Op, *equiKeys]
+	selects memo[*algebra.Select, *selectPlan]
+	// indexes holds the hash indexes of those selections per binding of
+	// the input's free slots. A nil table marks a binding seen once, whose
+	// call ran the literal filter.
+	indexes memo[*algebra.Select, hashTable]
+	// witnesses holds the witnesses generation found per sublink and
+	// binding (see gen.go).
+	witnesses memo[*genSublink, genSet]
 }
 
 // fork returns a copy of e for one worker goroutine: the same shared run
@@ -94,7 +67,7 @@ func (e *Evaluator) fork() *Evaluator {
 // fan-out to segments with sublink-bearing expressions, where per-row work
 // dwarfs the exchange overhead.
 func (e *Evaluator) segmentFanOut(outer []rel.Tuple) int {
-	if e.Parallelism <= 1 || e.worker || len(outer) > 0 || e.shared == nil {
+	if e.Parallelism <= 1 || e.worker || len(outer) > 0 {
 		return 0
 	}
 	return e.Parallelism

@@ -90,10 +90,7 @@ func (e *Evaluator) probeExists(s algebra.Sublink, scope []rel.Tuple) (types.Val
 	q := s.Query
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	e.shared.mu.Lock()
-	v, ok := e.shared.existsMemo[q][string(key)]
-	e.shared.mu.Unlock()
-	if ok {
+	if v, ok := e.shared.exists.get(q, key); ok {
 		return types.NewBool(v), nil
 	}
 	found := false
@@ -104,12 +101,7 @@ func (e *Evaluator) probeExists(s algebra.Sublink, scope []rel.Tuple) (types.Val
 	if err != nil {
 		return types.Null(), err
 	}
-	e.shared.mu.Lock()
-	if e.shared.existsMemo[q] == nil {
-		e.shared.existsMemo[q] = map[string]bool{}
-	}
-	e.shared.existsMemo[q][string(key)] = found
-	e.shared.mu.Unlock()
+	e.shared.exists.put(q, key, found)
 	return types.NewBool(found), nil
 }
 
@@ -119,10 +111,7 @@ func (e *Evaluator) probeScalar(s algebra.Sublink, scope []rel.Tuple) (types.Val
 	q := s.Query
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	e.shared.mu.Lock()
-	v, ok := e.shared.scalarMemo[q][string(key)]
-	e.shared.mu.Unlock()
-	if ok {
+	if v, ok := e.shared.scalars.get(q, key); ok {
 		return v, nil
 	}
 	// The width is checked where the value is computed: a memo hit was
@@ -143,12 +132,7 @@ func (e *Evaluator) probeScalar(s algebra.Sublink, scope []rel.Tuple) (types.Val
 	if err != nil {
 		return types.Null(), err
 	}
-	e.shared.mu.Lock()
-	if e.shared.scalarMemo[q] == nil {
-		e.shared.scalarMemo[q] = map[string]types.Value{}
-	}
-	e.shared.scalarMemo[q][string(key)] = out
-	e.shared.mu.Unlock()
+	e.shared.scalars.put(q, key, out)
 	return out, nil
 }
 
@@ -202,7 +186,7 @@ func (e *Evaluator) quantify(s algebra.Sublink, a types.Value, sub *rel.Relation
 }
 
 // anySet is the hashed form of an uncorrelated = ANY sublink result. It is
-// immutable once published into the run's anyMemo.
+// immutable once stored in the run's anySets.
 type anySet struct {
 	keys map[string]bool
 	// classes has the classBit of every element, NULL included.
@@ -225,15 +209,10 @@ func classBit(v types.Value) uint8 {
 // empty subquery yields false; a NULL test value yields unknown, and so
 // does a miss when some element is NULL or of a kind a does not compare
 // with. Concurrent workers may race to build the set; the duplicate work is
-// benign and the map publish is serialized.
+// benign.
 func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
-	var set *anySet
-	if e.shared != nil {
-		e.shared.mu.Lock()
-		set = e.shared.anyMemo[s.Query]
-		e.shared.mu.Unlock()
-	}
-	if set == nil {
+	set, ok := e.shared.anySets.get(s.Query, nil)
+	if !ok {
 		if sub.Schema.Len() != 1 {
 			return types.Null(), fmt.Errorf("eval: %s sublink query produced %d attributes, want 1", s.Kind, sub.Schema.Len())
 		}
@@ -243,11 +222,7 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 			set.classes |= classBit(st[0])
 			return nil
 		})
-		if e.shared != nil {
-			e.shared.mu.Lock()
-			e.shared.anyMemo[s.Query] = set
-			e.shared.mu.Unlock()
-		}
+		e.shared.anySets.put(s.Query, nil, set)
 	}
 	if set.empty {
 		return types.NewBool(false), nil
@@ -255,7 +230,8 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 	if a.IsNull() {
 		return types.Null(), nil
 	}
-	if set.keys[string(a.AppendKey(nil))] {
+	var buf [64]byte
+	if set.keys[string(a.AppendKey(buf[:0]))] {
 		return types.NewBool(true), nil
 	}
 	if set.classes&^classBit(a) != 0 {
@@ -275,29 +251,22 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 func (e *Evaluator) evalSubplan(s algebra.Sublink, scope []rel.Tuple) (*rel.Relation, error) {
 	q := s.Query
 	if len(s.Free) == 0 {
-		if cached, ok := e.lookupMemo(q); ok {
-			return cached, nil
-		}
-		out, err := e.eval(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		e.storeMemo(q, out)
-		return out, nil
-	}
-	if e.DisableStreaming && e.DisableSublinkMemo || e.shared == nil {
+		// An InitPlan runs with no enclosing scope, so it may fan out and
+		// never consults a selection index.
+		scope = nil
+	} else if e.DisableStreaming && e.DisableSublinkMemo {
 		return e.eval(q, scope)
 	}
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	if cached, ok := e.lookupSubMemo(q, key); ok {
+	if cached, ok := e.shared.bags.get(q, key); ok {
 		return cached, nil
 	}
 	out, err := e.eval(q, scope)
 	if err != nil {
 		return nil, err
 	}
-	e.storeSubMemo(q, key, out)
+	e.shared.bags.put(q, key, out)
 	return out, nil
 }
 
@@ -309,45 +278,4 @@ func appendParamKey(dst []byte, free []algebra.Ref, scope []rel.Tuple) []byte {
 		dst = scope[len(scope)-int(r.Depth)][r.Idx].AppendKey(dst)
 	}
 	return dst
-}
-
-func (e *Evaluator) lookupMemo(q algebra.Op) (*rel.Relation, bool) {
-	if e.shared == nil {
-		return nil, false
-	}
-	e.shared.mu.Lock()
-	defer e.shared.mu.Unlock()
-	cached, ok := e.shared.memo[q]
-	return cached, ok
-}
-
-func (e *Evaluator) storeMemo(q algebra.Op, out *rel.Relation) {
-	if e.shared == nil {
-		return
-	}
-	e.shared.mu.Lock()
-	e.shared.memo[q] = out
-	e.shared.mu.Unlock()
-}
-
-func (e *Evaluator) lookupSubMemo(q algebra.Op, key []byte) (*rel.Relation, bool) {
-	e.shared.mu.Lock()
-	defer e.shared.mu.Unlock()
-	m := e.shared.subMemo[q]
-	if m == nil {
-		return nil, false
-	}
-	cached, ok := m[string(key)]
-	return cached, ok
-}
-
-func (e *Evaluator) storeSubMemo(q algebra.Op, key []byte, out *rel.Relation) {
-	e.shared.mu.Lock()
-	m := e.shared.subMemo[q]
-	if m == nil {
-		m = map[string]*rel.Relation{}
-		e.shared.subMemo[q] = m
-	}
-	m[string(key)] = out
-	e.shared.mu.Unlock()
 }

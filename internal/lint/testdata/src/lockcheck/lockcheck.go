@@ -154,3 +154,27 @@ func (b *box[V]) peek() V {
 func peekInt(b *box[int]) int {
 	return b.val // want `access to "val" \(guarded-by: mu\) without holding mu`
 }
+
+// table has two type parameters and a map keyed by one of them inside a
+// generic key type: its methods share the one annotation as box's do.
+type table[K comparable, V any] struct {
+	mu sync.Mutex
+	// guarded-by: mu
+	m map[tableKey[K]]V
+}
+
+type tableKey[K comparable] struct {
+	node K
+	tag  string
+}
+
+func (t *table[K, V]) get(node K, tag string) (V, bool) {
+	t.mu.Lock()
+	v, ok := t.m[tableKey[K]{node, tag}]
+	t.mu.Unlock()
+	return v, ok
+}
+
+func (t *table[K, V]) peek(node K) V {
+	return t.m[tableKey[K]{node: node}] // want `access to "m" \(guarded-by: mu\) without holding mu`
+}

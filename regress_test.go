@@ -1793,3 +1793,33 @@ func TestSetOpsSplitDuplicates(t *testing.T) {
 		})
 	}
 }
+
+// TestUncorrelatedSublinksKeepTheirOwnMemo: two uncorrelated = ANY
+// sublinks in one WHERE over different columns share the run's memos and the
+// empty binding, so only the plan node tells their bags and hash sets
+// apart. Every executor memoizes an uncorrelated sublink, so the executors
+// would agree on a wrong answer: the rows are checked against their values.
+func TestUncorrelatedSublinksKeepTheirOwnMemo(t *testing.T) {
+	db := Open()
+	if err := db.Register("t", []string{"a", "b"}, [][]any{{1, 20}, {1, 1}, {10, 20}, {2, 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register("s", []string{"c", "d"}, [][]any{{1, 10}, {2, 20}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range diffModes {
+		t.Run(strings.ReplaceAll(mode.name, "/", "_"), func(t *testing.T) {
+			for _, q := range []string{
+				`SELECT a FROM t WHERE a = ANY (SELECT c FROM s) AND b = ANY (SELECT d FROM s) ORDER BY a`,
+				// Quantified, not hashed: the bags themselves are memoized.
+				`SELECT a FROM t WHERE a < ALL (SELECT d FROM s) AND b > ANY (SELECT c FROM s) ORDER BY a`,
+			} {
+				res, err := db.Query(q, mode.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				wantColumn(t, res, 0, int64(1), int64(2))
+			}
+		})
+	}
+}
