@@ -8,8 +8,8 @@
 // Statements end with a semicolon (CREATE VIEW / DROP VIEW work too). Meta
 // commands: \d lists relations, \explain <query> prints the (rewritten,
 // optimized) plan, \advise <query> ranks the strategies by estimated cost,
-// \strategy <Gen|Left|Move|Unn|UnnX|Auto> sets the rewrite strategy,
-// \parallel <n> sets the executor worker pool size, \q quits.
+// \strategy <Gen|Left|Move|Unn|UnnX|Auto> sets the rewrite strategy, \q
+// quits.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"perm"
@@ -35,7 +34,6 @@ func main() {
 		demo   = flag.Bool("demo", false, "preload the paper's Figure 3 relations r(a,b) and s(c,d)")
 		tpchSF = flag.Float64("tpch", 0, "preload TPC-H-style data at this scale factor")
 		seed   = flag.Int64("seed", 1, "seed for generated data")
-		par    = flag.Int("parallel", 1, "executor worker pool size (1: sequential)")
 		csvs   csvFlags
 	)
 	flag.Var(&csvs, "csv", "load a relation from CSV as name=path (repeatable)")
@@ -67,7 +65,6 @@ func main() {
 	}
 
 	strategy := perm.Auto
-	parallel := *par
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -83,7 +80,7 @@ func main() {
 		line := in.Text()
 		trimmed := strings.TrimSpace(line)
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !meta(os.Stdout, db, trimmed, &strategy, &parallel) {
+			if !meta(os.Stdout, db, trimmed, &strategy) {
 				return
 			}
 			prompt()
@@ -92,7 +89,7 @@ func main() {
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if strings.HasSuffix(trimmed, ";") {
-			runQuery(os.Stdout, db, buf.String(), strategy, parallel)
+			runQuery(os.Stdout, db, buf.String(), strategy)
 			buf.Reset()
 		}
 		prompt()
@@ -100,7 +97,7 @@ func main() {
 }
 
 // meta handles a backslash command; it returns false to quit.
-func meta(w io.Writer, db *perm.DB, cmd string, strategy *perm.Strategy, parallel *int) bool {
+func meta(w io.Writer, db *perm.DB, cmd string, strategy *perm.Strategy) bool {
 	switch {
 	case cmd == "\\q" || cmd == "\\quit":
 		return false
@@ -117,15 +114,6 @@ func meta(w io.Writer, db *perm.DB, cmd string, strategy *perm.Strategy, paralle
 		default:
 			fmt.Fprintln(w, "unknown strategy; want Gen, Left, Move, Unn, UnnX or Auto")
 		}
-	case strings.HasPrefix(cmd, "\\parallel"):
-		arg := strings.TrimSpace(strings.TrimPrefix(cmd, "\\parallel"))
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 1 {
-			fmt.Fprintln(w, "\\parallel wants a worker count >= 1")
-			break
-		}
-		*parallel = n
-		fmt.Fprintln(w, "executor workers set to", n)
 	case strings.HasPrefix(cmd, "\\advise"):
 		q := strings.TrimSpace(strings.TrimPrefix(cmd, "\\advise"))
 		q = strings.TrimSuffix(q, ";")
@@ -151,13 +139,13 @@ func meta(w io.Writer, db *perm.DB, cmd string, strategy *perm.Strategy, paralle
 			fmt.Fprint(w, plan)
 		}
 	default:
-		fmt.Fprintln(w, `meta commands: \d  \explain <query>  \advise <query>  \strategy <name>  \parallel <n>  \q`)
+		fmt.Fprintln(w, `meta commands: \d  \explain <query>  \advise <query>  \strategy <name>  \q`)
 	}
 	return true
 }
 
-func runQuery(w io.Writer, db *perm.DB, q string, strategy perm.Strategy, parallel int) {
-	res, err := db.Exec(q, perm.WithStrategy(strategy), perm.WithParallelism(parallel))
+func runQuery(w io.Writer, db *perm.DB, q string, strategy perm.Strategy) {
+	res, err := db.Exec(q, perm.WithStrategy(strategy))
 	if err != nil {
 		fmt.Fprintln(w, "error:", err)
 		return

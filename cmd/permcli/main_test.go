@@ -22,10 +22,9 @@ func demoDB(t *testing.T) *perm.DB {
 func TestMetaCommands(t *testing.T) {
 	db := demoDB(t)
 	strategy := perm.Auto
-	parallel := 1
 
 	var sb strings.Builder
-	if !meta(&sb, db, `\d`, &strategy, &parallel) {
+	if !meta(&sb, db, `\d`, &strategy) {
 		t.Fatal(`\d should not quit`)
 	}
 	if !strings.Contains(sb.String(), "r") || !strings.Contains(sb.String(), "s") {
@@ -33,35 +32,37 @@ func TestMetaCommands(t *testing.T) {
 	}
 
 	sb.Reset()
-	meta(&sb, db, `\strategy Gen`, &strategy, &parallel)
+	meta(&sb, db, `\strategy Gen`, &strategy)
 	if strategy != perm.Gen {
 		t.Errorf("strategy = %v", strategy)
 	}
 	sb.Reset()
-	meta(&sb, db, `\strategy Bogus`, &strategy, &parallel)
+	meta(&sb, db, `\strategy Bogus`, &strategy)
 	if !strings.Contains(sb.String(), "unknown strategy") {
 		t.Errorf("bad strategy output: %q", sb.String())
 	}
 
 	sb.Reset()
-	meta(&sb, db, `\explain SELECT a FROM r;`, &strategy, &parallel)
+	meta(&sb, db, `\explain SELECT a FROM r;`, &strategy)
 	if !strings.Contains(sb.String(), "Scan r") {
 		t.Errorf(`\explain output: %q`, sb.String())
 	}
 
 	sb.Reset()
-	meta(&sb, db, `\advise SELECT a FROM r WHERE a = ANY (SELECT c FROM s);`, &strategy, &parallel)
+	meta(&sb, db, `\advise SELECT a FROM r WHERE a = ANY (SELECT c FROM s);`, &strategy)
 	if !strings.Contains(sb.String(), "cost") {
 		t.Errorf(`\advise output: %q`, sb.String())
 	}
 
-	sb.Reset()
-	meta(&sb, db, `\nonsense`, &strategy, &parallel)
-	if !strings.Contains(sb.String(), "meta commands") {
-		t.Errorf("help output: %q", sb.String())
+	for _, cmd := range []string{`\nonsense`, `\parallel 4`} {
+		sb.Reset()
+		meta(&sb, db, cmd, &strategy)
+		if !strings.Contains(sb.String(), "meta commands") {
+			t.Errorf("%s: help output: %q", cmd, sb.String())
+		}
 	}
 
-	if meta(&sb, db, `\q`, &strategy, &parallel) {
+	if meta(&sb, db, `\q`, &strategy) {
 		t.Error(`\q should quit`)
 	}
 }
@@ -69,7 +70,7 @@ func TestMetaCommands(t *testing.T) {
 func TestRunQueryOutput(t *testing.T) {
 	db := demoDB(t)
 	var sb strings.Builder
-	runQuery(&sb, db, "SELECT PROVENANCE a FROM r WHERE a = 1;", perm.Auto, 1)
+	runQuery(&sb, db, "SELECT PROVENANCE a FROM r WHERE a = 1;", perm.Auto)
 	out := sb.String()
 	for _, want := range []string{"prov_r_a", "(1 rows)", "sources: r"} {
 		if !strings.Contains(out, want) {
@@ -78,18 +79,18 @@ func TestRunQueryOutput(t *testing.T) {
 	}
 
 	sb.Reset()
-	runQuery(&sb, db, "CREATE VIEW v AS SELECT a FROM r;", perm.Auto, 1)
+	runQuery(&sb, db, "CREATE VIEW v AS SELECT a FROM r;", perm.Auto)
 	if !strings.Contains(sb.String(), "ok") {
 		t.Errorf("view creation output: %q", sb.String())
 	}
 	sb.Reset()
-	runQuery(&sb, db, "SELECT * FROM v WHERE a = 2;", perm.Auto, 1)
+	runQuery(&sb, db, "SELECT * FROM v WHERE a = 2;", perm.Auto)
 	if !strings.Contains(sb.String(), "(1 rows)") {
 		t.Errorf("view query output: %q", sb.String())
 	}
 
 	sb.Reset()
-	runQuery(&sb, db, "SELEC broken;", perm.Auto, 1)
+	runQuery(&sb, db, "SELEC broken;", perm.Auto)
 	if !strings.Contains(sb.String(), "error:") {
 		t.Errorf("error output: %q", sb.String())
 	}

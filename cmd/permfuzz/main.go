@@ -1,7 +1,7 @@
 // Command permfuzz is the long-budget differential fuzzer: it generates
 // random queries from a seed and runs each through the full strategy ×
-// executor-mode matrix of internal/fuzz (streaming sequential, streaming
-// with four workers, materializing reference), shrinking and reporting
+// executor-mode matrix of internal/fuzz (streaming pipeline, materializing
+// reference), shrinking and reporting
 // every disagreement. The bounded version of the same corpus runs inside
 // `go test ./internal/fuzz`; this command exists for nightly CI and for
 // reproducing a reported failure from its seed.

@@ -129,14 +129,12 @@ func TestOffsetEndToEnd(t *testing.T) {
 // --- cross-strategy, cross-executor differential harness ---
 
 // diffModes are the executor configurations every strategy must agree
-// across: the streaming pipeline sequential and fanned out, and the
-// sequential materializing reference.
+// across: the streaming pipeline and the materializing reference.
 var diffModes = []struct {
 	name string
 	opts []Option
 }{
 	{"stream/seq", nil},
-	{"stream/par4", []Option{WithParallelism(4)}},
 	{"mat/seq", []Option{WithoutStreaming()}},
 }
 

@@ -3,7 +3,6 @@ package perm_test
 import (
 	"fmt"
 	"log"
-	"runtime"
 
 	"perm"
 )
@@ -151,24 +150,6 @@ func ExampleWithStrategy_unnX() {
 	// [1 1 1 4 5]
 	// [2 2 1 4 5]
 	// [3 3 2 4 5]
-}
-
-// ExampleWithParallelism evaluates a query on a worker pool. Results are
-// identical to sequential execution — parallelism only changes how the
-// executor schedules tuple-independent work.
-func ExampleWithParallelism() {
-	db := figure3()
-	res, err := db.Query(`SELECT PROVENANCE * FROM r WHERE a = ANY (SELECT c FROM s)`,
-		perm.WithParallelism(runtime.GOMAXPROCS(0)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		fmt.Println(row)
-	}
-	// Output:
-	// [1 1 1 1 1 3]
-	// [2 1 2 1 2 4]
 }
 
 // ExampleDB_Advise ranks the strategies with the provenance-aware cost

@@ -31,8 +31,7 @@ type aggState struct {
 	// The integer sum accumulates exactly in 128 bits (sumHi:sumLo, two's
 	// complement), so whether the total fits int64 is decided by the final
 	// value alone — independent of accumulation order, which differs
-	// between the streaming and materializing executors and across worker
-	// counts. Overflow ("bigint out of range") is raised from result() only
+	// between the streaming and materializing executors. Overflow ("bigint out of range") is raised from result() only
 	// when the result stays integral and the total is out of range.
 	sumHi    int64
 	sumLo    uint64
@@ -216,7 +215,9 @@ func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []rel.Tuple) (*rel
 			}
 			row = append(row, v)
 		}
-		out.Add(row, 1)
+		if err := e.add(out, row, 1); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

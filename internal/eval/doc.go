@@ -153,8 +153,7 @@
 //     only when some CrossBase row's key was not found, as the literal's OR
 //     evaluates it only for such rows. No error-freedom gate is needed.
 //   - The CrossBase inputs are charged as streamCross charges a build side,
-//     once per node and run, and generated rows stream; under Parallelism
-//     the per-row generation is the segment body.
+//     once per node and run, and generated rows stream.
 //   - Streaming only: the materializing reference keeps the literal G1 and
 //     is the differential oracle; the plan, Explain and plancheck still see
 //     G1. Stats.Generated counts the rows of T answered by generation.
@@ -178,32 +177,4 @@
 // costs under a ceiling.
 // A change that adds a per-row allocation fails it; one that removes an
 // allocation lowers the ceiling.
-//
-// # Parallelism
-//
-// Setting Evaluator.Parallelism > 1 lets one streaming Eval call fan the
-// per-outer-binding sublink work out across a pool of worker goroutines.
-// The unit of fan-out is a pipeline segment: the producer streams child rows
-// into per-worker mailboxes dealt round-robin (bounded channels — the input
-// is never materialized), each worker runs the segment body (where the
-// sublink probes live) over its rows into a private output buffer, and the
-// buffers merge in worker order, so the output bag is deterministic.
-// Segments open at the topmost selection, projection or join probe whose
-// expression carries a sublink. The invariants that keep this safe:
-//
-//   - Fan-out happens only at the top level of a plan. Workers, segment
-//     producers, and any evaluation under a correlated scope run
-//     sequentially, so one Eval has at most one segment open at a time and
-//     Parallelism alone bounds its live workers — no token pool is needed.
-//   - Each worker appends to a private output relation; outputs merge in
-//     worker order. Materialized relations are immutable once built.
-//   - All workers of one Eval share a single run state: the row budget
-//     (atomic) and the memos, each guarded by its own lock and keyed by
-//     (plan node, binding). Workers may race to compute the same entry;
-//     the duplicated work is benign and the later store wins.
-//   - A panic on a worker is recovered with its stack and raised again on
-//     the goroutine that called Eval, so it fails like a sequential run.
-//
-// The materializing executor is the sequential reference: it ignores
-// Parallelism. The public API exposes the pool as perm.WithParallelism.
 package eval

@@ -28,8 +28,7 @@ var ErrCanceled = errors.New("eval: canceled")
 var ErrBudget = errors.New("eval: row budget exceeded")
 
 // Evaluator executes algebra plans against a DB. An Evaluator is not safe
-// for concurrent Eval calls; the concurrency an Eval call uses internally
-// is configured with Parallelism.
+// for concurrent Eval calls; one Eval call runs on the calling goroutine.
 type Evaluator struct {
 	db  DB
 	ctx context.Context
@@ -39,7 +38,7 @@ type Evaluator struct {
 	// subplans re-evaluate for every outer tuple — the PostgreSQL SubPlan
 	// behaviour the paper's measurements rely on; the benchmark harness
 	// sets it to reproduce the paper's figures. The streaming executor
-	// ignores it and always memoizes, as the reference ignores Parallelism.
+	// ignores it and always memoizes.
 	DisableSublinkMemo bool
 
 	// DisableStreaming switches the executor from the default push-based
@@ -50,18 +49,8 @@ type Evaluator struct {
 	// benchmark check the streaming pipeline against it.
 	DisableStreaming bool
 
-	// Parallelism is the number of worker goroutines one streaming Eval call
-	// may use for the topmost pipeline segment whose selection, projection
-	// or join probe carries a sublink. 0 or 1 evaluates sequentially, and so
-	// does the materializing executor regardless of the setting.
-	Parallelism int
-
 	// MaxRows caps the total rows materialized across all operators of one
-	// Eval call; 0 means unlimited. Exceeding it returns ErrBudget. The cap
-	// is approximate under parallelism: workers racing past a memo miss may
-	// transiently duplicate a subplan evaluation and charge it twice, so
-	// runs close to the budget can exceed it slightly earlier than a
-	// sequential run would.
+	// Eval call; 0 means unlimited. Exceeding it returns ErrBudget.
 	MaxRows int
 
 	// Params is the parameter vector of a parameterised plan: the value an
@@ -69,13 +58,10 @@ type Evaluator struct {
 	// leaves.
 	Params []types.Value
 
-	// shared is the per-Eval run state (row budget, memos), shared by every
-	// worker of one evaluation. It is never nil: New gives the evaluator
-	// one, and EvalBound replaces it on every run.
+	// shared is the per-Eval run state (row budget, memos). It is never
+	// nil: New gives the evaluator one, and EvalBound replaces it on every
+	// run.
 	shared *runShared
-	// worker marks an evaluator forked for a segment's producer or one of
-	// its workers; neither fans out again.
-	worker bool
 
 	ticks int
 }
@@ -125,9 +111,9 @@ func (e *Evaluator) EvalBound(op algebra.Op) (*rel.Relation, error) {
 type Stats struct {
 	// PeakRows counts the rows of resident state the run accumulated:
 	// materialized bags (pipeline-breaker buffers, hash-join builds,
-	// set-op inputs, memoized sublink results, parallel-worker output
-	// buffers, the final result) plus the streaming breakers' in-operator
-	// state (aggregate groups, DISTINCT dedup keys, top-N heap fills).
+	// set-op inputs, memoized sublink results, the final result) plus the
+	// streaming breakers' in-operator state (aggregate groups, DISTINCT
+	// dedup keys, top-N heap fills).
 	// That state lives until Eval returns, so the total is the run's
 	// high-water mark of resident rows. Under the materializing executor
 	// every operator output counts, which is what the streaming pipeline
@@ -149,10 +135,10 @@ type Stats struct {
 // call on this evaluator.
 func (e *Evaluator) LastStats() Stats {
 	return Stats{
-		PeakRows:    e.shared.rows.Load(),
-		IndexBuilds: e.shared.indexBuilds.Load(),
-		IndexProbes: e.shared.indexProbes.Load(),
-		Generated:   e.shared.generated.Load(),
+		PeakRows:    e.shared.rows,
+		IndexBuilds: e.shared.indexBuilds,
+		IndexProbes: e.shared.indexProbes,
+		Generated:   e.shared.generated,
 	}
 }
 
@@ -185,7 +171,8 @@ func (e *Evaluator) done() <-chan struct{} {
 // streaming breaker state (aggregate groups, dedup keys, heap fills) —
 // against the row budget and the PeakRows counter.
 func (e *Evaluator) charge(n int) error {
-	if rows := e.shared.rows.Add(int64(n)); e.MaxRows > 0 && rows > int64(e.MaxRows) {
+	e.shared.rows += int64(n)
+	if e.MaxRows > 0 && e.shared.rows > int64(e.MaxRows) {
 		return fmt.Errorf("%w (%d rows)", ErrBudget, e.MaxRows)
 	}
 	return nil
@@ -193,9 +180,10 @@ func (e *Evaluator) charge(n int) error {
 
 // add materializes one output row, charging it against the row budget.
 // It is also a cancellation checkpoint: every materialization path — the
-// final result bag, pipeline-breaker buffers, parallel-worker output
-// buffers — funnels through here, so a canceled context stops bag fills
-// even when the producing operator has no checkpoint of its own.
+// final result bag, pipeline-breaker buffers, each operator output of the
+// materializing executor — funnels through here, so a canceled context
+// stops bag fills even when the producing operator has no checkpoint of its
+// own.
 func (e *Evaluator) add(out *rel.Relation, t rel.Tuple, n int) error {
 	if err := e.tick(); err != nil {
 		return err
@@ -264,7 +252,9 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, er
 				}
 				t[i] = v
 			}
-			out.Add(t, 1)
+			if err := e.add(out, t, 1); err != nil {
+				return nil, err
+			}
 		}
 		return out, nil
 	case *algebra.Select:
@@ -501,7 +491,9 @@ func (e *Evaluator) evalLimit(o *algebra.Limit, outer []rel.Tuple) (*rel.Relatio
 	}
 	out := rel.New(o.Schema())
 	for _, t := range limitSlice(rows, o.N, o.Offset) {
-		out.Add(t, 1)
+		if err := e.add(out, t, 1); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -171,24 +171,21 @@ func TestSortTuplesNullsLast(t *testing.T) {
 }
 
 // A Param leaf reads its slot of the run's parameter vector — in the
-// pipeline, in worker forks, and in presentation sorting; an unbound slot is
-// an error, not a NULL.
+// pipeline and in presentation sorting; an unbound slot is an error, not a
+// NULL.
 func TestParamReadsRunVector(t *testing.T) {
 	c := figure3DB()
 	plan := &algebra.Select{Child: scan(t, c, "r"),
 		Cond: algebra.Cmp{Op: types.CmpEq, L: algebra.Attr("a"), R: algebra.Param{Idx: 1}}}
-	for _, par := range []int{1, 4} {
-		for want := int64(1); want <= 3; want++ {
-			ev := New(c)
-			ev.Parallelism = par
-			ev.Params = []types.Value{types.NewString("unused"), types.NewInt(want)}
-			out, err := ev.Eval(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Card() != 1 || out.SortedTuples()[0][0].Int() != want {
-				t.Errorf("parallelism %d, $2 = %d: got %v", par, want, out.SortedTuples())
-			}
+	for want := int64(1); want <= 3; want++ {
+		ev := New(c)
+		ev.Params = []types.Value{types.NewString("unused"), types.NewInt(want)}
+		out, err := ev.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Card() != 1 || out.SortedTuples()[0][0].Int() != want {
+			t.Errorf("$2 = %d: got %v", want, out.SortedTuples())
 		}
 	}
 	if _, err := New(c).Eval(plan); err == nil || !strings.Contains(err.Error(), "not bound") {

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"slices"
-	"sync"
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
@@ -31,10 +30,9 @@ type genPlan struct {
 	conds  []genCond
 	blocks []*genSublink
 
-	// once builds the CrossBase tables; ok is false when build declined
-	// them, and the literal selection runs instead.
-	once sync.Once
-	ok   bool
+	// built is set once build has run; ok is false when it declined the
+	// CrossBase tables, and the literal selection runs instead.
+	built, ok bool
 }
 
 // genCond is one conjunct of the selection: a condition over T, or a
@@ -75,8 +73,7 @@ type genSet struct {
 	counts []int
 }
 
-// genScratch is the per-call (per-worker, under parallelism) state of
-// generation, reused across rows.
+// genScratch is the per-call state of generation, reused across rows.
 type genScratch struct {
 	scope  []rel.Tuple // outer, then the current row of T
 	row    rel.Tuple   // the output row being assembled
@@ -343,40 +340,41 @@ func allRefs(refs []algebra.Ref, keep func(algebra.Ref) bool) bool {
 // leaf is empty — no conjunct is then evaluated at all — or a block's key
 // count overflows an int.
 func (e *Evaluator) build(g *genPlan, outer []rel.Tuple) error {
-	var err error
-	g.once.Do(func() {
-		for b := len(g.blocks) - 1; b >= 0; b-- {
-			for i := len(g.blocks[b].leaves) - 1; i >= 0; i-- {
-				l := g.blocks[b].leaves[i]
-				var in *rel.Relation
-				if in, err = e.eval(l.op, outer); err != nil {
-					return
-				}
-				if l.table, err = e.buildTable(&l.keys, in, outer); err != nil {
-					return
-				}
-				var buf [64]byte
-				null := buf[:0]
-				for range l.keys.build {
-					null = types.Null().AppendKey(null)
-				}
-				l.null = l.table[string(null)]
+	if g.built {
+		return nil
+	}
+	g.built = true
+	for b := len(g.blocks) - 1; b >= 0; b-- {
+		for i := len(g.blocks[b].leaves) - 1; i >= 0; i-- {
+			l := g.blocks[b].leaves[i]
+			in, err := e.eval(l.op, outer)
+			if err != nil {
+				return err
 			}
-		}
-		for _, s := range g.blocks {
-			s.total = 1
-			for _, l := range s.leaves {
-				n := len(l.table)
-				if n == 0 || s.total > (1<<62)/n {
-					return
-				}
-				l.stride = s.total
-				s.total *= n
+			if l.table, err = e.buildTable(&l.keys, in, outer); err != nil {
+				return err
 			}
+			var buf [64]byte
+			null := buf[:0]
+			for range l.keys.build {
+				null = types.Null().AppendKey(null)
+			}
+			l.null = l.table[string(null)]
 		}
-		g.ok = true
-	})
-	return err
+	}
+	for _, s := range g.blocks {
+		s.total = 1
+		for _, l := range s.leaves {
+			n := len(l.table)
+			if n == 0 || s.total > (1<<62)/n {
+				return nil
+			}
+			l.stride = s.total
+			s.total *= n
+		}
+	}
+	g.ok = true
+	return nil
 }
 
 // generatedSelect answers a selection over a Cross by generation, and
@@ -392,14 +390,6 @@ func (e *Evaluator) generatedSelect(o *algebra.Select, outer []rel.Tuple, emit e
 	if !g.ok {
 		return false, nil
 	}
-	if e.segmentFanOut(outer) > 0 {
-		pool := sync.Pool{New: func() any { return g.scratch(outer) }}
-		return true, e.parallelSegment(g.input, o.Schema(), outer, emit, func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
-			s := pool.Get().(*genScratch)
-			defer pool.Put(s)
-			return w.generate(g, t, n, s, out)
-		})
-	}
 	s := g.scratch(outer)
 	return true, e.stream(g.input, outer, func(t rel.Tuple, n int) error {
 		return e.generate(g, t, n, s, emit)
@@ -413,7 +403,7 @@ func (e *Evaluator) generate(g *genPlan, t rel.Tuple, n int, s *genScratch, emit
 	if err := e.tick(); err != nil {
 		return err
 	}
-	e.shared.generated.Add(1)
+	e.shared.generated++
 	last := len(s.scope) - 1
 	outer := s.scope[:last:last]
 	s.scope[last] = t

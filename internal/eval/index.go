@@ -228,9 +228,9 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 			return true, err
 		}
 		e.shared.indexes.put(o, binding, table)
-		e.shared.indexBuilds.Add(1)
+		e.shared.indexBuilds++
 	}
-	e.shared.indexProbes.Add(1)
+	e.shared.indexProbes++
 	b, err := e.lookup(table, &split.equiKeys, nil, outer)
 	if err != nil || b == nil {
 		return true, err

@@ -29,28 +29,21 @@ func existsOver(t *testing.T, c *catalog.Catalog, input algebra.Op, cond algebra
 	return &algebra.Select{Child: scan(t, c, "r"), Cond: algebra.Sublink{Kind: algebra.ExistsSublink, Query: sub}}
 }
 
-// evalIndexed runs op on the streaming executor sequentially and with four
-// workers, checks both against the materializing reference, and returns the
-// reference's bag and the sequential run's stats.
+// evalIndexed runs op on the streaming executor, checks it against the
+// materializing reference, and returns the reference's bag and the
+// streaming run's stats.
 func evalIndexed(t *testing.T, c *catalog.Catalog, op algebra.Op) (*rel.Relation, Stats) {
 	t.Helper()
-	want := evalMode(t, c, op, true, 1)
-	var stats Stats
-	for _, par := range []int{1, 4} {
-		ev := New(c)
-		ev.Parallelism = par
-		got, err := ev.Eval(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("par=%d: streaming %s, reference %s", par, got, want)
-		}
-		if par == 1 {
-			stats = ev.LastStats()
-		}
+	want := evalMode(t, c, op, true)
+	ev := New(c)
+	got, err := ev.Eval(op)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return want, stats
+	if !got.Equal(want) {
+		t.Errorf("streaming %s, reference %s", got, want)
+	}
+	return want, ev.LastStats()
 }
 
 // TestIndexNullKeys: a = key never matches NULL, on either side; a =n key

@@ -1,6 +1,45 @@
 package eval
 
-import "sync"
+import (
+	"perm/internal/algebra"
+	"perm/internal/rel"
+	"perm/internal/types"
+)
+
+// runShared is the state of one top-level Eval call: the row budget, the
+// counters of Stats, and the memos, each keyed by plan node and binding. A
+// stored value is immutable.
+type runShared struct {
+	rows                                int64
+	indexBuilds, indexProbes, generated int64
+
+	// bags holds materialized sublink results: under the empty binding once
+	// per query for an uncorrelated sublink (PostgreSQL's InitPlan), and per
+	// binding of its free slots for a correlated one, so repeated outer
+	// bindings evaluate the sublink once instead of O(outer) times.
+	bags memo[algebra.Op, *rel.Relation]
+	// anySets holds the hash sets of uncorrelated = ANY sublinks
+	// (PostgreSQL's hashed subplans).
+	anySets memo[algebra.Op, *anySet]
+	// exists and scalars hold the verdicts of early-terminating streaming
+	// probes. A probe that stopped at its deciding row has seen only part
+	// of the subplan's bag, so bags must never receive it — the verdict is
+	// the memoizable result.
+	exists  memo[algebra.Op, bool]
+	scalars memo[algebra.Op, types.Value]
+	// joins holds the equi-join split of each join node's condition, and
+	// selects the plan of each selection: generation, an index, or the
+	// literal filter.
+	joins   memo[algebra.Op, *equiKeys]
+	selects memo[*algebra.Select, *selectPlan]
+	// indexes holds the hash indexes of those selections per binding of
+	// the input's free slots. A nil table marks a binding seen once, whose
+	// call ran the literal filter.
+	indexes memo[*algebra.Select, hashTable]
+	// witnesses holds the witnesses generation found per sublink and
+	// binding (see gen.go).
+	witnesses memo[*genSublink, genSet]
+}
 
 // memo is one table of per-run state: a value per plan node and binding.
 // A correlated sublink is evaluated under each binding of its free slots
@@ -10,8 +49,6 @@ import "sync"
 // has the empty binding. The zero memo is empty and ready; a stored value
 // is immutable.
 type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	// guarded-by: mu
 	m map[memoKey[K]]V
 }
 
@@ -24,19 +61,14 @@ type memoKey[K comparable] struct {
 // converted for the lookup only, so a hit on a stack-buffer binding
 // allocates nothing.
 func (m *memo[K, V]) get(node K, binding []byte) (V, bool) {
-	m.mu.Lock()
 	v, ok := m.m[memoKey[K]{node, string(binding)}]
-	m.mu.Unlock()
 	return v, ok
 }
 
-// put stores v for node under binding. Workers may race to compute the same
-// entry; the later store wins, and either is the same result.
+// put stores v for node under binding; a later store replaces it.
 func (m *memo[K, V]) put(node K, binding []byte, v V) {
-	m.mu.Lock()
 	if m.m == nil {
 		m.m = map[memoKey[K]]V{}
 	}
 	m.m[memoKey[K]{node, string(binding)}] = v
-	m.mu.Unlock()
 }

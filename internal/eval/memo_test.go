@@ -1,9 +1,6 @@
 package eval
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestMemoMissThenHit(t *testing.T) {
 	var m memo[*int, string]
@@ -82,32 +79,5 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hit: %.1f allocs, want 0", allocs)
-	}
-}
-
-// TestMemoConcurrent races readers and writers on shared and private keys;
-// run it under -race.
-func TestMemoConcurrent(t *testing.T) {
-	var m memo[int, int]
-	var wg sync.WaitGroup
-	for w := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 200 {
-				binding := []byte{byte(i % 16)}
-				m.put(i%8, binding, i%16)
-				if v, ok := m.get(i%8, binding); ok && v != i%16 {
-					t.Errorf("node %d binding %d: got %d", i%8, i%16, v)
-				}
-				m.put(100+w, binding, w)
-			}
-		}()
-	}
-	wg.Wait()
-	for w := range 4 {
-		if v, ok := m.get(100+w, []byte{0}); !ok || v != w {
-			t.Errorf("worker %d's entry: %d, %v", w, v, ok)
-		}
 	}
 }

@@ -1,18 +1,12 @@
 package eval
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"perm/internal/algebra"
 	"perm/internal/catalog"
 	"perm/internal/opt"
-	"perm/internal/rel"
 	"perm/internal/rewrite"
 	"perm/internal/sql"
 	"perm/internal/synth"
@@ -50,8 +44,8 @@ func compileOptimized(t *testing.T, cat *catalog.Catalog, query string) algebra.
 }
 
 // checkModes runs one query under every executor mode — the streaming
-// pipeline sequentially and with workers, and the materializing reference
-// with its per-binding memo — and checks the results are bag-equal to the
+// pipeline and the materializing reference with its per-binding memo — and
+// checks the results are bag-equal to the
 // reference with the memo off, which re-evaluates every correlated subplan
 // per outer tuple. The streaming executor always memoizes, so every mode is
 // a differential test of the memo it runs with; the hashed = ANY set, which
@@ -89,15 +83,12 @@ func checkModes(t *testing.T, cat *catalog.Catalog, query, strategy string) {
 	for _, mode := range []struct {
 		name        string
 		materialize bool
-		par         int
 	}{
-		{"stream/seq", false, 1},
-		{"stream/par4", false, 4},
-		{"materializing+memo", true, 1},
+		{"stream", false},
+		{"materializing+memo", true},
 	} {
 		ev := New(cat)
 		ev.DisableStreaming = mode.materialize
-		ev.Parallelism = mode.par
 		got, err := ev.Eval(plan)
 		if err != nil {
 			t.Fatalf("%s eval %q: %v", mode.name, query, err)
@@ -117,7 +108,7 @@ func TestExecutorModesMatchSequential(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequentialSynth(t *testing.T) {
+func TestExecutorModesMatchSequentialSynth(t *testing.T) {
 	// A larger workload, including the correlated query the per-binding
 	// memo targets.
 	w := synth.Workload{InputSize: 120, SublinkSize: 60, Domain: 8, Seed: 3}
@@ -129,52 +120,8 @@ func TestParallelMatchesSequentialSynth(t *testing.T) {
 	}
 }
 
-func TestParallelCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	w := synth.Workload{InputSize: 200, SublinkSize: 100, Seed: 1}
-	cat := w.Catalog()
-	ev := New(cat).WithContext(ctx)
-	ev.Parallelism = 4
-	if _, err := ev.Eval(compileOptimized(t, cat, w.Q3(0))); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-}
-
-// workerScanDB counts the scans of one table that run on a parallelSegment
-// worker goroutine — the evidence that a plan really fanned out.
-type workerScanDB struct {
-	DB
-	table    string
-	onWorker atomic.Int64
-}
-
-func (d *workerScanDB) Relation(name string) (*rel.Relation, error) {
-	if name == d.table {
-		buf := make([]byte, 64<<10)
-		stack := string(buf[:runtime.Stack(buf, false)])
-		if strings.Contains(stack, "created by perm/internal/eval.(*Evaluator).parallelSegment") {
-			d.onWorker.Add(1)
-		}
-	}
-	return d.DB.Relation(name)
-}
-
-// panicDB panics on every scan of one table — a seeded engine bug.
-type panicDB struct {
-	DB
-	table string
-}
-
-func (d panicDB) Relation(name string) (*rel.Relation, error) {
-	if name == d.table {
-		panic("seeded engine bug: scan of " + name)
-	}
-	return d.DB.Relation(name)
-}
-
 // q4Workload is synth Q4: a selection whose correlated EXISTS probes r2
-// once per outer binding, the segment the worker pool fans out.
+// once per outer binding.
 func q4Workload(t *testing.T) (*catalog.Catalog, algebra.Op) {
 	t.Helper()
 	w := synth.Workload{InputSize: 200, SublinkSize: 100, Domain: 16, Seed: 2}
@@ -182,83 +129,43 @@ func q4Workload(t *testing.T) (*catalog.Catalog, algebra.Op) {
 	return cat, compileOptimized(t, cat, w.Q4(0))
 }
 
-func TestParallelRowBudget(t *testing.T) {
+// TestSublinkRowBudget: the row budget trips inside a correlated probe, and
+// it is exact — a run needs exactly its PeakRows.
+func TestSublinkRowBudget(t *testing.T) {
 	cat, plan := q4Workload(t)
-	out, err := New(cat).Eval(plan)
+	ev := New(cat)
+	out, err := ev.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Card() <= 5 {
 		t.Fatalf("unbounded run has %d rows, want more than the budget of 5", out.Card())
 	}
-	db := &workerScanDB{DB: cat, table: "r2"}
-	ev := New(db)
-	ev.Parallelism = 4
-	ev.MaxRows = 5
-	if _, err := ev.Eval(plan); !errors.Is(err, ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-	if db.onWorker.Load() == 0 {
-		t.Fatal("no r2 scan ran on a segment worker: the plan never fanned out")
-	}
-}
-
-// TestWorkerPanicReachesCaller: an engine bug that panics on a segment
-// worker must panic on the goroutine that called Eval — where a recover
-// (net/http's included) can see it — carrying the worker's stack, and leave
-// no worker behind.
-func TestWorkerPanicReachesCaller(t *testing.T) {
-	cat, plan := q4Workload(t)
-	baseline := runtime.NumGoroutine()
-	var recovered any
-	var err error
-	func() {
-		defer func() { recovered = recover() }()
-		ev := New(panicDB{DB: cat, table: "r2"})
-		ev.Parallelism = 4
-		_, err = ev.Eval(plan)
-	}()
-	if recovered == nil {
-		t.Fatalf("Eval returned %v, want a panic", err)
-	}
-	msg := fmt.Sprint(recovered)
-	for _, want := range []string{"seeded engine bug: scan of r2", "segment worker", "panicDB.Relation"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("panic message lacks %q:\n%s", want, msg)
+	peak := ev.LastStats().PeakRows
+	for _, c := range []struct {
+		max  int
+		want error
+	}{
+		{5, ErrBudget},
+		{int(peak) - 1, ErrBudget},
+		{int(peak), nil},
+	} {
+		ev := New(cat)
+		ev.MaxRows = c.max
+		if _, err := ev.Eval(plan); !errors.Is(err, c.want) {
+			t.Errorf("MaxRows %d (peak %d): got %v, want %v", c.max, peak, err, c.want)
 		}
 	}
-	waitGoroutineBaseline(t, baseline)
 }
 
-func TestParallelProvenanceRewrites(t *testing.T) {
+func TestExecutorModesProvenanceRewrites(t *testing.T) {
 	// End-to-end over the synthetic provenance workload: every strategy's
-	// rewritten plan evaluates identically with and without fan-out.
+	// rewritten plan evaluates identically in every executor mode.
 	w := synth.Workload{InputSize: 60, SublinkSize: 40, Domain: 6, Seed: 7}
 	cat := w.Catalog()
 	for i := int64(0); i < 2; i++ {
 		for _, strategy := range []string{"Gen", "Left", "Move", "Unn", "UnnX"} {
 			checkModes(t, cat, w.Q1(i), strategy)
 		}
-	}
-}
-
-func BenchmarkEvalParallelSelect(b *testing.B) {
-	w := synth.Workload{InputSize: 500, SublinkSize: 250, Domain: 32, Seed: 1}
-	cat := w.Catalog()
-	tr, err := sql.Compile(cat, w.Q3(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := opt.Optimize(tr.Plan)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			ev := New(cat)
-			ev.Parallelism = par
-			for i := 0; i < b.N; i++ {
-				if _, err := ev.Eval(plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -95,40 +95,27 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emit
 	if indexed, err := e.indexedSelect(o, outer, emit); indexed {
 		return err
 	}
-	apply := func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
-		if err := w.tick(); err != nil {
+	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
-		keep, err := w.evalCond(o.Cond, t, outer)
+		keep, err := e.evalCond(o.Cond, t, outer)
 		if err != nil {
 			return err
 		}
 		if keep == types.True {
-			return out(t, n)
+			return emit(t, n)
 		}
 		return nil
-	}
-	if e.segmentFanOut(outer) > 0 && algebra.HasSublink(o.Cond) {
-		return e.parallelSegment(o.Child, o.Schema(), outer, emit, apply)
-	}
-	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
-		return apply(e, t, n, emit)
 	})
 }
 
 func (e *Evaluator) streamProject(o *algebra.Project, outer []rel.Tuple, emit emitFn) error {
-	hasSublink := false
-	for _, c := range o.Cols {
-		if algebra.HasSublink(c.E) {
-			hasSublink = true
-			break
-		}
-	}
 	if o.Distinct {
 		emit = e.dedupEmit(emit)
 	}
-	apply := func(w *Evaluator, t rel.Tuple, n int, out emitFn) error {
-		if err := w.tick(); err != nil {
+	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
 		row := make(rel.Tuple, len(o.Cols))
@@ -140,21 +127,13 @@ func (e *Evaluator) streamProject(o *algebra.Project, outer []rel.Tuple, emit em
 				row[i] = t[r.Idx]
 				continue
 			}
-			v, err := w.evalExpr(x, t, outer)
+			v, err := e.evalExpr(x, t, outer)
 			if err != nil {
 				return err
 			}
 			row[i] = v
 		}
-		return out(row, n)
-	}
-	if e.segmentFanOut(outer) > 0 && hasSublink {
-		// Dedup happens in the wrapped emit at merge time, after the
-		// barrier, so DISTINCT stays correct under fan-out.
-		return e.parallelSegment(o.Child, o.Schema(), outer, emit, apply)
-	}
-	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
-		return apply(e, t, n, emit)
+		return emit(row, n)
 	})
 }
 
@@ -184,22 +163,22 @@ func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOut
 	rightWidth := rRel.Schema.Len()
 	keys := e.joinKeys(join, l, cond)
 	if len(keys.probe) > 0 {
-		return e.streamHashJoin(join, l, rRel, keys, leftOuter, outer, emit)
+		return e.streamHashJoin(l, rRel, keys, leftOuter, outer, emit)
 	}
-	apply := func(w *Evaluator, lt rel.Tuple, ln int, out emitFn) error {
+	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
 		matched := false
 		err := rRel.Each(func(rt rel.Tuple, rn int) error {
-			if err := w.tick(); err != nil {
+			if err := e.tick(); err != nil {
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := w.evalCond(cond, row, outer)
+			keep, err := e.evalCond(cond, row, outer)
 			if err != nil {
 				return err
 			}
 			if keep == types.True {
 				matched = true
-				return out(row, ln*rn)
+				return emit(row, ln*rn)
 			}
 			return nil
 		})
@@ -207,30 +186,24 @@ func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOut
 			return err
 		}
 		if leftOuter && !matched {
-			return out(lt.Concat(rel.Nulls(rightWidth)), ln)
+			return emit(lt.Concat(rel.Nulls(rightWidth)), ln)
 		}
 		return nil
-	}
-	if e.segmentFanOut(outer) > 0 && algebra.HasSublink(cond) {
-		return e.parallelSegment(l, join.Schema(), outer, emit, apply)
-	}
-	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
-		return apply(e, lt, ln, emit)
 	})
 }
 
-func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
 	table, err := e.buildTable(keys, rRel, outer)
 	if err != nil {
 		return err
 	}
 	rightWidth := rRel.Schema.Len()
-	apply := func(w *Evaluator, lt rel.Tuple, ln int, out emitFn) error {
-		if err := w.tick(); err != nil {
+	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
+		if err := e.tick(); err != nil {
 			return err
 		}
 		matched := false
-		b, err := w.lookup(table, keys, lt, outer)
+		b, err := e.lookup(table, keys, lt, outer)
 		if err != nil {
 			return err
 		}
@@ -238,7 +211,7 @@ func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys 
 			for i, rt := range b.tuples {
 				row := lt.Concat(rt)
 				if keys.residual != nil {
-					keep, err := w.evalCond(keys.residual, row, outer)
+					keep, err := e.evalCond(keys.residual, row, outer)
 					if err != nil {
 						return err
 					}
@@ -247,21 +220,15 @@ func (e *Evaluator) streamHashJoin(join, l algebra.Op, rRel *rel.Relation, keys 
 					}
 				}
 				matched = true
-				if err := out(row, ln*b.counts[i]); err != nil {
+				if err := emit(row, ln*b.counts[i]); err != nil {
 					return err
 				}
 			}
 		}
 		if leftOuter && !matched {
-			return out(lt.Concat(rel.Nulls(rightWidth)), ln)
+			return emit(lt.Concat(rel.Nulls(rightWidth)), ln)
 		}
 		return nil
-	}
-	if e.segmentFanOut(outer) > 0 && keys.residual != nil && algebra.HasSublink(keys.residual) {
-		return e.parallelSegment(l, join.Schema(), outer, emit, apply)
-	}
-	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
-		return apply(e, lt, ln, emit)
 	})
 }
 

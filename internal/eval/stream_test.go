@@ -14,24 +14,23 @@ import (
 	"perm/internal/types"
 )
 
-// evalMode runs one compiled plan on the streaming executor with par
-// workers, or with materialize on the reference with its memo off.
-func evalMode(t *testing.T, cat *catalog.Catalog, plan algebra.Op, materialize bool, par int) *rel.Relation {
+// evalMode runs one compiled plan on the streaming executor, or with
+// materialize on the reference with its memo off.
+func evalMode(t *testing.T, cat *catalog.Catalog, plan algebra.Op, materialize bool) *rel.Relation {
 	t.Helper()
 	ev := New(cat)
 	ev.DisableStreaming = materialize
 	ev.DisableSublinkMemo = materialize
-	ev.Parallelism = par
 	out, err := ev.Eval(plan)
 	if err != nil {
-		t.Fatalf("eval (mat=%v par=%d): %v\nplan:\n%s", materialize, par, err, algebra.Indent(plan))
+		t.Fatalf("eval (mat=%v): %v\nplan:\n%s", materialize, err, algebra.Indent(plan))
 	}
 	return out
 }
 
 // TestStreamingMatchesMaterializing: on every equivalence query and every
 // strategy, the streaming pipeline must produce the bag the materializing
-// reference produces, sequential or fanned out.
+// reference produces.
 func TestStreamingMatchesMaterializing(t *testing.T) {
 	cat := figure3DB()
 	for _, query := range equivalenceQueries() {
@@ -56,20 +55,17 @@ func TestStreamingMatchesMaterializing(t *testing.T) {
 				plan = res.Plan
 			}
 			plan = opt.Optimize(plan)
-			want := evalMode(t, cat, plan, true, 1)
-			for _, par := range []int{1, 4} {
-				got := evalMode(t, cat, plan, false, par)
-				if !got.Equal(want) {
-					t.Errorf("streaming (par=%d) diverges on %q/%s:\n got %s\nwant %s",
-						par, query, strategy, got, want)
-				}
+			want := evalMode(t, cat, plan, true)
+			if got := evalMode(t, cat, plan, false); !got.Equal(want) {
+				t.Errorf("streaming diverges on %q/%s:\n got %s\nwant %s",
+					query, strategy, got, want)
 			}
 		}
 	}
 }
 
 // TestStreamingMatchesMaterializingSynth covers the larger correlated
-// workload, where fan-out and the per-binding memo actually engage.
+// workload, where the per-binding memo actually engages.
 func TestStreamingMatchesMaterializingSynth(t *testing.T) {
 	w := synth.Workload{InputSize: 120, SublinkSize: 60, Domain: 8, Seed: 5}
 	cat := w.Catalog()
@@ -79,11 +75,9 @@ func TestStreamingMatchesMaterializingSynth(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := opt.Optimize(tr.Plan)
-		want := evalMode(t, cat, plan, true, 1)
-		for _, par := range []int{1, 4} {
-			if got := evalMode(t, cat, plan, false, par); !got.Equal(want) {
-				t.Errorf("streaming (par=%d) diverges on %q", par, query)
-			}
+		want := evalMode(t, cat, plan, true)
+		if got := evalMode(t, cat, plan, false); !got.Equal(want) {
+			t.Errorf("streaming diverges on %q", query)
 		}
 	}
 }
@@ -166,8 +160,8 @@ func TestTopNHeapMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want := evalMode(t, cat, tr.Plan, true, 1)
-		got := evalMode(t, cat, tr.Plan, false, 1)
+		want := evalMode(t, cat, tr.Plan, true)
+		got := evalMode(t, cat, tr.Plan, false)
 		if !got.Equal(want) {
 			t.Errorf("%s: heap and sort disagree\n got %s\nwant %s", q, got, want)
 		}
@@ -301,7 +295,7 @@ func TestCorrelatedProbeScansOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := evalMode(t, cat, plan, true, 1); !got.Equal(want) {
+	if want := evalMode(t, cat, plan, true); !got.Equal(want) {
 		t.Fatalf("streaming and reference bags differ")
 	}
 	if cdb.counts["r2"] > 2 {

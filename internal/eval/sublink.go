@@ -208,8 +208,7 @@ func classBit(v types.Value) uint8 {
 // paper's measurements implicitly rely on. Semantics match quantify: an
 // empty subquery yields false; a NULL test value yields unknown, and so
 // does a miss when some element is NULL or of a kind a does not compare
-// with. Concurrent workers may race to build the set; the duplicate work is
-// benign.
+// with.
 func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
 	set, ok := e.shared.anySets.get(s.Query, nil)
 	if !ok {
@@ -251,8 +250,8 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 func (e *Evaluator) evalSubplan(s algebra.Sublink, scope []rel.Tuple) (*rel.Relation, error) {
 	q := s.Query
 	if len(s.Free) == 0 {
-		// An InitPlan runs with no enclosing scope, so it may fan out and
-		// never consults a selection index.
+		// An InitPlan runs with no enclosing scope, so it never consults a
+		// selection index.
 		scope = nil
 	} else if e.DisableStreaming && e.DisableSublinkMemo {
 		return e.eval(q, scope)

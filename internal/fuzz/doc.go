@@ -14,11 +14,10 @@
 //
 // # The oracle
 //
-// One generated query runs under every executor mode — streaming at
-// parallelism 1 and 4, and the sequential materializing reference — and,
-// when it carries no LIMIT/OFFSET, additionally as SELECT PROVENANCE under
-// every rewrite strategy (Gen, Left, Move, Unn, UnnX, Auto) × the same
-// executor matrix.
+// One generated query runs under every executor mode — the streaming
+// pipeline and the materializing reference — and, when it carries no
+// LIMIT/OFFSET, additionally as SELECT PROVENANCE under every rewrite
+// strategy (Gen, Left, Move, Unn, UnnX, Auto) × the same executor matrix.
 // The oracle asserts:
 //
 //   - the plain query succeeds everywhere with the identical presented rows:

@@ -20,11 +20,9 @@ type Mode struct {
 }
 
 // Modes is the executor matrix every query runs under: the streaming
-// pipeline sequential and with four workers, and the sequential reference
-// executor (which ignores parallelism).
+// pipeline and the materializing reference executor.
 var Modes = []Mode{
 	{"stream/seq", nil},
-	{"stream/par4", []perm.Option{perm.WithParallelism(4)}},
 	{"mat/seq", []perm.Option{perm.WithoutStreaming()}},
 }
 

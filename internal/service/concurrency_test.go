@@ -109,7 +109,7 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 // TestRequestTimeoutCancelsQuery is the acceptance scenario: a 50ms
 // request timeout on a statement of the 400-row synthetic workload that
 // runs for seconds unconstrained must come back as a timeout error within
-// 200ms, release its worker-pool slot, and leak no goroutines.
+// 200ms, release its admission slot, and leak no goroutines.
 func TestRequestTimeoutCancelsQuery(t *testing.T) {
 	_, ts, _ := newSynthServer(t, 400, 20, Config{MaxConcurrent: 2})
 	q := slowStatement
@@ -146,7 +146,7 @@ func TestRequestTimeoutCancelsQuery(t *testing.T) {
 	}
 	wg.Wait()
 
-	// No goroutine leak: the evaluator and worker pool wind down. Allow
+	// No goroutine leak: the canceled statements wind down. Allow
 	// brief scheduling slack plus a small tolerance for idle HTTP conns.
 	deadline := time.Now().Add(3 * time.Second)
 	for {

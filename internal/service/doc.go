@@ -12,10 +12,11 @@
 //	GET  /stats    per-endpoint request counts, in-flight gauge, latency histograms,
 //	               plan-cache hits, misses, stale plans, evictions and entries
 //
-// Request options (strategy, parallelism, executor mode, timeout) travel
-// per request; see the request types in handlers.go for the JSON shapes.
-// Parallelism applies to the streaming executor only and is ignored with
-// mode "materialize", which runs the sequential reference executor.
+// Request options (strategy, executor mode, timeout) travel per request;
+// see the request types in handlers.go for the JSON shapes. Mode
+// "materialize" runs the reference executor. Unknown fields are ignored, so
+// a client that still sends the retired "parallelism" field gets the same
+// rows.
 //
 // # Sessions and snapshots
 //
@@ -38,9 +39,9 @@
 // connection (disconnect aborts evaluation), the server default timeout,
 // and the request's timeout_ms (capped by the server maximum). The
 // deadline propagates into both executors' row loops via the evaluator's
-// cancellation checkpoints — stream emit, breaker fills, worker sinks — so
+// cancellation checkpoints — stream emit, breaker fills, bag fills — so
 // provenance rewrites that multiply scan counts (the paper's Gen strategy)
-// stop promptly and release their worker goroutines. Expired requests
+// stop promptly. Expired requests
 // report error class "timeout" over JSON.
 //
 // Admission control sheds load instead of queueing unboundedly: at most

@@ -23,9 +23,6 @@ type QueryRequest struct {
 	// Strategy selects the provenance rewrite strategy: Gen, Left, Move,
 	// Unn, UnnX or Auto (default).
 	Strategy string `json:"strategy,omitempty"`
-	// Parallelism is the per-query worker count of the streaming executor
-	// (capped by the server); it is ignored with mode "materialize".
-	Parallelism int `json:"parallelism,omitempty"`
 	// Mode selects the executor: "stream" (default) or "materialize".
 	Mode string `json:"mode,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
@@ -119,7 +116,7 @@ var strategies = map[string]perm.Strategy{
 // queryOptions validates the per-request knobs and builds the perm
 // options. A nil error slice return means the request was rejected and a
 // response written.
-func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string, parallelism int) ([]perm.Option, bool) {
+func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string) ([]perm.Option, bool) {
 	strat, ok := strategies[strategy]
 	if !ok {
 		writeJSON(w, http.StatusBadRequest, ErrorBody{ErrorJSON{
@@ -142,12 +139,6 @@ func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string, para
 			Message: fmt.Sprintf("service: unknown executor mode %q (want stream or materialize)", mode),
 		}})
 		return nil, false
-	}
-	if parallelism > s.cfg.MaxParallelism {
-		parallelism = s.cfg.MaxParallelism
-	}
-	if parallelism > 1 {
-		opts = append(opts, perm.WithParallelism(parallelism))
 	}
 	return opts, true
 }
@@ -174,7 +165,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	opts, ok := s.queryOptions(w, req.Strategy, req.Mode, req.Parallelism)
+	opts, ok := s.queryOptions(w, req.Strategy, req.Mode)
 	if !ok {
 		return
 	}

@@ -33,10 +33,6 @@ type Config struct {
 	// MaxTimeout caps the deadline a request may ask for. Default 5m.
 	MaxTimeout time.Duration
 
-	// MaxParallelism caps the per-request worker parallelism. Default
-	// GOMAXPROCS.
-	MaxParallelism int
-
 	// PlanCheck is the per-stage plan verification mode applied to every
 	// statement (see perm.WithPlanCheck). Default off; strict turns a
 	// structural plan violation, or a write into a cached plan, into a
@@ -53,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

@@ -214,7 +214,7 @@ func TestQueryEndpoint(t *testing.T) {
 			wantRows: "3; 2; 1",
 		},
 		{
-			name:     "parallelism option",
+			name:     "retired parallelism field ignored",
 			body:     map[string]any{"query": "SELECT a FROM t1 ORDER BY 1", "parallelism": 4},
 			status:   200,
 			wantCols: "a",

@@ -17,9 +17,8 @@
 // documentation of internal/rewrite and §3 of the paper) is selectable per
 // query with WithStrategy.
 //
-// The executor memoizes correlated sublink results per parameter binding
-// and can evaluate sublink probes on a bounded worker pool — see
-// WithParallelism and the package documentation of internal/eval.
+// The executor memoizes correlated sublink results per parameter binding —
+// see the package documentation of internal/eval.
 package perm
 
 import (
@@ -340,7 +339,6 @@ type queryConfig struct {
 	strategy    Strategy
 	ctx         context.Context
 	noOptimize  bool
-	parallelism int
 	materialize bool
 	planCheck   PlanCheckMode
 	noPlanCache bool
@@ -355,17 +353,6 @@ func WithStrategy(s Strategy) Option {
 // WithContext attaches a context; cancellation aborts evaluation.
 func WithContext(ctx context.Context) Option {
 	return func(c *queryConfig) { c.ctx = ctx }
-}
-
-// WithParallelism lets the streaming executor use up to n worker goroutines
-// for one query: the topmost selection, projection or join probe whose
-// expression carries a sublink fans its per-row sublink probes out across
-// the pool. n <= 1 evaluates sequentially (the default), and so does
-// WithoutStreaming, on which the option has no effect. The result bag is
-// identical to sequential execution regardless of n (its order without
-// ORDER BY need not be); a natural choice is runtime.GOMAXPROCS(0).
-func WithParallelism(n int) Option {
-	return func(c *queryConfig) { c.parallelism = n }
 }
 
 // WithoutOptimizer disables the logical optimizer — for ablation
@@ -410,9 +397,8 @@ type Result struct {
 	Columns []string
 	// Rows hold the data in the query's ORDER BY when it has one (ties
 	// broken deterministically). Without ORDER BY they come in engine
-	// order, which may differ between executor modes (WithoutStreaming)
-	// and parallelism: sort in the caller, or add ORDER BY, where order
-	// matters. Values are int64, float64, string, bool or nil.
+	// order, which may differ between executor modes (WithoutStreaming):
+	// sort in the caller, or add ORDER BY, where order matters. Values are int64, float64, string, bool or nil.
 	Rows [][]any
 	// DataColumns is the number of original (non-provenance) columns.
 	DataColumns int
@@ -531,7 +517,6 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	if cfg.ctx != nil {
 		ev = ev.WithContext(cfg.ctx)
 	}
-	ev.Parallelism = cfg.parallelism
 	ev.DisableStreaming = cfg.materialize
 	ev.Params = params
 	relOut, err := ev.EvalBound(p.plan)

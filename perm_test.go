@@ -268,29 +268,6 @@ func TestCreateViewHelper(t *testing.T) {
 	}
 }
 
-func TestWithParallelismMatchesSequential(t *testing.T) {
-	db := openFigure3(t)
-	queries := []string{
-		"SELECT PROVENANCE a, b FROM r WHERE a = ANY (SELECT c FROM s)",
-		"SELECT PROVENANCE a FROM r WHERE EXISTS (SELECT c FROM s WHERE c = b)",
-		"SELECT b, count(*) FROM r GROUP BY b",
-		"SELECT r.a, s.d FROM r LEFT JOIN s ON r.a = s.c",
-	}
-	for _, q := range queries {
-		seq, err := db.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		par, err := db.Query(q, WithParallelism(4))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", q, err)
-		}
-		if rowsFingerprint(par) != rowsFingerprint(seq) {
-			t.Errorf("%s: parallel rows %v, sequential rows %v", q, par.Rows, seq.Rows)
-		}
-	}
-}
-
 func TestBadStrategyAndSQL(t *testing.T) {
 	db := openFigure3(t)
 	if _, err := db.Query("SELECT PROVENANCE a FROM r", WithStrategy(Strategy("Bogus"))); err == nil {

@@ -141,7 +141,6 @@ func TestOrderByAllTiesKeyOrder(t *testing.T) {
 			for _, q := range []string{
 				`SELECT a, b FROM r ORDER BY b`,
 				`SELECT a FROM r ORDER BY b DESC`,
-				// The sublink makes stream/par4 fan the projection out.
 				`SELECT a, (SELECT count(*) FROM s WHERE c = a) AS n FROM r ORDER BY b`,
 			} {
 				res, err := db.Query(q, mode.opts...)
@@ -433,7 +432,7 @@ func TestIntOverflow(t *testing.T) {
 	})
 	// sum overflow is decided by the exact total, not by intermediate
 	// prefixes: {max, 1, -2} sums to max-1 regardless of the accumulation
-	// order the executor or worker pool happens to use.
+	// order the executor happens to use.
 	if err := db.Register("mixed", []string{"v"}, [][]any{{max}, {1}, {-2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -1645,7 +1644,6 @@ func TestGenGenerationRegress(t *testing.T) {
 	}{
 		{"mat/seq", []Option{WithoutStreaming()}},
 		{"stream/seq", nil},
-		{"stream/par4", []Option{WithParallelism(4)}},
 	}
 	for _, c := range []struct {
 		name, query string
@@ -1821,5 +1819,34 @@ func TestUncorrelatedSublinksKeepTheirOwnMemo(t *testing.T) {
 				wantColumn(t, res, 0, int64(1), int64(2))
 			}
 		})
+	}
+}
+
+// TestMaterializingPeakRowsCountsEveryOutput: under the materializing
+// executor every operator output is charged against the row budget and
+// counted in PeakRows — LIMIT's, VALUES' and aggregation's rows included.
+func TestMaterializingPeakRowsCountsEveryOutput(t *testing.T) {
+	db := Open()
+	if err := db.Register("t", []string{"a"}, [][]any{{1}, {2}, {3}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		query string
+		peak  int64
+	}{
+		// The projection's 3 rows, then LIMIT's 2.
+		{`SELECT a FROM t LIMIT 2`, 5},
+		// VALUES' one empty row, then the projection's.
+		{`SELECT 1 AS x`, 2},
+		// The aggregate's one group, then the projection's.
+		{`SELECT count(*) AS n FROM t`, 2},
+	} {
+		res, err := db.Query(c.query, WithoutStreaming())
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if res.PeakRows != c.peak {
+			t.Errorf("%s: PeakRows %d, want %d", c.query, res.PeakRows, c.peak)
+		}
 	}
 }
