@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"perm/internal/lint"
 )
@@ -36,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checks   = fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
 		listFlag = fs.Bool("list", false, "list the available analyzers and exit")
 		jsonFlag = fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message/severity)")
-		verbose  = fs.Bool("v", false, "report load and per-analyzer wall time on stderr")
 		dir      = fs.String("C", ".", "change to this directory before loading packages")
 	)
 	fs.Usage = func() {
@@ -84,25 +82,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	loadStart := time.Now()
 	pkgs, err := lint.NewLoader().Load(*dir, patterns...)
 	if err != nil {
 		return fail(err)
 	}
-	loadTime := time.Since(loadStart)
-
-	diags, timings, err := lint.RunAnalyzers(pkgs, analyzers)
+	diags, err := lint.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		return fail(err)
-	}
-	if *verbose {
-		fmt.Fprintf(stderr, "permlint: load %v (%d packages)\n", loadTime.Round(time.Millisecond), len(pkgs))
-		var analyze time.Duration
-		for _, tm := range timings {
-			analyze += tm.Duration
-			fmt.Fprintf(stderr, "permlint: %-12s %v\n", tm.Name, tm.Duration.Round(time.Millisecond))
-		}
-		fmt.Fprintf(stderr, "permlint: analyze %v total\n", analyze.Round(time.Millisecond))
 	}
 
 	if *jsonFlag {

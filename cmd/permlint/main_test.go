@@ -58,7 +58,7 @@ func TestListNamesTheSuite(t *testing.T) {
 		name, _, _ := strings.Cut(line, " ")
 		names = append(names, name)
 	}
-	const want = "ctxflow lockcheck lockorder errclass deferclose"
+	const want = "ctxflow errclass deferclose"
 	if got := strings.Join(names, " "); status != 0 || got != want {
 		t.Errorf("-list: exit status %d, analyzers %q, want %q", status, got, want)
 	}

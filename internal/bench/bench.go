@@ -34,13 +34,6 @@ type Runner struct {
 	// Instances is the number of random query instances averaged per cell
 	// (the paper used 100).
 	Instances int
-	// Optimize applies the logical optimizer to every plan (on by default
-	// through New; switch off for ablation runs).
-	Optimize bool
-	// MaxRows caps materialized rows per execution; exceeding it excludes
-	// the cell exactly like a timeout (the Gen strategy's CrossBase can
-	// exhaust memory long before any clock fires).
-	MaxRows int
 	// SublinkMemo enables the materializing executor's per-binding
 	// memoization of correlated sublink results. It is off by default: the
 	// paper's measurements ran on PostgreSQL, whose SubPlans re-evaluate per
@@ -58,12 +51,15 @@ type Runner struct {
 	Out io.Writer
 }
 
-// DefaultMaxRows bounds one execution to roughly a gigabyte of tuples.
+// DefaultMaxRows caps the materialized rows of one execution, roughly a
+// gigabyte of tuples; exceeding it excludes the cell exactly like a timeout
+// (the Gen strategy's CrossBase can exhaust memory long before any clock
+// fires).
 const DefaultMaxRows = 2_000_000
 
 // New returns a Runner with the given defaults.
 func New(out io.Writer, timeout time.Duration, instances int) *Runner {
-	return &Runner{Timeout: timeout, Instances: instances, Optimize: true, MaxRows: DefaultMaxRows, Out: out}
+	return &Runner{Timeout: timeout, Instances: instances, Out: out}
 }
 
 // Measurement is one table cell.
@@ -145,9 +141,7 @@ func (r *Runner) measure(ctx context.Context, cat *catalog.Catalog, instances []
 			}
 			plan = res.Plan
 		}
-		if r.Optimize {
-			plan = opt.Optimize(plan)
-		}
+		plan = opt.Optimize(plan)
 		remaining := r.Timeout - total
 		if remaining <= 0 {
 			return Measurement{Excluded: true}, nil
@@ -177,7 +171,7 @@ func (r *Runner) evalOnce(ctx context.Context, cat *catalog.Catalog, plan algebr
 	runCtx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	ev := eval.New(cat).WithContext(runCtx)
-	ev.MaxRows = r.MaxRows
+	ev.MaxRows = DefaultMaxRows
 	ev.DisableSublinkMemo = !r.SublinkMemo
 	ev.DisableStreaming = r.Materialize
 	start := time.Now()

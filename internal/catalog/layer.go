@@ -25,15 +25,14 @@ type Layer[V any] struct {
 	// Readers never take it.
 	mu sync.Mutex
 	// state is the published version, never nil and never carrying a
-	// parent. Stores happen under mu; Snapshot loads it lock-free.
-	// guarded-by: mu
+	// parent. Guarded by mu for stores; Snapshot loads it lock-free.
 	state atomic.Pointer[State[V]]
 }
 
 // NewLayer returns an empty layer over parent; a nil parent makes a root.
 func NewLayer[V any](parent *Layer[V]) *Layer[V] {
 	l := &Layer[V]{parent: parent}
-	//permlint:ignore lockcheck l is not shared yet
+	// No lock: l is not shared yet.
 	l.state.Store(&State[V]{entries: map[string]*V{}})
 	return l
 }
@@ -53,7 +52,8 @@ func (l *Layer[V]) Snapshot() *State[V] {
 	if l == nil {
 		return nil
 	}
-	//permlint:ignore lockcheck readers load the published pointer lock-free; mu only orders the writers' stores
+	// Readers load the published pointer lock-free; mu only orders the
+	// writers' stores.
 	own := l.state.Load()
 	if l.parent == nil {
 		return own

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -91,24 +92,37 @@ func TestNamesSortedAndDrop(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess runs writers of distinct names beside readers. Every
+// write is a clone–edit–publish cycle of the whole table map, so a write
+// that is not serialised with the others loses theirs: the final count
+// catches that even where -race sees no data race.
 func TestConcurrentAccess(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c.Register("x", rel.New(schema.New("", "a")))
+				name := fmt.Sprintf("x%d_%d", w, i)
+				c.Register(name, rel.New(schema.New("", "a")))
+				if i%2 == 1 {
+					if err := c.Drop(name); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}()
 	}
 	for i := 0; i < 100; i++ {
 		c.Names()
-		c.Has("x")
-		_, _ = c.Relation("x")
+		c.Has("x0_0")
+		_, _ = c.Relation("x0_0")
 	}
 	wg.Wait()
+	if got := len(c.Names()); got != 200 {
+		t.Fatalf("%d names after 4 writers registered 100 each and dropped 50 each, want 200", got)
+	}
 }
 
 func TestOverlayShadowsBase(t *testing.T) {

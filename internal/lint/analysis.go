@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strings"
-	"time"
 )
 
 // An Analyzer checks one invariant over a type-checked package. The shape
@@ -49,11 +47,6 @@ type Pass struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// Cache is the run-wide shared state (call graph, per-function CFGs,
-	// whole-program analyzer artifacts), built once per RunAnalyzers call
-	// and reused by every (analyzer, package) pass.
-	Cache *RunCache
 
 	diags   *[]Diagnostic
 	ignores map[ignoreKey]bool
@@ -114,32 +107,18 @@ func buildIgnores(pkg *Package) map[ignoreKey]bool {
 	return out
 }
 
-// A Timing records one analyzer's wall-clock cost over the whole run,
-// reported by cmd/permlint -v.
-type Timing struct {
-	Name     string
-	Duration time.Duration
-}
-
 // RunAnalyzers applies the analyzers to each package and returns the
-// findings sorted by position, with each analyzer's wall time.
-// Standard-library packages in pkgs are skipped: they are loaded only as
-// type-checking context. All analyzers share one RunCache, so the call
-// graph and the per-function CFGs are built once for the run regardless of
-// how many analyzers need them; each analyzer's Timing therefore charges
-// shared-artifact construction to the first analyzer that demands it.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
+// findings sorted by position. Standard-library packages in pkgs are
+// skipped: they are loaded only as type-checking context.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	cache := newRunCache(pkgs)
 	ignores := map[*Package]map[ignoreKey]bool{}
 	for _, pkg := range pkgs {
 		if !pkg.Standard {
 			ignores[pkg] = buildIgnores(pkg)
 		}
 	}
-	var timings []Timing
 	for _, a := range analyzers {
-		start := time.Now()
 		for _, pkg := range pkgs {
 			if pkg.Standard {
 				continue
@@ -151,15 +130,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timin
 				Files:    pkg.Files,
 				Types:    pkg.Types,
 				Info:     pkg.Info,
-				Cache:    cache,
 				diags:    &diags,
 				ignores:  ignores[pkg],
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
-		timings = append(timings, Timing{Name: a.Name, Duration: time.Since(start)})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -174,12 +151,12 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timin
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, timings, nil
+	return diags, nil
 }
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxFlow, LockCheck, LockOrder, ErrClass, DeferClose}
+	return []*Analyzer{CtxFlow, ErrClass, DeferClose}
 }
 
 // AnalyzerByName resolves one analyzer.
@@ -192,29 +169,7 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
-// --- shared annotation and AST helpers ---
-
-// commentDirective scans a function's doc comment for a "marker" or
-// "marker value" line and returns the value ("" when the marker stands
-// alone) and whether it was found.
-func commentDirective(doc *ast.CommentGroup, marker string) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == marker {
-			return "", true
-		}
-		if rest, ok := strings.CutPrefix(text, marker+" "); ok {
-			return strings.TrimSpace(rest), true
-		}
-		if rest, ok := strings.CutPrefix(text, marker+":"); ok {
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}
+// --- shared AST helpers ---
 
 // inspectWithStack walks the node like ast.Inspect but hands the visitor
 // the current ancestor stack (excluding n itself).
@@ -231,26 +186,6 @@ func inspectWithStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bo
 		}
 		return keep
 	})
-}
-
-// derefNamed strips one level of pointer, returning the (possibly named)
-// element type — the receiver type two accesses must share for the
-// lockcheck receiver match.
-//
-// An instantiation of a generic type (Layer[table], or Layer[V] inside
-// Layer's own methods, where every method has its own V) is reduced to the
-// declared generic type: all of them share "the" Layer.mu.
-func derefNamed(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Origin()
-	}
-	return t
 }
 
 // isPkgFunc reports whether the call invokes the named function of the

@@ -52,7 +52,6 @@ func RunFixture(t *testing.T, a *Analyzer, dir string) {
 		Files:    pkg.Files,
 		Types:    pkg.Types,
 		Info:     pkg.Info,
-		Cache:    newRunCache([]*Package{pkg}),
 		diags:    &diags,
 		ignores:  buildIgnores(pkg),
 	}

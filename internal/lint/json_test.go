@@ -15,9 +15,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 func TestWriteJSONGolden(t *testing.T) {
 	diags := []Diagnostic{
 		{
-			Analyzer: "lockcheck",
-			Pos:      token.Position{Filename: "internal/catalog/layer.go", Line: 42, Column: 3},
-			Message:  "Layer.mu.Lock() is not released on some path to return",
+			Analyzer: "deferclose",
+			Pos:      token.Position{Filename: "internal/catalog/csv.go", Line: 42, Column: 3},
+			Message:  "closeable resource (*os.File) f is never released; defer the release right after acquiring it",
 		},
 		{
 			Analyzer: "ctxflow",

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -77,6 +78,24 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 				// DDL churn on the shared session while queries run.
 				post(t, ts.URL+"/exec", map[string]any{
 					"session": "shared", "statement": fmt.Sprintf("INSERT INTO %s VALUES (%d)", shared, r)})
+				// A fresh named session beside /stats: creating sessions while
+				// another request counts them is what -race checks sessMu with.
+				probe := fmt.Sprintf("probe-%d-%d", i, r)
+				if status, out := post(t, ts.URL+"/query", map[string]any{
+					"session": probe, "query": "SELECT a FROM t1"}); status != 200 {
+					report("round %d: session %s: status %d (%+v)", r, probe, status, out.Error)
+					return
+				}
+				resp, err := http.Get(ts.URL + "/stats")
+				if err != nil {
+					report("round %d: /stats: %v", r, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					report("round %d: /stats status %d", r, resp.StatusCode)
+					return
+				}
 			}
 		}(i)
 	}

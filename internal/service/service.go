@@ -60,8 +60,8 @@ type Server struct {
 	mux *http.ServeMux
 
 	sessMu sync.Mutex
-	// sessions maps session names to their engine sessions.
-	// guarded-by: sessMu
+	// sessions maps session names to their engine sessions. Guarded by
+	// sessMu.
 	sessions map[string]*perm.Session
 
 	// limiter is the admission semaphore: a token per executing statement.

@@ -112,6 +112,12 @@ type scope struct {
 	// the publish, so concurrent writers cannot lose each other's updates.
 	// Blind writes (Register, LoadCSV, Drop) take it too, so that an INSERT
 	// in flight cannot publish over them.
+	//
+	// Lock order: mu is acquired before catalog.Layer.mu. Drop, Register,
+	// LoadCSV and the table and view DDL publish into a Layer while holding
+	// mu. The reverse cannot happen: a Layer never calls out while holding
+	// its mutex (it clones a map, reads lock-free snapshots and stores a
+	// pointer), and internal/catalog cannot import perm.
 	mu    sync.Mutex
 	cat   *catalog.Catalog
 	views *catalog.Layer[sql.ViewDef]

@@ -90,10 +90,9 @@ type planCache struct {
 	mu sync.RWMutex
 	// families maps a family to its variants, oldest first. A published
 	// variant slice is never written again: lookups read it outside the lock.
-	// guarded-by: mu
+	// Guarded by mu.
 	families map[string][]*planned
-	// entries counts the variants of all families.
-	// guarded-by: mu
+	// entries counts the variants of all families. Guarded by mu.
 	entries int
 }
 
@@ -199,9 +198,7 @@ func keep(p *planned, variants []*planned) *planned {
 	return &kept
 }
 
-// drop accounts for n evicted plans.
-//
-// permlint:held mu
+// drop accounts for n evicted plans. The caller holds c.mu.
 func (c *planCache) drop(n int) {
 	c.entries -= n
 	c.evictions.Add(int64(n))

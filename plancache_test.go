@@ -302,6 +302,9 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 			default:
 			}
 			register(i%2 == 0)
+			// Reading the counters beside the clients' admissions is what
+			// -race checks PlanCacheStats' lock with.
+			db.PlanCacheStats()
 			stmt := `CREATE VIEW tv AS SELECT a, k FROM t WHERE k < 3`
 			if i%2 == 1 {
 				stmt = `DROP VIEW tv`
