@@ -15,7 +15,8 @@
 // # The oracle
 //
 // One generated query runs under every executor mode — the streaming
-// pipeline and the materializing reference — and, when it carries no
+// pipeline, the materializing reference, and the reference on the plan the
+// optimizer did not touch — and, when it carries no
 // LIMIT/OFFSET, additionally as SELECT PROVENANCE under every rewrite
 // strategy (Gen, Left, Move, Unn, UnnX, Auto) × the same executor matrix.
 // The oracle asserts:

@@ -20,10 +20,14 @@ type Mode struct {
 }
 
 // Modes is the executor matrix every query runs under: the streaming
-// pipeline and the materializing reference executor.
+// pipeline, the materializing reference executor, and the reference
+// executor on the plan as translated and rewritten, before the optimizer —
+// the one mode an optimizer rule that is wrong for every executor alike
+// disagrees with.
 var Modes = []Mode{
 	{"stream/seq", nil},
 	{"mat/seq", []perm.Option{perm.WithoutStreaming()}},
+	{"mat/noopt", []perm.Option{perm.WithoutStreaming(), perm.WithoutOptimizer()}},
 }
 
 // Strategies is the provenance rewrite matrix.

@@ -1,16 +1,21 @@
 // Package opt is a small logical optimizer standing in for the PostgreSQL
 // planner the Perm system relied on (§4.1: "the output of the provenance
 // rewrite module is passed to the planner and is subject to the standard
-// query optimization of PostgreSQL"). It performs the two transformations
-// without which neither the TPC-H queries nor their provenance rewrites are
-// executable on a materializing engine:
+// query optimization of PostgreSQL"). It performs three transformations:
+// the first two are those without which neither the TPC-H queries nor their
+// provenance rewrites are executable on a materializing engine, the third
+// saves the row copies of the projections a rewrite stacks:
 //
 //   - selection decomposition and pushdown: σ over a cross-product chain is
 //     split into conjuncts, single-relation predicates move onto their
 //     relation;
 //   - join extraction: equality predicates connecting two inputs of the
 //     chain turn the cross products into (hash-)joins, ordered greedily so
-//     every join is connected when possible.
+//     every join is connected when possible;
+//   - projection fusion: a projection over a bag projection becomes one
+//     projection (see fuseProjects), as PostgreSQL flattens the subquery
+//     layers of a rewritten query; each layer would otherwise copy every
+//     witness column of every row.
 //
 // Predicates containing sublinks are never moved — they stay in a residual
 // selection at the original level, where the evaluator's correlation scopes
@@ -18,6 +23,8 @@
 package opt
 
 import (
+	"slices"
+
 	"perm/internal/algebra"
 	"perm/internal/schema"
 	"perm/internal/types"
@@ -38,7 +45,7 @@ func Optimize(op algebra.Op) algebra.Op {
 		for i, c := range o.Cols {
 			cols[i] = algebra.ProjExpr{E: optimizeExpr(c.E), As: c.As, Qual: c.Qual}
 		}
-		return &algebra.Project{Child: Optimize(o.Child), Cols: cols, Distinct: o.Distinct}
+		return fuseProjects(&algebra.Project{Child: Optimize(o.Child), Cols: cols, Distinct: o.Distinct})
 	case *algebra.Cross:
 		return &algebra.Cross{L: Optimize(o.L), R: Optimize(o.R)}
 	case *algebra.Join:
@@ -79,6 +86,102 @@ func optimizeExpr(e algebra.Expr) algebra.Expr {
 		}
 		return x
 	})
+}
+
+// fuseProjects rewrites Π_A(Π_B(X)) to Π_{A∘B}(X), repeating down the
+// stack: each column of A with its references to B replaced by B's
+// expressions for them. It fuses only when the result's bag, the number of
+// times each expression is evaluated, and the first error a row raises are
+// those of the stack:
+//
+//   - A has no sublink, whose query would see X's row instead of B's;
+//   - B is a bag projection (a DISTINCT below would change multiplicities);
+//   - every reference of A resolves uniquely in B's schema, or, correlated,
+//     resolves nowhere in B's and X's schemas alike (no capture);
+//   - every computed column of B (see computed) is passed on exactly once,
+//     bare, in B's order, so it is evaluated once per row and in the same
+//     order;
+//   - A's computed columns read no computed column of B and follow every
+//     one A passes on, so a row's errors keep their order.
+func fuseProjects(p *algebra.Project) *algebra.Project {
+	for {
+		in, ok := p.Child.(*algebra.Project)
+		if !ok || in.Distinct {
+			return p
+		}
+		cols, ok := composeCols(p.Cols, in)
+		if !ok {
+			return p
+		}
+		p = &algebra.Project{Child: in.Child, Cols: cols, Distinct: p.Distinct}
+	}
+}
+
+// composeCols returns the columns A∘B of fuseProjects, or false when one of
+// its conditions fails.
+func composeCols(outer []algebra.ProjExpr, in *algebra.Project) ([]algebra.ProjExpr, bool) {
+	mid, below := in.Schema(), in.Child.Schema()
+	var want, passed []int // B's computed columns; those A passes on, in A's order
+	for j, c := range in.Cols {
+		if computed(c.E) {
+			want = append(want, j)
+		}
+	}
+	outerComputed := false
+	cols := make([]algebra.ProjExpr, len(outer))
+	for i, c := range outer {
+		if algebra.HasSublink(c.E) {
+			return nil, false
+		}
+		if ref, bare := c.E.(algebra.AttrRef); bare {
+			if j, _ := mid.Lookup(ref.Qual, ref.Name); j >= 0 && computed(in.Cols[j].E) {
+				if outerComputed {
+					return nil, false
+				}
+				passed = append(passed, j)
+				cols[i] = algebra.ProjExpr{E: in.Cols[j].E, As: c.As, Qual: c.Qual}
+				continue
+			}
+		}
+		outerComputed = outerComputed || computed(c.E)
+		ok := true
+		e := algebra.MapExpr(c.E, func(x algebra.Expr) algebra.Expr {
+			ref, isRef := x.(algebra.AttrRef)
+			if !isRef {
+				return x
+			}
+			j, amb := mid.Lookup(ref.Qual, ref.Name)
+			switch {
+			case amb:
+				ok = false
+			case j < 0:
+				if k, kamb := below.Lookup(ref.Qual, ref.Name); k >= 0 || kamb {
+					ok = false // X would capture the correlated name
+				}
+			case computed(in.Cols[j].E):
+				ok = false // read inside an expression of A
+			default:
+				return in.Cols[j].E
+			}
+			return x
+		})
+		if !ok {
+			return nil, false
+		}
+		cols[i] = algebra.ProjExpr{E: e, As: c.As, Qual: c.Qual}
+	}
+	return cols, slices.Equal(passed, want)
+}
+
+// computed reports whether a projection column computes its value: an
+// attribute reference or a constant evaluates to itself wherever it is
+// copied, and raises no error.
+func computed(e algebra.Expr) bool {
+	switch e.(type) {
+	case algebra.AttrRef, algebra.Const:
+		return false
+	}
+	return true
 }
 
 // optimizeSelect rebuilds σ_cond(child) with pushdown and join extraction.

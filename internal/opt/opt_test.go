@@ -291,3 +291,107 @@ func TestPushedPredicatesJoinInsideLeaf(t *testing.T) {
 		t.Errorf("want one Cross whose left input joins r and s:\n%s", algebra.Indent(optimized))
 	}
 }
+
+// stackedProjects counts the projections directly over a projection in a
+// plan (descending into sublinks).
+func stackedProjects(op algebra.Op) int {
+	n := 0
+	algebra.Walk(op, func(o algebra.Op) bool {
+		if p, ok := o.(*algebra.Project); ok {
+			if _, ok := p.Child.(*algebra.Project); ok {
+				n++
+			}
+		}
+		return true
+	})
+	return n
+}
+
+// outcome runs a plan and renders its bag, sorted, or its error.
+func outcome(c *catalog.Catalog, plan algebra.Op, materialize bool) string {
+	ev := eval.New(c)
+	ev.DisableStreaming = materialize
+	out, err := ev.Eval(plan)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprint(out.SortedTuples())
+}
+
+// TestFuseProjects: Π_A(Π_B(X)) becomes one projection exactly where that
+// keeps the bag, how often each expression is evaluated, and the first
+// error a row raises; every declined case names the condition that fails.
+// Relation z holds a zero divisor, so a computed column wrongly dropped or
+// moved changes the outcome, not only the plan.
+func TestFuseProjects(t *testing.T) {
+	c := testDB()
+	c.Register("z", rel.FromTuples(schema.New("", "a", "b"), ints(1, 0), ints(2, 1)))
+	scan := func(name, alias string) algebra.Op {
+		r, err := c.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return algebra.NewScan(name, alias, r.Schema)
+	}
+	a, b, x := algebra.Attr("a"), algebra.Attr("b"), algebra.Attr("x")
+	arith := func(op types.ArithOp, l, r algebra.Expr) algebra.Expr { return algebra.Arith{Op: op, L: l, R: r} }
+	pass := algebra.KeepCol
+	proj := algebra.NewProject
+	// inv is 1/b AS x: it fails on z's first row.
+	inv := algebra.Col(arith(types.OpDiv, algebra.IntConst(1), b), "x")
+	double := algebra.Col(arith(types.OpMul, a, algebra.IntConst(2)), "x")
+	anyOf := func(test algebra.Expr, q algebra.Op) algebra.Expr {
+		return algebra.Sublink{Kind: algebra.AnySublink, Op: types.CmpEq, Test: test, Query: q}
+	}
+	for _, tc := range []struct {
+		name string
+		plan algebra.Op
+		fuse bool
+	}{
+		{"computed passed once in order, then A's own over pass-through",
+			proj(proj(scan("z", ""), pass("a"), pass("b"), inv),
+				algebra.Col(a, "k"), pass("x"), algebra.Col(arith(types.OpAdd, a, b), "s")), true},
+		{"three levels",
+			proj(proj(proj(scan("r", ""), pass("a"), double), pass("x"), pass("a")), pass("x")), true},
+		{"DISTINCT over a bag projection",
+			&algebra.Project{Child: proj(scan("r", ""), pass("b"), pass("a")), Cols: []algebra.ProjExpr{pass("b")}, Distinct: true}, true},
+		{"correlated name X does not have",
+			&algebra.Select{Child: scan("s", ""), Cond: anyOf(algebra.Attr("d"),
+				proj(proj(scan("r", ""), algebra.Col(a, "x")), algebra.Col(arith(types.OpMul, x, algebra.Attr("c")), "k")))}, true},
+
+		{"outer sublink",
+			proj(proj(scan("r", ""), pass("a"), pass("b")),
+				pass("a"), algebra.Col(anyOf(b, proj(scan("u", ""), pass("e"))), "m")), false},
+		{"inner DISTINCT",
+			proj(&algebra.Project{Child: scan("r", ""), Cols: []algebra.ProjExpr{pass("a"), pass("b")}, Distinct: true}, pass("a")), false},
+		{"computed column dropped",
+			proj(proj(scan("z", ""), pass("a"), inv), pass("a")), false},
+		{"computed column used twice",
+			proj(proj(scan("z", ""), pass("a"), inv), pass("x"), algebra.Col(x, "y")), false},
+		{"computed column inside an expression of A",
+			proj(proj(scan("z", ""), pass("a"), inv), pass("x"), algebra.Col(arith(types.OpAdd, x, a), "y")), false},
+		{"computed columns out of B's order",
+			proj(proj(scan("r", ""), double, algebra.Col(arith(types.OpAdd, a, b), "w")), pass("w"), pass("x")), false},
+		{"A's own computed column before a computed column of B",
+			proj(proj(scan("z", ""), pass("a"), inv),
+				algebra.Col(arith(types.OpAdd, a, algebra.StrConst("q")), "y"), pass("x")), false},
+		{"correlated name X would capture",
+			&algebra.Select{Child: scan("r", ""), Cond: anyOf(a,
+				proj(proj(scan("r", "r2"), algebra.Col(a, "x")), algebra.Col(b, "k")))}, false},
+		{"ambiguous name",
+			proj(proj(scan("r", ""), algebra.ProjExpr{E: a, As: "x", Qual: "p"}, algebra.ProjExpr{E: b, As: "x", Qual: "q"}),
+				pass("x")), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			optimized := Optimize(tc.plan)
+			if fused := stackedProjects(optimized) == 0; fused != tc.fuse {
+				t.Errorf("fused = %v, want %v:\n%s", fused, tc.fuse, algebra.Indent(optimized))
+			}
+			for _, materialize := range []bool{false, true} {
+				if want, got := outcome(c, tc.plan, materialize), outcome(c, optimized, materialize); got != want {
+					t.Errorf("materialize=%v: optimized plan gives %s, want %s", materialize, got, want)
+				}
+			}
+		})
+	}
+}

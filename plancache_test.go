@@ -2,6 +2,7 @@ package perm
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -57,11 +58,11 @@ func liveHeap() uint64 {
 
 // TestPlanCacheMemoryBudget pins what a warm cache costs, measured as the
 // live heap the cache gives back when it is dropped: the 13 plans of the
-// plan_bound working set retain 0.115 MB (120 KB) bound, 0.131 MB when their
-// references were names. The goal is under 0.10 MB; what is left is the
-// column lists of the projections the provenance rewrite stacks level on
-// level, and merging those is an optimizer rule with a change of its own to
-// come.
+// plan_bound working set retain 0.084–0.089 MB (88–94 KB, as a runtime
+// thread's 5 KB falls inside the window or not). They retained 0.120 MB
+// while the projections the provenance rewrite stacks level on level were
+// kept apart, whose column lists were most of it, before the optimizer fused
+// them; 0.131 MB when references were still names.
 func TestPlanCacheMemoryBudget(t *testing.T) {
 	db := tpchDB(t)
 	for _, q := range planBoundTemplates(t, 12345) {
@@ -76,7 +77,7 @@ func TestPlanCacheMemoryBudget(t *testing.T) {
 	db.plans = newPlanCache()
 	without := liveHeap()
 	runtime.KeepAlive(db)
-	const budget = 0.14 * (1 << 20)
+	const budget = 0.10 * (1 << 20)
 	retained := float64(with) - float64(without)
 	t.Logf("13 cached plans retain %.0f bytes", retained)
 	if retained > budget && !raceDetector {
@@ -86,26 +87,35 @@ func TestPlanCacheMemoryBudget(t *testing.T) {
 
 // TestPlanCacheFamilySharesMemory: the plans of one statement family are
 // built on each other, so a pattern variant costs a fraction of a plan.
+//
+// The runtime now and then starts a thread inside a measured window and
+// its M (5 KB, runtime.allocm under gcStart) counts as live heap there. So
+// the family is measured three times, each time in a new DB, and the least
+// each plan retained is what is compared: the stray M only ever adds.
 func TestPlanCacheFamilySharesMemory(t *testing.T) {
-	db := tpchDB(t)
 	const q = `SELECT PROVENANCE p_brand, p_type, p_size, count(DISTINCT ps_suppkey) AS supplier_cnt FROM partsupp, part
 		WHERE p_partkey = ps_partkey AND p_brand <> 'Brand#45' AND p_size IN (%d, %d, %d, %d)
 		AND ps_suppkey NOT IN (SELECT s_suppkey FROM supplier WHERE s_comment = 'x')
 		GROUP BY p_brand, p_type, p_size ORDER BY supplier_cnt DESC, p_brand, p_type, p_size`
-	run := func(a, b, c, d int) uint64 {
-		before := liveHeap()
-		if _, err := db.Query(fmt.Sprintf(q, a, b, c, d), WithPlanCheck(PlanCheckOff)); err != nil {
-			t.Fatal(err)
+	first, variants := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		db := tpchDB(t)
+		run := func(a, b, c, d int) uint64 {
+			before := liveHeap()
+			if _, err := db.Query(fmt.Sprintf(q, a, b, c, d), WithPlanCheck(PlanCheckOff)); err != nil {
+				t.Fatal(err)
+			}
+			return liveHeap() - before
 		}
-		return liveHeap() - before
-	}
-	first := run(1, 2, 3, 4)
-	var variants uint64
-	for _, v := range [][4]int{{1, 1, 3, 4}, {1, 2, 2, 4}, {1, 2, 3, 3}, {1, 2, 1, 4}} {
-		variants += run(v[0], v[1], v[2], v[3])
-	}
-	if st := db.PlanCacheStats(); st.Entries != 5 || st.Misses != 5 {
-		t.Fatalf("stats %+v, want 5 plans of one family", st)
+		first = min(first, run(1, 2, 3, 4))
+		var sum uint64
+		for _, v := range [][4]int{{1, 1, 3, 4}, {1, 2, 2, 4}, {1, 2, 3, 3}, {1, 2, 1, 4}} {
+			sum += run(v[0], v[1], v[2], v[3])
+		}
+		variants = min(variants, sum)
+		if st := db.PlanCacheStats(); st.Entries != 5 || st.Misses != 5 {
+			t.Fatalf("stats %+v, want 5 plans of one family", st)
+		}
 	}
 	if variants/4 > first/4 {
 		t.Errorf("first plan retains %d bytes, a pattern variant %d on average: want under a quarter", first, variants/4)

@@ -23,7 +23,7 @@ func TestPresentAllocSlopes(t *testing.T) {
 	}{
 		{"unordered", `SELECT a, b FROM r`, 3.1},
 		{"orderByTies", `SELECT a, b FROM r ORDER BY b`, 4.1},
-		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 6.1},
+		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 5.1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := func(n int) float64 {

@@ -1850,3 +1850,40 @@ func TestMaterializingPeakRowsCountsEveryOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestDroppedColumnStillRaises: a derived table's computed column that the
+// outer query drops is still evaluated, as the SQL it was written in says,
+// so its division by zero is the statement's error. The optimizer fuses a
+// projection into the one below it only where every computed column of the
+// lower one survives, once; here it must leave the two apart. The second
+// statement reads x and is fused: the same error, from one projection.
+func TestDroppedColumnStillRaises(t *testing.T) {
+	db := Open()
+	if err := db.Register("t", []string{"a", "b"}, [][]any{{1, 1}, {2, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		q        string
+		projects int // in the optimized plan
+	}{
+		{`SELECT a FROM (SELECT a, 1/b AS x FROM t) s`, 2},
+		{`SELECT x, a FROM (SELECT a, 1/b AS x FROM t) s`, 1},
+	}
+	for _, c := range cases {
+		plan, err := db.Explain(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(plan, "Project"); got != c.projects {
+			t.Errorf("%s: %d projections, want %d:\n%s", c.q, got, c.projects, plan)
+		}
+	}
+	bothEngines(t, func(t *testing.T, opts ...Option) {
+		for _, c := range cases {
+			_, err := sameWithAndWithoutPlanCache(t, db, c.q, opts...)
+			if err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Errorf("%s: err = %v, want division by zero", c.q, err)
+			}
+		}
+	})
+}
