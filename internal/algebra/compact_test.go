@@ -136,6 +136,9 @@ func TestCompactKeepsConstantKinds(t *testing.T) {
 	if exprIdentical(FloatConst(0), FloatConst(math.Copysign(0, -1))) || !exprIdentical(StrConst("x"), StrConst("x")) {
 		t.Error("identical constants are the same value of the same kind")
 	}
+	if !exprIdentical(FloatConst(math.NaN()), FloatConst(math.NaN())) {
+		t.Error("two NaN constants with equal bits are identical")
+	}
 	plan := NewProject(scanR(), Col(div(IntConst(2)), "i"), Col(div(FloatConst(2)), "f"))
 	like := Compact(plan, nil, nil)
 	if got := kinds(like); got[0] != types.KindInt || got[1] != types.KindFloat {

@@ -37,7 +37,6 @@ package algebra
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"perm/internal/types"
@@ -423,8 +422,10 @@ func ExprEqual(a, b Expr) bool { return exprEqual(a, b, false) }
 
 // exprIdentical is ExprEqual that tells constants apart as values, not as
 // SQL compares them: 2 and 2.0 are equal expressions, and a/2 is another
-// computation than a/2.0. It is the test for letting two expressions share
-// memory (see Compact).
+// computation than a/2.0. Constants are identical when == holds on their
+// types.Value, which compares kind and payload bits: 0.0 and -0.0 differ,
+// and a NaN is identical to a NaN with the same bits. It is the test for
+// letting two expressions share memory (see Compact).
 func exprIdentical(a, b Expr) bool { return exprEqual(a, b, true) }
 
 func exprEqual(a, b Expr, exact bool) bool {
@@ -441,7 +442,7 @@ func exprEqual(a, b Expr, exact bool) bool {
 	case Const:
 		y, ok := b.(Const)
 		if exact {
-			return ok && x.Val == y.Val && (x.Val.Kind() != types.KindFloat || math.Signbit(x.Val.Float()) == math.Signbit(y.Val.Float()))
+			return ok && x.Val == y.Val
 		}
 		return ok && types.NullEq(x.Val, y.Val) && x.Val.IsNull() == y.Val.IsNull()
 	case Param:

@@ -153,6 +153,11 @@ func (r *Runner) measure(ctx context.Context, cat *catalog.Catalog, instances []
 			}
 			return Measurement{Err: err}, nil
 		}
+		if elapsed > remaining {
+			// The run finished after its deadline, before the executor's
+			// next cancellation check saw it: it overran all the same.
+			return Measurement{Excluded: true}, nil
+		}
 		total += elapsed
 		rows += out.Card()
 		peak += evPeak

@@ -85,6 +85,9 @@ func (l *Lexed) Lift(dst []byte) (family, pattern []byte, params []types.Value) 
 	lits := l.literals()
 
 	// Literals of one kind and value form a class, named by its first member.
+	// The map compares Values with ==, which tells floats apart by their
+	// bits; that is value equality here, because a number token is digits
+	// and a dot only, so a lexed literal is never -0.0 or NaN.
 	firsts := make(map[types.Value]int, len(lits))
 	var numeric uint8 // the numeric kinds among the literals, one bit each
 	for j := range lits {

@@ -91,7 +91,7 @@ func (op ArithOp) Apply(a, b Value) (Value, error) {
 		return Null(), fmt.Errorf("types: %s requires numeric operands, got %s and %s", op, a.Kind(), b.Kind())
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		x, y := a.i, b.i
+		x, y := a.asInt(), b.asInt()
 		switch op {
 		case OpAdd:
 			z, err := AddInt64(x, y)

@@ -138,13 +138,13 @@ func Compare(a, b Value) (c int, ok bool) {
 	if a.IsNumeric() && b.IsNumeric() {
 		switch {
 		case a.kind == KindInt && b.kind == KindInt:
-			return cmp.Compare(a.i, b.i), true
+			return cmp.Compare(a.asInt(), b.asInt()), true
 		case a.kind == KindFloat && b.kind == KindFloat:
-			return compareFloats(a.f, b.f), true
+			return compareFloats(a.asFloat(), b.asFloat()), true
 		case a.kind == KindInt:
-			return compareIntFloat(a.i, b.f), true
+			return compareIntFloat(a.asInt(), b.asFloat()), true
 		default:
-			return -compareIntFloat(b.i, a.f), true
+			return -compareIntFloat(b.asInt(), a.asFloat()), true
 		}
 	}
 	if a.kind != b.kind {
@@ -161,7 +161,7 @@ func Compare(a, b Value) (c int, ok bool) {
 			return 0, true
 		}
 	case KindBool:
-		ai, bi := b2i(a.b), b2i(b.b)
+		ai, bi := b2i(a.asBool()), b2i(b.asBool())
 		return ai - bi, true
 	default:
 		return 0, false

@@ -14,14 +14,20 @@ import (
 
 // keyGrid covers every kind, both ends of the integer range, the float
 // values that encode as integers (1.0, -0.0) and those that do not (-0.5,
-// 1.5, +Inf, NaN), and strings that differ in length or in content.
+// 1.5, ±Inf, and NaN with two payloads), and strings that differ in length
+// or in content. math.NaN() has the payload bits 0x7ff8000000000001, so the
+// second NaN is otherNaN.
 var keyGrid = []types.Value{
 	types.Null(), types.NewBool(false), types.NewBool(true),
 	types.NewInt(math.MinInt64), types.NewInt(-1), types.NewInt(0), types.NewInt(1), types.NewInt(math.MaxInt64),
 	types.NewFloat(1.0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(-0.5), types.NewFloat(1.5),
-	types.NewFloat(math.Inf(1)), types.NewFloat(math.NaN()),
+	types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)),
+	types.NewFloat(math.NaN()), types.NewFloat(otherNaN),
 	types.NewString(""), types.NewString("a"), types.NewString("ab"), types.NewString("b"),
 }
+
+// otherNaN is a NaN whose bits differ from math.NaN()'s.
+var otherNaN = math.Float64frombits(0x7ff8000000000002)
 
 // sign maps a comparison result to -1, 0 or +1.
 func sign(c int) int { return cmp.Compare(c, 0) }
@@ -61,11 +67,9 @@ func TestCompareKeyMatchesKeyOrder(t *testing.T) {
 // GROUP BY and DISTINCT rely on: two values have the same key bytes iff
 // they are =-equal (non-NULL values) and iff they are =n-equal (all
 // values). Beside the key grid it covers floats just outside int64's range,
-// whose truncation wraps, and a second NaN payload.
+// whose truncation wraps.
 func TestKeyEqualityMatchesEq(t *testing.T) {
-	grid := append(slices.Clone(keyGrid),
-		types.NewFloat(0x1p63), types.NewFloat(-0x1p63),
-		types.NewFloat(math.Float64frombits(0x7ff8000000000001)))
+	grid := append(slices.Clone(keyGrid), types.NewFloat(0x1p63), types.NewFloat(-0x1p63))
 	for _, a := range grid {
 		for _, b := range grid {
 			keyEq := bytes.Equal(a.AppendKey(nil), b.AppendKey(nil))
@@ -100,6 +104,28 @@ func TestCompareKeyLandmarks(t *testing.T) {
 	} {
 		if got := sign(c.a.CompareKey(c.b)); got != c.want {
 			t.Errorf("%s: %v.CompareKey(%v) = %d, want %d", c.name, c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestBitwiseEqualityKeyFolds: == on Values compares payload bits, so 0.0
+// and -0.0 differ under it, and so do two NaN payloads; the grouping key
+// (AppendKey, CompareKey) still folds each pair into one value, as SQL's
+// = does.
+func TestBitwiseEqualityKeyFolds(t *testing.T) {
+	for _, pair := range [][2]types.Value{
+		{types.NewFloat(0), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewFloat(math.NaN()), types.NewFloat(otherNaN)},
+	} {
+		a, b := pair[0], pair[1]
+		if a == b {
+			t.Errorf("%v and %v (bits %#x, %#x) are == ", a, b, math.Float64bits(a.Float()), math.Float64bits(b.Float()))
+		}
+		if !bytes.Equal(a.AppendKey(nil), b.AppendKey(nil)) {
+			t.Errorf("%v and %v have different keys", a, b)
+		}
+		if c := a.CompareKey(b); c != 0 {
+			t.Errorf("%v.CompareKey(%v) = %d, want 0", a, b, c)
 		}
 	}
 }

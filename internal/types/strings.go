@@ -112,13 +112,13 @@ func Substr(s, from Value, count *Value) (Value, error) {
 		return Null(), fmt.Errorf("types: function substr(%s, …) requires (string, integer [, integer])", s.Kind())
 	}
 	runes := []rune(s.s)
-	start := from.i
+	start := from.asInt()
 	end := int64(len(runes)) + 1 // exclusive, 1-based
 	if count != nil {
-		if count.i < 0 {
+		if count.asInt() < 0 {
 			return Null(), fmt.Errorf("types: negative substring length not allowed")
 		}
-		if e, err := AddInt64(start, count.i); err == nil {
+		if e, err := AddInt64(start, count.asInt()); err == nil {
 			end = e
 		} else {
 			end = math.MaxInt64 // saturate; clamped to the string below
@@ -169,13 +169,13 @@ func Cast(v Value, to Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			f := math.RoundToEven(v.f)
+			f := math.RoundToEven(v.asFloat())
 			if math.IsNaN(f) || f < math.MinInt64 || f >= math.MaxInt64 {
 				return Null(), ErrNumericOutOfRange
 			}
 			return NewInt(int64(f)), nil
 		case KindBool:
-			if v.b {
+			if v.asBool() {
 				return NewInt(1), nil
 			}
 			return NewInt(0), nil
@@ -189,7 +189,7 @@ func Cast(v Value, to Kind) (Value, error) {
 	case KindFloat:
 		switch v.kind {
 		case KindInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(v.asInt())), nil
 		case KindString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -200,7 +200,7 @@ func Cast(v Value, to Kind) (Value, error) {
 	case KindBool:
 		switch v.kind {
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.asInt() != 0), nil
 		case KindString:
 			switch strings.ToLower(strings.TrimSpace(v.s)) {
 			case "t", "true", "yes", "on", "1":

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,41 @@ func TestConstructorsAndAccessors(t *testing.T) {
 	}
 	if NewFloat(3.7).Int() != 3 {
 		t.Errorf("Float should truncate to int")
+	}
+}
+
+// TestValueLayout pins Value at four words: a kind, one payload word that a
+// bool, an int64 and a float64 share, and a string header. A fifth word (a
+// field per kind) doubled the expression interpreter's machine code, which
+// passes Values through its frame on every operand.
+func TestValueLayout(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
+		t.Fatalf("Value is %d bytes, want 32", got)
+	}
+}
+
+// TestPayloadRoundTrip checks that every bool, int64 and float64 comes back
+// from the shared payload word bit for bit: the ends of the integer range,
+// the sign of -0.0, both infinities and two distinct NaN payloads.
+func TestPayloadRoundTrip(t *testing.T) {
+	for _, b := range []bool{false, true} {
+		if got := NewBool(b).Bool(); got != b {
+			t.Errorf("NewBool(%v).Bool() = %v", b, got)
+		}
+	}
+	for _, i := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+		if got := NewInt(i).Int(); got != i {
+			t.Errorf("NewInt(%d).Int() = %d", i, got)
+		}
+	}
+	for _, bits := range []uint64{
+		math.Float64bits(math.Copysign(0, -1)),
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		0x7ff8000000000001, 0x7ff8000000000002,
+	} {
+		if got := math.Float64bits(NewFloat(math.Float64frombits(bits)).Float()); got != bits {
+			t.Errorf("float with bits %#x comes back as %#x", bits, got)
+		}
 	}
 }
 

@@ -404,7 +404,11 @@ type Result struct {
 	// Rows hold the data in the query's ORDER BY when it has one (ties
 	// broken deterministically). Without ORDER BY they come in engine
 	// order, which may differ between executor modes (WithoutStreaming):
-	// sort in the caller, or add ORDER BY, where order matters. Values are int64, float64, string, bool or nil.
+	// sort in the caller, or add ORDER BY, where order matters. Values are
+	// int64, float64, string, bool or nil. The rows share one backing
+	// array, but each is capped at its own length: appending to a row
+	// copies it and never writes into the next row. Rows is nil for an
+	// empty result.
 	Rows [][]any
 	// DataColumns is the number of original (non-provenance) columns.
 	DataColumns int
@@ -550,15 +554,22 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range tuples {
-		row := make([]any, 0, len(t)-p.hidden)
+	if len(tuples) == 0 {
+		return out, nil
+	}
+	// One backing array holds every cell; each row is capped at its end, so
+	// an append to a row copies it instead of overwriting the next one.
+	cells := make([]any, 0, len(tuples)*len(out.Columns))
+	out.Rows = make([][]any, len(tuples))
+	for r, t := range tuples {
+		start := len(cells)
 		for i, v := range t {
 			if i >= hiddenStart && i < hiddenEnd {
 				continue
 			}
-			row = append(row, fromValue(v))
+			cells = append(cells, fromValue(v))
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[r] = cells[start:len(cells):len(cells)]
 	}
 	return out, nil
 }
