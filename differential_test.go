@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"perm/internal/catalog"
 	"perm/internal/rewrite"
 	"perm/internal/synth"
 	"perm/internal/tpch"
@@ -154,6 +153,12 @@ func rowsFingerprint(res *Result) string {
 	return strings.Join(lines, "\n")
 }
 
+// withProvenance turns a query into its SELECT PROVENANCE form.
+func withProvenance(q string) string {
+	at := strings.Index(q, "SELECT") + len("SELECT")
+	return q[:at] + " PROVENANCE" + q[at:]
+}
+
 // checkDifferential runs one provenance query under every applicable
 // strategy and executor mode and asserts every combination returns the
 // identical provenance bag.
@@ -210,20 +215,25 @@ func TestDifferentialCurated(t *testing.T) {
 }
 
 // TestDifferentialSynth runs the harness over the synthetic workload,
-// including the correlated queries q3/q4 behind the executor comparisons.
+// including the correlated queries q3 and q4.
 func TestDifferentialSynth(t *testing.T) {
 	w := synth.Workload{InputSize: 60, SublinkSize: 40, Domain: 6, Seed: 11}
-	cat := w.Catalog()
-	db := Open()
-	for _, name := range cat.Names() {
-		r, err := cat.Relation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.Catalog().Register(name, r)
-	}
+	db := dbOf(t, w.Catalog())
 	for _, q := range []string{w.Q1(0), w.Q2(0), w.Q3(0), w.Q4(0)} {
-		checkDifferential(t, db, "SELECT PROVENANCE"+strings.TrimPrefix(q, "SELECT"))
+		checkDifferential(t, db, withProvenance(q))
+	}
+}
+
+// TestDifferentialTPCH runs the harness over every TPC-H sublink template.
+// At SF 0.05 the results of Q11, Q20, Q21 and Q22 are empty for every
+// instance, so for them it compares errors and empty bags only. The
+// instances are the first at which Q2, Q4, Q15 and Q16 return rows.
+func TestDifferentialTPCH(t *testing.T) {
+	db := tpchDB(t)
+	for _, q := range tpch.SublinkQueries() {
+		for _, instance := range []int64{3, 5, 9} {
+			checkDifferential(t, db, withProvenance(q.Instance(instance)))
+		}
 	}
 }
 
@@ -233,18 +243,9 @@ func TestDifferentialSynth(t *testing.T) {
 // optimization. An optimizer or rewriter change that breaks the shape fails
 // here, not only in the benchmark.
 func TestGenTemplatesGenerate(t *testing.T) {
-	db := Open()
 	cat, _ := tpch.Generate(tpch.Config{SF: 0.2, Seed: 1})
 	w := synth.Workload{InputSize: 40, SublinkSize: 40, Seed: 1, Domain: 10}
-	for _, c := range []*catalog.Catalog{cat, w.Catalog()} {
-		for _, name := range c.Names() {
-			r, err := c.Relation(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db.Catalog().Register(name, r)
-		}
-	}
+	db := dbOf(t, cat, w.Catalog())
 	templates := map[string]func(seed int64) string{"q3": w.Q3, "q4": w.Q4}
 	for _, n := range []int{16, 22} {
 		q, err := tpch.QueryByNum(n)
@@ -259,10 +260,7 @@ func TestGenTemplatesGenerate(t *testing.T) {
 		// instances.
 		var generated int64
 		for seed := int64(1); seed <= 5; seed++ {
-			text := gen(seed * 7919)
-			i := strings.Index(text, "SELECT")
-			prov := text[:i+6] + " PROVENANCE" + text[i+6:]
-			generated += generatedRows(t, db, prov, WithStrategy(Gen))
+			generated += generatedRows(t, db, withProvenance(gen(seed*7919)), WithStrategy(Gen))
 		}
 		if generated == 0 {
 			t.Errorf("%s+Gen: no selection was answered by generation", name)

@@ -29,15 +29,14 @@
 //
 // DisableStreaming restores operator-at-a-time full materialization (every
 // operator's output built as a counted bag). The materializing engine is
-// the sequential reference: it has its own operator code, the paper figures
-// run on it, and the differential tests, the benchmark's result check and
-// the streaming table (permbench -fig stream) compare the pipeline against
-// it. LastStats reports the rows either engine materialized. A context
-// attached with WithContext is
-// polled during execution so long-running plans can be cancelled (the
-// benchmark harness uses this for the paper's timeout rule), and MaxRows
-// bounds total materialization (the Gen strategy's CrossBase cross products
-// can exhaust memory long before a clock fires).
+// the sequential reference: it has its own operator code, and the
+// differential tests and the benchmark's result check compare the pipeline
+// against it. LastStats reports the rows either engine materialized; on the
+// reference that is every operator's output, which the root
+// TestPaperFigureShapes counts as the work of a plan. A context attached
+// with WithContext is polled during execution so long-running plans can be
+// cancelled, and MaxRows bounds total materialization (the Gen strategy's
+// CrossBase cross products can exhaust memory long before a clock fires).
 //
 // # Bound plans
 //
@@ -159,12 +158,11 @@
 //     G1. Stats.Generated counts the rows of T answered by generation.
 //
 // The streaming executor always memoizes. DisableSublinkMemo restores the
-// strict re-evaluating SubPlan behaviour on the materializing reference only
-// (the benchmark harness sets it when reproducing the paper's figures, whose
-// cost model assumes it). The tests compare the streaming executor and the
-// memoized reference against the reference with the memo off, so the memo
-// is checked against its ablation; the hashed set, which both executors
-// use, is checked against the generic quantifier value by value.
+// strict re-evaluating SubPlan behaviour on the materializing reference
+// only. The tests compare the streaming executor and the memoized reference
+// against the reference with the memo off, so the memo is checked against
+// its ablation; the hashed set, which both executors use, is checked against
+// the generic quantifier value by value.
 //
 // # Per-row allocations
 //

@@ -17,14 +17,13 @@ type DB interface {
 	Relation(name string) (*rel.Relation, error)
 }
 
-// ErrCanceled is returned when the evaluation context is canceled (the
-// benchmark harness uses this for the paper's per-query timeout rule).
+// ErrCanceled is returned when the evaluation context is canceled or its
+// deadline passes.
 var ErrCanceled = errors.New("eval: canceled")
 
 // ErrBudget is returned when evaluation materializes more rows than
 // MaxRows allows. The Gen strategy's CrossBase cross products can exceed
-// memory long before any timeout fires; the harness treats budget
-// exhaustion like a timeout (the paper's exclusion rule).
+// memory long before any timeout fires.
 var ErrBudget = errors.New("eval: row budget exceeded")
 
 // Evaluator executes algebra plans against a DB. An Evaluator is not safe
@@ -35,18 +34,17 @@ type Evaluator struct {
 
 	// DisableSublinkMemo turns off the materializing reference executor's
 	// per-binding memoization of correlated sublink results: correlated
-	// subplans re-evaluate for every outer tuple — the PostgreSQL SubPlan
-	// behaviour the paper's measurements rely on; the benchmark harness
-	// sets it to reproduce the paper's figures. The streaming executor
-	// ignores it and always memoizes.
+	// subplans re-evaluate for every outer tuple, as PostgreSQL's SubPlans
+	// do. It is the ablation the memo tests compare the memo against. The
+	// streaming executor ignores it and always memoizes.
 	DisableSublinkMemo bool
 
 	// DisableStreaming switches the executor from the default push-based
 	// streaming pipeline back to operator-at-a-time full materialization
 	// (every operator's output built as a counted bag before its parent
 	// runs). The materializing mode is the sequential reference executor:
-	// the paper figures run on it, and the differential tests and the
-	// benchmark check the streaming pipeline against it.
+	// the paper-figure test counts its rows, and the differential tests and
+	// the benchmark check the streaming pipeline against it.
 	DisableStreaming bool
 
 	// MaxRows caps the total rows materialized across all operators of one
@@ -67,8 +65,8 @@ type Evaluator struct {
 }
 
 // New returns an evaluator over db. The evaluator has no cancellation
-// context until WithContext installs the caller's; request paths (the
-// service, the benchmark harness) always do.
+// context until WithContext installs the caller's; package perm does when
+// a statement carries a context, as the service's always do.
 func New(db DB) *Evaluator {
 	return &Evaluator{db: db, shared: &runShared{}}
 }

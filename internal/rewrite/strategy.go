@@ -64,6 +64,6 @@ func ParseStrategy(name string) (Strategy, error) {
 
 // ErrNotApplicable reports that the requested strategy cannot rewrite the
 // query: Left and Move refuse correlated sublinks; Unn requires its exact
-// U1/U2 patterns. The benchmark harness (like the paper's Figure 6) skips
-// such strategy/query combinations.
+// U1/U2 patterns. The paper's Figure 6 reports such strategy/query
+// combinations as n/a.
 var ErrNotApplicable = errors.New("rewrite: strategy not applicable")

@@ -332,8 +332,8 @@ func innerOnly(e algebra.Expr, sch schema.Schema) bool {
 	return ok
 }
 
-// unnxApplicable reports whether unnxSelect would succeed, for Auto-style
-// dispatch and the benchmark harness.
+// unnxApplicable reports whether unnxSelect would succeed, for Auto's
+// dispatch.
 func unnxApplicable(cond algebra.Expr) bool {
 	for _, conj := range flattenAnd(cond) {
 		if !algebra.HasSublink(conj) {

@@ -131,9 +131,9 @@ func (w Workload) Q2(seed int64) string {
 //	q3 = σ_{range ∧ a > ANY (σ_{b = outer.b}(R2))}(R1)
 //
 // Its sublink is correlated on r1.b — only the Gen strategy rewrites it,
-// and the baseline executor must re-evaluate the sublink per outer tuple
-// unless the per-binding memo is enabled. This is the workload behind the
-// executor-mode comparison (not a query of the paper).
+// and the executor re-evaluates the sublink per outer tuple unless it
+// memoizes per binding. The memo tests and the benchmark's sublink_probe
+// workload run it (not a query of the paper).
 func (w Workload) Q3(seed int64) string {
 	lo1, hi1, _, _ := w.ranges(seed)
 	return fmt.Sprintf(`SELECT * FROM r1 WHERE r1.b >= %d AND r1.b <= %d AND r1.a > ANY (SELECT r2.a FROM r2 WHERE r2.b = r1.b)`,
@@ -148,10 +148,10 @@ func (w Workload) Q3(seed int64) string {
 // exactly the per-binding sublink cost that early termination removes: the
 // streaming executor stops each probe at its first witness, the
 // materializing executor scans the whole sublink relation per binding and
-// builds the full per-binding result bag. This is the workload behind the
-// streaming-vs-materializing comparison (not a query of the paper). Its
-// equality correlation also makes it the canonical input for the UnnX
-// EXISTS decorrelation (rule X5).
+// builds the full per-binding result bag. eval's
+// TestExistsProbeEarlyTermination and the benchmark's sublink_probe workload
+// run it (not a query of the paper). Its equality correlation also makes it
+// the canonical input for the UnnX EXISTS decorrelation (rule X5).
 func (w Workload) Q4(seed int64) string {
 	lo1, hi1, _, _ := w.ranges(seed)
 	return fmt.Sprintf(`SELECT * FROM r1 WHERE r1.b >= %d AND r1.b <= %d AND EXISTS (SELECT r2.a FROM r2 WHERE r2.b = r1.b)`,

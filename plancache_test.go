@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"perm/internal/algebra"
+	"perm/internal/catalog"
 	"perm/internal/tpch"
 )
 
@@ -25,24 +26,32 @@ func planBoundTemplates(t testing.TB, instance int64) []string {
 		}
 		text := q.Instance(instance)
 		if n < 0 {
-			at := strings.Index(text, "SELECT") + len("SELECT")
-			text = text[:at] + " PROVENANCE" + text[at:]
+			text = withProvenance(text)
 		}
 		out = append(out, text)
 	}
 	return out
 }
 
+// tpchDB returns a DB holding the TPC-H tables at SF 0.05.
 func tpchDB(t testing.TB) *DB {
 	t.Helper()
-	db := Open()
 	cat, _ := tpch.Generate(tpch.Config{SF: 0.05, Seed: 1})
-	for _, name := range cat.Names() {
-		r, err := cat.Relation(name)
-		if err != nil {
-			t.Fatal(err)
+	return dbOf(t, cat)
+}
+
+// dbOf returns a DB holding the relations of the given catalogs.
+func dbOf(t testing.TB, cats ...*catalog.Catalog) *DB {
+	t.Helper()
+	db := Open()
+	for _, cat := range cats {
+		for _, name := range cat.Names() {
+			r, err := cat.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Catalog().Register(name, r)
 		}
-		db.Catalog().Register(name, r)
 	}
 	return db
 }
