@@ -39,14 +39,8 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	synthSize := flag.Int("synth-size", 100, "row count of the synth workload relations r1 and r2")
 	synthDomain := flag.Int("synth-domain", 0, "bounded uniform domain for synth attribute b (0 = gaussian)")
-	planCheck := flag.String("plancheck", "off", "per-stage plan verification: off, log or strict")
 	flag.Parse()
 
-	pcMode, err := perm.ParsePlanCheckMode(*planCheck)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "permd:", err)
-		os.Exit(2)
-	}
 	db, err := buildDB(*seed, *synthSize, *synthDomain)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "permd:", err)
@@ -57,7 +51,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		PlanCheck:      pcMode,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: svc}
 

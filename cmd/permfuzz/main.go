@@ -33,12 +33,10 @@ func main() {
 	out := flag.String("out", "", "directory for minimized repro files (stdout when empty)")
 	maxScans := flag.Int("maxscans", fuzz.MaxProvScans, "max base-relation accesses for the provenance matrix")
 	shrinkBudget := flag.Int("shrink", 300, "oracle runs the shrinker may spend per failure")
-	planCheck := flag.Bool("plancheck", true, "verify every compile stage with internal/plancheck (strict)")
 	planCache := flag.Bool("plancache", true, "check every query and a sibling of its shape through the plan cache against runs without it")
 	flag.Parse()
 
 	fuzz.MaxProvScans = *maxScans
-	fuzz.PlanCheck = *planCheck
 	fuzz.PlanCache = *planCache
 	db := fuzz.NewDB(*seed)
 	g := fuzz.NewGen(*seed)
@@ -89,37 +87,9 @@ func reproFile(seed int64, idx int, orig, min *fuzz.Query, err, minErr error) st
 	fmt.Fprintf(&b, "-- permfuzz seed %d query %d (replay: permfuzz -seed %d -n %d)\n", seed, idx, seed, idx+1)
 	writeComment(&b, "failure", err)
 	writeComment(&b, "minimized failure", minErr)
-	stage := plancheckStage(minErr)
-	if stage == "" {
-		stage = plancheckStage(err)
-	}
-	if stage != "" {
-		fmt.Fprintf(&b, "-- plancheck stage: %s\n", stage)
-	}
 	fmt.Fprintf(&b, "-- original: %s\n", orig.SQL)
 	fmt.Fprintf(&b, "%s\n", min.SQL)
 	return b.String()
-}
-
-// plancheckStage extracts the failing compile stage from a strict
-// plan-verification error ("… plancheck: <stage>: <check> at <path>: …"),
-// so repro files name the stage that introduced the violation. Empty when
-// the failure is not a plancheck one.
-func plancheckStage(err error) string {
-	if err == nil {
-		return ""
-	}
-	msg := err.Error()
-	i := strings.Index(msg, "plancheck: ")
-	if i < 0 {
-		return ""
-	}
-	rest := msg[i+len("plancheck: "):]
-	// The stage may itself contain "/" but never ": ".
-	if j := strings.Index(rest, ": "); j >= 0 {
-		return rest[:j]
-	}
-	return ""
 }
 
 func writeComment(b *strings.Builder, label string, err error) {

@@ -57,8 +57,8 @@ func (e *ResolveError) Error() string {
 // whose sublinks enclose it, innermost last. The search goes innermost first
 // — SQL's correlation rule, under which an inner column shadows an outer one
 // of the same name — and ambiguity in the first scope that has the name is an
-// error, not a reason to look further out. Bind, FreeVars and plancheck's
-// schema family all resolve through here.
+// error, not a reason to look further out. Bind and FreeVars both resolve
+// through here.
 func Resolve(ref AttrRef, in schema.Schema, scopes []schema.Schema) (Ref, error) {
 	for depth := 0; depth <= len(scopes); depth++ {
 		sch := in

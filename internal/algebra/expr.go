@@ -11,7 +11,7 @@
 // freely share subtrees, and package perm's plan cache shares whole plans
 // across sessions. Constructors may mutate a node while it is still
 // private; everything after publication is copy-on-write. The invariant is
-// checked at run time: under strict plan checking the plan cache records
+// checked at run time: with perm.WithPlanCheck on, the plan cache records
 // plancheck.Fingerprint of every plan it admits — the whole tree, the
 // presentation metadata beside it and the view definitions and table
 // shapes it was compiled against — and re-fingerprints the plan after each
@@ -27,7 +27,7 @@
 // per-run parameter vector (eval.Evaluator.Params), so running a cached plan
 // copies nothing: the evaluator reads the slot where it would have read the
 // constant. To everything that inspects plans — ExprEqual, the rewrite
-// rules, the optimizer, plancheck — a Param is an opaque leaf without
+// rules, the optimizer — a Param is an opaque leaf without
 // attribute references, equal only to a Param of the same slot. The SQL
 // front end (sql.Lexed.Lift) gives two literals one slot exactly when they
 // are the same value of the same kind, so a decision taken because two

@@ -449,8 +449,9 @@ func Walk(op Op, fn func(Op) bool) {
 // OperatorExprs returns the scalar expressions embedded in an operator —
 // the condition of a selection or join, the column expressions of a
 // projection, the grouping and aggregate argument expressions of an
-// aggregation, the sort keys of an ordering. Static analyses over plans
-// (plancheck) use it to reach every expression exactly once.
+// aggregation, the sort keys of an ordering. Walks over plans (FreeVars,
+// the executor's index planner) use it to reach every expression exactly
+// once.
 func OperatorExprs(op Op) []Expr {
 	switch o := op.(type) {
 	case *Select:
@@ -484,41 +485,6 @@ func OperatorExprs(op Op) []Expr {
 		return es
 	default:
 		return nil
-	}
-}
-
-// OpName returns the operator's node name for plan-path addressing (the
-// compact form used by plancheck diagnostics): scans show their relation,
-// every other operator its kind.
-func OpName(op Op) string {
-	switch o := op.(type) {
-	case *Scan:
-		return "Scan(" + o.Name + ")"
-	case *Values:
-		return "Values"
-	case *Select:
-		return "Select"
-	case *Project:
-		if o.Distinct {
-			return "ProjectDistinct"
-		}
-		return "Project"
-	case *Cross:
-		return "Cross"
-	case *Join:
-		return "Join"
-	case *LeftJoin:
-		return "LeftJoin"
-	case *Aggregate:
-		return "Aggregate"
-	case *SetOp:
-		return o.Kind.String()
-	case *Order:
-		return "Order"
-	case *Limit:
-		return "Limit"
-	default:
-		return fmt.Sprintf("%T", op)
 	}
 }
 

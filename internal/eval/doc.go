@@ -154,8 +154,8 @@
 //   - The CrossBase inputs are charged as streamCross charges a build side,
 //     once per node and run, and generated rows stream.
 //   - Streaming only: the materializing reference keeps the literal G1 and
-//     is the differential oracle; the plan, Explain and plancheck still see
-//     G1. Stats.Generated counts the rows of T answered by generation.
+//     is the differential oracle; the plan and Explain still show G1.
+//     Stats.Generated counts the rows of T answered by generation.
 //
 // The streaming executor always memoizes. DisableSublinkMemo restores the
 // strict re-evaluating SubPlan behaviour on the materializing reference

@@ -60,6 +60,5 @@
 // TestFuzzCorpus on every test run (files may declare an expected error
 // with a "-- expect-error: <substring>" header line; all other corpus
 // queries must pass the full oracle). ReadCorpus is the one reader of that
-// format; the plancheck and service corpus tests and cmd/permload use it
-// too.
+// format; the service corpus test and cmd/permload use it too.
 package fuzz

@@ -231,6 +231,62 @@ func TestFuzzCorpus(t *testing.T) {
 	}
 }
 
+// TestCompileOutsideMatrix compiles the provenance plans of the queries
+// Check keeps out of its strategy matrix: those with a LIMIT and those with
+// more than MaxProvScans base-relation accesses, among the corpus and the
+// queries TestFuzzDifferential generates. Each is compiled as SELECT
+// PROVENANCE under every strategy through DB.Explain, which rewrites,
+// optimizes and binds the plan but does not run it. A strategy that does
+// not apply, and the rewrite's refusal of LIMIT, are rewrite errors and
+// pass; any other error is a defect.
+func TestCompileOutsideMatrix(t *testing.T) {
+	cases, err := ReadCorpus(filepath.Join("testdata", "fuzz-corpus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*Query
+	for _, c := range cases {
+		if c.ExpectErr != "" {
+			continue
+		}
+		st, err := sql.Parse(c.Query)
+		if err != nil {
+			t.Fatalf("%s: corpus query does not parse: %v", c.Name, err)
+		}
+		queries = append(queries, Finalize(st))
+	}
+	g := NewGen(1)
+	for range fuzzN {
+		queries = append(queries, g.Next())
+	}
+	db := NewDB(1)
+	limited, wide, compiled := 0, 0, 0
+	for _, q := range queries {
+		switch {
+		case q.UsesLimit:
+			limited++
+		case q.Scans > MaxProvScans:
+			wide++
+		default:
+			continue
+		}
+		provQ := "SELECT PROVENANCE" + strings.TrimPrefix(q.SQL, "SELECT")
+		for _, s := range Strategies {
+			_, err := db.Explain(provQ, perm.WithStrategy(s))
+			switch {
+			case err == nil:
+				compiled++
+			case !isRewriteErr(err.Error()):
+				t.Errorf("%s: %v\n%s", s, err, provQ)
+			}
+		}
+	}
+	t.Logf("%d LIMIT and %d wide queries of %d; %d provenance plans compiled", limited, wide, len(queries), compiled)
+	if compiled == 0 {
+		t.Error("no provenance plan outside the matrix compiled")
+	}
+}
+
 // TestShrinkTerminates: the shrinker terminates within its budget and
 // never returns a larger query than it was given.
 func TestShrinkTerminates(t *testing.T) {

@@ -38,24 +38,9 @@ var Strategies = []perm.Strategy{perm.Gen, perm.Left, perm.Move, perm.Unn, perm.
 // fuzzer can raise it.
 var MaxProvScans = 5
 
-// PlanCheck makes every query of the matrix run under strict per-stage
-// plan verification (perm.WithPlanCheck), so "plancheck clean at every
-// stage" is an oracle assertion: a structural violation surfaces as a
-// non-rewrite error and fails the check. On by default; permfuzz
-// -plancheck=false turns it off.
-var PlanCheck = true
-
 // PlanCache adds the plan-cache dimension to the matrix (assertion 6 of
 // Check). On by default; permfuzz -plancache=false turns it off.
 var PlanCache = true
-
-// queryOpts prepends the plan-verification mode to a mode's options.
-func queryOpts(opts []perm.Option) []perm.Option {
-	if !PlanCheck {
-		return opts
-	}
-	return append([]perm.Option{perm.WithPlanCheck(perm.PlanCheckStrict)}, opts...)
-}
 
 // outcome is one (query, strategy, mode) execution result.
 type outcome struct {
@@ -64,8 +49,11 @@ type outcome struct {
 	data int      // visible data columns (before provenance columns)
 }
 
+// run executes one query of the matrix with the frozen-plan check on
+// (perm.WithPlanCheck), so "no run writes into a cached plan" is an oracle
+// assertion: a write surfaces as a non-rewrite error and fails the check.
 func run(db *perm.DB, q string, opts ...perm.Option) outcome {
-	res, err := db.Query(q, queryOpts(opts)...)
+	res, err := db.Query(q, append([]perm.Option{perm.WithPlanCheck(true)}, opts...)...)
 	if err != nil {
 		return outcome{err: err.Error()}
 	}

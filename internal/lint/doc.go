@@ -5,9 +5,9 @@
 // compiler cannot enforce.
 //
 // Three invariants are checked at run time instead of proved here. That a
-// published plan is never written is the strict plan check's frozen-plan
-// fingerprint (see package perm's planned and internal/plancheck's
-// Fingerprint); that the executor's per-row paths stay cheap is the
+// published plan is never written is the frozen-plan fingerprint that
+// perm.WithPlanCheck turns on (see package perm's planned and
+// internal/plancheck's Fingerprint); that the executor's per-row paths stay cheap is the
 // allocation-slope table of internal/eval (TestAllocSlopes); that shared
 // state is read and written under its mutex is `go test -race` over the
 // concurrent tests of the plan cache, the catalog and the service.

@@ -1,6 +1,6 @@
 // The sweep lives in an external test package so it can drive the public
-// perm API (DB.VerifyPlan) and the fuzz generator over the real compile
-// pipeline without an import cycle.
+// perm API and the fuzz generator over the real compile pipeline without an
+// import cycle.
 package plancheck_test
 
 import (
@@ -12,45 +12,34 @@ import (
 	"perm/internal/fuzz"
 )
 
-var sweepStrategies = []perm.Strategy{perm.Gen, perm.Left, perm.Move, perm.Unn, perm.UnnX, perm.Auto}
-
-// sweep verifies one query (plain, and SELECT PROVENANCE under every
-// strategy) at every compile stage, failing the test on any non-advisory
-// finding. Rewrite-stage errors mean the strategy is inapplicable and are
-// skipped; any other compile error on a generator-valid query is a defect.
+// sweep runs one query with the frozen-plan check on: the plain query twice
+// (the first run admits the plan to the cache and fingerprints it, the
+// second runs the cached plan), and its SELECT PROVENANCE form compiled
+// under every strategy. A rewrite error means the strategy is inapplicable
+// and passes; any other error on a generator-valid query is a defect.
 func sweep(t *testing.T, db *perm.DB, label, query string) {
 	t.Helper()
-	verify := func(config, q string, opts ...perm.Option) {
-		stages, err := db.VerifyPlan(q, opts...)
-		if err != nil {
-			if strings.HasPrefix(err.Error(), "rewrite: ") {
-				return
-			}
-			t.Errorf("%s [%s]: compile failed: %v", label, config, err)
+	for run := range 2 {
+		if _, err := db.Query(query, perm.WithPlanCheck(true)); err != nil {
+			t.Errorf("%s [plain, run %d]: %v", label, run+1, err)
 			return
 		}
-		for _, st := range stages {
-			for _, f := range st.Findings {
-				if !f.Advisory {
-					t.Errorf("%s [%s]: %s", label, config, f)
-				}
-			}
-		}
 	}
-	verify("plain", query)
 	if !strings.HasPrefix(strings.ToUpper(query), "SELECT") {
 		return
 	}
 	provQ := "SELECT PROVENANCE" + query[len("SELECT"):]
-	for _, s := range sweepStrategies {
-		verify(string(s), provQ, perm.WithStrategy(s))
+	for _, s := range fuzz.Strategies {
+		_, err := db.Explain(provQ, perm.WithStrategy(s), perm.WithPlanCheck(true))
+		if err != nil && !strings.HasPrefix(err.Error(), "rewrite: ") {
+			t.Errorf("%s [%s]: compile failed: %v", label, s, err)
+		}
 	}
 }
 
-// TestCorpusPlancheckClean asserts the checked-in fuzz corpus verifies
-// clean at every stage under every strategy — the "zero findings" contract
-// every go test run enforces. Expect-error files do not compile and are
-// skipped.
+// TestCorpusPlancheckClean asserts the checked-in fuzz corpus runs clean
+// with the frozen-plan check on and compiles under every strategy.
+// Expect-error files do not compile and are skipped.
 func TestCorpusPlancheckClean(t *testing.T) {
 	cases, err := fuzz.ReadCorpus(filepath.Join("..", "fuzz", "testdata", "fuzz-corpus"))
 	if err != nil {
@@ -64,9 +53,9 @@ func TestCorpusPlancheckClean(t *testing.T) {
 	}
 }
 
-// TestGeneratedPlancheckClean sweeps generated queries through the
-// verifier: a bounded version of the long-budget fuzzer's plancheck
-// oracle, catching checker false positives and engine regressions alike.
+// TestGeneratedPlancheckClean sweeps generated queries the same way: a
+// bounded version of the long-budget fuzzer's frozen-plan dimension,
+// including the LIMIT and wide queries the differential matrix leaves out.
 func TestGeneratedPlancheckClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generated sweep is the long half of the plancheck suite")

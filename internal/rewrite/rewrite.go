@@ -72,8 +72,8 @@ type Stage struct {
 type StageHook func(Stage)
 
 // RewriteHooked is Rewrite with a hook invoked after every rule
-// application — the per-stage observation point of the plancheck verifier.
-// A nil hook behaves exactly like Rewrite.
+// application; benchmark/trace.go counts the rules fired with it. A nil
+// hook behaves exactly like Rewrite.
 func RewriteHooked(q algebra.Op, strategy Strategy, hook StageHook) (*Result, error) {
 	ctx := &rewriter{strategy: strategy, scanSeq: map[string]int{}, hook: hook}
 	plan, prov, err := ctx.rewrite(q)

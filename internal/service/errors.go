@@ -34,7 +34,6 @@ const (
 	ClassCompile  = "compile"   // parse / semantic analysis / translation ("sql:" errors)
 	ClassRewrite  = "rewrite"   // provenance strategy not applicable
 	ClassRuntime  = "runtime"   // evaluation errors: division by zero, overflow
-	ClassPlan     = "plancheck" // strict plan verification found a structural violation or a changed cached plan
 	ClassCatalog  = "catalog"   // unknown relation at execution time
 	ClassRequest  = "request"   // malformed request: bad JSON, unknown strategy/mode
 	ClassStmt     = "statement" // statement-level errors from the perm layer
@@ -81,11 +80,6 @@ func classify(ctx context.Context, err error) (ErrorJSON, int) {
 			}
 		}
 		return out, http.StatusBadRequest
-	case strings.HasPrefix(msg, "plancheck:"):
-		// A strict-mode verifier failure is an engine defect surfaced by the
-		// request, not the client's fault.
-		out.Class = ClassPlan
-		return out, http.StatusInternalServerError
 	case strings.HasPrefix(msg, "catalog:"):
 		out.Class = ClassCatalog
 		return out, http.StatusBadRequest

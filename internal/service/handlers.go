@@ -126,9 +126,6 @@ func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string) ([]p
 		return nil, false
 	}
 	opts := []perm.Option{perm.WithStrategy(strat)}
-	if s.cfg.PlanCheck != perm.PlanCheckOff {
-		opts = append(opts, perm.WithPlanCheck(s.cfg.PlanCheck))
-	}
 	switch mode {
 	case "", "stream":
 	case "materialize", "mat":

@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +35,6 @@ type Config struct {
 
 	// MaxTimeout caps the deadline a request may ask for. Default 5m.
 	MaxTimeout time.Duration
-
-	// PlanCheck is the per-stage plan verification mode applied to every
-	// statement (see perm.WithPlanCheck). Default off; strict turns a
-	// structural plan violation, or a write into a cached plan, into a
-	// request error of class "plancheck".
-	PlanCheck perm.PlanCheckMode
 }
 
 func (c Config) withDefaults() Config {
@@ -56,8 +53,8 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP query service. Create with New, mount via Handler
 // (it implements http.Handler), stop with Shutdown.
 type Server struct {
-	cfg Config
-	mux *http.ServeMux
+	cfg     Config
+	handler http.Handler
 
 	sessMu sync.Mutex
 	// sessions maps session names to their engine sessions. Guarded by
@@ -99,7 +96,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /advise", s.handleAdvise)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux = mux
+	s.handler = contain(mux)
 	return s
 }
 
@@ -107,7 +104,33 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+
+// contain wraps the server's routes so that a panic in a handler — an
+// engine defect met by one statement — answers that request with 500 and
+// class "internal" and is logged with the request's method, path and
+// stack. Unwinding into net/http instead would drop the client's
+// connection with no error body. http.ErrAbortHandler, the deliberate
+// abort, is panicked on to net/http.
+func contain(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+				panic(v)
+			}
+			log.Printf("service: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			writeJSON(w, http.StatusInternalServerError, ErrorBody{ErrorJSON{
+				Class:   ClassInternal,
+				Message: fmt.Sprintf("service: internal error: %v", v),
+			}})
+		}()
+		h.ServeHTTP(w, r)
+	})
+}
 
 // session returns the named session, creating it on first use. The empty
 // name returns a fresh one-shot session (request-private scope over the

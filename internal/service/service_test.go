@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -479,5 +481,45 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	if stats.InFlight != 0 {
 		t.Errorf("global in_flight = %d", stats.InFlight)
+	}
+}
+
+// TestPanicAnswersInternal puts a panicking handler through the wrapper
+// that contains the server's routes: the client gets a 500 with class
+// "internal" instead of a dropped connection, and the log names the
+// method, the path and the stack. http.ErrAbortHandler still aborts.
+func TestPanicAnswersInternal(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	ts := httptest.NewServer(contain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/abort" {
+			panic(http.ErrAbortHandler)
+		}
+		panic("engine defect")
+	})))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatalf("the connection was dropped: %v", err)
+	}
+	defer resp.Body.Close()
+	var body ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body.Error.Class != ClassInternal || !strings.Contains(body.Error.Message, "engine defect") {
+		t.Errorf("got %d %+v, want 500 with class %q", resp.StatusCode, body.Error, ClassInternal)
+	}
+	for _, want := range []string{"POST /query", "engine defect", "service_test.go"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log misses %q:\n%s", want, logged.String())
+		}
+	}
+
+	if resp, err := http.Get(ts.URL + "/abort"); err == nil {
+		resp.Body.Close()
+		t.Errorf("http.ErrAbortHandler answered %d, want an aborted connection", resp.StatusCode)
 	}
 }

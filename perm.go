@@ -346,7 +346,7 @@ type queryConfig struct {
 	ctx         context.Context
 	noOptimize  bool
 	materialize bool
-	planCheck   PlanCheckMode
+	planCheck   bool
 	noPlanCache bool
 }
 
@@ -419,9 +419,6 @@ type Result struct {
 	// query (see eval.Stats) — the service layer's /stats endpoint
 	// aggregates it.
 	PeakRows int64
-	// PlanFindings are the per-stage plan-verifier findings recorded under
-	// WithPlanCheck(PlanCheckLog); empty when verification is off or clean.
-	PlanFindings []PlanFinding
 }
 
 // snapshot is one consistent (catalog, views) state that a single statement
@@ -486,7 +483,10 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 	useCache := !cfg.noPlanCache && stratErr == nil
 	var family, pattern []byte
 	if useCache {
-		family = append(make([]byte, 0, 512), byte(strat), byte(cfg.planCheck), '+')
+		family = append(make([]byte, 0, 512), byte(strat), '0', '+')
+		if cfg.planCheck {
+			family[1] = '1'
+		}
 		if cfg.noOptimize {
 			family[2] = '-'
 		}
@@ -499,7 +499,7 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 	if err != nil {
 		return nil, nil, false, err
 	}
-	p, _, err = sn.compile(stmt, cfg)
+	p, err = sn.compile(stmt, cfg)
 	if err != nil || !useCache {
 		return p, nil, false, err
 	}
@@ -515,14 +515,14 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	if err != nil {
 		return nil, err
 	}
-	if cfg.planCheck == PlanCheckStrict {
+	if cfg.planCheck {
 		defer func() {
 			if p.frozen != 0 && p.fingerprint() != p.frozen {
 				out, err = nil, fmt.Errorf("plancheck: frozen: the cached plan changed after the plan cache published it")
 			}
 		}()
 	}
-	out = &Result{DataColumns: p.dataCols, PlanFindings: slices.Clone(p.findings)}
+	out = &Result{DataColumns: p.dataCols}
 	ev := eval.New(sn.src)
 	if cfg.ctx != nil {
 		ev = ev.WithContext(cfg.ctx)

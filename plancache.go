@@ -137,13 +137,14 @@ func twin(variants []*planned, p *planned) *planned {
 // run: a copy of p fit to be kept, or the equal plan that a concurrent
 // compile admitted first. The copy is made outside the lock — it walks the
 // whole plan, and every lookup of every session reads under the same lock.
-// Under PlanCheckStrict the copy is fingerprinted before anyone sees it.
-func (c *planCache) admit(family string, p *planned, mode PlanCheckMode) *planned {
+// With the frozen-plan check on (WithPlanCheck) the copy is fingerprinted
+// before anyone sees it.
+func (c *planCache) admit(family string, p *planned, check bool) *planned {
 	c.mu.RLock()
 	old := c.families[family]
 	c.mu.RUnlock()
 	kept := keep(p, old)
-	if mode == PlanCheckStrict {
+	if check {
 		kept.frozen = kept.fingerprint()
 	}
 

@@ -75,7 +75,7 @@ func liveHeap() uint64 {
 func TestPlanCacheMemoryBudget(t *testing.T) {
 	db := tpchDB(t)
 	for _, q := range planBoundTemplates(t, 12345) {
-		if _, err := db.Query(q, WithPlanCheck(PlanCheckOff)); err != nil {
+		if _, err := db.Query(q, WithPlanCheck(false)); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestPlanCacheFamilySharesMemory(t *testing.T) {
 		db := tpchDB(t)
 		run := func(a, b, c, d int) uint64 {
 			before := liveHeap()
-			if _, err := db.Query(fmt.Sprintf(q, a, b, c, d), WithPlanCheck(PlanCheckOff)); err != nil {
+			if _, err := db.Query(fmt.Sprintf(q, a, b, c, d), WithPlanCheck(false)); err != nil {
 				t.Fatal(err)
 			}
 			return liveHeap() - before
@@ -196,7 +196,7 @@ func TestPlanCacheAblation(t *testing.T) {
 		t.Errorf("second explain:\n%s", second)
 	}
 	// The options that shape a plan are part of the key.
-	for _, opts := range [][]Option{{WithoutOptimizer()}, {WithPlanCheck(PlanCheckLog)}, {WithStrategy(Gen)}} {
+	for _, opts := range [][]Option{{WithoutOptimizer()}, {WithPlanCheck(false)}, {WithStrategy(Gen)}} {
 		out, err := db.Explain(q, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -264,31 +264,6 @@ func TestPlanCacheVariantsBindOwnSlots(t *testing.T) {
 	}
 	if st := db.PlanCacheStats(); st.Entries != 2 || st.Misses != 2 {
 		t.Errorf("stats %+v, want two plans", st)
-	}
-}
-
-// TestPlanCacheFindingsReplay: a plan verified at admission replays its
-// findings on every hit.
-func TestPlanCacheFindingsReplay(t *testing.T) {
-	db := planCacheFixture(t)
-	var first string
-	for i, b := range []int{10, 20, 30} {
-		res, err := db.Query(fmt.Sprintf(`SELECT r.a FROM r, r AS r2 WHERE r.b > %d`, b), WithPlanCheck(PlanCheckLog))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.PlanFindings) == 0 {
-			t.Fatalf("run %d: no cartesian finding", i)
-		}
-		if i == 0 {
-			first = fmt.Sprint(res.PlanFindings)
-		} else if fmt.Sprint(res.PlanFindings) != first {
-			t.Errorf("run %d findings %v, want %v", i, res.PlanFindings, first)
-		}
-		res.PlanFindings[0].Message = "the caller's copy"
-	}
-	if st := db.PlanCacheStats(); st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats %+v, want 1 miss and 2 hits", st)
 	}
 }
 
@@ -390,19 +365,22 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 
 // TestFrozenPlanCheck writes into a published plan after admission — the
 // selection's condition C becomes C AND TRUE, which changes no row — and
-// runs the statement again. Under strict checking the hit fails with the
-// frozen plancheck error; under PlanCheckOff the plan was never
+// runs the statement again. With plan verification on ("strict") the hit
+// fails with the frozen plancheck error; with it off the plan was never
 // fingerprinted and the write goes unnoticed.
 func TestFrozenPlanCheck(t *testing.T) {
 	const q = `SELECT a, b FROM r WHERE a >= 2`
-	for _, mode := range []PlanCheckMode{PlanCheckStrict, PlanCheckOff} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		on   bool
+	}{{"strict", true}, {"off", false}} {
+		t.Run(tc.name, func(t *testing.T) {
 			db := openFigure3(t)
-			want, err := db.Query(q, WithPlanCheck(mode))
+			want, err := db.Query(q, WithPlanCheck(tc.on))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := db.Query(q, WithPlanCheck(mode)); err != nil {
+			if _, err := db.Query(q, WithPlanCheck(tc.on)); err != nil {
 				t.Fatalf("an untouched hit fails: %v", err)
 			}
 			if st := db.PlanCacheStats(); st.Entries != 1 || st.Hits != 1 {
@@ -412,8 +390,8 @@ func TestFrozenPlanCheck(t *testing.T) {
 			for _, variants := range db.plans.families {
 				p = variants[0]
 			}
-			if fingerprinted := p.frozen != 0; fingerprinted != (mode == PlanCheckStrict) {
-				t.Fatalf("plan fingerprinted %v under %s", fingerprinted, mode)
+			if fingerprinted := p.frozen != 0; fingerprinted != tc.on {
+				t.Fatalf("plan fingerprinted %v with verification %v", fingerprinted, tc.on)
 			}
 			algebra.Walk(p.plan, func(op algebra.Op) bool {
 				if sel, ok := op.(*algebra.Select); ok {
@@ -421,8 +399,8 @@ func TestFrozenPlanCheck(t *testing.T) {
 				}
 				return true
 			})
-			got, err := db.Query(q, WithPlanCheck(mode))
-			if mode == PlanCheckOff {
+			got, err := db.Query(q, WithPlanCheck(tc.on))
+			if !tc.on {
 				if err != nil || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 					t.Fatalf("got %v, %v; want the rows %v", got, err, want.Rows)
 				}
