@@ -33,11 +33,9 @@ func main() {
 	out := flag.String("out", "", "directory for minimized repro files (stdout when empty)")
 	maxScans := flag.Int("maxscans", fuzz.MaxProvScans, "max base-relation accesses for the provenance matrix")
 	shrinkBudget := flag.Int("shrink", 300, "oracle runs the shrinker may spend per failure")
-	planCache := flag.Bool("plancache", true, "check every query and a sibling of its shape through the plan cache against runs without it")
 	flag.Parse()
 
 	fuzz.MaxProvScans = *maxScans
-	fuzz.PlanCache = *planCache
 	db := fuzz.NewDB(*seed)
 	g := fuzz.NewGen(*seed)
 	start := time.Now()

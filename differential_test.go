@@ -38,29 +38,30 @@ func TestDerivedTableOrderBySurvivesLimit(t *testing.T) {
 	}
 }
 
-// TestDerivedTableOrderByUnprojectedKey: the LIMIT cut must honour an
-// inner ORDER BY even when the outer SELECT list drops the ordering column
-// — the optimizer pushes the limit below the projection to where the key
-// is still visible. (The bag executor cannot also *present* rows by a
-// projected-away column, so only the selected set is asserted.)
+// TestDerivedTableOrderByUnprojectedKey: the derived table's ORDER BY
+// orders the LIMIT cut and the presented rows even when the outer SELECT
+// list drops the ordering column. The sort runs in the plan's Order, so the
+// order holds with and without the optional optimizer, on both executors.
 func TestDerivedTableOrderByUnprojectedKey(t *testing.T) {
 	db := Open()
 	if err := db.Register("r", []string{"a", "b"}, [][]any{{1, 10}, {2, 20}, {3, 30}}); err != nil {
 		t.Fatal(err)
 	}
-	// The cut lives in the executor (algebra.PushLimit), so it must hold
-	// with and without the optional optimizer.
-	for _, opts := range [][]Option{nil, {WithoutOptimizer()}, {WithoutStreaming()}} {
-		res, err := db.Query(`SELECT a FROM (SELECT a, b FROM r ORDER BY b DESC) t LIMIT 2`, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[int64]bool{}
-		for _, row := range res.Rows {
-			got[row[0].(int64)] = true
-		}
-		if len(res.Rows) != 2 || !got[3] || !got[2] {
-			t.Fatalf("opts %d: rows = %v, want the b-DESC top 2 (a=3 and a=2)", len(opts), res.Rows)
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT a FROM (SELECT a, b FROM r ORDER BY b DESC) t LIMIT 2`, "[[3] [2]]"},
+		{`SELECT a FROM (SELECT a, b FROM r ORDER BY b DESC) t`, "[[3] [2] [1]]"},
+	} {
+		for _, m := range []struct {
+			name string
+			opts []Option
+		}{{"default", nil}, {"no optimizer", []Option{WithoutOptimizer()}}, {"reference", []Option{WithoutStreaming()}}} {
+			res, err := db.Query(tc.q, m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Rows); got != tc.want {
+				t.Errorf("%s (%s): rows = %s, want %s", tc.q, m.name, got, tc.want)
+			}
 		}
 	}
 }

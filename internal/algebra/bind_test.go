@@ -137,40 +137,6 @@ func TestBindGrid(t *testing.T) {
 		})
 		wantRefs(t, "c = b AND s.a = r.a", got, Ref{Idx: 3}, Ref{Idx: 1}, Ref{Idx: 2}, Ref{Idx: 0})
 	})
-	t.Run("order lifted through a projection", func(t *testing.T) {
-		// ORDER BY b, a + b under Π[b→y, a→x, a + b→z]: the keys become the
-		// output slots 0 and 2.
-		sum := Arith{Op: types.OpAdd, L: Attr("a"), R: Attr("b")}
-		plan := NewProject(&Order{Child: bindR(), Keys: []SortKey{{E: Attr("b"), Desc: true}, {E: sum}}},
-			Col(Attr("b"), "y"), Col(Attr("a"), "x"), Col(sum, "z"))
-		keys := LiftOrderKeys(mustBind(t, plan))
-		if len(keys) != 2 || keys[0].E != Expr(Ref{Idx: 0}) || !keys[0].Desc || keys[1].E != Expr(Ref{Idx: 2}) {
-			t.Errorf("lifted keys %v, want [⟨0,0⟩ DESC ⟨0,2⟩]", keys)
-		}
-		// A key the projection drops ends the order.
-		lost := NewProject(&Order{Child: bindR(), Keys: []SortKey{{E: Attr("b")}}}, Col(Attr("a"), "x"))
-		if keys := LiftOrderKeys(mustBind(t, lost)); keys != nil {
-			t.Errorf("dropped key lifted to %v", keys)
-		}
-	})
-	t.Run("limit pushed below a derived table", func(t *testing.T) {
-		// SELECT a FROM (SELECT a, b FROM r ORDER BY b DESC) LIMIT 2: the cut
-		// moves below the projection, where b is still slot 1, and the
-		// projection above it still reads a from slot 0.
-		plan := &Limit{Child: NewProject(&Order{Child: bindR(), Keys: []SortKey{{E: Attr("b"), Desc: true}}}, Col(Attr("a"), "a")), N: 2}
-		pushed, ok := PushLimit(mustBind(t, plan).(*Limit))
-		if !ok {
-			t.Fatal("limit not pushed")
-		}
-		p := pushed.(*Project)
-		if p.Cols[0].E != Expr(Ref{Idx: 0}) {
-			t.Errorf("projection above the cut reads %v, want ⟨0,0⟩", p.Cols[0].E)
-		}
-		keys := LiftOrderKeys(p.Child)
-		if len(keys) != 1 || keys[0].E != Expr(Ref{Idx: 1}) || !keys[0].Desc {
-			t.Errorf("keys at the cut %v, want [⟨0,1⟩ DESC]", keys)
-		}
-	})
 	t.Run("subtree shared under two scope stacks", func(t *testing.T) {
 		// q = σ[x = a](t) sits in a sublink of r and in a sublink of s below
 		// it: a is r.a in one place and s.a in the other, so the one input

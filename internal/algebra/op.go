@@ -384,9 +384,9 @@ func (k SortKey) String() string {
 }
 
 // Order sorts its input; provenance rewrites pass it through unchanged
-// (ordering does not affect which tuples contribute). Order materializes an
-// ordering for presentation; the bag content is unchanged unless a Limit
-// sits above it.
+// (ordering does not affect which tuples contribute). Both executors emit
+// its rows in key order, and operators that keep row order — Limit,
+// Select, a bag Project — pass that order up to the presented result.
 type Order struct {
 	Child Op
 	Keys  []SortKey

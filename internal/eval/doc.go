@@ -12,8 +12,9 @@
 // materialization point at the top of the plan. Pipeline breakers buffer
 // exactly the state their semantics force:
 //
-//   - sort: a LIMIT over an ORDER BY keeps a top-(offset+n) heap; an
-//     OFFSET-only cut sorts its input;
+//   - sort: an Order buffers its input and emits it in order; a LIMIT
+//     directly above hands it the bound offset+n, and it keeps a
+//     top-(offset+n) heap instead (PostgreSQL's bounded sort);
 //   - aggregation: the per-group accumulator table;
 //   - hash-join and nested-loop builds: the materialized right input;
 //   - intersection/difference: both inputs, and a count map over the right

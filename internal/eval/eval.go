@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
@@ -111,7 +111,7 @@ type Stats struct {
 	// materialized bags (pipeline-breaker buffers, hash-join builds,
 	// set-op inputs, memoized sublink results, the final result) plus the
 	// streaming breakers' in-operator state (aggregate groups, DISTINCT
-	// dedup keys, top-N heap fills).
+	// dedup keys, sort buffers and top-N heap fills).
 	// That state lives until Eval returns, so the total is the run's
 	// high-water mark of resident rows. Under the materializing executor
 	// every operator output counts, which is what the streaming pipeline
@@ -166,7 +166,7 @@ func (e *Evaluator) done() <-chan struct{} {
 }
 
 // charge counts n rows of resident executor state — materialized bag slots,
-// streaming breaker state (aggregate groups, dedup keys, heap fills) —
+// streaming breaker state (aggregate groups, dedup keys, sort buffers) —
 // against the row budget and the PeakRows counter.
 func (e *Evaluator) charge(n int) error {
 	e.shared.rows += int64(n)
@@ -210,10 +210,6 @@ func (e *Evaluator) eval(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error
 			return nil, err
 		}
 		return base.WithSchema(o.Schema()), nil
-	case *algebra.Order:
-		// A bag has no intrinsic order; Order is honoured by Limit above it
-		// and by result presentation.
-		return e.eval(o.Child, outer)
 	}
 	out := rel.New(op.Schema())
 	if err := e.stream(op, outer, func(t rel.Tuple, n int) error {
@@ -270,9 +266,17 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, er
 	case *algebra.SetOp:
 		return e.evalSetOp(o, outer)
 	case *algebra.Order:
-		// A bag has no intrinsic order; Order is honoured by Limit above it
-		// and by result presentation.
-		return e.eval(o.Child, outer)
+		rows, err := e.sortedRows(o, outer)
+		if err != nil {
+			return nil, err
+		}
+		out := rel.New(o.Schema())
+		for _, r := range rows {
+			if err := e.add(out, r.t, 1); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	case *algebra.Limit:
 		return e.evalLimit(o, outer)
 	default:
@@ -471,41 +475,47 @@ func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []rel.Tuple) (*rel.Relatio
 }
 
 func (e *Evaluator) evalLimit(o *algebra.Limit, outer []rel.Tuple) (*rel.Relation, error) {
-	// When the ordering column is projected away above the Order, cut below
-	// the projections, where the key is still visible.
-	if pushed, ok := algebra.PushLimit(o); ok {
-		return e.eval(pushed, outer)
-	}
-	// The order a Limit honours may sit below projection wrappers — the
-	// derived-table case `SELECT a FROM (… ORDER BY a DESC) t LIMIT 2`.
-	keys := algebra.LiftOrderKeys(o.Child)
 	in, err := e.eval(o.Child, outer)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := e.sortedRows(in, keys, outer)
-	if err != nil {
-		return nil, err
-	}
 	out := rel.New(o.Schema())
-	for _, t := range limitSlice(rows, o.N, o.Offset) {
-		if err := e.add(out, t, 1); err != nil {
-			return nil, err
-		}
+	err = in.Each(limitEmit(o, func(t rel.Tuple, n int) error { return e.add(out, t, n) }))
+	if err != nil && !errors.Is(err, errStop) {
+		return nil, err
 	}
 	return out, nil
 }
 
-// limitSlice applies OFFSET and LIMIT (n < 0 means no limit) to sorted rows.
-func limitSlice(rows []rel.Tuple, n, offset int) []rel.Tuple {
-	if offset >= len(rows) {
+// limitEmit wraps a consumer with LIMIT/OFFSET's cut: it drops the first
+// o.Offset rows, passes the next o.N (all of them when o.N < 0) and then
+// raises the stop signal. The cut takes rows in the order they arrive, so
+// it honours an Order below it and is arbitrary without one, exactly as in
+// PostgreSQL.
+func limitEmit(o *algebra.Limit, emit emitFn) emitFn {
+	skip, remain := o.Offset, o.N
+	return func(t rel.Tuple, n int) error {
+		if n <= skip {
+			skip -= n
+			return nil
+		}
+		n -= skip
+		skip = 0
+		if remain == 0 {
+			return errStop
+		}
+		if remain > 0 {
+			n = min(n, remain)
+			remain -= n
+		}
+		if err := emit(t, n); err != nil {
+			return err
+		}
+		if remain == 0 {
+			return errStop
+		}
 		return nil
 	}
-	rows = rows[offset:]
-	if n >= 0 && n < len(rows) {
-		rows = rows[:n]
-	}
-	return rows
 }
 
 // sortRow pairs a tuple with its evaluated sort-key values.
@@ -514,28 +524,35 @@ type sortRow struct {
 	keys rel.Tuple
 }
 
-// lessSortRows is the total order of ORDER BY: key comparison with NULLs
-// last (PostgreSQL's default), ties broken by rel.Tuple.Compare so the order
-// — and therefore any LIMIT cut through it — is deterministic.
-func lessSortRows(keys []algebra.SortKey, a, b sortRow) bool {
+// compareSortRows is the total order of ORDER BY: key comparison with
+// NULLs last ascending and first descending (PostgreSQL's default), ties
+// broken by rel.Tuple.Compare so the order — and therefore any LIMIT cut
+// through it — is deterministic.
+func compareSortRows(keys []algebra.SortKey, a, b sortRow) int {
 	for k := range keys {
 		cmp, ok := types.Compare(a.keys[k], b.keys[k])
 		if !ok {
-			an := a.keys[k].IsNull()
-			bn := b.keys[k].IsNull()
-			if an != bn {
-				return bn != keys[k].Desc
+			an, bn := a.keys[k].IsNull(), b.keys[k].IsNull()
+			if an == bn {
+				continue
 			}
-			continue
+			cmp = -1
+			if an {
+				cmp = 1
+			}
 		}
 		if cmp != 0 {
 			if keys[k].Desc {
-				return cmp > 0
+				return -cmp
 			}
-			return cmp < 0
+			return cmp
 		}
 	}
-	return a.t.Compare(b.t) < 0
+	return a.t.Compare(b.t)
+}
+
+func sortRowsInPlace(keys []algebra.SortKey, rows []sortRow) {
+	slices.SortStableFunc(rows, func(a, b sortRow) int { return compareSortRows(keys, a, b) })
 }
 
 // sortKeyVals evaluates the key expressions for one tuple.
@@ -551,12 +568,16 @@ func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, t rel.Tuple, outer []rel
 	return kv, nil
 }
 
-// sortedRows expands the bag and sorts by keys (stable; ties in key order
-// fall back to the tuple order of lessSortRows so output is deterministic).
-func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer []rel.Tuple) ([]rel.Tuple, error) {
-	var rows []sortRow
-	err := in.Each(func(t rel.Tuple, n int) error {
-		kv, err := e.sortKeyVals(keys, t, outer)
+// sortedRows is the reference executor's sort: it materializes o's input,
+// expands the bag and sorts it by o's keys.
+func (e *Evaluator) sortedRows(o *algebra.Order, outer []rel.Tuple) ([]sortRow, error) {
+	in, err := e.eval(o.Child, outer)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]sortRow, 0, in.Card())
+	err = in.Each(func(t rel.Tuple, n int) error {
+		kv, err := e.sortKeyVals(o.Keys, t, outer)
 		if err != nil {
 			return err
 		}
@@ -568,34 +589,6 @@ func (e *Evaluator) sortedRows(in *rel.Relation, keys []algebra.SortKey, outer [
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return lessSortRows(keys, rows[i], rows[j]) })
-	out := make([]rel.Tuple, len(rows))
-	for i, r := range rows {
-		out[i] = r.t
-	}
-	return out, nil
-}
-
-// SortTuples expands a materialized relation and sorts it by the given
-// keys — used by result presentation to honour a query's ORDER BY after
-// the bag has been materialized. Keys must be bound to the relation's slots
-// (algebra.LiftOrderKeys of a bound plan) and sublink-free; params is the
-// parameter vector of the plan the keys come from.
-func SortTuples(in *rel.Relation, keys []algebra.SortKey, params []types.Value) ([]rel.Tuple, error) {
-	e := New(nopDB{})
-	e.Params = params
-	return e.sortedRows(in, keys, nil)
-}
-
-type nopDB struct{}
-
-func (nopDB) Relation(name string) (*rel.Relation, error) {
-	return nil, fmt.Errorf("eval: no database attached")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	sortRowsInPlace(o.Keys, rows)
+	return rows, nil
 }

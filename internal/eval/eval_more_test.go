@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,30 +149,45 @@ func TestSetOpWidthMismatch(t *testing.T) {
 	}
 }
 
-func TestSortTuplesNullsLast(t *testing.T) {
-	s := schema.New("", "a")
-	r := rel.FromTuples(s, rel.Tuple{types.Null()}, ints(2), ints(1))
-	rows, err := SortTuples(r, []algebra.SortKey{{E: algebra.Ref{}}}, nil)
-	if err != nil {
-		t.Fatal(err)
+// orderedSeq runs an Order plan on both executors and returns the rows
+// each emits, in sequence.
+func orderedSeq(t *testing.T, c *catalog.Catalog, plan algebra.Op, params []types.Value) []string {
+	t.Helper()
+	var seqs []string
+	for _, materialize := range []bool{false, true} {
+		ev := New(c)
+		ev.DisableStreaming = materialize
+		ev.Params = params
+		out, err := ev.Eval(plan)
+		if err != nil {
+			t.Fatalf("mat=%v: %v", materialize, err)
+		}
+		seqs = append(seqs, fmt.Sprint(out.Tuples()))
 	}
-	if !rows[0][0].IsNull() == false && rows[2][0].IsNull() {
-		// ascending: 1, 2, NULL (NULLs last)
-	}
-	if rows[0][0].IsNull() || rows[1][0].Int() != 2 || !rows[2][0].IsNull() {
-		t.Errorf("ascending with NULL = %v", rows)
-	}
-	desc, err := SortTuples(r, []algebra.SortKey{{E: algebra.Ref{}, Desc: true}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !desc[0][0].IsNull() && desc[0][0].Int() != 2 {
-		t.Errorf("descending = %v", desc)
+	return seqs
+}
+
+func TestOrderNullsLast(t *testing.T) {
+	c := catalog.New()
+	c.Register("n", rel.FromTuples(schema.New("", "a"), rel.Tuple{types.Null()}, ints(2), ints(1)))
+	for _, tc := range []struct {
+		desc bool
+		want string
+	}{
+		{false, "[(1) (2) (NULL)]"}, // ascending: NULLs last
+		{true, "[(NULL) (2) (1)]"},  // descending: NULLs first
+	} {
+		plan := &algebra.Order{Child: scan(t, c, "n"), Keys: []algebra.SortKey{{E: algebra.Attr("a"), Desc: tc.desc}}}
+		for i, got := range orderedSeq(t, c, plan, nil) {
+			if got != tc.want {
+				t.Errorf("desc=%v mat=%v: %s, want %s", tc.desc, i == 1, got, tc.want)
+			}
+		}
 	}
 }
 
 // A Param leaf reads its slot of the run's parameter vector — in the
-// pipeline and in presentation sorting; an unbound slot is an error, not a
+// pipeline and in sort keys; an unbound slot is an error, not a
 // NULL.
 func TestParamReadsRunVector(t *testing.T) {
 	c := figure3DB()
@@ -192,14 +208,13 @@ func TestParamReadsRunVector(t *testing.T) {
 		t.Errorf("unbound parameter: err = %v, want a not-bound error", err)
 	}
 
-	r := rel.FromTuples(schema.New("", "a"), ints(1), ints(5), ints(3))
-	keys := []algebra.SortKey{{E: algebra.Arith{Op: types.OpMul, L: algebra.Ref{}, R: algebra.Param{Idx: 0}}}}
-	rows, err := SortTuples(r, keys, []types.Value{types.NewInt(-1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][0].Int() != 5 || rows[2][0].Int() != 1 {
-		t.Errorf("sort by a * $1 with $1 = -1: %v", rows)
+	c.Register("p", rel.FromTuples(schema.New("", "a"), ints(1), ints(5), ints(3)))
+	order := &algebra.Order{Child: scan(t, c, "p"),
+		Keys: []algebra.SortKey{{E: algebra.Arith{Op: types.OpMul, L: algebra.Attr("a"), R: algebra.Param{Idx: 0}}}}}
+	for i, got := range orderedSeq(t, c, order, []types.Value{types.NewInt(-1)}) {
+		if want := "[(5) (3) (1)]"; got != want {
+			t.Errorf("sort by a * $1 with $1 = -1 (mat=%v): %s, want %s", i == 1, got, want)
+		}
 	}
 }
 

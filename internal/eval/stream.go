@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
@@ -23,10 +22,10 @@ type emitFn func(t rel.Tuple, n int) error
 // LIMIT, an EXISTS probe that found its row). It must never escape Eval.
 var errStop = errors.New("eval: pipeline stop")
 
-// stream pushes the plan's output rows into emit. Pipeline breakers — sort
-// (Order under Limit), aggregation, hash-join and nested-loop build sides,
-// set-operation inputs, DISTINCT's dedup state — materialize exactly the
-// state their semantics force; everything else forwards rows one by one.
+// stream pushes the plan's output rows into emit. Pipeline breakers — sort,
+// aggregation, hash-join and nested-loop build sides, set-operation inputs,
+// DISTINCT's dedup state — materialize exactly the state their semantics
+// force; everything else forwards rows one by one.
 func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error {
 	if err := e.tick(); err != nil {
 		return err
@@ -76,9 +75,7 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 	case *algebra.SetOp:
 		return e.streamSetOp(o, outer, emit)
 	case *algebra.Order:
-		// A bag has no intrinsic order; Order is honoured by Limit above it
-		// and by result presentation.
-		return e.stream(o.Child, outer, emit)
+		return e.streamOrder(o, -1, outer, emit)
 	case *algebra.Limit:
 		return e.streamLimit(o, outer, emit)
 	default:
@@ -392,112 +389,56 @@ func setOpEach(o *algebra.SetOp, l, r *rel.Relation, emit emitFn) error {
 	})
 }
 
-// streamLimit implements LIMIT/OFFSET. Under an order (an Order node
-// reachable through projection wrappers) a bounded top-(offset+n) heap
-// replaces the full sort of the materializing executor. Without an order
-// and with a finite limit, the limit takes the first rows of the stream and
-// raises the stop signal, ceasing the upstream scans — which rows a bare
-// LIMIT returns is unspecified, exactly as in PostgreSQL.
+// streamLimit implements LIMIT/OFFSET as a cut (limitEmit) whose stop
+// signal ceases the upstream scans. Over an Order it hands the sort the
+// bound offset+n, PostgreSQL's bounded sort.
 func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn) error {
-	// When the ordering column is projected away above the Order, cut below
-	// the projections, where the key is still visible.
-	if pushed, ok := algebra.PushLimit(o); ok {
-		return e.stream(pushed, outer, emit)
+	var err error
+	if ord, ok := o.Child.(*algebra.Order); ok && o.N >= 0 {
+		err = e.streamOrder(ord, o.Offset+o.N, outer, limitEmit(o, emit))
+	} else {
+		err = e.stream(o.Child, outer, limitEmit(o, emit))
 	}
-	keys := algebra.LiftOrderKeys(o.Child)
-	if len(keys) == 0 {
-		if o.N < 0 {
-			// OFFSET without LIMIT and without order: skip arbitrary rows.
-			skip := o.Offset
-			return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
-				if skip > 0 {
-					if n <= skip {
-						skip -= n
-						return nil
-					}
-					n -= skip
-					skip = 0
-				}
-				return emit(t, n)
-			})
-		}
-		skip, remain := o.Offset, o.N
-		err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
-			if skip > 0 {
-				if n <= skip {
-					skip -= n
-					return nil
-				}
-				n -= skip
-				skip = 0
-			}
-			if remain == 0 {
-				return errStop
-			}
-			take := n
-			if take > remain {
-				take = remain
-			}
-			remain -= take
-			if err := emit(t, take); err != nil {
-				return err
-			}
-			if remain == 0 {
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStop) {
-			return err
-		}
+	if errors.Is(err, errStop) {
 		return nil
 	}
-	if o.N < 0 {
-		// OFFSET-only over an ordered input: the cut needs the full sorted
-		// prefix, so sort everything (breaker).
-		in, err := e.eval(o.Child, outer)
-		if err != nil {
-			return err
-		}
-		rows, err := e.sortedRows(in, keys, outer)
-		if err != nil {
-			return err
-		}
-		for _, t := range limitSlice(rows, o.N, o.Offset) {
-			if err := emit(t, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Top-(offset+n) heap: the breaker state is bounded by the limit, not
-	// by the input size.
-	cap := o.Offset + o.N
-	h := &topNHeap{keys: keys}
+	return err
+}
+
+// streamOrder sorts its input and emits it in order. Unbounded (bound < 0)
+// it buffers the whole input. A bound — a Limit directly above needs only
+// the first offset+n rows — keeps a top-bound heap instead, so the sort's
+// state is bounded by the limit, not by the input size. The buffer or the
+// heap's fill is resident state; replacements in a full heap do not grow it.
+func (e *Evaluator) streamOrder(o *algebra.Order, bound int, outer []rel.Tuple, emit emitFn) error {
+	h := &topNHeap{keys: o.Keys}
 	err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
-		kv, err := e.sortKeyVals(keys, t, outer)
+		kv, err := e.sortKeyVals(o.Keys, t, outer)
 		if err != nil {
 			return err
 		}
 		for ; n > 0; n-- {
-			if h.Len() < cap {
-				// The heap's fill (bounded by offset+n) is resident state;
-				// replacements after the fill do not grow it.
+			row := sortRow{t: t, keys: kv}
+			if bound < 0 || h.Len() < bound {
 				if err := e.charge(1); err != nil {
 					return err
 				}
-				heap.Push(h, sortRow{t: t, keys: kv})
+				if bound < 0 {
+					h.rows = append(h.rows, row) // sorted once, below
+				} else {
+					heap.Push(h, row)
+				}
 				continue
 			}
-			if cap == 0 {
+			if bound == 0 {
 				return errStop
 			}
 			// Replace the current maximum if this row sorts before it.
-			if lessSortRows(keys, sortRow{t: t, keys: kv}, h.rows[0]) {
-				h.rows[0] = sortRow{t: t, keys: kv}
+			if compareSortRows(o.Keys, row, h.rows[0]) < 0 {
+				h.rows[0] = row
 				heap.Fix(h, 0)
 			}
 		}
@@ -506,13 +447,8 @@ func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn
 	if err != nil && !errors.Is(err, errStop) {
 		return err
 	}
-	rows := make([]sortRow, len(h.rows))
-	copy(rows, h.rows)
-	sortRowsInPlace(keys, rows)
-	for i, r := range rows {
-		if i < o.Offset {
-			continue
-		}
+	sortRowsInPlace(o.Keys, h.rows)
+	for _, r := range h.rows {
 		if err := emit(r.t, 1); err != nil {
 			return err
 		}
@@ -528,15 +464,11 @@ type topNHeap struct {
 }
 
 func (h *topNHeap) Len() int           { return len(h.rows) }
-func (h *topNHeap) Less(i, j int) bool { return lessSortRows(h.keys, h.rows[j], h.rows[i]) }
+func (h *topNHeap) Less(i, j int) bool { return compareSortRows(h.keys, h.rows[j], h.rows[i]) < 0 }
 func (h *topNHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
 func (h *topNHeap) Push(x any)         { h.rows = append(h.rows, x.(sortRow)) }
 func (h *topNHeap) Pop() any {
 	r := h.rows[len(h.rows)-1]
 	h.rows = h.rows[:len(h.rows)-1]
 	return r
-}
-
-func sortRowsInPlace(keys []algebra.SortKey, rows []sortRow) {
-	sort.SliceStable(rows, func(i, j int) bool { return lessSortRows(keys, rows[i], rows[j]) })
 }

@@ -38,10 +38,6 @@ var Strategies = []perm.Strategy{perm.Gen, perm.Left, perm.Move, perm.Unn, perm.
 // fuzzer can raise it.
 var MaxProvScans = 5
 
-// PlanCache adds the plan-cache dimension to the matrix (assertion 6 of
-// Check). On by default; permfuzz -plancache=false turns it off.
-var PlanCache = true
-
 // outcome is one (query, strategy, mode) execution result.
 type outcome struct {
 	err  string   // "" on success
@@ -136,10 +132,8 @@ func isRewriteErr(msg string) bool { return strings.HasPrefix(msg, "rewrite: ") 
 //     Everything above ran through the cache as well, the default, so plans
 //     admitted under one executor mode were run by the others.
 func Check(db *perm.DB, q *Query) error {
-	if PlanCache {
-		if err := checkPlanCache(db, q); err != nil {
-			return err
-		}
+	if err := checkPlanCache(db, q); err != nil {
+		return err
 	}
 
 	// 1: plain query across executor modes.

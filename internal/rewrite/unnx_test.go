@@ -209,6 +209,18 @@ func TestUnnXNotApplicableCases(t *testing.T) {
 	if _, err := Rewrite(proj, UnnX); !errors.Is(err, ErrNotApplicable) {
 		t.Errorf("projection: %v", err)
 	}
+	// EXISTS whose correlation also sits outside the equality conjuncts:
+	// c = a lifts, d > b leaves b free.
+	residual := &algebra.Select{
+		Child: scan(t, c, "r"),
+		Cond: algebra.Sublink{Kind: algebra.ExistsSublink,
+			Query: &algebra.Select{Child: scan(t, c, "s"), Cond: algebra.And{
+				L: algebra.Cmp{Op: types.CmpEq, L: algebra.Attr("c"), R: algebra.Attr("a")},
+				R: algebra.Cmp{Op: types.CmpGt, L: algebra.Attr("d"), R: algebra.Attr("b")}}}},
+	}
+	if _, err := Rewrite(residual, UnnX); !errors.Is(err, ErrNotApplicable) || !strings.Contains(err.Error(), "still free after lifting: [b]") {
+		t.Errorf("correlation outside the equality conjuncts: %v", err)
+	}
 }
 
 // TestUnnXCoversUnn: everything Unn handles, UnnX handles identically.

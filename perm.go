@@ -401,14 +401,15 @@ type Result struct {
 	// Columns are all result column names; for PROVENANCE queries the
 	// original query's columns come first, provenance columns after.
 	Columns []string
-	// Rows hold the data in the query's ORDER BY when it has one (ties
-	// broken deterministically). Without ORDER BY they come in engine
-	// order, which may differ between executor modes (WithoutStreaming):
-	// sort in the caller, or add ORDER BY, where order matters. Values are
-	// int64, float64, string, bool or nil. The rows share one backing
-	// array, but each is capped at its own length: appending to a row
-	// copies it and never writes into the next row. Rows is nil for an
-	// empty result.
+	// Rows hold the data in the order the plan's output comes in: an
+	// ORDER BY, the query's own or a derived table's that a projection or
+	// filter passes through, sorts them (ties broken deterministically).
+	// Without one they come in engine order, which may differ between
+	// executor modes (WithoutStreaming): sort in the caller, or add ORDER
+	// BY, where order matters. Values are int64, float64, string, bool or
+	// nil. The rows share one backing array, but each is capped at its own
+	// length: appending to a row copies it and never writes into the next
+	// row. Rows is nil for an empty result.
 	Rows [][]any
 	// DataColumns is the number of original (non-provenance) columns.
 	DataColumns int
@@ -536,7 +537,7 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	out.PeakRows = ev.LastStats().PeakRows
 	// Hidden ORDER BY key columns (Translated.Hidden) sit between the
 	// visible data columns and any provenance columns. They exist so the
-	// sort below can evaluate keys the SELECT list does not project; they
+	// plan's Order can evaluate keys the SELECT list does not project; they
 	// are stripped from the presented result.
 	hiddenStart, hiddenEnd := p.dataCols, p.dataCols+p.hidden
 	for i, a := range relOut.Schema.Attrs {
@@ -550,10 +551,7 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 		out.Provenance = append(out.Provenance, ProvGroup{Relation: g.relation, Columns: slices.Clone(provCols[:g.width])})
 		provCols = provCols[g.width:]
 	}
-	tuples, err := orderedTuples(p.plan, relOut, params)
-	if err != nil {
-		return nil, err
-	}
+	tuples := relOut.Tuples()
 	if len(tuples) == 0 {
 		return out, nil
 	}
@@ -654,23 +652,6 @@ func (sc *scope) Explain(query string, opts ...Option) (string, error) {
 	b.WriteByte('\n')
 	b.WriteString(algebra.Indent(p.plan))
 	return b.String(), nil
-}
-
-// orderedTuples respects the query's ORDER BY; otherwise it returns the bag
-// in engine order, as PostgreSQL does: SQL defines no order without ORDER
-// BY, and the caller that wants one sorts. A sort-key evaluation failure is
-// the query's failure — it must surface, not silently degrade to engine
-// order.
-func orderedTuples(plan algebra.Op, out *rel.Relation, params []types.Value) ([]rel.Tuple, error) {
-	// The executor returns bags; re-sort explicitly by whatever order
-	// reaches the plan's output — including an inner ORDER BY carried
-	// through derived-table projection wrappers and LIMIT, and hidden
-	// sort-key columns extended onto the projection by the translator.
-	keys := algebra.LiftOrderKeys(plan)
-	if keys == nil {
-		return out.Tuples(), nil
-	}
-	return eval.SortTuples(out, keys, params)
 }
 
 // FormatTable renders the result as an aligned text table for CLI output.
