@@ -13,8 +13,9 @@
 // exactly the state their semantics force:
 //
 //   - sort: an Order buffers its input and emits it in order; a LIMIT
-//     directly above hands it the bound offset+n, and it keeps a
-//     top-(offset+n) heap instead (PostgreSQL's bounded sort);
+//     above, directly or through bag projections, hands it the bound
+//     offset+n, and it keeps a top-(offset+n) heap instead (PostgreSQL's
+//     bounded sort);
 //   - aggregation: the per-group accumulator table;
 //   - hash-join and nested-loop builds: the materialized right input;
 //   - intersection/difference: both inputs, and a count map over the right
@@ -78,7 +79,8 @@
 // it. Every piece of run state is such a memo (memo.go), keyed by plan node
 // and binding: bags, verdicts, hashed sets, join splits, selection plans,
 // indexes and Gen's witnesses. An uncorrelated subplan, and a decision made
-// once per node, has the empty binding.
+// once per node, has the empty binding. The one state that outlives a run
+// is a selection index over a base relation, below.
 //
 // A memo miss still runs the inner query, and a correlated one filters its
 // input anew for every binding. In the streaming executor a selection under
@@ -87,11 +89,12 @@
 // hash index instead (index.go), the way PostgreSQL answers such a probe
 // from an index on the correlation column:
 //
-//   - What is indexed: the selection's input, hashed on x in the table and
-//     with the key builder the hash joins use, once per run and per binding
-//     of the input's own free slots. Each call probes with y's values and
-//     runs the remaining conjuncts on the bucket only. A = key skips NULL on
-//     either side; a =n key matches NULL to NULL.
+//   - What is indexed: the slots of the selection's input, grouped by the
+//     key the hash joins' key builder gives x, as int32 slot numbers (one
+//     slot array grouped by key, an array of bucket starts and a key →
+//     bucket map). Each call probes with y's values and runs the remaining
+//     conjuncts on the bucket only. A = key skips NULL on either side; a =n
+//     key matches NULL to NULL.
 //   - The decline rule: the index is used only where it cannot change which
 //     rows are kept or which error is raised, because the literal filter
 //     evaluates every conjunct on rows the index never visits. Condition and
@@ -101,15 +104,32 @@
 //     projections, products and joins of such expressions. Arithmetic,
 //     functions, CAST, CASE, scalar sublinks, aggregates and VALUES keep the
 //     literal filter.
-//   - Build on second call: the first call for a (selection, input binding)
-//     pair runs the literal filter and the second builds the index, so a
-//     sublink with one binding never pays for a build.
-//   - The index is charged like a hash-join build: nothing over a base
-//     relation, one row per row group for an input that had to be
-//     materialized.
+//   - When it is built: the first call for a (selection, input binding)
+//     pair runs the literal filter and the second looks for the index or
+//     builds it, so a selection evaluated once per statement never builds
+//     and an INSERT pays for nothing.
+//   - How long it lives: an input that is a bare scan keyed on columns is
+//     indexed once per relation version. The index is attached to the
+//     catalog's *rel.Relation (rel.Relation.Attach), keyed by the sorted
+//     columns and the =/=n of each key, and every later statement in any
+//     session that reads that version probes it. A relation a DB returns
+//     is never mutated, and INSERT publishes a new one, so the index dies
+//     with its version and needs no invalidation or eviction. A build that
+//     fails or is cancelled is not attached, a concurrent twin build is
+//     discarded, and an attached index is never mutated. A relation keeps
+//     at most eight attached indexes; past that, and for any other input
+//     (one that reads enclosing scopes, computes its keys, keys a column
+//     twice or is not a scan), the index is built once per run and binding
+//     of its free slots.
+//   - What it is charged: nothing over a base relation, like a hash-join
+//     build; one row per row group for an input that had to be
+//     materialized. An attached index is live heap that no run accounts:
+//     4 bytes a slot and one map entry a distinct key (root
+//     TestSharedIndexMemoryBudget), at most eight of them a relation.
 //   - Streaming only: the materializing reference keeps the literal filter
-//     and is the differential oracle. Stats.IndexBuilds and IndexProbes
-//     count the builds and the calls answered from an index.
+//     and is the differential oracle. Stats.IndexBuilds counts the indexes
+//     the run built, and IndexProbes the calls answered from an index,
+//     built or found attached.
 //
 // # Generating Gen's CrossBase witnesses
 //

@@ -13,7 +13,8 @@ import (
 // pairs exist the join falls back to a nested loop. Plain = keys never
 // match NULLs; =n keys do (the aggregation rewrite R5 and the set-operation
 // rewrites join on =n). The streaming executor's selection index (index.go)
-// splits its condition the same way and hashes into the same table.
+// splits its condition the same way and encodes its keys with the same
+// appendKey.
 
 // equiKeys is the decomposition of a condition into hash keys and a
 // residual: build rows are hashed on build, and each probe looks up the key
@@ -193,9 +194,9 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 	return out, nil
 }
 
-// hashTable is the build side of a hash join or a selection index: the
-// build rows bucketed by the bytes of their key. It is immutable once
-// built.
+// hashTable is the build side of a hash join or of Gen's CrossBase: the
+// build rows bucketed by the bytes of their key. It lives for one run and
+// is immutable once built.
 type hashTable map[string]*bucket
 
 // bucket holds the row groups of one key, in build order. id numbers the

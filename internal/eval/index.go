@@ -3,6 +3,7 @@ package eval
 import (
 	"cmp"
 	"slices"
+	"strconv"
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
@@ -19,10 +20,13 @@ import (
 
 // indexSplit is the index plan of one selection: its condition split into
 // probe keys over enclosing scopes, build keys over the input and a
-// residual, and the slots of enclosing scopes the input reads.
+// residual, and the slots of enclosing scopes the input reads. shared is
+// the key its index is attached to the base relation under when the input
+// is a bare scan hashed on columns (sharedKey), "" otherwise.
 type indexSplit struct {
 	equiKeys
-	free []algebra.Ref
+	free   []algebra.Ref
+	shared string
 }
 
 // splitSelect returns the index plan of a selection, or nil when its
@@ -44,7 +48,51 @@ func splitSelect(o *algebra.Select) *indexSplit {
 	if len(keys.probe) == 0 {
 		return nil
 	}
-	return &indexSplit{equiKeys: keys, free: freeSlots(o.Child)}
+	split := &indexSplit{equiKeys: keys, free: freeSlots(o.Child)}
+	if _, ok := o.Child.(*algebra.Scan); ok {
+		split.shared = sharedKey(&split.equiKeys)
+	}
+	return split
+}
+
+// sharedKey names the index of a scan's relation hashed on keys.build: the
+// columns and the = or =n of each key, the two things besides the slots
+// that decide which slot falls in which bucket. It sorts the keys by
+// column first, so one column set names one index whatever order the
+// query wrote its conjuncts in. It is "" when a build key is not a column,
+// since a computed key may differ per statement, and when a column is keyed
+// twice (u.b = x AND u.b = y), which would name one more index over the
+// buckets of u.b.
+func sharedKey(keys *equiKeys) string {
+	cols := make([]int32, len(keys.build))
+	for i, x := range keys.build {
+		r, ok := x.(algebra.Ref)
+		if !ok || r.Depth != 0 {
+			return ""
+		}
+		cols[i] = r.Idx
+	}
+	order := make([]int, len(cols))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(cols[i], cols[j]) })
+	sorted := equiKeys{residual: keys.residual}
+	key := []byte("eval.index")
+	for n, i := range order {
+		if n > 0 && cols[i] == cols[order[n-1]] {
+			return ""
+		}
+		sorted.probe = append(sorted.probe, keys.probe[i])
+		sorted.build = append(sorted.build, keys.build[i])
+		sorted.nullEq = append(sorted.nullEq, keys.nullEq[i])
+		key = strconv.AppendInt(append(key, ' '), int64(cols[i]), 10)
+		if keys.nullEq[i] {
+			key = append(key, 'n')
+		}
+	}
+	*keys = sorted
+	return string(key)
 }
 
 // errorFree reports whether evaluating the condition x can raise no error:
@@ -209,36 +257,32 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 	}
 	var buf [64]byte
 	binding := appendParamKey(buf[:0], split.free, outer)
-	table, seen := e.shared.indexes.get(o, binding)
+	ix, seen := e.shared.indexes.get(o, binding)
 	if !seen {
-		// Workers racing on a new binding may each mark it and run the
-		// literal filter, which is exact.
+		// The first call for a binding runs the literal filter and marks
+		// the binding, so a selection evaluated once never builds.
 		e.shared.indexes.put(o, binding, nil)
 		return false, nil
 	}
-	if table == nil {
-		// The input is charged like a hash-join build, by eval: a base
-		// relation not at all, an input that had to be materialized one row
-		// per row group.
-		in, err := e.eval(o.Child, outer)
-		if err != nil {
+	if ix == nil {
+		var err error
+		if ix, err = e.selectIndex(o, split, outer); err != nil {
 			return true, err
 		}
-		if table, err = e.buildTable(&split.equiKeys, in, outer); err != nil {
-			return true, err
-		}
-		e.shared.indexes.put(o, binding, table)
-		e.shared.indexBuilds++
+		e.shared.indexes.put(o, binding, ix)
 	}
 	e.shared.indexProbes++
-	b, err := e.lookup(table, &split.equiKeys, nil, outer)
-	if err != nil || b == nil {
+	key, ok, err := appendKey(buf[:0], split.probe, split.nullEq, func(x algebra.Expr) (types.Value, error) {
+		return e.evalExpr(x, nil, outer)
+	})
+	if err != nil || !ok {
 		return true, err
 	}
-	for i, t := range b.tuples {
+	for _, i := range ix.bucket(key) {
 		if err := e.tick(); err != nil {
 			return true, err
 		}
+		t, n := ix.in.Slot(int(i))
 		if split.residual != nil {
 			keep, err := e.evalCond(split.residual, t, outer)
 			if err != nil {
@@ -248,9 +292,119 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 				continue
 			}
 		}
-		if err := emit(t, b.counts[i]); err != nil {
+		if err := emit(t, n); err != nil {
 			return true, err
 		}
 	}
 	return true, nil
+}
+
+// selectIndex returns the index of a selection's input under the binding
+// of outer. An index over a bare scan's relation is attached to that
+// relation version (the catalog's pointer, not the scan's view) and shared
+// by every later run that reads it, in any statement or session; two
+// statements that build it at once publish the first and discard the
+// second. A build that fails or is cancelled returns before it publishes,
+// and one over a relation that holds rel's cap of attached values serves
+// this run alone. Stats.IndexBuilds counts the indexes this run built: a
+// hit on an attached one counts only in IndexProbes. Any other input is built for this run
+// alone and charged like a hash-join build, by eval: one row per row group
+// of an input that had to be materialized.
+func (e *Evaluator) selectIndex(o *algebra.Select, split *indexSplit, outer []rel.Tuple) (*slotIndex, error) {
+	if split.shared == "" {
+		in, err := e.eval(o.Child, outer)
+		if err != nil {
+			return nil, err
+		}
+		ix, err := e.buildIndex(&split.equiKeys, in, outer)
+		if err != nil {
+			return nil, err
+		}
+		e.shared.indexBuilds++
+		return ix, nil
+	}
+	base, err := e.db.Relation(o.Child.(*algebra.Scan).Name)
+	if err != nil {
+		return nil, err
+	}
+	if ix, ok := base.Attached(split.shared).(*slotIndex); ok {
+		return ix, nil
+	}
+	ix, err := e.buildIndex(&split.equiKeys, base, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.shared.indexBuilds++
+	return base.Attach(split.shared, ix).(*slotIndex), nil
+}
+
+// slotIndex is a selection index: the slot numbers of one relation grouped
+// by the key of their build columns, in slot order within a group. The
+// group of bucket b is slots[start[b]:start[b+1]]. Four bytes a slot and
+// one map entry a key is what an index that outlives its statement keeps
+// resident; hash joins and Gen, whose tables die with the run, keep
+// hashTable. It is immutable once built.
+type slotIndex struct {
+	in      *rel.Relation
+	buckets map[string]int32
+	start   []int32
+	slots   []int32
+}
+
+// buildIndex indexes the slots of in on keys.build. A slot whose plain-=
+// key is NULL can match nothing and is left out. Only a new key allocates
+// in the loop: the key bytes are built in a stack buffer.
+func (e *Evaluator) buildIndex(keys *equiKeys, in *rel.Relation, outer []rel.Tuple) (*slotIndex, error) {
+	ix := &slotIndex{in: in, buckets: map[string]int32{}}
+	of := make([]int32, in.Slots()) // the bucket of each slot, -1 for none
+	var sizes []int32
+	for i := range of {
+		if err := e.tick(); err != nil {
+			return nil, err
+		}
+		t, _ := in.Slot(i)
+		var buf [64]byte
+		key, ok, err := appendKey(buf[:0], keys.build, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
+			return e.evalExpr(x, t, outer)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			of[i] = -1
+			continue
+		}
+		b, found := ix.buckets[string(key)]
+		if !found {
+			b = int32(len(sizes))
+			ix.buckets[string(key)] = b
+			sizes = append(sizes, 0)
+		}
+		of[i] = b
+		sizes[b]++
+	}
+	ix.start = make([]int32, len(sizes)+1)
+	for b, n := range sizes {
+		ix.start[b+1] = ix.start[b] + n
+	}
+	ix.slots = make([]int32, ix.start[len(sizes)])
+	next := sizes // reused: the next free position of each bucket
+	copy(next, ix.start)
+	for i, b := range of {
+		if b >= 0 {
+			ix.slots[next[b]] = int32(i)
+			next[b]++
+		}
+	}
+	return ix, nil
+}
+
+// bucket returns the slots whose build key is key, nil for none. The key is
+// converted for the lookup only, so a probe allocates nothing for it.
+func (ix *slotIndex) bucket(key []byte) []int32 {
+	b, ok := ix.buckets[string(key)]
+	if !ok {
+		return nil
+	}
+	return ix.slots[ix.start[b]:ix.start[b+1]]
 }

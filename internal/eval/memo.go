@@ -32,10 +32,11 @@ type runShared struct {
 	// literal filter.
 	joins   memo[algebra.Op, *equiKeys]
 	selects memo[*algebra.Select, *selectPlan]
-	// indexes holds the hash indexes of those selections per binding of
-	// the input's free slots. A nil table marks a binding seen once, whose
-	// call ran the literal filter.
-	indexes memo[*algebra.Select, hashTable]
+	// indexes holds the indexes of those selections per binding of the
+	// input's free slots, built by this run or found attached to a base
+	// relation. A nil index marks a binding seen once, whose call ran the
+	// literal filter.
+	indexes memo[*algebra.Select, *slotIndex]
 	// witnesses holds the witnesses generation found per sublink and
 	// binding (see gen.go).
 	witnesses memo[*genSublink, genSet]

@@ -63,7 +63,7 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 	case *algebra.Select:
 		return e.streamSelect(o, outer, emit)
 	case *algebra.Project:
-		return e.streamProject(o, outer, emit)
+		return e.streamProject(o, -1, outer, emit)
 	case *algebra.Cross:
 		return e.streamCross(o, outer, emit)
 	case *algebra.Join:
@@ -107,11 +107,13 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emit
 	})
 }
 
-func (e *Evaluator) streamProject(o *algebra.Project, outer []rel.Tuple, emit emitFn) error {
+// streamProject projects its input's rows, of which a consumer reads at
+// most the first bound (see streamBounded).
+func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tuple, emit emitFn) error {
 	if o.Distinct {
 		emit = e.dedupEmit(emit)
 	}
-	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+	return e.streamBounded(o.Child, bound, outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
@@ -393,23 +395,42 @@ func setOpEach(o *algebra.SetOp, l, r *rel.Relation, emit emitFn) error {
 // signal ceases the upstream scans. Over an Order it hands the sort the
 // bound offset+n, PostgreSQL's bounded sort.
 func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn) error {
-	var err error
-	if ord, ok := o.Child.(*algebra.Order); ok && o.N >= 0 {
-		err = e.streamOrder(ord, o.Offset+o.N, outer, limitEmit(o, emit))
-	} else {
-		err = e.stream(o.Child, outer, limitEmit(o, emit))
+	bound := -1
+	if o.N >= 0 {
+		bound = o.Offset + o.N
 	}
+	err := e.streamBounded(o.Child, bound, outer, limitEmit(o, emit))
 	if errors.Is(err, errStop) {
 		return nil
 	}
 	return err
 }
 
+// streamBounded streams op to a consumer that reads at most its first bound
+// rows, all of them when bound < 0. A bag projection emits one row per
+// input row, so its first bound rows are those of its input's first bound
+// rows: the bound passes through it, down to an Order, which keeps a
+// top-bound heap instead of sorting its whole input.
+func (e *Evaluator) streamBounded(op algebra.Op, bound int, outer []rel.Tuple, emit emitFn) error {
+	if bound >= 0 {
+		switch o := op.(type) {
+		case *algebra.Order:
+			return e.streamOrder(o, bound, outer, emit)
+		case *algebra.Project:
+			if !o.Distinct {
+				return e.streamProject(o, bound, outer, emit)
+			}
+		}
+	}
+	return e.stream(op, outer, emit)
+}
+
 // streamOrder sorts its input and emits it in order. Unbounded (bound < 0)
-// it buffers the whole input. A bound — a Limit directly above needs only
-// the first offset+n rows — keeps a top-bound heap instead, so the sort's
-// state is bounded by the limit, not by the input size. The buffer or the
-// heap's fill is resident state; replacements in a full heap do not grow it.
+// it buffers the whole input. A bound — a Limit above needs only the first
+// offset+n rows (streamBounded) — keeps a top-bound heap instead, so the
+// sort's state is bounded by the limit, not by the input size. The buffer
+// or the heap's fill is resident state; replacements in a full heap do not
+// grow it.
 func (e *Evaluator) streamOrder(o *algebra.Order, bound int, outer []rel.Tuple, emit emitFn) error {
 	h := &topNHeap{keys: o.Keys}
 	err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {

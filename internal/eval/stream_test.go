@@ -146,9 +146,10 @@ func TestLimitStopsPipeline(t *testing.T) {
 
 // TestTopNHeapMatchesSort: LIMIT/OFFSET over ORDER BY must emit exactly
 // the row sequence of the materializing full sort, including the
-// deterministic tie-break, and a Limit directly over the Order bounds the
-// streaming sort's state by offset+n: the heap fill plus the result, where
-// the unbounded ORDER BY b holds 300 (its buffer and the result).
+// deterministic tie-break, and a Limit over the Order, directly or through
+// a derived table's bag projections, bounds the streaming sort's state by
+// offset+n: the heap fill plus the result, where the unbounded ORDER BY b
+// holds 300 (its buffer and the result).
 func TestTopNHeapMatchesSort(t *testing.T) {
 	w := synth.Workload{InputSize: 150, SublinkSize: 10, Domain: 5, Seed: 9}
 	cat := w.Catalog()
@@ -159,6 +160,7 @@ func TestTopNHeapMatchesSort(t *testing.T) {
 		`SELECT a, b FROM r1 ORDER BY b LIMIT 0`,
 		`SELECT a, b FROM r1 ORDER BY b LIMIT 500 OFFSET 1`,
 		`SELECT a, b FROM r1 ORDER BY b`,
+		`SELECT a FROM (SELECT a, b FROM r1 ORDER BY b) t LIMIT 7`,
 	} {
 		tr, err := sql.Compile(cat, q)
 		if err != nil {

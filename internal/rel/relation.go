@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"perm/internal/schema"
 	"perm/internal/types"
@@ -83,15 +84,28 @@ func Nulls(n int) Tuple {
 // schema; use New to attach a schema.
 //
 // Relation is the engine's mutable builder: loaders and operators fill one
-// with Add and only then hand it over. Immutability of registered relations
-// is a catalog-boundary convention; the immutable view of a catalog state is
-// catalog.Snapshot.
+// with Add and only then hand it over. A relation a catalog (or any
+// executor DB) returns is never mutated: INSERT publishes an appended Clone
+// under the same name, so one pointer is one relation version, and the
+// immutable view of a catalog state is catalog.Snapshot. State derived from
+// a version's slots (an executor's index) may therefore be attached to it
+// (Attach) and lives and dies with it.
 type Relation struct {
 	Schema schema.Schema
 
 	tuples []Tuple
 	counts []int // counts[i] > 0 is the multiplicity of tuples[i]
 	merged bool  // no two slots hold equal tuples: set by Merge, cleared by Add
+	// attached is the newest value Attach published, nil until the first:
+	// an immutable list, so readers load it without a lock.
+	attached atomic.Pointer[attachment]
+}
+
+// attachment is one value attached to a relation, linked to the older ones.
+type attachment struct {
+	key  string
+	val  any
+	next *attachment
 }
 
 // New returns an empty relation with the given schema.
@@ -125,6 +139,64 @@ func (r *Relation) Add(t Tuple, n int) {
 	r.tuples = append(r.tuples, t)
 	r.counts = append(r.counts, n)
 	r.merged = false
+	r.detach()
+}
+
+// Slots returns the number of slots.
+func (r *Relation) Slots() int { return len(r.tuples) }
+
+// Slot returns the tuple and multiplicity of slot i, 0 ≤ i < Slots().
+func (r *Relation) Slot(i int) (Tuple, int) { return r.tuples[i], r.counts[i] }
+
+// Attached returns the value attached to the relation under key, or nil.
+func (r *Relation) Attached(key string) any {
+	for a := r.attached.Load(); a != nil; a = a.next {
+		if a.key == key {
+			return a.val
+		}
+	}
+	return nil
+}
+
+// maxAttached caps the values one relation keeps attached. Nothing evicts
+// an attached value, and a relation nobody INSERTs into lives as long as
+// its catalog: the cap is what bounds the state a stream of differently
+// keyed statements can leave on it.
+const maxAttached = 8
+
+// Attach attaches val to the relation under key and returns it, or returns
+// the value attached under key already, so that of two concurrent Attach
+// calls for one key the second gets the first's value. A relation that
+// holds maxAttached values attaches no more: Attach then returns val
+// unpublished, for the caller alone. An attached value must be a function
+// of the relation's slots alone and never be mutated: any number of
+// goroutines read it. Views (WithSchema) and copies (Clone) do not share
+// it, and Add and Merge drop it.
+func (r *Relation) Attach(key string, val any) any {
+	for {
+		head, n := r.attached.Load(), 0
+		for a := head; a != nil; a = a.next {
+			if a.key == key {
+				return a.val
+			}
+			n++
+		}
+		if n >= maxAttached {
+			return val
+		}
+		if r.attached.CompareAndSwap(head, &attachment{key: key, val: val, next: head}) {
+			return val
+		}
+	}
+}
+
+// detach drops the attached values of a relation whose slots change. A
+// registered relation never changes; this keeps a builder that is filled
+// after an Attach from answering from a stale value.
+func (r *Relation) detach() {
+	if r.attached.Load() != nil {
+		r.attached.Store(nil)
+	}
 }
 
 // Count returns the multiplicity of t in the bag, summed over its slots. It
@@ -249,6 +321,7 @@ func (r *Relation) Merge() {
 	}
 	if g := r.Group(); g.Len() < len(r.tuples) {
 		r.tuples, r.counts = g.tuples, g.counts
+		r.detach()
 	}
 	r.merged = true
 }

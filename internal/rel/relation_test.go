@@ -238,3 +238,54 @@ func TestSortedTuplesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAttach: the first value attached under a key is the one every later
+// Attach and Attached call gets; views and copies do not share it, and a
+// change to the slots drops it.
+func TestAttach(t *testing.T) {
+	r := FromTuples(schema.New("r", "a"), ints(1), ints(2), ints(1))
+	if r.Attached("k") != nil {
+		t.Fatal("a new relation has an attached value")
+	}
+	if got := r.Attach("k", 1); got != 1 {
+		t.Fatalf("Attach = %v, want 1", got)
+	}
+	if got := r.Attach("k", 2); got != 1 {
+		t.Errorf("a second Attach = %v, want the first value 1", got)
+	}
+	r.Attach("j", 3)
+	if r.Attached("k") != 1 || r.Attached("j") != 3 {
+		t.Errorf("Attached = %v, %v; want 1, 3", r.Attached("k"), r.Attached("j"))
+	}
+	if r.WithSchema(schema.New("s", "a")).Attached("k") != nil || r.Clone(0).Attached("k") != nil {
+		t.Error("a view or a copy shares the attached values")
+	}
+	m := r.Clone(0)
+	m.Attach("k", 1)
+	m.Merge()
+	if m.Attached("k") != nil {
+		t.Error("Merge kept a value attached to the old slots")
+	}
+	r.Add(ints(3), 1)
+	if r.Attached("k") != nil || r.Attached("j") != nil {
+		t.Error("Add kept the attached values")
+	}
+}
+
+// TestAttachCap: a relation keeps at most maxAttached values; past that,
+// Attach hands the caller its own value and publishes nothing.
+func TestAttachCap(t *testing.T) {
+	r := FromTuples(schema.New("r", "a"), ints(1))
+	for i := range maxAttached {
+		r.Attach(fmt.Sprint(i), i)
+	}
+	if got := r.Attach("over", -1); got != -1 {
+		t.Errorf("Attach past the cap = %v, want the caller's value -1", got)
+	}
+	if r.Attached("over") != nil {
+		t.Error("Attach past the cap published its value")
+	}
+	if got := r.Attach("0", -1); got != 0 {
+		t.Errorf("Attach of a held key past the cap = %v, want the held value 0", got)
+	}
+}

@@ -460,15 +460,20 @@ func TestHealthzAndStats(t *testing.T) {
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 1"})
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 2"})
 
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	getStats := func() StatsResponse {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats
 	}
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	stats := getStats()
 	q := stats.Endpoints["query"]
 	if q.Count != 4 || q.Errors != 1 || q.InFlight != 0 {
 		t.Errorf("query stats = %+v, want count 4, errors 1, in_flight 0", q)
@@ -476,6 +481,22 @@ func TestHealthzAndStats(t *testing.T) {
 	if pc := stats.PlanCache; pc.Hits != 1 || pc.Misses != 3 || pc.Entries != 2 {
 		t.Errorf("plan_cache = %+v, want 1 hit, 3 misses, 2 entries", pc)
 	}
+
+	// t1's b has two bindings, so the correlated EXISTS builds an index
+	// over t1 on its second one. The index stays with t1's version: the
+	// repeated query probes it and leaves index_builds flat.
+	const correlated = "SELECT a FROM t1 WHERE EXISTS (SELECT 1 FROM t1 u WHERE u.b = t1.b AND u.a <> t1.a)"
+	post(t, ts.URL+"/query", map[string]any{"query": correlated})
+	built := getStats().Endpoints["query"].IndexBuilds
+	if built != 1 {
+		t.Errorf("index_builds = %d after the first correlated query, want 1", built)
+	}
+	post(t, ts.URL+"/query", map[string]any{"query": correlated})
+	if again := getStats().Endpoints["query"].IndexBuilds; again != built {
+		t.Errorf("index_builds went from %d to %d over a repeated query", built, again)
+	}
+	stats = getStats()
+	q = stats.Endpoints["query"]
 	if q.Latency.Max <= 0 {
 		t.Errorf("latency histogram empty: %+v", q.Latency)
 	}

@@ -143,38 +143,46 @@ func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 
 // endpointStats aggregates one endpoint's counters.
 type endpointStats struct {
-	count    atomic.Int64
-	errors   atomic.Int64
-	inFlight atomic.Int64
-	peakRows atomic.Int64 // max Result.PeakRows observed
-	hist     histogram
+	count       atomic.Int64
+	errors      atomic.Int64
+	inFlight    atomic.Int64
+	peakRows    atomic.Int64 // max Result.PeakRows observed
+	indexBuilds atomic.Int64 // sum of Result.IndexBuilds
+	hist        histogram
 }
 
 // EndpointJSON is the serialized view of one endpoint's stats.
 type EndpointJSON struct {
-	Count    int64       `json:"count"`
-	Errors   int64       `json:"errors"`
-	InFlight int64       `json:"in_flight"`
-	PeakRows int64       `json:"peak_rows_max,omitempty"`
-	Latency  LatencyJSON `json:"latency"`
+	Count    int64 `json:"count"`
+	Errors   int64 `json:"errors"`
+	InFlight int64 `json:"in_flight"`
+	PeakRows int64 `json:"peak_rows_max,omitempty"`
+	// IndexBuilds sums the correlated-selection indexes the endpoint's
+	// statements built. An index over a base table outlives the statement,
+	// so a repeated query leaves it flat.
+	IndexBuilds int64       `json:"index_builds"`
+	Latency     LatencyJSON `json:"latency"`
 }
 
 func (s *endpointStats) json() EndpointJSON {
 	return EndpointJSON{
-		Count:    s.count.Load(),
-		Errors:   s.errors.Load(),
-		InFlight: s.inFlight.Load(),
-		PeakRows: s.peakRows.Load(),
-		Latency:  s.hist.json(true),
+		Count:       s.count.Load(),
+		Errors:      s.errors.Load(),
+		InFlight:    s.inFlight.Load(),
+		PeakRows:    s.peakRows.Load(),
+		IndexBuilds: s.indexBuilds.Load(),
+		Latency:     s.hist.json(true),
 	}
 }
 
-// observe records one finished request.
-func (s *endpointStats) observe(d time.Duration, failed bool, peakRows int64) {
+// observe records one finished request and the executor counters of its
+// result.
+func (s *endpointStats) observe(d time.Duration, failed bool, peakRows, indexBuilds int64) {
 	s.count.Add(1)
 	if failed {
 		s.errors.Add(1)
 	}
+	s.indexBuilds.Add(indexBuilds)
 	s.hist.observe(d)
 	for {
 		old := s.peakRows.Load()

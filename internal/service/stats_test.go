@@ -178,15 +178,18 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 
 func TestEndpointStatsObserve(t *testing.T) {
 	var s endpointStats
-	s.observe(time.Millisecond, false, 10)
-	s.observe(2*time.Millisecond, true, 5)
-	s.observe(time.Millisecond, false, 30)
+	s.observe(time.Millisecond, false, 10, 2)
+	s.observe(2*time.Millisecond, true, 5, 0)
+	s.observe(time.Millisecond, false, 30, 1)
 	j := s.json()
 	if j.Count != 3 || j.Errors != 1 {
 		t.Errorf("count/errors = %d/%d, want 3/1", j.Count, j.Errors)
 	}
 	if j.PeakRows != 30 {
 		t.Errorf("PeakRows = %d, want the maximum 30", j.PeakRows)
+	}
+	if j.IndexBuilds != 3 {
+		t.Errorf("IndexBuilds = %d, want the sum 3", j.IndexBuilds)
 	}
 }
 

@@ -420,6 +420,13 @@ type Result struct {
 	// query (see eval.Stats) — the service layer's /stats endpoint
 	// aggregates it.
 	PeakRows int64
+	// IndexBuilds counts the correlated-selection indexes this statement
+	// built, and IndexProbes the selection calls it answered from one (see
+	// eval.Stats). An index over a base table is kept with that table
+	// version, so a statement that finds one built by an earlier statement
+	// probes it without building: IndexBuilds 0, IndexProbes > 0. Both are
+	// 0 under WithoutStreaming.
+	IndexBuilds, IndexProbes int64
 }
 
 // snapshot is one consistent (catalog, views) state that a single statement
@@ -534,7 +541,8 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	if err != nil {
 		return nil, err
 	}
-	out.PeakRows = ev.LastStats().PeakRows
+	st := ev.LastStats()
+	out.PeakRows, out.IndexBuilds, out.IndexProbes = st.PeakRows, st.IndexBuilds, st.IndexProbes
 	// Hidden ORDER BY key columns (Translated.Hidden) sit between the
 	// visible data columns and any provenance columns. They exist so the
 	// plan's Order can evaluate keys the SELECT list does not project; they
