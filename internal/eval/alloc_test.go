@@ -47,11 +47,15 @@ func TestAllocSlopes(t *testing.T) {
 	}{
 		{entry: "streamSelect", query: `SELECT * FROM r WHERE b >= 10`, ceiling: 0.9},
 		{entry: "streamProject", query: `SELECT a + b, b FROM r`, ceiling: 1.1},
-		{entry: "streamHashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, ceiling: 2.1},
+		{entry: "streamJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, ceiling: 2.1},
 		{entry: "hashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, materialize: true, ceiling: 2.1},
+		// r is the build side and s probes: one more row of r is one more
+		// key of the build's map, and matches nothing past a = 49.
+		{entry: "streamJoinBuild", query: `SELECT s.c, r.a FROM s, r WHERE s.d = r.a`, ceiling: 1.1},
+		{entry: "hashJoinBuild", query: `SELECT s.c, r.a FROM s, r WHERE s.d = r.a`, materialize: true, ceiling: 1.1},
 		// Every row of r is a binding of its own, so each is an EXISTS memo
 		// miss whose selection over s is answered from the index.
-		{entry: "indexedProbe", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b AND c <> a)`, ceiling: 5.1},
+		{entry: "indexedProbe", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b AND c <> a)`, ceiling: 4.1},
 		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 2.1},
 		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 2.1},
 		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 2.1},

@@ -142,8 +142,8 @@
 // for a row t of T it evaluates C, and per sublink Q under t's binding
 // (memoized as a sublink is), keeps the rows where J holds, collects their
 // distinct keys P′, adds the all-NULL key when ¬EXISTS(E) holds, and looks
-// each key up in a hash table over the CrossBase leaves, built once per node
-// and run under =n. It emits t × G1(t) × … × Gn(t) with multiplicity
+// each key up in a slot index over each CrossBase leaf, the structure hash
+// joins and selection indexes build, once per node and run under =n. It emits t × G1(t) × … × Gn(t) with multiplicity
 // n_t · ∏ counts. G(t) is memoized per binding of the slots Q, J and E
 // read.
 //
@@ -172,7 +172,7 @@
 //     emits nothing but does not stop, as in the literal. E is evaluated
 //     only when some CrossBase row's key was not found, as the literal's OR
 //     evaluates it only for such rows. No error-freedom gate is needed.
-//   - The CrossBase inputs are charged as streamCross charges a build side,
+//   - The CrossBase inputs are charged as a join charges its build side,
 //     once per node and run, and generated rows stream.
 //   - Streaming only: the materializing reference keeps the literal G1 and
 //     is the differential oracle; the plan and Explain still show G1.
@@ -187,13 +187,13 @@
 //
 // # Per-row allocations
 //
-// TestAllocSlopes measures the per-row paths: the streaming selection,
-// projection and hash-join probe, the materializing hash join, and the
-// sublink probes (probeExists, probeScalar, quantify over a memoized bag,
-// hashedAny, a probe answered from a correlated index) and generation, on a
-// memoized binding and on a new one. It runs one query
-// per path over two input sizes and pins the allocations one more input row
-// costs under a ceiling.
+// TestAllocSlopes measures the per-row paths: the streaming selection and
+// projection, the probe and the build of a hash join on either executor,
+// the sublink probes (probeExists, probeScalar, quantify over a memoized
+// bag, hashedAny, a probe answered from a correlated index) and generation,
+// on a memoized binding and on a new one. It runs one query per path over
+// two input sizes and pins the allocations one more input row costs under a
+// ceiling.
 // A change that adds a per-row allocation fails it; one that removes an
 // allocation lowers the ceiling.
 package eval

@@ -5,6 +5,7 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
+	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -17,8 +18,8 @@ import (
 // The streaming executor answers such a selection by generation instead of
 // enumeration: per row t of T it evaluates Q under t's binding, keeps the
 // rows where J holds, and looks their distinct keys P′ (plus the all-NULL
-// key when ¬EXISTS(E)) up in a hash table over the CrossBase, built once
-// per node and run. The package documentation states when, and why the
+// key when ¬EXISTS(E)) up in a slotIndex over each CrossBase leaf, built
+// once per node and run. The package documentation states when, and why the
 // result is the literal selection's bag and error.
 
 // genPlan is the generation plan of one selection: its input T, its
@@ -52,7 +53,7 @@ type genSublink struct {
 	empty  algebra.Sublink // the EXISTS(E) of the empty case
 	free   []algebra.Ref   // the slots Q, J and E read: the binding
 	// total is the number of distinct keys of the block: the product of
-	// its leaves' table sizes.
+	// its leaves' bucket counts.
 	total int
 }
 
@@ -62,15 +63,15 @@ type genLeaf struct {
 	op     algebra.Op
 	keys   equiKeys // probe: P′ over Q's row; build: the leaf's key slots
 	stride int      // the leaf's weight in a block key's number
-	table  hashTable
-	null   *bucket // the rows whose key slots are all NULL, or nil
+	index  *slotIndex
+	null   int32 // the bucket of the rows whose key slots are all NULL, or -1
 }
 
 // genSet is the witnesses of one sublink under one binding: the block rows
-// G(t), with their multiplicities. Immutable once memoized.
+// G(t), the listed slots of in. Immutable once memoized.
 type genSet struct {
-	rows   []rel.Tuple
-	counts []int
+	in    *rel.Relation
+	slots []int32
 }
 
 // genScratch is the per-call state of generation, reused across rows.
@@ -79,7 +80,7 @@ type genScratch struct {
 	row    rel.Tuple   // the output row being assembled
 	sets   []genSet    // the current row's witnesses, per block
 	seen   map[int]struct{}
-	combos []*bucket // the distinct keys found, one bucket per leaf
+	combos []int32 // the distinct keys found, one bucket number per leaf
 }
 
 func (g *genPlan) scratch(outer []rel.Tuple) *genScratch {
@@ -335,7 +336,7 @@ func allRefs(refs []algebra.Ref, keep func(algebra.Ref) bool) bool {
 }
 
 // build hashes every CrossBase leaf once per node and run, right to left
-// as streamCross evaluates them and charging each as a build side, and
+// as streamJoin evaluates them and charging each as a build side, and
 // numbers the keys of each block. The literal selection runs instead when a
 // leaf is empty — no conjunct is then evaluated at all — or a block's key
 // count overflows an int.
@@ -351,7 +352,7 @@ func (e *Evaluator) build(g *genPlan, outer []rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			if l.table, err = e.buildTable(&l.keys, in, outer); err != nil {
+			if l.index, err = e.buildIndex(&l.keys, in, outer); err != nil {
 				return err
 			}
 			var buf [64]byte
@@ -359,13 +360,13 @@ func (e *Evaluator) build(g *genPlan, outer []rel.Tuple) error {
 			for range l.keys.build {
 				null = types.Null().AppendKey(null)
 			}
-			l.null = l.table[string(null)]
+			l.null = l.index.number(null)
 		}
 	}
 	for _, s := range g.blocks {
 		s.total = 1
 		for _, l := range s.leaves {
-			n := len(l.table)
+			n := len(l.index.buckets)
 			if n == 0 || s.total > (1<<62)/n {
 				return nil
 			}
@@ -424,7 +425,7 @@ func (e *Evaluator) generate(g *genPlan, t rel.Tuple, n int, s *genScratch, emit
 		if err != nil {
 			return err
 		}
-		if len(set.rows) == 0 {
+		if len(set.slots) == 0 {
 			return nil
 		}
 		s.sets[c.sub.block] = set
@@ -447,9 +448,10 @@ func (e *Evaluator) emitProduct(g *genPlan, sets []genSet, b int, row rel.Tuple,
 	}
 	off := g.blocks[b].off
 	set := sets[b]
-	for i, r := range set.rows {
+	for _, i := range set.slots {
+		r, c := set.in.Slot(int(i))
 		copy(row[off:], r)
-		if err := e.emitProduct(g, sets, b+1, row, n*set.counts[i], emit); err != nil {
+		if err := e.emitProduct(g, sets, b+1, row, n*c, emit); err != nil {
 			return err
 		}
 	}
@@ -501,7 +503,7 @@ func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 			return genSet{}, err
 		}
 		if !v.Bool() {
-			s.addCombo(sub, func(l *genLeaf) *bucket { return l.null })
+			s.addCombo(sub, func(l *genLeaf) int32 { return l.null })
 		}
 	}
 	set, err := e.expand(sub, s.combos)
@@ -514,29 +516,29 @@ func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 
 // admit adds the key of Q's row u to the witnesses, once per distinct key.
 func (e *Evaluator) admit(sub *genSublink, u rel.Tuple, s *genScratch) error {
-	var lookupErr error
-	s.addCombo(sub, func(l *genLeaf) *bucket {
-		b, err := e.lookup(l.table, &l.keys, u, s.scope)
+	var findErr error
+	s.addCombo(sub, func(l *genLeaf) int32 {
+		b, err := e.find(l.index, &l.keys, u, s.scope)
 		if err != nil {
-			lookupErr = err
+			findErr = err
 		}
 		return b
 	})
-	return lookupErr
+	return findErr
 }
 
 // addCombo looks a key up leaf by leaf and records it unless a leaf has no
 // row with it or the key was recorded already.
-func (s *genScratch) addCombo(sub *genSublink, bucketOf func(*genLeaf) *bucket) {
+func (s *genScratch) addCombo(sub *genSublink, bucketOf func(*genLeaf) int32) {
 	start := len(s.combos)
 	id := 0
 	for _, l := range sub.leaves {
 		b := bucketOf(l)
-		if b == nil {
+		if b < 0 {
 			s.combos = s.combos[:start]
 			return
 		}
-		id += b.id * l.stride
+		id += int(b) * l.stride
 		s.combos = append(s.combos, b)
 	}
 	if _, dup := s.seen[id]; dup {
@@ -548,36 +550,45 @@ func (s *genScratch) addCombo(sub *genSublink, bucketOf func(*genLeaf) *bucket) 
 
 // expand turns the distinct keys into the block rows they select: a key's
 // rows are the product of its leaves' buckets. One key of a one-leaf block
-// is its bucket, shared; a block of several leaves materializes the
+// is its bucket's slots, shared; a block of several leaves materializes the
 // product, charged as resident state.
-func (e *Evaluator) expand(sub *genSublink, combos []*bucket) (genSet, error) {
-	var set genSet
+func (e *Evaluator) expand(sub *genSublink, combos []int32) (genSet, error) {
 	m := len(sub.leaves)
-	if m == 1 && len(combos) == 1 {
-		return genSet{rows: combos[0].tuples, counts: combos[0].counts}, nil
-	}
 	if m == 1 {
+		ix := sub.leaves[0].index
+		if len(combos) == 1 {
+			return genSet{in: ix.in, slots: ix.bucket(combos[0])}, nil
+		}
+		set := genSet{in: ix.in}
 		for _, b := range combos {
-			set.rows = append(set.rows, b.tuples...)
-			set.counts = append(set.counts, b.counts...)
+			set.slots = append(set.slots, ix.bucket(b)...)
 		}
 		return set, nil
 	}
+	sch := schema.Schema{}
+	for _, l := range sub.leaves {
+		sch = sch.Concat(l.index.in.Schema)
+	}
+	set := genSet{in: rel.New(sch)}
 	for c := 0; c < len(combos); c += m {
 		rows, counts := []rel.Tuple{nil}, []int{1}
-		for _, b := range combos[c : c+m] {
+		for k, b := range combos[c : c+m] {
+			ix := sub.leaves[k].index
 			var nextRows []rel.Tuple
 			var nextCounts []int
 			for i, r := range rows {
-				for j, bt := range b.tuples {
-					nextRows = append(nextRows, r.Concat(bt))
-					nextCounts = append(nextCounts, counts[i]*b.counts[j])
+				for _, j := range ix.bucket(b) {
+					t, n := ix.in.Slot(int(j))
+					nextRows = append(nextRows, r.Concat(t))
+					nextCounts = append(nextCounts, counts[i]*n)
 				}
 			}
 			rows, counts = nextRows, nextCounts
 		}
-		set.rows = append(set.rows, rows...)
-		set.counts = append(set.counts, counts...)
+		for i, r := range rows {
+			set.slots = append(set.slots, int32(set.in.Slots()))
+			set.in.Add(r, counts[i])
+		}
 	}
-	return set, e.charge(len(set.rows))
+	return set, e.charge(len(set.slots))
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // genDB is r(a, b) and s(c, d), with a duplicate row, an all-NULL row and
-// NULL correlation values in s.
+// NULL correlation values in s, and u(e, f), v(g, h) and w(x, y, z) for a
+// CrossBase block of two leaves.
 func genDB() *catalog.Catalog {
 	null := types.Null()
 	c := catalog.New()
@@ -21,7 +22,36 @@ func genDB() *catalog.Catalog {
 		ints(10, 1), ints(10, 2), ints(20, 1), rel.Tuple{null, types.NewInt(2)}, rel.Tuple{null, null}, ints(30, 4))
 	s.Add(ints(10, 1), 1)
 	c.Register("s", s)
+	c.Register("u", rel.FromTuples(schema.New("", "e", "f"),
+		ints(1, 10), ints(1, 11), ints(2, 12), rel.Tuple{null, types.NewInt(13)}))
+	c.Register("v", rel.FromTuples(schema.New("", "g", "h"),
+		ints(1, 20), ints(1, 21), ints(3, 22), rel.Tuple{null, types.NewInt(23)}))
+	c.Register("w", rel.FromTuples(schema.New("", "x", "y", "z"),
+		ints(1, 1, 0), ints(1, 1, 1), ints(2, 1, 2), ints(1, 3, 3), ints(2, 3, 4)))
 	return c
+}
+
+// twoLeaves builds a G1-shaped selection whose one sublink owns a block of
+// two CrossBase leaves, u and v, keyed on e and g:
+//
+//	σ[EXISTS(σ_{e =n x ∧ g =n y}(Q)) ∨ (¬EXISTS(Q) ∧ e IS NULL ∧ g IS NULL)](r × u × v),
+//	Q = σ_{y ≥ b}(w).
+//
+// Key 1 selects two rows of each leaf, so a key's rows are a product, and
+// the keys (2, 1) and (1, 3) differ only in which leaf's bucket is second:
+// numbering a key without the leaves' strides would merge them.
+func twoLeaves(t *testing.T, c *catalog.Catalog) algebra.Op {
+	q := func() algebra.Op {
+		return &algebra.Select{Child: scan(t, c, "w"), Cond: algebra.Cmp{Op: types.CmpGe, L: algebra.Attr("y"), R: algebra.Attr("b")}}
+	}
+	return &algebra.Select{
+		Child: &algebra.Cross{L: &algebra.Cross{L: scan(t, c, "r"), R: scan(t, c, "u")}, R: scan(t, c, "v")},
+		Cond: algebra.Or{
+			L: algebra.Sublink{Kind: algebra.ExistsSublink, Query: &algebra.Select{Child: q(), Cond: algebra.Conj(nullEq("e", "x"), nullEq("g", "y"))}},
+			R: algebra.Conj(algebra.Not{E: algebra.Sublink{Kind: algebra.ExistsSublink, Query: q()}},
+				algebra.IsNull{E: algebra.Attr("e")}, algebra.IsNull{E: algebra.Attr("g")}),
+		},
+	}
 }
 
 // g1Over builds a G1-shaped selection by hand: r × CB, CB = Π_{c→pc,
@@ -71,6 +101,7 @@ func TestGenerationMatchesLiteral(t *testing.T) {
 	}{
 		{"full key", g1Over(t, c, []algebra.Expr{positive, nullEq("pc", "x"), nullEq("pd", "y")}, "pc", "pd"), true},
 		{"shared keys", g1Over(t, c, []algebra.Expr{positive, nullEq("pc", "x")}, "pc"), true},
+		{"two leaves", twoLeaves(t, c), true},
 		{"no J", g1Over(t, c, []algebra.Expr{nullEq("pc", "x"), nullEq("pd", "y")}, "pc", "pd"), true},
 		// J after a key is evaluated only where the key matched.
 		{"J after a key", g1Over(t, c, []algebra.Expr{nullEq("pc", "x"), positive, nullEq("pd", "y")}, "pc", "pd"), false},

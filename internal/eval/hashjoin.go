@@ -9,12 +9,12 @@ import (
 // The executor runs equi-joins as hash joins, standing in for the hash join
 // operator of the PostgreSQL executor the paper's measurements depend on.
 // A join condition is decomposed into equi-key pairs (expressions over one
-// side each, compared with = or =n) and a residual condition; if no key
-// pairs exist the join falls back to a nested loop. Plain = keys never
-// match NULLs; =n keys do (the aggregation rewrite R5 and the set-operation
-// rewrites join on =n). The streaming executor's selection index (index.go)
-// splits its condition the same way and encodes its keys with the same
-// appendKey.
+// side each, compared with = or =n) and a residual condition. Plain = keys
+// never match NULLs; =n keys do (the aggregation rewrite R5 and the
+// set-operation rewrites join on =n). Every table the executor hashes is a
+// slotIndex over a relation's slots, built by buildIndex: the hash joins'
+// build sides, the streaming executor's selection indexes (index.go), whose
+// conditions split the same way, and Gen's CrossBase leaves (gen.go).
 
 // equiKeys is the decomposition of a condition into hash keys and a
 // residual: build rows are hashed on build, and each probe looks up the key
@@ -143,13 +143,13 @@ func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *
 }
 
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
-// using the extracted keys: it hashes r, then probes with every tuple of l.
+// using the extracted keys: it indexes r, then probes with every tuple of l.
 // The caller guarantees len(keys.probe) > 0.
 func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
 	sch := o.Schema()
 	rightWidth := r.Schema.Len()
 
-	table, err := e.buildTable(keys, r, outer)
+	ix, err := e.buildIndex(keys, r, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -161,26 +161,25 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 			return err
 		}
 		matched := false
-		b, err := e.lookup(table, keys, lt, outer)
+		b, err := e.find(ix, keys, lt, outer)
 		if err != nil {
 			return err
 		}
-		if b != nil {
-			for i, rt := range b.tuples {
-				row := lt.Concat(rt)
-				if keys.residual != nil {
-					keep, err := e.evalCond(keys.residual, row, outer)
-					if err != nil {
-						return err
-					}
-					if keep != types.True {
-						continue
-					}
-				}
-				matched = true
-				if err := e.add(out, row, ln*b.counts[i]); err != nil {
+		for _, i := range ix.bucket(b) {
+			rt, rn := r.Slot(int(i))
+			row := lt.Concat(rt)
+			if keys.residual != nil {
+				keep, err := e.evalCond(keys.residual, row, outer)
+				if err != nil {
 					return err
 				}
+				if keep != types.True {
+					continue
+				}
+			}
+			matched = true
+			if err := e.add(out, row, ln*rn); err != nil {
+				return err
 			}
 		}
 		if leftOuter && !matched {
@@ -194,62 +193,97 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 	return out, nil
 }
 
-// hashTable is the build side of a hash join or of Gen's CrossBase: the
-// build rows bucketed by the bytes of their key. It lives for one run and
-// is immutable once built.
-type hashTable map[string]*bucket
-
-// bucket holds the row groups of one key, in build order. id numbers the
-// buckets of a table from 0 in build order.
-type bucket struct {
-	id     int
-	tuples []rel.Tuple
-	counts []int
+// slotIndex is the executor's one hash structure: the slot numbers of one
+// relation grouped by the key of their build expressions, in slot order
+// within a group, its buckets numbered from 0 in order of first slot. The
+// group of bucket b is slots[start[b]:start[b+1]]. Hash joins and Gen's
+// CrossBase leaves keep one for a run; a selection index over a base
+// relation outlives its statement, at four bytes a slot and one map entry
+// a key. It is immutable once built.
+type slotIndex struct {
+	in      *rel.Relation
+	buckets map[string]int32
+	start   []int32
+	slots   []int32
 }
 
-// buildTable hashes the row groups of in on keys.build. A row whose plain-=
-// key is NULL can match nothing and is left out. Only a new key allocates:
-// the key bytes are built in a stack buffer.
-func (e *Evaluator) buildTable(keys *equiKeys, in *rel.Relation, outer []rel.Tuple) (hashTable, error) {
-	table := hashTable{}
-	err := in.Each(func(t rel.Tuple, n int) error {
+// buildIndex indexes the slots of in on keys.build. A slot whose plain-=
+// key is NULL can match nothing and is left out. With no build keys every
+// slot has the empty key, so the one bucket holds every slot. Only a new
+// key allocates in the loop: the key bytes are built in a stack buffer.
+func (e *Evaluator) buildIndex(keys *equiKeys, in *rel.Relation, outer []rel.Tuple) (*slotIndex, error) {
+	ix := &slotIndex{in: in, buckets: map[string]int32{}}
+	of := make([]int32, in.Slots()) // the bucket of each slot, -1 for none
+	var sizes []int32
+	for i := range of {
 		if err := e.tick(); err != nil {
-			return err
+			return nil, err
 		}
+		t, _ := in.Slot(i)
 		var buf [64]byte
 		key, ok, err := appendKey(buf[:0], keys.build, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
 			return e.evalExpr(x, t, outer)
 		})
-		if err != nil || !ok {
-			return err
+		if err != nil {
+			return nil, err
 		}
-		b := table[string(key)]
-		if b == nil {
-			b = &bucket{id: len(table)}
-			table[string(key)] = b
+		if !ok {
+			of[i] = -1
+			continue
 		}
-		b.tuples = append(b.tuples, t)
-		b.counts = append(b.counts, n)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		b, found := ix.buckets[string(key)]
+		if !found {
+			b = int32(len(sizes))
+			ix.buckets[string(key)] = b
+			sizes = append(sizes, 0)
+		}
+		of[i] = b
+		sizes[b]++
 	}
-	return table, nil
+	ix.start = make([]int32, len(sizes)+1)
+	for b, n := range sizes {
+		ix.start[b+1] = ix.start[b] + n
+	}
+	ix.slots = make([]int32, ix.start[len(sizes)])
+	next := sizes // reused: the next free position of each bucket
+	copy(next, ix.start)
+	for i, b := range of {
+		if b >= 0 {
+			ix.slots[next[b]] = int32(i)
+			next[b]++
+		}
+	}
+	return ix, nil
 }
 
-// lookup returns the bucket of the probe key keys.probe evaluates to over t,
-// or nil when nothing can match. The key is built in a stack buffer and the
-// lookup converts it without a copy, so a probe allocates no key.
-func (e *Evaluator) lookup(table hashTable, keys *equiKeys, t rel.Tuple, outer []rel.Tuple) (*bucket, error) {
+// find returns the number of the bucket whose key keys.probe evaluates to
+// over t, -1 when nothing can match. The key is built in a stack buffer and
+// converted for the lookup only, so a probe allocates nothing for it.
+func (e *Evaluator) find(ix *slotIndex, keys *equiKeys, t rel.Tuple, outer []rel.Tuple) (int32, error) {
 	var buf [64]byte
 	key, ok, err := appendKey(buf[:0], keys.probe, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
 		return e.evalExpr(x, t, outer)
 	})
 	if err != nil || !ok {
-		return nil, err
+		return -1, err
 	}
-	return table[string(key)], nil
+	return ix.number(key), nil
+}
+
+// number returns the number of the bucket whose key is key, -1 for none.
+func (ix *slotIndex) number(key []byte) int32 {
+	if b, ok := ix.buckets[string(key)]; ok {
+		return b
+	}
+	return -1
+}
+
+// bucket returns the slots of bucket b, nil for b < 0.
+func (ix *slotIndex) bucket(b int32) []int32 {
+	if b < 0 {
+		return nil
+	}
+	return ix.slots[ix.start[b]:ix.start[b+1]]
 }
 
 // appendKey appends the key of one row to dst: the encodings of the values

@@ -272,13 +272,11 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 		e.shared.indexes.put(o, binding, ix)
 	}
 	e.shared.indexProbes++
-	key, ok, err := appendKey(buf[:0], split.probe, split.nullEq, func(x algebra.Expr) (types.Value, error) {
-		return e.evalExpr(x, nil, outer)
-	})
-	if err != nil || !ok {
+	b, err := e.find(ix, &split.equiKeys, nil, outer)
+	if err != nil {
 		return true, err
 	}
-	for _, i := range ix.bucket(key) {
+	for _, i := range ix.bucket(b) {
 		if err := e.tick(); err != nil {
 			return true, err
 		}
@@ -336,75 +334,4 @@ func (e *Evaluator) selectIndex(o *algebra.Select, split *indexSplit, outer []re
 	}
 	e.shared.indexBuilds++
 	return base.Attach(split.shared, ix).(*slotIndex), nil
-}
-
-// slotIndex is a selection index: the slot numbers of one relation grouped
-// by the key of their build columns, in slot order within a group. The
-// group of bucket b is slots[start[b]:start[b+1]]. Four bytes a slot and
-// one map entry a key is what an index that outlives its statement keeps
-// resident; hash joins and Gen, whose tables die with the run, keep
-// hashTable. It is immutable once built.
-type slotIndex struct {
-	in      *rel.Relation
-	buckets map[string]int32
-	start   []int32
-	slots   []int32
-}
-
-// buildIndex indexes the slots of in on keys.build. A slot whose plain-=
-// key is NULL can match nothing and is left out. Only a new key allocates
-// in the loop: the key bytes are built in a stack buffer.
-func (e *Evaluator) buildIndex(keys *equiKeys, in *rel.Relation, outer []rel.Tuple) (*slotIndex, error) {
-	ix := &slotIndex{in: in, buckets: map[string]int32{}}
-	of := make([]int32, in.Slots()) // the bucket of each slot, -1 for none
-	var sizes []int32
-	for i := range of {
-		if err := e.tick(); err != nil {
-			return nil, err
-		}
-		t, _ := in.Slot(i)
-		var buf [64]byte
-		key, ok, err := appendKey(buf[:0], keys.build, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
-			return e.evalExpr(x, t, outer)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			of[i] = -1
-			continue
-		}
-		b, found := ix.buckets[string(key)]
-		if !found {
-			b = int32(len(sizes))
-			ix.buckets[string(key)] = b
-			sizes = append(sizes, 0)
-		}
-		of[i] = b
-		sizes[b]++
-	}
-	ix.start = make([]int32, len(sizes)+1)
-	for b, n := range sizes {
-		ix.start[b+1] = ix.start[b] + n
-	}
-	ix.slots = make([]int32, ix.start[len(sizes)])
-	next := sizes // reused: the next free position of each bucket
-	copy(next, ix.start)
-	for i, b := range of {
-		if b >= 0 {
-			ix.slots[next[b]] = int32(i)
-			next[b]++
-		}
-	}
-	return ix, nil
-}
-
-// bucket returns the slots whose build key is key, nil for none. The key is
-// converted for the lookup only, so a probe allocates nothing for it.
-func (ix *slotIndex) bucket(key []byte) []int32 {
-	b, ok := ix.buckets[string(key)]
-	if !ok {
-		return nil
-	}
-	return ix.slots[ix.start[b]:ix.start[b+1]]
 }

@@ -65,7 +65,7 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 	case *algebra.Project:
 		return e.streamProject(o, -1, outer, emit)
 	case *algebra.Cross:
-		return e.streamCross(o, outer, emit)
+		return e.streamJoin(o, o.L, o.R, nil, false, outer, emit)
 	case *algebra.Join:
 		return e.streamJoin(o, o.L, o.R, o.Cond, false, outer, emit)
 	case *algebra.LeftJoin:
@@ -136,92 +136,53 @@ func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tup
 	})
 }
 
-func (e *Evaluator) streamCross(o *algebra.Cross, outer []rel.Tuple, emit emitFn) error {
-	r, err := e.eval(o.R, outer) // build side: the only materialized state
-	if err != nil {
-		return err
-	}
-	return e.stream(o.L, outer, func(lt rel.Tuple, ln int) error {
-		return r.Each(func(rt rel.Tuple, rn int) error {
-			if err := e.tick(); err != nil {
-				return err
-			}
-			return emit(lt.Concat(rt), ln*rn)
-		})
-	})
-}
-
-// streamJoin runs l ⋈ r (or l ⟕ r) with r as the materialized build side
-// and l streaming through the probe. Equi-key conditions use a hash table;
-// everything else probes with a nested loop.
+// streamJoin runs l ⋈ r, l ⟕ r when leftOuter, and l × r as a join with no
+// condition, with r as the materialized build side and l streaming through.
+// The build side is bucketed on the condition's equi-keys; with none, its
+// one bucket holds every slot. A left row's candidates are its bucket,
+// filtered by the residual, every conjunct that is not a key, and a
+// left-outer row that keeps none is padded with NULLs.
 func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
-	rRel, err := e.eval(r, outer)
+	in, err := e.eval(r, outer)
 	if err != nil {
 		return err
 	}
-	rightWidth := rRel.Schema.Len()
-	keys := e.joinKeys(join, l, cond)
-	if len(keys.probe) > 0 {
-		return e.streamHashJoin(l, rRel, keys, leftOuter, outer, emit)
+	keys := &equiKeys{}
+	if cond != nil {
+		keys = e.joinKeys(join, l, cond)
 	}
-	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
-		matched := false
-		err := rRel.Each(func(rt rel.Tuple, rn int) error {
-			if err := e.tick(); err != nil {
-				return err
-			}
-			row := lt.Concat(rt)
-			keep, err := e.evalCond(cond, row, outer)
-			if err != nil {
-				return err
-			}
-			if keep == types.True {
-				matched = true
-				return emit(row, ln*rn)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if leftOuter && !matched {
-			return emit(lt.Concat(rel.Nulls(rightWidth)), ln)
-		}
-		return nil
-	})
-}
-
-func (e *Evaluator) streamHashJoin(l algebra.Op, rRel *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
-	table, err := e.buildTable(keys, rRel, outer)
+	ix, err := e.buildIndex(keys, in, outer)
 	if err != nil {
 		return err
 	}
-	rightWidth := rRel.Schema.Len()
+	rightWidth := in.Schema.Len()
 	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
-		matched := false
-		b, err := e.lookup(table, keys, lt, outer)
+		b, err := e.find(ix, keys, lt, outer)
 		if err != nil {
 			return err
 		}
-		if b != nil {
-			for i, rt := range b.tuples {
-				row := lt.Concat(rt)
-				if keys.residual != nil {
-					keep, err := e.evalCond(keys.residual, row, outer)
-					if err != nil {
-						return err
-					}
-					if keep != types.True {
-						continue
-					}
-				}
-				matched = true
-				if err := emit(row, ln*b.counts[i]); err != nil {
+		matched := false
+		for _, i := range ix.bucket(b) {
+			if err := e.tick(); err != nil {
+				return err
+			}
+			rt, rn := in.Slot(int(i))
+			row := lt.Concat(rt)
+			if keys.residual != nil {
+				keep, err := e.evalCond(keys.residual, row, outer)
+				if err != nil {
 					return err
 				}
+				if keep != types.True {
+					continue
+				}
+			}
+			matched = true
+			if err := emit(row, ln*rn); err != nil {
+				return err
 			}
 		}
 		if leftOuter && !matched {

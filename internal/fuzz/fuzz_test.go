@@ -76,11 +76,15 @@ func TestFuzzDifferential(t *testing.T) {
 		probed   int // queries whose streaming run probed a correlated index
 		genRan   int // queries with a sublink and a Gen rewrite
 		genDid   int // ... whose streaming run generated CrossBase witnesses
+		residual int // queries with a keyed join whose ON also has a residual
 		ran      int
 		wg       sync.WaitGroup
 	)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, q := range queries {
+		if joinResidual(q.Stmt) {
+			residual++
+		}
 		mu.Lock()
 		full := len(failures) >= 3 // enough evidence; stop collecting
 		mu.Unlock()
@@ -125,6 +129,12 @@ func TestFuzzDifferential(t *testing.T) {
 	if genDid == 0 {
 		t.Errorf("no Gen query generated CrossBase witnesses")
 	}
+	// And a keyed join's residual, which only the generator's second ON
+	// conjunct reaches.
+	t.Logf("%d of %d queries have a keyed join with a residual", residual, n)
+	if residual == 0 {
+		t.Errorf("no generated query has a keyed join with a residual")
+	}
 	for _, f := range failures {
 		min := Shrink(db, f.q, 200)
 		minErr := Check(db, min)
@@ -134,6 +144,24 @@ func TestFuzzDifferential(t *testing.T) {
 	if len(failures) == 0 {
 		t.Logf("%d queries, full differential matrix, zero disagreements", n)
 	}
+}
+
+// joinResidual reports a join anywhere in the statement whose ON is an
+// equality and a second comparison other than =: a key and a residual.
+func joinResidual(st *sql.Stmt) bool {
+	found := false
+	visitSelects(st, func(sel *sql.SelectStmt) {
+		for _, ref := range sel.From {
+			if ref.Join == nil {
+				continue
+			}
+			if on, ok := ref.Join.On.(sql.Binary); ok && on.Op == "AND" {
+				second, ok := on.R.(sql.Binary)
+				found = found || ok && second.Op != "="
+			}
+		}
+	})
+	return found
 }
 
 // stats is what the streaming executor did for one generated query.

@@ -520,45 +520,58 @@ func (g *Gen) genFromItem(depth int) (sql.TableRef, []scopeRel) {
 		alias := g.freshAlias()
 		return sql.TableRef{Sub: &sql.Stmt{Left: sub}, Alias: alias}, []scopeRel{{alias: alias, cols: cols}}
 	case roll < joinCut:
-		// Join of two base tables on a same-kind column equality.
+		// Join of two base tables on a same-kind column equality; about one
+		// in three adds a second comparison across the sides, which the
+		// executors run as a residual on each key's candidates unless it
+		// is a second =.
 		l, lrels := g.genBaseRef()
 		r, rrels := g.genBaseRef()
-		lc := lrels[0]
-		rc := rrels[0]
-		lcol := lc.cols[g.rng.intn(len(lc.cols))]
-		rcands := make([]fcol, 0, len(rc.cols))
-		for _, c := range rc.cols {
-			if c.kind == lcol.kind {
-				rcands = append(rcands, c)
+		lc, rc := lrels[0], rrels[0]
+		cmp := func(op string) sql.Expr {
+			lcol, rcol := g.pickPair(lc.cols, rc.cols)
+			return sql.Binary{
+				Op: op,
+				L:  sql.Ident{Qual: lc.alias, Name: lcol.name},
+				R:  sql.Ident{Qual: rc.alias, Name: rcol.name},
 			}
 		}
-		if len(rcands) == 0 {
-			// No kind-matching pair: fall back to the integer columns both
-			// tables are guaranteed to have.
-			for _, c := range lc.cols {
-				if c.kind == types.KindInt {
-					lcol = c
-					break
-				}
-			}
-			for _, c := range rc.cols {
-				if c.kind == types.KindInt {
-					rcands = append(rcands, c)
-				}
-			}
+		on := cmp("=")
+		if g.rng.chance(0.33) {
+			on = sql.Binary{Op: "AND", L: on, R: cmp(cmpOp(g.rng))}
 		}
-		rcol := rcands[g.rng.intn(len(rcands))]
-		on := sql.Expr(sql.Binary{
-			Op: "=",
-			L:  sql.Ident{Qual: lc.alias, Name: lcol.name},
-			R:  sql.Ident{Qual: rc.alias, Name: rcol.name},
-		})
 		return sql.TableRef{Join: &sql.JoinRef{
 			Left: l, Right: r, LeftOuter: g.rng.chance(0.35), On: on,
 		}}, append(lrels, rrels...)
 	default:
 		return g.genBaseRef()
 	}
+}
+
+// pickPair picks a column of l and a column of r of the same kind.
+func (g *Gen) pickPair(l, r []fcol) (fcol, fcol) {
+	lcol := l[g.rng.intn(len(l))]
+	rcands := make([]fcol, 0, len(r))
+	for _, c := range r {
+		if c.kind == lcol.kind {
+			rcands = append(rcands, c)
+		}
+	}
+	if len(rcands) == 0 {
+		// No kind-matching pair: fall back to the integer columns both
+		// tables are guaranteed to have.
+		for _, c := range l {
+			if c.kind == types.KindInt {
+				lcol = c
+				break
+			}
+		}
+		for _, c := range r {
+			if c.kind == types.KindInt {
+				rcands = append(rcands, c)
+			}
+		}
+	}
+	return lcol, rcands[g.rng.intn(len(rcands))]
 }
 
 func (g *Gen) genBaseRef() (sql.TableRef, []scopeRel) {

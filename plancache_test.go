@@ -177,8 +177,8 @@ func TestIndexPerRelationVersion(t *testing.T) {
 // warmed by a reference run first). It retained 45.6 KB, 22.8 bytes a row:
 // four bytes of slot number a row, and a map entry, a key string and a
 // start offset for each of the 492 distinct b, the map more than half of
-// it. The same index as a hashTable of tuple headers and counts, which hash
-// joins keep for one run, retained 147 KB. Each of three DBs is measured
+// it. The same index stored as a tuple header and a count per row, the
+// layout the index had before, retained 147 KB. Each of three DBs is measured
 // once and the least is compared, as a runtime thread started inside a
 // window only ever adds.
 func TestSharedIndexMemoryBudget(t *testing.T) {
