@@ -42,17 +42,30 @@ func TestAllocSlopes(t *testing.T) {
 		entry       string // the operator or probe the query exercises per row of r
 		query       string
 		materialize bool
-		gen         bool // rewrite with the Gen strategy
+		strategy    string // rewrite with this strategy, "" for none
 		ceiling     float64
 	}{
 		{entry: "streamSelect", query: `SELECT * FROM r WHERE b >= 10`, ceiling: 0.9},
 		{entry: "streamProject", query: `SELECT a + b, b FROM r`, ceiling: 1.1},
-		{entry: "streamJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, ceiling: 2.1},
+		// The projection above the join is the join's output map: one row
+		// a probe row, built once.
+		{entry: "streamJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, ceiling: 1.1},
 		{entry: "hashJoin", query: `SELECT r.a, s.c FROM r, s WHERE r.b = s.d`, materialize: true, ceiling: 2.1},
 		// r is the build side and s probes: one more row of r is one more
-		// key of the build's map, and matches nothing past a = 49.
-		{entry: "streamJoinBuild", query: `SELECT s.c, r.a FROM s, r WHERE s.d = r.a`, ceiling: 1.1},
+		// key of the build's map, and matches nothing past a = 49. Built
+		// over the bare scan, the table is attached to r in the first run,
+		// so the measured runs build nothing.
+		{entry: "streamJoinBuild", query: `SELECT s.c, r.a FROM s, r WHERE s.d = r.a`, ceiling: 0.1},
 		{entry: "hashJoinBuild", query: `SELECT s.c, r.a FROM s, r WHERE s.d = r.a`, materialize: true, ceiling: 1.1},
+		// The rewrite's build input: a pass-through projection of a
+		// selection over r, which the join reads as the selection's rows.
+		// A per-run build still allocates each new key of its map.
+		{entry: "streamJoinBuildProjected", query: `SELECT PROVENANCE s.c, r.a FROM s, r WHERE s.d = r.a AND r.b >= 0`, strategy: "Auto", ceiling: 1.1},
+		// All but 50 rows of r find no partner in s and are padded: one
+		// emitted row each.
+		{entry: "streamLeftJoinPad", query: `SELECT r.a, s.c FROM r LEFT JOIN s ON r.a = s.d`, ceiling: 1.1},
+		// Every row of r has one candidate, which the residual rejects.
+		{entry: "streamJoinRejected", query: `SELECT r.a, s.c FROM r JOIN s ON r.b = s.d AND r.a + s.c < 0`, ceiling: 0.1},
 		// Every row of r is a binding of its own, so each is an EXISTS memo
 		// miss whose selection over s is answered from the index.
 		{entry: "indexedProbe", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b AND c <> a)`, ceiling: 4.1},
@@ -63,19 +76,23 @@ func TestAllocSlopes(t *testing.T) {
 		// Gen's G1 selection, answered by generation. Under EXISTS the
 		// binding is b, so all but 50 rows of r reuse memoized witnesses;
 		// under ANY it is (a, b), so every row generates its own.
-		{entry: "generate", query: `SELECT PROVENANCE * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, gen: true, ceiling: 4.1},
-		{entry: "generateMiss", query: `SELECT PROVENANCE * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, gen: true, ceiling: 7.1},
+		{entry: "generate", query: `SELECT PROVENANCE * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 4.1},
+		{entry: "generateMiss", query: `SELECT PROVENANCE * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 7.1},
 	} {
 		t.Run(c.entry, func(t *testing.T) {
 			allocs := func(n int) float64 {
 				cat := slopeDB(n)
 				plan := compileOptimized(t, cat, c.query)
-				if c.gen {
+				if c.strategy != "" {
 					tr, err := sql.Compile(cat, c.query)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := rewrite.Rewrite(tr.Plan, rewrite.Gen)
+					strat, err := rewrite.ParseStrategy(c.strategy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := rewrite.Rewrite(tr.Plan, strat)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -17,7 +17,8 @@
 //     offset+n, and it keeps a top-(offset+n) heap instead (PostgreSQL's
 //     bounded sort);
 //   - aggregation: the per-group accumulator table;
-//   - hash-join and nested-loop builds: the materialized right input;
+//   - join builds: the right input, hashed (joinPlan below); a bare scan
+//     is read in place, anything else materialized;
 //   - intersection/difference: both inputs, and a count map over the right
 //     one that the left input's slots consume (a bag may hold one tuple in
 //     several slots; the map sums them);
@@ -48,9 +49,49 @@
 // resolved per row and evalExpr takes no schema. Package perm binds once per
 // compiled plan and runs it with EvalBound; Eval binds the plan it is given
 // first. The hash join's key split reads slots too: it is computed once per
-// join node and run, its right-side keys rebased onto the right tuple. Hash
-// keys are built in a stack buffer and looked up without a copy, so only a
-// new build key allocates.
+// join node and run, its left keys reading the tuple the join streams and
+// its right keys the tuple it builds, through the column maps of any
+// projection the streaming join folds off its inputs (below). Hash keys are
+// built in a stack buffer and looked up without a copy, so only a new build
+// key allocates.
+//
+// # Joins
+//
+// The streaming executor runs Join, LeftJoin and Cross through one loop
+// (streamJoin) over a physical form decided once per node and run and kept
+// in the run memo (joinPlan, hashjoin.go), so a correlated call of a join
+// allocates nothing for it:
+//
+//   - Inputs: an input that is a pass-through bag projection over stored
+//     rows — a Scan, or selections over one, as the rewrite wraps every
+//     base access (a, b, a→prov_a, b→prov_b) — is folded away, and the
+//     join reads the stored tuples through a column map. An input that
+//     builds its rows (a join, an aggregate) is read as it is: folded, it
+//     would build wider rows.
+//   - Keys: splitEquiJoin's split of the condition, its keys mapped
+//     through the column maps. The residual reads the join's own row,
+//     which the loop fills in one scratch row per call, its left half once
+//     per left row and its right half per candidate, so a rejected
+//     candidate allocates nothing.
+//   - Output: the join's own row, or the pass-through bag projection
+//     directly above the join, which streamProject hands to the join
+//     instead of copying each row again. Each emitted row is built once,
+//     from the two tuples; a left join's NULL pad is built once per node
+//     and run.
+//   - Build: a right input that is a bare Scan keyed on columns is hashed
+//     into the table a correlated selection on the same columns attaches
+//     to the relation (below): same name, same table, built by whichever
+//     asks first. Any other right input is materialized and hashed for
+//     the run. A scan read in place of a projection folded off it is
+//     charged one row a slot, as the projection's materialized rows were,
+//     so the row budget and PeakRows do not depend on the fold; a scan the
+//     plan builds as it is charges nothing, as a view of a base relation
+//     does not.
+//
+// The materializing reference keeps its own join loops (evalJoin,
+// evalLeftJoin, evalCross, hashJoin), which build the concatenated row
+// before the residual decides and never fold or attach: it is the oracle
+// the fold is checked against.
 //
 // # Sublink probes, early termination and caching
 //
@@ -77,10 +118,10 @@
 // one evaluation instead of re-executing the subplan once per outer tuple.
 // The key is built in a stack buffer, so a memo hit allocates nothing for
 // it. Every piece of run state is such a memo (memo.go), keyed by plan node
-// and binding: bags, verdicts, hashed sets, join splits, selection plans,
+// and binding: bags, verdicts, hashed sets, join splits and plans, selection plans,
 // indexes and Gen's witnesses. An uncorrelated subplan, and a decision made
 // once per node, has the empty binding. The one state that outlives a run
-// is a selection index over a base relation, below.
+// is a table over a base relation, below.
 //
 // A memo miss still runs the inner query, and a correlated one filters its
 // input anew for every binding. In the streaming executor a selection under
@@ -110,9 +151,13 @@
 //     and an INSERT pays for nothing.
 //   - How long it lives: an input that is a bare scan keyed on columns is
 //     indexed once per relation version. The index is attached to the
-//     catalog's *rel.Relation (rel.Relation.Attach), keyed by the sorted
-//     columns and the =/=n of each key, and every later statement in any
-//     session that reads that version probes it. A relation a DB returns
+//     catalog's *rel.Relation (rel.Relation.Attach, through baseIndex),
+//     keyed by the sorted columns and the =/=n of each key, and every later
+//     statement in any session that reads that version probes it. A join
+//     whose build side is a bare scan keyed on columns hashes it into the
+//     same table under the same name, so a cached plan over an unchanged
+//     relation builds nothing, and a join and a selection share what
+//     either built. A relation a DB returns
 //     is never mutated, and INSERT publishes a new one, so the index dies
 //     with its version and needs no invalidation or eviction. A build that
 //     fails or is cancelled is not attached, a concurrent twin build is
@@ -120,16 +165,16 @@
 //     at most eight attached indexes; past that, and for any other input
 //     (one that reads enclosing scopes, computes its keys, keys a column
 //     twice or is not a scan), the index is built once per run and binding
-//     of its free slots.
-//   - What it is charged: nothing over a base relation, like a hash-join
-//     build; one row per row group for an input that had to be
-//     materialized. An attached index is live heap that no run accounts:
+//     of its free slots, as a join's table is built once per run.
+//   - What it is charged: nothing over a base relation, like a join's
+//     build over a bare scan; one row per row group for an input that had
+//     to be materialized. An attached index is live heap that no run accounts:
 //     4 bytes a slot and one map entry a distinct key (root
 //     TestSharedIndexMemoryBudget), at most eight of them a relation.
 //   - Streaming only: the materializing reference keeps the literal filter
 //     and is the differential oracle. Stats.IndexBuilds counts the indexes
 //     the run built, and IndexProbes the calls answered from an index,
-//     built or found attached.
+//     built or found attached; a join's table counts in neither.
 //
 // # Generating Gen's CrossBase witnesses
 //
@@ -188,12 +233,17 @@
 // # Per-row allocations
 //
 // TestAllocSlopes measures the per-row paths: the streaming selection and
-// projection, the probe and the build of a hash join on either executor,
+// projection, the probe and the build of a hash join on either executor —
+// on the streaming one also a build over the rewrite's projection of a
+// selection, a left join's padded rows and candidates a residual rejects —
 // the sublink probes (probeExists, probeScalar, quantify over a memoized
 // bag, hashedAny, a probe answered from a correlated index) and generation,
 // on a memoized binding and on a new one. It runs one query per path over
 // two input sizes and pins the allocations one more input row costs under a
-// ceiling.
-// A change that adds a per-row allocation fails it; one that removes an
-// allocation lowers the ceiling.
+// ceiling. A streaming join allocates one row per emitted row and nothing
+// per rejected candidate; its build allocates nothing a row over an
+// attached table and one map key per new key over any other input. The
+// reference's joins still pay a concatenated row per candidate and a
+// projected row above. A change that adds a per-row allocation fails it;
+// one that removes an allocation lowers the ceiling.
 package eval

@@ -14,8 +14,9 @@ import (
 // DB is the relation resolver the executor reads base relations from.
 // *catalog.Catalog and catalog.Snapshot implement it. A relation a DB
 // returns is never mutated: a new version of a relation is a new pointer.
-// The streaming executor relies on it to attach the indexes of correlated
-// selections to the relation they index (see index.go).
+// The streaming executor relies on it to attach the hash tables of
+// correlated selections and joins to the relation they index (see
+// index.go).
 type DB interface {
 	Relation(name string) (*rel.Relation, error)
 }
@@ -123,8 +124,9 @@ type Stats struct {
 	// IndexBuilds counts the indexes the streaming executor built for
 	// selections under enclosing scopes, and IndexProbes the calls of such
 	// selections answered from one (see index.go). An index this run found
-	// attached to a base relation counts in IndexProbes only. Both are 0
-	// under the materializing executor.
+	// attached to a base relation counts in IndexProbes only, and a join's
+	// table, attached or not, in neither. Both are 0 under the
+	// materializing executor.
 	IndexBuilds, IndexProbes int64
 	// Generated counts the input rows of selections the streaming executor
 	// answered by generating their CrossBase witnesses instead of

@@ -130,8 +130,8 @@ func rebase(e algebra.Expr, lw int) algebra.Expr {
 	})
 }
 
-// joinKeys returns the equi-join split of a join node's condition, computed
-// once per node and run.
+// joinKeys returns the equi-join split of a join node's condition for the
+// materializing executor, computed once per node and run.
 func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *equiKeys {
 	keys, ok := e.shared.joins.get(join, nil)
 	if !ok {
@@ -140,6 +140,214 @@ func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *
 		e.shared.joins.put(join, nil, keys)
 	}
 	return keys
+}
+
+// joinPlan is the physical form of one streaming join (streamJoin): the
+// inputs it reads, its key split and the rows it emits.
+type joinPlan struct {
+	// l streams and r is built. A pass-through bag projection over stored
+	// rows (a Scan, or selections over one) is folded away, so the join
+	// reads the stored tuples: column i of the join's left input is column
+	// lmap[i] of an l tuple, and column i of its right input column
+	// rmap[i] of an r tuple.
+	l, r       algebra.Op
+	lmap, rmap []int32
+	leftOuter  bool
+	// keys is splitEquiJoin's split of the condition, its keys mapped onto
+	// the l and r tuples. The residual reads the join's own row, which
+	// streamJoin fills in a scratch row per candidate.
+	keys equiKeys
+	// shared names the table attached to r's relation (sharedKey) when r
+	// is a bare Scan keyed on columns, "" otherwise. chargeR is set when r
+	// is a Scan a projection was folded off.
+	shared  string
+	chargeR bool
+	// out is the emitted row: the join's own row, or the pass-through bag
+	// projection above the join. Column j is column out[j] of the l tuple
+	// below lw, and column out[j]−lw of the r tuple from lw on. pad is the
+	// r tuple of a left-outer row that keeps no candidate: all NULL.
+	out []int32
+	lw  int32
+	pad rel.Tuple
+}
+
+// joinPlan returns the physical form of top, a join or a bag projection
+// over one, decided once per node and run; nil for a projection that does
+// not pass its input's columns through. A projection that does is the
+// join's output map, so its rows are built once, by the join.
+func (e *Evaluator) joinPlan(top algebra.Op) *joinPlan {
+	if p, ok := e.shared.joinPlans.get(top, nil); ok {
+		return p
+	}
+	join, fused := top, false
+	var through []int32 // the columns of the join a projection above reads
+	if proj, ok := top.(*algebra.Project); ok {
+		if through, fused = passThrough(proj); !fused {
+			e.shared.joinPlans.put(top, nil, nil)
+			return nil
+		}
+		join = proj.Child
+	}
+	p := &joinPlan{}
+	var l, r algebra.Op
+	var cond algebra.Expr
+	switch o := join.(type) {
+	case *algebra.Cross:
+		l, r = o.L, o.R
+	case *algebra.Join:
+		l, r, cond = o.L, o.R, o.Cond
+	case *algebra.LeftJoin:
+		l, r, cond, p.leftOuter = o.L, o.R, o.Cond, true
+	}
+	p.l, p.lmap = foldStored(l)
+	p.r, p.rmap = foldStored(r)
+	_, bare := p.r.(*algebra.Scan)
+	p.chargeR = bare && p.r != r
+	if cond != nil {
+		p.keys = splitEquiJoin(cond, len(p.lmap))
+		if p.l != l {
+			mapRefs(p.keys.probe, p.lmap)
+		}
+		if p.r != r {
+			mapRefs(p.keys.build, p.rmap)
+		}
+	}
+	if bare && len(p.keys.build) > 0 {
+		p.shared = sharedKey(&p.keys)
+	}
+	p.lw = int32(p.l.Schema().Len())
+	col := func(i int32) int32 {
+		if int(i) < len(p.lmap) {
+			return p.lmap[i]
+		}
+		return p.lw + p.rmap[int(i)-len(p.lmap)]
+	}
+	if fused {
+		p.out = make([]int32, len(through))
+		for j, c := range through {
+			p.out[j] = col(c)
+		}
+	} else {
+		p.out = make([]int32, len(p.lmap)+len(p.rmap))
+		for i := range p.out {
+			p.out[i] = col(int32(i))
+		}
+	}
+	if p.leftOuter {
+		p.pad = rel.Nulls(p.r.Schema().Len())
+	}
+	e.shared.joinPlans.put(top, nil, p)
+	return p
+}
+
+// passThrough returns the input column each column of a bag projection
+// reads, and false when a column is not a plain reference to its input or
+// the projection is DISTINCT.
+func passThrough(p *algebra.Project) ([]int32, bool) {
+	if p.Distinct {
+		return nil, false
+	}
+	cols := make([]int32, len(p.Cols))
+	for i, c := range p.Cols {
+		r, ok := c.E.(algebra.Ref)
+		if !ok || r.Depth != 0 {
+			return nil, false
+		}
+		cols[i] = r.Idx
+	}
+	return cols, true
+}
+
+// foldStored returns the input a join reads for in, and the column of its
+// tuples each column of in reads. A pass-through bag projection over
+// stored rows (a Scan, or selections over one, which emit the scan's
+// tuples) is folded to its input. Any other input is read as it is: an
+// input that builds its rows, folded, would build wider ones.
+func foldStored(in algebra.Op) (algebra.Op, []int32) {
+	if p, ok := in.(*algebra.Project); ok {
+		if cols, ok := passThrough(p); ok && stored(p.Child) {
+			return p.Child, cols
+		}
+	}
+	cols := make([]int32, in.Schema().Len())
+	for i := range cols {
+		cols[i] = int32(i)
+	}
+	return in, cols
+}
+
+// stored reports whether op emits the tuples of a base relation: a Scan,
+// or selections over one.
+func stored(op algebra.Op) bool {
+	for {
+		switch o := op.(type) {
+		case *algebra.Scan:
+			return true
+		case *algebra.Select:
+			op = o.Child
+		default:
+			return false
+		}
+	}
+}
+
+// mapRefs maps the slots of key expressions, which read one input of a
+// join, onto the tuples that input is read from.
+func mapRefs(keys []algebra.Expr, cols []int32) {
+	for i, k := range keys {
+		keys[i] = algebra.MapExpr(k, func(x algebra.Expr) algebra.Expr {
+			if r, ok := x.(algebra.Ref); ok && r.Depth == 0 {
+				r.Idx = cols[r.Idx]
+				return r
+			}
+			return x
+		})
+	}
+}
+
+// row builds the emitted row of an l tuple and an r tuple.
+func (p *joinPlan) row(lt, rt rel.Tuple) rel.Tuple {
+	row := make(rel.Tuple, len(p.out))
+	for j, c := range p.out {
+		if c < p.lw {
+			row[j] = lt[c]
+		} else {
+			row[j] = rt[c-p.lw]
+		}
+	}
+	return row
+}
+
+// joinBuild returns the table a join's r is built into. Over a bare Scan
+// keyed on columns it is the table attached to the scan's relation, built
+// on first use and shared with every later run, as a correlated
+// selection's index is (baseIndex). Any other r is materialized by eval,
+// which charges what it materializes, and built for this run. A scan read
+// in place of the projection folded off it is charged one row a slot, as
+// that projection's materialized rows were, so the row budget and PeakRows
+// do not depend on the fold; a scan the plan builds as it is charges
+// nothing, as a view of a base relation does not.
+func (e *Evaluator) joinBuild(p *joinPlan, outer []rel.Tuple) (*slotIndex, error) {
+	var in *rel.Relation
+	var err error
+	if p.shared != "" {
+		in, err = e.db.Relation(p.r.(*algebra.Scan).Name)
+	} else {
+		in, err = e.eval(p.r, outer)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p.chargeR {
+		if err := e.charge(in.Slots()); err != nil {
+			return nil, err
+		}
+	}
+	if p.shared != "" {
+		ix, _, err := e.baseIndex(in, p.shared, &p.keys)
+		return ix, err
+	}
+	return e.buildIndex(&p.keys, in, outer)
 }
 
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)

@@ -298,40 +298,53 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 }
 
 // selectIndex returns the index of a selection's input under the binding
-// of outer. An index over a bare scan's relation is attached to that
-// relation version (the catalog's pointer, not the scan's view) and shared
-// by every later run that reads it, in any statement or session; two
-// statements that build it at once publish the first and discard the
-// second. A build that fails or is cancelled returns before it publishes,
-// and one over a relation that holds rel's cap of attached values serves
-// this run alone. Stats.IndexBuilds counts the indexes this run built: a
-// hit on an attached one counts only in IndexProbes. Any other input is built for this run
-// alone and charged like a hash-join build, by eval: one row per row group
-// of an input that had to be materialized.
+// of outer. An index over a bare scan's relation is the table baseIndex
+// attaches to that relation version, shared by every later run that reads
+// it. Stats.IndexBuilds counts the indexes this run built: a hit on an
+// attached one counts only in IndexProbes. Any other input is built for
+// this run alone and charged like a hash-join build, by eval: one row per
+// row group of an input that had to be materialized.
 func (e *Evaluator) selectIndex(o *algebra.Select, split *indexSplit, outer []rel.Tuple) (*slotIndex, error) {
-	if split.shared == "" {
-		in, err := e.eval(o.Child, outer)
+	if split.shared != "" {
+		base, err := e.db.Relation(o.Child.(*algebra.Scan).Name)
 		if err != nil {
 			return nil, err
 		}
-		ix, err := e.buildIndex(&split.equiKeys, in, outer)
-		if err != nil {
-			return nil, err
+		ix, built, err := e.baseIndex(base, split.shared, &split.equiKeys)
+		if built {
+			e.shared.indexBuilds++
 		}
-		e.shared.indexBuilds++
-		return ix, nil
+		return ix, err
 	}
-	base, err := e.db.Relation(o.Child.(*algebra.Scan).Name)
+	in, err := e.eval(o.Child, outer)
 	if err != nil {
 		return nil, err
 	}
-	if ix, ok := base.Attached(split.shared).(*slotIndex); ok {
-		return ix, nil
-	}
-	ix, err := e.buildIndex(&split.equiKeys, base, nil)
+	ix, err := e.buildIndex(&split.equiKeys, in, outer)
 	if err != nil {
 		return nil, err
 	}
 	e.shared.indexBuilds++
-	return base.Attach(split.shared, ix).(*slotIndex), nil
+	return ix, nil
+}
+
+// baseIndex returns the table of a base relation (the catalog's pointer,
+// not a scan's view) hashed on keys.build, column references named by key
+// (sharedKey), and reports whether this call built it. The table is
+// attached to that relation version and shared by every run that reads
+// it, in any statement or session, whether a correlated selection or a
+// join's build side asks for it: the same columns name the same table. Two
+// runs that build it at once publish the first and discard the second. A
+// build that fails or is cancelled returns before it publishes, and one
+// over a relation that holds rel's cap of attached values serves this run
+// alone.
+func (e *Evaluator) baseIndex(base *rel.Relation, key string, keys *equiKeys) (*slotIndex, bool, error) {
+	if ix, ok := base.Attached(key).(*slotIndex); ok {
+		return ix, false, nil
+	}
+	ix, err := e.buildIndex(keys, base, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	return base.Attach(key, ix).(*slotIndex), true, nil
 }

@@ -153,3 +153,91 @@ func TestSplitSelectDeclines(t *testing.T) {
 		})
 	}
 }
+
+// TestJoinSharesIndex: a join whose build side is a bare scan keyed on
+// columns hashes it into the table a correlated selection on the same
+// columns attaches, under the same name. The first run attaches it, a
+// correlated selection then probes it without a build, a second run of the
+// join builds nothing, and a new version of the relation is built again
+// and answers with its new row.
+func TestJoinSharesIndex(t *testing.T) {
+	attr := algebra.Attr
+	catalogOf := func(n int) *catalog.Catalog {
+		c := catalog.New()
+		r := rel.New(schema.New("", "a", "b"))
+		for i := range n {
+			r.Add(ints(int64(i), int64(i)), 1)
+		}
+		c.Register("r", r)
+		c.Register("s", rel.FromTuples(schema.New("", "c", "d"), ints(10, 1), ints(20, 2), ints(30, 7)))
+		return c
+	}
+	join := func(c *catalog.Catalog) algebra.Op {
+		return algebra.NewProject(&algebra.Join{L: scan(t, c, "s"), R: scan(t, c, "r"),
+			Cond: algebra.Cmp{Op: types.CmpEq, L: attr("d"), R: attr("b")}}, algebra.KeepCol("c"), algebra.KeepCol("a"))
+	}
+	c := catalogOf(20)
+	base, err := c.Relation("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := evalIndexed(t, c, join(c))
+	if want.Card() != 3 {
+		t.Fatalf("the join returns %d rows, want 3", want.Card())
+	}
+
+	// σ[EXISTS (Π_a(σ[b = d](r)))](s): a correlated selection on r.b.
+	sub := algebra.NewProject(&algebra.Select{Child: scan(t, c, "r"),
+		Cond: algebra.Cmp{Op: types.CmpEq, L: attr("b"), R: attr("d")}}, algebra.KeepCol("a"))
+	sel := &algebra.Select{Child: scan(t, c, "s"), Cond: algebra.Sublink{Kind: algebra.ExistsSublink, Query: sub}}
+	bound, err := algebra.Bind(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := splitSelect(bound.(*algebra.Select).Cond.(algebra.Sublink).Query.(*algebra.Project).Child.(*algebra.Select))
+	if split == nil || split.shared == "" {
+		t.Fatalf("the selection over r is not indexed on a shared key: %+v", split)
+	}
+	table, ok := base.Attached(split.shared).(*slotIndex)
+	if !ok {
+		t.Fatalf("nothing attached to r under %q after the join", split.shared)
+	}
+	if _, st := evalIndexed(t, c, sel); st.IndexBuilds != 0 || st.IndexProbes == 0 {
+		t.Errorf("selection stats %+v, want no build and a probe of the join's table", st)
+	}
+	if base.Attached(split.shared) != table {
+		t.Errorf("the selection replaced the join's table")
+	}
+
+	if !raceDetector {
+		// A run on an attached table allocates the same whatever the size
+		// of r: nothing a build row.
+		allocs := func(n int) float64 {
+			c := catalogOf(n)
+			op, err := algebra.Bind(join(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := New(c)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := ev.EvalBound(op); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(500), allocs(1000); large > small {
+			t.Errorf("a second run allocates %.0f over 500 rows of r and %.0f over 1000", small, large)
+		}
+	}
+
+	next := base.Clone(1)
+	next.Add(ints(99, 7), 1)
+	c.RegisterWithKinds("r", next, nil)
+	got, _ := evalIndexed(t, c, join(c))
+	if got.Count(ints(30, 99)) != 1 || got.Card() != 4 {
+		t.Errorf("the new version's join returns %s, want the rows before and (30, 99)", got)
+	}
+	if nt, ok := next.Attached(split.shared).(*slotIndex); !ok || nt == table {
+		t.Errorf("the new version is not built a table of its own")
+	}
+}

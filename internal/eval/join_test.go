@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -11,13 +12,9 @@ import (
 	"perm/internal/types"
 )
 
-// TestKeyedJoinResidual runs keyed joins whose residual rejects candidates
-// on both executors against bags written out by hand. r(a, b) probes s(c,
-// d), whose slot (2, 1) has multiplicity 2 and whose d holds a NULL. On
-// b = d AND c > a, r's (5, 1) keeps one of its two candidates, (2, 2) keeps
-// none and (3, NULL) has none; a left join pads the last two, and only
-// those, with NULLs.
-func TestKeyedJoinResidual(t *testing.T) {
+// keyedJoinDB is r(a, b) and s(c, d) of the keyed join tests: s's slot
+// (2, 1) has multiplicity 2, and both b and d hold a NULL.
+func keyedJoinDB() *catalog.Catalog {
 	null := types.Null()
 	c := catalog.New()
 	c.Register("r", rel.FromTuples(schema.New("", "a", "b"),
@@ -29,7 +26,18 @@ func TestKeyedJoinResidual(t *testing.T) {
 	s.Add(rel.Tuple{types.NewInt(7), null}, 1)
 	s.Add(ints(9, 3), 1)
 	c.Register("s", s)
+	return c
+}
 
+// TestKeyedJoinResidual runs keyed joins whose residual rejects candidates
+// on both executors against bags written out by hand. r(a, b) probes s(c,
+// d), whose slot (2, 1) has multiplicity 2 and whose d holds a NULL. On
+// b = d AND c > a, r's (5, 1) keeps one of its two candidates, (2, 2) keeps
+// none and (3, NULL) has none; a left join pads the last two, and only
+// those, with NULLs.
+func TestKeyedJoinResidual(t *testing.T) {
+	null := types.Null()
+	c := keyedJoinDB()
 	attr := algebra.Attr
 	gt := algebra.Cmp{Op: types.CmpGt, L: attr("c"), R: attr("a")}
 	eq := algebra.Cmp{Op: types.CmpEq, L: attr("b"), R: attr("d")}
@@ -86,5 +94,105 @@ func TestKeyedJoinResidual(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJoinFold runs joins whose inputs are the rewrite's pass-through
+// projections over stored rows, which the streaming join reads as the
+// stored tuples through column maps, on both executors. Each side's
+// projection reorders and duplicates its columns differently, so a join
+// that read a column through the wrong map would differ from the
+// reference. The residual reads duplicated columns, and a projection above
+// the join, which the join builds, drops and reorders them.
+func TestJoinFold(t *testing.T) {
+	c := keyedJoinDB()
+	attr := algebra.Attr
+	// r's columns become (b, a, prov_r_a, prov_r_b), s's (c, d, prov_s_d,
+	// prov_s_c).
+	wrapR := func(in algebra.Op) algebra.Op {
+		return algebra.NewProject(in, algebra.KeepCol("b"), algebra.KeepCol("a"),
+			algebra.Col(attr("a"), "prov_r_a"), algebra.Col(attr("b"), "prov_r_b"))
+	}
+	wrapS := func(in algebra.Op) algebra.Op {
+		return algebra.NewProject(in, algebra.KeepCol("c"), algebra.KeepCol("d"),
+			algebra.Col(attr("d"), "prov_s_d"), algebra.Col(attr("c"), "prov_s_c"))
+	}
+	inputs := []struct {
+		name string
+		r, s func() algebra.Op
+	}{
+		{"scan", func() algebra.Op { return scan(t, c, "r") }, func() algebra.Op { return scan(t, c, "s") }},
+		{"selection", func() algebra.Op {
+			return &algebra.Select{Child: scan(t, c, "r"), Cond: algebra.Cmp{Op: types.CmpNe, L: attr("a"), R: algebra.IntConst(4)}}
+		}, func() algebra.Op {
+			return &algebra.Select{Child: scan(t, c, "s"), Cond: algebra.Cmp{Op: types.CmpNe, L: attr("c"), R: algebra.IntConst(6)}}
+		}},
+	}
+	key := algebra.Cmp{Op: types.CmpEq, L: attr("prov_r_b"), R: attr("d")}
+	residual := algebra.Cmp{Op: types.CmpGt, L: attr("prov_s_c"), R: attr("prov_r_a")}
+	// 1 / (c − 2) raises on s's (2, 1), a candidate of r's b = 1.
+	raises := algebra.Cmp{Op: types.CmpGt, R: algebra.IntConst(0), L: algebra.Arith{Op: types.OpDiv,
+		L: algebra.IntConst(1), R: algebra.Arith{Op: types.OpSub, L: attr("prov_s_c"), R: algebra.IntConst(2)}}}
+	inner := func(l, r algebra.Op, cond algebra.Expr) algebra.Op { return &algebra.Join{L: l, R: r, Cond: cond} }
+	left := func(l, r algebra.Op, cond algebra.Expr) algebra.Op { return &algebra.LeftJoin{L: l, R: r, Cond: cond} }
+	joins := []struct {
+		name   string
+		cond   algebra.Expr
+		join   func(l, r algebra.Op, cond algebra.Expr) algebra.Op
+		raises bool
+	}{
+		{"inner", algebra.Conj(key, residual), inner, false},
+		{"left", algebra.Conj(key, residual), left, false},
+		{"cross", nil, func(l, r algebra.Op, _ algebra.Expr) algebra.Op { return &algebra.Cross{L: l, R: r} }, false},
+		{"inner, raising residual", algebra.Conj(key, raises), inner, true},
+		{"left, raising residual", algebra.Conj(key, raises), left, true},
+	}
+	for _, in := range inputs {
+		for _, j := range joins {
+			for _, above := range []bool{false, true} {
+				name := in.name + ", " + j.name
+				if above {
+					name += ", projection above"
+				}
+				t.Run(name, func(t *testing.T) {
+					op := j.join(wrapR(in.r()), wrapS(in.s()), j.cond)
+					if above {
+						op = algebra.NewProject(op, algebra.KeepCol("prov_s_c"), algebra.KeepCol("a"),
+							algebra.KeepCol("d"), algebra.Col(attr("prov_r_b"), "b2"))
+					}
+					ref := New(c)
+					ref.DisableStreaming = true
+					want, wantErr := ref.Eval(op)
+					ev := New(c)
+					got, err := ev.Eval(op)
+					switch {
+					case j.raises || wantErr != nil || err != nil:
+						if !j.raises || !errors.Is(wantErr, types.ErrDivisionByZero) || err == nil || err.Error() != wantErr.Error() {
+							t.Fatalf("streaming error %v, reference error %v", err, wantErr)
+						}
+					case !got.Equal(want):
+						t.Errorf("streaming %s, reference %s", got, want)
+					case want.Empty():
+						t.Errorf("the reference returns no row")
+					}
+					fused := false
+					for k, p := range ev.shared.joinPlans.m {
+						if p == nil {
+							continue
+						}
+						if _, ok := p.l.(*algebra.Project); ok {
+							t.Errorf("the join streams its left input's projection %s", p.l)
+						}
+						if _, ok := p.r.(*algebra.Project); ok {
+							t.Errorf("the join builds its right input's projection %s", p.r)
+						}
+						_, fused = k.node.(*algebra.Project)
+					}
+					if fused != above {
+						t.Errorf("projection above built by the join: %v, want %v", fused, above)
+					}
+				})
+			}
+		}
 	}
 }

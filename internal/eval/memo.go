@@ -27,11 +27,14 @@ type runShared struct {
 	// the memoizable result.
 	exists  memo[algebra.Op, bool]
 	scalars memo[algebra.Op, types.Value]
-	// joins holds the equi-join split of each join node's condition, and
-	// selects the plan of each selection: generation, an index, or the
-	// literal filter.
-	joins   memo[algebra.Op, *equiKeys]
-	selects memo[*algebra.Select, *selectPlan]
+	// joins holds the equi-join split of each join node's condition for
+	// the materializing executor, and joinPlans the streaming executor's
+	// physical form of each join and of each bag projection over one (nil
+	// for a projection the join cannot build). selects holds the plan of
+	// each selection: generation, an index, or the literal filter.
+	joins     memo[algebra.Op, *equiKeys]
+	joinPlans memo[algebra.Op, *joinPlan]
+	selects   memo[*algebra.Select, *selectPlan]
 	// indexes holds the indexes of those selections per binding of the
 	// input's free slots, built by this run or found attached to a base
 	// relation. A nil index marks a binding seen once, whose call ran the

@@ -64,12 +64,8 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 		return e.streamSelect(o, outer, emit)
 	case *algebra.Project:
 		return e.streamProject(o, -1, outer, emit)
-	case *algebra.Cross:
-		return e.streamJoin(o, o.L, o.R, nil, false, outer, emit)
-	case *algebra.Join:
-		return e.streamJoin(o, o.L, o.R, o.Cond, false, outer, emit)
-	case *algebra.LeftJoin:
-		return e.streamJoin(o, o.L, o.R, o.Cond, true, outer, emit)
+	case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
+		return e.streamJoin(e.joinPlan(op), outer, emit)
 	case *algebra.Aggregate:
 		return e.streamAggregate(o, outer, emit)
 	case *algebra.SetOp:
@@ -108,8 +104,16 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emit
 }
 
 // streamProject projects its input's rows, of which a consumer reads at
-// most the first bound (see streamBounded).
+// most the first bound (see streamBounded). A projection over a join that
+// passes its input's columns through is the join's output map: the join
+// builds its rows.
 func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tuple, emit emitFn) error {
+	switch o.Child.(type) {
+	case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
+		if p := e.joinPlan(o); p != nil {
+			return e.streamJoin(p, outer, emit)
+		}
+	}
 	if o.Distinct {
 		emit = e.dedupEmit(emit)
 	}
@@ -136,43 +140,50 @@ func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tup
 	})
 }
 
-// streamJoin runs l ⋈ r, l ⟕ r when leftOuter, and l × r as a join with no
-// condition, with r as the materialized build side and l streaming through.
-// The build side is bucketed on the condition's equi-keys; with none, its
-// one bucket holds every slot. A left row's candidates are its bucket,
-// filtered by the residual, every conjunct that is not a key, and a
-// left-outer row that keeps none is padded with NULLs.
-func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOuter bool, outer []rel.Tuple, emit emitFn) error {
-	in, err := e.eval(r, outer)
+// streamJoin runs the join of a physical form (joinPlan): l ⋈ r, l ⟕ r
+// when leftOuter, and l × r as a join with no condition, with r as the
+// build side and l streaming through. The build side is bucketed on the
+// condition's equi-keys; with none, its one bucket holds every slot. A left
+// row's candidates are its bucket, filtered by the residual, every conjunct
+// that is not a key, over a scratch row refilled per candidate, and a
+// left-outer row that keeps none is padded with NULLs. Each emitted row is
+// built once, from the two tuples, so a rejected candidate allocates
+// nothing.
+func (e *Evaluator) streamJoin(p *joinPlan, outer []rel.Tuple, emit emitFn) error {
+	ix, err := e.joinBuild(p, outer)
 	if err != nil {
 		return err
 	}
-	keys := &equiKeys{}
-	if cond != nil {
-		keys = e.joinKeys(join, l, cond)
+	var scratch rel.Tuple
+	lw := len(p.lmap)
+	if p.keys.residual != nil {
+		scratch = make(rel.Tuple, lw+len(p.rmap))
 	}
-	ix, err := e.buildIndex(keys, in, outer)
-	if err != nil {
-		return err
-	}
-	rightWidth := in.Schema.Len()
-	return e.stream(l, outer, func(lt rel.Tuple, ln int) error {
+	return e.stream(p.l, outer, func(lt rel.Tuple, ln int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
-		b, err := e.find(ix, keys, lt, outer)
+		b, err := e.find(ix, &p.keys, lt, outer)
 		if err != nil {
 			return err
 		}
+		candidates := ix.bucket(b)
+		if scratch != nil && len(candidates) > 0 {
+			for k, c := range p.lmap {
+				scratch[k] = lt[c]
+			}
+		}
 		matched := false
-		for _, i := range ix.bucket(b) {
+		for _, i := range candidates {
 			if err := e.tick(); err != nil {
 				return err
 			}
-			rt, rn := in.Slot(int(i))
-			row := lt.Concat(rt)
-			if keys.residual != nil {
-				keep, err := e.evalCond(keys.residual, row, outer)
+			rt, rn := ix.in.Slot(int(i))
+			if scratch != nil {
+				for k, c := range p.rmap {
+					scratch[lw+k] = rt[c]
+				}
+				keep, err := e.evalCond(p.keys.residual, scratch, outer)
 				if err != nil {
 					return err
 				}
@@ -181,12 +192,12 @@ func (e *Evaluator) streamJoin(join, l, r algebra.Op, cond algebra.Expr, leftOut
 				}
 			}
 			matched = true
-			if err := emit(row, ln*rn); err != nil {
+			if err := emit(p.row(lt, rt), ln*rn); err != nil {
 				return err
 			}
 		}
-		if leftOuter && !matched {
-			return emit(lt.Concat(rel.Nulls(rightWidth)), ln)
+		if p.leftOuter && !matched {
+			return emit(p.row(lt, p.pad), ln)
 		}
 		return nil
 	})

@@ -118,10 +118,11 @@ func TestFuzzDifferential(t *testing.T) {
 	wg.Wait()
 	// The oracle checks the correlated index only where the streaming
 	// executor uses it: a generator that stopped reaching it would leave the
-	// index unchecked.
+	// index unchecked. The keyed subquery productions (keyedCond) reach it
+	// in 129 of the 2200 queries of seed 1; the floor sits just below.
 	t.Logf("%d of %d queries (%.1f%%) probed a correlated index in a streaming run", probed, ran, 100*float64(probed)/float64(ran))
-	if probed == 0 {
-		t.Errorf("no generated query probed a correlated index")
+	if floor := 120 * ran / fuzzN; probed < floor {
+		t.Errorf("%d generated queries probed a correlated index, want at least %d", probed, floor)
 	}
 	// Likewise generation: the oracle checks Gen's G1 selections answered
 	// by generation only if the rewritten queries reach it.

@@ -899,7 +899,10 @@ func (g *Gen) genScalarSub(depth int, sc *scope, kind types.Kind) sql.Expr {
 	}
 	inner := &scope{rels: rels, outer: sc}
 	sub := &sql.SelectStmt{Limit: -1, From: []sql.TableRef{ref}}
-	if g.rng.chance(0.6) {
+	if g.rng.chance(0.25) {
+		sub.Where, _ = g.keyedCond(rels[0], sc)
+	}
+	if sub.Where == nil && g.rng.chance(0.6) {
 		sub.Where = g.genPred(depth-1, inner, 1)
 	}
 	var agg sql.Expr
@@ -929,6 +932,40 @@ func (g *Gen) genSub(depth int, sc *scope, shape []types.Kind) *sql.Stmt {
 	}
 	sel, _ := g.genSelect(depth-1, outer, shape, g.rng.chance(0.15))
 	return &sql.Stmt{Left: sel}
+}
+
+// keyedCond correlates a subquery over the base table inner with the
+// enclosing scope sc: inner.x = outer.y over integer columns, sometimes with
+// a comparison over inner alone as a residual. The fuzz tables repeat
+// values in every column, so outer rows share bindings, and a condition
+// like this one, which cannot raise, is what the streaming executor answers
+// from a hash index on x from the selection's second call on. ok is false
+// when sc has no integer column.
+func (g *Gen) keyedCond(inner scopeRel, sc *scope) (cond sql.Expr, ok bool) {
+	outs := colsOfKind(sc.ownCols(), types.KindInt)
+	ins := colsOfKind((&scope{rels: []scopeRel{inner}}).ownCols(), types.KindInt)
+	if len(outs) == 0 || len(ins) == 0 {
+		return nil, false
+	}
+	o, i := outs[g.rng.intn(len(outs))], ins[g.rng.intn(len(ins))]
+	cond = sql.Binary{Op: "=", L: sql.Ident{Qual: i.qual, Name: i.name}, R: sql.Ident{Qual: o.qual, Name: o.name}}
+	if g.rng.chance(0.4) {
+		cond = sql.Binary{Op: "AND", L: cond, R: g.genPred(0, &scope{rels: []scopeRel{inner}}, 0)}
+	}
+	return cond, true
+}
+
+// genKeyedExists builds [NOT] EXISTS over one base table whose WHERE is a
+// keyedCond.
+func (g *Gen) genKeyedExists(sc *scope) (sql.Expr, bool) {
+	ref, rels := g.genBaseRef()
+	cond, ok := g.keyedCond(rels[0], sc)
+	if !ok {
+		return nil, false
+	}
+	sel := &sql.SelectStmt{Limit: -1, From: []sql.TableRef{ref}, Where: cond,
+		Cols: []sql.SelectCol{{E: sql.Ident{Qual: rels[0].alias, Name: rels[0].cols[0].name}, Alias: g.freshCol()}}}
+	return sql.Exists{Sub: &sql.Stmt{Left: sel}, Not: g.rng.chance(0.35)}, true
 }
 
 // genPred builds a boolean predicate over the scope. All comparisons are
@@ -993,6 +1030,11 @@ func (g *Gen) genPred(depth int, sc *scope, complexity int) sql.Expr {
 			Sub: g.genSub(depth, sc, []types.Kind{predKind}),
 		}
 	case roll < 94 && sub:
+		if g.rng.chance(0.4) {
+			if e, ok := g.genKeyedExists(sc); ok {
+				return e
+			}
+		}
 		return sql.Exists{Sub: g.genSub(depth, sc, nil), Not: g.rng.chance(0.35)}
 	default:
 		return sql.Binary{

@@ -479,19 +479,32 @@ func TestPlanCacheConcurrentDDL(t *testing.T) {
 	t.Logf("%+v", st)
 }
 
+// joinedQuery is synth q4 under Auto: the EXISTS becomes a join whose build
+// side, the rewrite's projection of r2, is read as r2 itself, so the join
+// hashes r2 on b into the table probedQuery's selection index names.
+const joinedQuery = `SELECT PROVENANCE * FROM r1 WHERE EXISTS (SELECT r2.a FROM r2 WHERE r2.b = r1.b)`
+
 // TestSharedIndexConcurrentInsert: two reader sessions probe the index over
-// r2 while a writer session INSERTs into its own shadow of r2 and re-reads
-// it. The readers race to publish the one index of the base version and
-// must answer as before any INSERT; the writer indexes each of its versions
-// and must answer as the reference does on its session.
+// r2 and join with the table attached beside it while a writer session
+// INSERTs into its own shadow of r2 and re-reads it. The readers race to
+// publish the one table of the base version and must answer as before any
+// INSERT; the writer builds the table of each of its versions and must
+// answer as the reference does on its session.
 func TestSharedIndexConcurrentInsert(t *testing.T) {
 	w := synth.Workload{InputSize: 60, SublinkSize: 60, Domain: 10, Seed: 4}
 	db := dbOf(t, w.Catalog())
-	ref, err := db.Query(probedQuery, WithoutStreaming())
-	if err != nil {
-		t.Fatal(err)
+	queries := []string{probedQuery, joinedQuery}
+	want := map[string]string{}
+	for _, q := range queries {
+		ref, err := db.Query(q, WithoutStreaming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Rows) == 0 {
+			t.Fatalf("%s returns no row", q)
+		}
+		want[q] = rowsFingerprint(ref)
 	}
-	want := rowsFingerprint(ref)
 	const readers, rounds = 2, 100
 	var wg sync.WaitGroup
 	var builds [readers]int64
@@ -502,12 +515,16 @@ func TestSharedIndexConcurrentInsert(t *testing.T) {
 			sess := db.NewSession()
 			for i := range rounds {
 				runtime.Gosched()
-				res, err := sess.Query(probedQuery)
-				if err != nil || rowsFingerprint(res) != want {
-					t.Errorf("reader %d, round %d: %v, %v", r, i, res, err)
-					return
+				// probedQuery runs first, so a selection builds the base
+				// version's table before any join reads it.
+				for _, q := range queries {
+					res, err := sess.Query(q)
+					if err != nil || rowsFingerprint(res) != want[q] {
+						t.Errorf("reader %d, round %d, %s: %v, %v", r, i, q, res, err)
+						return
+					}
+					builds[r] += res.IndexBuilds
 				}
-				builds[r] += res.IndexBuilds
 			}
 		}()
 	}
@@ -520,25 +537,28 @@ func TestSharedIndexConcurrentInsert(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := sess.Query(probedQuery)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ref, err := sess.Query(probedQuery, WithoutStreaming())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if rowsFingerprint(got) != rowsFingerprint(ref) {
-				t.Errorf("writer, round %d: streaming and reference rows differ", i)
-				return
+			for _, q := range queries {
+				got, err := sess.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ref, err := sess.Query(q, WithoutStreaming())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rowsFingerprint(got) != rowsFingerprint(ref) {
+					t.Errorf("writer, round %d, %s: streaming and reference rows differ", i, q)
+					return
+				}
 			}
 		}
 	}()
 	wg.Wait()
 	// Each reader builds the base version's index at most once: on a lost
-	// race it builds a twin, which is discarded.
+	// race it builds a twin, which is discarded. A join's build is no
+	// index build.
 	if total := builds[0] + builds[1]; total < 1 || total > readers {
 		t.Errorf("readers built %v indexes, want 1 to %d in all", builds, readers)
 	}

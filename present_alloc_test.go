@@ -11,7 +11,8 @@ import (
 // r(a, b) with 500 and 1000 rows, inserted in shuffled order, and the slope
 // is (A(1000) − A(500)) / 500. Every b is equal, so under ORDER BY b every
 // comparison is a tie and falls through to the tuple tie-break. A result
-// without ORDER BY comes in engine order and is not sorted at all.
+// without ORDER BY comes in engine order and is not sorted at all. Beside r
+// sits s(c, d) of 50 rows, whose d matches every b once.
 func TestPresentAllocSlopes(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts differ under -race")
@@ -24,6 +25,7 @@ func TestPresentAllocSlopes(t *testing.T) {
 		{"unordered", `SELECT a, b FROM r`, 2.1},
 		{"orderByTies", `SELECT a, b FROM r ORDER BY b`, 3.1},
 		{"provenanceOrderByTies", `SELECT PROVENANCE a FROM r ORDER BY b`, 4.1},
+		{"provenanceJoin", `SELECT PROVENANCE r.a, s.c FROM r, s WHERE r.b = s.d`, 3.1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocs := func(n int) float64 {
@@ -33,6 +35,13 @@ func TestPresentAllocSlopes(t *testing.T) {
 				}
 				db := Open()
 				if err := db.Register("r", []string{"a", "b"}, rows); err != nil {
+					t.Fatal(err)
+				}
+				srows := make([][]any, 50)
+				for i := range srows {
+					srows[i] = []any{i, i}
+				}
+				if err := db.Register("s", []string{"c", "d"}, srows); err != nil {
 					t.Fatal(err)
 				}
 				return testing.AllocsPerRun(3, func() {
