@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"perm/internal/schema"
 )
@@ -26,6 +27,30 @@ func (Ref) exprNode() {}
 
 // String renders the slot as ⟨depth,slot⟩.
 func (r Ref) String() string { return fmt.Sprintf("⟨%d,%d⟩", r.Depth, r.Idx) }
+
+// refBoxes holds one boxed Expr of each reference of depth 0 or 1 to one of
+// the first 256 slots, made on first use.
+var refBoxes = sync.OnceValue(func() *[2][256]Expr {
+	var boxes [2][256]Expr
+	for d := range boxes {
+		for i := range boxes[d] {
+			boxes[d][i] = Ref{Depth: int32(d), Idx: int32(i)}
+		}
+	}
+	return &boxes
+})
+
+// BoxRef returns r as an Expr. A reference of depth 0 or 1 to one of the
+// first 256 slots — nearly every reference a plan holds — is the same box
+// in every plan of the process, so a plan kept for long (Compact) or an
+// expression built from one (the executor's key splits) costs no memory for
+// it.
+func BoxRef(r Ref) Expr {
+	if uint32(r.Depth) < 2 && uint32(r.Idx) < 256 {
+		return refBoxes()[r.Depth][r.Idx]
+	}
+	return r
+}
 
 // ResolveError is a reference that does not bind: no scope has the
 // attribute, or the first scope that has it has it more than once.

@@ -16,8 +16,9 @@ import (
 //     was compiled from (the lexer slices identifiers and literals out of
 //     it); only the attribute names of scan schemas, which are the
 //     catalog's, stay the strings they are;
-//   - every distinct attribute reference, named or bound, is boxed once and
-//     every distinct scan is built once; a scan whose schema is one of
+//   - every distinct attribute reference, named or bound, is boxed once —
+//     a bound one to a low slot once per process (BoxRef) — and every
+//     distinct scan is built once; a scan whose schema is one of
 //     schemas — the catalog's schemas of the relations the plan names — uses
 //     the catalog's copy;
 //   - wherever the plan repeats like — an already compacted plan, nil for
@@ -129,8 +130,9 @@ func (c *compactor) expr(e, like Expr) (out Expr, shared bool) {
 			if ref, ok := c.bound[v]; ok {
 				return ref
 			}
-			c.bound[v] = x
-			return x
+			ref := BoxRef(v)
+			c.bound[v] = ref
+			return ref
 		case Const:
 			if v.Val.Kind() == types.KindString {
 				x = StrConst(c.str(v.Val.Str()))
@@ -144,7 +146,7 @@ func (c *compactor) expr(e, like Expr) (out Expr, shared bool) {
 		}
 		return x
 	})
-	if like != nil && exprIdentical(out, like) {
+	if like != nil && ExprIdentical(out, like) {
 		return like, true
 	}
 	return out, false

@@ -130,13 +130,13 @@ func TestCompactKeepsConstantKinds(t *testing.T) {
 		}
 		return out
 	}
-	if !ExprEqual(div(IntConst(2)), div(FloatConst(2))) || exprIdentical(div(IntConst(2)), div(FloatConst(2))) {
+	if !ExprEqual(div(IntConst(2)), div(FloatConst(2))) || ExprIdentical(div(IntConst(2)), div(FloatConst(2))) {
 		t.Fatal("a/2 and a/2.0 must be equal and not identical")
 	}
-	if exprIdentical(FloatConst(0), FloatConst(math.Copysign(0, -1))) || !exprIdentical(StrConst("x"), StrConst("x")) {
+	if ExprIdentical(FloatConst(0), FloatConst(math.Copysign(0, -1))) || !ExprIdentical(StrConst("x"), StrConst("x")) {
 		t.Error("identical constants are the same value of the same kind")
 	}
-	if !exprIdentical(FloatConst(math.NaN()), FloatConst(math.NaN())) {
+	if !ExprIdentical(FloatConst(math.NaN()), FloatConst(math.NaN())) {
 		t.Error("two NaN constants with equal bits are identical")
 	}
 	plan := NewProject(scanR(), Col(div(IntConst(2)), "i"), Col(div(FloatConst(2)), "f"))

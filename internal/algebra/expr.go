@@ -420,13 +420,14 @@ func MapExpr(e Expr, fn func(Expr) Expr) Expr {
 // it collected from the same tree.
 func ExprEqual(a, b Expr) bool { return exprEqual(a, b, false) }
 
-// exprIdentical is ExprEqual that tells constants apart as values, not as
+// ExprIdentical is ExprEqual that tells constants apart as values, not as
 // SQL compares them: 2 and 2.0 are equal expressions, and a/2 is another
 // computation than a/2.0. Constants are identical when == holds on their
 // types.Value, which compares kind and payload bits: 0.0 and -0.0 differ,
 // and a NaN is identical to a NaN with the same bits. It is the test for
-// letting two expressions share memory (see Compact).
-func exprIdentical(a, b Expr) bool { return exprEqual(a, b, true) }
+// letting two expressions share memory (see Compact), and two plans share
+// the executor's decisions about them.
+func ExprIdentical(a, b Expr) bool { return exprEqual(a, b, true) }
 
 func exprEqual(a, b Expr, exact bool) bool {
 	if a == nil || b == nil {

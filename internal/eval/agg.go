@@ -133,8 +133,8 @@ func (a *aggState) result() (types.Value, error) {
 	}
 }
 
-func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []rel.Tuple) (*rel.Relation, error) {
-	in, err := e.eval(o.Child, outer)
+func (e *Evaluator) evalAggregate(o *algebra.Aggregate, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	in, err := e.eval(o.Child, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func (e *Evaluator) evalAggregate(o *algebra.Aggregate, outer []rel.Tuple) (*rel
 		order = append(order, "")
 	}
 
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	for _, k := range order {
 		g := groups[k]
 		row := make(rel.Tuple, 0, len(o.Group)+len(o.Aggs))

@@ -46,28 +46,56 @@
 // The executor runs bound plans (algebra.Bind): every attribute reference is
 // a (scope depth, slot) pair, read as t[slot] at depth 0 and as the slot of
 // the enclosing tuple depth sublink levels out otherwise, so no name is
-// resolved per row and evalExpr takes no schema. Package perm binds once per
-// compiled plan and runs it with EvalBound; Eval binds the plan it is given
-// first. The hash join's key split reads slots too: it is computed once per
-// join node and run, its left keys reading the tuple the join streams and
-// its right keys the tuple it builds, through the column maps of any
-// projection the streaming join folds off its inputs (below). Hash keys are
-// built in a stack buffer and looked up without a copy, so only a new build
-// key allocates.
+// resolved per row and evalExpr takes no schema. The hash join's key split
+// reads slots too, its left keys reading the tuple the join streams and its
+// right keys the tuple it builds, through the column maps of any projection
+// the streaming join folds off its inputs (below). Hash keys are built in a
+// stack buffer and looked up without a copy, so only a new build key
+// allocates.
+//
+// # The physical plan: decisions once, state per run
+//
+// Lower annotates a bound plan with every decision the executor makes that
+// does not depend on the rows (Plan, plan.go), the way a PostgreSQL Plan
+// sits beside the PlanState of each execution:
+//
+//   - every operator, those of sublink queries included, gets a dense ID in
+//     first-visit pre-order, its children's IDs and its output width, so
+//     the run reads widths instead of building schemas (Op.Schema());
+//   - every join gets its physical form (joinPlan: folded inputs and column
+//     maps, splitEquiJoin's keys mapped onto the tuples it reads, the
+//     name of the base-relation table it builds on) and the split the
+//     reference hashes on;
+//   - a bag projection over a join that passes its columns through gets
+//     the join's output map;
+//   - a selection gets its plan (selectPlan): generation, an index split,
+//     or, without one, the literal filter.
+//
+// Package perm lowers a plan once, when the plan cache admits it, and keeps
+// the annotation beside the plan, so a cache hit runs it as it is; a plan
+// compiled WithoutPlanCache is lowered per statement, and Eval binds and
+// lowers the plan it is given. Run executes an annotation. The annotation is
+// immutable and shared by every run of the plan, on any goroutine, and
+// holds no map, so the plan cache's frozen-plan fingerprint covers it. The
+// executor carries each operator's ID beside the operator; a run's state
+// (runShared, memo.go) is only what it computed — memos keyed by node ID
+// and binding, and the CrossBase tables of generation in a slice by node
+// ID. The result's relation is the one that carries the plan's schema; the
+// bags the run materializes below it are unnamed, of the node's width.
 //
 // # Joins
 //
 // The streaming executor runs Join, LeftJoin and Cross through one loop
-// (streamJoin) over a physical form decided once per node and run and kept
-// in the run memo (joinPlan, hashjoin.go), so a correlated call of a join
-// allocates nothing for it:
+// (streamJoin) over the physical form Lower decided (joinPlan, hashjoin.go),
+// so neither a cache hit nor a correlated call of a join decides or
+// allocates anything for it:
 //
 //   - Inputs: an input that is a pass-through bag projection over stored
 //     rows — a Scan, or selections over one, as the rewrite wraps every
 //     base access (a, b, a→prov_a, b→prov_b) — is folded away, and the
 //     join reads the stored tuples through a column map. An input that
-//     builds its rows (a join, an aggregate) is read as it is: folded, it
-//     would build wider rows.
+//     builds its rows (a join, an aggregate) is read as it is, with no map:
+//     folded, it would build wider rows.
 //   - Keys: splitEquiJoin's split of the condition, its keys mapped
 //     through the column maps. The residual reads the join's own row,
 //     which the loop fills in one scratch row per call, its left half once
@@ -76,8 +104,8 @@
 //   - Output: the join's own row, or the pass-through bag projection
 //     directly above the join, which streamProject hands to the join
 //     instead of copying each row again. Each emitted row is built once,
-//     from the two tuples; a left join's NULL pad is built once per node
-//     and run.
+//     from the two tuples; the right columns of a left-join row without a
+//     candidate are left NULL, the zero Value, so no pad is kept.
 //   - Build: a right input that is a bare Scan keyed on columns is hashed
 //     into the table a correlated selection on the same columns attaches
 //     to the relation (below): same name, same table, built by whichever
@@ -89,9 +117,10 @@
 //     does not.
 //
 // The materializing reference keeps its own join loops (evalJoin,
-// evalLeftJoin, evalCross, hashJoin), which build the concatenated row
-// before the residual decides and never fold or attach: it is the oracle
-// the fold is checked against.
+// evalCross, hashJoin), which build the concatenated row before the
+// residual decides and never fold or attach: it is the oracle the fold is
+// checked against. Its key split is the annotation's too, over the inputs
+// as they are (joinPlan.matKeys).
 //
 // # Sublink probes, early termination and caching
 //
@@ -117,11 +146,11 @@
 // of results, so outer tuples that agree on every correlated parameter share
 // one evaluation instead of re-executing the subplan once per outer tuple.
 // The key is built in a stack buffer, so a memo hit allocates nothing for
-// it. Every piece of run state is such a memo (memo.go), keyed by plan node
-// and binding: bags, verdicts, hashed sets, join splits and plans, selection plans,
-// indexes and Gen's witnesses. An uncorrelated subplan, and a decision made
-// once per node, has the empty binding. The one state that outlives a run
-// is a table over a base relation, below.
+// it. Run state is such memos (memo.go), keyed by node ID and binding:
+// bags, verdicts, hashed sets, indexes and Gen's witnesses. An uncorrelated
+// subplan has the empty binding. A sublink finds its query's ID in the
+// annotation. The one state that outlives a run is a table over a base
+// relation, below.
 //
 // A memo miss still runs the inner query, and a correlated one filters its
 // input anew for every binding. In the streaming executor a selection under
@@ -188,8 +217,8 @@
 // (memoized as a sublink is), keeps the rows where J holds, collects their
 // distinct keys P′, adds the all-NULL key when ¬EXISTS(E) holds, and looks
 // each key up in a slot index over each CrossBase leaf, the structure hash
-// joins and selection indexes build, once per node and run under =n. It emits t × G1(t) × … × Gn(t) with multiplicity
-// n_t · ∏ counts. G(t) is memoized per binding of the slots Q, J and E
+// joins and selection indexes build, once per node and run under =n. It
+// emits t × G1(t) × … × Gn(t) with multiplicity n_t · ∏ counts. G(t) is memoized per binding of the slots Q, J and E
 // read.
 //
 //   - Where it applies: the selection's child is a Cross chain whose
@@ -198,8 +227,9 @@
 //     compares a CrossBase slot with a slot of Q's row; the IS NULL slots
 //     are exactly the key slots; J's conjuncts precede the keys; J, Q and E
 //     read no CrossBase slot, and neither does any other conjunct. The shape
-//     is recognised in the bound plan, whoever produced it, and decided once
-//     per node and run beside the index split. Anything else, and a
+//     is recognised in the bound plan, whoever produced it, and decided by
+//     Lower beside the index split (genPlan); the leaf tables a run builds
+//     are its state (genRun), never the plan's. Anything else, and a
 //     selection whose CrossBase has an empty input, runs the literal
 //     selection.
 //   - Why the bag is the literal's: a CrossBase row r of sublink i is kept

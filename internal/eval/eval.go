@@ -60,9 +60,8 @@ type Evaluator struct {
 	// leaves.
 	Params []types.Value
 
-	// shared is the per-Eval run state (row budget, memos). It is never
-	// nil: New gives the evaluator one, and EvalBound replaces it on every
-	// run.
+	// shared is the per-run state (row budget, memos). It is never nil:
+	// New gives the evaluator one, and Run replaces it on every run.
 	shared *runShared
 
 	ticks int
@@ -83,20 +82,22 @@ func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
 	return &cp
 }
 
-// Eval binds the plan (algebra.Bind) and executes it, returning its
-// materialized result. A reference that does not bind is the error.
+// Eval binds the plan (algebra.Bind), lowers it (Lower) and runs it,
+// returning its materialized result. A reference that does not bind is the
+// error.
 func (e *Evaluator) Eval(op algebra.Op) (*rel.Relation, error) {
 	bound, err := algebra.Bind(op)
 	if err != nil {
 		return nil, err
 	}
-	return e.EvalBound(bound)
+	return e.Run(Lower(bound, nil))
 }
 
-// EvalBound executes a plan algebra.Bind returned and returns its
-// materialized result. Package perm compiles every plan bound and runs it
-// here, so a plan-cache hit never binds.
-func (e *Evaluator) EvalBound(op algebra.Op) (*rel.Relation, error) {
+// Run executes an annotated plan and returns its materialized result, under
+// the plan's schema. Package perm lowers every plan it compiles and keeps
+// the annotation with the cached plan, so a plan-cache hit neither binds
+// nor decides anything.
+func (e *Evaluator) Run(p *Plan) (*rel.Relation, error) {
 	// A request whose deadline already passed (e.g. one that waited in a
 	// service queue) must abort before any work, not after the first 1024
 	// ticks.
@@ -105,8 +106,19 @@ func (e *Evaluator) EvalBound(op algebra.Op) (*rel.Relation, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, e.ctx.Err())
 	default:
 	}
-	e.shared = &runShared{}
-	return e.eval(op, nil)
+	e.shared = &runShared{plan: p}
+	out, err := e.eval(p.root, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The result is the one relation of the run that carries the plan's
+	// schema. A scan's is the catalog's relation, which is viewed; any
+	// other is the run's own bag.
+	if _, ok := p.root.(*algebra.Scan); ok {
+		return out.WithSchema(p.root.Schema()), nil
+	}
+	out.Schema = p.root.Schema()
+	return out, nil
 }
 
 // Stats describes the materialization behaviour of one Eval call.
@@ -203,22 +215,17 @@ func (e *Evaluator) add(out *rel.Relation, t rel.Tuple, n int) error {
 // (the default) the rows are produced by the push pipeline and only this
 // bag is materialized; with DisableStreaming every operator materializes
 // its own output recursively (operator-at-a-time execution).
-func (e *Evaluator) eval(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error) {
+func (e *Evaluator) eval(op algebra.Op, id int32, outer []rel.Tuple) (*rel.Relation, error) {
 	if e.DisableStreaming {
-		return e.evalMat(op, outer)
+		return e.evalMat(op, id, outer)
 	}
-	switch o := op.(type) {
-	case *algebra.Scan:
-		// Base relations are materialized in the catalog already; a view
-		// costs nothing and charges nothing.
-		base, err := e.db.Relation(o.Name)
-		if err != nil {
-			return nil, err
-		}
-		return base.WithSchema(o.Schema()), nil
+	if o, ok := op.(*algebra.Scan); ok {
+		// Base relations are materialized in the catalog already: read in
+		// place, a scan costs nothing and charges nothing.
+		return e.scan(o, id)
 	}
-	out := rel.New(op.Schema())
-	if err := e.stream(op, outer, func(t rel.Tuple, n int) error {
+	out := e.bag(id)
+	if err := e.stream(op, id, outer, func(t rel.Tuple, n int) error {
 		return e.add(out, t, n)
 	}); err != nil {
 		return nil, err
@@ -226,8 +233,23 @@ func (e *Evaluator) eval(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error
 	return out, nil
 }
 
-// evalMat is the materializing (operator-at-a-time) evaluator.
-func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, error) {
+// scan returns the catalog's relation a scan with ID id reads, checked
+// against the width the plan reads.
+func (e *Evaluator) scan(o *algebra.Scan, id int32) (*rel.Relation, error) {
+	base, err := e.db.Relation(o.Name)
+	if err != nil {
+		return nil, err
+	}
+	if w := e.node(id).width; base.Schema.Len() != int(w) {
+		return nil, fmt.Errorf("eval: relation %s has %d columns, the plan reads %d", o.Name, base.Schema.Len(), w)
+	}
+	return base, nil
+}
+
+// evalMat is the materializing (operator-at-a-time) evaluator. Every bag it
+// builds has an unnamed schema of the node's width, except a scan's, which
+// is the relation under the scan's schema.
+func (e *Evaluator) evalMat(op algebra.Op, id int32, outer []rel.Tuple) (*rel.Relation, error) {
 	if err := e.tick(); err != nil {
 		return nil, err
 	}
@@ -239,7 +261,7 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, er
 		}
 		return base.WithSchema(o.Schema()), nil
 	case *algebra.Values:
-		out := rel.New(o.Sch)
+		out := e.bag(id)
 		for _, row := range o.Rows {
 			if len(row) != o.Sch.Len() {
 				return nil, fmt.Errorf("eval: VALUES row width %d, schema width %d", len(row), o.Sch.Len())
@@ -258,25 +280,25 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, er
 		}
 		return out, nil
 	case *algebra.Select:
-		return e.evalSelect(o, outer)
+		return e.evalSelect(o, id, outer)
 	case *algebra.Project:
-		return e.evalProject(o, outer)
+		return e.evalProject(o, id, outer)
 	case *algebra.Cross:
-		return e.evalCross(o, outer)
+		return e.evalCross(o, id, outer)
 	case *algebra.Join:
-		return e.evalJoin(o, outer)
+		return e.evalJoin(o, id, false, outer)
 	case *algebra.LeftJoin:
-		return e.evalLeftJoin(o, outer)
+		return e.evalJoin(o, id, true, outer)
 	case *algebra.Aggregate:
-		return e.evalAggregate(o, outer)
+		return e.evalAggregate(o, id, outer)
 	case *algebra.SetOp:
-		return e.evalSetOp(o, outer)
+		return e.evalSetOp(o, id, outer)
 	case *algebra.Order:
-		rows, err := e.sortedRows(o, outer)
+		rows, err := e.sortedRows(o, id, outer)
 		if err != nil {
 			return nil, err
 		}
-		out := rel.New(o.Schema())
+		out := e.bag(id)
 		for _, r := range rows {
 			if err := e.add(out, r.t, 1); err != nil {
 				return nil, err
@@ -284,18 +306,18 @@ func (e *Evaluator) evalMat(op algebra.Op, outer []rel.Tuple) (*rel.Relation, er
 		}
 		return out, nil
 	case *algebra.Limit:
-		return e.evalLimit(o, outer)
+		return e.evalLimit(o, id, outer)
 	default:
 		return nil, fmt.Errorf("eval: unsupported operator %T", op)
 	}
 }
 
-func (e *Evaluator) evalSelect(o *algebra.Select, outer []rel.Tuple) (*rel.Relation, error) {
-	in, err := e.eval(o.Child, outer)
+func (e *Evaluator) evalSelect(o *algebra.Select, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	in, err := e.eval(o.Child, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	err = in.Each(func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
@@ -315,12 +337,12 @@ func (e *Evaluator) evalSelect(o *algebra.Select, outer []rel.Tuple) (*rel.Relat
 	return out, nil
 }
 
-func (e *Evaluator) evalProject(o *algebra.Project, outer []rel.Tuple) (*rel.Relation, error) {
-	in, err := e.eval(o.Child, outer)
+func (e *Evaluator) evalProject(o *algebra.Project, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	in, err := e.eval(o.Child, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	err = in.Each(func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
@@ -347,25 +369,25 @@ func (e *Evaluator) evalProject(o *algebra.Project, outer []rel.Tuple) (*rel.Rel
 	return out, nil
 }
 
-// evalInputs materializes the two inputs of a binary operator, left first.
-func (e *Evaluator) evalInputs(l, r algebra.Op, outer []rel.Tuple) (*rel.Relation, *rel.Relation, error) {
-	lRel, err := e.eval(l, outer)
+// evalInputs materializes the inputs l and r of binary node id, left first.
+func (e *Evaluator) evalInputs(l, r algebra.Op, id int32, outer []rel.Tuple) (*rel.Relation, *rel.Relation, error) {
+	lRel, err := e.eval(l, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, nil, err
 	}
-	rRel, err := e.eval(r, outer)
+	rRel, err := e.eval(r, e.kid(id, 1), outer)
 	if err != nil {
 		return nil, nil, err
 	}
 	return lRel, rRel, nil
 }
 
-func (e *Evaluator) evalCross(o *algebra.Cross, outer []rel.Tuple) (*rel.Relation, error) {
-	l, r, err := e.evalInputs(o.L, o.R, outer)
+func (e *Evaluator) evalCross(o *algebra.Cross, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	l, r, err := e.evalInputs(o.L, o.R, id, outer)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	err = l.Each(func(lt rel.Tuple, ln int) error {
 		return r.Each(func(rt rel.Tuple, rn int) error {
 			if err := e.tick(); err != nil {
@@ -380,47 +402,20 @@ func (e *Evaluator) evalCross(o *algebra.Cross, outer []rel.Tuple) (*rel.Relatio
 	return out, nil
 }
 
-func (e *Evaluator) evalJoin(o *algebra.Join, outer []rel.Tuple) (*rel.Relation, error) {
-	l, r, err := e.evalInputs(o.L, o.R, outer)
+// evalJoin is the reference executor's join, l ⋈ r or, when leftOuter,
+// l ⟕ r: a hash join on the plan's key split (joinPlan.matKeys), a nested
+// loop when the condition has no key.
+func (e *Evaluator) evalJoin(op algebra.Op, id int32, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
+	lop, rop, cond := joinParts(op)
+	l, r, err := e.evalInputs(lop, rop, id, outer)
 	if err != nil {
 		return nil, err
 	}
-	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.probe) > 0 {
-		return e.hashJoin(o, l, r, keys, false, outer)
-	}
-	out := rel.New(o.Schema())
-	err = l.Each(func(lt rel.Tuple, ln int) error {
-		return r.Each(func(rt rel.Tuple, rn int) error {
-			if err := e.tick(); err != nil {
-				return err
-			}
-			row := lt.Concat(rt)
-			keep, err := e.evalCond(o.Cond, row, outer)
-			if err != nil {
-				return err
-			}
-			if keep == types.True {
-				return e.add(out, row, ln*rn)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.Relation, error) {
-	l, r, err := e.evalInputs(o.L, o.R, outer)
-	if err != nil {
-		return nil, err
-	}
-	if keys := e.joinKeys(o, o.L, o.Cond); len(keys.probe) > 0 {
-		return e.hashJoin(o, l, r, keys, true, outer)
+	if keys := e.joinOf(id).matKeys(); len(keys.pairs) > 0 {
+		return e.hashJoin(id, l, r, keys, leftOuter, outer)
 	}
 	rightWidth := r.Schema.Len()
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	err = l.Each(func(lt rel.Tuple, ln int) error {
 		matched := false
 		err := r.Each(func(rt rel.Tuple, rn int) error {
@@ -428,7 +423,7 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.R
 				return err
 			}
 			row := lt.Concat(rt)
-			keep, err := e.evalCond(o.Cond, row, outer)
+			keep, err := e.evalCond(cond, row, outer)
 			if err != nil {
 				return err
 			}
@@ -441,7 +436,7 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.R
 		if err != nil {
 			return err
 		}
-		if !matched {
+		if leftOuter && !matched {
 			return e.add(out, lt.Concat(rel.Nulls(rightWidth)), ln)
 		}
 		return nil
@@ -452,15 +447,15 @@ func (e *Evaluator) evalLeftJoin(o *algebra.LeftJoin, outer []rel.Tuple) (*rel.R
 	return out, nil
 }
 
-func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []rel.Tuple) (*rel.Relation, error) {
-	l, r, err := e.evalInputs(o.L, o.R, outer)
+func (e *Evaluator) evalSetOp(o *algebra.SetOp, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	l, r, err := e.evalInputs(o.L, o.R, id, outer)
 	if err != nil {
 		return nil, err
 	}
 	if l.Schema.Len() != r.Schema.Len() {
 		return nil, fmt.Errorf("eval: %s of width %d and width %d", o.Kind, l.Schema.Len(), r.Schema.Len())
 	}
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	switch o.Kind {
 	case algebra.Union:
 		if err := l.Each(func(t rel.Tuple, n int) error { return e.add(out, t, n) }); err != nil {
@@ -480,12 +475,12 @@ func (e *Evaluator) evalSetOp(o *algebra.SetOp, outer []rel.Tuple) (*rel.Relatio
 	return out, nil
 }
 
-func (e *Evaluator) evalLimit(o *algebra.Limit, outer []rel.Tuple) (*rel.Relation, error) {
-	in, err := e.eval(o.Child, outer)
+func (e *Evaluator) evalLimit(o *algebra.Limit, id int32, outer []rel.Tuple) (*rel.Relation, error) {
+	in, err := e.eval(o.Child, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, err
 	}
-	out := rel.New(o.Schema())
+	out := e.bag(id)
 	err = in.Each(limitEmit(o, func(t rel.Tuple, n int) error { return e.add(out, t, n) }))
 	if err != nil && !errors.Is(err, errStop) {
 		return nil, err
@@ -576,8 +571,8 @@ func (e *Evaluator) sortKeyVals(keys []algebra.SortKey, t rel.Tuple, outer []rel
 
 // sortedRows is the reference executor's sort: it materializes o's input,
 // expands the bag and sorts it by o's keys.
-func (e *Evaluator) sortedRows(o *algebra.Order, outer []rel.Tuple) ([]sortRow, error) {
-	in, err := e.eval(o.Child, outer)
+func (e *Evaluator) sortedRows(o *algebra.Order, id int32, outer []rel.Tuple) ([]sortRow, error) {
+	in, err := e.eval(o.Child, e.kid(id, 0), outer)
 	if err != nil {
 		return nil, err
 	}

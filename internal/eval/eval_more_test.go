@@ -114,19 +114,19 @@ func TestSplitEquiJoinClassification(t *testing.T) {
 		algebra.Cmp{Op: types.CmpEq, L: la, R: lb}, // one-sided: residual
 	)
 	keys := splitEquiJoin(cond, 2)
-	if len(keys.probe) != 2 {
-		t.Fatalf("extracted %d keys, want 2", len(keys.probe))
+	if len(keys.pairs) != 2 {
+		t.Fatalf("extracted %d keys, want 2", len(keys.pairs))
 	}
-	if !keys.nullEq[1] || keys.nullEq[0] {
-		t.Errorf("null-awareness flags = %v", keys.nullEq)
+	if !keys.pairs[1].nullEq || keys.pairs[0].nullEq {
+		t.Errorf("null-awareness flags = %v", keys.pairs)
 	}
 	// Probe keys read the left tuple as it is; build keys are rebased onto
 	// the right tuple alone.
-	if keys.probe[0] != algebra.Expr(la) || keys.probe[1] != algebra.Expr(lb) {
-		t.Errorf("left keys = %v, want [⟨0,0⟩ ⟨0,1⟩]", keys.probe)
+	if keys.pairs[0].probe != algebra.Expr(la) || keys.pairs[1].probe != algebra.Expr(lb) {
+		t.Errorf("left keys = %v, want [⟨0,0⟩ ⟨0,1⟩]", keys.pairs)
 	}
-	if keys.build[0] != algebra.Expr(algebra.Ref{Idx: 0}) || keys.build[1] != algebra.Expr(algebra.Ref{Idx: 1}) {
-		t.Errorf("right keys = %v, want [⟨0,0⟩ ⟨0,1⟩] after rebasing by the left width", keys.build)
+	if keys.pairs[0].build != algebra.Expr(algebra.Ref{Idx: 0}) || keys.pairs[1].build != algebra.Expr(algebra.Ref{Idx: 1}) {
+		t.Errorf("right keys = %v, want [⟨0,0⟩ ⟨0,1⟩] after rebasing by the left width", keys.pairs)
 	}
 	if keys.residual == nil {
 		t.Fatal("missing residual")
@@ -134,7 +134,7 @@ func TestSplitEquiJoinClassification(t *testing.T) {
 	// Correlated expressions must not become keys.
 	correlated := algebra.Cmp{Op: types.CmpEq, L: la, R: algebra.Ref{Depth: 1, Idx: 2}}
 	keys = splitEquiJoin(correlated, 2)
-	if len(keys.probe) != 0 {
+	if len(keys.pairs) != 0 {
 		t.Error("correlated reference extracted as key")
 	}
 }
@@ -322,7 +322,7 @@ func TestHashedAnyMatchesQuantify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ev.hashedAny(s, a, b.sub)
+			got, err := ev.hashedAny(s, 0, a, b.sub)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/rel"
-	"perm/internal/schema"
 	"perm/internal/types"
 )
 
@@ -22,18 +21,18 @@ import (
 // once per node and run. The package documentation states when, and why the
 // result is the literal selection's bag and error.
 
-// genPlan is the generation plan of one selection: its input T, its
-// conjuncts in evaluation order, and its sublinks in the order their
-// CrossBase blocks follow T in the output row.
+// genPlan is the generation plan of one selection, decided by Lower: its
+// input T, its conjuncts in evaluation order, and its sublinks in the order
+// their CrossBase blocks follow T in the output row. It is part of the
+// annotation and never written by a run: the tables a run builds for it
+// are a genRun in the run's state.
 type genPlan struct {
-	input  algebra.Op
-	width  int // output row width
-	conds  []genCond
-	blocks []*genSublink
-
-	// built is set once build has run; ok is false when it declined the
-	// CrossBase tables, and the literal selection runs instead.
-	built, ok bool
+	input   algebra.Op
+	inputID int32
+	width   int // output row width
+	conds   []genCond
+	blocks  []*genSublink
+	leaves  int // the CrossBase leaves of all blocks
 }
 
 // genCond is one conjunct of the selection: a condition over T, or a
@@ -52,20 +51,39 @@ type genSublink struct {
 	filter []algebra.Expr  // J's conjuncts, in evaluation order
 	empty  algebra.Sublink // the EXISTS(E) of the empty case
 	free   []algebra.Ref   // the slots Q, J and E read: the binding
-	// total is the number of distinct keys of the block: the product of
-	// its leaves' bucket counts.
-	total int
+	// The IDs of Q and of E's query.
+	queryID, emptyID int32
 }
 
 // genLeaf is one CrossBase leaf: a Cross's right input, hashed on the slots
 // its sublink's keys compare.
 type genLeaf struct {
-	op     algebra.Op
-	keys   equiKeys // probe: P′ over Q's row; build: the leaf's key slots
-	stride int      // the leaf's weight in a block key's number
+	op   algebra.Op
+	id   int32
+	keys equiKeys // probe: P′ over Q's row; build: the leaf's key slots
+	at   int      // the position of its table among the run's (genRun)
+}
+
+// genRun is a run's state of one generation plan: the table of each
+// CrossBase leaf and the number of distinct keys of each block. ok is false
+// when genTables declined the tables, and the literal selection runs
+// instead.
+type genRun struct {
+	ok     bool
+	tables []genTable // by genLeaf.at
+	totals []int      // by block: the product of its leaves' bucket counts
+}
+
+// genTable is one CrossBase leaf hashed for a run.
+type genTable struct {
 	index  *slotIndex
 	null   int32 // the bucket of the rows whose key slots are all NULL, or -1
+	stride int   // the leaf's weight in a block key's number
 }
+
+// genBlock names the witnesses of one sublink of a generated selection:
+// the selection's ID and the block.
+type genBlock struct{ sel, block int32 }
 
 // genSet is the witnesses of one sublink under one binding: the block rows
 // G(t), the listed slots of in. Immutable once memoized.
@@ -76,6 +94,8 @@ type genSet struct {
 
 // genScratch is the per-call state of generation, reused across rows.
 type genScratch struct {
+	id     int32 // the selection's
+	run    *genRun
 	scope  []rel.Tuple // outer, then the current row of T
 	row    rel.Tuple   // the output row being assembled
 	sets   []genSet    // the current row's witnesses, per block
@@ -83,10 +103,12 @@ type genScratch struct {
 	combos []int32 // the distinct keys found, one bucket number per leaf
 }
 
-func (g *genPlan) scratch(outer []rel.Tuple) *genScratch {
+func (g *genPlan) scratch(id int32, run *genRun, outer []rel.Tuple) *genScratch {
 	scope := make([]rel.Tuple, len(outer)+1)
 	copy(scope, outer)
 	return &genScratch{
+		id:    id,
+		run:   run,
 		scope: scope,
 		row:   make(rel.Tuple, g.width),
 		sets:  make([]genSet, len(g.blocks)),
@@ -96,7 +118,7 @@ func (g *genPlan) scratch(outer []rel.Tuple) *genScratch {
 
 // planGen returns the generation plan of a selection over a Cross, or nil
 // when the selection does not have the shape generation answers exactly.
-func planGen(o *algebra.Select) *genPlan {
+func (lw *lowering) planGen(o *algebra.Select) *genPlan {
 	conjs := conjuncts(o.Cond)
 	shapes := make([]*csubShape, len(conjs))
 	found := false
@@ -115,14 +137,14 @@ func planGen(o *algebra.Select) *genPlan {
 		owner  int
 	}
 	var peeled []leafAt
-	width := o.Schema().Len()
+	width := lw.width(o)
 	node, hi := o.Child, width
 	for {
 		cr, ok := node.(*algebra.Cross)
 		if !ok {
 			break
 		}
-		lo := hi - cr.R.Schema().Len()
+		lo := hi - lw.width(cr.R)
 		owner := -1
 		for i, s := range shapes {
 			if s != nil && s.keysIn(lo, hi) {
@@ -143,7 +165,7 @@ func planGen(o *algebra.Select) *genPlan {
 	}
 	slices.Reverse(peeled)
 	tw := hi
-	g := &genPlan{input: node, width: width}
+	g := &genPlan{input: node, inputID: lw.ids[node], width: width}
 	subs := map[int]*genSublink{}
 	for _, l := range peeled {
 		if len(freeSlots(l.op)) > 0 {
@@ -157,12 +179,11 @@ func planGen(o *algebra.Select) *genPlan {
 		} else if g.blocks[len(g.blocks)-1] != s {
 			return nil // a sublink's leaves must be adjacent
 		}
-		leaf := &genLeaf{op: l.op}
+		leaf := &genLeaf{op: l.op, id: lw.ids[l.op], at: g.leaves}
+		g.leaves++
 		for _, k := range shapes[l.owner].keys {
 			if k.slot >= l.lo && k.slot < l.hi {
-				leaf.keys.probe = append(leaf.keys.probe, k.inner)
-				leaf.keys.build = append(leaf.keys.build, algebra.Ref{Idx: int32(k.slot - l.lo)})
-				leaf.keys.nullEq = append(leaf.keys.nullEq, true)
+				leaf.keys.pairs = append(leaf.keys.pairs, equiKey{probe: k.inner, build: algebra.BoxRef(algebra.Ref{Idx: int32(k.slot - l.lo)}), nullEq: true})
 			}
 		}
 		s.leaves = append(s.leaves, leaf)
@@ -195,6 +216,7 @@ func planGen(o *algebra.Select) *genPlan {
 		}
 		s.query = algebra.Sublink{Kind: algebra.ExistsSublink, Query: shape.query, Free: freeSlots(shape.query)}
 		s.filter, s.empty, s.free = shape.filter, shape.empty, sortRefs(free)
+		s.queryID, s.emptyID = lw.ids[shape.query], lw.ids[shape.empty.Query]
 		g.conds = append(g.conds, genCond{sub: s})
 	}
 	return g
@@ -335,64 +357,69 @@ func allRefs(refs []algebra.Ref, keep func(algebra.Ref) bool) bool {
 	return true
 }
 
-// build hashes every CrossBase leaf once per node and run, right to left
-// as streamJoin evaluates them and charging each as a build side, and
+// genTables returns the run's tables of generation plan g of selection
+// node id, built on the first call: it hashes every CrossBase leaf, right to
+// left as streamJoin evaluates them and charging each as a build side, and
 // numbers the keys of each block. The literal selection runs instead when a
 // leaf is empty — no conjunct is then evaluated at all — or a block's key
 // count overflows an int.
-func (e *Evaluator) build(g *genPlan, outer []rel.Tuple) error {
-	if g.built {
-		return nil
+func (e *Evaluator) genTables(g *genPlan, id int32, outer []rel.Tuple) (*genRun, error) {
+	if e.shared.gens == nil {
+		e.shared.gens = make([]*genRun, len(e.shared.plan.nodes))
 	}
-	g.built = true
+	if run := e.shared.gens[id]; run != nil {
+		return run, nil
+	}
+	run := &genRun{tables: make([]genTable, g.leaves), totals: make([]int, len(g.blocks))}
+	e.shared.gens[id] = run
 	for b := len(g.blocks) - 1; b >= 0; b-- {
 		for i := len(g.blocks[b].leaves) - 1; i >= 0; i-- {
 			l := g.blocks[b].leaves[i]
-			in, err := e.eval(l.op, outer)
+			in, err := e.eval(l.op, l.id, outer)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if l.index, err = e.buildIndex(&l.keys, in, outer); err != nil {
-				return err
+			t := &run.tables[l.at]
+			if t.index, err = e.buildIndex(&l.keys, in, outer); err != nil {
+				return nil, err
 			}
 			var buf [64]byte
 			null := buf[:0]
-			for range l.keys.build {
+			for range l.keys.pairs {
 				null = types.Null().AppendKey(null)
 			}
-			l.null = l.index.number(null)
+			t.null = t.index.number(null)
 		}
 	}
-	for _, s := range g.blocks {
-		s.total = 1
+	for b, s := range g.blocks {
+		total := 1
 		for _, l := range s.leaves {
-			n := len(l.index.buckets)
-			if n == 0 || s.total > (1<<62)/n {
-				return nil
+			t := &run.tables[l.at]
+			n := len(t.index.buckets)
+			if n == 0 || total > (1<<62)/n {
+				return run, nil
 			}
-			l.stride = s.total
-			s.total *= n
+			t.stride = total
+			total *= n
 		}
+		run.totals[b] = total
 	}
-	g.ok = true
-	return nil
+	run.ok = true
+	return run, nil
 }
 
-// generatedSelect answers a selection over a Cross by generation, and
-// reports false when the literal selection must run instead.
-func (e *Evaluator) generatedSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) (bool, error) {
-	g := e.selectPlan(o).gen
-	if g == nil {
-		return false, nil
-	}
-	if err := e.build(g, outer); err != nil {
+// generatedSelect answers selection node id by generation, and reports
+// false when the literal selection must run instead.
+func (e *Evaluator) generatedSelect(g *genPlan, id int32, outer []rel.Tuple, emit emitFn) (bool, error) {
+	run, err := e.genTables(g, id, outer)
+	if err != nil {
 		return true, err
 	}
-	if !g.ok {
+	if !run.ok {
 		return false, nil
 	}
-	s := g.scratch(outer)
-	return true, e.stream(g.input, outer, func(t rel.Tuple, n int) error {
+	s := g.scratch(id, run, outer)
+	return true, e.stream(g.input, g.inputID, outer, func(t rel.Tuple, n int) error {
 		return e.generate(g, t, n, s, emit)
 	})
 }
@@ -463,10 +490,11 @@ func (e *Evaluator) emitProduct(g *genPlan, sets []genSet, b int, row rel.Tuple,
 func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 	var buf [64]byte
 	key := appendParamKey(buf[:0], sub.free, s.scope)
-	if set, ok := e.shared.witnesses.get(sub, key); ok {
+	block := genBlock{s.id, int32(sub.block)}
+	if set, ok := e.shared.witnesses.get(block, key); ok {
 		return set, nil
 	}
-	q, err := e.evalSubplan(sub.query, s.scope)
+	q, err := e.evalSubplan(sub.query, sub.queryID, s.scope)
 	if err != nil {
 		return genSet{}, err
 	}
@@ -497,20 +525,20 @@ func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 	}
 	// The literal evaluates ¬EXISTS(E) for the CrossBase rows no key
 	// matched; when there are none, it never does.
-	if len(s.seen) < sub.total {
-		v, err := e.probeExists(sub.empty, s.scope)
+	if len(s.seen) < s.run.totals[sub.block] {
+		v, err := e.probeExists(sub.empty, sub.emptyID, s.scope)
 		if err != nil {
 			return genSet{}, err
 		}
 		if !v.Bool() {
-			s.addCombo(sub, func(l *genLeaf) int32 { return l.null })
+			s.addCombo(sub, func(l *genLeaf) int32 { return s.run.tables[l.at].null })
 		}
 	}
-	set, err := e.expand(sub, s.combos)
+	set, err := e.expand(sub, s.run, s.combos)
 	if err != nil {
 		return genSet{}, err
 	}
-	e.shared.witnesses.put(sub, key, set)
+	e.shared.witnesses.put(block, key, set)
 	return set, nil
 }
 
@@ -518,7 +546,7 @@ func (e *Evaluator) witnesses(sub *genSublink, s *genScratch) (genSet, error) {
 func (e *Evaluator) admit(sub *genSublink, u rel.Tuple, s *genScratch) error {
 	var findErr error
 	s.addCombo(sub, func(l *genLeaf) int32 {
-		b, err := e.find(l.index, &l.keys, u, s.scope)
+		b, err := e.find(s.run.tables[l.at].index, &l.keys, u, s.scope)
 		if err != nil {
 			findErr = err
 		}
@@ -538,7 +566,7 @@ func (s *genScratch) addCombo(sub *genSublink, bucketOf func(*genLeaf) int32) {
 			s.combos = s.combos[:start]
 			return
 		}
-		id += int(b) * l.stride
+		id += int(b) * s.run.tables[l.at].stride
 		s.combos = append(s.combos, b)
 	}
 	if _, dup := s.seen[id]; dup {
@@ -552,10 +580,10 @@ func (s *genScratch) addCombo(sub *genSublink, bucketOf func(*genLeaf) int32) {
 // rows are the product of its leaves' buckets. One key of a one-leaf block
 // is its bucket's slots, shared; a block of several leaves materializes the
 // product, charged as resident state.
-func (e *Evaluator) expand(sub *genSublink, combos []int32) (genSet, error) {
+func (e *Evaluator) expand(sub *genSublink, run *genRun, combos []int32) (genSet, error) {
 	m := len(sub.leaves)
 	if m == 1 {
-		ix := sub.leaves[0].index
+		ix := run.tables[sub.leaves[0].at].index
 		if len(combos) == 1 {
 			return genSet{in: ix.in, slots: ix.bucket(combos[0])}, nil
 		}
@@ -565,15 +593,15 @@ func (e *Evaluator) expand(sub *genSublink, combos []int32) (genSet, error) {
 		}
 		return set, nil
 	}
-	sch := schema.Schema{}
+	var width int32
 	for _, l := range sub.leaves {
-		sch = sch.Concat(l.index.in.Schema)
+		width += e.node(l.id).width
 	}
-	set := genSet{in: rel.New(sch)}
+	set := genSet{in: rel.New(unnamed(width))}
 	for c := 0; c < len(combos); c += m {
 		rows, counts := []rel.Tuple{nil}, []int{1}
 		for k, b := range combos[c : c+m] {
-			ix := sub.leaves[k].index
+			ix := run.tables[sub.leaves[k].at].index
 			var nextRows []rel.Tuple
 			var nextCounts []int
 			for i, r := range rows {

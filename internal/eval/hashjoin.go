@@ -16,14 +16,19 @@ import (
 // build sides, the streaming executor's selection indexes (index.go), whose
 // conditions split the same way, and Gen's CrossBase leaves (gen.go).
 
-// equiKeys is the decomposition of a condition into hash keys and a
-// residual: build rows are hashed on build, and each probe looks up the key
-// probe evaluates to. probe[i] and build[i] compare with =, or with =n where
-// nullEq[i] is set.
+// equiKeys is the decomposition of a condition into hash key pairs and a
+// residual: build rows are hashed on the pairs' build expressions, and each
+// probe looks up the key their probe expressions evaluate to.
 type equiKeys struct {
-	probe, build []algebra.Expr
-	nullEq       []bool
-	residual     algebra.Expr
+	pairs    []equiKey
+	residual algebra.Expr
+}
+
+// equiKey is one key pair: probe and build compare with =, or with =n where
+// nullEq is set.
+type equiKey struct {
+	probe, build algebra.Expr
+	nullEq       bool
 }
 
 // The sides an expression of a condition can read only: the probe side, the
@@ -65,9 +70,7 @@ func splitEqui(cond algebra.Expr, side func(algebra.Expr) int) equiKeys {
 			residual = append(residual, conj)
 			continue
 		}
-		out.probe = append(out.probe, l)
-		out.build = append(out.build, r)
-		out.nullEq = append(out.nullEq, nullAware)
+		out.pairs = append(out.pairs, equiKey{probe: l, build: r, nullEq: nullAware})
 	}
 	if len(residual) > 0 {
 		out.residual = algebra.Conj(residual...)
@@ -90,8 +93,8 @@ func splitEquiJoin(cond algebra.Expr, lw int) equiKeys {
 		}
 		return noSide
 	})
-	for i, b := range keys.build {
-		keys.build[i] = rebase(b, lw)
+	for i := range keys.pairs {
+		keys.pairs[i].build = rebase(keys.pairs[i].build, lw)
 	}
 	return keys
 }
@@ -124,120 +127,119 @@ func rebase(e algebra.Expr, lw int) algebra.Expr {
 	return algebra.MapExpr(e, func(x algebra.Expr) algebra.Expr {
 		if r, ok := x.(algebra.Ref); ok {
 			r.Idx -= int32(lw)
-			return r
+			return algebra.BoxRef(r)
 		}
 		return x
 	})
 }
 
-// joinKeys returns the equi-join split of a join node's condition for the
-// materializing executor, computed once per node and run.
-func (e *Evaluator) joinKeys(join algebra.Op, l algebra.Op, cond algebra.Expr) *equiKeys {
-	keys, ok := e.shared.joins.get(join, nil)
-	if !ok {
-		split := splitEquiJoin(cond, l.Schema().Len())
-		keys = &split
-		e.shared.joins.put(join, nil, keys)
-	}
-	return keys
-}
-
-// joinPlan is the physical form of one streaming join (streamJoin): the
-// inputs it reads, its key split and the rows it emits.
+// joinPlan is the physical form of one join node, decided by Lower: the
+// inputs the streaming join (streamJoin) reads, its key split, and the
+// split the reference executor hashes on.
 type joinPlan struct {
-	// l streams and r is built. A pass-through bag projection over stored
-	// rows (a Scan, or selections over one) is folded away, so the join
-	// reads the stored tuples: column i of the join's left input is column
-	// lmap[i] of an l tuple, and column i of its right input column
-	// rmap[i] of an r tuple.
-	l, r       algebra.Op
-	lmap, rmap []int32
-	leftOuter  bool
 	// keys is splitEquiJoin's split of the condition, its keys mapped onto
-	// the l and r tuples. The residual reads the join's own row, which
-	// streamJoin fills in a scratch row per candidate.
+	// the tuples the streaming join reads (see joinFold). The residual
+	// reads the join's own row, which streamJoin fills in a scratch row per
+	// candidate.
 	keys equiKeys
-	// shared names the table attached to r's relation (sharedKey) when r
-	// is a bare Scan keyed on columns, "" otherwise. chargeR is set when r
-	// is a Scan a projection was folded off.
-	shared  string
-	chargeR bool
-	// out is the emitted row: the join's own row, or the pass-through bag
-	// projection above the join. Column j is column out[j] of the l tuple
-	// below lw, and column out[j]−lw of the r tuple from lw on. pad is the
-	// r tuple of a left-outer row that keeps no candidate: all NULL.
-	out []int32
-	lw  int32
-	pad rel.Tuple
+	// fold is nil for a join that reads both inputs as they are and whose
+	// reference split is keys.
+	fold *joinFold
+	// shared names the table attached to the right relation (sharedKey)
+	// when the join reads a bare Scan keyed on columns there, "" otherwise.
+	shared string
+	// lw and rw are the widths of the tuples the join reads.
+	lw, rw int32
 }
 
-// joinPlan returns the physical form of top, a join or a bag projection
-// over one, decided once per node and run; nil for a projection that does
-// not pass its input's columns through. A projection that does is the
-// join's output map, so its rows are built once, by the join.
-func (e *Evaluator) joinPlan(top algebra.Op) *joinPlan {
-	if p, ok := e.shared.joinPlans.get(top, nil); ok {
-		return p
-	}
-	join, fused := top, false
-	var through []int32 // the columns of the join a projection above reads
-	if proj, ok := top.(*algebra.Project); ok {
-		if through, fused = passThrough(proj); !fused {
-			e.shared.joinPlans.put(top, nil, nil)
-			return nil
-		}
-		join = proj.Child
-	}
-	p := &joinPlan{}
-	var l, r algebra.Op
-	var cond algebra.Expr
-	switch o := join.(type) {
-	case *algebra.Cross:
-		l, r = o.L, o.R
-	case *algebra.Join:
-		l, r, cond = o.L, o.R, o.Cond
-	case *algebra.LeftJoin:
-		l, r, cond, p.leftOuter = o.L, o.R, o.Cond, true
-	}
-	p.l, p.lmap = foldStored(l)
-	p.r, p.rmap = foldStored(r)
-	_, bare := p.r.(*algebra.Scan)
-	p.chargeR = bare && p.r != r
+// joinFold is what a join keeps beside its keys when it reads an input
+// through a column map or hashes other keys than the reference does. The
+// streaming join streams its left input and builds its right one. A
+// pass-through bag projection over stored rows (a Scan, or selections over
+// one) is folded away, so the join reads the stored tuples: column i of its
+// left input is column lmap[i] of the tuple it reads, and column i of its
+// right input column rmap[i]. A nil map is an input read as it is. mat is
+// the split the reference executor hashes on, over the inputs as they are
+// and in the condition's order; nil when it is keys.
+type joinFold struct {
+	lmap, rmap []int32
+	mat        *equiKeys
+}
+
+// join lowers a Cross, Join or LeftJoin with ID id.
+func (l *lowering) join(op algebra.Op, id int32) joinPlan {
+	var p joinPlan
+	left, right, cond := joinParts(op)
+	kids := l.p.nodes[id].kids
+	var f joinFold
+	var lid, rid int32
+	f.lmap, lid = l.fold(left, kids[0])
+	f.rmap, rid = l.fold(right, kids[1])
+	p.lw, p.rw = l.p.nodes[lid].width, l.p.nodes[rid].width
 	if cond != nil {
-		p.keys = splitEquiJoin(cond, len(p.lmap))
-		if p.l != l {
-			mapRefs(p.keys.probe, p.lmap)
+		split := splitEquiJoin(cond, int(l.p.nodes[kids[0]].width))
+		p.keys = equiKeys{pairs: mapKeys(split.pairs, f.lmap, f.rmap), residual: split.residual}
+		if _, bare := l.ops[rid].(*algebra.Scan); bare && len(p.keys.pairs) > 0 {
+			p.shared = sharedKey(&p.keys)
 		}
-		if p.r != r {
-			mapRefs(p.keys.build, p.rmap)
-		}
-	}
-	if bare && len(p.keys.build) > 0 {
-		p.shared = sharedKey(&p.keys)
-	}
-	p.lw = int32(p.l.Schema().Len())
-	col := func(i int32) int32 {
-		if int(i) < len(p.lmap) {
-			return p.lmap[i]
-		}
-		return p.lw + p.rmap[int(i)-len(p.lmap)]
-	}
-	if fused {
-		p.out = make([]int32, len(through))
-		for j, c := range through {
-			p.out[j] = col(c)
-		}
-	} else {
-		p.out = make([]int32, len(p.lmap)+len(p.rmap))
-		for i := range p.out {
-			p.out[i] = col(int32(i))
+		if !p.keys.same(&split) {
+			f.mat = &split
 		}
 	}
-	if p.leftOuter {
-		p.pad = rel.Nulls(p.r.Schema().Len())
+	if f.lmap != nil || f.rmap != nil || f.mat != nil {
+		p.fold = &f
 	}
-	e.shared.joinPlans.put(top, nil, p)
 	return p
+}
+
+// joinParts returns the inputs and the condition of a Cross (nil), Join or
+// LeftJoin.
+func joinParts(op algebra.Op) (l, r algebra.Op, cond algebra.Expr) {
+	switch o := op.(type) {
+	case *algebra.Cross:
+		return o.L, o.R, nil
+	case *algebra.Join:
+		return o.L, o.R, o.Cond
+	case *algebra.LeftJoin:
+		return o.L, o.R, o.Cond
+	}
+	panic("eval: not a join")
+}
+
+// fold returns the column map of the tuples a join reads for its input in,
+// whose ID is id, and the ID of what it reads. A pass-through bag
+// projection over stored rows (a Scan, or selections over one, which emit
+// the scan's tuples) is folded to its input. Any other input is read as it
+// is, with a nil map: an input that builds its rows, folded, would build
+// wider ones.
+func (l *lowering) fold(in algebra.Op, id int32) ([]int32, int32) {
+	if p, ok := in.(*algebra.Project); ok {
+		if cols, ok := passThrough(p); ok && stored(p.Child) {
+			return cols, l.p.nodes[id].kids[0]
+		}
+	}
+	return nil, id
+}
+
+// fused returns the output map of a bag projection with ID id that passes
+// the columns of a join through, nil for any other projection: the join
+// builds the projection's rows (see col), once.
+func (l *lowering) fused(o *algebra.Project, id int32) []int32 {
+	switch o.Child.(type) {
+	case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
+	default:
+		return nil
+	}
+	through, ok := passThrough(o)
+	if !ok {
+		return nil
+	}
+	j := &l.p.joins[l.p.nodes[l.p.nodes[id].kids[0]].phys]
+	out := make([]int32, len(through))
+	for k, c := range through {
+		out[k] = j.col(c)
+	}
+	return out
 }
 
 // passThrough returns the input column each column of a bag projection
@@ -258,24 +260,6 @@ func passThrough(p *algebra.Project) ([]int32, bool) {
 	return cols, true
 }
 
-// foldStored returns the input a join reads for in, and the column of its
-// tuples each column of in reads. A pass-through bag projection over
-// stored rows (a Scan, or selections over one, which emit the scan's
-// tuples) is folded to its input. Any other input is read as it is: an
-// input that builds its rows, folded, would build wider ones.
-func foldStored(in algebra.Op) (algebra.Op, []int32) {
-	if p, ok := in.(*algebra.Project); ok {
-		if cols, ok := passThrough(p); ok && stored(p.Child) {
-			return p.Child, cols
-		}
-	}
-	cols := make([]int32, in.Schema().Len())
-	for i := range cols {
-		cols[i] = int32(i)
-	}
-	return in, cols
-}
-
 // stored reports whether op emits the tuples of a base relation: a Scan,
 // or selections over one.
 func stored(op algebra.Op) bool {
@@ -291,54 +275,169 @@ func stored(op algebra.Op) bool {
 	}
 }
 
-// mapRefs maps the slots of key expressions, which read one input of a
-// join, onto the tuples that input is read from.
-func mapRefs(keys []algebra.Expr, cols []int32) {
-	for i, k := range keys {
-		keys[i] = algebra.MapExpr(k, func(x algebra.Expr) algebra.Expr {
-			if r, ok := x.(algebra.Ref); ok && r.Depth == 0 {
-				r.Idx = cols[r.Idx]
-				return r
-			}
-			return x
-		})
+// mapKeys returns a join's key pairs with their probe expressions mapped
+// onto the left tuples the join reads and their build expressions onto the
+// right ones; the pairs themselves when both maps are nil.
+func mapKeys(pairs []equiKey, lmap, rmap []int32) []equiKey {
+	if lmap == nil && rmap == nil {
+		return pairs
 	}
+	out := make([]equiKey, len(pairs))
+	for i, k := range pairs {
+		out[i] = equiKey{probe: mapRefs(k.probe, lmap), build: mapRefs(k.build, rmap), nullEq: k.nullEq}
+	}
+	return out
 }
 
-// row builds the emitted row of an l tuple and an r tuple.
-func (p *joinPlan) row(lt, rt rel.Tuple) rel.Tuple {
-	row := make(rel.Tuple, len(p.out))
-	for j, c := range p.out {
-		if c < p.lw {
-			row[j] = lt[c]
-		} else {
-			row[j] = rt[c-p.lw]
+// mapRefs maps the slots an expression reads through cols; the expression
+// itself for nil cols.
+func mapRefs(x algebra.Expr, cols []int32) algebra.Expr {
+	if cols == nil {
+		return x
+	}
+	return algebra.MapExpr(x, func(x algebra.Expr) algebra.Expr {
+		if r, ok := x.(algebra.Ref); ok && r.Depth == 0 {
+			r.Idx = cols[r.Idx]
+			return algebra.BoxRef(r)
 		}
+		return x
+	})
+}
+
+// same reports whether two join plans decide the same.
+func (p joinPlan) same(q joinPlan) bool {
+	return p.keys.same(&q.keys) && p.shared == q.shared && p.lw == q.lw && p.rw == q.rw &&
+		sameCols(p.lmap(), q.lmap()) && sameCols(p.rmap(), q.rmap()) && p.matKeys().same(q.matKeys())
+}
+
+// lmap and rmap return the column maps of the inputs, nil for an input
+// read as it is.
+func (p *joinPlan) lmap() []int32 {
+	if p.fold == nil {
+		return nil
+	}
+	return p.fold.lmap
+}
+
+func (p *joinPlan) rmap() []int32 {
+	if p.fold == nil {
+		return nil
+	}
+	return p.fold.rmap
+}
+
+// matKeys returns the split the reference executor hashes on.
+func (p *joinPlan) matKeys() *equiKeys {
+	if p.fold != nil && p.fold.mat != nil {
+		return p.fold.mat
+	}
+	return &p.keys
+}
+
+// lcols and rcols are the widths of the join's inputs.
+func (p *joinPlan) lcols() int32 { return mappedWidth(p.lmap(), p.lw) }
+func (p *joinPlan) rcols() int32 { return mappedWidth(p.rmap(), p.rw) }
+
+func mappedWidth(m []int32, w int32) int32 {
+	if m == nil {
+		return w
+	}
+	return int32(len(m))
+}
+
+// col returns where column i of the join's own row is read: column c of
+// the left tuple below lw, column c−lw of the right tuple from lw on.
+func (p *joinPlan) col(i int32) int32 {
+	if lc := p.lcols(); i >= lc {
+		i -= lc
+		if rmap := p.rmap(); rmap != nil {
+			i = rmap[i]
+		}
+		return p.lw + i
+	}
+	if lmap := p.lmap(); lmap != nil {
+		return lmap[i]
+	}
+	return i
+}
+
+// row builds an emitted row from a left tuple and a right tuple: the join's
+// own row for a nil out, the columns out names (see col) otherwise. rt is
+// nil for a left-outer row that keeps no candidate: its right columns stay
+// NULL, the zero Value.
+func (p *joinPlan) row(out []int32, lt, rt rel.Tuple) rel.Tuple {
+	if out != nil {
+		row := make(rel.Tuple, len(out))
+		for j, c := range out {
+			if c < p.lw {
+				row[j] = lt[c]
+			} else if rt != nil {
+				row[j] = rt[c-p.lw]
+			}
+		}
+		return row
+	}
+	lc := p.lcols()
+	row := make(rel.Tuple, lc+p.rcols())
+	fill(row[:lc], lt, p.lmap())
+	if rt != nil {
+		fill(row[lc:], rt, p.rmap())
 	}
 	return row
 }
 
-// joinBuild returns the table a join's r is built into. Over a bare Scan
-// keyed on columns it is the table attached to the scan's relation, built
-// on first use and shared with every later run, as a correlated
-// selection's index is (baseIndex). Any other r is materialized by eval,
-// which charges what it materializes, and built for this run. A scan read
-// in place of the projection folded off it is charged one row a slot, as
-// that projection's materialized rows were, so the row budget and PeakRows
-// do not depend on the fold; a scan the plan builds as it is charges
-// nothing, as a view of a base relation does not.
-func (e *Evaluator) joinBuild(p *joinPlan, outer []rel.Tuple) (*slotIndex, error) {
+// fill copies the columns cols names of t into dst, t's own columns for a
+// nil cols.
+func fill(dst, t rel.Tuple, cols []int32) {
+	if cols == nil {
+		copy(dst, t)
+		return
+	}
+	for k, c := range cols {
+		dst[k] = t[c]
+	}
+}
+
+// joinOf returns the plan of join node id of the running plan.
+func (e *Evaluator) joinOf(id int32) *joinPlan {
+	return &e.shared.plan.joins[e.node(id).phys]
+}
+
+// joinInputs returns the operators a join node reads and their IDs: its
+// inputs, or the child of an input's projection the plan folded.
+func (e *Evaluator) joinInputs(op algebra.Op, id int32, p *joinPlan) (l algebra.Op, lid int32, r algebra.Op, rid int32) {
+	l, r, _ = joinParts(op)
+	lid, rid = e.kid(id, 0), e.kid(id, 1)
+	if p.lmap() != nil {
+		l, lid = l.(*algebra.Project).Child, e.kid(lid, 0)
+	}
+	if p.rmap() != nil {
+		r, rid = r.(*algebra.Project).Child, e.kid(rid, 0)
+	}
+	return l, lid, r, rid
+}
+
+// joinBuild returns the table a join builds r, with ID rid, into. Over a
+// bare Scan keyed on columns it is the table attached to the scan's
+// relation, built on first use and shared with every later run, as a
+// correlated selection's index is (baseIndex). Any other r is materialized
+// by eval, which charges what it materializes, and built for this run. A
+// scan read in place of the projection folded off it is charged one row a
+// slot, as that projection's materialized rows were, so the row budget and
+// PeakRows do not depend on the fold; a scan the plan builds as it is
+// charges nothing, as a view of a base relation does not.
+func (e *Evaluator) joinBuild(p *joinPlan, r algebra.Op, rid int32, outer []rel.Tuple) (*slotIndex, error) {
 	var in *rel.Relation
 	var err error
 	if p.shared != "" {
-		in, err = e.db.Relation(p.r.(*algebra.Scan).Name)
+		in, err = e.scan(r.(*algebra.Scan), rid)
 	} else {
-		in, err = e.eval(p.r, outer)
+		in, err = e.eval(r, rid, outer)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if p.chargeR {
+	if _, bare := r.(*algebra.Scan); bare && p.rmap() != nil {
 		if err := e.charge(in.Slots()); err != nil {
 			return nil, err
 		}
@@ -352,9 +451,8 @@ func (e *Evaluator) joinBuild(p *joinPlan, outer []rel.Tuple) (*slotIndex, error
 
 // hashJoin is the materializing executor's l ⋈ r (or l ⟕ r when leftOuter)
 // using the extracted keys: it indexes r, then probes with every tuple of l.
-// The caller guarantees len(keys.probe) > 0.
-func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
-	sch := o.Schema()
+// The caller guarantees len(keys.pairs) > 0.
+func (e *Evaluator) hashJoin(id int32, l, r *rel.Relation, keys *equiKeys, leftOuter bool, outer []rel.Tuple) (*rel.Relation, error) {
 	rightWidth := r.Schema.Len()
 
 	ix, err := e.buildIndex(keys, r, outer)
@@ -363,7 +461,7 @@ func (e *Evaluator) hashJoin(o algebra.Op, l, r *rel.Relation, keys *equiKeys, l
 	}
 
 	// Probe side.
-	out := rel.New(sch)
+	out := e.bag(id)
 	err = l.Each(func(lt rel.Tuple, ln int) error {
 		if err := e.tick(); err != nil {
 			return err
@@ -415,7 +513,7 @@ type slotIndex struct {
 	slots   []int32
 }
 
-// buildIndex indexes the slots of in on keys.build. A slot whose plain-=
+// buildIndex indexes the slots of in on the build keys. A slot whose plain-=
 // key is NULL can match nothing and is left out. With no build keys every
 // slot has the empty key, so the one bucket holds every slot. Only a new
 // key allocates in the loop: the key bytes are built in a stack buffer.
@@ -429,7 +527,7 @@ func (e *Evaluator) buildIndex(keys *equiKeys, in *rel.Relation, outer []rel.Tup
 		}
 		t, _ := in.Slot(i)
 		var buf [64]byte
-		key, ok, err := appendKey(buf[:0], keys.build, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
+		key, ok, err := appendKey(buf[:0], keys.pairs, true, func(x algebra.Expr) (types.Value, error) {
 			return e.evalExpr(x, t, outer)
 		})
 		if err != nil {
@@ -464,12 +562,12 @@ func (e *Evaluator) buildIndex(keys *equiKeys, in *rel.Relation, outer []rel.Tup
 	return ix, nil
 }
 
-// find returns the number of the bucket whose key keys.probe evaluates to
+// find returns the number of the bucket whose key the probe keys evaluate to
 // over t, -1 when nothing can match. The key is built in a stack buffer and
 // converted for the lookup only, so a probe allocates nothing for it.
 func (e *Evaluator) find(ix *slotIndex, keys *equiKeys, t rel.Tuple, outer []rel.Tuple) (int32, error) {
 	var buf [64]byte
-	key, ok, err := appendKey(buf[:0], keys.probe, keys.nullEq, func(x algebra.Expr) (types.Value, error) {
+	key, ok, err := appendKey(buf[:0], keys.pairs, false, func(x algebra.Expr) (types.Value, error) {
 		return e.evalExpr(x, t, outer)
 	})
 	if err != nil || !ok {
@@ -495,18 +593,23 @@ func (ix *slotIndex) bucket(b int32) []int32 {
 }
 
 // appendKey appends the key of one row to dst: the encodings of the values
-// eval gives the key expressions, equal bytes iff the values are equal under
-// = (=n where nullEq is set). ok is false when a plain-= key is NULL; such a
-// row matches nothing. It reaches the executor only through eval, so that a
-// caller's stack buffer stays on the stack: escape analysis moves a buffer
-// that enters the executor's recursion to the heap.
-func appendKey(dst []byte, exprs []algebra.Expr, nullEq []bool, eval func(algebra.Expr) (types.Value, error)) ([]byte, bool, error) {
-	for i, kx := range exprs {
-		v, err := eval(kx)
+// eval gives the pairs' build expressions, or their probe expressions,
+// equal bytes iff the values are equal under = (=n where the pair's nullEq
+// is set). ok is false when a plain-= key is NULL; such a row matches
+// nothing. It reaches the executor only through eval, so that a caller's
+// stack buffer stays on the stack: escape analysis moves a buffer that
+// enters the executor's recursion to the heap.
+func appendKey(dst []byte, pairs []equiKey, build bool, eval func(algebra.Expr) (types.Value, error)) ([]byte, bool, error) {
+	for _, k := range pairs {
+		x := k.probe
+		if build {
+			x = k.build
+		}
+		v, err := eval(x)
 		if err != nil {
 			return nil, false, err
 		}
-		if v.IsNull() && !nullEq[i] {
+		if v.IsNull() && !k.nullEq {
 			return nil, false, nil
 		}
 		dst = v.AppendKey(dst)

@@ -45,7 +45,7 @@ func splitSelect(o *algebra.Select) *indexSplit {
 		}
 		return noSide
 	})
-	if len(keys.probe) == 0 {
+	if len(keys.pairs) == 0 {
 		return nil
 	}
 	split := &indexSplit{equiKeys: keys, free: freeSlots(o.Child)}
@@ -55,43 +55,38 @@ func splitSelect(o *algebra.Select) *indexSplit {
 	return split
 }
 
-// sharedKey names the index of a scan's relation hashed on keys.build: the
-// columns and the = or =n of each key, the two things besides the slots
-// that decide which slot falls in which bucket. It sorts the keys by
-// column first, so one column set names one index whatever order the
-// query wrote its conjuncts in. It is "" when a build key is not a column,
-// since a computed key may differ per statement, and when a column is keyed
-// twice (u.b = x AND u.b = y), which would name one more index over the
-// buckets of u.b.
+// sharedKey names the index of a scan's relation hashed on the build keys:
+// the columns and the = or =n of each key, the two things besides the slots
+// that decide which slot falls in which bucket. It sorts the keys by column
+// first, so one column set names one index whatever order the query wrote
+// its conjuncts in. It is "" when a build key is not a column, since a
+// computed key may differ per statement, and when a column is keyed twice
+// (u.b = x AND u.b = y), which would name one more index over the buckets
+// of u.b.
 func sharedKey(keys *equiKeys) string {
-	cols := make([]int32, len(keys.build))
-	for i, x := range keys.build {
-		r, ok := x.(algebra.Ref)
-		if !ok || r.Depth != 0 {
+	col := func(k equiKey) int32 { return k.build.(algebra.Ref).Idx }
+	for _, k := range keys.pairs {
+		if r, ok := k.build.(algebra.Ref); !ok || r.Depth != 0 {
 			return ""
 		}
-		cols[i] = r.Idx
 	}
-	order := make([]int, len(cols))
-	for i := range order {
-		order[i] = i
+	byCol := func(a, b equiKey) int { return cmp.Compare(col(a), col(b)) }
+	sorted := keys.pairs
+	if !slices.IsSortedFunc(sorted, byCol) {
+		sorted = slices.Clone(sorted)
+		slices.SortFunc(sorted, byCol)
 	}
-	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(cols[i], cols[j]) })
-	sorted := equiKeys{residual: keys.residual}
 	key := []byte("eval.index")
-	for n, i := range order {
-		if n > 0 && cols[i] == cols[order[n-1]] {
+	for n, k := range sorted {
+		if n > 0 && col(k) == col(sorted[n-1]) {
 			return ""
 		}
-		sorted.probe = append(sorted.probe, keys.probe[i])
-		sorted.build = append(sorted.build, keys.build[i])
-		sorted.nullEq = append(sorted.nullEq, keys.nullEq[i])
-		key = strconv.AppendInt(append(key, ' '), int64(cols[i]), 10)
-		if keys.nullEq[i] {
+		key = strconv.AppendInt(append(key, ' '), int64(col(k)), 10)
+		if k.nullEq {
 			key = append(key, 'n')
 		}
 	}
-	*keys = sorted
+	keys.pairs = sorted
 	return string(key)
 }
 
@@ -218,58 +213,69 @@ func sortRefs(free []algebra.Ref) []algebra.Ref {
 }
 
 // selectPlan is how the streaming executor answers one selection: by
-// generation (gen.go), from a hash index, or, with both nil, by the literal
-// filter.
+// generation (gen.go) or from a hash index. A selection without one runs
+// the literal filter.
 type selectPlan struct {
 	gen   *genPlan
 	index *indexSplit
 }
 
-// selectPlan returns the plan of a selection, decided once per node and
-// run, as a join's split is.
-func (e *Evaluator) selectPlan(o *algebra.Select) *selectPlan {
-	p, ok := e.shared.selects.get(o, nil)
-	if ok {
-		return p
-	}
-	p = &selectPlan{}
+// selectPlan lowers a selection; nil for the literal filter.
+func (l *lowering) selectPlan(o *algebra.Select) *selectPlan {
+	p := &selectPlan{}
 	if _, ok := o.Child.(*algebra.Cross); ok {
-		p.gen = planGen(o)
+		p.gen = l.planGen(o)
 	}
 	if p.gen == nil {
 		p.index = splitSelect(o)
 	}
-	e.shared.selects.put(o, nil, p)
+	if p.gen == nil && p.index == nil {
+		return nil
+	}
 	return p
 }
 
-// indexedSelect answers a selection evaluated under enclosing scopes from
-// its hash index, and reports false when the literal filter must run
-// instead: the selection does not qualify, or this is the first call for
-// the binding of its input's free slots.
-func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) (bool, error) {
-	if len(outer) == 0 {
-		return false, nil
+// same reports whether two selection plans decide the same. A generation
+// plan reads the operators of its subtree, so only itself is the same.
+func (p *selectPlan) same(q *selectPlan) bool {
+	if p.gen != nil || q.gen != nil {
+		return p.gen == q.gen
 	}
-	split := e.selectPlan(o).index
-	if split == nil {
+	return p.index.equiKeys.same(&q.index.equiKeys) && slices.Equal(p.index.free, q.index.free) && p.index.shared == q.index.shared
+}
+
+// selectOf returns the plan of selection node id of the running plan,
+// nil for the literal filter.
+func (e *Evaluator) selectOf(id int32) *selectPlan {
+	if n := e.node(id); n.phys >= 0 {
+		return e.shared.plan.selects[n.phys]
+	}
+	return nil
+}
+
+// indexedSelect answers selection node id, evaluated under enclosing
+// scopes, from its hash index, and reports false when the literal filter
+// must run instead: this is no call under enclosing scopes, or the first
+// call for the binding of its input's free slots.
+func (e *Evaluator) indexedSelect(o *algebra.Select, id int32, split *indexSplit, outer []rel.Tuple, emit emitFn) (bool, error) {
+	if len(outer) == 0 {
 		return false, nil
 	}
 	var buf [64]byte
 	binding := appendParamKey(buf[:0], split.free, outer)
-	ix, seen := e.shared.indexes.get(o, binding)
+	ix, seen := e.shared.indexes.get(id, binding)
 	if !seen {
 		// The first call for a binding runs the literal filter and marks
 		// the binding, so a selection evaluated once never builds.
-		e.shared.indexes.put(o, binding, nil)
+		e.shared.indexes.put(id, binding, nil)
 		return false, nil
 	}
 	if ix == nil {
 		var err error
-		if ix, err = e.selectIndex(o, split, outer); err != nil {
+		if ix, err = e.selectIndex(o, id, split, outer); err != nil {
 			return true, err
 		}
-		e.shared.indexes.put(o, binding, ix)
+		e.shared.indexes.put(id, binding, ix)
 	}
 	e.shared.indexProbes++
 	b, err := e.find(ix, &split.equiKeys, nil, outer)
@@ -304,9 +310,10 @@ func (e *Evaluator) indexedSelect(o *algebra.Select, outer []rel.Tuple, emit emi
 // attached one counts only in IndexProbes. Any other input is built for
 // this run alone and charged like a hash-join build, by eval: one row per
 // row group of an input that had to be materialized.
-func (e *Evaluator) selectIndex(o *algebra.Select, split *indexSplit, outer []rel.Tuple) (*slotIndex, error) {
+func (e *Evaluator) selectIndex(o *algebra.Select, id int32, split *indexSplit, outer []rel.Tuple) (*slotIndex, error) {
+	cid := e.kid(id, 0)
 	if split.shared != "" {
-		base, err := e.db.Relation(o.Child.(*algebra.Scan).Name)
+		base, err := e.scan(o.Child.(*algebra.Scan), cid)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +323,7 @@ func (e *Evaluator) selectIndex(o *algebra.Select, split *indexSplit, outer []re
 		}
 		return ix, err
 	}
-	in, err := e.eval(o.Child, outer)
+	in, err := e.eval(o.Child, cid, outer)
 	if err != nil {
 		return nil, err
 	}

@@ -218,9 +218,10 @@ func TestJoinSharesIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p := Lower(op, nil)
 			ev := New(c)
 			return testing.AllocsPerRun(3, func() {
-				if _, err := ev.EvalBound(op); err != nil {
+				if _, err := ev.Run(p); err != nil {
 					t.Fatal(err)
 				}
 			})

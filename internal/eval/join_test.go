@@ -81,8 +81,8 @@ func TestKeyedJoinResidual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if keys := splitEquiJoin(algebra.OperatorExprs(bound)[0], 2); len(keys.probe) != 1 {
-				t.Fatalf("condition %s splits into %d keys, want 1", tc.cond, len(keys.probe))
+			if keys := splitEquiJoin(algebra.OperatorExprs(bound)[0], 2); len(keys.pairs) != 1 {
+				t.Fatalf("condition %s splits into %d keys, want 1", tc.cond, len(keys.pairs))
 			}
 			want := rel.New(op.Schema())
 			for _, w := range tc.want {
@@ -175,19 +175,20 @@ func TestJoinFold(t *testing.T) {
 					case want.Empty():
 						t.Errorf("the reference returns no row")
 					}
-					fused := false
-					for k, p := range ev.shared.joinPlans.m {
-						if p == nil {
-							continue
-						}
-						if _, ok := p.l.(*algebra.Project); ok {
-							t.Errorf("the join streams its left input's projection %s", p.l)
-						}
-						if _, ok := p.r.(*algebra.Project); ok {
-							t.Errorf("the join builds its right input's projection %s", p.r)
-						}
-						_, fused = k.node.(*algebra.Project)
+					bound, err := algebra.Bind(op)
+					if err != nil {
+						t.Fatal(err)
 					}
+					plan := Lower(bound, nil)
+					for _, p := range plan.joins {
+						if p.lmap() == nil {
+							t.Errorf("the join streams its left input's projection")
+						}
+						if p.rmap() == nil {
+							t.Errorf("the join builds its right input's projection")
+						}
+					}
+					fused := len(plan.outs) > 0
 					if fused != above {
 						t.Errorf("projection above built by the join: %v, want %v", fused, above)
 					}

@@ -1,15 +1,16 @@
 package eval
 
 import (
-	"perm/internal/algebra"
 	"perm/internal/rel"
 	"perm/internal/types"
 )
 
-// runShared is the state of one top-level Eval call: the row budget, the
-// counters of Stats, and the memos, each keyed by plan node and binding. A
-// stored value is immutable.
+// runShared is the state of one top-level run (PostgreSQL's PlanState): the
+// plan it runs, the row budget, the counters of Stats, and what the run
+// computed, each keyed by node ID (see Plan) and binding. The run decides
+// nothing: every decision is the plan's. A stored value is immutable.
 type runShared struct {
+	plan                                *Plan
 	rows                                int64
 	indexBuilds, indexProbes, generated int64
 
@@ -17,41 +18,34 @@ type runShared struct {
 	// per query for an uncorrelated sublink (PostgreSQL's InitPlan), and per
 	// binding of its free slots for a correlated one, so repeated outer
 	// bindings evaluate the sublink once instead of O(outer) times.
-	bags memo[algebra.Op, *rel.Relation]
+	bags memo[int32, *rel.Relation]
 	// anySets holds the hash sets of uncorrelated = ANY sublinks
 	// (PostgreSQL's hashed subplans).
-	anySets memo[algebra.Op, *anySet]
+	anySets memo[int32, *anySet]
 	// exists and scalars hold the verdicts of early-terminating streaming
 	// probes. A probe that stopped at its deciding row has seen only part
 	// of the subplan's bag, so bags must never receive it — the verdict is
 	// the memoizable result.
-	exists  memo[algebra.Op, bool]
-	scalars memo[algebra.Op, types.Value]
-	// joins holds the equi-join split of each join node's condition for
-	// the materializing executor, and joinPlans the streaming executor's
-	// physical form of each join and of each bag projection over one (nil
-	// for a projection the join cannot build). selects holds the plan of
-	// each selection: generation, an index, or the literal filter.
-	joins     memo[algebra.Op, *equiKeys]
-	joinPlans memo[algebra.Op, *joinPlan]
-	selects   memo[*algebra.Select, *selectPlan]
-	// indexes holds the indexes of those selections per binding of the
-	// input's free slots, built by this run or found attached to a base
-	// relation. A nil index marks a binding seen once, whose call ran the
-	// literal filter.
-	indexes memo[*algebra.Select, *slotIndex]
-	// witnesses holds the witnesses generation found per sublink and
-	// binding (see gen.go).
-	witnesses memo[*genSublink, genSet]
+	exists  memo[int32, bool]
+	scalars memo[int32, types.Value]
+	// indexes holds the indexes of selections the plan answers from one,
+	// per binding of the input's free slots, built by this run or found
+	// attached to a base relation. A nil index marks a binding seen once,
+	// whose call ran the literal filter.
+	indexes memo[int32, *slotIndex]
+	// gens holds, by node ID, the CrossBase tables of each selection the
+	// plan answers by generation, and witnesses the witnesses generation
+	// found per sublink and binding (see gen.go).
+	gens      []*genRun
+	witnesses memo[genBlock, genSet]
 }
 
 // memo is one table of per-run state: a value per plan node and binding.
 // A correlated sublink is evaluated under each binding of its free slots
 // (substitution semantics), so everything the executor keeps for a run is a
 // function of a node and the encoded values appendParamKey builds for it.
-// A node that reads no enclosing scope, and a decision made once per node,
-// has the empty binding. The zero memo is empty and ready; a stored value
-// is immutable.
+// A node that reads no enclosing scope has the empty binding. The zero memo
+// is empty and ready; a stored value is immutable.
 type memo[K comparable, V any] struct {
 	m map[memoKey[K]]V
 }

@@ -26,17 +26,17 @@ var errStop = errors.New("eval: pipeline stop")
 // aggregation, hash-join and nested-loop build sides, set-operation inputs,
 // DISTINCT's dedup state — materialize exactly the state their semantics
 // force; everything else forwards rows one by one.
-func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) stream(op algebra.Op, id int32, outer []rel.Tuple, emit emitFn) error {
 	if err := e.tick(); err != nil {
 		return err
 	}
 	switch o := op.(type) {
 	case *algebra.Scan:
-		base, err := e.db.Relation(o.Name)
+		base, err := e.scan(o, id)
 		if err != nil {
 			return err
 		}
-		return base.WithSchema(o.Schema()).Each(func(t rel.Tuple, n int) error {
+		return base.Each(func(t rel.Tuple, n int) error {
 			if err := e.tick(); err != nil {
 				return err
 			}
@@ -61,34 +61,38 @@ func (e *Evaluator) stream(op algebra.Op, outer []rel.Tuple, emit emitFn) error 
 		}
 		return nil
 	case *algebra.Select:
-		return e.streamSelect(o, outer, emit)
+		return e.streamSelect(o, id, outer, emit)
 	case *algebra.Project:
-		return e.streamProject(o, -1, outer, emit)
+		return e.streamProject(o, id, -1, outer, emit)
 	case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
-		return e.streamJoin(e.joinPlan(op), outer, emit)
+		return e.streamJoin(op, id, nil, outer, emit)
 	case *algebra.Aggregate:
-		return e.streamAggregate(o, outer, emit)
+		return e.streamAggregate(o, id, outer, emit)
 	case *algebra.SetOp:
-		return e.streamSetOp(o, outer, emit)
+		return e.streamSetOp(o, id, outer, emit)
 	case *algebra.Order:
-		return e.streamOrder(o, -1, outer, emit)
+		return e.streamOrder(o, id, -1, outer, emit)
 	case *algebra.Limit:
-		return e.streamLimit(o, outer, emit)
+		return e.streamLimit(o, id, outer, emit)
 	default:
 		return fmt.Errorf("eval: unsupported operator %T", op)
 	}
 }
 
-func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emitFn) error {
-	if _, ok := o.Child.(*algebra.Cross); ok {
-		if generated, err := e.generatedSelect(o, outer, emit); generated {
+func (e *Evaluator) streamSelect(o *algebra.Select, id int32, outer []rel.Tuple, emit emitFn) error {
+	if sp := e.selectOf(id); sp != nil {
+		var done bool
+		var err error
+		if sp.gen != nil {
+			done, err = e.generatedSelect(sp.gen, id, outer, emit)
+		} else {
+			done, err = e.indexedSelect(o, id, sp.index, outer, emit)
+		}
+		if done {
 			return err
 		}
 	}
-	if indexed, err := e.indexedSelect(o, outer, emit); indexed {
-		return err
-	}
-	return e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+	return e.stream(o.Child, e.kid(id, 0), outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
@@ -107,17 +111,14 @@ func (e *Evaluator) streamSelect(o *algebra.Select, outer []rel.Tuple, emit emit
 // most the first bound (see streamBounded). A projection over a join that
 // passes its input's columns through is the join's output map: the join
 // builds its rows.
-func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tuple, emit emitFn) error {
-	switch o.Child.(type) {
-	case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
-		if p := e.joinPlan(o); p != nil {
-			return e.streamJoin(p, outer, emit)
-		}
+func (e *Evaluator) streamProject(o *algebra.Project, id int32, bound int, outer []rel.Tuple, emit emitFn) error {
+	if n := e.node(id); n.phys >= 0 {
+		return e.streamJoin(o.Child, n.kids[0], e.shared.plan.outs[n.phys], outer, emit)
 	}
 	if o.Distinct {
 		emit = e.dedupEmit(emit)
 	}
-	return e.streamBounded(o.Child, bound, outer, func(t rel.Tuple, n int) error {
+	return e.streamBounded(o.Child, e.kid(id, 0), bound, outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
@@ -140,26 +141,30 @@ func (e *Evaluator) streamProject(o *algebra.Project, bound int, outer []rel.Tup
 	})
 }
 
-// streamJoin runs the join of a physical form (joinPlan): l ⋈ r, l ⟕ r
-// when leftOuter, and l × r as a join with no condition, with r as the
-// build side and l streaming through. The build side is bucketed on the
+// streamJoin runs join node id in its physical form (joinPlan): l ⋈ r,
+// l ⟕ r when leftOuter, and l × r as a join with no condition, with r as
+// the build side and l streaming through. The build side is bucketed on the
 // condition's equi-keys; with none, its one bucket holds every slot. A left
 // row's candidates are its bucket, filtered by the residual, every conjunct
 // that is not a key, over a scratch row refilled per candidate, and a
 // left-outer row that keeps none is padded with NULLs. Each emitted row is
-// built once, from the two tuples, so a rejected candidate allocates
-// nothing.
-func (e *Evaluator) streamJoin(p *joinPlan, outer []rel.Tuple, emit emitFn) error {
-	ix, err := e.joinBuild(p, outer)
+// built once, from the two tuples, as the join's own row or, for a
+// projection above the join that passes its columns through, as the columns
+// out names (joinPlan.row); a rejected candidate allocates nothing.
+func (e *Evaluator) streamJoin(op algebra.Op, id int32, out []int32, outer []rel.Tuple, emit emitFn) error {
+	p := e.joinOf(id)
+	l, lid, r, rid := e.joinInputs(op, id, p)
+	ix, err := e.joinBuild(p, r, rid, outer)
 	if err != nil {
 		return err
 	}
 	var scratch rel.Tuple
-	lw := len(p.lmap)
+	lc, lmap, rmap := p.lcols(), p.lmap(), p.rmap()
 	if p.keys.residual != nil {
-		scratch = make(rel.Tuple, lw+len(p.rmap))
+		scratch = make(rel.Tuple, lc+p.rcols())
 	}
-	return e.stream(p.l, outer, func(lt rel.Tuple, ln int) error {
+	_, leftOuter := op.(*algebra.LeftJoin)
+	return e.stream(l, lid, outer, func(lt rel.Tuple, ln int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
@@ -169,9 +174,7 @@ func (e *Evaluator) streamJoin(p *joinPlan, outer []rel.Tuple, emit emitFn) erro
 		}
 		candidates := ix.bucket(b)
 		if scratch != nil && len(candidates) > 0 {
-			for k, c := range p.lmap {
-				scratch[k] = lt[c]
-			}
+			fill(scratch[:lc], lt, lmap)
 		}
 		matched := false
 		for _, i := range candidates {
@@ -180,9 +183,7 @@ func (e *Evaluator) streamJoin(p *joinPlan, outer []rel.Tuple, emit emitFn) erro
 			}
 			rt, rn := ix.in.Slot(int(i))
 			if scratch != nil {
-				for k, c := range p.rmap {
-					scratch[lw+k] = rt[c]
-				}
+				fill(scratch[lc:], rt, rmap)
 				keep, err := e.evalCond(p.keys.residual, scratch, outer)
 				if err != nil {
 					return err
@@ -192,18 +193,18 @@ func (e *Evaluator) streamJoin(p *joinPlan, outer []rel.Tuple, emit emitFn) erro
 				}
 			}
 			matched = true
-			if err := emit(p.row(lt, rt), ln*rn); err != nil {
+			if err := emit(p.row(out, lt, rt), ln*rn); err != nil {
 				return err
 			}
 		}
-		if p.leftOuter && !matched {
-			return emit(p.row(lt, p.pad), ln)
+		if leftOuter && !matched {
+			return emit(p.row(out, lt, nil), ln)
 		}
 		return nil
 	})
 }
 
-func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamAggregate(o *algebra.Aggregate, id int32, outer []rel.Tuple, emit emitFn) error {
 	type group struct {
 		keys rel.Tuple
 		aggs []aggState
@@ -220,7 +221,7 @@ func (e *Evaluator) streamAggregate(o *algebra.Aggregate, outer []rel.Tuple, emi
 		}
 		return g
 	}
-	err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+	err := e.stream(o.Child, e.kid(id, 0), outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}
@@ -304,29 +305,30 @@ func (e *Evaluator) dedupEmit(emit emitFn) emitFn {
 	}
 }
 
-func (e *Evaluator) streamSetOp(o *algebra.SetOp, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamSetOp(o *algebra.SetOp, id int32, outer []rel.Tuple, emit emitFn) error {
 	if !o.Bag {
 		// Set semantics: dedup at the output boundary, first occurrence
 		// emitted with multiplicity 1.
 		emit = e.dedupEmit(emit)
 	}
-	if o.L.Schema().Len() != o.R.Schema().Len() {
-		return fmt.Errorf("eval: %s of width %d and width %d", o.Kind, o.L.Schema().Len(), o.R.Schema().Len())
+	lid, rid := e.kid(id, 0), e.kid(id, 1)
+	if lw, rw := e.node(lid).width, e.node(rid).width; lw != rw {
+		return fmt.Errorf("eval: %s of width %d and width %d", o.Kind, lw, rw)
 	}
 	if o.Kind == algebra.Union {
 		// Union is no breaker: both inputs stream straight through.
-		if err := e.stream(o.L, outer, emit); err != nil {
+		if err := e.stream(o.L, lid, outer, emit); err != nil {
 			return err
 		}
-		return e.stream(o.R, outer, emit)
+		return e.stream(o.R, rid, outer, emit)
 	}
 	// Intersection and difference need full multiplicities of both sides:
 	// inherent breakers. The right side's count map is the breaker state.
-	l, err := e.eval(o.L, outer)
+	l, err := e.eval(o.L, lid, outer)
 	if err != nil {
 		return err
 	}
-	r, err := e.eval(o.R, outer)
+	r, err := e.eval(o.R, rid, outer)
 	if err != nil {
 		return err
 	}
@@ -366,12 +368,12 @@ func setOpEach(o *algebra.SetOp, l, r *rel.Relation, emit emitFn) error {
 // streamLimit implements LIMIT/OFFSET as a cut (limitEmit) whose stop
 // signal ceases the upstream scans. Over an Order it hands the sort the
 // bound offset+n, PostgreSQL's bounded sort.
-func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamLimit(o *algebra.Limit, id int32, outer []rel.Tuple, emit emitFn) error {
 	bound := -1
 	if o.N >= 0 {
 		bound = o.Offset + o.N
 	}
-	err := e.streamBounded(o.Child, bound, outer, limitEmit(o, emit))
+	err := e.streamBounded(o.Child, e.kid(id, 0), bound, outer, limitEmit(o, emit))
 	if errors.Is(err, errStop) {
 		return nil
 	}
@@ -383,18 +385,18 @@ func (e *Evaluator) streamLimit(o *algebra.Limit, outer []rel.Tuple, emit emitFn
 // input row, so its first bound rows are those of its input's first bound
 // rows: the bound passes through it, down to an Order, which keeps a
 // top-bound heap instead of sorting its whole input.
-func (e *Evaluator) streamBounded(op algebra.Op, bound int, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamBounded(op algebra.Op, id int32, bound int, outer []rel.Tuple, emit emitFn) error {
 	if bound >= 0 {
 		switch o := op.(type) {
 		case *algebra.Order:
-			return e.streamOrder(o, bound, outer, emit)
+			return e.streamOrder(o, id, bound, outer, emit)
 		case *algebra.Project:
 			if !o.Distinct {
-				return e.streamProject(o, bound, outer, emit)
+				return e.streamProject(o, id, bound, outer, emit)
 			}
 		}
 	}
-	return e.stream(op, outer, emit)
+	return e.stream(op, id, outer, emit)
 }
 
 // streamOrder sorts its input and emits it in order. Unbounded (bound < 0)
@@ -403,9 +405,9 @@ func (e *Evaluator) streamBounded(op algebra.Op, bound int, outer []rel.Tuple, e
 // sort's state is bounded by the limit, not by the input size. The buffer
 // or the heap's fill is resident state; replacements in a full heap do not
 // grow it.
-func (e *Evaluator) streamOrder(o *algebra.Order, bound int, outer []rel.Tuple, emit emitFn) error {
+func (e *Evaluator) streamOrder(o *algebra.Order, id int32, bound int, outer []rel.Tuple, emit emitFn) error {
 	h := &topNHeap{keys: o.Keys}
-	err := e.stream(o.Child, outer, func(t rel.Tuple, n int) error {
+	err := e.stream(o.Child, e.kid(id, 0), outer, func(t rel.Tuple, n int) error {
 		if err := e.tick(); err != nil {
 			return err
 		}

@@ -25,19 +25,20 @@ import (
 // every test value of that binding.
 func (e *Evaluator) evalSublink(s algebra.Sublink, t rel.Tuple, outer []rel.Tuple) (types.Value, error) {
 	scope := append(outer, t)
+	id := e.shared.plan.sublink(s.Query)
 	switch s.Kind {
 	case algebra.ExistsSublink:
 		if e.DisableStreaming {
-			sub, err := e.evalSubplan(s, scope)
+			sub, err := e.evalSubplan(s, id, scope)
 			if err != nil {
 				return types.Null(), err
 			}
 			return types.NewBool(!sub.Empty()), nil
 		}
-		return e.probeExists(s, scope)
+		return e.probeExists(s, id, scope)
 	case algebra.ScalarSublink:
 		if e.DisableStreaming {
-			sub, err := e.evalSubplan(s, scope)
+			sub, err := e.evalSubplan(s, id, scope)
 			if err != nil {
 				return types.Null(), err
 			}
@@ -55,18 +56,18 @@ func (e *Evaluator) evalSublink(s algebra.Sublink, t rel.Tuple, outer []rel.Tupl
 				return types.Null(), fmt.Errorf("eval: scalar sublink produced %d tuples, want at most 1", sub.Card())
 			}
 		}
-		return e.probeScalar(s, scope)
+		return e.probeScalar(s, id, scope)
 	case algebra.AnySublink, algebra.AllSublink:
 		a, err := e.evalExpr(s.Test, t, outer)
 		if err != nil {
 			return types.Null(), err
 		}
-		sub, err := e.evalSubplan(s, scope)
+		sub, err := e.evalSubplan(s, id, scope)
 		if err != nil {
 			return types.Null(), err
 		}
 		if s.Kind == algebra.AnySublink && s.Op == types.CmpEq && len(s.Free) == 0 {
-			return e.hashedAny(s, a, sub)
+			return e.hashedAny(s, id, a, sub)
 		}
 		return e.quantify(s, a, sub)
 	default:
@@ -76,8 +77,8 @@ func (e *Evaluator) evalSublink(s algebra.Sublink, t rel.Tuple, outer []rel.Tupl
 
 // streamSub runs a subplan pipeline for one probe, absorbing the stop
 // signal the probe's emit raises once it has its answer.
-func (e *Evaluator) streamSub(q algebra.Op, scope []rel.Tuple, emit emitFn) error {
-	if err := e.stream(q, scope, emit); err != nil && !errors.Is(err, errStop) {
+func (e *Evaluator) streamSub(q algebra.Op, id int32, scope []rel.Tuple, emit emitFn) error {
+	if err := e.stream(q, id, scope, emit); err != nil && !errors.Is(err, errStop) {
 		return err
 	}
 	return nil
@@ -85,43 +86,41 @@ func (e *Evaluator) streamSub(q algebra.Op, scope []rel.Tuple, emit emitFn) erro
 
 // probeExists streams the subplan until the first row proves EXISTS true,
 // caching the verdict (not the partial bag) per parameter binding. The
-// streaming executor always memoizes.
-func (e *Evaluator) probeExists(s algebra.Sublink, scope []rel.Tuple) (types.Value, error) {
-	q := s.Query
+// streaming executor always memoizes. id is the ID of s.Query.
+func (e *Evaluator) probeExists(s algebra.Sublink, id int32, scope []rel.Tuple) (types.Value, error) {
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	if v, ok := e.shared.exists.get(q, key); ok {
+	if v, ok := e.shared.exists.get(id, key); ok {
 		return types.NewBool(v), nil
 	}
 	found := false
-	err := e.streamSub(q, scope, func(t rel.Tuple, n int) error {
+	err := e.streamSub(s.Query, id, scope, func(t rel.Tuple, n int) error {
 		found = true
 		return errStop
 	})
 	if err != nil {
 		return types.Null(), err
 	}
-	e.shared.exists.put(q, key, found)
+	e.shared.exists.put(id, key, found)
 	return types.NewBool(found), nil
 }
 
 // probeScalar streams the subplan, stopping after the second row (which is
 // already an error), and caches the scalar value per parameter binding.
-func (e *Evaluator) probeScalar(s algebra.Sublink, scope []rel.Tuple) (types.Value, error) {
-	q := s.Query
+func (e *Evaluator) probeScalar(s algebra.Sublink, id int32, scope []rel.Tuple) (types.Value, error) {
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	if v, ok := e.shared.scalars.get(q, key); ok {
+	if v, ok := e.shared.scalars.get(id, key); ok {
 		return v, nil
 	}
 	// The width is checked where the value is computed: a memo hit was
 	// checked when it was stored.
-	if w := q.Schema().Len(); w != 1 {
+	if w := e.node(id).width; w != 1 {
 		return types.Null(), fmt.Errorf("eval: scalar sublink produced %d attributes, want 1", w)
 	}
 	out := types.Null()
 	count := 0
-	err := e.streamSub(q, scope, func(t rel.Tuple, n int) error {
+	err := e.streamSub(s.Query, id, scope, func(t rel.Tuple, n int) error {
 		count += n
 		if count > 1 {
 			return fmt.Errorf("eval: scalar sublink produced %d tuples, want at most 1", count)
@@ -132,7 +131,7 @@ func (e *Evaluator) probeScalar(s algebra.Sublink, scope []rel.Tuple) (types.Val
 	if err != nil {
 		return types.Null(), err
 	}
-	e.shared.scalars.put(q, key, out)
+	e.shared.scalars.put(id, key, out)
 	return out, nil
 }
 
@@ -209,8 +208,8 @@ func classBit(v types.Value) uint8 {
 // empty subquery yields false; a NULL test value yields unknown, and so
 // does a miss when some element is NULL or of a kind a does not compare
 // with.
-func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relation) (types.Value, error) {
-	set, ok := e.shared.anySets.get(s.Query, nil)
+func (e *Evaluator) hashedAny(s algebra.Sublink, id int32, a types.Value, sub *rel.Relation) (types.Value, error) {
+	set, ok := e.shared.anySets.get(id, nil)
 	if !ok {
 		if sub.Schema.Len() != 1 {
 			return types.Null(), fmt.Errorf("eval: %s sublink query produced %d attributes, want 1", s.Kind, sub.Schema.Len())
@@ -221,7 +220,7 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 			set.classes |= classBit(st[0])
 			return nil
 		})
-		e.shared.anySets.put(s.Query, nil, set)
+		e.shared.anySets.put(id, nil, set)
 	}
 	if set.empty {
 		return types.NewBool(false), nil
@@ -246,26 +245,27 @@ func (e *Evaluator) hashedAny(s algebra.Sublink, a types.Value, sub *rel.Relatio
 // free slots: outer tuples that agree on every correlated value share one
 // evaluation instead of re-executing the subplan O(outer) times.
 // DisableSublinkMemo on the materializing reference restores the strict
-// PostgreSQL SubPlan behaviour of re-evaluating per outer tuple.
-func (e *Evaluator) evalSubplan(s algebra.Sublink, scope []rel.Tuple) (*rel.Relation, error) {
+// PostgreSQL SubPlan behaviour of re-evaluating per outer tuple. id is the
+// ID of s.Query.
+func (e *Evaluator) evalSubplan(s algebra.Sublink, id int32, scope []rel.Tuple) (*rel.Relation, error) {
 	q := s.Query
 	if len(s.Free) == 0 {
 		// An InitPlan runs with no enclosing scope, so it never consults a
 		// selection index.
 		scope = nil
 	} else if e.DisableStreaming && e.DisableSublinkMemo {
-		return e.eval(q, scope)
+		return e.eval(q, id, scope)
 	}
 	var buf [64]byte
 	key := appendParamKey(buf[:0], s.Free, scope)
-	if cached, ok := e.shared.bags.get(q, key); ok {
+	if cached, ok := e.shared.bags.get(id, key); ok {
 		return cached, nil
 	}
-	out, err := e.eval(q, scope)
+	out, err := e.eval(q, id, scope)
 	if err != nil {
 		return nil, err
 	}
-	e.shared.bags.put(q, key, out)
+	e.shared.bags.put(id, key, out)
 	return out, nil
 }
 

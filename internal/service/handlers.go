@@ -180,11 +180,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.session(req.Session).QueryContext(ctx, req.Query, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
-		s.queryStats.observe(elapsed, true, 0, 0)
+		s.queryStats.observe(elapsed, true, nil)
 		writeError(ctx, w, err)
 		return
 	}
-	s.queryStats.observe(elapsed, false, res.PeakRows, res.IndexBuilds)
+	s.queryStats.observe(elapsed, false, res)
 	writeJSON(w, http.StatusOK, resultJSON(res, elapsed))
 }
 
@@ -207,17 +207,15 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	res, err := s.session(req.Session).ExecContext(ctx, req.Statement)
 	elapsed := time.Since(start)
 	if err != nil {
-		s.execStats.observe(elapsed, true, 0, 0)
+		s.execStats.observe(elapsed, true, nil)
 		writeError(ctx, w, err)
 		return
 	}
 	resp := ExecResponse{OK: true}
-	var peak, builds int64
 	if res != nil {
 		resp.Result = resultJSON(res, elapsed)
-		peak, builds = res.PeakRows, res.IndexBuilds
 	}
-	s.execStats.observe(elapsed, false, peak, builds)
+	s.execStats.observe(elapsed, false, res)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -238,11 +236,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	advice, err := s.session(req.Session).Advise(req.Query)
 	elapsed := time.Since(start)
 	if err != nil {
-		s.adviseStats.observe(elapsed, true, 0, 0)
+		s.adviseStats.observe(elapsed, true, nil)
 		writeError(r.Context(), w, err)
 		return
 	}
-	s.adviseStats.observe(elapsed, false, 0, 0)
+	s.adviseStats.observe(elapsed, false, nil)
 	out := AdviseResponse{Advice: []AdviceJSON{}}
 	for _, a := range advice {
 		out.Advice = append(out.Advice, AdviceJSON{

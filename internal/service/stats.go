@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"perm"
 )
 
 // latencyBucketsMS are the histogram upper bounds, in milliseconds. The
@@ -148,6 +150,7 @@ type endpointStats struct {
 	inFlight    atomic.Int64
 	peakRows    atomic.Int64 // max Result.PeakRows observed
 	indexBuilds atomic.Int64 // sum of Result.IndexBuilds
+	generated   atomic.Int64 // sum of Result.Generated
 	hist        histogram
 }
 
@@ -160,8 +163,11 @@ type EndpointJSON struct {
 	// IndexBuilds sums the correlated-selection indexes the endpoint's
 	// statements built. An index over a base table outlives the statement,
 	// so a repeated query leaves it flat.
-	IndexBuilds int64       `json:"index_builds"`
-	Latency     LatencyJSON `json:"latency"`
+	IndexBuilds int64 `json:"index_builds"`
+	// Generated sums the input rows the endpoint's statements answered by
+	// generating Gen's CrossBase witnesses instead of enumerating them.
+	Generated int64       `json:"generated"`
+	Latency   LatencyJSON `json:"latency"`
 }
 
 func (s *endpointStats) json() EndpointJSON {
@@ -171,22 +177,27 @@ func (s *endpointStats) json() EndpointJSON {
 		InFlight:    s.inFlight.Load(),
 		PeakRows:    s.peakRows.Load(),
 		IndexBuilds: s.indexBuilds.Load(),
+		Generated:   s.generated.Load(),
 		Latency:     s.hist.json(true),
 	}
 }
 
 // observe records one finished request and the executor counters of its
-// result.
-func (s *endpointStats) observe(d time.Duration, failed bool, peakRows, indexBuilds int64) {
+// result, nil for a request that failed or returned none.
+func (s *endpointStats) observe(d time.Duration, failed bool, res *perm.Result) {
 	s.count.Add(1)
 	if failed {
 		s.errors.Add(1)
 	}
-	s.indexBuilds.Add(indexBuilds)
 	s.hist.observe(d)
+	if res == nil {
+		return
+	}
+	s.indexBuilds.Add(res.IndexBuilds)
+	s.generated.Add(res.Generated)
 	for {
 		old := s.peakRows.Load()
-		if peakRows <= old || s.peakRows.CompareAndSwap(old, peakRows) {
+		if res.PeakRows <= old || s.peakRows.CompareAndSwap(old, res.PeakRows) {
 			break
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"perm"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -178,9 +180,9 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 
 func TestEndpointStatsObserve(t *testing.T) {
 	var s endpointStats
-	s.observe(time.Millisecond, false, 10, 2)
-	s.observe(2*time.Millisecond, true, 5, 0)
-	s.observe(time.Millisecond, false, 30, 1)
+	s.observe(time.Millisecond, false, &perm.Result{PeakRows: 10, IndexBuilds: 2, Generated: 40})
+	s.observe(2*time.Millisecond, true, nil)
+	s.observe(time.Millisecond, false, &perm.Result{PeakRows: 30, IndexBuilds: 1, Generated: 2})
 	j := s.json()
 	if j.Count != 3 || j.Errors != 1 {
 		t.Errorf("count/errors = %d/%d, want 3/1", j.Count, j.Errors)
@@ -190,6 +192,9 @@ func TestEndpointStatsObserve(t *testing.T) {
 	}
 	if j.IndexBuilds != 3 {
 		t.Errorf("IndexBuilds = %d, want the sum 3", j.IndexBuilds)
+	}
+	if j.Generated != 42 {
+		t.Errorf("Generated = %d, want the sum 42", j.Generated)
 	}
 }
 

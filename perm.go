@@ -427,6 +427,10 @@ type Result struct {
 	// probes it without building: IndexBuilds 0, IndexProbes > 0. Both are
 	// 0 under WithoutStreaming.
 	IndexBuilds, IndexProbes int64
+	// Generated counts the input rows of selections the statement answered
+	// by generating their Gen strategy CrossBase witnesses instead of
+	// enumerating the product (see eval.Stats). 0 under WithoutStreaming.
+	Generated int64
 }
 
 // snapshot is one consistent (catalog, views) state that a single statement
@@ -508,8 +512,12 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 		return nil, nil, false, err
 	}
 	p, err = sn.compile(stmt, cfg)
-	if err != nil || !useCache {
-		return p, nil, false, err
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if !useCache {
+		p.phys = eval.Lower(p.plan, nil)
+		return p, nil, false, nil
 	}
 	// The statement runs the plan as the cache keeps it, so that a miss and
 	// a hit execute the same plan.
@@ -537,12 +545,12 @@ func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error
 	}
 	ev.DisableStreaming = cfg.materialize
 	ev.Params = params
-	relOut, err := ev.EvalBound(p.plan)
+	relOut, err := ev.Run(p.phys)
 	if err != nil {
 		return nil, err
 	}
 	st := ev.LastStats()
-	out.PeakRows, out.IndexBuilds, out.IndexProbes = st.PeakRows, st.IndexBuilds, st.IndexProbes
+	out.PeakRows, out.IndexBuilds, out.IndexProbes, out.Generated = st.PeakRows, st.IndexBuilds, st.IndexProbes, st.Generated
 	// Hidden ORDER BY key columns (Translated.Hidden) sit between the
 	// visible data columns and any provenance columns. They exist so the
 	// plan's Order can evaluate keys the SELECT list does not project; they

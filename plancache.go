@@ -2,11 +2,13 @@ package perm
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"perm/internal/algebra"
 	"perm/internal/catalog"
+	"perm/internal/eval"
 	"perm/internal/schema"
 	"perm/internal/sql"
 )
@@ -40,11 +42,12 @@ func (sn snapshot) depOf(name string) dep {
 }
 
 // depsOf resolves the relation names of a compiled statement in the snapshot
-// it was compiled against.
+// it was compiled against. The names are slices of the statement's text,
+// cloned so that a cached plan does not keep the text alive.
 func (sn snapshot) depsOf(names []string) []dep {
 	deps := make([]dep, len(names))
 	for i, name := range names {
-		deps[i] = sn.depOf(name)
+		deps[i] = sn.depOf(strings.Clone(name))
 	}
 	return deps
 }
@@ -174,14 +177,16 @@ func (c *planCache) admit(family string, p *planned, check bool) *planned {
 }
 
 // keep returns the copy of p that the cache retains, built on the memory of
-// the family's variants so far (see algebra.Compact): whatever the variant
+// the family's variants so far (see algebra.Compact), with its physical
+// annotation lowered from the copy (eval.Lower): whatever the variant
 // before has the same, it has for both. The variants only save memory; a
 // family that changes meanwhile costs a little sharing.
 func keep(p *planned, variants []*planned) *planned {
 	kept := *p
 	var like algebra.Op
+	var likePhys *eval.Plan
 	for _, q := range variants {
-		like = q.plan
+		like, likePhys = q.plan, q.phys
 		if slices.EqualFunc(q.deps, p.deps, dep.same) {
 			kept.deps = q.deps
 		}
@@ -196,6 +201,7 @@ func keep(p *planned, variants []*planned) *planned {
 		}
 	}
 	kept.plan = algebra.Compact(p.plan, like, schemas)
+	kept.phys = eval.Lower(kept.plan, likePhys)
 	return &kept
 }
 

@@ -613,3 +613,103 @@ func TestFrozenPlanCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestCachedPlanConcurrentRuns runs cached plans on four goroutines at once,
+// with the frozen-plan check on: a run that wrote into the physical
+// annotation every run of a cached plan shares (eval.Plan), rather than into
+// its own run state, fails its statement, and under -race two such runs are
+// a data race. The statements cover each kind of decision: Gen's generated
+// selections (TPC-H Q16 and synth q3), folded joins and a join build
+// attached to a base table (Q16 under Auto), and a correlated selection
+// answered from an index (probedQuery). Every result must equal the
+// reference executor's.
+func TestCachedPlanConcurrentRuns(t *testing.T) {
+	cat, _ := tpch.Generate(tpch.Config{SF: 0.05, Seed: 1})
+	w := synth.Workload{InputSize: 40, SublinkSize: 40, Seed: 1, Domain: 10}
+	db := dbOf(t, cat, w.Catalog())
+	q16, err := tpch.QueryByNum(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type statement struct {
+		query string
+		opts  []Option
+	}
+	statements := []statement{
+		{withProvenance(q16.Instance(9)), []Option{WithStrategy(Gen)}},
+		{withProvenance(w.Q3(1)), []Option{WithStrategy(Gen)}},
+		{withProvenance(q16.Instance(9)), nil},
+		{probedQuery, nil},
+	}
+	want := make([]string, len(statements))
+	for i, s := range statements {
+		ref, err := db.Query(s.query, append([]Option{WithoutStreaming(), WithPlanCheck(true)}, s.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.Rows) == 0 {
+			t.Fatalf("statement %d returns no rows", i)
+		}
+		want[i] = rowsFingerprint(ref)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 10 {
+				i := (g + n) % len(statements)
+				s := statements[i]
+				res, err := db.Query(s.query, append([]Option{WithPlanCheck(true)}, s.opts...)...)
+				if err != nil {
+					t.Errorf("statement %d: %v", i, err)
+					return
+				}
+				if got := rowsFingerprint(res); got != want[i] {
+					t.Errorf("statement %d: streaming rows differ from the reference's", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := db.PlanCacheStats(); st.Hits == 0 {
+		t.Errorf("stats %+v: no statement ran a cached plan", st)
+	}
+}
+
+// TestCachedPlanAllocs gates what a plan-cache hit allocates: the mean, over
+// the 13 plan_bound templates at SF 0.05, of the allocations of one DB.Query
+// whose plan the cache holds. A hit runs the plan's physical annotation as
+// admission decided it (eval.Lower), so what is left is the run's state,
+// the rows and the presented result: 57.7 on average. It was 109.6 while
+// every run decided its joins and selections anew.
+func TestCachedPlanAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	const ceiling = 60
+	db := tpchDB(t)
+	queries := planBoundTemplates(t, 12345)
+	var sum float64
+	for i, q := range queries {
+		if _, err := db.Query(q, WithPlanCheck(false)); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := db.Query(q, WithPlanCheck(false)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("template %2d: %4.0f allocations", i, allocs)
+		sum += allocs
+	}
+	if st := db.PlanCacheStats(); st.Misses != int64(len(queries)) {
+		t.Fatalf("stats %+v, want every query after the first a hit", st)
+	}
+	mean := sum / float64(len(queries))
+	t.Logf("%.1f allocations per cache-hit query (ceiling %d)", mean, ceiling)
+	if mean > ceiling {
+		t.Errorf("%.1f allocations per cache-hit query, ceiling %d", mean, ceiling)
+	}
+}

@@ -1,7 +1,10 @@
 package perm
 
 import (
+	"strings"
+
 	"perm/internal/algebra"
+	"perm/internal/eval"
 	"perm/internal/opt"
 	"perm/internal/plancheck"
 	"perm/internal/rewrite"
@@ -22,12 +25,18 @@ func WithPlanCheck(on bool) Option {
 	return func(c *queryConfig) { c.planCheck = on }
 }
 
-// planned is one compiled statement: the optimised plan, bound, and what
-// executing and presenting it takes, and nothing of what compiling it went
-// through — neither the translated plan nor the rewrite's result — so that
-// the plan cache retains no more than a hit needs.
+// planned is one compiled statement: the optimised plan, bound, its
+// physical annotation, and what executing and presenting it takes, and
+// nothing of what compiling it went through — neither the translated plan
+// nor the rewrite's result — so that the plan cache retains no more than a
+// hit needs.
 type planned struct {
 	plan algebra.Op
+	// phys is plan's physical annotation (eval.Lower): every decision the
+	// executor makes about a node, made once when the plan is admitted to
+	// the plan cache, or per statement for a plan that is not cached. A
+	// cache hit runs it as it is.
+	phys *eval.Plan
 	// dataCols is the number of visible data columns; hidden the number of
 	// hidden sort-key columns that follow them (see sql.Translated.Hidden).
 	// The columns after those are provenance columns, prov[i].width of them
@@ -48,8 +57,8 @@ type planned struct {
 }
 
 // fingerprint hashes everything of p but its frozen field: the plan tree,
-// the presentation fields, and the view definitions and table shapes of its
-// dependencies.
+// its physical annotation, the presentation fields, and the view
+// definitions and table shapes of its dependencies.
 func (p *planned) fingerprint() uint64 {
 	q := *p
 	q.frozen = 0
@@ -104,7 +113,9 @@ func (sn snapshot) compile(stmt *sql.Stmt, cfg queryConfig) (*planned, error) {
 	if res != nil {
 		p.dataCols = res.Original.Len() - tr.Hidden
 		for _, src := range res.Prov {
-			p.prov = append(p.prov, provGroup{relation: src.Rel, width: len(src.Attrs)})
+			// src.Rel is a slice of the statement's text: cloned, so that
+			// a cached plan does not keep the text alive.
+			p.prov = append(p.prov, provGroup{relation: strings.Clone(src.Rel), width: len(src.Attrs)})
 		}
 	}
 	return p, nil

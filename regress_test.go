@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"perm/internal/eval"
-	"perm/internal/sql"
+	"perm/internal/tpch"
 )
 
 // Regression tests for the bugs fixed alongside the differential fuzzer
@@ -1592,27 +1591,45 @@ func TestKeyEqualityMatchesCompare(t *testing.T) {
 	}
 }
 
-// generatedRows runs a statement's plan as DB.Query compiles it, on the
-// sequential streaming executor, and returns how many input rows of its
-// selections were answered by generating CrossBase witnesses
-// (eval.Stats.Generated).
+// generatedRows runs a statement on the streaming executor and returns how
+// many input rows of its selections were answered by generating CrossBase
+// witnesses (Result.Generated).
 func generatedRows(t *testing.T, db *DB, query string, opts ...Option) int64 {
 	t.Helper()
-	lx, err := sql.Lex(query)
+	res, err := db.Query(query, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn := db.snapshot()
-	p, params, _, err := sn.planFor(lx, newQueryConfig(opts))
+	return res.Generated
+}
+
+// TestGeneratedReachesResult: Result.Generated is the executor's count of
+// input rows answered by generating Gen's CrossBase witnesses. TPC-H Q16
+// under Gen has one such selection: the streaming executor generates, the
+// reference enumerates T × CrossBase and reports 0, and both return the
+// same rows.
+func TestGeneratedReachesResult(t *testing.T) {
+	db := tpchDB(t)
+	q, err := tpch.QueryByNum(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := eval.New(sn.src)
-	ev.Params = params
-	if _, err := ev.EvalBound(p.plan); err != nil {
+	// At SF 0.05, instance 9 is one whose selection has input rows.
+	query := withProvenance(q.Instance(9))
+	res, err := db.Query(query, WithStrategy(Gen))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return ev.LastStats().Generated
+	ref, err := db.Query(query, WithStrategy(Gen), WithoutStreaming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generated == 0 || ref.Generated != 0 {
+		t.Errorf("Generated %d streaming and %d on the reference, want > 0 and 0", res.Generated, ref.Generated)
+	}
+	if len(res.Rows) == 0 || rowsFingerprint(res) != rowsFingerprint(ref) {
+		t.Errorf("streaming returns %d rows, the reference %d, or they differ", len(res.Rows), len(ref.Rows))
+	}
 }
 
 // TestGenGenerationRegress pins the cases the streaming executor's
