@@ -20,33 +20,27 @@ import (
 //     a bound one to a low slot once per process (BoxRef) — and every
 //     distinct scan is built once; a scan whose schema is one of
 //     schemas — the catalog's schemas of the relations the plan names — uses
-//     the catalog's copy;
-//   - wherever the plan repeats like — an already compacted plan, nil for
-//     none — it uses like's memory: a subtree equal to the subtree in the
-//     same place is like's subtree, and an operator that differs only below
-//     still shares like's expressions and column list. Plans of one
-//     statement family (see sql.Lexed.Lift) differ in a parameter slot here
-//     and there, so the second costs a path from the root, not a tree.
+//     the catalog's copy.
 //
-// The shape of op decides nothing: where like has another operator, or none,
-// the copy is simply new. And only the same computation is ever the same
-// memory: a/2 and a/2.0 are equal the way ExprEqual and SQL compare
-// constants, and stay two expressions here.
+// Each plan is compacted on its own: it shares no memory with another plan
+// but the catalog's schemas and BoxRef's boxes, so a pattern variant of a
+// cached statement costs what a plan does. Only the same computation is
+// ever the same memory: a/2 and a/2.0 are equal the way ExprEqual and SQL
+// compare constants, and stay two expressions here.
 //
 // A provenance rewrite repeats each witness column in a projection per plan
 // level, so the column lists are most of such a plan's size. Subtrees shared
 // in op stay shared in the copy.
-func Compact(op, like Op, schemas []schema.Schema) Op {
+func Compact(op Op, schemas []schema.Schema) Op {
 	c := &compactor{
-		pool:   schemas,
-		strs:   map[string]string{},
-		refs:   map[AttrRef]Expr{},
-		bound:  map[Ref]Expr{},
-		scans:  map[[2]string]*Scan{},
-		ops:    map[Op]Op{},
-		likeOf: map[Op]Op{},
+		pool:  schemas,
+		strs:  map[string]string{},
+		refs:  map[AttrRef]Expr{},
+		bound: map[Ref]Expr{},
+		scans: map[[2]string]*Scan{},
+		ops:   map[Op]Op{},
 	}
-	return c.op(op, like)
+	return c.op(op)
 }
 
 type compactor struct {
@@ -56,9 +50,6 @@ type compactor struct {
 	bound map[Ref]Expr
 	scans map[[2]string]*Scan // by name and alias
 	ops   map[Op]Op           // done already, for subtrees shared in the input
-	// likeOf maps the query of a sublink to the query of the sublink in the
-	// same place of like's expression.
-	likeOf map[Op]Op
 }
 
 // str returns the plan's one copy of s.
@@ -90,34 +81,9 @@ func (c *compactor) scanSchema(s schema.Schema) schema.Schema {
 	return schema.Schema{Attrs: attrs}
 }
 
-// sublinkQueries lists the queries of the sublinks of e in the order MapExpr
-// reaches them.
-func sublinkQueries(e Expr) []Op {
-	var out []Op
-	MapExpr(e, func(x Expr) Expr {
-		if s, ok := x.(Sublink); ok {
-			out = append(out, s.Query)
-		}
-		return x
-	})
-	return out
-}
-
-// expr compacts e; like is the expression in the same place of the plan
-// being shared with, or nil. When the two are equal the result is like
-// itself, and shared reports it.
-func (c *compactor) expr(e, like Expr) (out Expr, shared bool) {
-	if e == nil {
-		return nil, like == nil
-	}
-	if like != nil {
-		if qs, ls := sublinkQueries(e), sublinkQueries(like); len(qs) == len(ls) {
-			for i, q := range qs {
-				c.likeOf[q] = ls[i]
-			}
-		}
-	}
-	out = MapExpr(e, func(x Expr) Expr {
+// expr compacts e.
+func (c *compactor) expr(e Expr) Expr {
+	return MapExpr(e, func(x Expr) Expr {
 		switch v := x.(type) {
 		case AttrRef:
 			if ref, ok := c.refs[v]; ok {
@@ -141,55 +107,28 @@ func (c *compactor) expr(e, like Expr) (out Expr, shared bool) {
 			v.Name = c.str(v.Name)
 			x = v
 		case Sublink:
-			v.Query = c.op(v.Query, c.likeOf[v.Query])
+			v.Query = c.op(v.Query)
 			x = v
 		}
 		return x
 	})
-	if like != nil && ExprIdentical(out, like) {
-		return like, true
-	}
-	return out, false
 }
 
-// likeAs returns like when it is a *T, an empty T otherwise: the empty
-// operator's parts share with nothing, and it never equals a real one.
-func likeAs[T any](like Op) *T {
-	if l, ok := any(like).(*T); ok {
-		return l
-	}
-	return new(T)
-}
-
-// at returns s[i], or the zero value past the end.
-func at[E any](s []E, i int) (e E) {
-	if i < len(s) {
-		e = s[i]
-	}
-	return e
-}
-
-// op compacts one operator; like is the operator in the same place of the
-// plan being shared with, or nil. Every case ends the same way: like itself
-// when nothing differs, a new node on like's parts otherwise.
-func (c *compactor) op(op, like Op) Op {
+// op compacts one operator.
+func (c *compactor) op(op Op) Op {
 	if done, ok := c.ops[op]; ok {
 		return done
 	}
 	out := op
 	switch o := op.(type) {
 	case *Scan:
-		// A scan is its name, alias and schema: one node per plan, like's if
-		// it is the same.
+		// A scan is its name, alias and schema: one node per plan.
 		key := [2]string{o.Name, o.Alias}
 		s := c.scans[key]
-		if s == nil {
-			s = likeAs[Scan](like)
-		}
-		if s.Name != o.Name || s.Alias != o.Alias || !slices.Equal(s.Sch.Attrs, o.Sch.Attrs) {
+		if s == nil || !slices.Equal(s.Sch.Attrs, o.Sch.Attrs) {
 			s = &Scan{Name: c.str(o.Name), Alias: c.str(o.Alias), Sch: c.scanSchema(o.Sch)}
+			c.scans[key] = s
 		}
-		c.scans[key] = s
 		out = s
 	case *Values:
 		n := &Values{Sch: schema.Schema{Attrs: make([]schema.Attr, len(o.Sch.Attrs))}, Rows: make([]Row, len(o.Rows))}
@@ -199,94 +138,43 @@ func (c *compactor) op(op, like Op) Op {
 		for i, r := range o.Rows {
 			n.Rows[i] = make(Row, len(r))
 			for j, e := range r {
-				n.Rows[i][j], _ = c.expr(e, nil)
+				n.Rows[i][j] = c.expr(e)
 			}
 		}
-		out = n // a literal relation is small: it is not worth sharing
+		out = n
 	case *Select:
-		l := likeAs[Select](like)
-		child := c.op(o.Child, l.Child)
-		cond, same := c.expr(o.Cond, l.Cond)
-		if out = l; !same || child != l.Child {
-			out = &Select{Child: child, Cond: cond}
-		}
+		out = &Select{Child: c.op(o.Child), Cond: c.expr(o.Cond)}
 	case *Project:
-		l := likeAs[Project](like)
-		child := c.op(o.Child, l.Child)
-		cols := make([]ProjExpr, len(o.Cols))
-		same := len(o.Cols) == len(l.Cols)
+		n := &Project{Child: c.op(o.Child), Cols: make([]ProjExpr, len(o.Cols)), Distinct: o.Distinct}
 		for i, col := range o.Cols {
-			e, shared := c.expr(col.E, at(l.Cols, i).E)
-			cols[i] = ProjExpr{E: e, As: c.str(col.As), Qual: c.str(col.Qual)}
-			same = same && shared && col.As == l.Cols[i].As && col.Qual == l.Cols[i].Qual
+			n.Cols[i] = ProjExpr{E: c.expr(col.E), As: c.str(col.As), Qual: c.str(col.Qual)}
 		}
-		if same {
-			cols = l.Cols
-		}
-		if out = l; !same || child != l.Child || o.Distinct != l.Distinct {
-			out = &Project{Child: child, Cols: cols, Distinct: o.Distinct}
-		}
+		out = n
 	case *Cross:
-		l := likeAs[Cross](like)
-		n := Cross{L: c.op(o.L, l.L), R: c.op(o.R, l.R)}
-		if out = l; n != *l {
-			out = &n
-		}
+		out = &Cross{L: c.op(o.L), R: c.op(o.R)}
 	case *Join:
-		l := likeAs[Join](like)
-		left, right := c.op(o.L, l.L), c.op(o.R, l.R)
-		cond, same := c.expr(o.Cond, l.Cond)
-		if out = l; !same || left != l.L || right != l.R {
-			out = &Join{L: left, R: right, Cond: cond}
-		}
+		out = &Join{L: c.op(o.L), R: c.op(o.R), Cond: c.expr(o.Cond)}
 	case *LeftJoin:
-		l := likeAs[LeftJoin](like)
-		left, right := c.op(o.L, l.L), c.op(o.R, l.R)
-		cond, same := c.expr(o.Cond, l.Cond)
-		if out = l; !same || left != l.L || right != l.R {
-			out = &LeftJoin{L: left, R: right, Cond: cond}
-		}
+		out = &LeftJoin{L: c.op(o.L), R: c.op(o.R), Cond: c.expr(o.Cond)}
 	case *Aggregate:
-		l := likeAs[Aggregate](like)
-		n := &Aggregate{Child: c.op(o.Child, l.Child), Group: make([]GroupExpr, len(o.Group)), Aggs: make([]AggExpr, len(o.Aggs))}
-		same := n.Child == l.Child && len(o.Group) == len(l.Group) && len(o.Aggs) == len(l.Aggs)
+		n := &Aggregate{Child: c.op(o.Child), Group: make([]GroupExpr, len(o.Group)), Aggs: make([]AggExpr, len(o.Aggs))}
 		for i, g := range o.Group {
-			e, shared := c.expr(g.E, at(l.Group, i).E)
-			n.Group[i] = GroupExpr{E: e, As: c.str(g.As), Qual: c.str(g.Qual)}
-			same = same && shared && g.As == l.Group[i].As && g.Qual == l.Group[i].Qual
+			n.Group[i] = GroupExpr{E: c.expr(g.E), As: c.str(g.As), Qual: c.str(g.Qual)}
 		}
 		for i, a := range o.Aggs {
-			e, shared := c.expr(a.Arg, at(l.Aggs, i).Arg)
-			n.Aggs[i] = AggExpr{Fn: a.Fn, Arg: e, As: c.str(a.As), Distinct: a.Distinct}
-			same = same && shared && a.Fn == l.Aggs[i].Fn && a.As == l.Aggs[i].As && a.Distinct == l.Aggs[i].Distinct
+			n.Aggs[i] = AggExpr{Fn: a.Fn, Arg: c.expr(a.Arg), As: c.str(a.As), Distinct: a.Distinct}
 		}
-		if out = n; same {
-			out = l
-		}
+		out = n
 	case *SetOp:
-		l := likeAs[SetOp](like)
-		n := SetOp{Kind: o.Kind, Bag: o.Bag, L: c.op(o.L, l.L), R: c.op(o.R, l.R)}
-		if out = l; n != *l {
-			out = &n
-		}
+		out = &SetOp{Kind: o.Kind, Bag: o.Bag, L: c.op(o.L), R: c.op(o.R)}
 	case *Order:
-		l := likeAs[Order](like)
-		n := &Order{Child: c.op(o.Child, l.Child), Keys: make([]SortKey, len(o.Keys))}
-		same := n.Child == l.Child && len(o.Keys) == len(l.Keys)
+		n := &Order{Child: c.op(o.Child), Keys: make([]SortKey, len(o.Keys))}
 		for i, k := range o.Keys {
-			e, shared := c.expr(k.E, at(l.Keys, i).E)
-			n.Keys[i] = SortKey{E: e, Desc: k.Desc}
-			same = same && shared && k.Desc == l.Keys[i].Desc
+			n.Keys[i] = SortKey{E: c.expr(k.E), Desc: k.Desc}
 		}
-		if out = n; same {
-			out = l
-		}
+		out = n
 	case *Limit:
-		l := likeAs[Limit](like)
-		n := Limit{Child: c.op(o.Child, l.Child), N: o.N, Offset: o.Offset}
-		if out = l; n != *l {
-			out = &n
-		}
+		out = &Limit{Child: c.op(o.Child), N: o.N, Offset: o.Offset}
 	}
 	c.ops[op] = out
 	return out

@@ -12,14 +12,14 @@ import (
 
 // compactPlan is a plan with what Compact cares about: repeated scans and
 // attribute references, a sublink, a wide projection above a parameterised
-// selection — whose slot the argument picks.
-func compactPlan(slot int) Op {
+// selection.
+func compactPlan() Op {
 	text := strings.Repeat("SELECT a, b FROM r AS x ", 2) // stands for a statement text
 	alias := text[22:23]                                  // "x", sliced out of it like a lexed identifier
 	scan := func() Op { return NewScan("r", alias, schema.New("r", "a", "b")) }
 	sub := Sublink{Kind: ExistsSublink, Query: &Select{Child: scanS(), Cond: Cmp{Op: types.CmpEq, L: Attr("c"), R: QAttr(alias, "a")}}}
 	sel := &Select{Child: &Cross{L: scan(), R: scan()}, Cond: And{
-		L: Cmp{Op: types.CmpGt, L: QAttr(alias, "a"), R: Param{Idx: slot}},
+		L: Cmp{Op: types.CmpGt, L: QAttr(alias, "a"), R: Param{Idx: 0}},
 		R: sub,
 	}}
 	lower := NewProject(sel, Col(QAttr(alias, "a"), "a"), Col(QAttr(alias, "b"), "b"), Col(StrConst(text[7:8]), "k"))
@@ -35,8 +35,8 @@ func sameBox(a, b Expr) bool {
 }
 
 func TestCompactKeepsThePlan(t *testing.T) {
-	plan := compactPlan(0)
-	got := Compact(plan, nil, nil)
+	plan := compactPlan()
+	got := Compact(plan, nil)
 	if Indent(got) != Indent(plan) || got.Schema().String() != plan.Schema().String() {
 		t.Fatalf("compacted plan differs:\n%s\nwant\n%s", Indent(got), Indent(plan))
 	}
@@ -74,7 +74,7 @@ func TestCompactKeepsThePlan(t *testing.T) {
 	}
 	// The catalog's schema is used as it is.
 	pooled := schema.New("x", "a", "b")
-	withPool := Compact(plan, nil, []schema.Schema{pooled})
+	withPool := Compact(plan, []schema.Schema{pooled})
 	Walk(withPool, func(o Op) bool {
 		if s, ok := o.(*Scan); ok && s.Name == "r" && &s.Sch.Attrs[0] != &pooled.Attrs[0] {
 			t.Errorf("scan schema is not the pooled one")
@@ -83,45 +83,9 @@ func TestCompactKeepsThePlan(t *testing.T) {
 	})
 }
 
-// TestCompactSharesWithLike: a plan that differs from like in one parameter
-// slot deep down costs the path to it — the subtrees beside the path are
-// like's nodes, and the column lists on the path like's arrays.
-func TestCompactSharesWithLike(t *testing.T) {
-	like := Compact(compactPlan(0), nil, nil)
-	same := Compact(compactPlan(0), like, nil)
-	if same != like {
-		t.Errorf("an equal plan compacted to a new tree")
-	}
-	other := Compact(compactPlan(1), like, nil)
-	if Indent(other) != Indent(compactPlan(1)) {
-		t.Fatalf("shared plan differs:\n%s\nwant\n%s", Indent(other), Indent(compactPlan(1)))
-	}
-	if other == like {
-		t.Fatal("plans with different parameters are one tree")
-	}
-	top, likeTop := other.(*Order).Child.(*Project), like.(*Order).Child.(*Project)
-	lower, likeLower := top.Child.(*Project), likeTop.Child.(*Project)
-	if &top.Cols[0] != &likeTop.Cols[0] || &lower.Cols[0] != &likeLower.Cols[0] {
-		t.Errorf("column lists on the path are copies")
-	}
-	sel, likeSel := lower.Child.(*Select), likeLower.Child.(*Select)
-	if sel == likeSel || sel.Child != likeSel.Child {
-		t.Errorf("the selection must be new, its input like's")
-	}
-	sub := sel.Cond.(And).R.(Sublink)
-	if sub.Query != likeSel.Cond.(And).R.(Sublink).Query {
-		t.Errorf("the sublink's query beside the path is a copy")
-	}
-	// A plan of another build shares what happens to match and nothing else.
-	unrelated := Compact(NewProject(scanS(), KeepCol("c")), like, nil)
-	if Indent(unrelated) != Indent(NewProject(scanS(), KeepCol("c"))) {
-		t.Errorf("compacting against an unrelated plan changed it:\n%s", Indent(unrelated))
-	}
-}
-
 // TestCompactKeepsConstantKinds: 2 and 2.0 are equal constants to ExprEqual
-// and different computations under a division; neither within a plan nor
-// against like may one stand for the other.
+// and different computations under a division; within a plan one may not
+// stand for the other.
 func TestCompactKeepsConstantKinds(t *testing.T) {
 	div := func(c Const) Expr { return Arith{Op: types.OpDiv, L: Attr("a"), R: c} }
 	kinds := func(op Op) (out []types.Kind) {
@@ -140,13 +104,8 @@ func TestCompactKeepsConstantKinds(t *testing.T) {
 		t.Error("two NaN constants with equal bits are identical")
 	}
 	plan := NewProject(scanR(), Col(div(IntConst(2)), "i"), Col(div(FloatConst(2)), "f"))
-	like := Compact(plan, nil, nil)
-	if got := kinds(like); got[0] != types.KindInt || got[1] != types.KindFloat {
-		t.Errorf("within a plan: constant kinds %v", got)
-	}
-	swapped := NewProject(scanR(), Col(div(FloatConst(2)), "i"), Col(div(IntConst(2)), "f"))
-	if got := kinds(Compact(swapped, like, nil)); got[0] != types.KindFloat || got[1] != types.KindInt {
-		t.Errorf("against like: constant kinds %v", got)
+	if got := kinds(Compact(plan, nil)); got[0] != types.KindInt || got[1] != types.KindFloat {
+		t.Errorf("constant kinds %v", got)
 	}
 }
 

@@ -90,7 +90,7 @@ func (e *Evaluator) Eval(op algebra.Op) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(Lower(bound, nil))
+	return e.Run(Lower(bound))
 }
 
 // Run executes an annotated plan and returns its materialized result, under

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"perm/internal/algebra"
 	"perm/internal/rel"
 	"perm/internal/types"
@@ -192,6 +194,14 @@ func (l *lowering) join(op algebra.Op, id int32) joinPlan {
 	return p
 }
 
+// same reports whether two splits are identical (algebra.ExprIdentical):
+// a join keeps the reference's split only where it differs from its own.
+func (k *equiKeys) same(o *equiKeys) bool {
+	return slices.EqualFunc(k.pairs, o.pairs, func(a, b equiKey) bool {
+		return algebra.ExprIdentical(a.probe, b.probe) && algebra.ExprIdentical(a.build, b.build) && a.nullEq == b.nullEq
+	}) && algebra.ExprIdentical(k.residual, o.residual)
+}
+
 // joinParts returns the inputs and the condition of a Cross (nil), Join or
 // LeftJoin.
 func joinParts(op algebra.Op) (l, r algebra.Op, cond algebra.Expr) {
@@ -302,12 +312,6 @@ func mapRefs(x algebra.Expr, cols []int32) algebra.Expr {
 		}
 		return x
 	})
-}
-
-// same reports whether two join plans decide the same.
-func (p joinPlan) same(q joinPlan) bool {
-	return p.keys.same(&q.keys) && p.shared == q.shared && p.lw == q.lw && p.rw == q.rw &&
-		sameCols(p.lmap(), q.lmap()) && sameCols(p.rmap(), q.rmap()) && p.matKeys().same(q.matKeys())
 }
 
 // lmap and rmap return the column maps of the inputs, nil for an input

@@ -235,15 +235,6 @@ func (l *lowering) selectPlan(o *algebra.Select) *selectPlan {
 	return p
 }
 
-// same reports whether two selection plans decide the same. A generation
-// plan reads the operators of its subtree, so only itself is the same.
-func (p *selectPlan) same(q *selectPlan) bool {
-	if p.gen != nil || q.gen != nil {
-		return p.gen == q.gen
-	}
-	return p.index.equiKeys.same(&q.index.equiKeys) && slices.Equal(p.index.free, q.index.free) && p.index.shared == q.index.shared
-}
-
 // selectOf returns the plan of selection node id of the running plan,
 // nil for the literal filter.
 func (e *Evaluator) selectOf(id int32) *selectPlan {

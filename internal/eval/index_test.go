@@ -218,7 +218,7 @@ func TestJoinSharesIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := Lower(op, nil)
+			p := Lower(op)
 			ev := New(c)
 			return testing.AllocsPerRun(3, func() {
 				if _, err := ev.Run(p); err != nil {

@@ -179,7 +179,7 @@ func TestJoinFold(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					plan := Lower(bound, nil)
+					plan := Lower(bound)
 					for _, p := range plan.joins {
 						if p.lmap() == nil {
 							t.Errorf("the join streams its left input's projection")

@@ -11,11 +11,11 @@ import (
 // Plan is the physical annotation of one bound plan: every decision the
 // executor makes about a node that does not depend on the rows, made once
 // by Lower. It is PostgreSQL's Plan beside the PlanState of a run
-// (runShared): package perm keeps it with the cached plan, so a cache hit
-// decides nothing, and the run keeps only state. A Plan is immutable once
-// Lower returns it and is shared by every run of its statement, on any
-// goroutine; it holds no map, so the plan cache's frozen-plan fingerprint
-// covers it.
+// (runShared): package perm keeps one with each cached plan, lowered from
+// that plan alone, so a cache hit decides nothing, and the run keeps only
+// state. A Plan is immutable once Lower returns it and is shared by every
+// run of its statement, on any goroutine; it holds no map, so the plan
+// cache's frozen-plan fingerprint covers it.
 //
 // Every operator of the plan, those of sublink queries included, has a
 // dense ID: the root is 0 and the others follow in first-visit pre-order
@@ -58,12 +58,9 @@ func (p *Plan) sublink(q algebra.Op) int32 {
 	panic("eval: a sublink query outside the plan")
 }
 
-// Lower annotates a bound plan (algebra.Bind). like is the annotation of a
-// plan of the same statement family that op was compacted onto (see
-// algebra.Compact), nil for none: where op's decisions equal like's, op's
-// annotation uses like's memory, so a pattern variant costs the decisions
-// that differ.
-func Lower(op algebra.Op, like *Plan) *Plan {
+// Lower annotates a bound plan (algebra.Bind). The annotation reads op and
+// nothing else: two plans that decide alike still have two annotations.
+func Lower(op algebra.Op) *Plan {
 	l := &lowering{p: &Plan{root: op}, ids: map[algebra.Op]int32{}}
 	l.number(op)
 	for id, op := range l.ops {
@@ -88,9 +85,6 @@ func Lower(op algebra.Op, like *Plan) *Plan {
 	// The plan is kept for long: its slices are cut to their length.
 	p.nodes, p.subs = slices.Clone(p.nodes), slices.Clone(p.subs)
 	p.joins, p.outs, p.selects = slices.Clone(p.joins), slices.Clone(p.outs), slices.Clone(p.selects)
-	if like != nil {
-		p.share(like)
-	}
 	return p
 }
 
@@ -142,54 +136,6 @@ func (l *lowering) number(op algebra.Op) int32 {
 
 // width returns the output width of an operator of the plan.
 func (l *lowering) width(op algebra.Op) int { return int(l.p.nodes[l.ids[op]].width) }
-
-// share replaces p's parts by like's where they are equal.
-func (p *Plan) share(like *Plan) {
-	if slices.Equal(p.nodes, like.nodes) {
-		p.nodes = like.nodes
-	}
-	if slices.Equal(p.subs, like.subs) {
-		p.subs = like.subs
-	}
-	p.joins = shareEach(p.joins, like.joins, joinPlan.same)
-	p.outs = shareEach(p.outs, like.outs, sameCols)
-	p.selects = shareEach(p.selects, like.selects, (*selectPlan).same)
-}
-
-// shareEach replaces each decision of ds by the one of like at its index
-// when the two are the same, and returns like itself when all are.
-func shareEach[T any](ds, like []T, same func(T, T) bool) []T {
-	all := len(ds) == len(like)
-	for i := range ds {
-		if i < len(like) && same(ds[i], like[i]) {
-			ds[i] = like[i]
-			continue
-		}
-		all = false
-	}
-	if all {
-		return like
-	}
-	return ds
-}
-
-// sameCols reports whether two column maps are equal, nil (the identity)
-// only to nil.
-func sameCols(a, b []int32) bool {
-	return (a == nil) == (b == nil) && slices.Equal(a, b)
-}
-
-// same reports whether two splits are identical (algebra.ExprIdentical): a
-// decision shared between plans must read the same sublink queries, which
-// the run finds by pointer.
-func (k *equiKeys) same(o *equiKeys) bool {
-	if k == nil || o == nil {
-		return k == o
-	}
-	return slices.EqualFunc(k.pairs, o.pairs, func(a, b equiKey) bool {
-		return algebra.ExprIdentical(a.probe, b.probe) && algebra.ExprIdentical(a.build, b.build) && a.nullEq == b.nullEq
-	}) && algebra.ExprIdentical(k.residual, o.residual)
-}
 
 // node returns the annotation of node id of the running plan.
 func (e *Evaluator) node(id int32) *node { return &e.shared.plan.nodes[id] }

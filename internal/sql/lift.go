@@ -243,10 +243,14 @@ func (l *Lexed) literals() []literal {
 }
 
 // numberValue is the value of a number token: an integer when it fits one,
-// a float otherwise.
+// a float otherwise. The lexer makes a number of digits and at most one dot,
+// so a token with a dot is a float and goes straight to ParseFloat: trying
+// ParseInt first would allocate its error on every float literal.
 func numberValue(text string) (types.Value, bool) {
-	if i, err := strconv.ParseInt(text, 10, 64); err == nil {
-		return types.NewInt(i), true
+	if !strings.Contains(text, ".") {
+		if i, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return types.NewInt(i), true
+		}
 	}
 	f, err := strconv.ParseFloat(text, 64)
 	if err != nil {

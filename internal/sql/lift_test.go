@@ -213,3 +213,19 @@ func TestLexFastPaths(t *testing.T) {
 		t.Errorf("latin-1 identifier: %v, %v", toks, err)
 	}
 }
+
+// TestNumberValue: a number token with a dot is a float, parsed without an
+// allocation; one without is an integer while it fits one, a float past.
+func TestNumberValue(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		kind types.Kind
+	}{{"7", types.KindInt}, {"0.05", types.KindFloat}, {"1.", types.KindFloat}, {".5", types.KindFloat}, {"99999999999999999999", types.KindFloat}} {
+		if v, ok := numberValue(c.text); !ok || v.Kind() != c.kind {
+			t.Errorf("numberValue(%q) = %v, %v; want a %v", c.text, v, ok, c.kind)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = numberValue("0.05") }); n != 0 {
+		t.Errorf("numberValue(\"0.05\") allocates %v times, want 0", n)
+	}
+}

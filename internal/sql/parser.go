@@ -611,14 +611,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
-			return NumLit{Int: i, Pos: t.pos}, nil
-		}
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
+		v, ok := numberValue(t.text)
+		if !ok {
 			return nil, p.errf("invalid number %q", t.text)
 		}
-		return NumLit{Float: f, IsFlt: true, Pos: t.pos}, nil
+		if v.Kind() == types.KindInt {
+			return NumLit{Int: v.Int(), Pos: t.pos}, nil
+		}
+		return NumLit{Float: v.Float(), IsFlt: true, Pos: t.pos}, nil
 	case tokString:
 		p.next()
 		return StrLit{S: t.text}, nil

@@ -516,7 +516,7 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 		return nil, nil, false, err
 	}
 	if !useCache {
-		p.phys = eval.Lower(p.plan, nil)
+		p.phys = eval.Lower(p.plan)
 		return p, nil, false, nil
 	}
 	// The statement runs the plan as the cache keeps it, so that a miss and

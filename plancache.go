@@ -81,11 +81,9 @@ func (sn snapshot) holds(deps []dep) bool {
 // serves a DB and every session opened from it. It is keyed by statement
 // family; a family holds several variants, for two reasons. Statements of
 // one family differ in their pattern — which of their literals are equal —
-// and each pattern is compiled on its own; their plans are nearly the same
-// tree, and a new variant is built on the memory of the one before it (see
-// algebra.Compact). And sessions may bind the same names differently — each
-// to a private table w of columns of its own, say — and must not evict each
-// other. Nothing ever flushes or scans the cache: a plan that DDL made stale
+// and each pattern is compiled, and compacted, on its own. And sessions may
+// bind the same names differently — each to a private table w of columns of
+// its own, say — and must not evict each other. Nothing ever flushes or scans the cache: a plan that DDL made stale
 // fails holds and ages out of its family.
 type planCache struct {
 	hits, misses, stale, evictions atomic.Int64
@@ -143,17 +141,14 @@ func twin(variants []*planned, p *planned) *planned {
 // With the frozen-plan check on (WithPlanCheck) the copy is fingerprinted
 // before anyone sees it.
 func (c *planCache) admit(family string, p *planned, check bool) *planned {
-	c.mu.RLock()
-	old := c.families[family]
-	c.mu.RUnlock()
-	kept := keep(p, old)
+	kept := keep(p)
 	if check {
 		kept.frozen = kept.fingerprint()
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old = c.families[family]
+	old := c.families[family]
 	if q := twin(old, p); q != nil {
 		return q
 	}
@@ -176,32 +171,19 @@ func (c *planCache) admit(family string, p *planned, check bool) *planned {
 	return kept
 }
 
-// keep returns the copy of p that the cache retains, built on the memory of
-// the family's variants so far (see algebra.Compact), with its physical
-// annotation lowered from the copy (eval.Lower): whatever the variant
-// before has the same, it has for both. The variants only save memory; a
-// family that changes meanwhile costs a little sharing.
-func keep(p *planned, variants []*planned) *planned {
+// keep returns the copy of p that the cache retains, compacted on its own
+// (algebra.Compact), with its physical annotation lowered from the copy
+// (eval.Lower).
+func keep(p *planned) *planned {
 	kept := *p
-	var like algebra.Op
-	var likePhys *eval.Plan
-	for _, q := range variants {
-		like, likePhys = q.plan, q.phys
-		if slices.EqualFunc(q.deps, p.deps, dep.same) {
-			kept.deps = q.deps
-		}
-		if slices.Equal(q.prov, p.prov) {
-			kept.prov = q.prov
-		}
-	}
 	var schemas []schema.Schema
 	for _, d := range p.deps {
 		if d.shape != nil {
 			schemas = append(schemas, d.shape.Schema)
 		}
 	}
-	kept.plan = algebra.Compact(p.plan, like, schemas)
-	kept.phys = eval.Lower(kept.plan, likePhys)
+	kept.plan = algebra.Compact(p.plan, schemas)
+	kept.phys = eval.Lower(kept.plan)
 	return &kept
 }
 
