@@ -29,7 +29,7 @@
 // constant. To everything that inspects plans — ExprEqual, the rewrite
 // rules, the optimizer — a Param is an opaque leaf without
 // attribute references, equal only to a Param of the same slot. The SQL
-// front end (sql.Lexed.Lift) gives two literals one slot exactly when they
+// front end (sql.Lexed.Shape) gives two literals one slot exactly when they
 // are the same value of the same kind, so a decision taken because two
 // literals were equal, or were not, holds for every statement that shares
 // the plan.

@@ -68,16 +68,16 @@ func TestAllocSlopes(t *testing.T) {
 		{entry: "streamJoinRejected", query: `SELECT r.a, s.c FROM r JOIN s ON r.b = s.d AND r.a + s.c < 0`, ceiling: 0.1},
 		// Every row of r is a binding of its own, so each is an EXISTS memo
 		// miss whose selection over s is answered from the index.
-		{entry: "indexedProbe", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b AND c <> a)`, ceiling: 4.1},
-		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 2.1},
-		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 2.1},
-		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 2.1},
-		{entry: "hashedAny", query: `SELECT * FROM r WHERE a = ANY (SELECT c FROM s)`, ceiling: 1.1},
+		{entry: "indexedProbe", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b AND c <> a)`, ceiling: 3.1},
+		{entry: "probeExists", query: `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, ceiling: 1.1},
+		{entry: "probeScalar", query: `SELECT a, (SELECT c FROM s WHERE d = b) FROM r`, ceiling: 1.1},
+		{entry: "quantify", query: `SELECT * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, ceiling: 1.1},
+		{entry: "hashedAny", query: `SELECT * FROM r WHERE a = ANY (SELECT c FROM s)`, ceiling: 0.1},
 		// Gen's G1 selection, answered by generation. Under EXISTS the
 		// binding is b, so all but 50 rows of r reuse memoized witnesses;
 		// under ANY it is (a, b), so every row generates its own.
-		{entry: "generate", query: `SELECT PROVENANCE * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 4.1},
-		{entry: "generateMiss", query: `SELECT PROVENANCE * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 7.1},
+		{entry: "generate", query: `SELECT PROVENANCE * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 3.1},
+		{entry: "generateMiss", query: `SELECT PROVENANCE * FROM r WHERE a > ANY (SELECT c FROM s WHERE d = b)`, strategy: "Gen", ceiling: 6.1},
 	} {
 		t.Run(c.entry, func(t *testing.T) {
 			allocs := func(n int) float64 {

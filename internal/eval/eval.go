@@ -106,7 +106,7 @@ func (e *Evaluator) Run(p *Plan) (*rel.Relation, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, e.ctx.Err())
 	default:
 	}
-	e.shared = &runShared{plan: p}
+	e.shared = newRunShared(p)
 	out, err := e.eval(p.root, 0, nil)
 	if err != nil {
 		return nil, err

@@ -38,6 +38,24 @@ type runShared struct {
 	// found per sublink and binding (see gen.go).
 	gens      []*genRun
 	witnesses memo[genBlock, genSet]
+
+	// scopes is the run's scope stack (see evalSublink) and top the number
+	// of its frames in use; frames is its storage for plans of shallow
+	// nesting.
+	scopes []rel.Tuple
+	top    int
+	frames [4]rel.Tuple
+}
+
+// newRunShared returns the state of a run of p.
+func newRunShared(p *Plan) *runShared {
+	r := &runShared{plan: p}
+	if p.depth <= len(r.frames) {
+		r.scopes = r.frames[:p.depth]
+	} else {
+		r.scopes = make([]rel.Tuple, p.depth)
+	}
+	return r
 }
 
 // memo is one table of per-run state: a value per plan node and binding.

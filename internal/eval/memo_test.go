@@ -1,6 +1,12 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"perm/internal/algebra"
+	"perm/internal/rel"
+	"perm/internal/types"
+)
 
 func TestMemoMissThenHit(t *testing.T) {
 	var m memo[*int, string]
@@ -79,5 +85,73 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("hit: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestSublinkMemoHitAllocatesNothing: a correlated EXISTS whose binding the
+// run already answered allocates nothing: its scope is a frame of the run's
+// scope stack (see evalSublink), and its memo key sits in a stack buffer.
+func TestSublinkMemoHitAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	cat := slopeDB(100)
+	plan, err := algebra.Bind(compileOptimized(t, cat, `SELECT * FROM r WHERE EXISTS (SELECT c FROM s WHERE d = b)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := New(cat)
+	if _, err := ev.Run(Lower(plan)); err != nil {
+		t.Fatal(err)
+	}
+	var sub *algebra.Sublink
+	var find func(op algebra.Op)
+	find = func(op algebra.Op) {
+		for _, x := range algebra.OperatorExprs(op) {
+			algebra.WalkExpr(x, func(x algebra.Expr) bool {
+				if s, ok := x.(algebra.Sublink); ok && sub == nil {
+					sub = &s
+				}
+				return true
+			})
+		}
+		for _, c := range op.Children() {
+			find(c)
+		}
+	}
+	find(plan)
+	if sub == nil {
+		t.Fatalf("no sublink in\n%s", algebra.Indent(plan))
+	}
+	row := ints(7, 7) // b = 7: a binding the run probed, which s matches
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := ev.evalSublink(*sub, row, nil); err != nil || v != types.NewBool(true) {
+			t.Fatalf("EXISTS = %v, %v; want true", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo hit: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestInitPlanUnderSublinkKeepsScope: an uncorrelated sublink evaluated
+// under a correlated one starts from the empty scope, and the sublinks in
+// it must not take the scope stack's frames from under the enclosing
+// sublink, whose correlated comparison c = a reads its frame afterwards.
+func TestInitPlanUnderSublinkKeepsScope(t *testing.T) {
+	const query = `SELECT a FROM r WHERE EXISTS (SELECT c FROM s WHERE c IN (SELECT x.c FROM s x WHERE EXISTS (SELECT * FROM r y WHERE y.a = x.c)) AND c = a)`
+	cat := figure3DB()
+	plan := compileOptimized(t, cat, query)
+	for _, materialize := range []bool{false, true} {
+		ev := New(cat)
+		ev.DisableStreaming = materialize
+		out, err := ev.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rel.FromTuples(out.Schema, ints(1), ints(2))
+		if !out.Equal(want) {
+			t.Errorf("materialize=%v: %v, want a = 1 and 2", materialize, out.Tuples())
+		}
 	}
 }

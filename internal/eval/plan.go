@@ -33,6 +33,9 @@ type Plan struct {
 	joins   []joinPlan    // Cross, Join, LeftJoin
 	outs    [][]int32     // a bag projection over a join, built by the join
 	selects []*selectPlan // a selection answered by generation or an index
+	// depth is the deepest nesting of sublinks in the plan: the length of
+	// the longest scope a run evaluates a sublink under.
+	depth int
 }
 
 // node is what the run needs of one operator besides its decision.
@@ -63,6 +66,7 @@ func (p *Plan) sublink(q algebra.Op) int32 {
 func Lower(op algebra.Op) *Plan {
 	l := &lowering{p: &Plan{root: op}, ids: map[algebra.Op]int32{}}
 	l.number(op)
+	l.p.depth = int(slices.Max(l.depth))
 	for id, op := range l.ops {
 		switch o := op.(type) {
 		case *algebra.Cross, *algebra.Join, *algebra.LeftJoin:
@@ -93,6 +97,9 @@ type lowering struct {
 	p   *Plan
 	ids map[algebra.Op]int32
 	ops []algebra.Op // by ID
+	// depth is, by ID, the deepest nesting of sublinks at and below the
+	// operator.
+	depth []int32
 }
 
 // decide records the decision of node id in the slice of its kind.
@@ -110,9 +117,11 @@ func (l *lowering) number(op algebra.Op) int32 {
 	l.ids[op] = id
 	l.ops = append(l.ops, op)
 	l.p.nodes = append(l.p.nodes, node{width: int32(op.Schema().Len()), phys: -1})
+	l.depth = append(l.depth, 0)
 	for i, c := range op.Children() {
 		k := l.number(c)
 		l.p.nodes[id].kids[i] = k
+		l.depth[id] = max(l.depth[id], l.depth[k])
 	}
 	exprs := algebra.OperatorExprs(op)
 	if v, ok := op.(*algebra.Values); ok {
@@ -124,6 +133,7 @@ func (l *lowering) number(op algebra.Op) int32 {
 		algebra.WalkExpr(x, func(x algebra.Expr) bool {
 			if s, ok := x.(algebra.Sublink); ok {
 				q := l.number(s.Query)
+				l.depth[id] = max(l.depth[id], l.depth[q]+1)
 				if !slices.ContainsFunc(l.p.subs, func(r subRoot) bool { return r.id == q }) {
 					l.p.subs = append(l.p.subs, subRoot{query: s.Query, id: q})
 				}

@@ -23,8 +23,29 @@ import (
 // = ANY set built from it) is memoized once per query when uncorrelated
 // (PostgreSQL's InitPlan) and per binding when correlated, and answers
 // every test value of that binding.
+//
+// The sublink is evaluated under the scope outer, then t. A run's scopes
+// are the prefixes of one stack (runShared.scopes) as far as they can be:
+// when outer is the stack up to its top, t is pushed as the next frame and
+// popped when the sublink returns, and sublinks nested in it push above.
+// Any other outer gets a new scope slice: the empty scope of an InitPlan
+// evaluated under a sublink's frame, and the scope generation makes of its
+// own (genPlan.scratch). Code that keeps a scope past the call copies it,
+// as appendParamKey does into the memo key.
 func (e *Evaluator) evalSublink(s algebra.Sublink, t rel.Tuple, outer []rel.Tuple) (types.Value, error) {
-	scope := append(outer, t)
+	r := e.shared
+	if d := len(outer); d == r.top && d < len(r.scopes) && (d == 0 || &outer[0] == &r.scopes[0]) {
+		r.scopes[d] = t
+		r.top++
+		v, err := e.evalSublinkIn(s, t, outer, r.scopes[:d+1])
+		r.top--
+		return v, err
+	}
+	return e.evalSublinkIn(s, t, outer, append(outer[:len(outer):len(outer)], t))
+}
+
+// evalSublinkIn evaluates the sublink under scope, which is outer, then t.
+func (e *Evaluator) evalSublinkIn(s algebra.Sublink, t rel.Tuple, outer, scope []rel.Tuple) (types.Value, error) {
 	id := e.shared.plan.sublink(s.Query)
 	switch s.Kind {
 	case algebra.ExistsSublink:

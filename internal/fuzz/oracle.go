@@ -246,16 +246,15 @@ func checkPlanCache(db *perm.DB, q *Query) error {
 }
 
 // Sibling returns a statement of the same shape as query (see
-// sql.Lexed.Lift) whose lifted literals all have other values: numbers grow
+// sql.Lexed.Shape) whose lifted literals all have other values: numbers grow
 // by one and a half times their slot, strings by a letter per slot — the same
 // value for equal literals, and small enough for predicates to stay
 // selective.
 func Sibling(query string) (string, error) {
-	lx, err := sql.Lex(query)
+	family, pattern, params, err := new(sql.Lexed).Shape(query, nil)
 	if err != nil {
 		return "", err
 	}
-	family, pattern, params := lx.Lift(nil)
 	changed := make([]types.Value, len(params))
 	for i, v := range params {
 		switch v.Kind() {
@@ -278,11 +277,10 @@ func Sibling(query string) (string, error) {
 // only compares its outcome with and without the cache. A query that does
 // not lex comes back as it is.
 func MixedKinds(query string) string {
-	lx, err := sql.Lex(query)
+	family, pattern, params, err := new(sql.Lexed).Shape(query, nil)
 	if err != nil {
 		return query
 	}
-	family, pattern, params := lx.Lift(nil)
 	// Every occurrence gets a slot of its own.
 	var each []types.Value
 	var slots []byte

@@ -89,7 +89,7 @@ type NumLit struct {
 // StrLit is a string literal.
 type StrLit struct{ S string }
 
-// ParamLit stands where Lexed.Lift lifted a number or string literal out of
+// ParamLit stands where Lexed.Shape lifted a number or string literal out of
 // the statement: slot Idx of the statement's parameter vector, holding a
 // value of kind Kind. Analysis types it by its kind and compares it by its
 // slot; translation lowers it to an algebra.Param.

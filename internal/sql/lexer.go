@@ -1,5 +1,5 @@
 // Package sql implements the SQL front end of the Perm reproduction: a
-// lexer, a recursive-descent parser, a semantic analyzer and a translator
+// scanner, a recursive-descent parser, a semantic analyzer and a translator
 // from the SQL AST to the extended relational algebra of internal/algebra.
 //
 // The dialect covers the subset the paper's workloads need — SELECT
@@ -17,11 +17,14 @@
 // marks the query for provenance rewriting, exactly like the language
 // extension described in §4.1 of the paper.
 //
-// A statement is lexed once (Lex). From the tokens, Lift computes the
-// statement's shape — the key of package perm's plan cache — and, when no
-// cached plan answers it, Query or Statement parse them; after Lift the
-// literals it lifted out parse as ParamLit nodes and translate to
-// algebra.Param leaves.
+// One scanner reads statements, in two modes. Lexed.Shape reads a statement
+// once and writes its shape — the key of package perm's plan cache — and its
+// parameter vector into buffers the caller reuses, keeping no tokens; that
+// is all a cached plan needs. When no cached plan answers, Lexed.Query
+// parses the statement from the scanner's tokens, one at a time, and the
+// literals Shape lifted out parse as ParamLit nodes, which translate to
+// algebra.Param leaves. Parse and ParseStatement parse a statement as
+// written.
 //
 // Compilation runs in three passes. Parse builds the untyped AST. Analyze
 // (see analyze.go) then resolves names and select-list ordinals, checks
@@ -53,10 +56,11 @@ const (
 	tokSymbol
 )
 
-// token is one lexeme with its source position (1-based byte offset).
+// token is one lexeme with its source position (1-based byte offset), as
+// the parser reads it.
 type token struct {
 	kind tokenKind
-	// param is the one-based parameter slot of a literal that Lexed.Lift
+	// param is the one-based parameter slot of a literal that Lexed.Shape
 	// lifted out of the statement; 0 for a token that stands for itself.
 	param int32
 	text  string // keywords are upper-cased, identifiers lower-cased
@@ -74,165 +78,247 @@ func (t token) String() string {
 	}
 }
 
-// keywords of the dialect, each mapped to its own spelling so that a lookup
-// yields the token text without allocating. SOME is an alias for ANY, as in
-// SQL.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, kw := range []string{
-		"SELECT", "DISTINCT", "PROVENANCE", "FROM",
-		"WHERE", "GROUP", "BY", "HAVING", "ORDER",
-		"LIMIT", "OFFSET", "AS", "AND", "OR", "NOT",
-		"IN", "ANY", "SOME", "ALL", "EXISTS",
-		"IS", "NULL", "TRUE", "FALSE", "JOIN",
-		"INNER", "LEFT", "OUTER", "ON", "UNION",
-		"INTERSECT", "EXCEPT", "ASC", "DESC",
-		"BETWEEN", "LIKE", "CREATE", "VIEW",
-		"DROP", "CASE", "WHEN", "THEN", "ELSE",
-		"END", "CAST", "TABLE", "INSERT", "INTO",
-		"VALUES",
-	} {
-		m[kw] = kw
-	}
-	return m
-}()
+// keywords of the dialect. SOME is an alias for ANY, as in SQL.
+var keywords = [...]string{
+	"SELECT", "DISTINCT", "PROVENANCE", "FROM",
+	"WHERE", "GROUP", "BY", "HAVING", "ORDER",
+	"LIMIT", "OFFSET", "AS", "AND", "OR", "NOT",
+	"IN", "ANY", "SOME", "ALL", "EXISTS",
+	"IS", "NULL", "TRUE", "FALSE", "JOIN",
+	"INNER", "LEFT", "OUTER", "ON", "UNION",
+	"INTERSECT", "EXCEPT", "ASC", "DESC",
+	"BETWEEN", "LIKE", "CREATE", "VIEW",
+	"DROP", "CASE", "WHEN", "THEN", "ELSE",
+	"END", "CAST", "TABLE", "INSERT", "INTO",
+	"VALUES",
+}
 
 // maxKeywordLen is the length of the longest keyword (PROVENANCE).
 const maxKeywordLen = 10
 
-// symbols holds the text of every one-byte symbol token.
-const symbols = "=<>+-*/%(),.;"
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// isWordStart reports whether c can begin an identifier or keyword. Bytes
-// above ASCII are read as Latin-1, as the lexer always has.
-func isWordStart(c byte) bool {
-	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' ||
-		c >= 0x80 && unicode.IsLetter(rune(c))
+// keywordHash places every keyword in its own entry of keywordTable: a
+// multiplicative hash of the word's length and its first, second and last
+// letters, folded to upper case. The multiplier was found by search; init
+// panics should a change to the keyword list make two keywords collide.
+func keywordHash(w string) uint {
+	x := uint(len(w))<<24 | uint(w[0]&^0x20)<<16 | uint(w[1]&^0x20)<<8 | uint(w[len(w)-1]&^0x20)
+	return x * 12716040133621986163 >> (64 - 7)
 }
 
-// word classifies input[start:end] as a keyword or an identifier and folds
-// its case. Words that are ASCII — all of them, in practice — are folded
-// without allocating: a keyword's text comes from the keyword table, and an
-// identifier already in lower case is a slice of the input.
-func word(input string, start, end int) token {
-	w := input[start:end]
-	ascii, lower := true, true
+var keywordTable [1 << 7]string
+
+func init() {
+	for _, kw := range keywords {
+		h := keywordHash(kw)
+		if keywordTable[h] != "" {
+			panic("sql: keywords " + kw + " and " + keywordTable[h] + " collide")
+		}
+		keywordTable[h] = kw
+	}
+}
+
+// keyword returns the upper-case spelling of w if w is a keyword in any
+// case, and "" otherwise.
+func keyword(w string) string {
+	if len(w) < 2 || len(w) > maxKeywordLen {
+		return ""
+	}
+	kw := keywordTable[keywordHash(w)]
+	if len(kw) != len(w) {
+		return ""
+	}
+	// Keywords are letters only: a byte that folds to a keyword's upper-case
+	// letter is that letter in one of its cases.
+	for i := 0; i < len(w); i++ {
+		if w[i]&^0x20 != kw[i] {
+			return ""
+		}
+	}
+	return kw
+}
+
+// Byte classes of the scanner, one table entry per byte. Bytes above ASCII
+// are read as Latin-1, as the lexer always has.
+const (
+	cWord  = 1 << iota // continues a word: a letter, '_' or a digit
+	cStart             // begins a word: a letter or '_'
+	cDigit
+	cBlank
+	cUpper  // an upper-case letter: lower-casing adds 0x20
+	cSymbol // a one-byte symbol token: = < > + - * / % ( ) , . ;
+)
+
+var class = func() (t [256]uint8) {
+	for i := range t {
+		c := byte(i)
+		switch {
+		case '0' <= c && c <= '9':
+			t[i] = cWord | cDigit
+		case 'a' <= c && c <= 'z' || c == '_':
+			t[i] = cWord | cStart
+		case 'A' <= c && c <= 'Z':
+			t[i] = cWord | cStart | cUpper
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			t[i] = cBlank
+		case strings.IndexByte("=<>+-*/%(),.;", c) >= 0:
+			t[i] = cSymbol
+		case c >= 0x80 && unicode.IsLetter(rune(c)):
+			t[i] = cWord | cStart
+			if unicode.IsUpper(rune(c)) {
+				t[i] |= cUpper
+			}
+		}
+	}
+	return t
+}()
+
+// appendLower appends w lower-cased, byte by byte: a Latin-1 upper-case
+// letter lies 0x20 below its lower-case one, as an ASCII one does.
+func appendLower(dst []byte, w string) []byte {
 	for i := 0; i < len(w); i++ {
 		c := w[i]
-		ascii = ascii && c < 0x80
-		lower = lower && !('A' <= c && c <= 'Z')
-	}
-	if !ascii {
-		if kw, ok := keywords[strings.ToUpper(w)]; ok {
-			return token{kind: tokKeyword, text: kw, pos: start + 1}
+		if class[c]&cUpper != 0 {
+			c += 0x20
 		}
-		return token{kind: tokIdent, text: strings.ToLower(w), pos: start + 1}
+		dst = append(dst, c)
 	}
-	if len(w) <= maxKeywordLen {
-		var up [maxKeywordLen]byte
-		for i := 0; i < len(w); i++ {
-			c := w[i]
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			up[i] = c
-		}
-		if kw, ok := keywords[string(up[:len(w)])]; ok {
-			return token{kind: tokKeyword, text: kw, pos: start + 1}
-		}
-	}
-	if !lower {
-		w = strings.ToLower(w)
-	}
-	return token{kind: tokIdent, text: w, pos: start + 1}
+	return dst
 }
 
-// lex tokenizes the input. Errors carry byte positions for messages.
-func lex(input string) ([]token, error) {
-	// SQL text runs to five or six bytes a token, blanks included.
-	toks := make([]token, 0, len(input)/4+2)
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+// lexeme is one token as the scanner finds it, before anything is made of
+// its text.
+type lexeme struct {
+	kind tokenKind
+	// start and end delimit the token in the input; a string's run between
+	// its quotes.
+	start, end int
+	// text is the spelling of a keyword or a symbol.
+	text string
+	// rewrite: the token's text is not input[start:end] as it stands — an
+	// identifier with upper-case letters, a string with doubled quotes.
+	rewrite bool
+}
+
+// scanner reads a statement's lexemes one at a time. Errors carry byte
+// positions for messages.
+type scanner struct {
+	input string
+	i     int
+}
+
+// scan reads the next lexeme into lx, tokEOF at the end of the input.
+func (s *scanner) scan(lx *lexeme) error {
+	in, n, i := s.input, len(s.input), s.i
+	for i < n && (class[in[i]]&cBlank != 0 || in[i] == '-' && i+1 < n && in[i+1] == '-') {
+		if in[i] == '-' { // a comment, to the end of the line
+			for i < n && in[i] != '\n' {
+				i++
+			}
+		} else {
 			i++
-		case c == '-' && i+1 < n && input[i+1] == '-':
-			for i < n && input[i] != '\n' {
-				i++
-			}
-		case isWordStart(c):
-			start := i
-			for i < n && (isWordStart(input[i]) || isDigit(input[i])) {
-				i++
-			}
-			toks = append(toks, word(input, start, i))
-		case isDigit(c) || (c == '.' && i+1 < n && isDigit(input[i+1])):
-			start := i
-			seenDot := false
-			for i < n && (isDigit(input[i]) || (input[i] == '.' && !seenDot)) {
-				if input[i] == '.' {
-					seenDot = true
-				}
-				i++
-			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start + 1})
-		case c == '\'':
+		}
+	}
+	*lx = lexeme{kind: tokEOF, start: i}
+	if i == n {
+		lx.end = n
+		return nil
+	}
+	switch c, cl := in[i], class[in[i]]; {
+	case cl&cStart != 0:
+		upper := uint8(0)
+		for i < n && class[in[i]]&cWord != 0 {
+			upper |= class[in[i]]
 			i++
-			start := i
-			escaped, closed := false, false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						escaped = true
-						i += 2
-						continue
-					}
-					closed = true
-					break
-				}
-				i++
-			}
-			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string literal at position %d", i)
-			}
-			text := input[start:i]
-			if escaped {
-				text = strings.ReplaceAll(text, "''", "'")
-			}
+		}
+		if lx.text = keyword(in[lx.start:i]); lx.text != "" {
+			lx.kind = tokKeyword
+		} else {
+			lx.kind, lx.rewrite = tokIdent, upper&cUpper != 0
+		}
+	case cl&cDigit != 0 || c == '.' && i+1 < n && class[in[i+1]]&cDigit != 0:
+		seenDot := false
+		for i < n && (class[in[i]]&cDigit != 0 || in[i] == '.' && !seenDot) {
+			seenDot = seenDot || in[i] == '.'
 			i++
-			toks = append(toks, token{kind: tokString, text: text, pos: i})
-		default:
-			start := i
-			if i+1 < n {
-				two := ""
-				switch input[i : i+2] {
-				case "<>", "!=":
-					two = "<>"
-				case "<=":
-					two = "<="
-				case ">=":
-					two = ">="
-				case "||":
-					two = "||"
-				}
-				if two != "" {
-					toks = append(toks, token{kind: tokSymbol, text: two, pos: start + 1})
+		}
+		lx.kind = tokNumber
+	case c == '\'':
+		i++
+		lx.kind, lx.start = tokString, i
+		for {
+			if i == n {
+				return fmt.Errorf("sql: unterminated string literal at position %d", i)
+			}
+			if in[i] == '\'' {
+				if i+1 < n && in[i+1] == '\'' { // escaped quote
+					lx.rewrite = true
 					i += 2
 					continue
 				}
+				break
 			}
-			at := strings.IndexByte(symbols, c)
-			if at < 0 {
-				return nil, fmt.Errorf("sql: unexpected character %q at position %d", c, start+1)
-			}
-			toks = append(toks, token{kind: tokSymbol, text: symbols[at : at+1], pos: start + 1})
 			i++
 		}
+		lx.end = i // the closing quote
+		s.i = i + 1
+		return nil
+	default:
+		lx.kind = tokSymbol
+		if i+1 < n {
+			switch in[i : i+2] {
+			case "<>", "!=":
+				lx.text = "<>"
+			case "<=":
+				lx.text = "<="
+			case ">=":
+				lx.text = ">="
+			case "||":
+				lx.text = "||"
+			}
+		}
+		if lx.text != "" {
+			i += 2
+			break
+		}
+		if cl&cSymbol == 0 {
+			return fmt.Errorf("sql: unexpected character %q at position %d", c, i+1)
+		}
+		lx.text = in[i : i+1]
+		i++
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n + 1})
-	return toks, nil
+	lx.end, s.i = i, i
+	return nil
+}
+
+// token makes the parser's token of a lexeme. Words that need no folding
+// and strings without doubled quotes are slices of the input.
+func (s *scanner) token(lx lexeme) token {
+	t := token{kind: lx.kind, text: lx.text, pos: lx.start + 1}
+	switch lx.kind {
+	case tokIdent:
+		t.text = s.input[lx.start:lx.end]
+		if lx.rewrite {
+			t.text = string(appendLower(make([]byte, 0, len(t.text)), t.text))
+		}
+	case tokNumber:
+		t.text = s.input[lx.start:lx.end]
+	case tokString:
+		t.text = s.input[lx.start:lx.end]
+		if lx.rewrite {
+			t.text = strings.ReplaceAll(t.text, "''", "'")
+		}
+		t.pos = lx.end + 1 // the closing quote
+	}
+	return t
+}
+
+// IsQuery reports whether a statement is to be run as a query rather than
+// parsed as DDL or DML (with ParseStatement): whether its first word is
+// anything but CREATE, DROP or INSERT. A statement that does not scan is a
+// query, so that reading it reports the error.
+func IsQuery(statement string) bool {
+	s := scanner{input: statement}
+	var lx lexeme
+	err := s.scan(&lx)
+	return err != nil || lx.kind != tokKeyword || lx.text != "CREATE" && lx.text != "DROP" && lx.text != "INSERT"
 }

@@ -8,54 +8,72 @@ import (
 	"perm/internal/types"
 )
 
-// Lexed is a tokenized statement: the one lexing pass behind parsing and
-// behind the plan cache's statement shapes.
+// Lexed reads statements for the plan cache: Shape computes a statement's
+// shape and parameter vector, and Query parses the statement with the
+// literals Shape lifted. It holds no tokens. A Lexed is reused from
+// statement to statement, so that reading one allocates nothing once its
+// buffers have grown; it is not safe for concurrent use.
 type Lexed struct {
-	toks []token
-	// params are the values Lift lifted out, by slot.
+	input string
+	// params are the values Shape lifted out, by slot.
 	params []types.Value
+	// slots holds, for each number and string token of the statement in
+	// order, the slot it reads, 0 where it stands for itself; nil when the
+	// statement was not lifted.
+	slots []int32
+
+	// Shape's scratch, kept for the next statement.
+	lits    []literal
+	classes []litClass
+	// clause[d] is the clause the scan is in at parenthesis depth d: 'l' in
+	// a list whose items may be ordinals or what ordinals stand for (select
+	// list, ORDER BY, GROUP BY), 0 elsewhere.
+	clause []byte
+	// byValue indexes classes by value once there are more than
+	// linearClasses of them; below that they are searched in order.
+	byValue map[types.Value]int32
 }
 
-// Lex tokenizes one statement.
-func Lex(input string) (*Lexed, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	return &Lexed{toks: toks}, nil
-}
-
-// IsQuery reports whether the statement is to be parsed as a query (with
-// Query) rather than as DDL or DML (with Statement).
-func (l *Lexed) IsQuery() bool {
-	t := l.toks[0]
-	return t.kind != tokKeyword || t.text != "CREATE" && t.text != "DROP" && t.text != "INSERT"
-}
+// linearClasses is the number of literal classes Shape looks up by a linear
+// scan; past it, a map.
+const linearClasses = 16
 
 // literal is one number or string token of a statement being lifted.
 type literal struct {
-	tok int
+	// class indexes Lexed.classes; -1 for a number token that does not
+	// parse, which stands for itself.
+	class int32
+	// at is the family offset of the literal's placeholder, -1 where the
+	// family spells the literal out.
+	at int
+	// start and end delimit the literal in the statement, quotes included.
+	start, end int
+}
+
+// litClass is the literals of a statement of one kind and value.
+type litClass struct {
 	val types.Value
-	// inline: the literal stays in the shape by value.
+	// inline: the class stays in the shape by value.
 	inline bool
-	// first is the first literal of the same kind and value.
-	first int
-	// slot is the literal's one-based parameter slot once it has one.
+	// slot is the class's one-based parameter slot once it has one.
 	slot int32
 }
 
-// Lift computes the statement's shape — the statement with its value
-// literals lifted out into a parameter vector. Two statements with the same
-// shape compile to the same plan up to the vector: Query, called after Lift,
-// yields the lifted literals as ParamLit nodes, which the translator lowers
-// to algebra.Param leaves.
+// Shape reads a statement once and computes its shape — the statement with
+// its value literals lifted out into a parameter vector. Two statements with
+// the same shape compile to the same plan up to the vector: Query, called
+// after Shape, yields the lifted literals as ParamLit nodes, which the
+// translator lowers to algebra.Param leaves. Shape returns the statement's
+// first lexical error, if it has one.
 //
-// The shape comes in two parts, both appended to dst. The family is the
-// token sequence — keywords in upper case, identifiers in lower case,
-// strings quoted — with every lifted literal replaced by a placeholder that
-// names its kind; the pattern lists, for the lifted literals in order, the
-// slot each one reads. Statements of one family differ in which of their
-// literals happen to be equal, and their plans in little else.
+// The shape comes in two parts, both appended to dst: family is dst up to
+// the pattern, and the pattern runs to dst's end. The family is the token
+// sequence — keywords in upper case, identifiers in lower case, strings
+// quoted — with every lifted literal replaced by a placeholder that names
+// its kind; the pattern lists, for the lifted literals in order, the slot
+// each one reads. Statements of one family differ in which of their
+// literals happen to be equal, and their plans in little else. params is
+// valid until the next Shape.
 //
 // A number or string literal is lifted unless its value can steer
 // compilation. It stays in the family by value when it
@@ -81,131 +99,60 @@ type literal struct {
 // literals being equal or different — `GROUP BY a+1` matching `SELECT a+1`
 // — holds for every statement of the shape. NULL, TRUE and FALSE are
 // keywords and CAST targets identifiers; neither is ever lifted.
-func (l *Lexed) Lift(dst []byte) (family, pattern []byte, params []types.Value) {
-	lits := l.literals()
-
-	// Literals of one kind and value form a class, named by its first member.
-	// The map compares Values with ==, which tells floats apart by their
-	// bits; that is value equality here, because a number token is digits
-	// and a dot only, so a lexed literal is never -0.0 or NaN.
-	firsts := make(map[types.Value]int, len(lits))
-	var numeric uint8 // the numeric kinds among the literals, one bit each
-	for j := range lits {
-		v := lits[j].val
-		first, seen := firsts[v]
-		if !seen {
-			first, firsts[v] = j, j
+//
+// The last rule can reach back: in `a > 3 … LIMIT 3` the count keeps the
+// earlier 3 in the family. The scan writes a placeholder for every literal
+// not yet known to stay, and spells out, once the scan is over, the
+// placeholders of classes that turned out to stay.
+func (l *Lexed) Shape(input string, dst []byte) (family, pattern []byte, params []types.Value, err error) {
+	l.input = input
+	l.params, l.slots = l.params[:0], l.slots[:0]
+	l.lits, l.classes = l.lits[:0], l.classes[:0]
+	clause := append(l.clause[:0], 0)
+	s := scanner{input: input}
+	// atStart: only parentheses and minus signs since a list item began.
+	// count: the previous token was LIMIT or OFFSET.
+	// tight: the previous token was a parenthesis or a comma. Tokens are
+	// separated by a blank, except around those, which cannot run into a
+	// neighbour.
+	atStart, count, tight := false, false, true
+	var lx lexeme
+	for {
+		if err := s.scan(&lx); err != nil {
+			l.clause = clause
+			return nil, nil, nil, err
 		}
-		lits[j].first = first
-		if v.IsNumeric() {
-			numeric |= 1 << v.Kind()
-		}
-	}
-	const bothKinds = 1<<types.KindInt | 1<<types.KindFloat
-	if numeric == bothKinds {
-		// An integer and a float are compared as floats: a value that occurs
-		// in both kinds stays.
-		kindsOf := map[float64]uint8{}
-		for _, lit := range lits {
-			if lit.val.IsNumeric() {
-				kindsOf[lit.val.Float()] |= 1 << lit.val.Kind()
-			}
-		}
-		for j := range lits {
-			if v := lits[j].val; v.IsNumeric() && kindsOf[v.Float()] == bothKinds {
-				lits[j].inline = true
-			}
-		}
-	}
-	for _, lit := range lits {
-		if lit.inline {
-			lits[lit.first].inline = true
-		}
-	}
-	l.params = l.params[:0]
-	for j := range lits {
-		first := &lits[lits[j].first]
-		if lits[j].inline = first.inline; first.inline {
-			continue
-		}
-		if first.slot == 0 {
-			l.params = append(l.params, first.val)
-			first.slot = int32(len(l.params))
-		}
-		lits[j].slot = first.slot
-	}
-
-	// Tokens are separated by a blank, except around parentheses and commas,
-	// which cannot run into a neighbour.
-	next, tight := 0, true
-	for i := range l.toks {
-		t := &l.toks[i]
-		t.param = 0
-		if next < len(lits) && lits[next].tok == i {
-			t.param = lits[next].slot
-			next++
-		}
-		if t.kind == tokEOF {
-			continue
+		if lx.kind == tokEOF {
+			break
 		}
 		wasTight := tight
-		tight = t.kind == tokSymbol && (t.text == "(" || t.text == ")" || t.text == ",")
+		tight = lx.kind == tokSymbol && (lx.text == "(" || lx.text == ")" || lx.text == ",")
 		if !tight && !wasTight {
 			dst = append(dst, ' ')
 		}
-		switch {
-		case t.param > 0:
-			dst = append(dst, '?', "nbifs"[l.params[t.param-1].Kind()])
-		case t.kind == tokString:
-			dst = append(dst, '\'')
-			for j := 0; j < len(t.text); j++ {
-				if t.text[j] == '\'' {
-					dst = append(dst, '\'')
-				}
-				dst = append(dst, t.text[j])
-			}
-			dst = append(dst, '\'')
-		default:
-			dst = append(dst, t.text...)
-		}
-	}
-	n := len(dst)
-	for _, lit := range lits {
-		if lit.slot > 0 {
-			dst = binary.AppendUvarint(dst, uint64(lit.slot))
-		}
-	}
-	return dst[:n:n], dst[n:], l.params
-}
-
-// literals collects the statement's number and string tokens with their
-// values, marking inline the ones whose position or value rules lifting out
-// (see Lift).
-func (l *Lexed) literals() []literal {
-	var lits []literal
-	// clause[d] is the clause the scan is in at parenthesis depth d: 'l' in a
-	// list whose items may be ordinals or what ordinals stand for (select
-	// list, ORDER BY, GROUP BY), 0 elsewhere.
-	clause := make([]byte, 1, 8)
-	// atStart: only parentheses and minus signs since such an item began.
-	atStart := false
-	for i, t := range l.toks {
-		switch t.kind {
+		afterCount := count
+		count = false
+		switch lx.kind {
 		case tokKeyword:
-			switch t.text {
+			dst = append(dst, lx.text...)
+			switch lx.text {
 			case "SELECT", "BY":
 				clause[len(clause)-1] = 'l'
 				atStart = true
 			case "DISTINCT", "PROVENANCE":
 				// still at the start of the first select-list item
-			case "FROM", "WHERE", "HAVING", "LIMIT", "OFFSET", "UNION", "INTERSECT", "EXCEPT", "GROUP", "ORDER":
+			case "LIMIT", "OFFSET":
+				count = true
+				fallthrough
+			case "FROM", "WHERE", "HAVING", "UNION", "INTERSECT", "EXCEPT", "GROUP", "ORDER":
 				clause[len(clause)-1] = 0
 				atStart = false
 			default:
 				atStart = false
 			}
 		case tokSymbol:
-			switch t.text {
+			dst = append(dst, lx.text...)
+			switch lx.text {
 			case "(":
 				clause = append(clause, 0)
 			case ")":
@@ -219,27 +166,151 @@ func (l *Lexed) literals() []literal {
 			default:
 				atStart = false
 			}
-		case tokNumber, tokString:
-			lit := literal{tok: i, inline: atStart}
-			if prev := l.toks[max(i-1, 0)]; prev.kind == tokKeyword && (prev.text == "LIMIT" || prev.text == "OFFSET") {
-				lit.inline = true
-			}
-			if t.kind == tokString {
-				lit.val = types.NewString(t.text)
-			} else if v, ok := numberValue(t.text); ok {
-				lit.val = v
-				lit.inline = lit.inline || v.Float() == 0
+		case tokIdent:
+			if lx.rewrite {
+				dst = appendLower(dst, input[lx.start:lx.end])
 			} else {
-				atStart = false
-				continue // not a number: the token stands for itself
+				dst = append(dst, input[lx.start:lx.end]...)
 			}
-			lits = append(lits, lit)
 			atStart = false
 		default:
+			dst = l.literal(dst, lx, atStart || afterCount)
 			atStart = false
 		}
 	}
-	return lits
+	l.clause = clause
+
+	l.inlineBothKinds()
+	dst = l.spellStaying(dst)
+	n := len(dst)
+	for _, lit := range l.lits {
+		slot := int32(0)
+		if lit.class >= 0 {
+			if c := &l.classes[lit.class]; !c.inline {
+				if c.slot == 0 {
+					l.params = append(l.params, c.val)
+					c.slot = int32(len(l.params))
+				}
+				slot = c.slot
+				dst = binary.AppendUvarint(dst, uint64(slot))
+			}
+		}
+		l.slots = append(l.slots, slot)
+	}
+	return dst[:n], dst[n:], l.params, nil
+}
+
+// literal records a number or string token and writes it to the family,
+// spelled out or as a placeholder. stays says its position keeps it in the
+// family.
+func (l *Lexed) literal(dst []byte, lx lexeme, stays bool) []byte {
+	lit := literal{class: -1, at: -1, start: lx.start, end: lx.end}
+	var v types.Value
+	if lx.kind == tokString {
+		lit.start, lit.end = lx.start-1, lx.end+1
+		text := l.input[lx.start:lx.end]
+		if lx.rewrite {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		v = types.NewString(text)
+	} else if num, ok := numberValue(l.input[lx.start:lx.end]); ok {
+		v = num
+		stays = stays || num.Float() == 0
+	} else {
+		// not a number: the token stands for itself
+		l.lits = append(l.lits, lit)
+		return append(dst, l.input[lit.start:lit.end]...)
+	}
+	lit.class = l.classOf(v)
+	c := &l.classes[lit.class]
+	c.inline = c.inline || stays
+	if c.inline {
+		dst = append(dst, l.input[lit.start:lit.end]...)
+	} else {
+		lit.at = len(dst)
+		dst = append(dst, '?', "nbifs"[v.Kind()])
+	}
+	l.lits = append(l.lits, lit)
+	return dst
+}
+
+// classOf returns the index of v's class, making one for a value not seen
+// before.
+func (l *Lexed) classOf(v types.Value) int32 {
+	if i, ok := l.find(v); ok {
+		return i
+	}
+	l.classes = append(l.classes, litClass{val: v})
+	i := int32(len(l.classes) - 1)
+	switch {
+	case len(l.classes) == linearClasses+1:
+		if l.byValue == nil {
+			l.byValue = make(map[types.Value]int32)
+		}
+		clear(l.byValue)
+		for j, c := range l.classes {
+			l.byValue[c.val] = int32(j)
+		}
+	case len(l.classes) > linearClasses:
+		l.byValue[v] = i
+	}
+	return i
+}
+
+// find returns the index of v's class. Values compare with ==, which tells
+// floats apart by their bits; that is value equality here, because a number
+// token is digits and a dot only, so a scanned literal is never -0.0 or
+// NaN.
+func (l *Lexed) find(v types.Value) (int32, bool) {
+	if len(l.classes) > linearClasses {
+		i, ok := l.byValue[v]
+		return i, ok
+	}
+	for i := range l.classes {
+		if l.classes[i].val == v {
+			return int32(i), true
+		}
+	}
+	return 0, false
+}
+
+// inlineBothKinds keeps in the family every number that occurs as an
+// integer and as a float: the two are compared as floats.
+func (l *Lexed) inlineBothKinds() {
+	for i := range l.classes {
+		if v := l.classes[i].val; v.Kind() == types.KindInt {
+			if j, ok := l.find(types.NewFloat(float64(v.Int()))); ok {
+				l.classes[i].inline, l.classes[j].inline = true, true
+			}
+		}
+	}
+}
+
+// spellStaying spells out the placeholders that the scan wrote for classes
+// that stay in the family after all. The family from the first such
+// placeholder on is rewritten past its end and moved back.
+func (l *Lexed) spellStaying(dst []byte) []byte {
+	from := -1
+	for _, lit := range l.lits {
+		if lit.at >= 0 && l.classes[lit.class].inline {
+			from = lit.at
+			break
+		}
+	}
+	if from < 0 {
+		return dst
+	}
+	end, prev := len(dst), from
+	for _, lit := range l.lits {
+		if lit.at < from || !l.classes[lit.class].inline {
+			continue
+		}
+		dst = append(dst, dst[prev:lit.at]...)
+		dst = append(dst, l.input[lit.start:lit.end]...)
+		prev = lit.at + 2
+	}
+	dst = append(dst, dst[prev:end]...)
+	return dst[:from+copy(dst[from:], dst[end:])]
 }
 
 // numberValue is the value of a number token: an integer when it fits one,
@@ -259,9 +330,9 @@ func numberValue(text string) (types.Value, bool) {
 	return types.NewFloat(f), true
 }
 
-// Unlift is the inverse of Lift: it spells out a statement of the given
-// family and pattern with params for its lifted literals. Lifting the result
-// yields the same shape, provided params has the kinds the family names and
+// Unlift is the inverse of Shape: it spells out a statement of the given
+// family and pattern with params for its lifted literals. The shape of the
+// result is the same, provided params has the kinds the family names and
 // the equalities the pattern records, no more and no fewer. The differential
 // tests use it to make a statement's siblings: same shape, other values.
 func Unlift(family, pattern []byte, params []types.Value) string {

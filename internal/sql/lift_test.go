@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"perm/internal/tpch"
 	"perm/internal/types"
 )
 
@@ -178,14 +180,45 @@ func TestLiftParamKinds(t *testing.T) {
 	}
 }
 
-// TestLexFastPaths: the lexer folds case, recognises keywords and slices
-// plain string literals without allocating per token.
+// Lex and Lift split Shape in two for the tests: Lex checks that a
+// statement scans, and Lift computes its shape. Query after Lex alone
+// parses every literal as itself.
+func Lex(input string) (*Lexed, error) {
+	l := new(Lexed)
+	if _, _, _, err := l.Shape(input, nil); err != nil {
+		return nil, err
+	}
+	l.slots = nil
+	return l, nil
+}
+
+func (l *Lexed) Lift(dst []byte) (family, pattern []byte, params []types.Value) {
+	family, pattern, params, _ = l.Shape(l.input, dst)
+	return family, pattern, params
+}
+
+// lex collects the tokens the parser reads from the scanner.
+func lex(input string) ([]token, error) {
+	p := newParser(input, nil, nil)
+	var toks []token
+	for p.lexErr == nil {
+		toks = append(toks, p.next())
+		if toks[len(toks)-1].kind == tokEOF {
+			return toks, nil
+		}
+	}
+	return nil, p.lexErr
+}
+
+// TestLexFastPaths: the scanner folds case, recognises keywords in any case
+// and slices identifiers in lower case and plain string literals out of the
+// input.
 func TestLexFastPaths(t *testing.T) {
 	toks, err := lex(`Select "x"`)
 	if err == nil {
 		t.Fatalf("double quotes are not lexed, got %v", toks)
 	}
-	const query = `select Alpha, beta_2 from Tab where s = 'plain' and t = 'it''s' and n >= 10.5`
+	const query = `select Alpha, beta_2 from Tab where s = 'plain' and t = 'it''s' and n >= 10.5 oR x iS NULL`
 	toks, err = lex(query)
 	if err != nil {
 		t.Fatal(err)
@@ -194,24 +227,105 @@ func TestLexFastPaths(t *testing.T) {
 	for _, tk := range toks[:len(toks)-1] {
 		got = append(got, tk.text)
 	}
-	want := `SELECT alpha , beta_2 FROM tab WHERE s = plain AND t = it's AND n >= 10.5`
+	want := `SELECT alpha , beta_2 FROM tab WHERE s = plain AND t = it's AND n >= 10.5 OR x IS NULL`
 	if strings.Join(got, " ") != want {
 		t.Errorf("lex = %q, want %q", strings.Join(got, " "), want)
 	}
-	// One allocation for the token slice, one for Alpha's and one for Tab's
-	// lower-case copy, one for the unescaped string.
-	if n := testing.AllocsPerRun(100, func() { _, _ = lex(query) }); n > 4 {
-		t.Errorf("lex allocates %v times, want at most 4", n)
+	if beta := toks[3].text; unsafe.StringData(beta) != unsafe.StringData(query[strings.Index(query, "beta"):]) {
+		t.Error("a lower-case identifier is copied, not sliced")
 	}
-	lower := strings.ToLower(strings.ReplaceAll(query, "'it''s'", "'its'"))
-	if n := testing.AllocsPerRun(100, func() { _, _ = lex(lower) }); n > 1 {
-		t.Errorf("lex of lower-case input allocates %v times, want 1", n)
+	// Words that are almost keywords are identifiers.
+	toks, err = lex(`SELECT selects, fro, provenances, ina, i, _from FROM r`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Bytes above ASCII still make words, through the slow path.
+	for _, tk := range toks[1:12] {
+		if tk.kind == tokKeyword {
+			t.Errorf("%q lexed as a keyword", tk.text)
+		}
+	}
+	// Bytes above ASCII are read as Latin-1, and folded so.
 	toks, err = lex("SELECT CAF\xc9 FROM r")
-	if err != nil || len(toks) != 5 || toks[1].kind != tokIdent || toks[1].text != strings.ToLower("CAF\xc9") {
+	if err != nil || len(toks) != 5 || toks[1].kind != tokIdent || toks[1].text != "caf\xe9" {
 		t.Errorf("latin-1 identifier: %v, %v", toks, err)
 	}
+}
+
+// TestKeywords: every keyword is one in any case, and has its own entry of
+// the table.
+func TestKeywords(t *testing.T) {
+	for _, kw := range keywords {
+		for _, w := range []string{kw, strings.ToLower(kw), strings.ToLower(kw[:1]) + kw[1:]} {
+			if got := keyword(w); got != kw {
+				t.Errorf("keyword(%q) = %q, want %q", w, got, kw)
+			}
+		}
+		if got := keyword(kw + "X"); got != "" {
+			t.Errorf("keyword(%q) = %q, want none", kw+"X", got)
+		}
+	}
+}
+
+// TestShapeAllocatesNothing: reading a plan_bound statement — the 13 TPC-H
+// templates, plain and under PROVENANCE — into buffers that already grew
+// allocates nothing.
+func TestShapeAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts differ under -race")
+	}
+	var l Lexed
+	var buf []byte
+	for _, q := range shapeTemplates(t, 7) {
+		family, _, _, err := l.Shape(q, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = family[:0]
+		if n := testing.AllocsPerRun(20, func() {
+			family, _, _, _ = l.Shape(q, buf[:0])
+		}); n != 0 {
+			t.Errorf("Shape allocates %v times on\n%s", n, q)
+		}
+	}
+}
+
+// BenchmarkShape reads the plan_bound statements, instances 1 to 16, into
+// reused buffers: the front end of a plan-cache hit.
+func BenchmarkShape(b *testing.B) {
+	var queries []string
+	for inst := int64(1); inst <= 16; inst++ {
+		queries = append(queries, shapeTemplates(b, inst)...)
+	}
+	var l Lexed
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		family, _, _, err := l.Shape(queries[i%len(queries)], buf[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf = family[:0]
+	}
+}
+
+// shapeTemplates is the plan_bound workload's 13 statements at one
+// instance: TPC-H queries 2, 4, 11, 15, 16, 17, 20, 21 and 22, and 4, 11, 15
+// and 16 under PROVENANCE.
+func shapeTemplates(t testing.TB, instance int64) []string {
+	t.Helper()
+	var out []string
+	for _, n := range []int{2, 4, 11, 15, 16, 17, 20, 21, 22, -4, -11, -15, -16} {
+		q, err := tpch.QueryByNum(max(n, -n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := q.Instance(instance)
+		if n < 0 {
+			text = strings.Replace(text, "SELECT", "SELECT PROVENANCE", 1)
+		}
+		out = append(out, text)
+	}
+	return out
 }
 
 // TestNumberValue: a number token with a dot is a float, parsed without an

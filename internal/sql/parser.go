@@ -9,25 +9,76 @@ import (
 
 // Parse parses one SQL query (an optional trailing semicolon is allowed).
 func Parse(input string) (*Stmt, error) {
-	l, err := Lex(input)
-	if err != nil {
+	return newParser(input, nil, nil).query()
+}
+
+// Query parses the statement of the last Shape as a query; the literals
+// Shape lifted come out as ParamLit nodes.
+func (l *Lexed) Query() (*Stmt, error) {
+	return newParser(l.input, l.params, l.slots).query()
+}
+
+// parser reads its tokens from the scanner one at a time.
+type parser struct {
+	s scanner
+	// tok is the next token; tokEOF from a lexical error on.
+	tok token
+	// lexErr is the first lexical error of the input.
+	lexErr error
+	// params holds the values of the lifted literals, by slot, and slots
+	// the slot of each number and string token in order (see Lexed).
+	params []types.Value
+	slots  []int32
+	// lits counts the number and string tokens read.
+	lits int
+}
+
+func newParser(input string, params []types.Value, slots []int32) *parser {
+	p := &parser{s: scanner{input: input}, params: params, slots: slots}
+	p.advance()
+	return p
+}
+
+// advance reads the next token.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	var lx lexeme
+	if err := p.s.scan(&lx); err != nil {
+		p.lexErr = err
+		p.tok = token{kind: tokEOF, pos: len(p.s.input) + 1}
+		return
+	}
+	p.tok = p.s.token(lx)
+	if lx.kind == tokNumber || lx.kind == tokString {
+		if p.lits < len(p.slots) {
+			p.tok.param = p.slots[p.lits]
+		}
+		p.lits++
+	}
+}
+
+// lexFirst returns the input's first lexical error, if it has one, and err
+// otherwise: a statement that does not scan reports that, wherever the
+// parse stopped.
+func (p *parser) lexFirst(err error) error {
+	for err != nil && p.lexErr == nil && p.tok.kind != tokEOF {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
+}
+
+// query parses the whole input as a query.
+func (p *parser) query() (*Stmt, error) {
+	stmt, err := p.parseQuery()
+	if err := p.lexFirst(err); err != nil {
 		return nil, err
 	}
-	return l.Query()
-}
-
-// Query parses the statement as a query. After Lift, the literals it lifted
-// come out as ParamLit nodes.
-func (l *Lexed) Query() (*Stmt, error) {
-	p := &parser{toks: l.toks, params: l.params}
-	return p.parseQuery()
-}
-
-type parser struct {
-	toks []token
-	i    int
-	// params holds the values of the tokens marked as lifted.
-	params []types.Value
+	return stmt, nil
 }
 
 // parseQuery parses a query up to the end of the input.
@@ -43,8 +94,8 @@ func (p *parser) parseQuery() (*Stmt, error) {
 	return stmt, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: position %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
 }
@@ -52,7 +103,7 @@ func (p *parser) errf(format string, args ...any) error {
 // accept consumes the next token if it matches, reporting success.
 func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.peek().kind == kind && p.peek().text == text {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false

@@ -60,12 +60,32 @@ func TestLexBasics(t *testing.T) {
 	}
 }
 
+// lexErrors pins every lexical error's message and byte position, as the
+// lexer has always reported them.
+var lexErrors = []struct{ input, err string }{
+	{`'abc`, `sql: unterminated string literal at position 4`},
+	{`SELECT a FROM r WHERE b = 'it''s`, `sql: unterminated string literal at position 32`},
+	{`SELECT @`, `sql: unexpected character '@' at position 8`},
+	{`SELECT "x" FROM r`, `sql: unexpected character '"' at position 8`},
+	{`SELECT a ! b FROM r`, `sql: unexpected character '!' at position 10`},
+	{"SELECT caf\xc9 FROM r WHERE b = @", `sql: unexpected character '@' at position 30`},
+	// The parse fails at FROM; the lexical error past it is what is reported.
+	{`SELECT FROM WHERE @`, `sql: unexpected character '@' at position 19`},
+	{`CREATE TABLE w (k int) @`, `sql: unexpected character '@' at position 24`},
+	{`INSERT INTO r VALUES (1, 'x)`, `sql: unterminated string literal at position 28`},
+	{`SELECT a FROM r; 'x`, `sql: unterminated string literal at position 19`},
+}
+
 func TestLexErrors(t *testing.T) {
-	if _, err := lex("SELECT 'unterminated"); err == nil {
-		t.Error("unterminated string should fail")
-	}
-	if _, err := lex("SELECT @"); err == nil {
-		t.Error("bad character should fail")
+	for _, c := range lexErrors {
+		_, _, _, shapeErr := new(Lexed).Shape(c.input, nil)
+		_, parseErr := Parse(c.input)
+		_, stmtErr := ParseStatement(c.input)
+		for _, err := range []error{shapeErr, parseErr, stmtErr} {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%q: %v, want %s", c.input, err, c.err)
+			}
+		}
 	}
 }
 

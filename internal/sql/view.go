@@ -35,16 +35,15 @@ type ViewDef struct {
 // ParseStatement parses any statement: a query, CREATE VIEW or TABLE, DROP
 // VIEW or TABLE, or INSERT.
 func ParseStatement(input string) (*Statement, error) {
-	l, err := Lex(input)
-	if err != nil {
+	p := newParser(input, nil, nil)
+	st, err := p.parseStatement()
+	if err := p.lexFirst(err); err != nil {
 		return nil, err
 	}
-	return l.Statement()
+	return st, nil
 }
 
-// Statement parses the tokens as any statement (see ParseStatement).
-func (l *Lexed) Statement() (*Statement, error) {
-	p := &parser{toks: l.toks, params: l.params}
+func (p *parser) parseStatement() (*Statement, error) {
 	switch {
 	case p.acceptKeyword("CREATE"):
 		if p.acceptKeyword("TABLE") {

@@ -130,14 +130,10 @@ type scope struct {
 // SELECT PROVENANCE, which rewrites through the view body (the Perm
 // capability of §3.1).
 func (sc *scope) Exec(statement string, opts ...Option) (*Result, error) {
-	lx, err := sql.Lex(statement)
-	if err != nil {
-		return nil, err
+	if sql.IsQuery(statement) {
+		return sc.snapshot().query(statement, newQueryConfig(opts))
 	}
-	if lx.IsQuery() {
-		return sc.snapshot().query(lx, newQueryConfig(opts))
-	}
-	st, err := lx.Statement()
+	st, err := sql.ParseStatement(statement)
 	if err != nil {
 		return nil, err
 	}
@@ -464,11 +460,7 @@ func newQueryConfig(opts []Option) queryConfig {
 // current snapshot. SELECT PROVENANCE statements are rewritten with the
 // configured strategy before execution.
 func (sc *scope) Query(query string, opts ...Option) (*Result, error) {
-	lx, err := sql.Lex(query)
-	if err != nil {
-		return nil, err
-	}
-	return sc.snapshot().query(lx, newQueryConfig(opts))
+	return sc.snapshot().query(query, newQueryConfig(opts))
 }
 
 // QueryContext is Query under a context: cancellation or deadline expiry
@@ -483,41 +475,58 @@ func (sc *scope) ExecContext(ctx context.Context, statement string, opts ...Opti
 	return sc.Exec(statement, append([]Option{WithContext(ctx)}, opts...)...)
 }
 
+// reading is what reading one statement fills: its shape and parameter
+// vector (sql.Lexed) and the plan-cache key. Readings are pooled, so that a
+// cache hit allocates none of them; one is held until the statement's
+// result is made, since its parameters are read until then.
+type reading struct {
+	lx  sql.Lexed
+	key []byte
+}
+
+var readings = sync.Pool{New: func() any { return new(reading) }}
+
 // planFor returns the statement's compiled plan and the parameter vector to
 // run it with, from the plan cache when it holds a plan of the statement's
-// shape that is valid in this snapshot. The hot path is lift, look up,
+// shape that is valid in this snapshot. The hot path is shape, look up,
 // validate; a miss parses the lifted statement, compiles it — the plan
 // carries algebra.Param leaves where literals were lifted — and admits the
-// plan. cached reports a hit.
-func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params []types.Value, cached bool, err error) {
+// plan. cached reports a hit. params is rd's, valid while rd is held.
+func (sn snapshot) planFor(rd *reading, text string, cfg queryConfig) (p *planned, params []types.Value, cached bool, err error) {
 	// An unknown strategy is compile's to report, or to ignore.
 	strat, stratErr := cfg.strategy.internal()
-	useCache := !cfg.noPlanCache && stratErr == nil
-	var family, pattern []byte
-	if useCache {
-		family = append(make([]byte, 0, 512), byte(strat), '0', '+')
-		if cfg.planCheck {
-			family[1] = '1'
+	if cfg.noPlanCache || stratErr != nil {
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if cfg.noOptimize {
-			family[2] = '-'
+		if p, err = sn.compile(stmt, cfg); err != nil {
+			return nil, nil, false, err
 		}
-		family, pattern, params = lx.Lift(family)
-		if p := sn.plans.lookup(family, pattern, sn); p != nil {
-			return p, params, true, nil
-		}
-	}
-	stmt, err := lx.Query()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	p, err = sn.compile(stmt, cfg)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if !useCache {
 		p.phys = eval.Lower(p.plan)
 		return p, nil, false, nil
+	}
+	family := append(rd.key[:0], byte(strat), '0', '+')
+	if cfg.planCheck {
+		family[1] = '1'
+	}
+	if cfg.noOptimize {
+		family[2] = '-'
+	}
+	family, pattern, params, err := rd.lx.Shape(text, family)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	rd.key = family[:0]
+	if p := sn.plans.lookup(family, pattern, sn); p != nil {
+		return p, params, true, nil
+	}
+	stmt, err := rd.lx.Query()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if p, err = sn.compile(stmt, cfg); err != nil {
+		return nil, nil, false, err
 	}
 	// The statement runs the plan as the cache keeps it, so that a miss and
 	// a hit execute the same plan.
@@ -526,8 +535,10 @@ func (sn snapshot) planFor(lx *sql.Lexed, cfg queryConfig) (p *planned, params [
 }
 
 // query runs the full pipeline against one snapshot.
-func (sn snapshot) query(lx *sql.Lexed, cfg queryConfig) (out *Result, err error) {
-	p, params, _, err := sn.planFor(lx, cfg)
+func (sn snapshot) query(text string, cfg queryConfig) (out *Result, err error) {
+	rd := readings.Get().(*reading)
+	defer readings.Put(rd)
+	p, params, _, err := sn.planFor(rd, text, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -644,11 +655,9 @@ func (sn snapshot) advise(query string) ([]StrategyAdvice, error) {
 // ("-- compiled"), followed by the values of the parameters that stand for
 // lifted literals in it ($1, $2, …), if any.
 func (sc *scope) Explain(query string, opts ...Option) (string, error) {
-	lx, err := sql.Lex(query)
-	if err != nil {
-		return "", err
-	}
-	p, params, cached, err := sc.snapshot().planFor(lx, newQueryConfig(opts))
+	rd := readings.Get().(*reading)
+	defer readings.Put(rd)
+	p, params, cached, err := sc.snapshot().planFor(rd, query, newQueryConfig(opts))
 	if err != nil {
 		return "", err
 	}

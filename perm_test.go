@@ -32,6 +32,33 @@ func TestPlainQuery(t *testing.T) {
 	}
 }
 
+// TestLexErrorsReachQuery: DB.Query, Exec and Explain report a statement
+// that does not scan with the lexer's message and byte position, whether
+// or not the plan cache is on and whatever the statement's first word.
+func TestLexErrorsReachQuery(t *testing.T) {
+	db := openFigure3(t)
+	for _, c := range []struct{ input, err string }{
+		{`'abc`, `sql: unterminated string literal at position 4`},
+		{`SELECT a FROM r WHERE b = 'it''s`, `sql: unterminated string literal at position 32`},
+		{`SELECT "x" FROM r`, `sql: unexpected character '"' at position 8`},
+		{`SELECT a ! b FROM r`, `sql: unexpected character '!' at position 10`},
+		{"SELECT caf\xc9 FROM r WHERE b = @", `sql: unexpected character '@' at position 30`},
+		{`SELECT FROM WHERE @`, `sql: unexpected character '@' at position 19`},
+		{`CREATE TABLE w (k int) @`, `sql: unexpected character '@' at position 24`},
+		{`INSERT INTO r VALUES (1, 'x)`, `sql: unterminated string literal at position 28`},
+	} {
+		_, queryErr := db.Query(c.input)
+		_, uncachedErr := db.Query(c.input, WithoutPlanCache())
+		_, execErr := db.Exec(c.input)
+		_, explainErr := db.Explain(c.input)
+		for _, err := range []error{queryErr, uncachedErr, execErr, explainErr} {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%q: %v, want %s", c.input, err, c.err)
+			}
+		}
+	}
+}
+
 func TestProvenanceQueryAllStrategies(t *testing.T) {
 	db := openFigure3(t)
 	q := "SELECT PROVENANCE a, b FROM r WHERE a = ANY (SELECT c FROM s)"

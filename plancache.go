@@ -76,7 +76,7 @@ func (sn snapshot) holds(deps []dep) bool {
 	return true
 }
 
-// planCache maps statement shapes (sql.Lexed.Lift), together with the
+// planCache maps statement shapes (sql.Lexed.Shape), together with the
 // options that shape a plan, to compiled, parameterised plans. One cache
 // serves a DB and every session opened from it. It is keyed by statement
 // family; a family holds several variants, for two reasons. Statements of

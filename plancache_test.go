@@ -682,7 +682,7 @@ func TestCachedPlanAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts differ under -race")
 	}
-	const ceiling = 60
+	const ceiling = 50
 	db := tpchDB(t)
 	queries := planBoundTemplates(t, 12345)
 	var sum float64

@@ -45,7 +45,7 @@ type planned struct {
 	hidden   int
 	prov     []provGroup
 	// pattern is the statement's literal pattern within its family (see
-	// sql.Lexed.Lift); set on plans compiled for the plan cache.
+	// sql.Lexed.Shape); set on plans compiled for the plan cache.
 	pattern string
 	// deps are the relations the statement named with what they were bound
 	// to: the plan is valid wherever they still are (see planCache).

@@ -1220,7 +1220,7 @@ func TestPlanCacheKindChange(t *testing.T) {
 
 // TestPlanCacheNumericKinds: 2 and 2.0 compare equal and compute
 // differently. A value that a statement spells in both numeric kinds stays
-// in its plan (see sql.Lexed.Lift), each time in the kind it was written in
+// in its plan (see sql.Lexed.Shape), each time in the kind it was written in
 // — the cache once kept one constant for the two — in the select list, in
 // conditions, and for an integer beside the float it rounds to.
 func TestPlanCacheNumericKinds(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"perm/internal/rel"
-	"perm/internal/sql"
 	"perm/internal/types"
 )
 
@@ -216,11 +215,7 @@ func TestSessionSnapshotPinsBase(t *testing.T) {
 	if got := strings.Join(sn.views.Names(), ","); got != "v" {
 		t.Errorf("snapshot views = %s, want v", got)
 	}
-	lx, err := sql.Lex(`SELECT PROVENANCE a FROM v ORDER BY 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sn.query(lx, newQueryConfig(nil))
+	res, err := sn.query(`SELECT PROVENANCE a FROM v ORDER BY 1`, newQueryConfig(nil))
 	if err != nil || len(res.Rows) != 2 {
 		t.Errorf("query on the pinned snapshot: %v, %v; want the 2 old rows through the dropped view", res, err)
 	}
