@@ -1,9 +1,10 @@
 // Command permd serves the perm engine over HTTP/JSON: POST /query,
 // /exec and /advise plus GET /healthz and /stats (see internal/service
-// for the endpoint contracts). The base catalog is seeded with the fuzz
-// tables (r, s, t, u) and the synthetic workload relations (r1, r2) so
-// cmd/permload and ad-hoc curl sessions have data to query out of the
-// box; per-session DDL lands in copy-on-write session layers above it.
+// for the endpoint contracts). The base catalog is fixed: the fuzz tables
+// r, s, t, u of seed 1 and the synthetic workload relations r1, r2 (seed 1,
+// 100 rows each, gaussian b), so ad-hoc curl sessions have data to query
+// out of the box; per-session DDL lands in copy-on-write session layers
+// above it.
 //
 //	go run ./cmd/permd -addr :8080
 //	curl -s localhost:8080/query -d '{"query":"SELECT PROVENANCE * FROM r"}'
@@ -32,16 +33,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Int64("seed", 1, "seed for the fuzz tables and synth workload data")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max statements executing at once (0 = 4×GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on the deadline a request may ask for")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	synthSize := flag.Int("synth-size", 100, "row count of the synth workload relations r1 and r2")
-	synthDomain := flag.Int("synth-domain", 0, "bounded uniform domain for synth attribute b (0 = gaussian)")
 	flag.Parse()
 
-	db, err := buildDB(*seed, *synthSize, *synthDomain)
+	db, err := buildDB()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "permd:", err)
 		os.Exit(1)
@@ -89,11 +87,11 @@ func main() {
 }
 
 // buildDB seeds the base catalog: the fuzz tables r, s, t, u plus the
-// synthetic workload relations r1, r2.
-func buildDB(seed int64, synthSize, synthDomain int) (*perm.DB, error) {
-	base := fuzz.NewDB(seed)
-	wl := synth.Workload{InputSize: synthSize, SublinkSize: synthSize, Seed: seed, Domain: synthDomain}
-	cat := wl.Catalog()
+// synthetic workload relations r1, r2. internal/service's
+// TestCorpusOverHTTP replays its corpus against the same catalog.
+func buildDB() (*perm.DB, error) {
+	base := fuzz.NewDB(1)
+	cat := synth.Workload{InputSize: 100, SublinkSize: 100, Seed: 1}.Catalog()
 	for _, name := range []string{"r1", "r2"} {
 		r, err := cat.Relation(name)
 		if err != nil {

@@ -27,7 +27,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	}
 
 	addr := freeAddr(t)
-	cmd := exec.Command(bin, "-addr", addr, "-synth-size", "200", "-synth-domain", "10", "-drain-timeout", "30s")
+	cmd := exec.Command(bin, "-addr", addr, "-drain-timeout", "30s")
 	var logs bytes.Buffer
 	cmd.Stderr = &logs
 	if err := cmd.Start(); err != nil {
@@ -46,9 +46,11 @@ func TestGracefulSIGTERM(t *testing.T) {
 		return resp.StatusCode == 200
 	})
 
-	// Launch a slow query: r1's three-way self cross product, 8 M rows at
-	// this size, which no executor cache or provenance rewrite shortens.
-	slow := "SELECT count(*) FROM r1 AS x, r1 AS y, r1 AS z"
+	// Launch a slow query: r1's three-way self cross product times the five
+	// rows of r, 5 M rows that no executor cache or provenance rewrite
+	// shortens (about 1 s on a 2-core x86-64 container), so it is still in
+	// flight when the 503 probe below runs.
+	slow := "SELECT count(*) FROM r1 AS x, r1 AS y, r1 AS z, r AS w"
 	type result struct {
 		status int
 		rows   int

@@ -32,10 +32,14 @@
 //
 // DisableStreaming restores operator-at-a-time full materialization (every
 // operator's output built as a counted bag). The materializing engine is
-// the sequential reference: it has its own operator code, and the
+// the sequential reference: it has its own operator loops, and the
 // differential tests and the benchmark's result check compare the pipeline
-// against it. LastStats reports the rows either engine materialized; on the
-// reference that is every operator's output, which the root
+// against it. Below its loops it shares with the pipeline evalExpr, the
+// hash tables of joins and sublinks (slotIndex: buildIndex, find,
+// appendKey), splitEqui and the join split Lower decides (joinPlan.matKeys);
+// a fault there is alike on both sides, and no differential test finds it
+// (ROADMAP item 21). LastStats reports the rows either engine materialized;
+// on the reference that is every operator's output, which the root
 // TestPaperFigureShapes counts as the work of a plan. A context attached
 // with WithContext is polled during execution so long-running plans can be
 // cancelled, and MaxRows bounds total materialization (the Gen strategy's

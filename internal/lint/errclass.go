@@ -9,11 +9,11 @@ import (
 )
 
 // ErrClass enforces the error-classification discipline the service
-// boundary depends on: the differential harness and permload key on stable
-// error classes, and a class survives the trip from the engine to the HTTP
-// response only if (a) sentinel errors stay recognizable to errors.Is and
-// (b) every handler error flows through the package's classifier rather
-// than ad-hoc HTTP error writing.
+// boundary depends on: the differential harness and the service's corpus
+// replay over HTTP key on stable error classes, and a class survives the
+// trip from the engine to the HTTP response only if (a) sentinel errors
+// stay recognizable to errors.Is and (b) every handler error flows through
+// the package's classifier rather than ad-hoc HTTP error writing.
 //
 // Rules:
 //

@@ -14,7 +14,7 @@ import (
 )
 
 // ErrorJSON is the error body of every failed request. Class is stable
-// across releases (tests and permload key on it); Message is the engine's
+// across releases (clients and tests key on it); Message is the engine's
 // error text verbatim, so differential replays can compare it with direct
 // library execution; Position, when present, is the 1-based byte position
 // the compiler reported.

@@ -66,8 +66,7 @@ type AdviseRequest struct {
 	Session string `json:"session,omitempty"`
 	// Query is the plain query (no PROVENANCE keyword) to rank strategies
 	// for.
-	Query     string `json:"query"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
+	Query string `json:"query"`
 }
 
 // AdviceJSON mirrors perm.StrategyAdvice.
@@ -114,8 +113,8 @@ var strategies = map[string]perm.Strategy{
 }
 
 // queryOptions validates the per-request knobs and builds the perm
-// options. A nil error slice return means the request was rejected and a
-// response written.
+// options. It returns false when it rejected the request and wrote the
+// response.
 func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string) ([]perm.Option, bool) {
 	strat, ok := strategies[strategy]
 	if !ok {
@@ -128,7 +127,7 @@ func (s *Server) queryOptions(w http.ResponseWriter, strategy, mode string) ([]p
 	opts := []perm.Option{perm.WithStrategy(strat)}
 	switch mode {
 	case "", "stream":
-	case "materialize", "mat":
+	case "materialize":
 		opts = append(opts, perm.WithoutStreaming())
 	default:
 		writeJSON(w, http.StatusBadRequest, ErrorBody{ErrorJSON{

@@ -42,6 +42,17 @@ func newSynthServer(t *testing.T, size, domain int, cfg Config) (*Server, *httpt
 	t.Helper()
 	db := perm.Open()
 	wl := synth.Workload{InputSize: size, SublinkSize: size, Seed: 1, Domain: domain}
+	registerSynth(t, db, wl)
+	cfg.DB = db
+	s := New(cfg)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts, wl
+}
+
+// registerSynth adds wl's relations r1 and r2 to db's base catalog.
+func registerSynth(t *testing.T, db *perm.DB, wl synth.Workload) {
+	t.Helper()
 	cat := wl.Catalog()
 	for _, name := range []string{"r1", "r2"} {
 		r, err := cat.Relation(name)
@@ -50,11 +61,6 @@ func newSynthServer(t *testing.T, size, domain int, cfg Config) (*Server, *httpt
 		}
 		db.Catalog().Register(name, r)
 	}
-	cfg.DB = db
-	s := New(cfg)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return s, ts, wl
 }
 
 // slowStatement runs for seconds over newSynthServer's r1 (8 M rows at 200
@@ -92,6 +98,21 @@ func post(t *testing.T, url string, body any) (int, reply) {
 		t.Fatalf("POST %s: bad response JSON: %v", url, err)
 	}
 	return resp.StatusCode, out
+}
+
+// getStats reads GET /stats from the server at base.
+func getStats(t *testing.T, base string) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
 }
 
 // renderRows renders a row set to one comparable line per row.
@@ -257,6 +278,12 @@ func TestQueryEndpoint(t *testing.T) {
 		{
 			name:   "unknown mode",
 			body:   map[string]any{"query": "SELECT a FROM t1", "mode": "turbo"},
+			status: 400,
+			class:  ClassRequest,
+		},
+		{
+			name:   "unknown mode mat",
+			body:   map[string]any{"query": "SELECT a FROM t1", "mode": "mat"},
 			status: 400,
 			class:  ClassRequest,
 		},
@@ -460,20 +487,7 @@ func TestHealthzAndStats(t *testing.T) {
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 1"})
 	post(t, ts.URL+"/query", map[string]any{"query": "SELECT a FROM t1 WHERE a > 2"})
 
-	getStats := func() StatsResponse {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var stats StatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	stats := getStats()
+	stats := getStats(t, ts.URL)
 	q := stats.Endpoints["query"]
 	if q.Count != 4 || q.Errors != 1 || q.InFlight != 0 {
 		t.Errorf("query stats = %+v, want count 4, errors 1, in_flight 0", q)
@@ -487,15 +501,15 @@ func TestHealthzAndStats(t *testing.T) {
 	// repeated query probes it and leaves index_builds flat.
 	const correlated = "SELECT a FROM t1 WHERE EXISTS (SELECT 1 FROM t1 u WHERE u.b = t1.b AND u.a <> t1.a)"
 	post(t, ts.URL+"/query", map[string]any{"query": correlated})
-	built := getStats().Endpoints["query"].IndexBuilds
+	built := getStats(t, ts.URL).Endpoints["query"].IndexBuilds
 	if built != 1 {
 		t.Errorf("index_builds = %d after the first correlated query, want 1", built)
 	}
 	post(t, ts.URL+"/query", map[string]any{"query": correlated})
-	if again := getStats().Endpoints["query"].IndexBuilds; again != built {
+	if again := getStats(t, ts.URL).Endpoints["query"].IndexBuilds; again != built {
 		t.Errorf("index_builds went from %d to %d over a repeated query", built, again)
 	}
-	stats = getStats()
+	stats = getStats(t, ts.URL)
 	q = stats.Endpoints["query"]
 	if q.Latency.Max <= 0 {
 		t.Errorf("latency histogram empty: %+v", q.Latency)

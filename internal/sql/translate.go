@@ -20,11 +20,11 @@ type Translated struct {
 	// output schema. ORDER BY may reference attributes the SELECT list does
 	// not project (`SELECT a FROM r ORDER BY b`); the translator extends the
 	// top-level projection with columns computing those keys so the sort and
-	// any LIMIT cut can see them. The result presentation layer sorts on
-	// them and then strips them — they are never part of the query's visible
-	// result. Nested query blocks strip their hidden columns themselves
-	// (their presentation order is not observable), so Hidden is only ever
-	// non-zero for the top-level select.
+	// any LIMIT cut can see them. The plan's Order sorts on them; the result
+	// presentation layer only strips them — they are never part of the
+	// query's visible result. Nested query blocks strip their hidden columns
+	// themselves (their presentation order is not observable), so Hidden is
+	// only ever non-zero for the top-level select.
 	Hidden int
 	// Relations are the names the statement resolved as relations, each once,
 	// in order of first use: its FROM items that are tables or views, and

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestMain turns per-stage plan verification on for the whole root test
-// suite: every query of the regression, differential, view and example
-// tests now fails if any compile stage produces a structurally invalid
-// plan or a run writes into a cached plan, making the entire suite a
-// plancheck fixture for free.
+// TestMain turns the frozen-plan check on for the whole root test suite:
+// every query of the regression, differential, view and example tests
+// fails if its run writes into a cached plan (the fingerprint taken at
+// admission no longer matches), making the entire suite a plancheck
+// fixture for free.
 func TestMain(m *testing.M) {
 	DefaultPlanCheck = true
 	os.Exit(m.Run())
